@@ -17,14 +17,17 @@
 //!   guard. `None` = unbounded;
 //! * the intrinsic [`ResourceEstimate`].
 //!
-//! [`PropertyFacts::to_core`] hands the mask and liveness to the engine
-//! through the checked [`swmon_core::AnalysisFacts`] seam.
+//! The facts are analysis-only: they feed `repro analyze`, lints
+//! `SW010`–`SW015` and the per-backend resource table. Nothing on the hot
+//! path consumes them — across the shipped catalog the refined mask equals
+//! the syntactic one on every property (docs/ANALYSIS.md), so there is
+//! nothing to prune.
 
 use super::cfg::Cfg;
 use super::fixpoint::{self, Solution};
 use super::resources::ResourceEstimate;
 use std::collections::{BTreeMap, BTreeSet};
-use swmon_core::{AnalysisFacts, FactsError, Property, RouteMode, RoutingPlan};
+use swmon_core::{Property, RouteMode, RoutingPlan};
 use swmon_packet::Field;
 
 /// Everything the abstract interpreter proved about one property.
@@ -77,11 +80,6 @@ impl PropertyFacts {
     /// True when the mask proves strictly fewer classes than the syntax.
     pub fn mask_is_refined(&self) -> bool {
         self.refined_mask != self.syntactic_mask
-    }
-
-    /// Package the engine-facing facts through the checked seam.
-    pub fn to_core(&self, property: &Property) -> Result<AnalysisFacts, FactsError> {
-        AnalysisFacts::checked(property, self.refined_mask, self.live_stages.clone())
     }
 }
 
@@ -151,8 +149,6 @@ mod tests {
         assert_eq!(f.refined_mask, f.syntactic_mask);
         assert!(!f.mask_is_refined());
         assert_eq!(f.live_stages, vec![true, true]);
-        let core = f.to_core(&p).unwrap();
-        assert_eq!(core.effective_mask(), p.event_class_mask());
         // Both binders are routing-key fields: exactly one tuple per key.
         assert_eq!(f.spawn_cardinality, Some(1));
     }
@@ -169,7 +165,7 @@ mod tests {
         assert_eq!(f.refined_mask & 0b111_0000, 0, "no instance awaits stage 0");
         assert!(f.mask_is_refined());
         assert_eq!(f.live_stages, vec![true, true], "liveness is untouched");
-        f.to_core(&p).unwrap().validate_for(&p).unwrap();
+        assert_eq!(f.refined_mask & !f.syntactic_mask, 0, "refinement only removes classes");
     }
 
     #[test]
@@ -184,9 +180,6 @@ mod tests {
         let f = property_facts(&p);
         assert_eq!(f.live_stages, vec![true, true, false]);
         assert_eq!(f.refined_mask & (1 << 4), 0, "the dead stage's class is dropped");
-        let core = f.to_core(&p).unwrap();
-        assert!(!core.can_violate());
-        assert_eq!(core.effective_mask(), 0);
     }
 
     #[test]
@@ -237,6 +230,5 @@ mod tests {
         let f = property_facts(&p);
         assert_eq!(f.spawn_cardinality, Some(0));
         assert_eq!(f.live_stages, vec![false, false]);
-        assert_eq!(f.to_core(&p).unwrap().effective_mask(), 0);
     }
 }

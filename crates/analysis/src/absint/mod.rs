@@ -1,5 +1,5 @@
-//! Abstract interpretation over properties: proven facts that prune the
-//! hot path and make the backend table quantitative.
+//! Abstract interpretation over properties: proven facts that drive the
+//! `SW010`–`SW015` lints and make the backend table quantitative.
 //!
 //! The framework is a classic lattice/fixpoint design, specialised to the
 //! chain shape of swmon properties:
@@ -15,19 +15,17 @@
 //!   nodes, spawn/advance/timeout/clear/expire as edges;
 //! * [`fixpoint`] — the worklist solver ([`fixpoint::solve`]);
 //! * [`facts`] — synthesis ([`property_facts`]): the refined event-class
-//!   mask, stage liveness, spawn-cardinality bounds, and
-//!   [`PropertyFacts::to_core`] into the engine's checked
-//!   [`swmon_core::AnalysisFacts`] seam;
+//!   mask, stage liveness, and spawn-cardinality bounds;
 //! * [`resources`] — the intrinsic per-instance state model
 //!   ([`ResourceEstimate`]), which `swmon-backends` turns into per-backend
 //!   flow-table/register/xFSM figures.
 //!
 //! Everything here is *proof-bearing*: a fact is only emitted when the
-//! abstraction guarantees it for every trace, and the engine re-checks the
-//! shape of what it consumes (see `swmon_core::facts`). The differential
-//! suite (`tests/analysis_differential.rs` at the workspace root) then
-//! verifies the end-to-end claim: refined runs are byte-identical to the
-//! unoptimized interpreter.
+//! abstraction guarantees it for every trace. The facts are analysis-only
+//! (nothing on the hot path consumes them); the differential suite
+//! (`tests/analysis_differential.rs` at the workspace root) still verifies
+//! the soundness claim end to end: monitors fed only the events their
+//! refined mask admits are byte-identical to the unfiltered interpreter.
 
 pub mod cfg;
 pub mod domain;

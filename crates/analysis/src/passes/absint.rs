@@ -4,8 +4,8 @@
 //! reports what the fixpoint proved beyond the syntactic passes:
 //!
 //! * `SW010` (Note) — the refined event-class mask is *strictly* tighter
-//!   than the syntactic one, so the hot path can skip whole event classes
-//!   (consume it through `swmon_core::AnalysisFacts`);
+//!   than the syntactic one: the property's text names event classes
+//!   that provably cannot affect it;
 //! * `SW011` (Warning) — a clearing clause is dominated by an earlier one
 //!   on the same stage: every event the later clause clears, the earlier
 //!   clause already clears, so the later clause never fires uniquely;
@@ -67,8 +67,8 @@ fn refined_mask(ctx: &Ctx<'_>, facts: &PropertyFacts, out: &mut Vec<Diagnostic>)
             facts.syntactic_mask, facts.refined_mask
         ),
         suggestion: Some(
-            "route the refined mask to the engine via swmon_core::AnalysisFacts to skip those \
-             classes on the hot path"
+            "delete the clause that names those classes (typically a spawn-stage `unless`, \
+             which nothing ever awaits) so the property's own mask is the proven one"
                 .into(),
         ),
     });

@@ -1,10 +1,12 @@
 //! Shared CLI output plumbing for the `repro` / `swmon-*` binaries.
 //!
 //! Every `repro` subcommand routes its results through an [`Emitter`] so
-//! the surface is uniform: `--json` prints a machine-readable document
-//! after the human-readable rendering for *every* subcommand (experiments
-//! without a native JSON emitter get the generic [`Emitter::wrap`]
-//! envelope), and any emitted document containing `"verified": false`
+//! the surface is uniform: `--json` prints one machine-readable document
+//! per experiment on stdout for *every* subcommand (experiments without a
+//! native JSON emitter get the generic [`Emitter::wrap`] envelope) and
+//! moves the human-readable rendering — banners and tables — to stderr,
+//! so `repro e16 --json > out.json` captures JSON and nothing else; any
+//! emitted document containing `"verified": false`
 //! (or `"reconciled": false`) marks the whole run failed so `main` can
 //! exit nonzero — the same contract CI's grep gate enforces, now enforced
 //! by the binary itself.
@@ -32,21 +34,25 @@ impl Emitter {
 
     /// Print a section banner.
     pub fn section(&self, title: &str) {
-        println!("\n{}", "=".repeat(78));
-        println!("{title}");
-        println!("{}", "=".repeat(78));
+        let rule = "=".repeat(78);
+        self.text(&format!("\n{rule}\n{title}\n{rule}"));
     }
 
-    /// Print a human-readable body unconditionally.
+    /// Print a human-readable body: on stdout, or on stderr under `--json`
+    /// (stdout then carries JSON only).
     pub fn text(&self, body: &str) {
-        println!("{body}");
+        if self.json {
+            eprintln!("{body}");
+        } else {
+            println!("{body}");
+        }
     }
 
     /// Emit an experiment result that has a native JSON form: the
     /// rendering always, the document under `--json`. The document is
     /// scanned for failed verification bits either way.
     pub fn report(&mut self, text: &str, json_doc: &str) {
-        println!("{text}");
+        self.text(text);
         if self.json {
             println!("{json_doc}");
         }
@@ -59,7 +65,7 @@ impl Emitter {
     /// `{"experiment": ..., "verified": ..., "text": ...}` so `--json`
     /// holds for every subcommand uniformly.
     pub fn wrap(&mut self, experiment: &str, verified: bool, text: &str) {
-        println!("{text}");
+        self.text(text);
         if self.json {
             println!(
                 "{{\"experiment\": \"{}\", \"verified\": {}, \"text\": \"{}\"}}",

@@ -15,7 +15,10 @@
 //!
 //! Every subcommand supports `--json` (experiments without a native JSON
 //! emitter print the generic `{"experiment", "verified", "text"}`
-//! envelope) and the process exits nonzero when any emitted result
+//! envelope); under `--json` stdout carries one JSON document per
+//! experiment and nothing else — banners and tables go to stderr. A
+//! selector that names no experiment or subcommand exits 2 before anything
+//! runs. The process exits nonzero when any emitted result
 //! carries `"verified": false` (or `"reconciled": false`), a lint
 //! diagnostic gates, or a query fails to parse or verify — see
 //! `swmon_apps::output`.
@@ -25,6 +28,18 @@ use swmon_bench::experiments::{
     e10, e11, e12, e13, e14, e15, e16, e17, e3, e4, e5, e6, e7, e8, e9, stats,
 };
 use swmon_bench::{analyze, lint, storequery};
+
+/// Every selector `repro` accepts, in run order.
+const SELECTORS: [&str; 23] = [
+    "table1", "e1", "table2", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
+    "e13", "e14", "e15", "e16", "e17", "stats", "lint", "analyze", "query",
+];
+
+/// The selectors that name no experiment or subcommand — a typo must not
+/// read as "ran nothing, exit 0".
+fn unknown_selectors<'a>(selectors: &[&'a String]) -> Vec<&'a str> {
+    selectors.iter().map(|s| s.as_str()).filter(|s| !SELECTORS.contains(s)).collect()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +52,19 @@ fn main() {
         .cloned();
     let selectors: Vec<&String> =
         args.iter().filter(|a| !a.starts_with("--") && Some(*a) != query_src.as_ref()).collect();
-    let want = |k: &str| selectors.is_empty() || selectors.iter().any(|a| *a == k);
+    let unknown = unknown_selectors(&selectors);
+    if !unknown.is_empty() {
+        eprintln!(
+            "repro: unknown selector(s): {}\nvalid selectors: {}",
+            unknown.join(", "),
+            SELECTORS.join(" ")
+        );
+        std::process::exit(2);
+    }
+    let want = |k: &str| {
+        debug_assert!(SELECTORS.contains(&k), "{k} is missing from SELECTORS");
+        selectors.is_empty() || selectors.iter().any(|a| *a == k)
+    };
 
     // `--quick` scales the runtime experiments down for CI smoke runs;
     // verification still applies at every size.
@@ -46,7 +73,7 @@ fn main() {
     let follow = args.iter().any(|a| a == "--follow");
     let mut em = Emitter::new(json);
 
-    println!("swmon — reproduction of \"Switches are Monitors Too!\" (HotNets 2016)");
+    em.text("swmon — reproduction of \"Switches are Monitors Too!\" (HotNets 2016)");
 
     if want("table1") || want("e1") {
         em.section("E1 — Table 1: properties and the features they require (derived)");
@@ -167,13 +194,24 @@ fn main() {
     if want("stats") {
         // The telemetry page over the full catalog, at both reconciliation
         // regimes: shards=1 (literal identity) and shards=4 (generalized
-        // ledger). See docs/TELEMETRY.md.
+        // ledger). See docs/TELEMETRY.md. One JSON document holds both runs.
         let (sflows, spackets) = if quick { (16, 1_000) } else { (32, 5_000) };
+        let mut docs = Vec::new();
+        let mut reconciled = true;
         for shards in [1usize, 4] {
             em.section(&format!("stats — telemetry page, full catalog, {shards} shard(s)"));
             let o = stats::run(sflows, spackets, shards);
-            em.report(&stats::render(&o), &stats::to_json(&o));
+            em.text(&stats::render(&o));
+            reconciled &= o.reconciled;
+            docs.push(stats::to_json(&o));
         }
+        em.report(
+            &format!(
+                "ledger reconciled at both shard counts: {}",
+                if reconciled { "yes" } else { "NO" }
+            ),
+            &format!("{{\"experiment\": \"stats\", \"runs\": [\n{}]}}", docs.join(",\n")),
+        );
     }
 
     if want("lint") {
@@ -212,4 +250,20 @@ fn main() {
     }
 
     std::process::exit(em.exit_code());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_selectors_are_named_and_known_ones_pass() {
+        let args: Vec<String> =
+            ["e13", "e99", "stats", "tabel1", "query"].iter().map(|s| s.to_string()).collect();
+        let selectors: Vec<&String> = args.iter().collect();
+        assert_eq!(unknown_selectors(&selectors), ["e99", "tabel1"]);
+        let all: Vec<String> = SELECTORS.iter().map(|s| s.to_string()).collect();
+        assert!(unknown_selectors(&all.iter().collect::<Vec<_>>()).is_empty());
+        assert!(unknown_selectors(&[]).is_empty(), "no selector means run everything");
+    }
 }

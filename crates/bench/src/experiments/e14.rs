@@ -11,12 +11,6 @@
 //!    instances it can possibly clear or advance instead of every slot.
 //! 3. **Event pre-dispatch** — [`swmon_core::MonitorSet`] skips monitors
 //!    whose property cannot react to an event's class at all.
-//! 4. **Analysis pruning** — the pre-dispatch masks come from the
-//!    abstract-interpretation framework ([`swmon_analysis::absint`])
-//!    instead of the syntactic class union: provably-infeasible event
-//!    classes are dropped, so fewer monitors see each event. The row is
-//!    differentially verified like every other — proven pruning is
-//!    invisible in the output.
 //!
 //! The workload and properties are E13's exactly, so rows compare
 //! directly against the pre-rework engine's reference throughput on the
@@ -26,7 +20,7 @@
 
 use crate::TextTable;
 use std::time::Instant as WallInstant;
-use swmon_core::{AnalysisFacts, Monitor, MonitorConfig, MonitorSet, Property, SharedRecorder};
+use swmon_core::{Monitor, MonitorConfig, MonitorSet, Property, SharedRecorder};
 use swmon_runtime::merge::{kind_rank, merge};
 use swmon_runtime::{reference_records, signature, ViolationRecord};
 use swmon_sim::time::{Duration, Instant};
@@ -118,24 +112,13 @@ fn time_pass(
     cfg: MonitorConfig,
     trace: &[NetEvent],
     end: Instant,
-    facts: Option<&[AnalysisFacts]>,
     instrument: bool,
     reps: usize,
 ) -> (f64, Vec<ViolationRecord>) {
     let build = || {
         let mut set = MonitorSet::new();
-        match facts {
-            Some(facts) => {
-                for (p, f) in props.iter().zip(facts) {
-                    set.add_with_facts(p.clone(), cfg, f)
-                        .expect("facts were derived from these properties");
-                }
-            }
-            None => {
-                for p in props {
-                    set.add(p.clone(), cfg);
-                }
-            }
+        for p in props {
+            set.add(p.clone(), cfg);
         }
         if instrument {
             set.attach_recorders(|name| {
@@ -158,39 +141,31 @@ fn time_pass(
     (secs, records_of(last.monitors()))
 }
 
-/// Time the bare, analysis-pruned, and instrumented `MonitorSet` rows with
-/// interleaved best-of-[`TIMING_PASSES`] passes. Interleaving matters: the
-/// overhead gate and the pruning comparison each relate two figures, and
-/// running configurations as separate blocks would let machine-load drift
-/// between blocks masquerade as a real difference. The minimum over passes
-/// rejects preempted runs.
-#[allow(clippy::type_complexity)]
+/// Time the bare and instrumented `MonitorSet` rows with interleaved
+/// best-of-[`TIMING_PASSES`] passes. Interleaving matters: the overhead
+/// gate relates the two figures, and running configurations as separate
+/// blocks would let machine-load drift between blocks masquerade as a real
+/// difference. The minimum over passes rejects preempted runs.
 fn time_monitorsets(
     props: &[Property],
     cfg: MonitorConfig,
     trace: &[NetEvent],
     end: Instant,
-    facts: &[AnalysisFacts],
-) -> ((f64, Vec<ViolationRecord>), (f64, Vec<ViolationRecord>), (f64, Vec<ViolationRecord>)) {
+) -> ((f64, Vec<ViolationRecord>), (f64, Vec<ViolationRecord>)) {
     let reps = (MIN_TIMED_EVENTS / trace.len().max(1)).max(1);
     let mut bare = (f64::INFINITY, Vec::new());
-    let mut pruned = (f64::INFINITY, Vec::new());
     let mut instr = (f64::INFINITY, Vec::new());
     for _ in 0..TIMING_PASSES {
-        let (secs, records) = time_pass(props, cfg, trace, end, None, false, reps);
+        let (secs, records) = time_pass(props, cfg, trace, end, false, reps);
         if secs < bare.0 {
             bare = (secs, records);
         }
-        let (secs, records) = time_pass(props, cfg, trace, end, Some(facts), false, reps);
-        if secs < pruned.0 {
-            pruned = (secs, records);
-        }
-        let (secs, records) = time_pass(props, cfg, trace, end, None, true, reps);
+        let (secs, records) = time_pass(props, cfg, trace, end, true, reps);
         if secs < instr.0 {
             instr = (secs, records);
         }
     }
-    (bare, pruned, instr)
+    (bare, instr)
 }
 
 /// Measure the hot path over the E13 workload shape.
@@ -223,24 +198,12 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
     push("per-monitor-loop", ref_secs, &reference, None);
 
     // MonitorSet rows: the same monitors behind event-class pre-dispatch —
-    // bare (syntactic masks), with analysis-refined masks from the
-    // abstract-interpretation framework, and with per-property engine
-    // probes attached (the exact instrumentation the runtime enables by
-    // default). The overhead column is the telemetry tax this PR's
-    // acceptance bar bounds at 3%; the absint row's win over the bare row
-    // is what mask refinement buys on this workload.
-    let facts: Vec<AnalysisFacts> = props
-        .iter()
-        .map(|p| {
-            swmon_analysis::absint::property_facts(p)
-                .to_core(p)
-                .expect("catalog facts pass the core check")
-        })
-        .collect();
-    let ((set_secs, set_records), (abs_secs, abs_records), (tel_secs, tel_records)) =
-        time_monitorsets(&props, cfg, &trace, end, &facts);
+    // bare, and with per-property engine probes attached (the exact
+    // instrumentation the runtime enables by default). The overhead column
+    // is the telemetry tax docs/TELEMETRY.md bounds at 3%.
+    let ((set_secs, set_records), (tel_secs, tel_records)) =
+        time_monitorsets(&props, cfg, &trace, end);
     push("monitorset-predispatch", set_secs, &set_records, None);
-    push("monitorset-absint-pruned", abs_secs, &abs_records, None);
     let set_eps = trace.len() as f64 / set_secs;
     let tel_eps = trace.len() as f64 / tel_secs;
     let overhead = swmon_apps::output::overhead_pct(set_eps, tel_eps);
@@ -270,7 +233,7 @@ pub fn render(o: &Outcome) -> String {
         ]);
     }
     format!(
-        "{}\n{} events; baseline {:.0} events/sec is the pre-rework engine's\nreference row on the identical workload (see BASELINE_EVENTS_PER_SEC). The\nabsint row swaps the syntactic pre-dispatch masks for analysis-proven\nones (docs/ANALYSIS.md); the telemetry row re-runs the MonitorSet with\nthe runtime's default engine probes attached, its overhead column being\nthe instrumentation tax (docs/TELEMETRY.md bounds it at 3%). See\ndocs/PERF.md for the hot-path layers being measured.",
+        "{}\n{} events; baseline {:.0} events/sec is the pre-rework engine's\nreference row on the identical workload (see BASELINE_EVENTS_PER_SEC). The\ntelemetry row re-runs the MonitorSet with the runtime's default engine\nprobes attached, its overhead column being\nthe instrumentation tax (docs/TELEMETRY.md bounds it at 3%). See\ndocs/PERF.md for the hot-path layers being measured.",
         t.render(),
         o.events,
         o.baseline_events_per_sec
@@ -303,7 +266,7 @@ mod tests {
     #[test]
     fn every_row_verifies_and_agrees_on_violations() {
         let o = run(32, 400);
-        assert_eq!(o.rows.len(), 4);
+        assert_eq!(o.rows.len(), 3);
         assert!(o.rows.iter().all(|r| r.verified), "{o:?}");
         let v = o.rows[0].violations;
         assert!(v > 0, "workload must produce violations");
@@ -327,12 +290,10 @@ mod tests {
         let txt = render(&o);
         assert!(txt.contains("per-monitor-loop"));
         assert!(txt.contains("monitorset-predispatch"));
-        assert!(txt.contains("monitorset-absint-pruned"));
         assert!(txt.contains("monitorset-telemetry"));
         let json = to_json(&o);
         assert!(json.contains("\"experiment\": \"e14-hotpath\""));
         assert!(json.contains("\"config\": \"monitorset-predispatch\""));
-        assert!(json.contains("\"config\": \"monitorset-absint-pruned\""));
         assert!(json.contains("\"config\": \"monitorset-telemetry\""));
         assert!(json.contains("\"overhead_pct\": null"));
         assert!(json.contains("baseline_events_per_sec"));

@@ -7,8 +7,7 @@
 //! increasing epoch number, and [`CatalogEpoch::apply`] derives the next
 //! epoch from a [`DeployPlan`] of add/remove/upgrade actions, rejecting
 //! anything the engine could not activate safely (structural validation,
-//! duplicate or unknown names, a facts bundle that fails its
-//! [`AnalysisFacts::validate_for`] seam check).
+//! duplicate or unknown names).
 //!
 //! Application is all-or-nothing: `apply` either returns a complete new
 //! epoch or an error and *no* partial catalog — the same atomicity the
@@ -21,7 +20,6 @@
 //! (`deploy provenance`), so a store query can always tell which catalog
 //! version produced a row.
 
-use crate::facts::{AnalysisFacts, FactsError};
 use crate::property::{Property, PropertyError};
 use std::fmt;
 
@@ -44,13 +42,6 @@ pub enum DeployError {
         /// The underlying validation error.
         source: PropertyError,
     },
-    /// An incoming property's facts bundle failed its seam check.
-    RejectedFacts {
-        /// Name of the offending property.
-        name: String,
-        /// The underlying seam error.
-        source: FactsError,
-    },
 }
 
 impl fmt::Display for DeployError {
@@ -66,27 +57,19 @@ impl fmt::Display for DeployError {
             DeployError::Invalid { name, source } => {
                 write!(f, "incoming property {name:?} is invalid: {source}")
             }
-            DeployError::RejectedFacts { name, source } => {
-                write!(f, "analysis facts for {name:?} rejected at the seam: {source}")
-            }
         }
     }
 }
 
 impl std::error::Error for DeployError {}
 
-/// One deployment action. `facts` is the optional absint bundle for the
-/// incoming property; when present it is checked against that property
-/// *before* activation ([`AnalysisFacts::validate_for`]) and later drives
-/// the router's pre-dispatch mask.
+/// One deployment action.
 #[derive(Debug, Clone)]
 pub enum DeployAction {
     /// Append a new property to the catalog.
     Add {
         /// The incoming property.
         property: Property,
-        /// Optional analysis facts for the incoming property.
-        facts: Option<AnalysisFacts>,
     },
     /// Remove the named property. Its monitors are dropped at the quiesce
     /// barrier; violations already raised are retained.
@@ -103,8 +86,6 @@ pub enum DeployAction {
         name: String,
         /// The replacement property (its name may differ from `name`).
         property: Property,
-        /// Optional analysis facts for the replacement.
-        facts: Option<AnalysisFacts>,
     },
 }
 
@@ -131,12 +112,7 @@ pub struct DeployPlan {
 impl DeployPlan {
     /// A plan adding one property.
     pub fn add(property: Property) -> Self {
-        DeployPlan { actions: vec![DeployAction::Add { property, facts: None }] }
-    }
-
-    /// A plan adding one property with analysis facts.
-    pub fn add_with_facts(property: Property, facts: AnalysisFacts) -> Self {
-        DeployPlan { actions: vec![DeployAction::Add { property, facts: Some(facts) }] }
+        DeployPlan { actions: vec![DeployAction::Add { property }] }
     }
 
     /// A plan removing one property by name.
@@ -146,9 +122,7 @@ impl DeployPlan {
 
     /// A plan upgrading one property in place.
     pub fn upgrade(name: impl Into<String>, property: Property) -> Self {
-        DeployPlan {
-            actions: vec![DeployAction::Upgrade { name: name.into(), property, facts: None }],
-        }
+        DeployPlan { actions: vec![DeployAction::Upgrade { name: name.into(), property }] }
     }
 }
 
@@ -171,9 +145,6 @@ pub enum PropertyOrigin {
 pub struct CatalogEpoch {
     epoch: u64,
     properties: Vec<Property>,
-    /// `facts[i]` is the analysis bundle supplied for `properties[i]`, when
-    /// one travelled with the deploy action that introduced it.
-    facts: Vec<Option<AnalysisFacts>>,
     /// `origins[i]` relates `properties[i]` to the previous epoch. All
     /// `Retained(i)` (identity) for an initial epoch.
     origins: Vec<PropertyOrigin>,
@@ -186,19 +157,6 @@ impl CatalogEpoch {
         CatalogEpoch {
             epoch: 0,
             properties,
-            facts: vec![None; n],
-            origins: (0..n).map(PropertyOrigin::Retained).collect(),
-        }
-    }
-
-    /// As [`CatalogEpoch::initial`], with per-property analysis facts.
-    pub fn initial_with_facts(properties: Vec<Property>, facts: Vec<AnalysisFacts>) -> Self {
-        assert_eq!(properties.len(), facts.len(), "one facts bundle per property");
-        let n = properties.len();
-        CatalogEpoch {
-            epoch: 0,
-            properties,
-            facts: facts.into_iter().map(Some).collect(),
             origins: (0..n).map(PropertyOrigin::Retained).collect(),
         }
     }
@@ -213,11 +171,6 @@ impl CatalogEpoch {
         &self.properties
     }
 
-    /// The facts bundle supplied for property `i`, if any.
-    pub fn facts(&self, i: usize) -> Option<&AnalysisFacts> {
-        self.facts.get(i).and_then(Option::as_ref)
-    }
-
     /// How property `i` relates to the previous epoch.
     pub fn origin(&self, i: usize) -> PropertyOrigin {
         self.origins[i]
@@ -230,19 +183,19 @@ impl CatalogEpoch {
 
     /// Derive the next epoch by applying `plan` in order. All-or-nothing:
     /// any rejected action rejects the whole plan, and `self` is never
-    /// modified. Incoming properties are structurally validated and their
-    /// facts (when supplied) seam-checked before anything else.
+    /// modified. Incoming properties are structurally validated before
+    /// anything else.
     pub fn apply(&self, plan: &DeployPlan) -> Result<CatalogEpoch, DeployError> {
         if plan.actions.is_empty() {
             return Err(DeployError::EmptyPlan);
         }
-        // Entries: (property, facts, origin). Start from the current epoch
-        // with identity origins; actions rewrite the working set.
-        let mut entries: Vec<(Property, Option<AnalysisFacts>, PropertyOrigin)> = self
+        // Entries: (property, origin). Start from the current epoch with
+        // identity origins; actions rewrite the working set.
+        let mut entries: Vec<(Property, PropertyOrigin)> = self
             .properties
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.clone(), self.facts[i].clone(), PropertyOrigin::Retained(i)))
+            .map(|(i, p)| (p.clone(), PropertyOrigin::Retained(i)))
             .collect();
         // Each pre-existing property may be targeted by at most one
         // remove/upgrade: a second strike targets a name that is gone (or
@@ -253,59 +206,40 @@ impl CatalogEpoch {
                     .map_err(|source| DeployError::Invalid { name: p.name.clone(), source })?;
             }
             match action {
-                DeployAction::Add { property, facts } => {
-                    if let Some(f) = facts {
-                        f.validate_for(property).map_err(|source| DeployError::RejectedFacts {
-                            name: property.name.clone(),
-                            source,
-                        })?;
-                    }
-                    if entries.iter().any(|(p, _, _)| p.name == property.name) {
+                DeployAction::Add { property } => {
+                    if entries.iter().any(|(p, _)| p.name == property.name) {
                         return Err(DeployError::DuplicateProperty(property.name.clone()));
                     }
-                    entries.push((property.clone(), facts.clone(), PropertyOrigin::Added));
+                    entries.push((property.clone(), PropertyOrigin::Added));
                 }
                 DeployAction::Remove { name } => {
                     let at = entries
                         .iter()
-                        .position(|(p, _, o)| {
+                        .position(|(p, o)| {
                             p.name == *name && matches!(o, PropertyOrigin::Retained(_))
                         })
                         .ok_or_else(|| DeployError::UnknownProperty(name.clone()))?;
                     entries.remove(at);
                 }
-                DeployAction::Upgrade { name, property, facts } => {
-                    if let Some(f) = facts {
-                        f.validate_for(property).map_err(|source| DeployError::RejectedFacts {
-                            name: property.name.clone(),
-                            source,
-                        })?;
-                    }
+                DeployAction::Upgrade { name, property } => {
                     let at = entries
                         .iter()
-                        .position(|(p, _, o)| {
+                        .position(|(p, o)| {
                             p.name == *name && matches!(o, PropertyOrigin::Retained(_))
                         })
                         .ok_or_else(|| DeployError::UnknownProperty(name.clone()))?;
                     if property.name != *name
-                        && entries.iter().any(|(p, _, _)| p.name == property.name)
+                        && entries.iter().any(|(p, _)| p.name == property.name)
                     {
                         return Err(DeployError::DuplicateProperty(property.name.clone()));
                     }
-                    let PropertyOrigin::Retained(prev) = entries[at].2 else { unreachable!() };
-                    entries[at] = (property.clone(), facts.clone(), PropertyOrigin::Upgraded(prev));
+                    let PropertyOrigin::Retained(prev) = entries[at].1 else { unreachable!() };
+                    entries[at] = (property.clone(), PropertyOrigin::Upgraded(prev));
                 }
             }
         }
-        let mut properties = Vec::with_capacity(entries.len());
-        let mut facts = Vec::with_capacity(entries.len());
-        let mut origins = Vec::with_capacity(entries.len());
-        for (p, f, o) in entries {
-            properties.push(p);
-            facts.push(f);
-            origins.push(o);
-        }
-        Ok(CatalogEpoch { epoch: self.epoch + 1, properties, facts, origins })
+        let (properties, origins) = entries.into_iter().unzip();
+        Ok(CatalogEpoch { epoch: self.epoch + 1, properties, origins })
     }
 }
 
@@ -378,7 +312,7 @@ mod tests {
         // (it is immutable) and no partial catalog escapes.
         let plan = DeployPlan {
             actions: vec![
-                DeployAction::Add { property: prop("p9"), facts: None },
+                DeployAction::Add { property: prop("p9") },
                 DeployAction::Remove { name: "ghost".into() },
             ],
         };
@@ -388,31 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn facts_are_seam_checked_before_activation() {
-        let c0 = CatalogEpoch::initial(vec![prop("p0")]);
-        let p = prop("p1");
-        // A mask the syntax does not license must be rejected.
-        let bad = AnalysisFacts::checked(&p, p.event_class_mask(), vec![true, true]).unwrap();
-        // Build facts valid for a *different* property shape: one stage.
-        let one_stage = Property { stages: vec![p.stages[0].clone()], ..p.clone() };
-        let mismatched =
-            AnalysisFacts::checked(&one_stage, one_stage.event_class_mask(), vec![true]).unwrap();
-        assert!(matches!(
-            c0.apply(&DeployPlan::add_with_facts(p.clone(), mismatched)).unwrap_err(),
-            DeployError::RejectedFacts { .. }
-        ));
-        let c1 = c0.apply(&DeployPlan::add_with_facts(p.clone(), bad)).unwrap();
-        assert!(c1.facts(1).is_some());
-        assert!(c1.facts(0).is_none());
-    }
-
-    #[test]
     fn double_strikes_on_one_name_are_rejected() {
         let c0 = CatalogEpoch::initial(vec![prop("p0"), prop("p1")]);
         let plan = DeployPlan {
             actions: vec![
                 DeployAction::Remove { name: "p1".into() },
-                DeployAction::Upgrade { name: "p1".into(), property: prop("p1"), facts: None },
+                DeployAction::Upgrade { name: "p1".into(), property: prop("p1") },
             ],
         };
         assert_eq!(c0.apply(&plan).unwrap_err(), DeployError::UnknownProperty("p1".into()));
@@ -420,8 +335,8 @@ mod tests {
         // consumed the retained entry.
         let plan = DeployPlan {
             actions: vec![
-                DeployAction::Upgrade { name: "p1".into(), property: prop("p1"), facts: None },
-                DeployAction::Upgrade { name: "p1".into(), property: prop("p1"), facts: None },
+                DeployAction::Upgrade { name: "p1".into(), property: prop("p1") },
+                DeployAction::Upgrade { name: "p1".into(), property: prop("p1") },
             ],
         };
         assert_eq!(c0.apply(&plan).unwrap_err(), DeployError::UnknownProperty("p1".into()));

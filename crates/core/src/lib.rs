@@ -27,7 +27,6 @@ pub mod builder;
 pub mod catalog;
 pub mod dsl;
 pub mod engine;
-pub mod facts;
 pub mod features;
 pub mod guard;
 pub mod monitorset;
@@ -48,7 +47,6 @@ pub use dsl::{
     DslError, PropertySpans, StageSpan,
 };
 pub use engine::{Monitor, MonitorConfig, MonitorStats, ProcessingMode};
-pub use facts::{AnalysisFacts, FactsError};
 pub use features::{FeatureSet, InstanceIdClass};
 pub use guard::{Atom, Guard};
 pub use monitorset::MonitorSet;
@@ -76,8 +74,6 @@ const _: () = {
     assert_send_sync::<RoutingPlan>();
     assert_send_sync::<FeatureSet>();
     assert_send_sync::<MonitorConfig>();
-    // Facts are derived off-line and shared with router construction.
-    assert_send_sync::<AnalysisFacts>();
     // Deploy plans and catalog epochs travel into a live session.
     assert_send_sync::<DeployPlan>();
     assert_send_sync::<CatalogEpoch>();

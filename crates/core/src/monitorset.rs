@@ -43,24 +43,6 @@ impl MonitorSet {
         self.add(property, MonitorConfig::default())
     }
 
-    /// Add a property whose pre-dispatch mask comes from analysis-proven
-    /// facts ([`crate::facts::AnalysisFacts`]) instead of the syntactic
-    /// [`Property::event_class_mask`]. The facts are re-checked against
-    /// `property` here — a stale or mismatched bundle is rejected rather
-    /// than trusted. With [`crate::facts::AnalysisFacts::conservative`]
-    /// facts this is exactly [`MonitorSet::add`].
-    pub fn add_with_facts(
-        &mut self,
-        property: Property,
-        cfg: MonitorConfig,
-        facts: &crate::facts::AnalysisFacts,
-    ) -> Result<&mut Self, crate::facts::FactsError> {
-        facts.validate_for(&property)?;
-        self.masks.push(facts.effective_mask());
-        self.monitors.push(Monitor::new(property, cfg));
-        Ok(self)
-    }
-
     /// Build from an iterator of properties (default configuration).
     pub fn from_properties(props: impl IntoIterator<Item = Property>) -> Self {
         let mut set = Self::new();

@@ -458,7 +458,8 @@ impl Packet {
             Ok(h) => h.field(f),
             // Full-depth parsing is strict through L4, so a packet with a
             // corrupt deep header can still carry readable shallow fields:
-            // parse again, bounded at the field's own layer.
+            // parse again, bounded at the field's own layer. The packet that
+            // needs this is `truncated_tcp_header_keeps_shallow_fields`.
             Err(_) => self.parse(f.layer()).ok()?.field(f),
         }
     }
@@ -802,6 +803,26 @@ mod tests {
         let p = Packet::from_bytes(vec![0u8; 5]);
         assert!(p.headers().is_err());
         assert_eq!(p.field(Field::EthSrc), None);
+    }
+
+    #[test]
+    fn truncated_tcp_header_keeps_shallow_fields() {
+        // Ethernet + IPv4 intact (lengths and checksum consistent), but only
+        // 10 of TCP's 20 header bytes made it onto the wire.
+        let (sm, dm) = macs();
+        let (si, di) = ips();
+        let mut bytes = Vec::new();
+        EthernetFrame { dst: dm, src: sm, ethertype: EtherType::Ipv4 }.emit(&mut bytes);
+        Ipv4Header::new(si, di, IpProto::Tcp).emit(10, &mut bytes);
+        bytes.extend_from_slice(&[0x10, 0x92, 0x00, 0x50, 0, 0, 0, 1, 0, 0]);
+        let p = Packet::from_bytes(bytes);
+        assert!(p.parsed().is_err(), "the full-depth parse is strict through L4");
+        // The memoized parse failed, so these come from the bounded
+        // re-parse at each field's own layer.
+        assert_eq!(p.field(Field::EthSrc), Some(sm.into()));
+        assert_eq!(p.field(Field::Ipv4Src), Some(si.into()));
+        assert_eq!(p.field(Field::Ipv4Dst), Some(di.into()));
+        assert_eq!(p.field(Field::L4Src), None, "the truncated header yields no L4 field");
     }
 
     #[test]

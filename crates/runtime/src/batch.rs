@@ -15,13 +15,13 @@ use swmon_sim::trace::NetEvent;
 /// An immutable slab of events shared by every shard of one dispatch
 /// round.
 #[derive(Debug)]
-pub struct EventBlock {
+pub(crate) struct EventBlock {
     events: Vec<NetEvent>,
 }
 
 impl EventBlock {
     /// The staged events, in input order.
-    pub fn events(&self) -> &[NetEvent] {
+    pub(crate) fn events(&self) -> &[NetEvent] {
         &self.events
     }
 }
@@ -29,27 +29,27 @@ impl EventBlock {
 /// One routed event inside a [`Batch`]: a handle into the shared block,
 /// never a copy.
 #[derive(Debug, Clone, Copy)]
-pub struct ItemRef {
+pub(crate) struct ItemRef {
     /// Global input sequence number (position in the fed trace).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Bitmask of property indices this shard must run the event through.
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// Index of the event in the batch's [`EventBlock`].
-    pub idx: u32,
+    pub(crate) idx: u32,
 }
 
 /// The unit of session→shard hand-off: a shared event slab and this
 /// shard's selection over it.
 #[derive(Debug)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// The shared event slab.
-    pub block: Arc<EventBlock>,
+    pub(crate) block: Arc<EventBlock>,
     /// This shard's selection, in global sequence order.
-    pub items: Vec<ItemRef>,
+    pub(crate) items: Vec<ItemRef>,
     /// Force a checkpoint once the batch is applied. Set on bounded-
     /// staleness flushes so a trickle shard's violations become
     /// sink-visible without waiting for the checkpoint cadence.
-    pub checkpoint: bool,
+    pub(crate) checkpoint: bool,
 }
 
 /// Stages each fed event once and accumulates per-shard [`ItemRef`]
@@ -59,7 +59,7 @@ pub struct Batch {
 /// event whose masks are all zero never enters the arena, so it never
 /// crosses a thread boundary.
 #[derive(Debug)]
-pub struct Arena {
+pub(crate) struct Arena {
     events: Vec<NetEvent>,
     pending: Vec<Vec<ItemRef>>,
     capacity: usize,
@@ -71,7 +71,7 @@ pub struct Arena {
 impl Arena {
     /// An arena for `shards` shards sealing blocks of up to `capacity`
     /// events.
-    pub fn new(shards: usize, capacity: usize) -> Self {
+    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Arena {
             events: Vec::with_capacity(capacity),
@@ -85,7 +85,7 @@ impl Arena {
     /// cloned exactly once, into the block). Returns `true` when the
     /// block is full and must be sealed.
     #[must_use]
-    pub fn push(&mut self, seq: u64, ev: &NetEvent, masks: &[u64]) -> bool {
+    pub(crate) fn push(&mut self, seq: u64, ev: &NetEvent, masks: &[u64]) -> bool {
         debug_assert!(masks.iter().any(|&m| m != 0), "fully masked events are filtered pre-arena");
         let idx = self.events.len() as u32;
         self.events.push(ev.clone());
@@ -99,7 +99,7 @@ impl Arena {
     }
 
     /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
@@ -107,7 +107,7 @@ impl Arena {
     /// behind `seq_now` — the bounded-staleness trigger. Uses input
     /// sequence numbers, so it fires even when every later event was
     /// class-filtered before the arena.
-    pub fn stale(&self, seq_now: u64, limit: u64) -> bool {
+    pub(crate) fn stale(&self, seq_now: u64, limit: u64) -> bool {
         self.first_seq.is_some_and(|first| seq_now.saturating_sub(first) >= limit)
     }
 
@@ -115,7 +115,7 @@ impl Arena {
     /// per shard that has staged items. `checkpoint` marks bounded-
     /// staleness flushes (receiving shards force a checkpoint after
     /// applying, making the batch's violations sink-visible).
-    pub fn seal(&mut self, checkpoint: bool) -> Vec<(usize, Batch)> {
+    pub(crate) fn seal(&mut self, checkpoint: bool) -> Vec<(usize, Batch)> {
         if self.events.is_empty() {
             return Vec::new();
         }
@@ -139,13 +139,28 @@ impl Arena {
 /// was fully drained and a forced checkpoint made the shard's output
 /// crash-stable.
 #[derive(Debug)]
-pub struct QuiesceAck {
+pub(crate) struct QuiesceAck {
     /// `(global property index, snapshot)` for every monitor this shard
     /// hosts, under the *current* (pre-deploy) epoch's indexing.
-    pub snapshots: Vec<(usize, MonitorSnapshot)>,
+    pub(crate) snapshots: Vec<(usize, MonitorSnapshot)>,
     /// Wall-clock nanoseconds the shard spent quiescing (journal drain +
     /// forced checkpoint + snapshot encode).
-    pub quiesce_nanos: u64,
+    pub(crate) quiesce_nanos: u64,
+}
+
+/// One shard's slice of a catalog epoch: what it hosts and how to find
+/// it. Built by the session (`shard_layout`) for the initial epoch and for
+/// every deploy; the supervisor builds its monitors from it.
+#[derive(Debug)]
+pub(crate) struct ShardLayout {
+    /// `(global property index, property)` pairs hosted on this shard.
+    pub(crate) props: Vec<(usize, Property)>,
+    /// `lut[global]` locates the local replica (`None`: not hosted here).
+    pub(crate) lut: Vec<Option<usize>>,
+    /// `probes[local]` is the engine-probe index (into the hub's
+    /// fixed-at-start per-property probe vector) for the local replica, or
+    /// `None` for properties deployed after the session started.
+    pub(crate) probes: Vec<Option<usize>>,
 }
 
 /// The new shard configuration staged by a deploy's prepare phase. Built
@@ -153,26 +168,22 @@ pub struct QuiesceAck {
 /// quiesce snapshots; the supervisor constructs the new monitor set from
 /// it **without mutating live state**, so an abort rolls back for free.
 #[derive(Debug)]
-pub struct ShardPrepare {
+pub(crate) struct ShardPrepare {
     /// The epoch this preparation targets.
-    pub epoch: u64,
-    /// `(new global property index, property)` pairs this shard hosts
-    /// under the new epoch.
-    pub props: Vec<(usize, Property)>,
-    /// New `lut[global] -> local` mapping for this shard.
-    pub lut: Vec<Option<usize>>,
+    pub(crate) epoch: u64,
+    /// What this shard hosts under the new epoch (new global indices).
+    pub(crate) layout: ShardLayout,
     /// Snapshots to restore into the new monitor set, keyed by **new**
     /// global index: retained properties carry their instance state across
     /// the deploy (re-homed here when a pinned property's shard mapping
     /// changed). Added/upgraded properties are absent — they start fresh.
-    pub adopt: Vec<(usize, MonitorSnapshot)>,
-    /// `probes[local]` is the engine-probe index (into the hub's initial
-    /// per-property probe vector) for the new local monitor, or `None`
-    /// for properties the fixed-at-start probe catalog does not cover.
-    pub probes: Vec<Option<usize>>,
+    pub(crate) adopt: Vec<(usize, MonitorSnapshot)>,
 }
 
-/// A session→shard message. Deploy messages (`Quiesce`/`Prepare`/
+/// A session→shard command — the one shard protocol. A shard driven on
+/// the caller thread and one driven by its own worker interpret the same
+/// messages through the same `Supervisor::handle`; only the transport
+/// differs (a direct call, or a ring). Deploy messages (`Quiesce`/`Prepare`/
 /// `Commit`/`Abort`) rely on ring FIFO order: the session is a shard's
 /// only sender, so when a supervisor sees `Quiesce`, every event sent
 /// before the deploy has already been admitted, and events sent after
@@ -181,7 +192,7 @@ pub struct ShardPrepare {
 /// order, so the contract is unchanged from the mpsc channels they
 /// replaced.
 #[derive(Debug)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// A batch of routed events, in global sequence order.
     Events(Batch),
     /// End of input: advance every monitor to this instant (firing pending

@@ -21,20 +21,28 @@
 //! Routing and event-class mask filtering happen **before** any hand-off:
 //! an event that provably cannot affect any monitor never crosses a
 //! thread boundary. Deliverable events are staged exactly once in a
-//! shared [`batch::Arena`] block; each destination shard receives an
-//! `Arc` handle plus `(seq, mask, index)` selections ([`batch::ItemRef`])
-//! over per-shard SPSC rings ([`ring`]) — zero clones per shard.
+//! shared arena block; each destination shard receives an `Arc` handle
+//! plus its `(seq, mask, index)` selections — zero clones per shard.
 //! Backpressure blocks the router; events are **never dropped**, because
 //! a dropped event would forge a negative observation (deadline
 //! properties fire on the *absence* of traffic).
 //!
-//! The session is *adaptive* ([`config::AdaptiveConfig`]): under low load
-//! it can drive the same sharded layout inline on the caller thread
-//! (no hand-off cost at all) and fan out to worker threads under
-//! pressure — with transitions proven byte-identical by the
-//! differential suites. Violations are merged deterministically
-//! ([`merge`]), so the sharded runtime's output is byte-for-byte equal
-//! to the single-threaded reference at any shard count, in either mode.
+//! ## One command path
+//!
+//! Everything the session asks of a shard — apply a batch, finish, the
+//! four deploy phases, retire — is one message type sent through one
+//! `Session::send`, and interpreted by one `Supervisor::handle`. A shard
+//! is either *local* (its supervisor is driven on the caller thread:
+//! `send` is a direct `handle` call, no hand-off cost at all) or *remote*
+//! (its supervisor runs on a worker thread: `send` enqueues on a bounded
+//! SPSC ring and the worker's loop is `recv` + `handle`). The session is
+//! *adaptive* ([`config::AdaptiveConfig`]): it can keep its shards local
+//! under low load and fan them out under pressure; a transition converts
+//! each shard local↔remote, moving the same supervisor, so output is
+//! byte-identical either way (proven by the differential suites).
+//! Violations are merged deterministically ([`merge`]), so the sharded
+//! runtime's output is byte-for-byte equal to the single-threaded
+//! reference at any shard count, in either mode.
 //!
 //! ## Fault tolerance
 //!
@@ -48,28 +56,25 @@
 //! ([`RuntimeStats::unaccounted_loss`] is the audited invariant). See
 //! `docs/FAULTS.md` for the full fault model and recovery protocol.
 
-pub mod batch;
+mod batch;
 pub mod config;
 pub mod merge;
-pub mod ring;
+mod ring;
 pub mod router;
 pub mod shardkey;
 pub mod sink;
 pub mod stats;
 pub mod supervisor;
 pub mod telemetry;
-pub mod worker;
+mod worker;
 
-pub use batch::{QuiesceAck, ShardPrepare};
 pub use config::{AdaptiveConfig, FaultPoint, RuntimeConfig, TelemetryConfig};
 pub use merge::{name_signature, signature, ViolationRecord};
 pub use router::{Router, MAX_PROPERTIES};
 pub use shardkey::PropertyRoute;
 pub use sink::ViolationSink;
 pub use stats::{MonitoringGap, RuntimeStats, ShardStats};
-pub use supervisor::{
-    silence_injected_panics, ShardFailure, ShardOutcome, ShardSpec, INJECTED_PANIC_PREFIX,
-};
+pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX};
 pub use swmon_core::{CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin};
 pub use telemetry::{ShardProbe, TelemetryHub};
 
@@ -78,8 +83,8 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use batch::{Arena, Msg};
-use supervisor::LoopExit;
+use batch::{Arena, Msg, QuiesceAck, ShardLayout, ShardPrepare};
+use supervisor::{LoopExit, ShardOutcome, ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -97,9 +102,6 @@ pub enum RuntimeError {
     },
     /// More than [`MAX_PROPERTIES`] properties were supplied.
     TooManyProperties(usize),
-    /// An [`swmon_core::AnalysisFacts`] bundle failed its seam check
-    /// against the property it claims to describe.
-    RejectedFacts(String),
     /// A shard exhausted its restart budget (or failed to restore a
     /// checkpoint) and was escalated by its supervisor.
     ShardFailed {
@@ -140,9 +142,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::TooManyProperties(n) => {
                 write!(f, "{n} properties exceed the runtime limit of {MAX_PROPERTIES}")
-            }
-            RuntimeError::RejectedFacts(why) => {
-                write!(f, "analysis facts rejected at the seam: {why}")
             }
             RuntimeError::ShardFailed { shard, restarts, message } => {
                 write!(f, "shard {shard} failed after {restarts} restart(s): {message}")
@@ -216,29 +215,6 @@ impl ShardedRuntime {
         Ok(ShardedRuntime { props, cfg, router })
     }
 
-    /// As [`ShardedRuntime::new`], but the router's pre-dispatch masks come
-    /// from analysis-proven facts (`facts[i]` describes `props[i]`, checked
-    /// here via [`swmon_core::AnalysisFacts::validate_for`]). With
-    /// conservative facts this is byte-identical to [`ShardedRuntime::new`];
-    /// with analysis facts it is differentially verified byte-identical on
-    /// *output* (merged violation records) at every shard count.
-    pub fn new_with_facts(
-        props: Vec<Property>,
-        facts: &[swmon_core::AnalysisFacts],
-        cfg: RuntimeConfig,
-    ) -> Result<Self, RuntimeError> {
-        if props.len() > MAX_PROPERTIES {
-            return Err(RuntimeError::TooManyProperties(props.len()));
-        }
-        for (index, p) in props.iter().enumerate() {
-            p.validate().map_err(|source| RuntimeError::Invalid { index, source })?;
-        }
-        let cfg = cfg.normalized();
-        let router = Router::with_facts(&props, facts, &cfg.monitor, cfg.shards)
-            .map_err(|e| RuntimeError::RejectedFacts(e.to_string()))?;
-        Ok(ShardedRuntime { props, cfg, router })
-    }
-
     /// The monitored properties, in routing order.
     pub fn properties(&self) -> &[Property] {
         &self.props
@@ -270,34 +246,27 @@ impl ShardedRuntime {
         let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
         let names: Vec<&str> = self.props.iter().map(|p| p.name.as_str()).collect();
         let hub = TelemetryHub::new(shards, &names, &self.cfg.telemetry, hashed, pinned);
-        let mut sups = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let hosted = self.router.properties_on(s);
-            let mut lut = vec![None; self.props.len()];
-            let props: Vec<(usize, Property)> = hosted
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| {
-                    lut[global] = Some(local);
-                    (global, self.props[global].clone())
-                })
-                .collect();
-            let mut inject: Vec<u64> =
-                self.cfg.inject_faults.iter().filter(|f| f.shard == s).map(|f| f.seq).collect();
-            inject.sort_unstable();
-            let spec = ShardSpec {
-                shard: s,
-                props,
-                lut,
-                cfg: self.cfg.clone(),
-                inject,
-                probe: hub.shard(s).clone(),
-                engines: hub.engines().to_vec(),
-                tracer: hub.tracer().clone(),
-                sink: sink.clone(),
-            };
-            sups.push(supervisor::Supervisor::new(spec));
-        }
+        // The hub's engine probes are created per initial property, so the
+        // initial probe index is the identity.
+        let probe_idx: Vec<Option<usize>> = (0..self.props.len()).map(Some).collect();
+        let local_shards = (0..shards)
+            .map(|s| {
+                let mut inject: Vec<u64> =
+                    self.cfg.inject_faults.iter().filter(|f| f.shard == s).map(|f| f.seq).collect();
+                inject.sort_unstable();
+                let sup = Supervisor::new(ShardSpec {
+                    shard: s,
+                    layout: shard_layout(&self.router, &self.props, &probe_idx, s),
+                    cfg: self.cfg.clone(),
+                    inject,
+                    probe: hub.shard(s).clone(),
+                    engines: hub.engines().to_vec(),
+                    tracer: hub.tracer().clone(),
+                    sink: sink.clone(),
+                });
+                Shard { link: Link::Local(sup), worker: None }
+            })
+            .collect();
         let stats = RuntimeStats {
             per_shard: vec![ShardStats::default(); shards],
             hashed_properties: hashed,
@@ -308,8 +277,8 @@ impl ShardedRuntime {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.clone()),
             router: self.router.clone(),
-            probe_idx: (0..self.props.len()).map(Some).collect(),
-            ingress: Ingress::Inline(sups),
+            probe_idx,
+            shards: local_shards,
             arena: Arena::new(shards, self.cfg.batch),
             masks: vec![0u64; shards],
             seq: 0,
@@ -365,32 +334,61 @@ pub struct DeployOutcome {
     pub removed: usize,
 }
 
-/// How the session currently drives its shards. Both modes run the same
-/// supervisors over the same sharded layout; only the thread topology
-/// differs, so transitions move state without copying monitors.
-enum Ingress {
-    /// The session drives every supervisor on the caller thread — no
-    /// staging, no rings, no hand-off. Events are applied (and journaled,
-    /// checkpointed, recovered) synchronously in `feed`.
-    Inline(Vec<supervisor::Supervisor>),
-    /// One worker thread per shard, fed zero-copy batches over bounded
-    /// SPSC rings.
-    Fanned {
-        /// Per-shard ring producers, indexed by shard.
-        txs: Vec<ring::Sender<Msg>>,
-        /// Per-shard worker joins (`None` once taken by error diagnosis).
-        handles: Vec<Option<ShardHandle>>,
-    },
+/// Where a shard's [`Supervisor`] runs, i.e. how a [`Msg`] reaches it.
+/// Both variants run the same supervisor over the same layout, so a
+/// transition moves state without copying monitors.
+#[derive(Debug)]
+// Local is the steady state of an adaptive session; boxing the supervisor
+// would put a pointer hop on every batch to shrink a per-shard value.
+#[allow(clippy::large_enum_variant)]
+enum Link {
+    /// On the caller thread: a message is handled synchronously, inside
+    /// `send` — no staging beyond the arena, no ring, no hand-off.
+    Local(Supervisor),
+    /// On its own worker thread, fed over a bounded SPSC ring.
+    Remote(ring::Sender<Msg>),
 }
 
-impl fmt::Debug for Ingress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Ingress::Inline(sups) => f.debug_struct("Inline").field("shards", &sups.len()).finish(),
-            Ingress::Fanned { txs, .. } => {
-                f.debug_struct("Fanned").field("shards", &txs.len()).finish()
-            }
-        }
+/// One shard as the session holds it.
+#[derive(Debug)]
+struct Shard {
+    link: Link,
+    /// The worker thread driving a remote shard. `None` for a local shard,
+    /// and once the worker has been joined (error diagnosis).
+    worker: Option<ShardHandle>,
+}
+
+/// Shard `s`'s slice of a catalog: the properties `router` can ever
+/// deliver to it, the `global → local` lookup, and each local replica's
+/// engine-probe index (`probe_idx[global]`). The one layout builder, for
+/// the initial epoch and for every deploy.
+fn shard_layout(
+    router: &Router,
+    catalog: &[Property],
+    probe_idx: &[Option<usize>],
+    s: usize,
+) -> ShardLayout {
+    let hosted = router.properties_on(s);
+    let mut lut = vec![None; catalog.len()];
+    let mut props = Vec::with_capacity(hosted.len());
+    let mut probes = Vec::with_capacity(hosted.len());
+    for (local, &global) in hosted.iter().enumerate() {
+        lut[global] = Some(local);
+        props.push((global, catalog[global].clone()));
+        probes.push(probe_idx[global]);
+    }
+    ShardLayout { props, lut, probes }
+}
+
+/// Join a shard's worker (if it still has one) and report how its loop
+/// ended: a supervised failure and a supervisor-thread panic both surface
+/// as errors.
+fn join_worker(s: usize, worker: Option<ShardHandle>) -> Result<LoopExit, RuntimeError> {
+    let lost = |message| RuntimeError::WorkerLost { shard: s, message };
+    match worker.map(JoinHandle::join) {
+        Some(Ok(exit)) => exit.map_err(RuntimeError::from),
+        Some(Err(payload)) => Err(lost(supervisor::panic_message(payload.as_ref()))),
+        None => Err(lost("worker exited without reporting".to_string())),
     }
 }
 
@@ -435,11 +433,10 @@ impl HubCursor {
 
 /// A live run: feed events, then call [`Session::finish`].
 ///
-/// Dropping a session mid-stream is safe and deadlock-free: when fanned
-/// out, the drop handler closes every ring (drain signal), then joins the
-/// workers, discarding their reports; inline supervisors are plain values
-/// and simply drop. Use [`Session::finish`] to get the merged outcome
-/// instead.
+/// Dropping a session mid-stream is safe and deadlock-free: the drop
+/// handler closes every ring (drain signal), then joins the workers,
+/// discarding their reports; local supervisors are plain values and
+/// simply drop. Use [`Session::finish`] to get the merged outcome instead.
 #[derive(Debug)]
 pub struct Session<'rt> {
     rt: &'rt ShardedRuntime,
@@ -448,19 +445,17 @@ pub struct Session<'rt> {
     /// replaces it. (The runtime's own catalog never changes — it describes
     /// what sessions *start* with.)
     catalog: CatalogEpoch,
-    /// Routing for the current epoch (rebuilt at every committed deploy;
-    /// facts-refined pre-dispatch masks carry across on retained
-    /// properties).
+    /// Routing for the current epoch (rebuilt at every committed deploy).
     router: Router,
     /// `probe_idx[i]` is current property `i`'s index into the hub's
     /// fixed-at-start engine-probe catalog (`None` for properties deployed
     /// after the session started).
     probe_idx: Vec<Option<usize>>,
-    ingress: Ingress,
-    /// Staging arena — events are staged here in **both** ingress modes
-    /// and applied per sealed batch (inline: directly on this thread;
-    /// fanned: over the rings), so the supervision cost amortizes over
-    /// the batch either way.
+    /// Indexed by shard; all local or all remote between transitions.
+    shards: Vec<Shard>,
+    /// Staging arena — events are staged here whether shards are local or
+    /// remote and sent per sealed batch, so the supervision cost amortizes
+    /// over the batch either way.
     arena: Arena,
     masks: Vec<u64>,
     seq: u64,
@@ -503,9 +498,29 @@ impl Session<'_> {
     }
 
     /// True when ingress is fanned out to per-shard worker threads; false
-    /// while the session drives its supervisors inline.
+    /// while the session drives its supervisors on the caller thread.
     pub fn is_fanned(&self) -> bool {
-        matches!(self.ingress, Ingress::Fanned { .. })
+        self.shards.iter().any(|shard| shard.worker.is_some())
+    }
+
+    /// Deliver one command to shard `s` — the only way the session talks
+    /// to a shard. A local shard handles it before this returns (so a
+    /// reply, if the message carries a reply channel, is already waiting
+    /// in it); a remote one queues it on its ring, blocking while the ring
+    /// is full. Fails only on a terminal shard failure.
+    fn send(&mut self, s: usize, msg: Msg) -> Result<(), RuntimeError> {
+        let queued = match &mut self.shards[s].link {
+            Link::Local(sup) => return sup.handle(msg).map(drop).map_err(RuntimeError::from),
+            Link::Remote(tx) => {
+                self.hub.shard(s).ring_occupancy.record(tx.occupancy());
+                tx.send(msg).is_ok()
+            }
+        };
+        if queued {
+            Ok(())
+        } else {
+            Err(self.shard_error(s))
+        }
     }
 
     /// Route one event. An event whose class mask misses every property is
@@ -553,52 +568,24 @@ impl Session<'_> {
         self.adaptive_tick()
     }
 
-    /// Seal the arena and hand each shard its batch: applied on this
-    /// thread while inline, sent over the rings while fanned. `checkpoint`
-    /// marks bounded-staleness flushes. No-op while empty.
+    /// Seal the arena and send each shard its batch. `checkpoint` marks
+    /// bounded-staleness flushes. No-op while empty.
     fn dispatch(&mut self, checkpoint: bool) -> Result<(), RuntimeError> {
         self.flush_hub();
         if self.arena.is_empty() {
             return Ok(());
         }
-        let sealed = self.arena.seal(checkpoint);
-        let mut dead = None;
-        match &mut self.ingress {
-            Ingress::Inline(sups) => {
-                for (s, batch) in sealed {
-                    self.stats.batches += 1;
-                    match sups.get_mut(s) {
-                        Some(sup) => sup.apply_batch(batch)?,
-                        None => {
-                            return Err(RuntimeError::WorkerLost {
-                                shard: s,
-                                message: "shard lost by an earlier failure".to_string(),
-                            })
-                        }
-                    }
-                }
-            }
-            Ingress::Fanned { txs, .. } => {
-                for (s, batch) in sealed {
-                    self.stats.batches += 1;
-                    self.hub.shard(s).ring_occupancy.record(txs[s].occupancy());
-                    if txs[s].send(Msg::Events(batch)).is_err() {
-                        dead = Some(s);
-                        break;
-                    }
-                }
-            }
+        for (s, batch) in self.arena.seal(checkpoint) {
+            self.stats.batches += 1;
+            self.send(s, Msg::Events(batch))?;
         }
-        match dead {
-            Some(s) => Err(self.shard_error(s)),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Dispatch everything still staged in the arena — the single
     /// tail-flush shared by [`Session::finish`], the deploy barrier, and
     /// adaptive transitions. After it returns, every fed event has been
-    /// applied (inline) or sent to its shard's ring (fanned).
+    /// applied (local shards) or queued on its shard's ring (remote).
     fn flush_all_shards(&mut self) -> Result<(), RuntimeError> {
         self.dispatch(false)?;
         self.flush_hub();
@@ -640,32 +627,22 @@ impl Session<'_> {
         self.hub.fan_outs.inc();
     }
 
-    /// Move the inline supervisors onto worker threads fed by fresh rings.
+    /// Local → remote, per shard: move each supervisor onto a worker
+    /// thread fed by a fresh ring. Callers have checked that the shards
+    /// are local.
     fn spawn_fanned(&mut self) {
-        let sups = match std::mem::replace(
-            &mut self.ingress,
-            Ingress::Fanned { txs: Vec::new(), handles: Vec::new() },
-        ) {
-            Ingress::Inline(sups) => sups,
-            fanned => {
-                self.ingress = fanned;
-                return;
-            }
-        };
-        let mut txs = Vec::with_capacity(sups.len());
-        let mut handles = Vec::with_capacity(sups.len());
-        for sup in sups {
+        for shard in &mut self.shards {
             let (tx, rx) = ring::channel::<Msg>(self.rt.cfg.queue);
-            txs.push(tx);
-            handles.push(Some(std::thread::spawn(move || supervisor::run_loop(rx, sup))));
+            if let Link::Local(sup) = std::mem::replace(&mut shard.link, Link::Remote(tx)) {
+                shard.worker = Some(std::thread::spawn(move || supervisor::run_loop(rx, sup)));
+            }
         }
-        self.ingress = Ingress::Fanned { txs, handles };
         self.hub.ingress_mode.set(1);
     }
 
     /// Force the fanned→inline transition now, regardless of the rate
     /// heuristic. No-op if already inline. Flushes the arena, retires
-    /// every worker at a journal-drained point ([`Msg::Retire`]), and
+    /// every worker at a journal-drained point (`Msg::Retire`), and
     /// takes the supervisors back onto the caller thread — byte-identical
     /// output, like [`Session::fan_out`].
     pub fn fan_in(&mut self) -> Result<(), RuntimeError> {
@@ -673,43 +650,33 @@ impl Session<'_> {
             return Ok(());
         }
         self.flush_all_shards()?;
-        let Ingress::Fanned { txs, mut handles } =
-            std::mem::replace(&mut self.ingress, Ingress::Inline(Vec::new()))
-        else {
-            unreachable!("checked fanned above")
-        };
-        for tx in &txs {
-            // A dead shard's send fails; its join below reports why.
-            let _ = tx.send(Msg::Retire);
-        }
-        drop(txs);
-        let mut sups = Vec::with_capacity(handles.len());
+        // Every worker is told to retire before any is joined. A dead
+        // shard's send fails with the reason its worker exited.
         let mut failure: Option<RuntimeError> = None;
-        for (s, slot) in handles.iter_mut().enumerate() {
-            let Some(handle) = slot.take() else { continue };
-            match handle.join() {
-                Ok(Ok(LoopExit::Retired(sup))) => sups.push(*sup),
-                Ok(Ok(LoopExit::Finished(_))) => {
+        for s in 0..self.shards.len() {
+            if let Err(e) = self.send(s, Msg::Retire) {
+                failure.get_or_insert(e);
+            }
+        }
+        // Remote → local, per shard: the retired worker hands its
+        // supervisor back (replacing the link hangs up the ring).
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            match join_worker(s, shard.worker.take()) {
+                Ok(LoopExit::Retired(sup)) => shard.link = Link::Local(*sup),
+                Ok(LoopExit::Finished(_)) => {
                     failure.get_or_insert(RuntimeError::WorkerLost {
                         shard: s,
                         message: "worker finished during retire".to_string(),
                     });
                 }
-                Ok(Err(f)) => {
-                    failure.get_or_insert(f.into());
-                }
-                Err(payload) => {
-                    failure.get_or_insert(RuntimeError::WorkerLost {
-                        shard: s,
-                        message: supervisor::panic_message(payload.as_ref()),
-                    });
+                Err(e) => {
+                    failure.get_or_insert(e);
                 }
             }
         }
         if let Some(err) = failure {
             return Err(err);
         }
-        self.ingress = Ingress::Inline(sups);
         self.hub.ingress_mode.set(0);
         self.stats.fan_ins += 1;
         self.hub.fan_ins.inc();
@@ -727,75 +694,37 @@ impl Session<'_> {
         self.catalog.epoch()
     }
 
-    /// Quiesce the whole fleet and collect monitor snapshots, in either
-    /// ingress mode.
+    /// Deploy phase 1: quiesce the whole fleet and collect monitor
+    /// snapshots. Every shard is asked before any reply is awaited, so
+    /// remote shards quiesce concurrently.
     fn quiesce_all(&mut self) -> Result<Vec<QuiesceAck>, RuntimeError> {
-        if let Ingress::Inline(sups) = &mut self.ingress {
-            let mut acks = Vec::with_capacity(sups.len());
-            for sup in sups.iter_mut() {
-                acks.push(sup.quiesce()?);
-            }
-            return Ok(acks);
+        let mut rxs = Vec::with_capacity(self.shards.len());
+        for s in 0..self.shards.len() {
+            let (reply, rx) = channel();
+            self.send(s, Msg::Quiesce { reply })?;
+            rxs.push(rx);
         }
-        let sent: Result<Vec<_>, usize> = match &self.ingress {
-            Ingress::Fanned { txs, .. } => txs
-                .iter()
-                .enumerate()
-                .map(|(s, tx)| {
-                    let (reply, rx) = channel();
-                    tx.send(Msg::Quiesce { reply }).map(|()| rx).map_err(|_| s)
-                })
-                .collect(),
-            Ingress::Inline(_) => unreachable!("handled above"),
-        };
-        let rxs = match sent {
-            Ok(rxs) => rxs,
-            Err(s) => return Err(self.shard_error(s)),
-        };
         let mut acks = Vec::with_capacity(rxs.len());
         for (s, rx) in rxs.into_iter().enumerate() {
-            match rx.recv() {
-                Ok(ack) => acks.push(ack),
-                Err(_) => return Err(self.shard_error(s)),
-            }
+            // A dropped reply channel means the shard died quiescing.
+            acks.push(rx.recv().map_err(|_| self.shard_error(s))?);
         }
         Ok(acks)
     }
 
-    /// Stage `preps[s]` on shard `s`, in either ingress mode. Returns the
-    /// first prepare rejection, if any (a terminal shard failure is an
-    /// `Err` instead).
+    /// Deploy phase 2: stage `preps[s]` on shard `s`. Returns the first
+    /// prepare rejection, if any (a terminal shard failure is an `Err`
+    /// instead).
     fn prepare_all(
         &mut self,
         preps: Vec<ShardPrepare>,
     ) -> Result<Option<(usize, String)>, RuntimeError> {
-        if let Ingress::Inline(sups) = &mut self.ingress {
-            let mut failed = None;
-            for (s, (sup, prep)) in sups.iter_mut().zip(preps).enumerate() {
-                if let Err(reason) = sup.prepare(prep) {
-                    failed.get_or_insert((s, reason));
-                }
-            }
-            return Ok(failed);
+        let mut rxs = Vec::with_capacity(preps.len());
+        for (s, prep) in preps.into_iter().enumerate() {
+            let (reply, rx) = channel();
+            self.send(s, Msg::Prepare { prep: Box::new(prep), reply })?;
+            rxs.push(rx);
         }
-        let sent: Result<Vec<_>, usize> = match &self.ingress {
-            Ingress::Fanned { txs, .. } => txs
-                .iter()
-                .zip(preps)
-                .enumerate()
-                .map(|(s, (tx, prep))| {
-                    let (reply, rx) = channel();
-                    tx.send(Msg::Prepare { prep: Box::new(prep), reply })
-                        .map(|()| rx)
-                        .map_err(|_| s)
-                })
-                .collect(),
-            Ingress::Inline(_) => unreachable!("handled above"),
-        };
-        let rxs = match sent {
-            Ok(rxs) => rxs,
-            Err(s) => return Err(self.shard_error(s)),
-        };
         let mut failed = None;
         for (s, rx) in rxs.into_iter().enumerate() {
             match rx.recv() {
@@ -809,43 +738,14 @@ impl Session<'_> {
         Ok(failed)
     }
 
-    /// Commit the staged epoch on every shard, in either ingress mode.
+    /// Deploy phase 3a: commit the staged epoch on every shard.
     fn commit_all(&mut self, epoch: u64) -> Result<(), RuntimeError> {
-        let dead = match &mut self.ingress {
-            Ingress::Inline(sups) => {
-                for sup in sups.iter_mut() {
-                    sup.commit(epoch);
-                }
-                None
-            }
-            Ingress::Fanned { txs, .. } => txs
-                .iter()
-                .enumerate()
-                .find_map(|(s, tx)| tx.send(Msg::Commit { epoch }).err().map(|_| s)),
-        };
-        match dead {
-            Some(s) => Err(self.shard_error(s)),
-            None => Ok(()),
-        }
+        (0..self.shards.len()).try_for_each(|s| self.send(s, Msg::Commit { epoch }))
     }
 
-    /// Drop the staged epoch on every shard, in either ingress mode.
+    /// Deploy phase 3b: drop the staged epoch on every shard.
     fn abort_all(&mut self) -> Result<(), RuntimeError> {
-        let dead = match &mut self.ingress {
-            Ingress::Inline(sups) => {
-                for sup in sups.iter_mut() {
-                    sup.abort();
-                }
-                None
-            }
-            Ingress::Fanned { txs, .. } => {
-                txs.iter().enumerate().find_map(|(s, tx)| tx.send(Msg::Abort).err().map(|_| s))
-            }
-        };
-        match dead {
-            Some(s) => Err(self.shard_error(s)),
-            None => Ok(()),
-        }
+        (0..self.shards.len()).try_for_each(|s| self.send(s, Msg::Abort))
     }
 
     /// Hot-deploy a property change onto the **running** fleet: add,
@@ -855,8 +755,7 @@ impl Session<'_> {
     /// activation (see `docs/DEPLOY.md`):
     ///
     /// 1. **Validate** — [`CatalogEpoch::apply`] derives the next epoch;
-    ///    any structural/facts rejection happens before a shard is
-    ///    touched.
+    ///    any structural rejection happens before a shard is touched.
     /// 2. **Quiesce** — every shard drains its journal (crashing and
     ///    recovering here rides the normal supervision path), forces a
     ///    checkpoint, and snapshots its monitors.
@@ -869,10 +768,10 @@ impl Session<'_> {
     ///    fleet resumes under the new epoch; violations raised from here
     ///    on carry it as provenance.
     ///
-    /// The barrier works identically in both ingress modes: fanned, the
-    /// phases ride the FIFO rings (the session is each ring's only
-    /// producer, so `Quiesce` observes everything fed before it); inline,
-    /// the session calls the same supervisor phases directly.
+    /// The barrier is the same messages whether shards are local or
+    /// remote: a remote shard's phases ride its FIFO ring (the session is
+    /// the ring's only producer, so `Quiesce` observes everything fed
+    /// before it); a local shard handles each phase as it is sent.
     ///
     /// On `Err(`[`RuntimeError::DeployRejected`]`)` the session keeps
     /// running under the prior epoch, byte-identical to one that never saw
@@ -900,27 +799,19 @@ impl Session<'_> {
         let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
         self.stats.quiesce_nanos += quiesce_nanos.iter().sum::<u64>();
         // Next epoch's placements. Retained properties carry their derived
-        // plan and (possibly facts-refined) pre-dispatch mask verbatim;
-        // upgraded/added ones derive fresh placements, from their deploy
-        // facts when supplied (already seam-checked by `apply`).
-        let cfg = &self.rt.cfg;
-        let mut routes = Vec::with_capacity(next.properties().len());
-        for (i, p) in next.properties().iter().enumerate() {
-            let route = match next.origin(i) {
+        // plan and pre-dispatch mask verbatim; upgraded/added ones derive
+        // fresh placements.
+        let routes: Vec<PropertyRoute> = next
+            .properties()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match next.origin(i) {
                 PropertyOrigin::Retained(prev) => self.router.routes()[prev].reindexed(i, shards),
-                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => match next.facts(i) {
-                    Some(f) => {
-                        match PropertyRoute::for_property_with_facts(i, p, &cfg.monitor, shards, f)
-                        {
-                            Ok(r) => r,
-                            Err(e) => return Err(self.reject(prior, e.to_string())),
-                        }
-                    }
-                    None => PropertyRoute::for_property(i, p, &cfg.monitor, shards),
-                },
-            };
-            routes.push(route);
-        }
+                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => {
+                    PropertyRoute::for_property(i, p, &self.rt.cfg.monitor, shards)
+                }
+            })
+            .collect();
         // Which new index each old property retains into, if any.
         let mut retained_of_old: Vec<Option<usize>> = vec![None; self.catalog.properties().len()];
         for (i, origin) in next.origins().iter().enumerate() {
@@ -954,19 +845,15 @@ impl Session<'_> {
             .collect();
         // Phase 2: stage the new configuration on every shard.
         let epoch = next.epoch();
-        let mut preps = Vec::with_capacity(shards);
-        for (s, adopt) in adopts.iter_mut().enumerate() {
-            let hosted = router_next.properties_on(s);
-            let mut lut = vec![None; next.properties().len()];
-            let mut props = Vec::with_capacity(hosted.len());
-            let mut probes = Vec::with_capacity(hosted.len());
-            for (local, &global) in hosted.iter().enumerate() {
-                lut[global] = Some(local);
-                props.push((global, next.properties()[global].clone()));
-                probes.push(probe_next[global]);
-            }
-            preps.push(ShardPrepare { epoch, props, lut, adopt: std::mem::take(adopt), probes });
-        }
+        let preps = adopts
+            .into_iter()
+            .enumerate()
+            .map(|(s, adopt)| ShardPrepare {
+                epoch,
+                layout: shard_layout(&router_next, next.properties(), &probe_next, s),
+                adopt,
+            })
+            .collect();
         if let Some((s, reason)) = self.prepare_all(preps)? {
             // Phase 3b: one shard could not stage — abort everywhere. No
             // live state was mutated, so rollback is the absence of a
@@ -1009,49 +896,38 @@ impl Session<'_> {
     /// threads.
     pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
         self.flush_all_shards()?;
+        // Every shard is told to finish before any is collected, so remote
+        // shards drain their timers concurrently. A dead shard's send fails
+        // with the reason its worker exited.
+        let sent: Vec<Result<(), RuntimeError>> =
+            (0..self.shards.len()).map(|s| self.send(s, Msg::Finish(end))).collect();
         let mut records = Vec::new();
         let mut failure: Option<RuntimeError> = None;
-        match std::mem::replace(&mut self.ingress, Ingress::Inline(Vec::new())) {
-            Ingress::Inline(sups) => {
-                for (s, mut sup) in sups.into_iter().enumerate() {
-                    if let Err(f) = sup.finish_inline(end) {
-                        failure.get_or_insert(f.into());
-                        continue;
-                    }
-                    let o = sup.into_outcome();
+        for (s, (shard, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()
+        {
+            let outcome = match shard.link {
+                Link::Local(sup) => sent.map(|()| sup.into_outcome()),
+                Link::Remote(tx) => {
+                    // Hang up before joining, so a worker can never be
+                    // left waiting on its ring.
+                    drop(tx);
+                    let exit = join_worker(s, shard.worker);
+                    sent.and(exit).and_then(|exit| match exit {
+                        LoopExit::Finished(o) => Ok(o),
+                        LoopExit::Retired(_) => Err(RuntimeError::WorkerLost {
+                            shard: s,
+                            message: "worker retired during finish".to_string(),
+                        }),
+                    })
+                }
+            };
+            match outcome {
+                Ok(o) => {
                     self.stats.absorb_shard(s, &o);
                     records.extend(o.report.records);
                 }
-            }
-            Ingress::Fanned { txs, mut handles } => {
-                for tx in &txs {
-                    // A dead shard's send fails; its join reports why.
-                    let _ = tx.send(Msg::Finish(end));
-                }
-                drop(txs);
-                for (s, slot) in handles.iter_mut().enumerate() {
-                    let Some(handle) = slot.take() else { continue };
-                    match handle.join() {
-                        Err(payload) => {
-                            failure.get_or_insert(RuntimeError::WorkerLost {
-                                shard: s,
-                                message: supervisor::panic_message(payload.as_ref()),
-                            });
-                        }
-                        Ok(Err(f)) => {
-                            failure.get_or_insert(f.into());
-                        }
-                        Ok(Ok(LoopExit::Retired(_))) => {
-                            failure.get_or_insert(RuntimeError::WorkerLost {
-                                shard: s,
-                                message: "worker retired during finish".to_string(),
-                            });
-                        }
-                        Ok(Ok(LoopExit::Finished(o))) => {
-                            self.stats.absorb_shard(s, &o);
-                            records.extend(o.report.records);
-                        }
-                    }
+                Err(e) => {
+                    failure.get_or_insert(e);
                 }
             }
         }
@@ -1067,20 +943,12 @@ impl Session<'_> {
         Ok(Outcome { records, stats, telemetry: self.hub.clone() })
     }
 
-    /// Diagnose a dead shard: join its handle and surface the supervised
+    /// Diagnose a dead shard: join its worker and surface the supervised
     /// failure if one was reported.
     fn shard_error(&mut self, s: usize) -> RuntimeError {
-        let handle = match &mut self.ingress {
-            Ingress::Fanned { handles, .. } => handles.get_mut(s).and_then(Option::take),
-            Ingress::Inline(_) => None,
-        };
-        match handle.map(JoinHandle::join) {
-            Some(Ok(Err(f))) => f.into(),
-            Some(Err(payload)) => RuntimeError::WorkerLost {
-                shard: s,
-                message: supervisor::panic_message(payload.as_ref()),
-            },
-            _ => RuntimeError::WorkerLost {
+        match join_worker(s, self.shards[s].worker.take()) {
+            Err(e) => e,
+            Ok(_) => RuntimeError::WorkerLost {
                 shard: s,
                 message: "worker exited without reporting".to_string(),
             },
@@ -1090,16 +958,14 @@ impl Session<'_> {
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        // Close every ring first: workers drain what was sent, then exit
-        // their receive loop — no Finish needed, no deadlock. Inline
-        // supervisors are plain values and drop with the session.
-        if let Ingress::Fanned { txs, handles } = &mut self.ingress {
-            txs.clear();
-            for slot in handles.iter_mut() {
-                if let Some(handle) = slot.take() {
-                    let _ = handle.join();
-                }
-            }
+        // Close every ring first (draining the shards drops their links):
+        // workers drain what was sent, then exit their receive loop — no
+        // Finish needed, no deadlock. Local supervisors are plain values
+        // and drop with their link. Then join.
+        let workers: Vec<ShardHandle> =
+            self.shards.drain(..).filter_map(|shard| shard.worker).collect();
+        for worker in workers {
+            let _ = worker.join();
         }
     }
 }

@@ -54,17 +54,17 @@ impl<T> Shared<T> {
 }
 
 /// The producing half. Not `Clone` — the ring is strictly single-producer.
-pub struct Sender<T> {
+pub(crate) struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// The consuming half. Not `Clone` — strictly single-consumer.
-pub struct Receiver<T> {
+pub(crate) struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// A bounded SPSC ring of `capacity` messages (clamped to at least 1).
-pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+pub(crate) fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let capacity = capacity.max(1);
     let shared = Arc::new(Shared {
         slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -83,7 +83,7 @@ pub fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Enqueue one message, blocking while the ring is full. Returns the
     /// message back when the receiver is gone (terminal: the shard died).
-    pub fn send(&self, value: T) -> Result<(), T> {
+    pub(crate) fn send(&self, value: T) -> Result<(), T> {
         let sh = &self.shared;
         let cap = sh.slots.len() as u64;
         let mut value = Some(value);
@@ -120,7 +120,7 @@ impl<T> Sender<T> {
 
     /// Messages currently queued (sampled; the telemetry ring-occupancy
     /// signal recorded at each send).
-    pub fn occupancy(&self) -> u64 {
+    pub(crate) fn occupancy(&self) -> u64 {
         self.shared.len()
     }
 }
@@ -128,7 +128,7 @@ impl<T> Sender<T> {
 impl<T> Receiver<T> {
     /// Dequeue the next message, blocking while the ring is empty.
     /// `None` once the sender is gone **and** the ring is drained.
-    pub fn recv(&self) -> Option<T> {
+    pub(crate) fn recv(&self) -> Option<T> {
         let sh = &self.shared;
         let cap = sh.slots.len() as u64;
         let mut spins = 0u32;

@@ -1,7 +1,7 @@
 //! Event → shard dispatch.
 
 use crate::shardkey::PropertyRoute;
-use swmon_core::{AnalysisFacts, FactsError, MonitorConfig, Property};
+use swmon_core::{MonitorConfig, Property};
 use swmon_sim::trace::NetEvent;
 
 /// Maximum properties per runtime — property sets are routed with a `u64`
@@ -58,31 +58,6 @@ impl Router {
             .collect::<Vec<_>>();
         let groups = group(&routes);
         Router { routes, groups, shards }
-    }
-
-    /// As [`Router::new`], but pre-dispatch masks come from per-property
-    /// analysis facts (`facts[i]` describes `props[i]`). Each bundle is
-    /// re-checked against its property; conservative facts reproduce
-    /// [`Router::new`] exactly.
-    ///
-    /// # Panics
-    /// If `props.len() > MAX_PROPERTIES` or `facts.len() != props.len()`.
-    pub fn with_facts(
-        props: &[Property],
-        facts: &[AnalysisFacts],
-        cfg: &MonitorConfig,
-        shards: usize,
-    ) -> Result<Router, FactsError> {
-        assert!(props.len() <= MAX_PROPERTIES);
-        assert_eq!(props.len(), facts.len(), "one facts bundle per property");
-        let routes = props
-            .iter()
-            .zip(facts)
-            .enumerate()
-            .map(|(i, (p, f))| PropertyRoute::for_property_with_facts(i, p, cfg, shards, f))
-            .collect::<Result<Vec<_>, _>>()?;
-        let groups = group(&routes);
-        Ok(Router { routes, groups, shards })
     }
 
     /// Assemble a router from pre-built placements (live deployment builds

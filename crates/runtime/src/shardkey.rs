@@ -7,9 +7,7 @@
 //! behaviour depends on the *whole* instance population — splitting it
 //! across shards would change which incumbents get evicted).
 
-use swmon_core::{
-    event_class, AnalysisFacts, MonitorConfig, Property, Route, RouteMode, RoutingPlan,
-};
+use swmon_core::{event_class, MonitorConfig, Property, Route, RouteMode, RoutingPlan};
 use swmon_sim::trace::NetEvent;
 
 /// Why a property bypasses hash routing even though its plan allows it.
@@ -53,32 +51,12 @@ impl PropertyRoute {
         route
     }
 
-    /// As [`PropertyRoute::for_property`], but with the pre-dispatch mask
-    /// taken from analysis-proven facts instead of the syntactic mask. The
-    /// facts are re-checked against `property`; a mismatched bundle is an
-    /// error, never silently trusted. Conservative facts reproduce
-    /// [`PropertyRoute::for_property`] exactly.
-    pub fn for_property_with_facts(
-        index: usize,
-        property: &Property,
-        cfg: &MonitorConfig,
-        shards: usize,
-        facts: &AnalysisFacts,
-    ) -> Result<Self, swmon_core::FactsError> {
-        facts.validate_for(property)?;
-        let mut route = Self::new(index, RoutingPlan::of(property), cfg, shards);
-        route.class_mask = facts.effective_mask();
-        Ok(route)
-    }
-
     /// This placement carried to a new property index (live deployment
     /// compacts or extends the catalog, shifting indices). The derived
     /// plan, pre-dispatch mask, and pin override are index-independent and
-    /// survive verbatim — including an analysis-refined mask installed via
-    /// [`PropertyRoute::for_property_with_facts`] — but a pinned
-    /// property's home shard is `index % shards`, so re-indexing may move
-    /// it (its instance store is re-homed by the deploy's snapshot
-    /// hand-off; see `docs/DEPLOY.md`).
+    /// survive verbatim, but a pinned property's home shard is
+    /// `index % shards`, so re-indexing may move it (its instance store is
+    /// re-homed by the deploy's snapshot hand-off; see `docs/DEPLOY.md`).
     pub fn reindexed(&self, index: usize, shards: usize) -> Self {
         PropertyRoute { pinned_shard: index % shards.max(1), ..self.clone() }
     }

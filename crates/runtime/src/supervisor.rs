@@ -1,10 +1,12 @@
 //! Shard supervision: panic isolation, checkpoint/replay recovery, and
 //! bounded-journal load shedding.
 //!
-//! Each fanned-out shard thread runs [`run_loop`]; an inline (adaptive)
-//! session drives the same [`Supervisor`] directly on the caller thread
-//! via [`Supervisor::apply_batch`] — one supervision implementation,
-//! two ingress modes. The supervisor owns the crash-domain
+//! A shard is a `Supervisor` interpreting `Msg` commands through
+//! `Supervisor::handle` — the only interpreter of the shard protocol.
+//! A *remote* shard's worker thread runs `run_loop` (`recv` + `handle`);
+//! a *local* shard is handed the same messages by the session on the
+//! caller thread. One supervision implementation, one command path, two
+//! transports. The supervisor owns the crash-domain
 //! [`WorkerState`] and drives it only through `catch_unwind`, so a worker
 //! panic — a genuine engine bug, or a fault injected via
 //! [`RuntimeConfig::inject_faults`] — never takes the runtime down.
@@ -26,7 +28,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use crate::batch::{Batch, EventBlock, ItemRef, Msg, QuiesceAck, ShardPrepare};
+use crate::batch::{Batch, EventBlock, ItemRef, Msg, QuiesceAck, ShardLayout, ShardPrepare};
 use crate::config::RuntimeConfig;
 use crate::ring;
 use crate::sink::ViolationSink;
@@ -68,30 +70,29 @@ pub fn silence_injected_panics() {
 /// Blueprint for building — and after a crash, *re*building — one shard's
 /// monitor replicas.
 #[derive(Debug)]
-pub struct ShardSpec {
+pub(crate) struct ShardSpec {
     /// This shard's index.
-    pub shard: usize,
-    /// `(global property index, property)` pairs hosted on this shard.
-    pub props: Vec<(usize, Property)>,
-    /// `lut[global]` locates the local replica (`None`: not hosted here).
-    pub lut: Vec<Option<usize>>,
+    pub(crate) shard: usize,
+    /// What the shard hosts under the initial epoch.
+    pub(crate) layout: ShardLayout,
     /// The runtime configuration in effect (already normalized).
-    pub cfg: RuntimeConfig,
+    pub(crate) cfg: RuntimeConfig,
     /// Input sequence numbers at which to panic, ascending. Consumed
     /// supervisor-side *before* the panic is raised, so replay after
     /// recovery does not re-trigger the fault.
-    pub inject: Vec<u64>,
+    pub(crate) inject: Vec<u64>,
     /// This shard's telemetry probe (shared with the hub).
-    pub probe: Arc<ShardProbe>,
-    /// Per-property engine probes, indexed by **global** property index.
-    /// Attached to every replica when [`crate::TelemetryConfig::engine`]
-    /// is on, and re-attached after recovery.
-    pub engines: Vec<Arc<EngineProbe>>,
+    pub(crate) probe: Arc<ShardProbe>,
+    /// The hub's per-property engine probes, indexed by the layout's
+    /// probe indices. Attached to every replica when
+    /// [`crate::TelemetryConfig::engine`] is on, and re-attached after
+    /// recovery.
+    pub(crate) engines: Vec<Arc<EngineProbe>>,
     /// The run's span tracer (disabled unless configured).
-    pub tracer: Arc<SpanTracer>,
+    pub(crate) tracer: Arc<SpanTracer>,
     /// Optional live violation sink: checkpoint-stable records are
     /// published to it exactly once (see [`crate::sink`]).
-    pub sink: Option<Arc<dyn ViolationSink>>,
+    pub(crate) sink: Option<Arc<dyn ViolationSink>>,
 }
 
 /// Terminal shard failure: the restart budget
@@ -120,28 +121,31 @@ impl fmt::Display for ShardFailure {
 
 /// What a supervised shard hands back on success.
 #[derive(Debug)]
-pub struct ShardOutcome {
+pub(crate) struct ShardOutcome {
     /// The worker's report (records, engine counters, occupancy).
-    pub report: WorkerReport,
-    /// Items received from the router.
-    pub delivered: u64,
+    pub(crate) report: WorkerReport,
+    /// Items received from the router. The session keeps its own delivery
+    /// count; this side of the ledger is read by the supervision tests
+    /// (`delivered == processed + shed`).
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) delivered: u64,
     /// Items applied to the monitors exactly once.
-    pub processed: u64,
+    pub(crate) processed: u64,
     /// Items explicitly shed because the journal bound was hit.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Recoveries performed.
-    pub restarts: u64,
+    pub(crate) restarts: u64,
     /// Checkpoints taken.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Journal items re-applied during recoveries.
-    pub replayed: u64,
+    pub(crate) replayed: u64,
     /// Violations raised inside a monitoring gap (downgraded provenance).
-    pub degraded_violations: u64,
+    pub(crate) degraded_violations: u64,
     /// Wall-clock nanoseconds spent restoring checkpoints (replay time is
     /// indistinguishable from normal processing and excluded).
-    pub recovery_nanos: u64,
+    pub(crate) recovery_nanos: u64,
     /// Shedding episodes, in input order.
-    pub gaps: Vec<MonitoringGap>,
+    pub(crate) gaps: Vec<MonitoringGap>,
 }
 
 /// A consistent restart point: monitor snapshots plus how much of the
@@ -152,61 +156,45 @@ struct Checkpoint {
     events: u64,
 }
 
-/// How a shard's receive loop ended.
+/// What the shard's driver does after [`Supervisor::handle`] returns.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Keep feeding messages.
+    Continue,
+    /// `Finish` was handled: timers are drained, collect the outcome
+    /// ([`Supervisor::into_outcome`]).
+    Finished,
+    /// `Retire` was handled: the journal is drained, hand the supervisor
+    /// back to the session.
+    Retired,
+}
+
+/// How a remote shard's receive loop ended.
+#[derive(Debug)]
 pub(crate) enum LoopExit {
     /// Normal end of input: the shard's final outcome.
     Finished(ShardOutcome),
     /// Adaptive fan-in ([`Msg::Retire`]): the journal is drained and the
-    /// supervisor returns intact for the session to keep driving inline.
+    /// supervisor returns intact for the session to keep driving locally.
     Retired(Box<Supervisor>),
 }
 
-impl std::fmt::Debug for LoopExit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LoopExit::Finished(o) => f.debug_tuple("Finished").field(o).finish(),
-            LoopExit::Retired(sup) => f.debug_tuple("Retired").field(&sup.shard).finish(),
-        }
-    }
-}
-
-/// The supervised shard loop: admit batches into the journal, drive the
-/// crash domain, checkpoint, and on `Finish` drain timers and report.
-/// Deploy messages (see [`crate::batch::Msg`]) run the quiesce/prepare/
-/// commit barrier in-line: the session sends nothing else between
-/// `Quiesce` and the closing `Commit`/`Abort`.
+/// A remote shard's worker thread: `recv` + [`Supervisor::handle`].
 pub(crate) fn run_loop(
     rx: ring::Receiver<Msg>,
     mut sup: Supervisor,
 ) -> Result<LoopExit, ShardFailure> {
-    let mut finish_at = None;
     while let Some(msg) = rx.recv() {
-        match msg {
-            Msg::Events(batch) => sup.apply_batch(batch)?,
-            Msg::Finish(end) => {
-                finish_at = Some(end);
-                break;
-            }
-            Msg::Quiesce { reply } => {
-                let ack = sup.quiesce()?;
-                // A closed reply channel means the session died mid-deploy;
-                // the subsequent hangup ends the loop normally.
-                let _ = reply.send(ack);
-            }
-            Msg::Prepare { prep, reply } => {
-                let _ = reply.send(sup.prepare(*prep));
-            }
-            Msg::Commit { epoch } => sup.commit(epoch),
-            Msg::Abort => sup.abort(),
-            Msg::Retire => {
-                sup.drive(None)?;
-                return Ok(LoopExit::Retired(Box::new(sup)));
-            }
+        match sup.handle(msg)? {
+            Flow::Continue => {}
+            Flow::Finished => break,
+            Flow::Retired => return Ok(LoopExit::Retired(Box::new(sup))),
         }
     }
-    // `finish_at` is `None` when the session hung up without `Finish`
-    // (dropped mid-stream): drain what was admitted and report.
-    sup.drive(finish_at)?;
+    // Reached by `Finish`, or by the session hanging up without one
+    // (dropped mid-stream). Either way nothing is outstanding: every
+    // admitted batch was driven to completion by the `handle` call that
+    // admitted it.
     Ok(LoopExit::Finished(sup.into_outcome()))
 }
 
@@ -234,17 +222,15 @@ struct ProbeCursor {
 /// at abort.
 struct PendingEpoch {
     epoch: u64,
-    props: Vec<(usize, Property)>,
-    lut: Vec<Option<usize>>,
-    probe_lut: Vec<Option<usize>>,
+    layout: ShardLayout,
     monitors: Vec<(usize, Monitor)>,
 }
 
-/// One shard's supervision state. Driven either by its own thread
-/// ([`run_loop`], fanned ingress) or directly by the session on the
-/// caller thread ([`Supervisor::apply_batch`], inline ingress); adaptive
-/// transitions move the same value between the two without copying
-/// monitors or records.
+/// One shard's supervision state, driven one [`Msg`] at a time through
+/// [`Supervisor::handle`] — by its own worker thread ([`run_loop`]) while
+/// the shard is remote, by the session on the caller thread while it is
+/// local. Adaptive transitions move the same value between the two
+/// without copying monitors or records.
 pub(crate) struct Supervisor {
     shard: usize,
     props: Vec<(usize, Property)>,
@@ -254,9 +240,9 @@ pub(crate) struct Supervisor {
     /// Staged next epoch between a deploy's prepare and commit/abort.
     pending: Option<PendingEpoch>,
     /// `probe_lut[local]` is the hub engine-probe index attached to the
-    /// local replica. Identity onto global indices for the initial epoch;
-    /// rewritten at deploy commit (the hub's probe catalog is fixed at
-    /// session start, so properties added later have no probe).
+    /// local replica ([`ShardLayout::probes`]); rewritten at deploy commit
+    /// (the hub's probe catalog is fixed at session start, so properties
+    /// added later have no probe).
     probe_lut: Vec<Option<usize>>,
     /// Remaining injected deploy-prepare failures (chaos testing): each
     /// one makes the next prepare panic inside its catch_unwind boundary.
@@ -301,31 +287,29 @@ pub(crate) struct Supervisor {
     published: usize,
 }
 
+impl fmt::Debug for Supervisor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Supervisor").field("shard", &self.shard).finish_non_exhaustive()
+    }
+}
+
 impl Supervisor {
     pub(crate) fn new(spec: ShardSpec) -> Self {
-        // Initial epoch: hub probes are indexed by global property index,
-        // so the probe lut starts as the identity onto globals.
-        let probe_lut: Vec<Option<usize>> = spec.props.iter().map(|(g, _)| Some(*g)).collect();
-        let mut monitors: Vec<(usize, Monitor)> = spec
-            .props
-            .iter()
-            .map(|(g, p)| (*g, Monitor::new(p.clone(), spec.cfg.monitor)))
-            .collect();
-        if spec.cfg.telemetry.engine {
-            attach_probes(&mut monitors, &spec.engines, &probe_lut);
-        }
+        let ShardLayout { props, lut, probes } = spec.layout;
+        let monitors = build_monitors(&spec.cfg, &spec.engines, &props, &probes, |_, _| None)
+            .expect("fresh monitors restore nothing");
         let snapshots = monitors.iter().map(|(_, m)| m.snapshot()).collect();
-        let state = WorkerState::new(monitors, spec.lut);
+        let state = WorkerState::new(monitors, lut);
         let inject_deploy =
             spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
         Supervisor {
             shard: spec.shard,
-            props: spec.props,
+            props,
             cfg: spec.cfg,
             state,
             checkpoint: Checkpoint { snapshots, records_len: 0, events: 0 },
             pending: None,
-            probe_lut,
+            probe_lut: probes,
             inject_deploy,
             journal: Vec::new(),
             journal_len: 0,
@@ -388,13 +372,40 @@ impl Supervisor {
         }
     }
 
+    /// Interpret one shard command — the only `match` over [`Msg`] in the
+    /// crate. Deploy messages run the quiesce/prepare/commit barrier
+    /// in-line: the session sends nothing else between `Quiesce` and the
+    /// closing `Commit`/`Abort`.
+    pub(crate) fn handle(&mut self, msg: Msg) -> Result<Flow, ShardFailure> {
+        match msg {
+            Msg::Events(batch) => self.apply_batch(batch)?,
+            Msg::Finish(end) => {
+                self.drive(Some(end))?;
+                return Ok(Flow::Finished);
+            }
+            Msg::Quiesce { reply } => {
+                let ack = self.quiesce()?;
+                // A closed reply channel means the session died mid-deploy;
+                // the subsequent hangup ends the loop normally.
+                let _ = reply.send(ack);
+            }
+            Msg::Prepare { prep, reply } => {
+                let _ = reply.send(self.prepare(*prep));
+            }
+            Msg::Commit { epoch } => self.commit(epoch),
+            Msg::Abort => self.abort(),
+            Msg::Retire => {
+                self.drive(None)?;
+                return Ok(Flow::Retired);
+            }
+        }
+        Ok(Flow::Continue)
+    }
+
     /// Admit one sealed batch and drive it to completion under full
     /// supervision — journal, panic boundary with checkpoint/replay
-    /// recovery, shedding accounting, checkpoint cadence. This is the one
-    /// supervision body shared by both ingress modes: the fanned receive
-    /// loop calls it per ring message, the inline session calls it
-    /// directly on the caller thread at every arena dispatch.
-    pub(crate) fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
+    /// recovery, shedding accounting, checkpoint cadence.
+    fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
         let force = batch.checkpoint;
         self.admit(batch);
         self.drive(None)?;
@@ -406,12 +417,6 @@ impl Supervisor {
             self.maybe_checkpoint();
         }
         Ok(())
-    }
-
-    /// Inline end of input: drain timers up to `end` under the panic
-    /// boundary. The caller consumes the outcome via [`Self::into_outcome`].
-    pub(crate) fn finish_inline(&mut self, end: Instant) -> Result<(), ShardFailure> {
-        self.drive(Some(end))
     }
 
     /// Apply everything outstanding inside the panic boundary; recover and
@@ -519,18 +524,12 @@ impl Supervisor {
         if self.restarts > self.cfg.max_restarts as u64 {
             return Err(fail(self.restarts - 1, panic_message(payload)));
         }
-        let mut monitors: Vec<(usize, Monitor)> = self
-            .props
-            .iter()
-            .map(|(g, p)| (*g, Monitor::new(p.clone(), self.cfg.monitor)))
-            .collect();
-        for ((_, m), snap) in monitors.iter_mut().zip(&self.checkpoint.snapshots) {
-            m.restore(snap).map_err(|e| fail(self.restarts, format!("restore failed: {e}")))?;
-        }
-        if self.cfg.telemetry.engine {
-            attach_probes(&mut monitors, &self.engines, &self.probe_lut);
-        }
-        self.state.monitors = monitors;
+        let snapshots = &self.checkpoint.snapshots;
+        self.state.monitors =
+            build_monitors(&self.cfg, &self.engines, &self.props, &self.probe_lut, |local, _| {
+                snapshots.get(local)
+            })
+            .map_err(|e| fail(self.restarts, e))?;
         self.state.records.truncate(self.checkpoint.records_len);
         self.state.events = self.checkpoint.events;
         self.journal_pos = 0;
@@ -587,7 +586,7 @@ impl Supervisor {
     /// racing a crash window rides on journal replay), force a checkpoint
     /// so the shard's output is crash-stable, and snapshot every hosted
     /// monitor for the session to re-route.
-    pub(crate) fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
+    fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
         self.force_checkpoint();
@@ -603,49 +602,24 @@ impl Supervisor {
     /// the panic boundary; any failure (restore error, panic, injected
     /// deploy fault) leaves the shard exactly as the quiesce checkpoint
     /// left it — rollback is the absence of a commit.
-    pub(crate) fn prepare(&mut self, prep: ShardPrepare) -> Result<(), String> {
+    fn prepare(&mut self, prep: ShardPrepare) -> Result<(), String> {
         let inject = self.inject_deploy > 0;
         if inject {
             self.inject_deploy -= 1;
         }
-        let monitor_cfg = self.cfg.monitor;
-        let engine_on = self.cfg.telemetry.engine;
         let shard = self.shard;
-        let engines = &self.engines;
-        let built =
-            panic::catch_unwind(AssertUnwindSafe(|| -> Result<Vec<(usize, Monitor)>, String> {
-                if inject {
-                    panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard {shard}");
-                }
-                let mut monitors = Vec::with_capacity(prep.props.len());
-                for (local, (g, p)) in prep.props.iter().enumerate() {
-                    let mut m = Monitor::new(p.clone(), monitor_cfg);
-                    if let Some((_, snap)) = prep.adopt.iter().find(|(ag, _)| ag == g) {
-                        m.restore(snap).map_err(|e| {
-                            format!("snapshot restore for property {g} failed: {e}")
-                        })?;
-                    }
-                    if engine_on {
-                        if let Some(probe) =
-                            prep.probes.get(local).copied().flatten().and_then(|i| engines.get(i))
-                        {
-                            let rec: SharedRecorder = probe.clone();
-                            m.set_recorder(Some(rec));
-                        }
-                    }
-                    monitors.push((*g, m));
-                }
-                Ok(monitors)
-            }));
+        let ShardPrepare { epoch, layout, adopt } = prep;
+        let built = panic::catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard {shard}");
+            }
+            build_monitors(&self.cfg, &self.engines, &layout.props, &layout.probes, |_, g| {
+                adopt.iter().find(|(ag, _)| *ag == g).map(|(_, snap)| snap)
+            })
+        }));
         match built {
             Ok(Ok(monitors)) => {
-                self.pending = Some(PendingEpoch {
-                    epoch: prep.epoch,
-                    props: prep.props,
-                    lut: prep.lut,
-                    probe_lut: prep.probes,
-                    monitors,
-                });
+                self.pending = Some(PendingEpoch { epoch, layout, monitors });
                 Ok(())
             }
             Ok(Err(e)) => Err(e),
@@ -656,16 +630,16 @@ impl Supervisor {
     /// Deploy phase 3a: swap the staged epoch in and checkpoint under it,
     /// so any later recovery restores the *new* monitor set. Violations
     /// harvested from here on carry the new epoch.
-    pub(crate) fn commit(&mut self, epoch: u64) {
+    fn commit(&mut self, epoch: u64) {
         let Some(pending) = self.pending.take() else {
             debug_assert!(false, "commit without a staged prepare");
             return;
         };
         debug_assert_eq!(pending.epoch, epoch);
-        self.props = pending.props;
-        self.probe_lut = pending.probe_lut;
+        self.props = pending.layout.props;
+        self.probe_lut = pending.layout.probes;
         self.state.monitors = pending.monitors;
-        self.state.lut = pending.lut;
+        self.state.lut = pending.layout.lut;
         self.state.epoch = epoch;
         self.force_checkpoint();
     }
@@ -673,7 +647,7 @@ impl Supervisor {
     /// Deploy phase 3b: drop the staged epoch. Nothing was mutated during
     /// prepare, so the shard is byte-identical to one that never saw the
     /// deploy.
-    pub(crate) fn abort(&mut self) {
+    fn abort(&mut self) {
         self.pending = None;
     }
 
@@ -710,21 +684,37 @@ impl Supervisor {
     }
 }
 
-/// Attach each replica's per-property engine probe. `probe_lut[local]`
-/// maps the replica to its hub probe index (identity onto globals for the
-/// initial epoch; rewritten by deploy commits, `None` for properties the
-/// fixed-at-start probe catalog does not cover).
-fn attach_probes(
-    monitors: &mut [(usize, Monitor)],
+/// The one place a shard's monitors are built — for the initial epoch
+/// ([`Supervisor::new`]), after a crash (`recover`) and for a staged epoch
+/// (`prepare`): a fresh replica per hosted property, restored from
+/// `snapshot_for(local, global)` when that yields one, then — with engine
+/// telemetry on — attached to its hub probe (`probe_lut[local]`; `None`
+/// for properties the fixed-at-start probe catalog does not cover).
+fn build_monitors<'a>(
+    cfg: &RuntimeConfig,
     engines: &[Arc<EngineProbe>],
+    props: &[(usize, Property)],
     probe_lut: &[Option<usize>],
-) {
-    for (local, (_, m)) in monitors.iter_mut().enumerate() {
-        if let Some(probe) = probe_lut.get(local).copied().flatten().and_then(|i| engines.get(i)) {
-            let rec: SharedRecorder = probe.clone();
-            m.set_recorder(Some(rec));
+    snapshot_for: impl Fn(usize, usize) -> Option<&'a MonitorSnapshot>,
+) -> Result<Vec<(usize, Monitor)>, String> {
+    let mut monitors = Vec::with_capacity(props.len());
+    for (local, (g, p)) in props.iter().enumerate() {
+        let mut m = Monitor::new(p.clone(), cfg.monitor);
+        if let Some(snap) = snapshot_for(local, *g) {
+            m.restore(snap)
+                .map_err(|e| format!("snapshot restore for property {g} failed: {e}"))?;
         }
+        if cfg.telemetry.engine {
+            if let Some(probe) =
+                probe_lut.get(local).copied().flatten().and_then(|i| engines.get(i))
+            {
+                let rec: SharedRecorder = probe.clone();
+                m.set_recorder(Some(rec));
+            }
+        }
+        monitors.push((*g, m));
     }
+    Ok(monitors)
 }
 
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -786,8 +776,11 @@ mod tests {
         let hub = crate::telemetry::TelemetryHub::new(1, &["twice"], &cfg.telemetry, 0, 1);
         ShardSpec {
             shard: 0,
-            props: vec![(0, repeat_prop())],
-            lut: vec![Some(0)],
+            layout: ShardLayout {
+                props: vec![(0, repeat_prop())],
+                lut: vec![Some(0)],
+                probes: vec![Some(0)],
+            },
             cfg,
             inject,
             probe: hub.shard(0).clone(),
@@ -877,16 +870,19 @@ mod tests {
         drop(tx);
         let exit = run_loop(rx, Supervisor::new(spec(base_cfg(), vec![]))).unwrap();
         let LoopExit::Retired(mut sup) = exit else { panic!("expected a retired supervisor") };
-        // The journal is drained; the session continues inline on the same
-        // supervisor without losing anything already applied.
+        // The journal is drained; the session continues locally on the
+        // same supervisor without losing anything already applied.
         let mut arena = Arena::new(1, 8);
         for seq in 16..24 {
             let _ = arena.push(seq, &test_ev(seq), &[1]);
         }
         for (_, batch) in arena.seal(false) {
-            sup.apply_batch(batch).unwrap();
+            assert_eq!(sup.handle(Msg::Events(batch)).unwrap(), Flow::Continue);
         }
-        sup.finish_inline(Instant::from_nanos(1_000_000)).unwrap();
+        assert_eq!(
+            sup.handle(Msg::Finish(Instant::from_nanos(1_000_000))).unwrap(),
+            Flow::Finished
+        );
         let out = sup.into_outcome();
         assert_eq!(out.delivered, 24);
         assert_eq!(out.processed, 24);

@@ -14,20 +14,22 @@ use swmon_sim::trace::NetEvent;
 
 /// What a worker hands back when it finishes.
 #[derive(Debug)]
-pub struct WorkerReport {
+pub(crate) struct WorkerReport {
     /// Violations found by this shard's monitors, in discovery order.
-    pub records: Vec<ViolationRecord>,
-    /// Events this shard processed (batch items).
-    pub events: u64,
+    pub(crate) records: Vec<ViolationRecord>,
+    /// Events this shard processed (batch items). Checkpointed and
+    /// restored with the records; read back by the recovery tests.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) events: u64,
     /// Instances still live across this shard's monitors at finish.
-    pub live_instances: u64,
+    pub(crate) live_instances: u64,
     /// Per-monitor engine counters, keyed by global property index.
-    pub engine: Vec<(usize, MonitorStats)>,
+    pub(crate) engine: Vec<(usize, MonitorStats)>,
 }
 
 /// Sequence number recorded for violations discovered while draining
 /// timers at finish (no triggering event exists).
-pub const FLUSH_SEQ: u64 = u64::MAX;
+pub(crate) const FLUSH_SEQ: u64 = u64::MAX;
 
 /// The mutable state a shard panic can corrupt: monitor replicas, the
 /// records harvested from them, and the applied-event count. The

@@ -1,88 +1,73 @@
 //! Differential verification of the abstract-interpretation facts: an
-//! analysis-refined pre-dispatch mask (and stage-liveness set) must be
-//! *invisible* in the output. Every check here runs the same trace through
-//! an unoptimized reference and through the facts-consuming path —
-//! [`MonitorSet::add_with_facts`] at the set level,
-//! [`ShardedRuntime::new_with_facts`] at the system level, at shard counts
-//! 1/2/4/8 — and demands byte-for-byte identical violation records.
+//! analysis-refined event-class mask (and stage-liveness set) must be
+//! *sound* — dropping every event the mask excludes must be invisible in
+//! the output. Absint is an analysis-only feature (nothing on the hot path
+//! consumes its masks: across the shipped catalog they equal the syntactic
+//! ones, see docs/ANALYSIS.md), so the pruning is applied here, on the
+//! test side: every check runs the same trace through plain per-monitor
+//! loops and through the same monitors fed *only* the events their refined
+//! mask admits — the pre-dispatch rule of `MonitorSet::process` with the
+//! refined mask swapped in — and demands identical violations.
 //!
-//! The soundness property being exercised (satellite 3 of the analysis
-//! issue): a refined mask never drops an output-changing event. Random
-//! properties are generated with the constructs the analysis reasons
-//! about — constant guards, bindings, clearing clauses (including
-//! stage-0 clearings, whose event classes the analysis provably drops),
-//! deadline windows, and cross-stage constant conflicts.
+//! The soundness property being exercised: a refined mask never drops an
+//! output-changing event. Random properties are generated with the
+//! constructs the analysis reasons about — constant guards, bindings,
+//! clearing clauses (including stage-0 clearings, whose event classes the
+//! analysis provably drops), deadline windows, and cross-stage constant
+//! conflicts.
 
 use proptest::prelude::*;
 use swmon::analysis::absint::property_facts;
 use swmon::monitor::{
-    ActionPattern, AnalysisFacts, EventPattern, Monitor, MonitorConfig, MonitorSet, Property,
-    PropertyBuilder,
+    event_class, ActionPattern, EventPattern, Monitor, Property, PropertyBuilder,
 };
 use swmon::packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
-use swmon::runtime::{reference_records, signature, RuntimeConfig, ShardedRuntime};
 use swmon::sim::{
     Duration, EgressAction, Instant, NetEvent, OobEvent, PortNo, SwitchId, TraceBuilder,
 };
 
-/// Shard counts every system-level differential sweeps.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Analysis facts for each property, through the checked core seam.
-fn facts_for(props: &[Property]) -> Vec<AnalysisFacts> {
-    props
-        .iter()
-        .map(|p| property_facts(p).to_core(p).expect("analysis facts must pass the core check"))
-        .collect()
-}
-
-/// Reference output vs. the facts-consuming runtime at every shard count.
-fn assert_facts_runtime_matches(props: &[Property], trace: &[NetEvent], end: Instant) {
-    let reference = reference_records(props, MonitorConfig::default(), trace, end);
-    let expect: Vec<String> = reference.iter().map(signature).collect();
-    let facts = facts_for(props);
-    for shards in SHARD_COUNTS {
-        let rt = ShardedRuntime::new_with_facts(
-            props.to_vec(),
-            &facts,
-            RuntimeConfig::with_shards(shards),
-        )
-        .expect("validated properties with checked facts");
-        let out = rt.run(trace, end).expect("fault-free run cannot fail");
-        assert_eq!(
-            out.signatures(),
-            expect,
-            "facts-pruned runtime diverged from the reference at {shards} shards"
-        );
+/// The mask a consumer of the analysis would dispatch on: the refined
+/// class mask, or `0` (skip every event) when the final stage is provably
+/// dead — a property that can never violate needs no events.
+fn refined_mask(p: &Property) -> u8 {
+    let facts = property_facts(p);
+    assert_eq!(facts.refined_mask & !facts.syntactic_mask, 0, "refinement only removes classes");
+    if facts.live_stages.last().copied().unwrap_or(false) {
+        facts.refined_mask
+    } else {
+        0
     }
 }
 
-/// Reference per-monitor loop vs. a facts-pruned [`MonitorSet`], compared
-/// as rendered violation lists (time order, stable by member).
-fn assert_facts_set_matches(props: &[Property], trace: &[NetEvent], end: Instant) {
-    let mut set = MonitorSet::new();
-    for p in props {
-        let facts = property_facts(p).to_core(p).expect("checked facts");
-        set.add_with_facts(p.clone(), MonitorConfig::default(), &facts)
-            .expect("facts were built for this very property");
-    }
-    let mut solo: Vec<Monitor> = props.iter().cloned().map(Monitor::with_defaults).collect();
+/// Plain per-monitor loops vs. the same monitors fed only the events
+/// their refined mask admits, compared per property as rendered
+/// violation lists.
+fn assert_refined_masks_are_invisible(props: &[Property], trace: &[NetEvent], end: Instant) {
+    let masks: Vec<u8> = props.iter().map(refined_mask).collect();
+    let mut full: Vec<Monitor> = props.iter().cloned().map(Monitor::with_defaults).collect();
+    let mut pruned: Vec<Monitor> = props.iter().cloned().map(Monitor::with_defaults).collect();
     for ev in trace {
-        set.process(ev);
-        for m in &mut solo {
-            m.process(ev);
+        let class = event_class(ev);
+        for ((f, p), mask) in full.iter_mut().zip(&mut pruned).zip(&masks) {
+            f.process(ev);
+            if mask & class != 0 {
+                p.process(ev);
+            }
         }
     }
-    set.advance_to(end);
-    for m in &mut solo {
-        m.advance_to(end);
+    for (f, p) in full.iter_mut().zip(&mut pruned) {
+        f.advance_to(end);
+        p.advance_to(end);
+        let render = |m: &Monitor| -> Vec<String> {
+            m.violations().iter().map(|v| format!("{v:?}")).collect()
+        };
+        assert_eq!(
+            render(p),
+            render(f),
+            "the refined mask changed the violations of {}",
+            f.property().name
+        );
     }
-    let mut expect: Vec<String> =
-        solo.iter().flat_map(|m| m.violations().iter()).map(|v| format!("{v:?}")).collect();
-    expect.sort();
-    let mut got: Vec<String> = set.violations().iter().map(|v| format!("{v:?}")).collect();
-    got.sort();
-    assert_eq!(got, expect, "refined masks changed the violation set");
 }
 
 // ---------------------------------------------------------------------------
@@ -116,16 +101,14 @@ fn mixed_catalog_trace() -> Vec<NetEvent> {
     tb.build()
 }
 
-/// The full 21-property catalog over the fixed mixed trace: the
-/// facts-consuming runtime is byte-identical to the reference at every
-/// shard count. This is the tier-1 anchor for the analysis seam.
+/// The full 21-property catalog over the fixed mixed trace. This is the
+/// tier-1 anchor for the analysis's soundness claim.
 #[test]
 fn catalog_facts_differential_fixed_trace() {
     let props = swmon_props::catalog();
     let trace = mixed_catalog_trace();
     let end = trace.last().unwrap().time + Duration::from_secs(120);
-    assert_facts_runtime_matches(&props, &trace, end);
-    assert_facts_set_matches(&props, &trace, end);
+    assert_refined_masks_are_invisible(&props, &trace, end);
 }
 
 /// Same catalog over the benchmark workload (256 flows with drops and
@@ -142,29 +125,13 @@ fn catalog_facts_differential_benchmark_workload() {
         7,
     );
     let end = trace.last().unwrap().time + Duration::from_secs(60);
-    assert_facts_runtime_matches(&props, &trace, end);
-}
-
-/// Conservative facts are the identity: routing through the facts seam
-/// with [`AnalysisFacts::conservative`] is exactly the plain constructor.
-#[test]
-fn conservative_facts_are_the_identity() {
-    let props = swmon_props::catalog();
-    let facts: Vec<AnalysisFacts> = props.iter().map(AnalysisFacts::conservative).collect();
-    let trace = mixed_catalog_trace();
-    let end = trace.last().unwrap().time + Duration::from_secs(120);
-    let expect: Vec<String> = reference_records(&props, MonitorConfig::default(), &trace, end)
-        .iter()
-        .map(signature)
-        .collect();
-    let rt = ShardedRuntime::new_with_facts(props, &facts, RuntimeConfig::with_shards(4)).unwrap();
-    assert_eq!(rt.run(&trace, end).unwrap().signatures(), expect);
+    assert_refined_masks_are_invisible(&props, &trace, end);
 }
 
 /// A property whose mask the analysis *provably tightens* (a stage-0
-/// clearing pattern contributes classes no live edge carries): the refined
-/// set must still agree with the reference on a trace full of exactly the
-/// dropped classes.
+/// clearing pattern contributes classes no live edge carries): the pruned
+/// monitor must still agree with the unpruned one on a trace full of
+/// exactly the dropped classes.
 #[test]
 fn strictly_refined_mask_stays_sound() {
     let p = PropertyBuilder::new("refined", "stage-0 clearing classes are prunable")
@@ -185,8 +152,7 @@ fn strictly_refined_mask_stays_sound() {
     let props = vec![p];
     let trace = mixed_catalog_trace(); // flood departures throughout
     let end = trace.last().unwrap().time + Duration::from_secs(1);
-    assert_facts_runtime_matches(&props, &trace, end);
-    assert_facts_set_matches(&props, &trace, end);
+    assert_refined_masks_are_invisible(&props, &trace, end);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +298,7 @@ proptest! {
 
     /// Soundness: for random properties and random traces, the
     /// analysis-refined mask never drops an output-changing event — the
-    /// facts-pruned [`MonitorSet`] agrees with unoptimized per-monitor
+    /// mask-pruned set of monitors agrees with the unpruned per-monitor
     /// loops byte-for-byte.
     #[test]
     fn refined_masks_never_change_monitorset_output(
@@ -348,25 +314,6 @@ proptest! {
         let trace = render_trace(&events, Duration::from_micros(40));
         prop_assume!(!trace.is_empty());
         let end = trace.last().unwrap().time + Duration::from_secs(1);
-        assert_facts_set_matches(&props, &trace, end);
-    }
-
-    /// The same soundness contract at the system level: random properties
-    /// through the facts-consuming sharded runtime vs. the reference.
-    #[test]
-    fn refined_masks_never_change_runtime_output(
-        gens in proptest::collection::vec(gen_property(), 1..3),
-        events in proptest::collection::vec(gen_event(), 1..40),
-    ) {
-        let props: Vec<Property> = gens
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| render_property(g, &format!("gen-{i}")))
-            .collect();
-        prop_assume!(!props.is_empty());
-        let trace = render_trace(&events, Duration::from_micros(40));
-        prop_assume!(!trace.is_empty());
-        let end = trace.last().unwrap().time + Duration::from_secs(1);
-        assert_facts_runtime_matches(&props, &trace, end);
+        assert_refined_masks_are_invisible(&props, &trace, end);
     }
 }
