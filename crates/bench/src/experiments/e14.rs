@@ -21,7 +21,7 @@
 use crate::TextTable;
 use std::time::Instant as WallInstant;
 use swmon_core::{Monitor, MonitorConfig, MonitorSet, Property, SharedRecorder};
-use swmon_runtime::merge::{kind_rank, merge};
+use swmon_runtime::merge::merge;
 use swmon_runtime::{reference_records, signature, ViolationRecord};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::trace::NetEvent;
@@ -90,13 +90,7 @@ fn records_of(monitors: &[Monitor]) -> Vec<ViolationRecord> {
     let mut records = Vec::new();
     for (i, m) in monitors.iter().enumerate() {
         for v in m.violations() {
-            records.push(ViolationRecord {
-                seq: 0,
-                property: i,
-                rank: kind_rank(m.property(), &v.trigger_stage),
-                epoch: 0,
-                violation: v.clone(),
-            });
+            records.push(ViolationRecord::new(m.property(), i, 0, 0, v.clone()));
         }
     }
     merge(records)

@@ -87,10 +87,10 @@ fn reconcile(page: &Snapshot, stats: &RuntimeStats, shards: usize) -> bool {
     ) else {
         return false;
     };
-    let ledger = delivered == processed + shed
-        && delivered == stats.deliveries
-        && events_in == stats.events_in
-        && stats.unaccounted_loss() == 0;
+    // The page and `stats` are two reads of one ledger (the hub), so there
+    // is nothing to cross-check between them; what can fail is the
+    // accounting itself: the router-side count against the shard side.
+    let ledger = delivered == processed + shed && stats.unaccounted_loss() == 0;
     if shards == 1 {
         // One shard owns every property: each non-skipped event is
         // delivered exactly once, so the literal identity holds.

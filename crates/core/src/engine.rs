@@ -300,9 +300,20 @@ impl Monitor {
         &self.property
     }
 
-    /// Violations detected so far, in detection order.
+    /// Violations detected since the last [`Monitor::take_violations`], in
+    /// detection order; never taken ⇒ since construction. The monitor owns
+    /// this history until a caller takes it.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
+    }
+
+    /// Move the violations detected since the last take out of the
+    /// monitor, in detection order; the caller owns them from here on and
+    /// [`Monitor::violations`] / [`Monitor::snapshot`] no longer carry
+    /// them. The sharded runtime drains every replica this way after each
+    /// event, so its checkpoints hold live state only.
+    pub fn take_violations(&mut self) -> Vec<Violation> {
+        std::mem::take(&mut self.violations)
     }
 
     /// Number of live instances (the paper's scalability metric: Varanus

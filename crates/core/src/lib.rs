@@ -29,6 +29,7 @@ pub mod dsl;
 pub mod engine;
 pub mod features;
 pub mod guard;
+pub mod json;
 pub mod monitorset;
 pub mod pattern;
 pub mod postcard;

@@ -98,11 +98,6 @@ impl Arena {
         self.events.len() >= self.capacity
     }
 
-    /// True when nothing is staged.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// True when the oldest staged event is `limit` or more input ticks
     /// behind `seq_now` — the bounded-staleness trigger. Uses input
     /// sequence numbers, so it fires even when every later event was
@@ -263,7 +258,7 @@ mod tests {
         assert!(!arena.push(1, &ev(20), &[0, 2, 0]));
         assert!(arena.push(2, &ev(30), &[1, 2, 4]), "third event fills the block");
         let sealed = arena.seal(false);
-        assert!(arena.is_empty());
+        assert!(arena.seal(false).is_empty(), "sealing empties the arena");
         // Shards 0, 1, 2 all staged something.
         assert_eq!(sealed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![0, 1, 2]);
         // One slab, shared: 3 batch handles + the local `block` binding.

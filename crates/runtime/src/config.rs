@@ -16,10 +16,10 @@ pub struct FaultPoint {
     pub seq: u64,
 }
 
-/// Observability knobs (see `docs/TELEMETRY.md`). The counter layer —
-/// router and shard ledgers — is unconditional: it is the same arithmetic
-/// the runtime already does for [`crate::RuntimeStats`], now on shared
-/// atomics so a live snapshot can be taken mid-run.
+/// Observability knobs (see `docs/TELEMETRY.md`). The counter layer is
+/// unconditional: it is the run's one statistics ledger —
+/// [`crate::RuntimeStats`] is read from it — on shared atomics so a live
+/// snapshot can be taken mid-run.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Attach per-property engine probes (event counts, occupancy, sampled

@@ -78,6 +78,7 @@ pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFI
 pub use swmon_core::{CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin};
 pub use telemetry::{ShardProbe, TelemetryHub};
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -267,12 +268,6 @@ impl ShardedRuntime {
                 Shard { link: Link::Local(sup), worker: None }
             })
             .collect();
-        let stats = RuntimeStats {
-            per_shard: vec![ShardStats::default(); shards],
-            hashed_properties: hashed,
-            pinned_properties: pinned,
-            ..Default::default()
-        };
         let mut session = Session {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.clone()),
@@ -282,10 +277,13 @@ impl ShardedRuntime {
             arena: Arena::new(shards, self.cfg.batch),
             masks: vec![0u64; shards],
             seq: 0,
-            stats,
+            routed: Routed {
+                events_in: Cell::new(0),
+                skipped: Cell::new(0),
+                delivered: vec![Cell::new(0); shards],
+            },
             tracing: hub.tracer().enabled(),
             hub,
-            hub_cursor: HubCursor::default(),
             sink,
             adaptive: AdaptiveClock {
                 window_start_seq: 0,
@@ -404,29 +402,32 @@ struct AdaptiveClock {
     parallel: bool,
 }
 
-/// Router-ledger counters already flushed to the [`TelemetryHub`].
+/// What the router has counted since it last added to the
+/// [`TelemetryHub`] — the hub holds the only running totals.
 ///
-/// The session keeps its authoritative ledger in plain [`RuntimeStats`]
-/// fields and mirrors them into the hub's atomics in batches — one flush
-/// per arena dispatch instead of several atomic RMWs per event on the
-/// inline hot path. [`Session::live_stats`] flushes before reading, so a
-/// live snapshot is always exactly as fresh as the ledger itself.
-/// `Cell` (not `&mut`) because the flush happens on the shared-reference
-/// read path.
-#[derive(Debug, Default)]
-struct HubCursor {
-    events_in: std::cell::Cell<u64>,
-    deliveries: std::cell::Cell<u64>,
-    skipped: std::cell::Cell<u64>,
-    batches: std::cell::Cell<u64>,
+/// `feed` bumps these plain cells; every dispatch, and every
+/// [`Session::live_stats`] read, adds them to the hub's atomics and zeroes
+/// them: a few atomic RMWs per batch instead of several per event on the
+/// inline hot path, and a live read is never staler than the last `feed`.
+/// `Cell` (not `&mut`) because the live read goes through `&self`.
+#[derive(Debug)]
+struct Routed {
+    events_in: Cell<u64>,
+    skipped: Cell<u64>,
+    /// Per destination shard.
+    delivered: Vec<Cell<u64>>,
 }
 
-impl HubCursor {
-    fn advance(cell: &std::cell::Cell<u64>, now: u64, counter: &swmon_telemetry::Counter) {
-        let prev = cell.get();
-        if now > prev {
-            counter.add(now - prev);
-            cell.set(now);
+impl Routed {
+    fn bump(cell: &Cell<u64>) {
+        cell.set(cell.get() + 1);
+    }
+
+    fn add_to(&self, hub: &TelemetryHub) {
+        hub.events_in.add(self.events_in.take());
+        hub.skipped.add(self.skipped.take());
+        for (s, delivered) in self.delivered.iter().enumerate() {
+            hub.shard(s).delivered.add(delivered.take());
         }
     }
 }
@@ -459,12 +460,11 @@ pub struct Session<'rt> {
     arena: Arena,
     masks: Vec<u64>,
     seq: u64,
-    stats: RuntimeStats,
+    routed: Routed,
     hub: Arc<TelemetryHub>,
     /// `hub.tracer().enabled()`, hoisted: a tracer's sampling rate is
     /// fixed at construction, so `feed` skips the per-event fetch.
     tracing: bool,
-    hub_cursor: HubCursor,
     sink: Option<Arc<dyn ViolationSink>>,
     adaptive: AdaptiveClock,
 }
@@ -478,23 +478,11 @@ impl Session<'_> {
 
     /// A consistent *live* snapshot of the run's statistics, mid-stream:
     /// `unaccounted_loss() == 0` holds on every snapshot, and every counter
-    /// is monotone towards the final [`Outcome::stats`] (see
-    /// [`telemetry`] module docs for the construction).
+    /// is monotone towards the final [`Outcome::stats`] — which is the same
+    /// read of the same hub (see [`telemetry`] module docs).
     pub fn live_stats(&self) -> RuntimeStats {
-        self.flush_hub();
+        self.routed.add_to(&self.hub);
         self.hub.live_stats()
-    }
-
-    /// Mirror the router-ledger counters into the hub (see [`HubCursor`]).
-    fn flush_hub(&self) {
-        HubCursor::advance(&self.hub_cursor.events_in, self.stats.events_in, &self.hub.events_in);
-        HubCursor::advance(
-            &self.hub_cursor.deliveries,
-            self.stats.deliveries,
-            &self.hub.deliveries,
-        );
-        HubCursor::advance(&self.hub_cursor.skipped, self.stats.skipped, &self.hub.skipped);
-        HubCursor::advance(&self.hub_cursor.batches, self.stats.batches, &self.hub.batches);
     }
 
     /// True when ingress is fanned out to per-shard worker threads; false
@@ -531,14 +519,13 @@ impl Session<'_> {
     pub fn feed(&mut self, ev: &NetEvent) -> Result<(), RuntimeError> {
         let seq = self.seq;
         self.seq += 1;
-        self.stats.events_in += 1;
+        Routed::bump(&self.routed.events_in);
         self.router.masks(ev, &mut self.masks);
         let mut delivered = false;
-        for (s, &mask) in self.masks.iter().enumerate() {
+        for (&mask, routed) in self.masks.iter().zip(&self.routed.delivered) {
             if mask != 0 {
                 delivered = true;
-                self.stats.deliveries += 1;
-                self.stats.per_shard[s].events += 1;
+                Routed::bump(routed);
             }
         }
         if self.tracing {
@@ -553,7 +540,7 @@ impl Session<'_> {
         if !delivered {
             // Pre-enqueue filtering: the event provably cannot affect any
             // monitor, so it never enters the arena or a ring.
-            self.stats.skipped += 1;
+            Routed::bump(&self.routed.skipped);
             return self.adaptive_tick();
         }
         if self.arena.push(seq, ev, &self.masks) {
@@ -568,27 +555,19 @@ impl Session<'_> {
         self.adaptive_tick()
     }
 
-    /// Seal the arena and send each shard its batch. `checkpoint` marks
-    /// bounded-staleness flushes. No-op while empty.
+    /// Seal the arena and send each shard its batch; `checkpoint` marks
+    /// bounded-staleness flushes. Also the single tail-flush shared by
+    /// [`Session::finish`], the deploy barrier and adaptive transitions:
+    /// after it returns, every fed event has been counted in the hub —
+    /// before its batch is sent, so a shard never shows more processed
+    /// than delivered — and applied (local shards) or queued on its
+    /// shard's ring (remote).
     fn dispatch(&mut self, checkpoint: bool) -> Result<(), RuntimeError> {
-        self.flush_hub();
-        if self.arena.is_empty() {
-            return Ok(());
-        }
+        self.routed.add_to(&self.hub);
         for (s, batch) in self.arena.seal(checkpoint) {
-            self.stats.batches += 1;
+            self.hub.batches.inc();
             self.send(s, Msg::Events(batch))?;
         }
-        Ok(())
-    }
-
-    /// Dispatch everything still staged in the arena — the single
-    /// tail-flush shared by [`Session::finish`], the deploy barrier, and
-    /// adaptive transitions. After it returns, every fed event has been
-    /// applied (local shards) or queued on its shard's ring (remote).
-    fn flush_all_shards(&mut self) -> Result<(), RuntimeError> {
-        self.dispatch(false)?;
-        self.flush_hub();
         Ok(())
     }
 
@@ -623,7 +602,6 @@ impl Session<'_> {
             return;
         }
         self.spawn_fanned();
-        self.stats.fan_outs += 1;
         self.hub.fan_outs.inc();
     }
 
@@ -649,7 +627,7 @@ impl Session<'_> {
         if !self.is_fanned() {
             return Ok(());
         }
-        self.flush_all_shards()?;
+        self.dispatch(false)?;
         // Every worker is told to retire before any is joined. A dead
         // shard's send fails with the reason its worker exited.
         let mut failure: Option<RuntimeError> = None;
@@ -678,7 +656,6 @@ impl Session<'_> {
             return Err(err);
         }
         self.hub.ingress_mode.set(0);
-        self.stats.fan_ins += 1;
         self.hub.fan_ins.inc();
         Ok(())
     }
@@ -793,11 +770,10 @@ impl Session<'_> {
         let shards = self.masks.len();
         // Everything fed so far must reach the shards before the barrier,
         // so the differential "deploy at k" cut is exact.
-        self.flush_all_shards()?;
+        self.dispatch(false)?;
         // Phase 1: quiesce the whole fleet and collect monitor snapshots.
         let acks = self.quiesce_all()?;
         let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
-        self.stats.quiesce_nanos += quiesce_nanos.iter().sum::<u64>();
         // Next epoch's placements. Retained properties carry their derived
         // plan and pre-dispatch mask verbatim; upgraded/added ones derive
         // fresh placements.
@@ -876,16 +852,13 @@ impl Session<'_> {
         self.catalog = next;
         self.router = router_next;
         self.probe_idx = probe_next;
-        self.stats.deploys_applied += 1;
-        self.stats.property_set_epoch = epoch;
         self.hub.deploys_applied.inc();
         self.hub.property_set_epoch.set(epoch);
         Ok(DeployOutcome { epoch, quiesce_nanos, retained, upgraded, added, removed })
     }
 
     /// Account a rolled-back deploy and build its recoverable error.
-    fn reject(&mut self, epoch: u64, reason: String) -> RuntimeError {
-        self.stats.deploys_rolled_back += 1;
+    fn reject(&self, epoch: u64, reason: String) -> RuntimeError {
         self.hub.deploys_rolled_back.inc();
         RuntimeError::DeployRejected { epoch, reason }
     }
@@ -895,13 +868,13 @@ impl Session<'_> {
     /// are joined before an error is returned — finish never leaks
     /// threads.
     pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
-        self.flush_all_shards()?;
+        self.dispatch(false)?;
         // Every shard is told to finish before any is collected, so remote
         // shards drain their timers concurrently. A dead shard's send fails
         // with the reason its worker exited.
         let sent: Vec<Result<(), RuntimeError>> =
             (0..self.shards.len()).map(|s| self.send(s, Msg::Finish(end))).collect();
-        let mut records = Vec::new();
+        let mut collected = Vec::with_capacity(sent.len());
         let mut failure: Option<RuntimeError> = None;
         for (s, (shard, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()
         {
@@ -922,10 +895,7 @@ impl Session<'_> {
                 }
             };
             match outcome {
-                Ok(o) => {
-                    self.stats.absorb_shard(s, &o);
-                    records.extend(o.report.records);
-                }
+                Ok(o) => collected.push(o),
                 Err(e) => {
                     failure.get_or_insert(e);
                 }
@@ -934,7 +904,17 @@ impl Session<'_> {
         if let Some(err) = failure {
             return Err(err);
         }
-        let stats = std::mem::take(&mut self.stats);
+        // Every shard has stopped counting: the hub is final. What it
+        // cannot carry comes back with the shards.
+        let mut stats = self.hub.final_stats();
+        let mut records = Vec::new();
+        for ShardOutcome { report, gaps } in collected {
+            stats.gaps.extend(gaps);
+            for (_, engine) in &report.engine {
+                stats.absorb_engine(engine);
+            }
+            records.extend(report.records);
+        }
         let records = merge::merge(records);
         if let Some(sink) = &self.sink {
             sink.seal(&records);
@@ -970,27 +950,6 @@ impl Drop for Session<'_> {
     }
 }
 
-impl RuntimeStats {
-    fn absorb_shard(&mut self, s: usize, o: &ShardOutcome) {
-        let shard = &mut self.per_shard[s];
-        shard.violations += o.report.records.len() as u64;
-        shard.live_instances = o.report.live_instances;
-        shard.processed = o.processed;
-        shard.shed = o.shed;
-        shard.restarts = o.restarts;
-        self.restarts += o.restarts;
-        self.checkpoints += o.checkpoints;
-        self.replayed += o.replayed;
-        self.shed += o.shed;
-        self.degraded_violations += o.degraded_violations;
-        self.recovery_nanos += o.recovery_nanos;
-        self.gaps.extend(o.gaps.iter().copied());
-        for (_, engine) in &o.report.engine {
-            self.absorb_engine(engine);
-        }
-    }
-}
-
 /// Run the single-threaded reference over the same inputs and return its
 /// violations as canonically merged records. The differential contract:
 /// for any shard count — and any recoverable fault schedule —
@@ -1011,13 +970,7 @@ pub fn reference_records(
     for (i, m) in monitors.iter_mut().enumerate() {
         m.advance_to(end);
         for v in m.violations() {
-            records.push(ViolationRecord {
-                seq: 0,
-                property: i,
-                rank: merge::kind_rank(m.property(), &v.trigger_stage),
-                epoch: 0,
-                violation: v.clone(),
-            });
+            records.push(ViolationRecord::new(m.property(), i, 0, 0, v.clone()));
         }
     }
     merge::merge(records)

@@ -39,6 +39,24 @@ pub struct ViolationRecord {
     pub violation: Violation,
 }
 
+impl ViolationRecord {
+    /// The one place a [`Violation`] becomes a record: `violation` was
+    /// raised by `property`, which sits at `index` in the catalog, on the
+    /// event at `seq` under catalog `epoch`. The rank is derived here
+    /// ([`kind_rank`]), so every producer orders timers before events the
+    /// same way.
+    pub fn new(
+        property: &Property,
+        index: usize,
+        seq: u64,
+        epoch: u64,
+        violation: Violation,
+    ) -> Self {
+        let rank = kind_rank(property, &violation.trigger_stage);
+        ViolationRecord { seq, property: index, rank, epoch, violation }
+    }
+}
+
 /// 0 if `trigger_stage` names a deadline stage of `property`, else 1.
 pub fn kind_rank(property: &Property, trigger_stage: &str) -> u8 {
     for stage in &property.stages {

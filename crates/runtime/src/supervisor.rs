@@ -119,37 +119,20 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// What a supervised shard hands back on success.
+/// What a supervised shard hands back on success: the two things its
+/// [`ShardProbe`] cannot carry. Every count lives in the probe.
 #[derive(Debug)]
 pub(crate) struct ShardOutcome {
-    /// The worker's report (records, engine counters, occupancy).
+    /// The worker's report (the violation log, engine counters).
     pub(crate) report: WorkerReport,
-    /// Items received from the router. The session keeps its own delivery
-    /// count; this side of the ledger is read by the supervision tests
-    /// (`delivered == processed + shed`).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) delivered: u64,
-    /// Items applied to the monitors exactly once.
-    pub(crate) processed: u64,
-    /// Items explicitly shed because the journal bound was hit.
-    pub(crate) shed: u64,
-    /// Recoveries performed.
-    pub(crate) restarts: u64,
-    /// Checkpoints taken.
-    pub(crate) checkpoints: u64,
-    /// Journal items re-applied during recoveries.
-    pub(crate) replayed: u64,
-    /// Violations raised inside a monitoring gap (downgraded provenance).
-    pub(crate) degraded_violations: u64,
-    /// Wall-clock nanoseconds spent restoring checkpoints (replay time is
-    /// indistinguishable from normal processing and excluded).
-    pub(crate) recovery_nanos: u64,
     /// Shedding episodes, in input order.
     pub(crate) gaps: Vec<MonitoringGap>,
 }
 
-/// A consistent restart point: monitor snapshots plus how much of the
-/// worker's output they already account for.
+/// A consistent restart point: monitor snapshots — live state only, the
+/// replicas hold no violation history — plus how much of the shard's
+/// violation log was raised before them. Recovery truncates the log to
+/// `records_len` and replay re-raises the rest.
 struct Checkpoint {
     snapshots: Vec<MonitorSnapshot>,
     records_len: usize,
@@ -208,15 +191,6 @@ struct JournalBatch {
     items: Vec<ItemRef>,
 }
 
-/// High-water marks of what [`Supervisor`] has already pushed into the
-/// hub's shared counters (see `Supervisor::probe_sync`).
-#[derive(Debug, Default)]
-struct ProbeCursor {
-    processed: u64,
-    replayed: u64,
-    degraded: u64,
-}
-
 /// A deploy's staged next-epoch shard configuration: built during prepare
 /// without touching live state, swapped in atomically at commit, dropped
 /// at abort.
@@ -262,21 +236,10 @@ pub(crate) struct Supervisor {
     in_gap: bool,
     open_gap: Option<MonitoringGap>,
     gaps: Vec<MonitoringGap>,
-    delivered: u64,
-    processed: u64,
-    shed: u64,
-    restarts: u64,
-    checkpoints: u64,
-    replayed: u64,
-    /// How much of `processed`/`replayed`/`degraded_violations` has been
-    /// mirrored into the hub probe counters. The authoritative ledger is
-    /// the plain fields (advanced item-by-item inside the crash domain);
-    /// the shared atomics are brought up to date in one `add` per drive,
-    /// keeping the per-item hot path free of atomic traffic while staying
-    /// exact across panics and replays.
-    probe_sync: ProbeCursor,
-    degraded_violations: u64,
-    recovery_nanos: u64,
+    /// Recoveries still allowed ([`RuntimeConfig::max_restarts`] at
+    /// start) — the budget, not a statistic.
+    restarts_left: u64,
+    /// Every count this shard keeps: the supervisor has no private copy.
     probe: Arc<ShardProbe>,
     engines: Vec<Arc<EngineProbe>>,
     tracer: Arc<SpanTracer>,
@@ -302,6 +265,7 @@ impl Supervisor {
         let state = WorkerState::new(monitors, lut);
         let inject_deploy =
             spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
+        let restarts_left = spec.cfg.max_restarts as u64;
         Supervisor {
             shard: spec.shard,
             props,
@@ -319,15 +283,7 @@ impl Supervisor {
             in_gap: false,
             open_gap: None,
             gaps: Vec::new(),
-            delivered: 0,
-            processed: 0,
-            shed: 0,
-            restarts: 0,
-            checkpoints: 0,
-            replayed: 0,
-            probe_sync: ProbeCursor::default(),
-            degraded_violations: 0,
-            recovery_nanos: 0,
+            restarts_left,
             probe: spec.probe,
             engines: spec.engines,
             tracer: spec.tracer,
@@ -344,8 +300,6 @@ impl Supervisor {
     fn admit(&mut self, batch: Batch) {
         self.probe.queue_depth.record(self.journal_len as u64);
         let Batch { block, mut items, .. } = batch;
-        self.delivered += items.len() as u64;
-        self.probe.delivered.add(items.len() as u64);
         let room = self.cfg.journal_limit.saturating_sub(self.journal_len);
         let overflow = if items.len() > room { items.split_off(room) } else { Vec::new() };
         if !items.is_empty() {
@@ -358,7 +312,6 @@ impl Supervisor {
             self.journal.push(JournalBatch { block, items });
         }
         if let (Some(first), Some(last)) = (overflow.first(), overflow.last()) {
-            self.shed += overflow.len() as u64;
             self.probe.shed.add(overflow.len() as u64);
             self.in_gap = true;
             let gap = self.open_gap.get_or_insert(MonitoringGap {
@@ -421,44 +374,34 @@ impl Supervisor {
 
     /// Apply everything outstanding inside the panic boundary; recover and
     /// retry on unwind until success or the restart budget runs out.
+    ///
+    /// Each attempt is counted from what it moved, whether it completed or
+    /// unwound — no per-item counter: the journal cursors advance as each
+    /// item's application completes, so `Δhigh_water` items were applied
+    /// for the first time and the rest of `Δjournal_pos` were replays;
+    /// `in_gap` is fixed for the whole attempt, so inside a gap everything
+    /// it added to the log is degraded.
     fn drive(&mut self, finish_at: Option<Instant>) -> Result<(), ShardFailure> {
         loop {
-            match panic::catch_unwind(AssertUnwindSafe(|| self.apply_pending(finish_at))) {
-                Ok(()) => {
-                    self.sync_probe();
-                    return Ok(());
-                }
-                Err(payload) => {
-                    self.sync_probe();
-                    self.recover(payload.as_ref())?;
-                }
+            let (pos, high, logged) = (self.journal_pos, self.high_water, self.state.records.len());
+            let attempt = panic::catch_unwind(AssertUnwindSafe(|| self.apply_pending(finish_at)));
+            let first_time = (self.high_water - high) as u64;
+            self.probe.processed.add(first_time);
+            self.probe.replayed.add((self.journal_pos - pos) as u64 - first_time);
+            if self.in_gap {
+                self.probe.degraded_violations.add((self.state.records.len() - logged) as u64);
+            }
+            match attempt {
+                Ok(()) => return Ok(()),
+                Err(payload) => self.recover(payload.as_ref())?,
             }
         }
     }
 
-    /// Mirror the crash-domain ledger into the hub's shared counters —
-    /// one `add` per counter per drive instead of per item. The plain
-    /// fields advance before each risky step, so the deltas are exact
-    /// even when a panic cuts `apply_pending` short.
-    fn sync_probe(&mut self) {
-        let c = &mut self.probe_sync;
-        if self.processed > c.processed {
-            self.probe.processed.add(self.processed - c.processed);
-            c.processed = self.processed;
-        }
-        if self.replayed > c.replayed {
-            self.probe.replayed.add(self.replayed - c.replayed);
-            c.replayed = self.replayed;
-        }
-        if self.degraded_violations > c.degraded {
-            self.probe.degraded_violations.add(self.degraded_violations - c.degraded);
-            c.degraded = self.degraded_violations;
-        }
-    }
-
     /// Crash-domain body: journal suffix, then (at end of input) the timer
-    /// drain. Anything here may panic; all bookkeeping that must survive a
-    /// panic is advanced *before* the risky step.
+    /// drain. Anything here may panic; an injection point is consumed
+    /// *before* it panics, and the journal cursors move only once an
+    /// item's application has completed.
     fn apply_pending(&mut self, finish_at: Option<Instant>) {
         let tracing = self.tracer.enabled();
         let faults = !self.inject.is_empty();
@@ -487,16 +430,9 @@ impl Supervisor {
                     }
                 }
                 let ev = &self.journal[b].block.events()[idx as usize];
-                let degraded = self.state.apply(seq, mask, ev, self.in_gap);
-                self.degraded_violations += degraded;
-                let flat = self.journal_pos;
-                self.journal_pos = flat + 1;
-                if flat >= self.high_water {
-                    self.high_water = flat + 1;
-                    self.processed += 1;
-                } else {
-                    self.replayed += 1;
-                }
+                self.state.apply(seq, mask, ev, self.in_gap);
+                self.journal_pos += 1;
+                self.high_water = self.high_water.max(self.journal_pos);
                 if tracing {
                     self.tracer.record(seq, SpanStage::Applied, Some(self.shard));
                 }
@@ -505,8 +441,7 @@ impl Supervisor {
             b += 1;
         }
         if let Some(end) = finish_at {
-            let degraded = self.state.finish(end, self.in_gap);
-            self.degraded_violations += degraded;
+            self.state.finish(end, self.in_gap);
         }
         self.probe.violations.set(self.state.records.len() as u64);
         self.probe
@@ -518,26 +453,24 @@ impl Supervisor {
     /// journal cursor so `drive` replays the gap.
     fn recover(&mut self, payload: &(dyn Any + Send)) -> Result<(), ShardFailure> {
         let t0 = std::time::Instant::now();
-        self.restarts += 1;
         let fail =
             |restarts: u64, message: String| ShardFailure { shard: self.shard, restarts, message };
-        if self.restarts > self.cfg.max_restarts as u64 {
-            return Err(fail(self.restarts - 1, panic_message(payload)));
-        }
+        let budget = self.cfg.max_restarts as u64;
+        let Some(left) = self.restarts_left.checked_sub(1) else {
+            return Err(fail(budget, panic_message(payload)));
+        };
+        self.restarts_left = left;
         let snapshots = &self.checkpoint.snapshots;
         self.state.monitors =
             build_monitors(&self.cfg, &self.engines, &self.props, &self.probe_lut, |local, _| {
                 snapshots.get(local)
             })
-            .map_err(|e| fail(self.restarts, e))?;
+            .map_err(|e| fail(budget - left, e))?;
         self.state.records.truncate(self.checkpoint.records_len);
         self.state.events = self.checkpoint.events;
         self.journal_pos = 0;
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.recovery_nanos += nanos;
         self.probe.restarts.inc();
-        self.probe.recovery_nanos.add(nanos);
-        self.probe.recovery.record(nanos);
+        self.probe.recovery.record(t0.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -570,7 +503,6 @@ impl Supervisor {
         self.journal_len = 0;
         self.journal_pos = 0;
         self.high_water = 0;
-        self.checkpoints += 1;
         self.probe.checkpoints.inc();
         if let Some(gap) = self.open_gap.take() {
             self.gaps.push(gap);
@@ -629,7 +561,7 @@ impl Supervisor {
 
     /// Deploy phase 3a: swap the staged epoch in and checkpoint under it,
     /// so any later recovery restores the *new* monitor set. Violations
-    /// harvested from here on carry the new epoch.
+    /// logged from here on carry the new epoch.
     fn commit(&mut self, epoch: u64) {
         let Some(pending) = self.pending.take() else {
             debug_assert!(false, "commit without a staged prepare");
@@ -669,18 +601,7 @@ impl Supervisor {
         }
         // End of input: every remaining record is final, publish the tail.
         self.publish_stable(self.state.records.len());
-        ShardOutcome {
-            report: self.state.into_report(),
-            delivered: self.delivered,
-            processed: self.processed,
-            shed: self.shed,
-            restarts: self.restarts,
-            checkpoints: self.checkpoints,
-            replayed: self.replayed,
-            degraded_violations: self.degraded_violations,
-            recovery_nanos: self.recovery_nanos,
-            gaps: self.gaps,
-        }
+        ShardOutcome { report: self.state.into_report(), gaps: self.gaps }
     }
 }
 
@@ -771,6 +692,8 @@ mod tests {
         }
     }
 
+    /// A one-shard spec. Its probe (`spec.probe`) is the only place the
+    /// supervisor counts, so the tests read their numbers there.
     fn spec(cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
         let cfg = cfg.normalized();
         let hub = crate::telemetry::TelemetryHub::new(1, &["twice"], &cfg.telemetry, 0, 1);
@@ -788,6 +711,13 @@ mod tests {
             tracer: hub.tracer().clone(),
             sink: None,
         }
+    }
+
+    /// A fresh supervisor over [`spec`], with its probe.
+    fn supervised(cfg: RuntimeConfig, inject: Vec<u64>) -> (Supervisor, Arc<ShardProbe>) {
+        let spec = spec(cfg, inject);
+        let probe = spec.probe.clone();
+        (Supervisor::new(spec), probe)
     }
 
     fn test_ev(seq: u64) -> NetEvent {
@@ -814,7 +744,7 @@ mod tests {
         }
     }
 
-    fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> ShardOutcome {
+    fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> (ShardOutcome, Arc<ShardProbe>) {
         silence_injected_panics();
         let (tx, rx) = ring::channel(64);
         for batch in batches(n) {
@@ -822,7 +752,8 @@ mod tests {
         }
         tx.send(Msg::Finish(Instant::from_nanos(1_000_000))).map_err(|_| "ring closed").unwrap();
         drop(tx);
-        finish_outcome(run_loop(rx, Supervisor::new(spec(cfg, inject))).expect("shard survives"))
+        let (sup, probe) = supervised(cfg, inject);
+        (finish_outcome(run_loop(rx, sup).expect("shard survives")), probe)
     }
 
     fn base_cfg() -> RuntimeConfig {
@@ -831,12 +762,12 @@ mod tests {
 
     #[test]
     fn injected_panics_recover_to_identical_output() {
-        let clean = run_with(base_cfg(), vec![], 40);
-        let faulty = run_with(base_cfg(), vec![3, 21, 33], 40);
-        assert_eq!(faulty.restarts, 3);
-        assert!(faulty.replayed > 0, "recovery replayed the journal gap");
-        assert_eq!(faulty.shed, 0);
-        assert_eq!(faulty.processed, faulty.delivered);
+        let (clean, _) = run_with(base_cfg(), vec![], 40);
+        let (faulty, probe) = run_with(base_cfg(), vec![3, 21, 33], 40);
+        assert_eq!(probe.restarts.get(), 3);
+        assert!(probe.replayed.get() > 0, "recovery replayed the journal gap");
+        assert_eq!(probe.shed.get(), 0);
+        assert_eq!(probe.processed.get(), 40, "each item counts once, replays apart");
         let sig = |o: &ShardOutcome| {
             o.report.records.iter().map(crate::merge::signature).collect::<Vec<_>>()
         };
@@ -868,7 +799,8 @@ mod tests {
         }
         tx.send(Msg::Retire).map_err(|_| "ring closed").unwrap();
         drop(tx);
-        let exit = run_loop(rx, Supervisor::new(spec(base_cfg(), vec![]))).unwrap();
+        let (sup, probe) = supervised(base_cfg(), vec![]);
+        let exit = run_loop(rx, sup).unwrap();
         let LoopExit::Retired(mut sup) = exit else { panic!("expected a retired supervisor") };
         // The journal is drained; the session continues locally on the
         // same supervisor without losing anything already applied.
@@ -884,11 +816,10 @@ mod tests {
             Flow::Finished
         );
         let out = sup.into_outcome();
-        assert_eq!(out.delivered, 24);
-        assert_eq!(out.processed, 24);
-        assert_eq!(out.shed, 0);
+        assert_eq!(probe.processed.get(), 24);
+        assert_eq!(probe.shed.get(), 0);
         // Matches a fully fanned run of the same input byte for byte.
-        let fanned = run_with(base_cfg(), vec![], 24);
+        let (fanned, _) = run_with(base_cfg(), vec![], 24);
         let sig = |o: &ShardOutcome| {
             o.report.records.iter().map(crate::merge::signature).collect::<Vec<_>>()
         };
@@ -908,11 +839,10 @@ mod tests {
         tx.send(Msg::Finish(Instant::from_nanos(1_000_000))).map_err(|_| "ring closed").unwrap();
         drop(tx);
         let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
-        let out = finish_outcome(
-            run_loop(rx, Supervisor::new(spec(cfg, vec![]))).expect("shard survives"),
-        );
-        assert_eq!(out.checkpoints, 1, "staleness flush checkpointed below the cadence");
-        assert_eq!(out.processed, 1);
+        let (sup, probe) = supervised(cfg, vec![]);
+        run_loop(rx, sup).expect("shard survives");
+        assert_eq!(probe.checkpoints.get(), 1, "staleness flush checkpointed below the cadence");
+        assert_eq!(probe.processed.get(), 1);
     }
 
     #[test]
@@ -923,20 +853,45 @@ mod tests {
             journal_limit: 3,
             ..Default::default()
         };
-        let out = run_with(cfg, vec![], 40);
-        assert!(out.shed > 0, "bursts beyond the journal bound are shed");
-        assert_eq!(out.delivered, out.processed + out.shed, "no silent loss");
+        let (out, probe) = run_with(cfg, vec![], 40);
+        let shed = probe.shed.get();
+        assert!(shed > 0, "bursts beyond the journal bound are shed");
+        assert_eq!(40, probe.processed.get() + shed, "no silent loss");
         assert!(!out.gaps.is_empty());
         let gap_total: u64 = out.gaps.iter().map(|g| g.shed).sum();
-        assert_eq!(gap_total, out.shed, "every shed event is inside a gap");
+        assert_eq!(gap_total, shed, "every shed event is inside a gap");
     }
 
     #[test]
     fn unreachable_injection_points_are_skipped() {
         // Seq 7 never reaches the shard's journal front cleanly if shed or
         // routed elsewhere; stale fronts must not wedge later injections.
-        let out = run_with(base_cfg(), vec![100_000], 20);
-        assert_eq!(out.restarts, 0);
-        assert_eq!(out.processed, 20);
+        let (_, probe) = run_with(base_cfg(), vec![100_000], 20);
+        assert_eq!(probe.restarts.get(), 0);
+        assert_eq!(probe.processed.get(), 20);
+    }
+
+    #[test]
+    fn checkpoints_hold_live_state_only() {
+        // Source addresses repeat every 5 events (each repeat raises), so
+        // a checkpoint every 40 always lands on the same live state.
+        let cfg = RuntimeConfig { shards: 1, checkpoint_every: 40, ..Default::default() };
+        let (mut sup, probe) = supervised(cfg, vec![]);
+        let mut sizes = Vec::new();
+        for batch in batches(400) {
+            let before = probe.checkpoints.get();
+            sup.handle(Msg::Events(batch)).unwrap();
+            if probe.checkpoints.get() > before {
+                let snaps = &sup.checkpoint.snapshots;
+                assert!(snaps.iter().all(|s| s.violations().is_empty()));
+                sizes.push(snaps.iter().map(|s| s.to_bytes().len()).sum::<usize>());
+            }
+        }
+        assert!(sizes.len() >= 5, "several checkpoints: {sizes:?}");
+        assert!(sup.state.records.len() >= 100, "{} violations", sup.state.records.len());
+        assert!(
+            sizes[sizes.len() - 1] <= sizes[1],
+            "a checkpoint's size tracks live state, not run length: {sizes:?}"
+        );
     }
 }

@@ -1,22 +1,32 @@
-//! The runtime's telemetry hub: shared atomics the router and every shard
-//! thread write through, readable at any moment from outside the run.
+//! The runtime's telemetry hub: the run's one statistics ledger. The
+//! router and every shard count *only* here, in shared atomics readable at
+//! any moment from outside the run.
 //!
-//! This is the *live snapshot channel* that replaces end-of-run-only
-//! statistics: [`Session::live_stats`](crate::Session::live_stats) builds a
-//! [`RuntimeStats`] from these atomics mid-run, and [`TelemetryHub::export`]
-//! renders the full metric page ([`swmon_telemetry::Snapshot`]) for the
-//! `repro stats` subcommand.
+//! Every view is a read of these atomics:
+//! [`Session::live_stats`](crate::Session::live_stats) mid-run,
+//! [`Outcome::stats`](crate::Outcome::stats) at the end (the same
+//! constructor, plus the monitoring gaps and summed engine counters the
+//! shards hand back), and [`TelemetryHub::export`] for the full metric
+//! page ([`swmon_telemetry::Snapshot`]) behind `repro stats`. There is no
+//! second copy for them to disagree with.
 //!
-//! ## Consistency of live reads
+//! ## Live and final reads
 //!
 //! Counters are independent `Relaxed` atomics, so a reader can observe one
-//! counter a moment staler than another. Live snapshots are made
-//! *internally* consistent by construction where it matters: a live
-//! [`ShardStats::events`] is computed as `processed + shed` from the same
-//! two atomics the loss audit reads, so
-//! [`RuntimeStats::unaccounted_loss`] is zero on every live snapshot by
-//! construction, and every counter is monotone — a live snapshot is always
-//! component-wise ≤ the final one.
+//! counter a moment staler than another. The two reads differ in exactly
+//! one field, [`ShardStats::events`]:
+//!
+//! - a **live** read computes it as `processed + shed` from the same two
+//!   atomics the loss audit reads, so [`RuntimeStats::unaccounted_loss`]
+//!   is zero on every live snapshot by construction (deliveries still
+//!   queued on a ring are not "lost");
+//! - the **final** read takes it from the router-side count
+//!   ([`ShardProbe::delivered`]), written by the session and never by the
+//!   shard, so the audit is two-sided: a delivery a shard neither
+//!   processed nor shed shows up as loss.
+//!
+//! Every counter is monotone — a live snapshot is always component-wise ≤
+//! the final one, and equal to it once the run has finished loss-free.
 
 use std::sync::Arc;
 
@@ -24,11 +34,13 @@ use crate::config::TelemetryConfig;
 use crate::stats::{RuntimeStats, ShardStats};
 use swmon_telemetry::{names, Counter, EngineProbe, Gauge, Histogram, Key, Snapshot, SpanTracer};
 
-/// Per-shard counters, written by the shard's supervisor thread at the same
-/// points the supervisor advances its private ledger.
+/// Per-shard counters. Written by the shard's supervisor — which keeps no
+/// private copy of any of them — except [`ShardProbe::delivered`] and
+/// [`ShardProbe::ring_occupancy`], which the session writes.
 #[derive(Debug, Default)]
 pub struct ShardProbe {
-    /// Items received from the router.
+    /// Items the router sent to this shard, added by the session at each
+    /// dispatch: the router side of the no-silent-loss audit.
     pub delivered: Counter,
     /// Items applied to the monitors exactly once.
     pub processed: Counter,
@@ -42,8 +54,6 @@ pub struct ShardProbe {
     pub replayed: Counter,
     /// Violations raised with downgraded provenance.
     pub degraded_violations: Counter,
-    /// Wall-clock nanoseconds spent restoring checkpoints.
-    pub recovery_nanos: Counter,
     /// Violations reported so far (monotone across recoveries: replay
     /// re-discovers, it never un-discovers).
     pub violations: Gauge,
@@ -51,10 +61,12 @@ pub struct ShardProbe {
     pub live_instances: Gauge,
     /// Recovery-journal depth observed at each batch admission.
     pub queue_depth: Histogram,
-    /// Per-recovery checkpoint-restore latency, nanoseconds.
+    /// Per-recovery checkpoint-restore latency, nanoseconds. Its sum is
+    /// [`RuntimeStats::recovery_nanos`].
     pub recovery: Histogram,
     /// Per-deploy quiesce pause, nanoseconds (journal drain + forced
-    /// checkpoint + snapshot encode). Empty until a deploy quiesces.
+    /// checkpoint + snapshot encode). Empty until a deploy quiesces. Its
+    /// sum is [`RuntimeStats::quiesce_nanos`].
     pub quiesce: Histogram,
     /// Checkpoint-stable violation records published to the live store
     /// sink ([`crate::sink::ViolationSink`]). Zero when no sink is wired.
@@ -70,8 +82,6 @@ pub struct ShardProbe {
 pub struct TelemetryHub {
     /// Events fed to the router.
     pub events_in: Counter,
-    /// Event deliveries across all shards.
-    pub deliveries: Counter,
     /// Events delivered nowhere.
     pub skipped: Counter,
     /// Channel batches sent.
@@ -116,7 +126,6 @@ impl TelemetryHub {
             .collect();
         Arc::new(TelemetryHub {
             events_in: Counter::new(),
-            deliveries: Counter::new(),
             skipped: Counter::new(),
             batches: Counter::new(),
             store_sealed: Counter::new(),
@@ -158,11 +167,25 @@ impl TelemetryHub {
     /// `unaccounted_loss() == 0` at any moment and is component-wise
     /// monotone towards the final stats (see module docs). Monitoring-gap
     /// episodes are supervisor-private until the run finishes, so `gaps`
-    /// is empty here; the shed *count* is live.
+    /// is empty here; the shed *count* is live. Router-side counts are as
+    /// of the session's last dispatch (or
+    /// [`Session::live_stats`](crate::Session::live_stats) call).
     pub fn live_stats(&self) -> RuntimeStats {
+        self.stats(false)
+    }
+
+    /// The finished run's [`RuntimeStats`], less what the hub cannot
+    /// carry (`gaps`, `engine`): the live read with the audit made
+    /// two-sided (see module docs).
+    pub(crate) fn final_stats(&self) -> RuntimeStats {
+        self.stats(true)
+    }
+
+    /// The one [`RuntimeStats`] constructor. `router_side` picks where
+    /// [`ShardStats::events`] comes from.
+    fn stats(&self, router_side: bool) -> RuntimeStats {
         let mut stats = RuntimeStats {
             events_in: self.events_in.get(),
-            deliveries: self.deliveries.get(),
             skipped: self.skipped.get(),
             batches: self.batches.get(),
             hashed_properties: self.hashed_properties,
@@ -175,10 +198,12 @@ impl TelemetryHub {
             ..Default::default()
         };
         for probe in &self.shards {
+            let delivered = probe.delivered.get();
             let processed = probe.processed.get();
             let shed = probe.shed.get();
+            stats.deliveries += delivered;
             stats.per_shard.push(ShardStats {
-                events: processed + shed,
+                events: if router_side { delivered } else { processed + shed },
                 violations: probe.violations.get(),
                 live_instances: probe.live_instances.get(),
                 processed,
@@ -190,7 +215,7 @@ impl TelemetryHub {
             stats.replayed += probe.replayed.get();
             stats.shed += shed;
             stats.degraded_violations += probe.degraded_violations.get();
-            stats.recovery_nanos += probe.recovery_nanos.get();
+            stats.recovery_nanos += probe.recovery.snapshot().sum;
             stats.quiesce_nanos += probe.quiesce.snapshot().sum;
         }
         // `stats.engine` stays zeroed: engine probes count every monitor
@@ -207,7 +232,8 @@ impl TelemetryHub {
     pub fn export(&self) -> Snapshot {
         let mut page = Snapshot::default();
         page.counters.push((Key::plain(names::EVENTS_IN), self.events_in.get()));
-        page.counters.push((Key::plain(names::DELIVERIES), self.deliveries.get()));
+        let deliveries = self.shards.iter().map(|p| p.delivered.get()).sum();
+        page.counters.push((Key::plain(names::DELIVERIES), deliveries));
         page.counters.push((Key::plain(names::SKIPPED), self.skipped.get()));
         page.counters.push((Key::plain(names::BATCHES), self.batches.get()));
         page.counters.push((Key::plain(names::STORE_SEALED), self.store_sealed.get()));
@@ -270,15 +296,33 @@ mod tests {
     fn live_stats_reconcile_by_construction() {
         let h = hub();
         h.events_in.add(10);
-        h.deliveries.add(12);
+        h.shard(0).delivered.add(9);
         h.shard(0).processed.add(7);
         h.shard(0).shed.add(2);
+        h.shard(1).delivered.add(3);
         h.shard(1).processed.add(3);
         let live = h.live_stats();
         assert_eq!(live.unaccounted_loss(), 0);
         assert_eq!(live.per_shard[0].events, 9);
+        assert_eq!(live.deliveries, 12);
         assert_eq!(live.shed, 2);
         assert_eq!((live.hashed_properties, live.pinned_properties), (1, 1));
+    }
+
+    #[test]
+    fn final_stats_audit_against_the_router_side_count() {
+        // The router sent shard 0 ten items; it accounts for nine.
+        let h = hub();
+        h.shard(0).delivered.add(10);
+        h.shard(0).processed.add(7);
+        h.shard(0).shed.add(2);
+        // Mid-run the tenth may simply be queued: the live view never
+        // calls it lost.
+        assert_eq!(h.live_stats().unaccounted_loss(), 0);
+        // At the end it is — the final audit is not `x == x`.
+        let fin = h.final_stats();
+        assert_eq!(fin.per_shard[0].events, 10);
+        assert_eq!(fin.unaccounted_loss(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Crash-domain worker state: private `Monitor` replicas plus everything
-//! they have produced so far.
+//! Crash-domain worker state: private `Monitor` replicas plus the shard's
+//! violation log — the only copy of everything they have raised.
 //!
 //! A worker panic — a genuine engine bug or an injected fault — can leave
 //! this state torn mid-event, so the supervisor ([`crate::supervisor`])
@@ -7,7 +7,7 @@
 //! checkpoint on unwind. Nothing in here touches channels or clocks; it is
 //! the purely deterministic part of a shard.
 
-use crate::merge::{kind_rank, ViolationRecord};
+use crate::merge::ViolationRecord;
 use swmon_core::{Monitor, MonitorStats};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -21,8 +21,6 @@ pub(crate) struct WorkerReport {
     /// restored with the records; read back by the recovery tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) events: u64,
-    /// Instances still live across this shard's monitors at finish.
-    pub(crate) live_instances: u64,
     /// Per-monitor engine counters, keyed by global property index.
     pub(crate) engine: Vec<(usize, MonitorStats)>,
 }
@@ -32,19 +30,21 @@ pub(crate) struct WorkerReport {
 pub(crate) const FLUSH_SEQ: u64 = u64::MAX;
 
 /// The mutable state a shard panic can corrupt: monitor replicas, the
-/// records harvested from them, and the applied-event count. The
-/// supervisor snapshots it at checkpoints and reconstructs it on recovery.
+/// record log their violations are moved into, and the applied-event
+/// count. The replicas keep no violation history of their own (every
+/// violation is taken out as it is raised), so a checkpoint is their live
+/// state plus a length of `records`.
 pub(crate) struct WorkerState {
     /// Replicas paired with their global property index.
     pub(crate) monitors: Vec<(usize, Monitor)>,
     /// `lut[global]` locates the local replica (`None`: not hosted here).
     pub(crate) lut: Vec<Option<usize>>,
-    /// Harvested violations, in discovery order.
+    /// The shard's violation log, in discovery order.
     pub(crate) records: Vec<ViolationRecord>,
     /// Batch items applied.
     pub(crate) events: u64,
-    /// Catalog epoch stamped on every harvested record (deploy
-    /// provenance). Bumped by the supervisor when a deploy commits.
+    /// Catalog epoch stamped on every record (deploy provenance). Bumped
+    /// by the supervisor when a deploy commits.
     pub(crate) epoch: u64,
 }
 
@@ -54,80 +54,56 @@ impl WorkerState {
     }
 
     /// Run one routed event through every monitor its mask selects and
-    /// harvest any new violations. Returns how many of them were marked
-    /// degraded (`in_gap`: the supervisor is currently shedding load, so
-    /// provenance near this event is incomplete).
-    pub(crate) fn apply(&mut self, seq: u64, mut mask: u64, ev: &NetEvent, in_gap: bool) -> u64 {
+    /// move any violation it raises into the log. `in_gap`: the supervisor
+    /// is currently shedding load, so provenance near this event is
+    /// incomplete and the violations are logged degraded.
+    pub(crate) fn apply(&mut self, seq: u64, mut mask: u64, ev: &NetEvent, in_gap: bool) {
         self.events += 1;
-        let mut degraded = 0;
         while mask != 0 {
             let global = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let Some(local) = self.lut.get(global).copied().flatten() else { continue };
             let (_, m) = &mut self.monitors[local];
-            let before = m.violations().len();
             m.process(ev);
-            degraded += harvest(&mut self.records, m, global, before, seq, self.epoch, in_gap);
+            log_raised(&mut self.records, m, global, seq, self.epoch, in_gap);
         }
-        degraded
     }
 
-    /// Advance every monitor to `end`, firing remaining deadlines, and
-    /// harvest. Returns the number of degraded-marked violations.
-    pub(crate) fn finish(&mut self, end: Instant, in_gap: bool) -> u64 {
-        let mut degraded = 0;
-        for i in 0..self.monitors.len() {
-            let (global, m) = &mut self.monitors[i];
-            let g = *global;
-            let before = m.violations().len();
+    /// Advance every monitor to `end`, firing remaining deadlines, and log
+    /// what they raise.
+    pub(crate) fn finish(&mut self, end: Instant, in_gap: bool) {
+        for (global, m) in &mut self.monitors {
             m.advance_to(end);
-            degraded += harvest(&mut self.records, m, g, before, FLUSH_SEQ, self.epoch, in_gap);
+            log_raised(&mut self.records, m, *global, FLUSH_SEQ, self.epoch, in_gap);
         }
-        degraded
     }
 
     /// Consume the state into its final report.
     pub(crate) fn into_report(self) -> WorkerReport {
-        let live_instances = self.monitors.iter().map(|(_, m)| m.live_instances() as u64).sum();
         let engine = self.monitors.iter().map(|(g, m)| (*g, m.stats.clone())).collect();
-        WorkerReport { records: self.records, events: self.events, live_instances, engine }
+        WorkerReport { records: self.records, events: self.events, engine }
     }
 }
 
-fn harvest(
+/// Move what `m` has just raised out of it and into `records`.
+fn log_raised(
     records: &mut Vec<ViolationRecord>,
-    m: &Monitor,
+    m: &mut Monitor,
     global: usize,
-    before: usize,
     seq: u64,
     epoch: u64,
     in_gap: bool,
-) -> u64 {
-    let vs = m.violations();
-    if vs.len() == before {
-        return 0;
-    }
-    let prop = m.property();
-    let mut degraded = 0;
-    for v in &vs[before..] {
-        let mut violation = v.clone();
+) {
+    for mut violation in m.take_violations() {
         if in_gap {
             // Coverage around this violation is incomplete (events were
             // shed); downgrade its provenance rather than present stripped
             // context as authoritative.
             violation.degraded = true;
             violation.history.clear();
-            degraded += 1;
         }
-        records.push(ViolationRecord {
-            seq,
-            property: global,
-            rank: kind_rank(prop, &v.trigger_stage),
-            epoch,
-            violation,
-        });
+        records.push(ViolationRecord::new(m.property(), global, seq, epoch, violation));
     }
-    degraded
 }
 
 #[cfg(test)]
@@ -190,6 +166,10 @@ mod tests {
         state.apply(0, 1 << 3, &arrival(10, 1), false);
         state.apply(1, 1 << 3, &arrival(20, 1), false);
         state.finish(Instant::from_nanos(100), false);
+        assert!(
+            state.monitors.iter().all(|(_, m)| m.violations().is_empty()),
+            "violations are moved into the log, not copied"
+        );
         let report = state.into_report();
         assert_eq!(report.events, 2);
         assert_eq!(report.records.len(), 1, "second same-src arrival completes stage b");
@@ -208,8 +188,7 @@ mod tests {
             vec![(0usize, swmon_core::Monitor::new(repeat_prop(), MonitorConfig::default()))];
         let mut state = WorkerState::new(monitors, vec![Some(0)]);
         state.apply(0, 1, &arrival(10, 1), false);
-        let degraded = state.apply(1, 1, &arrival(20, 1), true);
-        assert_eq!(degraded, 1);
+        state.apply(1, 1, &arrival(20, 1), true);
         let report = state.into_report();
         assert!(report.records[0].violation.degraded);
         assert!(report.records[0].violation.history.is_empty());

@@ -2,11 +2,15 @@
 //! moment of a run must (a) satisfy the no-silent-loss audit
 //! (`unaccounted_loss() == 0`) and (b) be component-wise monotone towards
 //! the final [`Outcome::stats`] — a dashboard polling a live run must never
-//! show a number the finished run walks back.
+//! show a number the finished run walks back. Once the run has finished
+//! the two are one read of one ledger: (c) `out.stats` equals
+//! `out.telemetry.live_stats()` field for field.
 
 use proptest::prelude::*;
 use swmon_props::firewall;
-use swmon_runtime::{RuntimeConfig, RuntimeStats, ShardedRuntime};
+use swmon_runtime::{
+    DeployPlan, Outcome, RuntimeConfig, RuntimeError, RuntimeStats, ShardedRuntime,
+};
 use swmon_sim::time::{Duration, Instant};
 use swmon_workloads::trace::multi_flow_trace;
 
@@ -47,6 +51,18 @@ fn assert_monotone(a: &RuntimeStats, b: &RuntimeStats, when: &str) {
     }
 }
 
+/// The finished run's stats are the hub's live view plus the two things
+/// the hub cannot carry (`gaps`, `engine`). `events` is the one field the
+/// two reads fill from different counters — router-side for the final,
+/// `processed + shed` for the live — so equality here is also the
+/// no-silent-loss audit.
+fn assert_final_equals_live(out: &Outcome) {
+    let mut live = out.telemetry.live_stats();
+    live.gaps = out.stats.gaps.clone();
+    live.engine = out.stats.engine.clone();
+    assert_eq!(format!("{live:#?}"), format!("{:#?}", out.stats));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -71,6 +87,7 @@ proptest! {
         let out = session.finish(Instant::from_nanos(u64::MAX / 2)).expect("run succeeds");
 
         prop_assert_eq!(out.stats.unaccounted_loss(), 0);
+        assert_final_equals_live(&out);
         for (i, snap) in snapshots.iter().enumerate() {
             prop_assert_eq!(snap.unaccounted_loss(), 0, "snapshot {} leaks", i);
             assert_monotone(snap, &out.stats, &format!("snapshot {i}"));
@@ -130,4 +147,40 @@ fn live_stats_track_recoveries_under_injected_faults() {
     assert!(out.stats.restarts >= 1, "at least one injected fault fired");
     assert_monotone(&mid, &out.stats, "mid-run under faults");
     assert_eq!(out.stats.unaccounted_loss(), 0);
+    assert!(out.stats.replayed > 0 && out.stats.recovery_nanos > 0, "{:?}", out.stats);
+    assert_final_equals_live(&out);
+}
+
+#[test]
+fn final_stats_equal_the_live_view_across_deploys() {
+    swmon_runtime::silence_injected_panics();
+    let cfg = RuntimeConfig {
+        shards: 2,
+        batch: 4,
+        checkpoint_every: 64,
+        // The first prepare on shard 0 panics: that deploy rolls back.
+        inject_deploy_faults: vec![0],
+        ..Default::default()
+    };
+    let rt = ShardedRuntime::new(vec![firewall::return_not_dropped()], cfg).expect("valid");
+    let events = multi_flow_trace(16, 400, 0.4, 0.25, Duration::from_micros(2), 9);
+    let plan = DeployPlan::add(firewall::return_not_dropped_within(Duration::from_millis(5)));
+    let mut session = rt.start();
+    for (i, ev) in events.iter().enumerate() {
+        session.feed(ev).expect("no worker faults injected");
+        if i == 100 {
+            let err = session.deploy(&plan).expect_err("injected prepare fault");
+            assert!(matches!(err, RuntimeError::DeployRejected { epoch: 0, .. }), "{err}");
+        }
+        if i == 200 {
+            assert_eq!(session.deploy(&plan).expect("second attempt commits").epoch, 1);
+        }
+    }
+    let out = session.finish(Instant::from_nanos(u64::MAX / 2)).expect("run succeeds");
+    let stats = &out.stats;
+    assert_eq!((stats.deploys_rolled_back, stats.deploys_applied), (1, 1));
+    assert_eq!(stats.property_set_epoch, 1);
+    assert!(stats.quiesce_nanos > 0, "both deploys quiesced the fleet");
+    assert_eq!(stats.unaccounted_loss(), 0);
+    assert_final_equals_live(&out);
 }

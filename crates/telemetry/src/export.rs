@@ -9,6 +9,7 @@
 use crate::metrics::{bucket_bound, HistogramSnapshot, BUCKETS};
 use crate::trace::SpanRecord;
 use std::fmt::Write as _;
+use swmon_core::json::escape;
 
 /// A metric identity: name plus `(label, value)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +37,13 @@ impl Key {
             return self.name.clone();
         }
         let labels: Vec<String> =
-            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
+            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))).collect();
         format!("{}{{{}}}", self.name, labels.join(","))
     }
 
     fn prometheus_with(&self, extra_label: &str, extra_value: &str) -> String {
         let mut labels: Vec<String> =
-            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
+            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))).collect();
         labels.push(format!("{extra_label}=\"{extra_value}\""));
         format!("{}{{{}}}", self.name, labels.join(","))
     }
@@ -226,7 +227,10 @@ fn json_entry(out: &mut String, first: &mut bool, key: &Key, value_json: &str) {
     );
 }
 
-fn escape(s: &str) -> String {
+/// Prometheus label-value escaping: the exposition format defines exactly
+/// these three escapes (every other character is legal raw). JSON output
+/// uses [`swmon_core::json::escape`] instead.
+fn label_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
@@ -288,5 +292,22 @@ mod tests {
         };
         assert!(s.to_prometheus().contains("p=\"a\\\"b\\\\c\""));
         assert!(s.to_json().contains("a\\\"b\\\\c"));
+    }
+
+    #[test]
+    fn json_page_with_control_characters_in_a_label_round_trips() {
+        // The DSL's string lexer accepts any character but `"`, so a
+        // property — and with it a label — can be named like this.
+        let name = "odd\tname\r\u{1}\u{1f}";
+        let mut s = Snapshot {
+            counters: vec![(Key::labeled("m", "property", name), 1)],
+            ..Default::default()
+        };
+        s.annotate(name, 2);
+        let doc = swmon_analysis::json::parse(&s.to_json()).expect("strictly valid JSON");
+        let counter = &doc.get("counters").and_then(|c| c.as_arr()).expect("counters")[0];
+        let label = counter.get("labels").and_then(|l| l.get("property")).and_then(|v| v.as_str());
+        assert_eq!(label, Some(name));
+        assert!(doc.get("annotations").and_then(|a| a.get(name)).is_some());
     }
 }
