@@ -1,9 +1,10 @@
 //! `SW007` full-scan fallback and `SW008` routing pin — the Perf lints.
 //!
 //! These productize the engine's own planning analyses: if
-//! [`StageKeyPlan`] finds no sound lookup key for a stage that matches
-//! events, the engine falls back to scanning every instance awaiting that
-//! stage on every candidate event; if [`RoutingPlan`] cannot derive a
+//! [`StageKeyPlan`] finds a guard with no probe (neither a re-bound held
+//! variable nor a `same packet as N`) on a stage that matches events, the
+//! engine falls back to scanning every instance awaiting that stage on
+//! every candidate event; if [`RoutingPlan`] cannot derive a
 //! shard key, the multi-core runtime pins the whole property to a single
 //! worker. Both are correct and both deserve to be *reported* at authoring
 //! time rather than discovered in a profile.
@@ -28,13 +29,14 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
                 code: Code::FullScanFallback,
                 severity: Severity::Perf,
                 locus: ctx.locus(s, Position::Stage),
-                message: "no guard of this stage re-binds a variable the awaiting instances \
-                          definitely hold, so matching falls back to scanning every awaiting \
-                          instance per event"
+                message: "some guard of this stage neither re-binds a variable the awaiting \
+                          instances definitely hold nor constrains `same packet as N`, so \
+                          matching falls back to scanning every awaiting instance per event"
                     .into(),
                 suggestion: Some(
-                    "have every guard of the stage (advance and clearings) re-bind one \
-                     already-bound variable at a fixed field"
+                    "have every guard of the stage (advance and clearings) re-bind a held \
+                     variable at a fixed field or constrain `same packet as N`, at the top \
+                     level of the guard (not inside an any-of)"
                         .into(),
                 ),
             });

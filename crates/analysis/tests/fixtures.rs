@@ -141,8 +141,8 @@ fn fx_inert() -> Property {
     )
 }
 
-/// SW007 — stage 1 has a guard but never re-binds a held variable, so
-/// matching scans every awaiting instance.
+/// SW007 — stage 1 has a guard but neither re-binds a held variable nor
+/// constrains packet identity, so matching scans every awaiting instance.
 fn fx_full_scan() -> Property {
     prop(
         "fx/sw007-full-scan",
@@ -152,6 +152,41 @@ fn fx_full_scan() -> Property {
                 "scan",
                 EventPattern::Arrival,
                 Guard::new(vec![Atom::EqConst(Field::L4Dst, FieldValue::Uint(80))]),
+            ),
+        ],
+    )
+}
+
+/// No SW007 — stage 1 re-binds nothing, but `same packet as 0` at the top
+/// level of its guard is an exact match on the recorded packet id: keyed.
+fn fx_identity_keyed() -> Property {
+    prop(
+        "fx/sw007-identity-keyed",
+        vec![
+            spawn_stage(),
+            Stage::match_(
+                "same-packet-dropped",
+                EventPattern::Departure(ActionPattern::Drop),
+                Guard::new(vec![Atom::SamePacket(0)]),
+            ),
+        ],
+    )
+}
+
+/// SW007 — the only identity atom sits inside an any-of, and a disjunct
+/// need not hold for the guard to succeed: not a probe, still a scan.
+fn fx_identity_in_anyof() -> Property {
+    prop(
+        "fx/sw007-identity-in-anyof",
+        vec![
+            spawn_stage(),
+            Stage::match_(
+                "same-packet-or-port-80",
+                EventPattern::Departure(ActionPattern::Drop),
+                Guard::new(vec![Atom::AnyOf(vec![
+                    Atom::SamePacket(0),
+                    Atom::EqConst(Field::L4Dst, FieldValue::Uint(80)),
+                ])]),
             ),
         ],
     )
@@ -259,6 +294,19 @@ fn sw007_full_scan_fires_once() {
 }
 
 #[test]
+fn sw007_is_silent_on_an_identity_keyed_stage() {
+    let diags = analyze(&fx_identity_keyed());
+    assert_eq!(count(&diags, Code::FullScanFallback), 0, "{diags:#?}");
+}
+
+#[test]
+fn sw007_fires_when_identity_is_only_inside_an_anyof() {
+    let diags = assert_fires_once(&fx_identity_in_anyof(), Code::FullScanFallback, Severity::Perf);
+    let d = diags.iter().find(|d| d.code == Code::FullScanFallback).unwrap();
+    assert!(d.suggestion.as_deref().is_some_and(|s| s.contains("same packet as N")), "{d:#?}");
+}
+
+#[test]
 fn sw008_routing_pin_fires_once() {
     assert_fires_once(&fx_pinned(), Code::RoutingPin, Severity::Perf);
 }
@@ -285,6 +333,8 @@ fn corpus_diagnostics_round_trip_through_json() {
         fx_dead_refresh(),
         fx_inert(),
         fx_full_scan(),
+        fx_identity_keyed(),
+        fx_identity_in_anyof(),
         fx_pinned(),
     ] {
         all.extend(analyze(&p));

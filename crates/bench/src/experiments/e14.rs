@@ -5,10 +5,15 @@
 //! 1. **Interned bindings** — environments are fixed-capacity inline
 //!    arrays of interned variables, so bind/unify are O(1) copies with no
 //!    allocation (previously a `BTreeMap<String, _>` clone per guard).
-//! 2. **Stage-indexed matching** — per awaiting stage, instances are
-//!    indexed by their discriminating bound value
-//!    ([`swmon_core::StageKeyPlan`]), so an event visits only the
-//!    instances it can possibly clear or advance instead of every slot.
+//! 2. **Stage-indexed matching** — per awaiting stage, every guard
+//!    supplies one exact-match probe ([`swmon_core::StageKeyPlan`]): a
+//!    held variable it re-binds, or the packet identity a
+//!    `same packet as N` demands. Instances are posted under the values
+//!    they hold, so an event visits only the instances it can possibly
+//!    clear or advance instead of every slot. (This workload's two
+//!    firewall properties have no identity stage; the catalog-scale
+//!    effect of identity probes is measured by `benchmark/` and tabled
+//!    in docs/PERF.md.)
 //! 3. **Event pre-dispatch** — [`swmon_core::MonitorSet`] skips monitors
 //!    whose property cannot react to an event's class at all.
 //!

@@ -46,7 +46,7 @@
 //! quantifies.
 
 use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
-use crate::routing::StageKeyPlan;
+use crate::routing::{Probe, StageKey, StageKeyPlan};
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
 use std::collections::HashMap;
@@ -193,18 +193,38 @@ pub(crate) enum KillReason {
 
 /// Secondary index over the instances awaiting one stage.
 ///
-/// Stages with a derived [`crate::routing::StageKey`] get a `Keyed` bucket:
-/// a map from the discriminating variable's bound value to the slot indices
-/// holding it, plus a `rest` overflow list (scanned unconditionally) for
-/// any instance whose key variable is — defensively — unbound. Stages the
-/// analysis cannot key get a plain `Scan` list. Either way the bucket holds
-/// exactly the live instances awaiting that stage.
+/// Stages with a derived [`StageKey`] get a `Keyed` bucket: a map from
+/// probe value to the slots posted under it — an instance is posted under
+/// the value it holds for each distinct probe source (a held variable's
+/// binding, or the packet identity recorded at a stage) — plus a `rest`
+/// overflow list (scanned unconditionally) for any instance that holds no
+/// value for some source. Stages where some guard has no probe get a plain
+/// `Scan` list. Either way the bucket holds exactly the live instances
+/// awaiting that stage.
 #[derive(Debug)]
 enum Bucket {
-    /// `map[value]` = slots whose key variable is bound to `value`.
+    /// `map[value]` = slots holding `value` for some probe source. All
+    /// sources share the one map: a lookup that collides across sources
+    /// only adds candidates, which guard evaluation then rejects.
     Keyed { map: HashMap<FieldValue, Vec<usize>>, rest: Vec<usize> },
     /// All awaiting slots, scanned for every relevant event.
     Scan(Vec<usize>),
+}
+
+/// The values `inst` is posted under in a bucket keyed by `key` — one per
+/// probe source — or `None` when it holds no value for some source and
+/// belongs in `rest`. Pure in the instance's awaited stage, the bindings
+/// held on entering it and `stage_ids` — none of which change while it
+/// awaits — so insert and remove agree. (Two sources holding the same
+/// value post the slot twice under it and remove it twice; candidates are
+/// deduplicated anyway.)
+fn postings<'a>(
+    key: &'a StageKey,
+    inst: &'a Instance,
+) -> Option<impl Iterator<Item = FieldValue> + 'a> {
+    let value = |p: &Probe| p.instance_value(&inst.bindings, &inst.stage_ids);
+    let sources = key.sources();
+    sources.iter().all(|p| value(p).is_some()).then(|| sources.iter().filter_map(value))
 }
 
 /// The reference monitor for one property.
@@ -435,51 +455,11 @@ impl Monitor {
 
         // Phase 1+2: gather the instances this event could clear or
         // advance, then evaluate their guards against the *currently
-        // visible* state. Stages whose patterns all miss the event are
-        // skipped outright; keyed stages look up only the instances whose
-        // discriminating binding matches the event's field value (plus the
-        // defensive `rest` list). Candidates are evaluated in ascending
-        // slot order — exactly the order the former full scan used — so
-        // the effect sequence, and with it every downstream ordering
-        // (violations, slot reuse, dedup outcomes), is unchanged.
+        // visible* state.
         let mut effects = std::mem::take(&mut self.scratch_effects);
         let mut cands = std::mem::take(&mut self.scratch_candidates);
         debug_assert!(effects.is_empty() && cands.is_empty());
-        for s in 1..self.property.stages.len() {
-            let stage = &self.property.stages[s];
-            let adv_hit =
-                matches!(&stage.kind, StageKind::Match { pattern, .. } if pattern.matches(ev));
-            let clear_hit = stage.unless.iter().any(|u| u.pattern.matches(ev));
-            if !adv_hit && !clear_hit {
-                continue;
-            }
-            match &self.buckets[s] {
-                Bucket::Scan(v) => cands.extend_from_slice(v),
-                Bucket::Keyed { map, rest } => {
-                    cands.extend_from_slice(rest);
-                    let key = self.stage_keys.key(s).expect("keyed bucket has a stage key");
-                    if adv_hit {
-                        let f = key.advance_field.expect("match stage key has an advance field");
-                        if let Some(val) = ev.field(f) {
-                            if let Some(v) = map.get(&val) {
-                                cands.extend_from_slice(v);
-                            }
-                        }
-                    }
-                    for (u, &f) in stage.unless.iter().zip(&key.unless_fields) {
-                        if u.pattern.matches(ev) {
-                            if let Some(val) = ev.field(f) {
-                                if let Some(v) = map.get(&val) {
-                                    cands.extend_from_slice(v);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cands.sort_unstable();
-        cands.dedup();
+        self.gather_candidates(ev, &mut cands);
         for &idx in &cands {
             let Some(inst) = self.slots[idx].as_ref() else { continue };
             let stage = &self.property.stages[inst.awaiting];
@@ -561,6 +541,49 @@ impl Monitor {
             }
         }
         self.scratch_effects = effects;
+    }
+
+    /// Append to `cands` the slots of every instance `ev` could clear or
+    /// advance. Stages whose patterns all miss the event are skipped
+    /// outright; keyed stages look up only the probes of the guards whose
+    /// pattern the event matches (plus the `rest` list), scan stages
+    /// contribute every awaiting slot. The result is in ascending slot
+    /// order without duplicates — exactly the order a full scan would
+    /// visit — so the effect sequence, and with it every downstream
+    /// ordering (violations, slot reuse, dedup outcomes), does not depend
+    /// on which stages are keyed.
+    fn gather_candidates(&self, ev: &NetEvent, cands: &mut Vec<usize>) {
+        for s in 1..self.property.stages.len() {
+            let stage = &self.property.stages[s];
+            let adv_hit =
+                matches!(&stage.kind, StageKind::Match { pattern, .. } if pattern.matches(ev));
+            let clear_hit = stage.unless.iter().any(|u| u.pattern.matches(ev));
+            if !adv_hit && !clear_hit {
+                continue;
+            }
+            match &self.buckets[s] {
+                Bucket::Scan(v) => cands.extend_from_slice(v),
+                Bucket::Keyed { map, rest } => {
+                    cands.extend_from_slice(rest);
+                    let key = self.stage_keys.key(s).expect("keyed bucket has a stage key");
+                    let mut look_up = |probe: &Probe| {
+                        if let Some(v) = probe.event_value(ev).and_then(|val| map.get(&val)) {
+                            cands.extend_from_slice(v);
+                        }
+                    };
+                    if adv_hit {
+                        key.advance.iter().for_each(&mut look_up);
+                    }
+                    for (u, probe) in stage.unless.iter().zip(&key.unless) {
+                        if u.pattern.matches(ev) {
+                            look_up(probe);
+                        }
+                    }
+                }
+            }
+        }
+        cands.sort_unstable();
+        cands.dedup();
     }
 
     fn apply_effect(&mut self, _applied_at: Instant, eff: Effect) {
@@ -671,50 +694,43 @@ impl Monitor {
     /// Add slot `idx` to the bucket of the stage it now awaits.
     fn bucket_insert(&mut self, idx: usize) {
         let inst = self.slots[idx].as_ref().expect("live instance");
-        let awaiting = inst.awaiting;
-        let keyval = self.stage_keys.key(awaiting).and_then(|k| inst.bindings.get(&k.var)).copied();
-        match &mut self.buckets[awaiting] {
+        match &mut self.buckets[inst.awaiting] {
             Bucket::Scan(v) => v.push(idx),
-            Bucket::Keyed { map, rest } => match keyval {
-                Some(val) => map.entry(val).or_default().push(idx),
-                None => rest.push(idx),
-            },
+            Bucket::Keyed { map, rest } => {
+                let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
+                match postings(key, inst) {
+                    Some(vals) => vals.for_each(|val| map.entry(val).or_default().push(idx)),
+                    None => rest.push(idx),
+                }
+            }
         }
     }
 
     /// Remove slot `idx` from its awaiting stage's bucket. Callers must do
-    /// this while the instance still holds the awaiting stage and the key
-    /// variable's value it was inserted under (binding *extension* is fine:
-    /// existing values never change, only new variables are added).
+    /// this while the instance still awaits the stage it was inserted
+    /// under (binding *extension* is fine: existing values never change,
+    /// only new variables are added, and recorded stage ids are immutable).
     fn bucket_remove(&mut self, idx: usize) {
         let Some(inst) = self.slots.get(idx).and_then(Option::as_ref) else { return };
-        let awaiting = inst.awaiting;
-        let keyval = self.stage_keys.key(awaiting).and_then(|k| inst.bindings.get(&k.var)).copied();
-        fn evict(v: &mut Vec<usize>, idx: usize) -> bool {
-            match v.iter().position(|&i| i == idx) {
-                Some(pos) => {
-                    v.swap_remove(pos);
-                    true
-                }
-                None => false,
+        fn evict(v: &mut Vec<usize>, idx: usize) {
+            if let Some(pos) = v.iter().position(|&i| i == idx) {
+                v.swap_remove(pos);
             }
         }
-        match &mut self.buckets[awaiting] {
-            Bucket::Scan(v) => {
-                evict(v, idx);
-            }
+        match &mut self.buckets[inst.awaiting] {
+            Bucket::Scan(v) => evict(v, idx),
             Bucket::Keyed { map, rest } => {
-                let mut removed = false;
-                if let Some(val) = keyval {
-                    if let Some(v) = map.get_mut(&val) {
-                        removed = evict(v, idx);
-                        if v.is_empty() {
-                            map.remove(&val);
+                let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
+                match postings(key, inst) {
+                    Some(vals) => vals.for_each(|val| {
+                        if let Some(v) = map.get_mut(&val) {
+                            evict(v, idx);
+                            if v.is_empty() {
+                                map.remove(&val);
+                            }
                         }
-                    }
-                }
-                if !removed {
-                    evict(rest, idx);
+                    }),
+                    None => evict(rest, idx),
                 }
             }
         }
@@ -1317,6 +1333,153 @@ mod tests {
         assert!(m.violations().is_empty());
         m.process(&dropped(at(2), 1, 2, 77)); // the same packet dropped
         assert_eq!(m.violations().len(), 1);
+    }
+
+    /// "The packet that arrived (from `A`) is forwarded": stage 1 is keyed
+    /// on packet identity alone.
+    fn arrived_then_forwarded() -> Property {
+        Property {
+            name: "arrived-then-forwarded".into(),
+            statement: String::new(),
+            stages: vec![
+                Stage::match_(
+                    "arrive",
+                    EventPattern::Arrival,
+                    Guard::new(vec![Atom::Bind(var("A"), Field::Ipv4Src)]),
+                ),
+                Stage::match_(
+                    "same-packet-forwarded",
+                    EventPattern::Departure(ActionPattern::Forwarded),
+                    Guard::new(vec![Atom::SamePacket(0)]),
+                ),
+            ],
+        }
+    }
+
+    fn candidates(m: &Monitor, ev: &NetEvent) -> Vec<usize> {
+        let mut cands = Vec::new();
+        m.gather_candidates(ev, &mut cands);
+        cands
+    }
+
+    /// (distinct posted values, `rest` length) of stage `s`'s keyed bucket.
+    fn keyed_sizes(m: &Monitor, s: usize) -> (usize, usize) {
+        match &m.buckets[s] {
+            Bucket::Keyed { map, rest } => (map.len(), rest.len()),
+            Bucket::Scan(_) => panic!("stage {s} is not keyed"),
+        }
+    }
+
+    #[test]
+    fn identity_stage_gathers_only_the_matching_instance() {
+        let mut m = Monitor::with_defaults(arrived_then_forwarded());
+        for i in 0..40u8 {
+            m.process(&arrival(at(u64::from(i)), i + 1, 200, 1000 + u64::from(i)));
+        }
+        assert_eq!(m.live_instances(), 40);
+        assert_eq!(keyed_sizes(&m, 1), (40, 0));
+        // Someone else's packet leaves: nothing to examine.
+        assert!(candidates(&m, &forwarded(at(50), 7, 200, 9999)).is_empty());
+        // Packet 1006 leaves — with rewritten headers, which identity
+        // ignores: exactly the instance that recorded it.
+        let hit = candidates(&m, &forwarded(at(50), 99, 98, 1006));
+        assert_eq!(hit.len(), 1);
+        let inst = m.slots[hit[0]].as_ref().unwrap();
+        assert_eq!(inst.stage_ids, vec![Some(PacketId(1006))]);
+        // A drop of that packet does not match the stage's pattern at all.
+        assert!(candidates(&m, &dropped(at(50), 7, 200, 1006)).is_empty());
+
+        m.process(&forwarded(at(50), 99, 98, 1006));
+        assert_eq!(m.violations().len(), 1);
+        assert_eq!(keyed_sizes(&m, 1), (39, 0), "the advanced instance left its posting");
+    }
+
+    #[test]
+    fn mixed_probes_post_under_both_sources_and_unpost_both() {
+        // The lb/new-flow-hashed-port shape: advance by identity, clearing
+        // by the held address. Only SYNs spawn, so the closing FIN does not.
+        let mut p = arrived_then_forwarded();
+        if let StageKind::Match { guard, .. } = &mut p.stages[0].kind {
+            guard.atoms.push(Atom::EqConst(Field::TcpFlags, u64::from(TcpFlags::SYN.0).into()));
+        }
+        p.stages[1].unless = vec![Unless {
+            pattern: EventPattern::Arrival,
+            guard: Guard::new(vec![
+                Atom::Bind(var("A"), Field::Ipv4Src),
+                Atom::EqConst(Field::TcpFlags, u64::from(TcpFlags::FIN.0).into()),
+            ]),
+        }];
+        let mut m = Monitor::with_defaults(p);
+        m.process(&arrival(at(0), 1, 2, 10));
+        m.process(&arrival(at(1), 3, 2, 11));
+        assert_eq!(keyed_sizes(&m, 1), (4, 0), "two instances, two sources each");
+        // Found by packet id on a departure, by address on an arrival.
+        assert_eq!(candidates(&m, &forwarded(at(2), 9, 9, 11)).len(), 1);
+        assert_eq!(candidates(&m, &arrival_flags(at(2), 1, 9, 12, TcpFlags::FIN)).len(), 1);
+        assert!(candidates(&m, &arrival_flags(at(2), 8, 9, 13, TcpFlags::FIN)).is_empty());
+        // The close clears instance A=1; both of its postings go.
+        m.process(&arrival_flags(at(2), 1, 9, 12, TcpFlags::FIN));
+        assert_eq!(m.stats.cleared, 1);
+        assert_eq!(keyed_sizes(&m, 1), (2, 0));
+        m.process(&forwarded(at(3), 3, 2, 11));
+        assert_eq!(m.violations().len(), 1);
+        assert_eq!(keyed_sizes(&m, 1), (0, 0));
+    }
+
+    #[test]
+    fn sources_holding_the_same_value_share_a_posting_cleanly() {
+        // Sources share one map, so a packet id can equal a held integer:
+        // here the destination port (80) and packet id 80. The slot sits
+        // twice under the one value, is gathered once, and leaves whole.
+        let mut p = arrived_then_forwarded();
+        if let StageKind::Match { guard, .. } = &mut p.stages[0].kind {
+            guard.atoms = vec![Atom::Bind(var("Q"), Field::L4Dst)];
+        }
+        p.stages[1].unless = vec![Unless {
+            pattern: EventPattern::Departure(ActionPattern::Drop),
+            guard: Guard::new(vec![Atom::Bind(var("Q"), Field::L4Dst)]),
+        }];
+        let mut m = Monitor::with_defaults(p);
+        m.process(&arrival(at(0), 1, 2, 80));
+        assert_eq!(keyed_sizes(&m, 1), (1, 0));
+        assert_eq!(candidates(&m, &forwarded(at(1), 1, 2, 80)).len(), 1);
+        m.process(&dropped(at(1), 1, 2, 7)); // any drop to port 80 clears
+        assert_eq!(m.stats.cleared, 1);
+        assert_eq!(keyed_sizes(&m, 1), (0, 0));
+        assert_eq!(m.live_instances(), 0);
+    }
+
+    #[test]
+    fn instance_without_a_recorded_packet_waits_in_rest() {
+        // Stage 1 is a deadline, so `stage_ids[1]` is `None`: an instance
+        // awaiting "same packet as 1" has no value to be posted under. It
+        // can never advance, but it must stay visible and leave cleanly.
+        let mut p = arrived_then_forwarded();
+        p.stages.insert(
+            1,
+            Stage::deadline("quiet", Duration::from_millis(10), RefreshPolicy::NoRefresh),
+        );
+        p.stages[2].kind = StageKind::Match {
+            pattern: EventPattern::Departure(ActionPattern::Forwarded),
+            guard: Guard::new(vec![Atom::SamePacket(1)]),
+        };
+        p.stages[2].within = Some(WindowSpec::Fixed(Duration::from_millis(100)));
+        let mut m = Monitor::with_defaults(p);
+        m.process(&arrival(at(0), 1, 2, 10));
+        m.advance_to(at(20)); // the deadline fires: now awaiting stage 2
+        assert_eq!(m.stats.deadlines_fired, 1);
+        assert_eq!(keyed_sizes(&m, 2), (0, 1));
+        assert_eq!(candidates(&m, &forwarded(at(21), 1, 2, 10)).len(), 1, "rest is always scanned");
+        m.process(&forwarded(at(21), 1, 2, 10));
+        assert!(m.violations().is_empty(), "no recorded packet: the guard cannot hold");
+        // Snapshot/restore rebuilds `rest` as well as the postings.
+        let snap = m.snapshot();
+        m.restore(&snap).unwrap();
+        assert_eq!(keyed_sizes(&m, 2), (0, 1));
+        m.advance_to(at(500)); // the window expires
+        assert_eq!(m.stats.window_expired, 1);
+        assert_eq!(m.live_instances(), 0);
+        assert_eq!(keyed_sizes(&m, 2), (0, 0));
     }
 
     #[test]

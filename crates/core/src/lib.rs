@@ -54,7 +54,7 @@ pub use monitorset::MonitorSet;
 pub use pattern::{event_class, ActionPattern, EventPattern, OobPattern, EVENT_CLASSES};
 pub use postcard::{Postcard, PostcardCollector};
 pub use property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, Unless};
-pub use routing::{PinReason, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
+pub use routing::{PinReason, Probe, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
 pub use snapshot::{MonitorSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use telemetry::{Recorder, SharedRecorder};
 pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};

@@ -31,12 +31,12 @@
 //! the event's field to the instance's value.
 
 use crate::features::mirror_field;
-use crate::guard::Guard;
+use crate::guard::{Atom, Guard};
 use crate::property::{Property, Stage, StageKind};
-use crate::var::Var;
+use crate::var::{Bindings, Var};
 use std::collections::BTreeMap;
 use swmon_packet::{Field, FieldValue};
-use swmon_sim::trace::NetEvent;
+use swmon_sim::trace::{NetEvent, PacketId};
 
 /// Why a property must be pinned to a single worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,32 +286,108 @@ impl RoutingPlan {
     }
 }
 
-/// The discriminating bound variable for instances awaiting one stage, and
-/// where events matching that stage's guards carry its value.
+/// Where an event carries the value that identifies the instances one
+/// guard can match — the guard's exact-match lookup.
 ///
-/// Soundness contract (what lets the engine consult an index instead of
-/// scanning): `var` is *definitely bound* in every instance awaiting the
-/// stage (it is a top-level binder of some earlier match stage, and a guard
-/// only succeeds if all its top-level binds unify), and **every** guard an
-/// event could satisfy at this stage — the advance guard and each clearing
-/// guard — top-level-binds `var` against a known field. An event that can
-/// affect some instance therefore carries that instance's `var` value at
-/// one of those fields, so a `value → instances` lookup over the relevant
-/// fields finds every affected instance.
+/// Soundness (what lets the engine consult an index instead of scanning),
+/// per probe kind:
+///
+/// * `Var(v, f)` — `v` is *definitely bound* in every instance awaiting the
+///   stage (it is a top-level binder of some earlier match stage, and a
+///   guard only succeeds if all its top-level binds unify), and the guard
+///   top-level-binds `v` at `f`: it succeeds only when `ev.field(f)` equals
+///   the instance's value of `v`.
+/// * `Packet(i)` — the guard has a top-level [`Atom::SamePacket`]`(i)`: it
+///   succeeds only when `ev.packet_id()` equals the instance's recorded
+///   `stage_ids[i]` (and never for an instance that recorded none).
+///
+/// Either way an event that can satisfy the guard for some instance carries
+/// that instance's value where the probe reads it, so a `value → instances`
+/// lookup finds every instance the guard could match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The guard re-binds the held variable at this field.
+    Var(Var, Field),
+    /// The guard demands the packet observed at this (0-based) stage.
+    Packet(usize),
+}
+
+impl Probe {
+    /// True when both probes read the same per-instance value (the same
+    /// variable, at whatever field, or the same stage's packet identity),
+    /// so one posting per instance serves both.
+    pub fn same_source(&self, other: &Probe) -> bool {
+        match (self, other) {
+            (Probe::Var(a, _), Probe::Var(b, _)) => a == b,
+            (Probe::Packet(i), Probe::Packet(j)) => i == j,
+            _ => false,
+        }
+    }
+
+    /// The value `ev` is looked up under; `None` when the event lacks it,
+    /// in which case the probed guard cannot match any instance.
+    pub fn event_value(&self, ev: &NetEvent) -> Option<FieldValue> {
+        match self {
+            Probe::Var(_, f) => ev.field(*f),
+            Probe::Packet(_) => ev.packet_id().map(|id| FieldValue::Uint(id.0)),
+        }
+    }
+
+    /// The value an instance holding `env` and `stage_ids` is posted under;
+    /// `None` when it holds none (the variable is — defensively — unbound,
+    /// or the stage recorded no packet: a deadline or out-of-band stage).
+    pub fn instance_value(
+        &self,
+        env: &Bindings,
+        stage_ids: &[Option<PacketId>],
+    ) -> Option<FieldValue> {
+        match self {
+            Probe::Var(v, _) => env.get(v).copied(),
+            Probe::Packet(i) => {
+                stage_ids.get(*i).copied().flatten().map(|id| FieldValue::Uint(id.0))
+            }
+        }
+    }
+}
+
+/// One [`Probe`] per guard an event could satisfy at one awaiting stage:
+/// the advance guard and each clearing guard. An instance is posted under
+/// the value of every distinct probe source, and an event looks up only the
+/// probes of the guards whose pattern it matches, so the union of the
+/// lookups covers every instance the event can clear or advance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKey {
-    /// The discriminating variable.
-    pub var: Var,
-    /// Field the stage's match guard binds `var` at (`None` for deadline
-    /// stages, which have no advance guard).
-    pub advance_field: Option<Field>,
-    /// Per clearing guard (in `unless` order), the field binding `var`.
-    pub unless_fields: Vec<Field>,
+    /// Probe of the stage's match guard (`None` for deadline stages, which
+    /// have no advance guard).
+    pub advance: Option<Probe>,
+    /// Per clearing guard (in `unless` order), its probe.
+    pub unless: Vec<Probe>,
+    /// One probe per distinct source, in guard order.
+    sources: Vec<Probe>,
+}
+
+impl StageKey {
+    fn new(advance: Option<Probe>, unless: Vec<Probe>) -> StageKey {
+        let mut sources: Vec<Probe> = Vec::new();
+        for p in advance.iter().chain(&unless) {
+            if !sources.iter().any(|q| q.same_source(p)) {
+                sources.push(*p);
+            }
+        }
+        StageKey { advance, unless, sources }
+    }
+
+    /// One probe per distinct source — what an awaiting instance is posted
+    /// under (for a `Var` source the field is whichever guard came first
+    /// and is irrelevant to the posting).
+    pub fn sources(&self) -> &[Probe] {
+        &self.sources
+    }
 }
 
 /// Per-stage instance-index keys for one property: `key(s)` describes how
-/// to find instances awaiting stage `s` from an event's fields, or `None`
-/// when the stage defeats the analysis and the engine must fall back to a
+/// to find instances awaiting stage `s` from an event, or `None` when some
+/// guard of the stage has no probe and the engine must fall back to a
 /// scan. Correctness never depends on a key existing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKeyPlan {
@@ -340,35 +416,44 @@ impl StageKeyPlan {
         StageKeyPlan { keys }
     }
 
+    /// The probes `guard` could be looked up by, most selective first: its
+    /// top-level identity atoms, then the held variables it re-binds in
+    /// canonical (name) order. Atoms inside an `AnyOf` never count — a
+    /// disjunct need not hold for the guard to succeed.
+    fn probes_of<'a>(
+        guard: &'a Guard,
+        bound: &'a std::collections::BTreeSet<Var>,
+    ) -> impl Iterator<Item = Probe> + 'a {
+        let packets = guard.atoms.iter().filter_map(|a| match a {
+            Atom::SamePacket(i) => Some(Probe::Packet(*i)),
+            _ => None,
+        });
+        let vars = bound.iter().filter_map(|v| {
+            guard.binders().find(|(gv, _)| *gv == v).map(|(_, f)| Probe::Var(*v, f))
+        });
+        packets.chain(vars)
+    }
+
     fn stage_key(stage: &Stage, bound: &std::collections::BTreeSet<Var>) -> Option<StageKey> {
-        // Candidates in canonical (name) order, for determinism.
-        'candidate: for v in bound {
-            let advance_field = match &stage.kind {
-                StageKind::Match { guard, .. } => {
-                    match guard.binders().find(|(gv, _)| *gv == v) {
-                        Some((_, f)) => Some(f),
-                        None => continue 'candidate, // advances would need a scan
-                    }
-                }
-                StageKind::Deadline { .. } => None,
-            };
-            let mut unless_fields = Vec::with_capacity(stage.unless.len());
-            for u in &stage.unless {
-                match u.guard.binders().find(|(gv, _)| *gv == v) {
-                    Some((_, f)) => unless_fields.push(f),
-                    None => continue 'candidate,
-                }
-            }
-            if advance_field.is_none() && unless_fields.is_empty() {
-                // A deadline stage with no clearings: no event guard
-                // references any variable, so there is nothing to key on
-                // (and nothing to look up — pattern pre-checks already
-                // skip every event).
-                return None;
-            }
-            return Some(StageKey { var: *v, advance_field, unless_fields });
-        }
-        None
+        // The guards an event could satisfy at this stage, advance first.
+        let guards = || stage.guard().into_iter().chain(stage.unless.iter().map(|u| &u.guard));
+        // A deadline stage with no clearings has no event guard at all:
+        // nothing to key on (and nothing to look up — pattern pre-checks
+        // already skip every event).
+        let first = guards().next()?;
+        // Prefer one source every guard can be probed by (one posting per
+        // instance); otherwise each guard takes its own most selective.
+        let shared = Self::probes_of(first, bound)
+            .find(|p| guards().all(|g| Self::probes_of(g, bound).any(|q| q.same_source(p))));
+        let pick = |g: &Guard| {
+            Self::probes_of(g, bound).find(|q| shared.is_none_or(|p| q.same_source(&p)))
+        };
+        let advance = match stage.guard() {
+            Some(g) => Some(pick(g)?),
+            None => None,
+        };
+        let unless = stage.unless.iter().map(|u| pick(&u.guard)).collect::<Option<_>>()?;
+        Some(StageKey::new(advance, unless))
     }
 
     /// The key for instances awaiting stage `s`, if the stage is keyable.
@@ -397,7 +482,7 @@ mod tests {
     use std::sync::Arc;
     use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
     use swmon_sim::time::{Duration, Instant};
-    use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
+    use swmon_sim::trace::{NetEventKind, PortNo, SwitchId};
 
     fn prop(stages: Vec<Stage>) -> Property {
         Property { name: "p".into(), statement: String::new(), stages }
@@ -628,9 +713,9 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(plan.key(0).is_none(), "instances never await stage 0");
         let k = plan.key(1).expect("stage 1 is keyable");
-        assert_eq!(k.var, var("A"));
-        assert_eq!(k.advance_field, Some(Field::Ipv4Dst));
-        assert_eq!(k.unless_fields, vec![Field::Ipv4Src]);
+        assert_eq!(k.advance, Some(Probe::Var(var("A"), Field::Ipv4Dst)));
+        assert_eq!(k.unless, vec![Probe::Var(var("A"), Field::Ipv4Src)]);
+        assert_eq!(k.sources().len(), 1, "one shared source: one posting per instance");
         assert!(!plan.is_empty());
     }
 
@@ -661,8 +746,8 @@ mod tests {
         let p = prop(vec![bind_stage("a", &[("A", Field::Ipv4Src)]), d]);
         let plan = StageKeyPlan::of(&p);
         let k = plan.key(1).expect("deadline clearing is keyable");
-        assert_eq!(k.advance_field, None);
-        assert_eq!(k.unless_fields, vec![Field::Ipv4Dst]);
+        assert_eq!(k.advance, None);
+        assert_eq!(k.unless, vec![Probe::Var(var("A"), Field::Ipv4Dst)]);
 
         // A bare deadline (no clearings) has no event guards at all: there
         // is nothing to key on, and nothing a key would be consulted for.
@@ -689,6 +774,105 @@ mod tests {
         assert!(StageKeyPlan::of(&p).key(1).is_none());
     }
 
+    /// A forwarded-departure stage demanding the packet seen at stage `i`.
+    fn same_packet_stage(name: &str, i: usize, binds: &[(&str, Field)]) -> Stage {
+        let mut atoms = vec![Atom::SamePacket(i)];
+        atoms.extend(binds.iter().map(|(v, f)| Atom::Bind(var(v), *f)));
+        Stage::match_(name, EventPattern::Departure(ActionPattern::Forwarded), Guard::new(atoms))
+    }
+
+    fn unless_binding(v: &str, f: Field) -> Unless {
+        Unless { pattern: EventPattern::Arrival, guard: Guard::new(vec![Atom::Bind(var(v), f)]) }
+    }
+
+    #[test]
+    fn stage_keys_index_identity_stages() {
+        // The NAT shape: "the same packet departs, translated". The guard
+        // re-binds nothing held (A2 is new), but `SamePacket(0)` is an
+        // exact match on the recorded packet id.
+        let p = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            same_packet_stage("b", 0, &[("A2", Field::Ipv4Src)]),
+        ]);
+        let plan = StageKeyPlan::of(&p);
+        let k = plan.key(1).expect("identity stage is keyable");
+        assert_eq!(k.advance, Some(Probe::Packet(0)));
+        assert!(k.unless.is_empty());
+        assert_eq!(k.sources(), [Probe::Packet(0)]);
+    }
+
+    #[test]
+    fn stage_keys_mix_identity_and_variable_probes() {
+        // The lb/new-flow-hashed-port shape: advance by packet identity,
+        // clearings by the held client address in either direction. No
+        // source is shared, so each guard keeps its own probe and an
+        // instance is posted under both sources.
+        let mut s1 = same_packet_stage("assigned", 0, &[]);
+        s1.unless = vec![unless_binding("A", Field::Ipv4Src), unless_binding("A", Field::Ipv4Dst)];
+        let p = prop(vec![bind_stage("new-flow", &[("A", Field::Ipv4Src)]), s1]);
+        let plan = StageKeyPlan::of(&p);
+        let k = plan.key(1).expect("every guard has a probe");
+        assert_eq!(k.advance, Some(Probe::Packet(0)));
+        assert_eq!(
+            k.unless,
+            vec![Probe::Var(var("A"), Field::Ipv4Src), Probe::Var(var("A"), Field::Ipv4Dst)]
+        );
+        assert_eq!(k.sources(), [Probe::Packet(0), Probe::Var(var("A"), Field::Ipv4Src)]);
+    }
+
+    #[test]
+    fn stage_keys_allow_different_identities_per_guard() {
+        // Advance demands stage 1's packet, the clearing stage 0's: two
+        // sources, each sound for its own guard.
+        let mut s2 = same_packet_stage("c", 1, &[]);
+        s2.unless = vec![Unless {
+            pattern: EventPattern::Departure(ActionPattern::Drop),
+            guard: Guard::new(vec![Atom::SamePacket(0)]),
+        }];
+        let p = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            bind_stage("b", &[("A", Field::Ipv4Src)]),
+            s2,
+        ]);
+        let plan = StageKeyPlan::of(&p);
+        let k = plan.key(2).expect("both guards carry an identity probe");
+        assert_eq!(k.advance, Some(Probe::Packet(1)));
+        assert_eq!(k.unless, vec![Probe::Packet(0)]);
+        assert_eq!(k.sources().len(), 2);
+    }
+
+    #[test]
+    fn stage_keys_prefer_a_source_every_guard_shares() {
+        // The advance guard could be probed by identity, but the clearing
+        // only by A — and the advance re-binds A too: one shared source
+        // means one posting per instance.
+        let mut s1 = same_packet_stage("b", 0, &[("A", Field::Ipv4Dst)]);
+        s1.unless = vec![unless_binding("A", Field::Ipv4Src)];
+        let p = prop(vec![bind_stage("a", &[("A", Field::Ipv4Src)]), s1]);
+        let plan = StageKeyPlan::of(&p);
+        let k = plan.key(1).expect("keyable");
+        assert_eq!(k.advance, Some(Probe::Var(var("A"), Field::Ipv4Dst)));
+        assert_eq!(k.sources().len(), 1);
+    }
+
+    #[test]
+    fn stage_keys_ignore_anyof_identity() {
+        // `SamePacket` inside a disjunct need not hold for the guard to
+        // succeed: an index on the packet id would miss the other branch.
+        let p = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            Stage::match_(
+                "b",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::AnyOf(vec![
+                    Atom::SamePacket(0),
+                    Atom::EqConst(Field::L4Dst, 80u16.into()),
+                ])]),
+            ),
+        ]);
+        assert!(StageKeyPlan::of(&p).key(1).is_none());
+    }
+
     #[test]
     fn stage_keys_use_later_stage_binders() {
         // B is only bound at stage 1, but instances awaiting stage 2 have
@@ -700,7 +884,6 @@ mod tests {
         ]);
         let plan = StageKeyPlan::of(&p);
         let k = plan.key(2).expect("stage 2 keys on B");
-        assert_eq!(k.var, var("B"));
-        assert_eq!(k.advance_field, Some(Field::DhcpXid));
+        assert_eq!(k.advance, Some(Probe::Var(var("B"), Field::DhcpXid)));
     }
 }

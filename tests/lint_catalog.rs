@@ -5,6 +5,7 @@
 
 use std::collections::BTreeSet;
 use swmon::analysis::{Code, Severity};
+use swmon::monitor::{Atom, Guard};
 use swmon_bench::lint;
 
 /// Properties the router pins to a single shard (SW008). All intentional:
@@ -29,21 +30,15 @@ const EXPECTED_PINNED: [&str; 14] = [
 ];
 
 /// (property, stage) pairs whose matching falls back to a full instance
-/// scan (SW007). Intentional: these stages await events identified by
-/// computed values (hashed/round-robin ports), out-of-band events, or
-/// translated headers, none of which re-bind a held variable at a fixed
-/// field.
-const EXPECTED_FULL_SCAN: [(&str, usize); 9] = [
-    ("arp-proxy/unknown-forwarded", 1),
-    ("lb/new-flow-hashed-port", 1),
-    ("lb/new-flow-round-robin", 1),
-    ("lb/new-flow-round-robin", 2),
-    ("lb/new-flow-round-robin", 3),
-    ("lb/stable-assignment", 1),
-    ("learning-switch/flush-on-link-down", 1),
-    ("nat/reverse-translation", 1),
-    ("nat/reverse-translation", 3),
-];
+/// scan (SW007). Intentional: each has a guard with no exact-match probe —
+/// the round-robin stage awaits "the next new flow, whoever sends it" and
+/// the flush stage an out-of-band link-down that carries no fields. Every
+/// `same packet as N` stage is keyed on the packet id and must not appear;
+/// nor does `arp-proxy/unknown-forwarded` stage 1, whose two clearings
+/// each have a probe ("the request itself is forwarded" by packet id, "the
+/// proxy answers" by the held `?Y`).
+const EXPECTED_FULL_SCAN: [(&str, usize); 2] =
+    [("lb/new-flow-round-robin", 2), ("learning-switch/flush-on-link-down", 1)];
 
 #[test]
 fn catalog_has_no_gating_diagnostics() {
@@ -71,6 +66,18 @@ fn catalog_perf_lints_match_the_annotated_allowlist() {
         .collect();
     let expected_scans: BTreeSet<(&str, usize)> = EXPECTED_FULL_SCAN.into_iter().collect();
     assert_eq!(scans, expected_scans, "SW007 full scans drifted from the annotated set");
+
+    // The lint follows the engine: a stage whose every guard (advance and
+    // clearings) carries a top-level `same packet as N` has a probe per
+    // guard, so it is indexed and SW007 must stay silent on it.
+    let catalog = swmon_props::catalog();
+    for (name, stage) in scans {
+        let prop = catalog.iter().find(|p| p.name == name).expect("locus names a property");
+        let st = &prop.stages[stage];
+        let identity = |g: &Guard| g.atoms.iter().any(|a| matches!(a, Atom::SamePacket(_)));
+        let mut guards = st.guard().into_iter().chain(st.unless.iter().map(|u| &u.guard));
+        assert!(!guards.all(identity), "SW007 on identity-probed stage {name}/{stage}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use swmon::monitor::{Monitor, MonitorConfig, MonitorSnapshot, ProvenanceMode};
-use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
+use swmon::packet::{Ipv4Address, MacAddr, Packet, PacketBuilder, TcpFlags};
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 
 /// A compact generated event (same shape as `tests/runtime_differential.rs`).
@@ -57,14 +57,14 @@ fn render_trace(events: &[GenEvent], step: Duration) -> Vec<NetEvent> {
 
 /// Run `property` over the whole trace uninterrupted; then again with a
 /// snapshot/byte-roundtrip/restore cut at `cut`; final snapshots must be
-/// byte-identical.
+/// byte-identical. Returns how many violations the revived run holds.
 fn assert_cut_is_invisible(
     property: &swmon::monitor::Property,
     cfg: MonitorConfig,
     trace: &[NetEvent],
     cut: usize,
     end: Instant,
-) {
+) -> usize {
     let mut reference = Monitor::new(property.clone(), cfg);
     for ev in trace {
         reference.process(ev);
@@ -93,6 +93,7 @@ fn assert_cut_is_invisible(
         trace.len(),
         property.name
     );
+    revived.violations().len()
 }
 
 proptest! {
@@ -147,11 +148,90 @@ fn cut_between_request_and_violating_reply() {
     let end = trace.last().unwrap().time + Duration::from_secs(1);
     // Each generated event renders as arrival + departure; cut at 2 places
     // the boundary after the request, before the reply arrives.
-    assert_cut_is_invisible(
+    let violations = assert_cut_is_invisible(
         &swmon_props::firewall::return_not_dropped(),
         MonitorConfig::default(),
         &trace,
         2,
         end,
     );
+    assert_eq!(violations, 1);
+}
+
+fn tcp(src: Ipv4Address, sport: u16, dst: Ipv4Address, dport: u16, flags: TcpFlags) -> Packet {
+    let (m1, m2) = (MacAddr::new(2, 0, 0, 0, 0, 1), MacAddr::new(2, 0, 0, 0, 0, 2));
+    PacketBuilder::tcp(m1, m2, src, dst, sport, dport, flags, &[])
+}
+
+/// Packet-identity stages are indexed by the packet id an instance
+/// recorded, and restore rebuilds that index from the slots. Cut a NAT
+/// exchange everywhere — in particular *between* a packet's arrival and
+/// its (translated) departure, when the only thing tying the two together
+/// is the recorded id — and the mistranslated return is still caught.
+#[test]
+fn cut_between_a_nat_packets_arrival_and_its_translated_departure() {
+    use swmon_props::scenario::{INSIDE_PORT, NAT_PUBLIC_IP, OUTSIDE_PORT};
+    let client = Ipv4Address::new(10, 0, 0, 5);
+    let server = Ipv4Address::new(192, 0, 2, 7);
+    let ack = TcpFlags::ACK;
+    let mut tb = TraceBuilder::new();
+    let out = tb.arrive(INSIDE_PORT, tcp(client, 4000, server, 80, ack));
+    // Another client's packet arrives and leaves in between.
+    tb.at_ms(1).arrive_depart(
+        INSIDE_PORT,
+        tcp(Ipv4Address::new(10, 0, 0, 6), 5000, server, 80, ack),
+        EgressAction::Output(OUTSIDE_PORT),
+    );
+    tb.at_ms(2).depart(
+        out,
+        tcp(NAT_PUBLIC_IP, 61000, server, 80, ack),
+        EgressAction::Output(OUTSIDE_PORT),
+    );
+    let back = tb.at_ms(10).arrive(OUTSIDE_PORT, tcp(server, 80, NAT_PUBLIC_IP, 61000, ack));
+    tb.at_ms(11).depart(
+        back,
+        tcp(server, 80, client, 4999, ack), // wrong port: mistranslated
+        EgressAction::Output(INSIDE_PORT),
+    );
+    let trace = tb.build();
+    let end = trace.last().unwrap().time + Duration::from_secs(1);
+    for cut in 0..=trace.len() {
+        let violations = assert_cut_is_invisible(
+            &swmon_props::nat::reverse_translation(),
+            MonitorConfig::default(),
+            &trace,
+            cut,
+            end,
+        );
+        assert_eq!(violations, 1, "cut at {cut}");
+    }
+}
+
+/// The same for `lb/new-flow-round-robin`, whose last stage mixes an
+/// identity probe (advance) with variable probes (close clearings): flow
+/// k+1's SYN is assigned backend 2 right after flow k got backend 0.
+#[test]
+fn cut_between_a_balanced_syns_arrival_and_its_assignment() {
+    use swmon_props::scenario::{LB_BASE_PORT, LB_CLIENT_PORT, LB_VIP};
+    let syn = |host: u8, sport: u16| {
+        tcp(Ipv4Address::new(10, 0, 1, host), sport, LB_VIP, 80, TcpFlags::SYN)
+    };
+    let backend = |i: u64| EgressAction::Output(PortNo((LB_BASE_PORT + i) as u16));
+    let mut tb = TraceBuilder::new();
+    let k = tb.arrive(LB_CLIENT_PORT, syn(1, 4000));
+    tb.at_ms(1).depart(k, syn(1, 4000), backend(0));
+    let k1 = tb.at_ms(2).arrive(LB_CLIENT_PORT, syn(2, 4001));
+    tb.at_ms(3).depart(k1, syn(2, 4001), backend(2));
+    let trace = tb.build();
+    let end = trace.last().unwrap().time + Duration::from_secs(1);
+    for cut in 0..=trace.len() {
+        let violations = assert_cut_is_invisible(
+            &swmon_props::load_balancer::new_flow_round_robin(),
+            MonitorConfig::default(),
+            &trace,
+            cut,
+            end,
+        );
+        assert_eq!(violations, 1, "cut at {cut}");
+    }
 }
