@@ -25,12 +25,11 @@
 
 use crate::TextTable;
 use std::time::Instant as WallInstant;
-use swmon_core::{Monitor, MonitorConfig, MonitorSet, Property, SharedRecorder};
+use swmon_core::{Monitor, MonitorConfig, MonitorSet, Property};
 use swmon_runtime::merge::merge;
 use swmon_runtime::{reference_records, signature, ViolationRecord};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::trace::NetEvent;
-use swmon_telemetry::EngineProbe;
 
 use super::e13;
 
@@ -42,14 +41,9 @@ use super::e13;
 /// acceptance bar is ≥2× this figure single-threaded.
 pub const BASELINE_EVENTS_PER_SEC: f64 = 168_273.0;
 
-/// Sampled stage-timing period the instrumented row runs with — the
-/// runtime's default ([`swmon_runtime::TelemetryConfig`]).
-pub const TELEMETRY_SAMPLE_EVERY: u64 = 64;
-
-/// Timing passes per MonitorSet row; the fastest pass is reported. A
-/// single pass over the `--quick` workload lasts ~2 ms, which is far too
-/// short to time once — the CI overhead gate compares the bare and
-/// instrumented rows, so both must be noise-free.
+/// Timing passes for the MonitorSet row; the fastest pass is reported
+/// (the minimum rejects preempted runs). A single pass over the `--quick`
+/// workload lasts ~2 ms, which is far too short to time once.
 pub const TIMING_PASSES: usize = 7;
 
 /// Each timed pass replays the trace through fresh `MonitorSet`s until at
@@ -72,10 +66,6 @@ pub struct Row {
     pub violations: usize,
     /// True when the violations matched the reference loop byte-for-byte.
     pub verified: bool,
-    /// Throughput cost of this row relative to its uninstrumented twin,
-    /// percent (only on the telemetry row; negative means noise favoured
-    /// the instrumented run).
-    pub overhead_pct: Option<f64>,
 }
 
 /// The experiment outcome.
@@ -102,32 +92,17 @@ fn records_of(monitors: &[Monitor]) -> Vec<ViolationRecord> {
 }
 
 /// One timed pass: replay the trace through `reps` fresh `MonitorSet`s
-/// (built outside the timed region so only processing counts), optionally
-/// with the runtime's default engine probes attached. Returns per-replay
-/// seconds and the last set's canonically merged records — every replay
-/// is deterministic and identical, which `verified` checks.
+/// (built outside the timed region so only processing counts). Returns
+/// per-replay seconds and the last set's canonically merged records —
+/// every replay is deterministic and identical, which `verified` checks.
 fn time_pass(
     props: &[Property],
-    cfg: MonitorConfig,
     trace: &[NetEvent],
     end: Instant,
-    instrument: bool,
     reps: usize,
 ) -> (f64, Vec<ViolationRecord>) {
-    let build = || {
-        let mut set = MonitorSet::new();
-        for p in props {
-            set.add(p.clone(), cfg);
-        }
-        if instrument {
-            set.attach_recorders(|name| {
-                let probe: SharedRecorder = EngineProbe::new(name, TELEMETRY_SAMPLE_EVERY);
-                Some(probe)
-            });
-        }
-        set
-    };
-    let mut sets: Vec<MonitorSet> = (0..reps).map(|_| build()).collect();
+    let mut sets: Vec<MonitorSet> =
+        (0..reps).map(|_| MonitorSet::from_properties(props.iter().cloned())).collect();
     let t0 = WallInstant::now();
     for set in &mut sets {
         for ev in trace {
@@ -140,31 +115,17 @@ fn time_pass(
     (secs, records_of(last.monitors()))
 }
 
-/// Time the bare and instrumented `MonitorSet` rows with interleaved
-/// best-of-[`TIMING_PASSES`] passes. Interleaving matters: the overhead
-/// gate relates the two figures, and running configurations as separate
-/// blocks would let machine-load drift between blocks masquerade as a real
-/// difference. The minimum over passes rejects preempted runs.
-fn time_monitorsets(
+/// The `MonitorSet` row: the fastest of [`TIMING_PASSES`] passes.
+fn time_monitorset(
     props: &[Property],
-    cfg: MonitorConfig,
     trace: &[NetEvent],
     end: Instant,
-) -> ((f64, Vec<ViolationRecord>), (f64, Vec<ViolationRecord>)) {
+) -> (f64, Vec<ViolationRecord>) {
     let reps = (MIN_TIMED_EVENTS / trace.len().max(1)).max(1);
-    let mut bare = (f64::INFINITY, Vec::new());
-    let mut instr = (f64::INFINITY, Vec::new());
-    for _ in 0..TIMING_PASSES {
-        let (secs, records) = time_pass(props, cfg, trace, end, false, reps);
-        if secs < bare.0 {
-            bare = (secs, records);
-        }
-        let (secs, records) = time_pass(props, cfg, trace, end, true, reps);
-        if secs < instr.0 {
-            instr = (secs, records);
-        }
-    }
-    (bare, instr)
+    (0..TIMING_PASSES)
+        .map(|_| time_pass(props, trace, end, reps))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("TIMING_PASSES >= 1")
 }
 
 /// Measure the hot path over the E13 workload shape.
@@ -183,7 +144,7 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
     let ref_sigs: Vec<String> = reference.iter().map(signature).collect();
 
     let mut rows = Vec::new();
-    let mut push = |config, secs: f64, records: &[ViolationRecord], overhead_pct| {
+    let mut push = |config, secs: f64, records: &[ViolationRecord]| {
         let eps = trace.len() as f64 / secs;
         rows.push(Row {
             config,
@@ -191,22 +152,15 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
             speedup_vs_baseline: eps / BASELINE_EVENTS_PER_SEC,
             violations: records.len(),
             verified: records.iter().map(signature).collect::<Vec<_>>() == ref_sigs,
-            overhead_pct,
         });
     };
-    push("per-monitor-loop", ref_secs, &reference, None);
+    push("per-monitor-loop", ref_secs, &reference);
 
-    // MonitorSet rows: the same monitors behind event-class pre-dispatch —
-    // bare, and with per-property engine probes attached (the exact
-    // instrumentation the runtime enables by default). The overhead column
-    // is the telemetry tax docs/TELEMETRY.md bounds at 3%.
-    let ((set_secs, set_records), (tel_secs, tel_records)) =
-        time_monitorsets(&props, cfg, &trace, end);
-    push("monitorset-predispatch", set_secs, &set_records, None);
-    let set_eps = trace.len() as f64 / set_secs;
-    let tel_eps = trace.len() as f64 / tel_secs;
-    let overhead = swmon_apps::output::overhead_pct(set_eps, tel_eps);
-    push("monitorset-telemetry", tel_secs, &tel_records, Some(overhead));
+    // The same monitors behind event-class pre-dispatch. (A standalone
+    // `MonitorSet` carries no instrumentation; what telemetry costs a
+    // session is the benchmark's `telemetry.tax_pct`.)
+    let (set_secs, set_records) = time_monitorset(&props, &trace, end);
+    push("monitorset-predispatch", set_secs, &set_records);
 
     Outcome { events: trace.len(), baseline_events_per_sec: BASELINE_EVENTS_PER_SEC, rows }
 }
@@ -218,7 +172,6 @@ pub fn render(o: &Outcome) -> String {
         "events/sec",
         "vs pre-rework baseline",
         "violations",
-        "overhead",
         "matches reference",
     ]);
     for r in &o.rows {
@@ -227,12 +180,11 @@ pub fn render(o: &Outcome) -> String {
             format!("{:.0}", r.events_per_sec),
             format!("{:.2}x", r.speedup_vs_baseline),
             r.violations.to_string(),
-            r.overhead_pct.map(|p| format!("{p:+.1}%")).unwrap_or_else(|| "-".into()),
             if r.verified { "yes".into() } else { "NO".into() },
         ]);
     }
     format!(
-        "{}\n{} events; baseline {:.0} events/sec is the pre-rework engine's\nreference row on the identical workload (see BASELINE_EVENTS_PER_SEC). The\ntelemetry row re-runs the MonitorSet with the runtime's default engine\nprobes attached, its overhead column being\nthe instrumentation tax (docs/TELEMETRY.md bounds it at 3%). See\ndocs/PERF.md for the hot-path layers being measured.",
+        "{}\n{} events; baseline {:.0} events/sec is the pre-rework engine's\nreference row on the identical workload (see BASELINE_EVENTS_PER_SEC). See\ndocs/PERF.md for the hot-path layers being measured.",
         t.render(),
         o.events,
         o.baseline_events_per_sec
@@ -246,10 +198,9 @@ pub fn to_json(o: &Outcome) -> String {
         if i > 0 {
             rows.push_str(",\n");
         }
-        let overhead = r.overhead_pct.map(|p| format!("{p:.2}")).unwrap_or_else(|| "null".into());
         rows.push_str(&format!(
-            "    {{\"config\": \"{}\", \"events_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.2}, \"violations\": {}, \"overhead_pct\": {}, \"verified\": {}}}",
-            r.config, r.events_per_sec, r.speedup_vs_baseline, r.violations, overhead, r.verified
+            "    {{\"config\": \"{}\", \"events_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.2}, \"violations\": {}, \"verified\": {}}}",
+            r.config, r.events_per_sec, r.speedup_vs_baseline, r.violations, r.verified
         ));
     }
     format!(
@@ -265,22 +216,11 @@ mod tests {
     #[test]
     fn every_row_verifies_and_agrees_on_violations() {
         let o = run(32, 400);
-        assert_eq!(o.rows.len(), 3);
+        assert_eq!(o.rows.len(), 2);
         assert!(o.rows.iter().all(|r| r.verified), "{o:?}");
         let v = o.rows[0].violations;
         assert!(v > 0, "workload must produce violations");
         assert!(o.rows.iter().all(|r| r.violations == v));
-    }
-
-    #[test]
-    fn only_the_telemetry_row_reports_overhead() {
-        let o = run(16, 200);
-        let tel = o.rows.iter().find(|r| r.config == "monitorset-telemetry").expect("row");
-        assert!(tel.overhead_pct.is_some(), "{tel:?}");
-        assert!(tel.verified, "instrumentation must not change the verdicts: {tel:?}");
-        for r in o.rows.iter().filter(|r| r.config != "monitorset-telemetry") {
-            assert!(r.overhead_pct.is_none(), "{r:?}");
-        }
     }
 
     #[test]
@@ -289,12 +229,9 @@ mod tests {
         let txt = render(&o);
         assert!(txt.contains("per-monitor-loop"));
         assert!(txt.contains("monitorset-predispatch"));
-        assert!(txt.contains("monitorset-telemetry"));
         let json = to_json(&o);
         assert!(json.contains("\"experiment\": \"e14-hotpath\""));
         assert!(json.contains("\"config\": \"monitorset-predispatch\""));
-        assert!(json.contains("\"config\": \"monitorset-telemetry\""));
-        assert!(json.contains("\"overhead_pct\": null"));
         assert!(json.contains("baseline_events_per_sec"));
     }
 }

@@ -178,17 +178,8 @@ pub(crate) enum Effect {
         stage_id: Option<PacketId>,
         event: Option<NetEvent>,
     },
-    Kill {
-        idx: usize,
-        uid: u64,
-        expected_stage: usize,
-        reason: KillReason,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KillReason {
-    Cleared,
+    /// An `unless` observation cleared the instance (Feature 4).
+    Kill { idx: usize, uid: u64, expected_stage: usize },
 }
 
 /// Secondary index over the instances awaiting one stage.
@@ -252,9 +243,6 @@ pub struct Monitor {
     next_uid: u64,
     /// Activity counters.
     pub stats: MonitorStats,
-    /// Optional telemetry sink (see [`crate::telemetry::Recorder`]). Not
-    /// part of monitor state: snapshots ignore it and restore keeps it.
-    recorder: Option<crate::telemetry::SharedRecorder>,
 }
 
 impl Monitor {
@@ -299,15 +287,7 @@ impl Monitor {
             now: Instant::ZERO,
             next_uid: 0,
             stats: MonitorStats::default(),
-            recorder: None,
         }
-    }
-
-    /// Attach (or detach, with `None`) a telemetry recorder. An attached
-    /// recorder survives [`Monitor::restore`] — instrumentation belongs to
-    /// the deployment, not the checkpointed state.
-    pub fn set_recorder(&mut self, recorder: Option<crate::telemetry::SharedRecorder>) {
-        self.recorder = recorder;
     }
 
     /// Convenience: default configuration.
@@ -387,8 +367,8 @@ impl Monitor {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].0 <= upto {
-                let (ready, eff) = self.pending.remove(i);
-                self.apply_effect(ready, eff);
+                let (_, eff) = self.pending.remove(i);
+                self.apply_effect(eff);
             } else {
                 i += 1;
             }
@@ -423,22 +403,6 @@ impl Monitor {
 
     /// Process one event. Events must be fed in nondecreasing time order.
     pub fn process(&mut self, ev: &NetEvent) {
-        if self.recorder.is_none() {
-            // The uninstrumented hot path: one branch, nothing else.
-            self.process_inner(ev);
-            return;
-        }
-        let seq = self.stats.events;
-        let timed = self.recorder.as_ref().is_some_and(|r| r.should_time(seq));
-        let t0 = timed.then(std::time::Instant::now);
-        self.process_inner(ev);
-        let live = self.index.len();
-        if let Some(rec) = self.recorder.as_ref() {
-            rec.event(live, t0.map(|t| t.elapsed().as_nanos() as u64));
-        }
-    }
-
-    fn process_inner(&mut self, ev: &NetEvent) {
         self.advance_to(ev.time);
         if let Some(scope) = self.cfg.scope {
             if ev.switch() != Some(scope) {
@@ -468,12 +432,7 @@ impl Monitor {
                 u.pattern.matches(ev) && u.guard.eval(ev, &inst.bindings, &inst.stage_ids).is_some()
             });
             if cleared {
-                effects.push(Effect::Kill {
-                    idx,
-                    uid: inst.uid,
-                    expected_stage: inst.awaiting,
-                    reason: KillReason::Cleared,
-                });
+                effects.push(Effect::Kill { idx, uid: inst.uid, expected_stage: inst.awaiting });
                 continue;
             }
             // Advances.
@@ -530,7 +489,7 @@ impl Monitor {
         match lag {
             None => {
                 for eff in effects.drain(..) {
-                    self.apply_effect(ev.time, eff);
+                    self.apply_effect(eff);
                 }
             }
             Some(lag) => {
@@ -586,7 +545,7 @@ impl Monitor {
         cands.dedup();
     }
 
-    fn apply_effect(&mut self, _applied_at: Instant, eff: Effect) {
+    fn apply_effect(&mut self, eff: Effect) {
         match eff {
             Effect::Spawn { obs_time, bindings, stage_id, history } => {
                 self.spawn(obs_time, bindings, stage_id, history);
@@ -617,7 +576,7 @@ impl Monitor {
                 }
                 self.advance_instance_unindexed(idx, stage_id, obs_time);
             }
-            Effect::Kill { idx, uid, expected_stage, reason } => {
+            Effect::Kill { idx, uid, expected_stage } => {
                 let valid = self
                     .slots
                     .get(idx)
@@ -627,7 +586,6 @@ impl Monitor {
                     self.stats.stale_effects_dropped += 1;
                     return;
                 }
-                debug_assert_eq!(reason, KillReason::Cleared);
                 self.stats.cleared += 1;
                 self.remove_instance(idx);
             }

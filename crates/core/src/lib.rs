@@ -36,7 +36,6 @@ pub mod postcard;
 pub mod property;
 pub mod routing;
 pub mod snapshot;
-pub mod telemetry;
 pub mod var;
 pub mod violation;
 pub mod wire;
@@ -56,7 +55,6 @@ pub use postcard::{Postcard, PostcardCollector};
 pub use property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, Unless};
 pub use routing::{PinReason, Probe, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
 pub use snapshot::{MonitorSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use telemetry::{Recorder, SharedRecorder};
 pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};
 pub use violation::{ProvenanceMode, Violation};
 pub use wire::{Reader as WireReader, Writer as WireWriter};

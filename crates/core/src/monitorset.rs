@@ -67,18 +67,6 @@ impl MonitorSet {
         &self.monitors
     }
 
-    /// Attach a telemetry recorder per member, chosen by property name.
-    /// Members for which `make` returns `None` run uninstrumented.
-    pub fn attach_recorders(
-        &mut self,
-        mut make: impl FnMut(&str) -> Option<crate::telemetry::SharedRecorder>,
-    ) {
-        for m in &mut self.monitors {
-            let rec = make(&m.property().name);
-            m.set_recorder(rec);
-        }
-    }
-
     /// Process one event through every monitor whose property can react to
     /// its event class. Results are identical to unconditional fan-out: a
     /// masked-out member would have produced no effects (its clock catches

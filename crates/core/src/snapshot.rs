@@ -24,7 +24,7 @@
 //! events, violations) live in [`crate::wire`]; only the engine-private
 //! structures (instances, effects, stats) are encoded here.
 
-use crate::engine::{Effect, Instance, KillReason, MonitorStats, TimerKind};
+use crate::engine::{Effect, Instance, MonitorStats, TimerKind};
 use crate::violation::Violation;
 pub use crate::wire::SnapshotError;
 use crate::wire::{Reader, Writer};
@@ -36,6 +36,10 @@ use swmon_sim::trace::PacketId;
 pub const SNAPSHOT_VERSION: u16 = 1;
 
 const MAGIC: &[u8; 4] = b"SWMS";
+
+/// The one reason byte a `Kill` effect is written with ("cleared by an
+/// `unless`"); the layout keeps the byte, decode rejects any other.
+const KILL_CLEARED: u8 = 0;
 
 /// A complete, restorable image of one monitor's state.
 ///
@@ -244,14 +248,12 @@ fn write_effect(w: &mut Writer, eff: &Effect) {
                 }
             }
         }
-        Effect::Kill { idx, uid, expected_stage, reason } => {
+        Effect::Kill { idx, uid, expected_stage } => {
             w.u8(2);
             w.u64(*idx as u64);
             w.u64(*uid);
             w.u64(*expected_stage as u64);
-            w.u8(match reason {
-                KillReason::Cleared => 0,
-            });
+            w.u8(KILL_CLEARED);
         }
     }
 }
@@ -329,11 +331,10 @@ fn read_effect(r: &mut Reader<'_>) -> Result<Effect, SnapshotError> {
             let idx = r.len()?;
             let uid = r.u64()?;
             let expected_stage = r.len()?;
-            let reason = match r.u8()? {
-                0 => KillReason::Cleared,
-                t => return Err(SnapshotError::BadTag { what: "kill reason", tag: t }),
-            };
-            Ok(Effect::Kill { idx, uid, expected_stage, reason })
+            match r.u8()? {
+                KILL_CLEARED => Ok(Effect::Kill { idx, uid, expected_stage }),
+                t => Err(SnapshotError::BadTag { what: "kill reason", tag: t }),
+            }
         }
         t => Err(SnapshotError::BadTag { what: "effect", tag: t }),
     }

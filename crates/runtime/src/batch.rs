@@ -11,6 +11,7 @@ use std::sync::Arc;
 use swmon_core::{MonitorSnapshot, Property};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
+use swmon_telemetry::EngineProbe;
 
 /// An immutable slab of events shared by every shard of one dispatch
 /// round.
@@ -152,10 +153,9 @@ pub(crate) struct ShardLayout {
     pub(crate) props: Vec<(usize, Property)>,
     /// `lut[global]` locates the local replica (`None`: not hosted here).
     pub(crate) lut: Vec<Option<usize>>,
-    /// `probes[local]` is the engine-probe index (into the hub's
-    /// fixed-at-start per-property probe vector) for the local replica, or
-    /// `None` for properties deployed after the session started.
-    pub(crate) probes: Vec<Option<usize>>,
+    /// `probes[local]` is the local replica's engine probe: the hub's one
+    /// probe for the property's name, whichever epoch introduced it.
+    pub(crate) probes: Vec<Arc<EngineProbe>>,
 }
 
 /// The new shard configuration staged by a deploy's prepare phase. Built

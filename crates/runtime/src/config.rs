@@ -18,16 +18,12 @@ pub struct FaultPoint {
 
 /// Observability knobs (see `docs/TELEMETRY.md`). The counter layer is
 /// unconditional: it is the run's one statistics ledger —
-/// [`crate::RuntimeStats`] is read from it — on shared atomics so a live
-/// snapshot can be taken mid-run.
+/// [`crate::RuntimeStats`] and the per-property counts are read from it —
+/// on shared atomics so a live snapshot can be taken mid-run.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Attach per-property engine probes (event counts, occupancy, sampled
-    /// stage timing) to every monitor replica.
-    pub engine: bool,
-    /// Wall-time every N-th event per monitor (`0` disables timing while
-    /// keeping the counters). Sampling is what keeps instrumented
-    /// throughput within the 3% overhead budget.
+    /// Wall-time every N-th event per monitor replica into the property's
+    /// stage-time and occupancy histograms (`0` disables timing).
     pub stage_sample_every: u64,
     /// Span-trace every N-th input sequence number through the runtime's
     /// stages (`0` — the default — disables tracing entirely).
@@ -43,7 +39,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            engine: true,
             stage_sample_every: 64,
             trace_every: 0,
             trace_seed: 0,
@@ -56,7 +51,7 @@ impl TelemetryConfig {
     /// Everything off that can be off — the bare-throughput configuration
     /// the overhead benchmarks compare against.
     pub fn off() -> Self {
-        TelemetryConfig { engine: false, stage_sample_every: 0, ..Self::default() }
+        TelemetryConfig { stage_sample_every: 0, ..Self::default() }
     }
 }
 

@@ -85,11 +85,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use batch::{Arena, Msg, QuiesceAck, ShardLayout, ShardPrepare};
-use supervisor::{LoopExit, ShardOutcome, ShardSpec, Supervisor};
+use supervisor::{LoopExit, ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
-use swmon_telemetry::SpanStage;
+use swmon_telemetry::{EngineProbe, SpanStage};
 
 /// Construction-time and run-time runtime failures.
 #[derive(Debug)]
@@ -245,11 +245,8 @@ impl ShardedRuntime {
         let shards = self.cfg.shards;
         let hashed = self.router.routes().iter().filter(|r| r.is_hashed()).count();
         let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
-        let names: Vec<&str> = self.props.iter().map(|p| p.name.as_str()).collect();
-        let hub = TelemetryHub::new(shards, &names, &self.cfg.telemetry, hashed, pinned);
-        // The hub's engine probes are created per initial property, so the
-        // initial probe index is the identity.
-        let probe_idx: Vec<Option<usize>> = (0..self.props.len()).map(Some).collect();
+        let hub = TelemetryHub::new(shards, &self.cfg.telemetry, hashed, pinned);
+        let probes: Vec<_> = self.props.iter().map(|p| hub.engine(&p.name)).collect();
         let local_shards = (0..shards)
             .map(|s| {
                 let mut inject: Vec<u64> =
@@ -257,11 +254,10 @@ impl ShardedRuntime {
                 inject.sort_unstable();
                 let sup = Supervisor::new(ShardSpec {
                     shard: s,
-                    layout: shard_layout(&self.router, &self.props, &probe_idx, s),
+                    layout: shard_layout(&self.router, &self.props, &probes, s),
                     cfg: self.cfg.clone(),
                     inject,
                     probe: hub.shard(s).clone(),
-                    engines: hub.engines().to_vec(),
                     tracer: hub.tracer().clone(),
                     sink: sink.clone(),
                 });
@@ -272,7 +268,6 @@ impl ShardedRuntime {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.clone()),
             router: self.router.clone(),
-            probe_idx,
             shards: local_shards,
             arena: Arena::new(shards, self.cfg.batch),
             masks: vec![0u64; shards],
@@ -358,12 +353,13 @@ struct Shard {
 
 /// Shard `s`'s slice of a catalog: the properties `router` can ever
 /// deliver to it, the `global → local` lookup, and each local replica's
-/// engine-probe index (`probe_idx[global]`). The one layout builder, for
-/// the initial epoch and for every deploy.
+/// engine probe (`engines[global]`: the hub's probe for that property's
+/// *name*, so a series survives re-indexing and an added property has one).
+/// The one layout builder, for the initial epoch and for every deploy.
 fn shard_layout(
     router: &Router,
     catalog: &[Property],
-    probe_idx: &[Option<usize>],
+    engines: &[Arc<EngineProbe>],
     s: usize,
 ) -> ShardLayout {
     let hosted = router.properties_on(s);
@@ -373,7 +369,7 @@ fn shard_layout(
     for (local, &global) in hosted.iter().enumerate() {
         lut[global] = Some(local);
         props.push((global, catalog[global].clone()));
-        probes.push(probe_idx[global]);
+        probes.push(engines[global].clone());
     }
     ShardLayout { props, lut, probes }
 }
@@ -448,10 +444,6 @@ pub struct Session<'rt> {
     catalog: CatalogEpoch,
     /// Routing for the current epoch (rebuilt at every committed deploy).
     router: Router,
-    /// `probe_idx[i]` is current property `i`'s index into the hub's
-    /// fixed-at-start engine-probe catalog (`None` for properties deployed
-    /// after the session started).
-    probe_idx: Vec<Option<usize>>,
     /// Indexed by shard; all local or all remote between transitions.
     shards: Vec<Shard>,
     /// Staging arena — events are staged here whether shards are local or
@@ -811,30 +803,25 @@ impl Session<'_> {
             }
         }
         let router_next = Router::from_routes(routes, shards);
-        let probe_next: Vec<Option<usize>> = next
-            .origins()
-            .iter()
-            .map(|origin| match origin {
-                PropertyOrigin::Retained(prev) => self.probe_idx[*prev],
-                _ => None,
-            })
-            .collect();
         // Phase 2: stage the new configuration on every shard.
         let epoch = next.epoch();
+        let registered = self.hub.engines().len();
+        let probes: Vec<_> = next.properties().iter().map(|p| self.hub.engine(&p.name)).collect();
         let preps = adopts
             .into_iter()
             .enumerate()
             .map(|(s, adopt)| ShardPrepare {
                 epoch,
-                layout: shard_layout(&router_next, next.properties(), &probe_next, s),
+                layout: shard_layout(&router_next, next.properties(), &probes, s),
                 adopt,
             })
             .collect();
         if let Some((s, reason)) = self.prepare_all(preps)? {
             // Phase 3b: one shard could not stage — abort everywhere. No
             // live state was mutated, so rollback is the absence of a
-            // commit.
+            // commit (and of the probes this deploy registered).
             self.abort_all()?;
+            self.hub.engines().truncate(registered);
             return Err(self.reject(prior, format!("shard {s} failed to prepare: {reason}")));
         }
         // Phase 3a: commit everywhere. Infallible on the shard side.
@@ -851,7 +838,6 @@ impl Session<'_> {
         let removed = self.catalog.properties().len() - retained - upgraded;
         self.catalog = next;
         self.router = router_next;
-        self.probe_idx = probe_next;
         self.hub.deploys_applied.inc();
         self.hub.property_set_epoch.set(epoch);
         Ok(DeployOutcome { epoch, quiesce_nanos, retained, upgraded, added, removed })
@@ -908,12 +894,10 @@ impl Session<'_> {
         // cannot carry comes back with the shards.
         let mut stats = self.hub.final_stats();
         let mut records = Vec::new();
-        for ShardOutcome { report, gaps } in collected {
-            stats.gaps.extend(gaps);
-            for (_, engine) in &report.engine {
-                stats.absorb_engine(engine);
-            }
-            records.extend(report.records);
+        for shard in collected {
+            stats.gaps.extend(shard.gaps);
+            shard.engine.iter().for_each(|engine| stats.absorb_engine(engine));
+            records.extend(shard.records);
         }
         let records = merge::merge(records);
         if let Some(sink) = &self.sink {

@@ -30,14 +30,15 @@ use std::sync::{Arc, Once};
 
 use crate::batch::{Batch, EventBlock, ItemRef, Msg, QuiesceAck, ShardLayout, ShardPrepare};
 use crate::config::RuntimeConfig;
+use crate::merge::ViolationRecord;
 use crate::ring;
 use crate::sink::ViolationSink;
 use crate::stats::MonitoringGap;
 use crate::telemetry::ShardProbe;
-use crate::worker::{WorkerReport, WorkerState};
-use swmon_core::{Monitor, MonitorSnapshot, Property, SharedRecorder};
+use crate::worker::WorkerState;
+use swmon_core::{Monitor, MonitorSnapshot, MonitorStats, Property};
 use swmon_sim::time::Instant;
-use swmon_telemetry::{EngineProbe, SpanStage, SpanTracer};
+use swmon_telemetry::{SpanStage, SpanTracer};
 
 /// Message prefix of panics raised by deterministic fault injection.
 /// [`silence_injected_panics`] recognises it; anything else is a genuine
@@ -83,11 +84,6 @@ pub(crate) struct ShardSpec {
     pub(crate) inject: Vec<u64>,
     /// This shard's telemetry probe (shared with the hub).
     pub(crate) probe: Arc<ShardProbe>,
-    /// The hub's per-property engine probes, indexed by the layout's
-    /// probe indices. Attached to every replica when
-    /// [`crate::TelemetryConfig::engine`] is on, and re-attached after
-    /// recovery.
-    pub(crate) engines: Vec<Arc<EngineProbe>>,
     /// The run's span tracer (disabled unless configured).
     pub(crate) tracer: Arc<SpanTracer>,
     /// Optional live violation sink: checkpoint-stable records are
@@ -119,12 +115,14 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// What a supervised shard hands back on success: the two things its
+/// What a supervised shard hands back on success: the things its
 /// [`ShardProbe`] cannot carry. Every count lives in the probe.
 #[derive(Debug)]
 pub(crate) struct ShardOutcome {
-    /// The worker's report (the violation log, engine counters).
-    pub(crate) report: WorkerReport,
+    /// The shard's violation log, in discovery order.
+    pub(crate) records: Vec<ViolationRecord>,
+    /// Each hosted monitor's final engine counters.
+    pub(crate) engine: Vec<MonitorStats>,
     /// Shedding episodes, in input order.
     pub(crate) gaps: Vec<MonitoringGap>,
 }
@@ -136,7 +134,15 @@ pub(crate) struct ShardOutcome {
 struct Checkpoint {
     snapshots: Vec<MonitorSnapshot>,
     records_len: usize,
+}
+
+/// What one replica's engine probe has been told: the replica's event
+/// count at the last read (rewound with the replica on recovery, so
+/// replays count again) and its current share of the property's gauge.
+#[derive(Clone, Copy, Default)]
+struct Told {
     events: u64,
+    live: u64,
 }
 
 /// What the shard's driver does after [`Supervisor::handle`] returns.
@@ -207,17 +213,13 @@ struct PendingEpoch {
 /// without copying monitors or records.
 pub(crate) struct Supervisor {
     shard: usize,
-    props: Vec<(usize, Property)>,
     cfg: RuntimeConfig,
     state: WorkerState,
     checkpoint: Checkpoint,
     /// Staged next epoch between a deploy's prepare and commit/abort.
     pending: Option<PendingEpoch>,
-    /// `probe_lut[local]` is the hub engine-probe index attached to the
-    /// local replica ([`ShardLayout::probes`]); rewritten at deploy commit
-    /// (the hub's probe catalog is fixed at session start, so properties
-    /// added later have no probe).
-    probe_lut: Vec<Option<usize>>,
+    /// `told[local]` goes with the layout's `probes[local]`.
+    told: Vec<Told>,
     /// Remaining injected deploy-prepare failures (chaos testing): each
     /// one makes the next prepare panic inside its catch_unwind boundary.
     inject_deploy: usize,
@@ -241,7 +243,6 @@ pub(crate) struct Supervisor {
     restarts_left: u64,
     /// Every count this shard keeps: the supervisor has no private copy.
     probe: Arc<ShardProbe>,
-    engines: Vec<Arc<EngineProbe>>,
     tracer: Arc<SpanTracer>,
     sink: Option<Arc<dyn ViolationSink>>,
     /// Records already handed to the sink. Publication happens only at
@@ -258,22 +259,21 @@ impl fmt::Debug for Supervisor {
 
 impl Supervisor {
     pub(crate) fn new(spec: ShardSpec) -> Self {
-        let ShardLayout { props, lut, probes } = spec.layout;
-        let monitors = build_monitors(&spec.cfg, &spec.engines, &props, &probes, |_, _| None)
+        let monitors = build_monitors(&spec.cfg, &spec.layout.props, |_, _| None)
             .expect("fresh monitors restore nothing");
         let snapshots = monitors.iter().map(|(_, m)| m.snapshot()).collect();
-        let state = WorkerState::new(monitors, lut);
+        let told = vec![Told::default(); monitors.len()];
+        let state = WorkerState::new(spec.layout, monitors);
         let inject_deploy =
             spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
         let restarts_left = spec.cfg.max_restarts as u64;
         Supervisor {
             shard: spec.shard,
-            props,
             cfg: spec.cfg,
             state,
-            checkpoint: Checkpoint { snapshots, records_len: 0, events: 0 },
+            checkpoint: Checkpoint { snapshots, records_len: 0 },
             pending: None,
-            probe_lut: probes,
+            told,
             inject_deploy,
             journal: Vec::new(),
             journal_len: 0,
@@ -285,7 +285,6 @@ impl Supervisor {
             gaps: Vec::new(),
             restarts_left,
             probe: spec.probe,
-            engines: spec.engines,
             tracer: spec.tracer,
             sink: spec.sink,
             published: 0,
@@ -391,10 +390,37 @@ impl Supervisor {
             if self.in_gap {
                 self.probe.degraded_violations.add((self.state.records.len() - logged) as u64);
             }
+            self.read_engines(attempt.is_ok());
             match attempt {
                 Ok(()) => return Ok(()),
                 Err(payload) => self.recover(payload.as_ref())?,
             }
+        }
+    }
+
+    /// Add what the replicas did since the last read to their engine
+    /// probes: the events each examined (after every attempt — an unwound
+    /// one's applications happened, and their replays count again) and,
+    /// once an attempt `completed`, the change in its live instances,
+    /// making a property's gauge the sum over its replicas. Gauges skip an
+    /// unwound attempt's state: it is torn, and about to be replaced.
+    fn read_engines(&mut self, completed: bool) {
+        let probes = &self.state.layout.probes;
+        let replicas = self.state.monitors.iter().zip(probes).zip(&mut self.told);
+        let mut live_instances = 0;
+        for (((_, m), probe), told) in replicas {
+            probe.events.add(m.stats.events - told.events);
+            told.events = m.stats.events;
+            if completed {
+                let live = m.live_instances() as u64;
+                probe.live.add(live as i64 - told.live as i64);
+                told.live = live;
+                live_instances += live;
+            }
+        }
+        if completed {
+            self.probe.live_instances.set(live_instances);
+            self.probe.violations.set(self.state.records.len() as u64);
         }
     }
 
@@ -443,10 +469,6 @@ impl Supervisor {
         if let Some(end) = finish_at {
             self.state.finish(end, self.in_gap);
         }
-        self.probe.violations.set(self.state.records.len() as u64);
-        self.probe
-            .live_instances
-            .set(self.state.monitors.iter().map(|(_, m)| m.live_instances() as u64).sum());
     }
 
     /// Rebuild the crash domain from the last checkpoint and rewind the
@@ -462,12 +484,12 @@ impl Supervisor {
         self.restarts_left = left;
         let snapshots = &self.checkpoint.snapshots;
         self.state.monitors =
-            build_monitors(&self.cfg, &self.engines, &self.props, &self.probe_lut, |local, _| {
-                snapshots.get(local)
-            })
-            .map_err(|e| fail(budget - left, e))?;
+            build_monitors(&self.cfg, &self.state.layout.props, |local, _| snapshots.get(local))
+                .map_err(|e| fail(budget - left, e))?;
+        for (told, (_, m)) in self.told.iter_mut().zip(&self.state.monitors) {
+            told.events = m.stats.events;
+        }
         self.state.records.truncate(self.checkpoint.records_len);
-        self.state.events = self.checkpoint.events;
         self.journal_pos = 0;
         self.probe.restarts.inc();
         self.probe.recovery.record(t0.elapsed().as_nanos() as u64);
@@ -497,7 +519,6 @@ impl Supervisor {
         self.checkpoint = Checkpoint {
             snapshots: self.state.monitors.iter().map(|(_, m)| m.snapshot()).collect(),
             records_len: self.state.records.len(),
-            events: self.state.events,
         };
         self.journal.clear();
         self.journal_len = 0;
@@ -545,7 +566,7 @@ impl Supervisor {
             if inject {
                 panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard {shard}");
             }
-            build_monitors(&self.cfg, &self.engines, &layout.props, &layout.probes, |_, g| {
+            build_monitors(&self.cfg, &layout.props, |_, g| {
                 adopt.iter().find(|(ag, _)| *ag == g).map(|(_, snap)| snap)
             })
         }));
@@ -561,18 +582,24 @@ impl Supervisor {
 
     /// Deploy phase 3a: swap the staged epoch in and checkpoint under it,
     /// so any later recovery restores the *new* monitor set. Violations
-    /// logged from here on carry the new epoch.
+    /// logged from here on carry the new epoch. The outgoing replicas'
+    /// shares of their properties' gauges are retracted (a retired or
+    /// re-homed one no longer lives here), the incoming set's added.
     fn commit(&mut self, epoch: u64) {
         let Some(pending) = self.pending.take() else {
             debug_assert!(false, "commit without a staged prepare");
             return;
         };
         debug_assert_eq!(pending.epoch, epoch);
-        self.props = pending.layout.props;
-        self.probe_lut = pending.layout.probes;
+        for (probe, told) in self.state.layout.probes.iter().zip(&self.told) {
+            probe.live.add(-(told.live as i64));
+        }
+        let told = |(_, m): &(usize, Monitor)| Told { events: m.stats.events, live: 0 };
+        self.told = pending.monitors.iter().map(told).collect();
+        self.state.layout = pending.layout;
         self.state.monitors = pending.monitors;
-        self.state.lut = pending.layout.lut;
         self.state.epoch = epoch;
+        self.read_engines(true);
         self.force_checkpoint();
     }
 
@@ -601,21 +628,18 @@ impl Supervisor {
         }
         // End of input: every remaining record is final, publish the tail.
         self.publish_stable(self.state.records.len());
-        ShardOutcome { report: self.state.into_report(), gaps: self.gaps }
+        let engine = self.state.monitors.iter().map(|(_, m)| m.stats.clone()).collect();
+        ShardOutcome { records: self.state.records, engine, gaps: self.gaps }
     }
 }
 
 /// The one place a shard's monitors are built — for the initial epoch
 /// ([`Supervisor::new`]), after a crash (`recover`) and for a staged epoch
 /// (`prepare`): a fresh replica per hosted property, restored from
-/// `snapshot_for(local, global)` when that yields one, then — with engine
-/// telemetry on — attached to its hub probe (`probe_lut[local]`; `None`
-/// for properties the fixed-at-start probe catalog does not cover).
+/// `snapshot_for(local, global)` when that yields one.
 fn build_monitors<'a>(
     cfg: &RuntimeConfig,
-    engines: &[Arc<EngineProbe>],
     props: &[(usize, Property)],
-    probe_lut: &[Option<usize>],
     snapshot_for: impl Fn(usize, usize) -> Option<&'a MonitorSnapshot>,
 ) -> Result<Vec<(usize, Monitor)>, String> {
     let mut monitors = Vec::with_capacity(props.len());
@@ -624,14 +648,6 @@ fn build_monitors<'a>(
         if let Some(snap) = snapshot_for(local, *g) {
             m.restore(snap)
                 .map_err(|e| format!("snapshot restore for property {g} failed: {e}"))?;
-        }
-        if cfg.telemetry.engine {
-            if let Some(probe) =
-                probe_lut.get(local).copied().flatten().and_then(|i| engines.get(i))
-            {
-                let rec: SharedRecorder = probe.clone();
-                m.set_recorder(Some(rec));
-            }
         }
         monitors.push((*g, m));
     }
@@ -696,18 +712,17 @@ mod tests {
     /// supervisor counts, so the tests read their numbers there.
     fn spec(cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
         let cfg = cfg.normalized();
-        let hub = crate::telemetry::TelemetryHub::new(1, &["twice"], &cfg.telemetry, 0, 1);
+        let hub = crate::telemetry::TelemetryHub::new(1, &cfg.telemetry, 0, 1);
         ShardSpec {
             shard: 0,
             layout: ShardLayout {
                 props: vec![(0, repeat_prop())],
                 lut: vec![Some(0)],
-                probes: vec![Some(0)],
+                probes: vec![hub.engine("twice")],
             },
             cfg,
             inject,
             probe: hub.shard(0).clone(),
-            engines: hub.engines().to_vec(),
             tracer: hub.tracer().clone(),
             sink: None,
         }
@@ -762,17 +777,16 @@ mod tests {
 
     #[test]
     fn injected_panics_recover_to_identical_output() {
-        let (clean, _) = run_with(base_cfg(), vec![], 40);
+        let (clean, clean_probe) = run_with(base_cfg(), vec![], 40);
         let (faulty, probe) = run_with(base_cfg(), vec![3, 21, 33], 40);
         assert_eq!(probe.restarts.get(), 3);
         assert!(probe.replayed.get() > 0, "recovery replayed the journal gap");
         assert_eq!(probe.shed.get(), 0);
         assert_eq!(probe.processed.get(), 40, "each item counts once, replays apart");
-        let sig = |o: &ShardOutcome| {
-            o.report.records.iter().map(crate::merge::signature).collect::<Vec<_>>()
-        };
+        let sig =
+            |o: &ShardOutcome| o.records.iter().map(crate::merge::signature).collect::<Vec<_>>();
         assert_eq!(sig(&clean), sig(&faulty));
-        assert_eq!(clean.report.events, faulty.report.events);
+        assert_eq!(clean_probe.processed.get(), probe.processed.get());
     }
 
     #[test]
@@ -820,9 +834,8 @@ mod tests {
         assert_eq!(probe.shed.get(), 0);
         // Matches a fully fanned run of the same input byte for byte.
         let (fanned, _) = run_with(base_cfg(), vec![], 24);
-        let sig = |o: &ShardOutcome| {
-            o.report.records.iter().map(crate::merge::signature).collect::<Vec<_>>()
-        };
+        let sig =
+            |o: &ShardOutcome| o.records.iter().map(crate::merge::signature).collect::<Vec<_>>();
         assert_eq!(sig(&out), sig(&fanned));
     }
 

@@ -28,7 +28,7 @@
 //! Every counter is monotone — a live snapshot is always component-wise ≤
 //! the final one, and equal to it once the run has finished loss-free.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::TelemetryConfig;
 use crate::stats::{RuntimeStats, ShardStats};
@@ -105,25 +105,23 @@ pub struct TelemetryHub {
     /// Adaptive fanned→inline transitions.
     pub fan_ins: Counter,
     shards: Vec<Arc<ShardProbe>>,
-    engines: Vec<Arc<EngineProbe>>,
+    /// One probe per property *name*, in first-request order. Locked only
+    /// on cold paths: session start, deploy, export.
+    engines: Mutex<Vec<Arc<EngineProbe>>>,
+    stage_sample_every: u64,
     tracer: Arc<SpanTracer>,
     hashed_properties: usize,
     pinned_properties: usize,
 }
 
 impl TelemetryHub {
-    /// Build the hub for `shards` workers over the named properties.
+    /// Build the hub for `shards` workers.
     pub(crate) fn new(
         shards: usize,
-        property_names: &[&str],
         cfg: &TelemetryConfig,
         hashed_properties: usize,
         pinned_properties: usize,
     ) -> Arc<Self> {
-        let engines = property_names
-            .iter()
-            .map(|name| EngineProbe::new(name, if cfg.engine { cfg.stage_sample_every } else { 0 }))
-            .collect();
         Arc::new(TelemetryHub {
             events_in: Counter::new(),
             skipped: Counter::new(),
@@ -136,7 +134,8 @@ impl TelemetryHub {
             fan_outs: Counter::new(),
             fan_ins: Counter::new(),
             shards: (0..shards).map(|_| Arc::new(ShardProbe::default())).collect(),
-            engines,
+            engines: Mutex::new(Vec::new()),
+            stage_sample_every: cfg.stage_sample_every,
             tracer: Arc::new(SpanTracer::sampled(
                 cfg.trace_every,
                 cfg.trace_seed,
@@ -152,10 +151,22 @@ impl TelemetryHub {
         &self.shards[s]
     }
 
-    /// Per-property engine probes, in property order. Empty histograms and
-    /// zero counters when the engine layer is disabled.
-    pub fn engines(&self) -> &[Arc<EngineProbe>] {
-        &self.engines
+    /// The registered engine probes. (A rolled-back deploy truncates the
+    /// ones it registered; no replica ever reported to them.)
+    pub(crate) fn engines(&self) -> MutexGuard<'_, Vec<Arc<EngineProbe>>> {
+        self.engines.lock().expect("no holder of the probe registry can panic")
+    }
+
+    /// The engine probe for the property called `name`, registered on
+    /// first request: every replica of a property — on any shard, in any
+    /// epoch — and every property sharing its name reports to one series.
+    pub(crate) fn engine(&self, name: &str) -> Arc<EngineProbe> {
+        let mut engines = self.engines();
+        if let Some(probe) = engines.iter().find(|p| p.name() == name) {
+            return probe.clone();
+        }
+        engines.push(EngineProbe::new(name, self.stage_sample_every));
+        engines[engines.len() - 1].clone()
     }
 
     /// The span tracer (disabled unless configured).
@@ -272,7 +283,7 @@ impl TelemetryHub {
                 probe.ring_occupancy.snapshot(),
             ));
         }
-        for engine in &self.engines {
+        for engine in self.engines().iter() {
             let k = |name: &str| Key::labeled(name, "property", engine.name());
             page.counters.push((k(names::PROPERTY_EVENTS), engine.events.get()));
             page.gauges.push((k(names::PROPERTY_LIVE), engine.live.get()));
@@ -289,7 +300,10 @@ mod tests {
     use super::*;
 
     fn hub() -> Arc<TelemetryHub> {
-        TelemetryHub::new(2, &["fw", "dhcp"], &TelemetryConfig::default(), 1, 1)
+        let h = TelemetryHub::new(2, &TelemetryConfig::default(), 1, 1);
+        h.engine("fw");
+        h.engine("dhcp");
+        h
     }
 
     #[test]
@@ -339,9 +353,18 @@ mod tests {
 
     #[test]
     fn disabled_engine_layer_never_times() {
-        use swmon_core::Recorder;
-        let h = TelemetryHub::new(1, &["fw"], &TelemetryConfig::off(), 0, 1);
-        assert!(!h.engines()[0].should_time(0));
+        let h = TelemetryHub::new(1, &TelemetryConfig::off(), 0, 1);
+        assert!(!h.engine("fw").samples(0));
         assert!(!h.tracer().enabled());
+    }
+
+    #[test]
+    fn engine_probes_are_one_per_name() {
+        let h = hub();
+        assert!(Arc::ptr_eq(&h.engine("fw"), &h.engine("fw")));
+        assert!(!Arc::ptr_eq(&h.engine("fw"), &h.engine("nat")));
+        let page = h.export();
+        let series = page.counters.iter().filter(|(k, _)| k.name == names::PROPERTY_EVENTS);
+        assert_eq!(series.count(), 3);
     }
 }

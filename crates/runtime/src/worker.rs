@@ -4,67 +4,63 @@
 //! A worker panic — a genuine engine bug or an injected fault — can leave
 //! this state torn mid-event, so the supervisor ([`crate::supervisor`])
 //! drives it only inside a panic boundary and rebuilds it from the last
-//! checkpoint on unwind. Nothing in here touches channels or clocks; it is
+//! checkpoint on unwind. Nothing in here touches channels, and no output
+//! depends on its one clock use (sampled wall-timing of `process`); it is
 //! the purely deterministic part of a shard.
 
+use crate::batch::ShardLayout;
 use crate::merge::ViolationRecord;
-use swmon_core::{Monitor, MonitorStats};
+use swmon_core::Monitor;
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
-
-/// What a worker hands back when it finishes.
-#[derive(Debug)]
-pub(crate) struct WorkerReport {
-    /// Violations found by this shard's monitors, in discovery order.
-    pub(crate) records: Vec<ViolationRecord>,
-    /// Events this shard processed (batch items). Checkpointed and
-    /// restored with the records; read back by the recovery tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) events: u64,
-    /// Per-monitor engine counters, keyed by global property index.
-    pub(crate) engine: Vec<(usize, MonitorStats)>,
-}
 
 /// Sequence number recorded for violations discovered while draining
 /// timers at finish (no triggering event exists).
 pub(crate) const FLUSH_SEQ: u64 = u64::MAX;
 
-/// The mutable state a shard panic can corrupt: monitor replicas, the
-/// record log their violations are moved into, and the applied-event
-/// count. The replicas keep no violation history of their own (every
-/// violation is taken out as it is raised), so a checkpoint is their live
-/// state plus a length of `records`.
+/// The mutable state a shard panic can corrupt: monitor replicas and the
+/// record log their violations are moved into. The replicas keep no
+/// violation history of their own (every violation is taken out as it is
+/// raised), so a checkpoint is their live state plus a length of
+/// `records`.
 pub(crate) struct WorkerState {
-    /// Replicas paired with their global property index.
+    /// What the shard hosts: where each property's replica and engine
+    /// probe are. Replaced, with `monitors`, when a deploy commits.
+    pub(crate) layout: ShardLayout,
+    /// Replicas paired with their global property index, in layout order.
     pub(crate) monitors: Vec<(usize, Monitor)>,
-    /// `lut[global]` locates the local replica (`None`: not hosted here).
-    pub(crate) lut: Vec<Option<usize>>,
     /// The shard's violation log, in discovery order.
     pub(crate) records: Vec<ViolationRecord>,
-    /// Batch items applied.
-    pub(crate) events: u64,
     /// Catalog epoch stamped on every record (deploy provenance). Bumped
     /// by the supervisor when a deploy commits.
     pub(crate) epoch: u64,
 }
 
 impl WorkerState {
-    pub(crate) fn new(monitors: Vec<(usize, Monitor)>, lut: Vec<Option<usize>>) -> Self {
-        WorkerState { monitors, lut, records: Vec::new(), events: 0, epoch: 0 }
+    pub(crate) fn new(layout: ShardLayout, monitors: Vec<(usize, Monitor)>) -> Self {
+        WorkerState { layout, monitors, records: Vec::new(), epoch: 0 }
     }
 
     /// Run one routed event through every monitor its mask selects and
     /// move any violation it raises into the log. `in_gap`: the supervisor
     /// is currently shedding load, so provenance near this event is
-    /// incomplete and the violations are logged degraded.
+    /// incomplete and the violations are logged degraded. The replica's
+    /// engine probe says which of its applications to wall-time.
     pub(crate) fn apply(&mut self, seq: u64, mut mask: u64, ev: &NetEvent, in_gap: bool) {
-        self.events += 1;
         while mask != 0 {
             let global = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let Some(local) = self.lut.get(global).copied().flatten() else { continue };
+            let Some(local) = self.layout.lut.get(global).copied().flatten() else { continue };
             let (_, m) = &mut self.monitors[local];
-            m.process(ev);
+            let probe = &self.layout.probes[local];
+            if probe.samples(m.stats.events) {
+                let t0 = std::time::Instant::now();
+                m.process(ev);
+                probe.stage_nanos.record(t0.elapsed().as_nanos() as u64);
+                probe.occupancy.record(m.live_instances() as u64);
+            } else {
+                m.process(ev);
+            }
             log_raised(&mut self.records, m, global, seq, self.epoch, in_gap);
         }
     }
@@ -76,12 +72,6 @@ impl WorkerState {
             m.advance_to(end);
             log_raised(&mut self.records, m, *global, FLUSH_SEQ, self.epoch, in_gap);
         }
-    }
-
-    /// Consume the state into its final report.
-    pub(crate) fn into_report(self) -> WorkerReport {
-        let engine = self.monitors.iter().map(|(g, m)| (*g, m.stats.clone())).collect();
-        WorkerReport { records: self.records, events: self.events, engine }
     }
 }
 
@@ -114,6 +104,7 @@ mod tests {
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
     use swmon_sim::time::Instant;
     use swmon_sim::trace::{NetEvent, NetEventKind, PacketId, PortNo, SwitchId};
+    use swmon_telemetry::EngineProbe;
 
     fn repeat_prop() -> Property {
         let stage = |n: &str| {
@@ -162,7 +153,9 @@ mod tests {
         let mut lut = vec![None; 64];
         lut[3] = Some(0);
         lut[5] = Some(1);
-        let mut state = WorkerState::new(monitors, lut);
+        let probes = vec![EngineProbe::new("a", 2), EngineProbe::new("b", 2)];
+        let layout = ShardLayout { props: Vec::new(), lut, probes: probes.clone() };
+        let mut state = WorkerState::new(layout, monitors);
         state.apply(0, 1 << 3, &arrival(10, 1), false);
         state.apply(1, 1 << 3, &arrival(20, 1), false);
         state.finish(Instant::from_nanos(100), false);
@@ -170,27 +163,34 @@ mod tests {
             state.monitors.iter().all(|(_, m)| m.violations().is_empty()),
             "violations are moved into the log, not copied"
         );
-        let report = state.into_report();
-        assert_eq!(report.events, 2);
-        assert_eq!(report.records.len(), 1, "second same-src arrival completes stage b");
-        let r = &report.records[0];
+        // Every second application is timed; nothing else is written here.
+        assert_eq!(probes[0].stage_nanos.snapshot().count, 1);
+        assert_eq!(probes[0].occupancy.snapshot().count, 1);
+        assert_eq!(probes[1].stage_nanos.snapshot().count, 0);
+        assert_eq!(probes[0].events.get(), 0, "counts are the supervisor's to add");
+        assert_eq!(state.monitors[0].1.stats.events, 2);
+        assert_eq!(state.records.len(), 1, "second same-src arrival completes stage b");
+        let r = &state.records[0];
         assert_eq!((r.property, r.seq, r.rank), (3, 1, 1));
         assert_eq!(r.violation.time.as_nanos(), 20);
         assert!(!r.violation.degraded);
         // Monitor 5 saw nothing.
-        let stats5 = report.engine.iter().find(|(g, _)| *g == 5).unwrap();
-        assert_eq!(stats5.1.events, 0);
+        assert_eq!(state.monitors[1].1.stats.events, 0);
     }
 
     #[test]
     fn gap_violations_are_downgraded() {
         let monitors =
             vec![(0usize, swmon_core::Monitor::new(repeat_prop(), MonitorConfig::default()))];
-        let mut state = WorkerState::new(monitors, vec![Some(0)]);
+        let layout = ShardLayout {
+            props: Vec::new(),
+            lut: vec![Some(0)],
+            probes: vec![EngineProbe::new("p", 0)],
+        };
+        let mut state = WorkerState::new(layout, monitors);
         state.apply(0, 1, &arrival(10, 1), false);
         state.apply(1, 1, &arrival(20, 1), true);
-        let report = state.into_report();
-        assert!(report.records[0].violation.degraded);
-        assert!(report.records[0].violation.history.is_empty());
+        assert!(state.records[0].violation.degraded);
+        assert!(state.records[0].violation.history.is_empty());
     }
 }

@@ -12,6 +12,7 @@ use swmon_runtime::{
     DeployPlan, Outcome, RuntimeConfig, RuntimeError, RuntimeStats, ShardedRuntime,
 };
 use swmon_sim::time::{Duration, Instant};
+use swmon_telemetry::{names, Snapshot};
 use swmon_workloads::trace::multi_flow_trace;
 
 fn runtime(shards: usize) -> ShardedRuntime {
@@ -110,6 +111,19 @@ fn session_final(snapshots: &[RuntimeStats]) -> &RuntimeStats {
     snapshots.last().expect("at least one snapshot")
 }
 
+/// `property`'s value in a per-property series, if the page has one.
+fn of<'a, T>(series: &'a [(swmon_telemetry::Key, T)], name: &str, property: &str) -> Option<&'a T> {
+    let label = [("property".to_string(), property.to_string())];
+    let mut hits = series.iter().filter(|(k, _)| k.name == name && k.labels == label);
+    let hit = hits.next().map(|(_, value)| value);
+    assert!(hits.next().is_none(), "duplicate {name} series for {property}");
+    hit
+}
+
+fn events_of(page: &Snapshot, property: &str) -> Option<u64> {
+    of(&page.counters, names::PROPERTY_EVENTS, property).copied()
+}
+
 #[test]
 fn live_stats_track_recoveries_under_injected_faults() {
     swmon_runtime::silence_injected_panics();
@@ -134,21 +148,41 @@ fn live_stats_track_recoveries_under_injected_faults() {
         ],
         ..Default::default()
     };
-    let rt = ShardedRuntime::new(props, cfg).expect("valid");
+    let name = props[0].name.clone();
+    let end = Instant::from_nanos(u64::MAX / 2);
     let events = multi_flow_trace(16, 400, 0.4, 0.25, Duration::from_micros(2), 5);
+    let fault_free = RuntimeConfig { inject_faults: Vec::new(), ..cfg.clone() };
+    let fault_free = ShardedRuntime::new(props.clone(), fault_free).expect("valid");
+    let fault_free = fault_free.run(events.iter(), end).expect("nothing to recover from");
+
+    let rt = ShardedRuntime::new(props, cfg).expect("valid");
     let mut session = rt.start();
-    for ev in &events {
+    let mut examined = Vec::new();
+    for (i, ev) in events.iter().enumerate() {
         session.feed(ev).expect("recoverable faults only");
+        if i % 23 == 0 {
+            examined.extend(events_of(&session.telemetry().export(), &name));
+        }
     }
     // Every mid-run view reconciles even while shards crash and replay.
     let mid = session.live_stats();
     assert_eq!(mid.unaccounted_loss(), 0);
-    let out = session.finish(Instant::from_nanos(u64::MAX / 2)).expect("recovers");
+    let out = session.finish(end).expect("recovers");
     assert!(out.stats.restarts >= 1, "at least one injected fault fired");
     assert_monotone(&mid, &out.stats, "mid-run under faults");
     assert_eq!(out.stats.unaccounted_loss(), 0);
     assert!(out.stats.replayed > 0 && out.stats.recovery_nanos > 0, "{:?}", out.stats);
     assert_final_equals_live(&out);
+    // The property's exported count never walks back across a recovery,
+    // and ends on every application: each event once, plus the replays.
+    let page = out.telemetry.export();
+    examined.extend(events_of(&page, &name));
+    assert!(examined.windows(2).all(|w| w[0] <= w[1]), "count regressed: {examined:?}");
+    assert_eq!(examined.last(), Some(&(out.stats.engine.events + out.stats.replayed)));
+    // Its live gauge is the state it holds, however it got there.
+    let live = |page: &Snapshot| of(&page.gauges, names::PROPERTY_LIVE, &name).copied();
+    assert_eq!(live(&page), live(&fault_free.telemetry.export()));
+    assert!(live(&page) > Some(0));
 }
 
 #[test]
@@ -182,5 +216,53 @@ fn final_stats_equal_the_live_view_across_deploys() {
     assert_eq!(stats.property_set_epoch, 1);
     assert!(stats.quiesce_nanos > 0, "both deploys quiesced the fleet");
     assert_eq!(stats.unaccounted_loss(), 0);
+    assert_final_equals_live(&out);
+}
+
+/// A property shipped by `Session::deploy` is as observable as one the
+/// session started with: its series appear with the commit (not with a
+/// rolled-back attempt), and an upgrade continues the series it replaces.
+#[test]
+fn hot_deployed_properties_are_observable() {
+    swmon_runtime::silence_injected_panics();
+    let cfg = RuntimeConfig {
+        shards: 2,
+        batch: 4,
+        checkpoint_every: 64,
+        // The first prepare on shard 0 panics: that deploy rolls back.
+        inject_deploy_faults: vec![0],
+        ..Default::default()
+    };
+    let original = firewall::return_not_dropped();
+    let added = firewall::return_not_dropped_within(Duration::from_millis(5));
+    let rt = ShardedRuntime::new(vec![original.clone()], cfg).expect("valid");
+    let events = multi_flow_trace(16, 600, 0.4, 0.25, Duration::from_micros(2), 9);
+    let mut session = rt.start();
+    let mut before_upgrade = 0;
+    for (i, ev) in events.iter().enumerate() {
+        session.feed(ev).expect("no worker faults injected");
+        if i == 100 {
+            session.deploy(&DeployPlan::add(added.clone())).expect_err("injected prepare fault");
+            let page = session.telemetry().export();
+            assert_eq!(events_of(&page, &added.name), None, "a rolled-back deploy adds no series");
+        }
+        if i == 200 {
+            session.deploy(&DeployPlan::add(added.clone())).expect("second attempt commits");
+        }
+        if i == 400 {
+            // Inline, so the count read next is everything fed so far.
+            session.fan_in().expect("no worker faults injected");
+            before_upgrade = events_of(&session.telemetry().export(), &original.name).unwrap();
+            let plan = DeployPlan::upgrade(original.name.clone(), original.clone());
+            assert_eq!(session.deploy(&plan).expect("upgrade commits").upgraded, 1);
+        }
+    }
+    let out = session.finish(Instant::from_nanos(u64::MAX / 2)).expect("run succeeds");
+    let page = out.telemetry.export();
+    assert!(events_of(&page, &added.name) > Some(0), "the added property counts");
+    let timed = of(&page.histograms, names::PROPERTY_STAGE_NANOS, &added.name);
+    assert!(timed.is_some_and(|h| h.count > 0), "the added property is timed");
+    assert!(before_upgrade > 0);
+    assert!(events_of(&page, &original.name) > Some(before_upgrade), "the series continues");
     assert_final_equals_live(&out);
 }

@@ -10,9 +10,9 @@
 //! * **[`metrics`]** — lock-free counters, gauges and fixed-bucket
 //!   histograms (`Relaxed` atomics, power-of-two buckets, no allocation on
 //!   the hot path).
-//! * **[`probe::EngineProbe`]** — the [`swmon_core::Recorder`]
-//!   implementation: per-property event counts, occupancy, and *sampled*
-//!   engine-stage wall timing.
+//! * **[`probe::EngineProbe`]** — one property's engine instruments:
+//!   event count and occupancy read from the engine at batch boundaries,
+//!   and *sampled* engine-stage wall timing.
 //! * **[`trace::SpanTracer`]** — seeded, sampled span tracing of an
 //!   event's lifecycle (router → queue → admission → application); off by
 //!   default.
@@ -22,9 +22,9 @@
 //! * **[`names`]** — the closed catalog of exported metric names, enforced
 //!   by the catalog test and the `telemetry-overhead` CI job.
 //!
-//! The overhead contract — instrumented throughput within 3% of bare — is
-//! measured by the `e13`/`e14`/`e15` overhead rows in `swmon-bench`; see
-//! `docs/TELEMETRY.md` for the metric catalog and current numbers.
+//! What the layer costs a session is measured, at catalog scale, by the
+//! benchmark's `telemetry.tax_pct`; see `docs/TELEMETRY.md` for the metric
+//! catalog, who writes each instrument, and the current numbers.
 
 pub mod annotate;
 pub mod export;

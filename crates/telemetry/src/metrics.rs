@@ -50,6 +50,13 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Move the value by a signed `delta` (wrapping), for a gauge several
+    /// writers each hold a share of: every writer adds the change in its
+    /// own share, and the value is the sum.
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta as u64, Ordering::Relaxed);
+    }
+
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -184,6 +191,9 @@ mod tests {
         g.set(9);
         g.set(3);
         assert_eq!(g.get(), 3);
+        g.add(4);
+        g.add(-6);
+        assert_eq!(g.get(), 1);
     }
 
     #[test]

@@ -67,10 +67,11 @@ pub const FAN_INS: &str = "swmon_fan_ins_total";
 /// send (histogram). Label: `shard`.
 pub const SHARD_RING_OCCUPANCY: &str = "swmon_shard_ring_occupancy";
 
-/// Per-property: events examined by the property's monitors — every
-/// application, including recovery replays. Label: `property`.
+/// Per-property: in-scope events examined, replays included (equal to
+/// `stats.engine.events` on a fault-free run). Label: `property`.
 pub const PROPERTY_EVENTS: &str = "swmon_property_events_total";
-/// Per-property: most recent instance-store occupancy. Label: `property`.
+/// Per-property: live instances — sum over replicas, as of each shard's
+/// last batch. Label: `property`.
 pub const PROPERTY_LIVE: &str = "swmon_property_live_instances";
 /// Per-property sampled engine-stage wall time in nanoseconds (histogram).
 /// Label: `property`.

@@ -1,12 +1,12 @@
-//! [`EngineProbe`] — the [`swmon_core::Recorder`] implementation.
+//! [`EngineProbe`] — one property's engine instruments.
 //!
-//! One probe per property. Every processed event pays one counter add and
-//! one gauge store; the engine-stage wall timing and the occupancy
-//! histogram are *sampled* (every `sample_every`-th event of that monitor),
-//! because two `Instant::now()` calls per event would be a measurable
-//! fraction of a sub-microsecond hot path. Sampling keeps the always-on
-//! overhead under the 3% budget while the histograms still converge on the
-//! true distributions.
+//! One probe per property *name*, shared by every replica of it. The
+//! engine is not instrumented: its owner reads it. The shard adds each
+//! replica's `MonitorStats::events` and `live_instances()` deltas at batch
+//! boundaries, and wall-times the applications [`EngineProbe::samples`]
+//! selects — two `Instant::now()` calls per event would be a measurable
+//! fraction of a sub-microsecond hot path, while the sampled histograms
+//! still converge on the true distributions.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::sync::Arc;
@@ -15,20 +15,22 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct EngineProbe {
     name: String,
-    /// Events this property's monitors examined (all replicas).
+    /// In-scope events this property's monitors examined (all replicas,
+    /// recovery replays included), as of each shard's last batch.
     pub events: Counter,
     /// Sampled wall time of one engine processing stage, nanoseconds.
     pub stage_nanos: Histogram,
     /// Sampled instance-store occupancy at event time.
     pub occupancy: Histogram,
-    /// Most recent instance-store occupancy (one replica's last report).
+    /// Live instances, summed over replicas, as of each shard's last
+    /// completed batch.
     pub live: Gauge,
     sample_every: u64,
 }
 
 impl EngineProbe {
     /// A probe for `name`, wall-timing every `sample_every`-th event
-    /// (`0` disables timing; counters and the gauge stay on).
+    /// (`0` disables timing; the counter and the gauge stay on).
     pub fn new(name: &str, sample_every: u64) -> Arc<Self> {
         Arc::new(EngineProbe {
             name: name.to_string(),
@@ -44,46 +46,22 @@ impl EngineProbe {
     pub fn name(&self) -> &str {
         &self.name
     }
-}
 
-impl swmon_core::Recorder for EngineProbe {
-    fn should_time(&self, seq: u64) -> bool {
+    /// Should a replica wall-time its `seq`-th event?
+    pub fn samples(&self, seq: u64) -> bool {
         self.sample_every != 0 && seq.is_multiple_of(self.sample_every)
-    }
-
-    fn event(&self, live_instances: usize, nanos: Option<u64>) {
-        self.events.inc();
-        self.live.set(live_instances as u64);
-        if let Some(n) = nanos {
-            self.stage_nanos.record(n);
-            self.occupancy.record(live_instances as u64);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swmon_core::Recorder;
 
     #[test]
     fn sampling_follows_the_configured_cadence() {
         let p = EngineProbe::new("fw", 4);
-        let timed: Vec<u64> = (0..10).filter(|&s| p.should_time(s)).collect();
+        let timed: Vec<u64> = (0..10).filter(|&s| p.samples(s)).collect();
         assert_eq!(timed, vec![0, 4, 8]);
-        assert!(!EngineProbe::new("fw", 0).should_time(0), "0 disables timing");
-    }
-
-    #[test]
-    fn events_count_always_and_histograms_only_when_timed() {
-        let p = EngineProbe::new("fw", 2);
-        p.event(3, None);
-        p.event(5, Some(900));
-        assert_eq!(p.name(), "fw");
-        assert_eq!(p.events.get(), 2);
-        assert_eq!(p.live.get(), 5);
-        assert_eq!(p.stage_nanos.snapshot().count, 1);
-        assert_eq!(p.occupancy.snapshot().count, 1);
-        assert_eq!(p.occupancy.snapshot().max, 5);
+        assert!(!EngineProbe::new("fw", 0).samples(0), "0 disables timing");
     }
 }
