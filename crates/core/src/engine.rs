@@ -137,7 +137,7 @@ pub(crate) enum TimerKind {
     Deadline,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Instance {
     /// Unique incarnation id, so deferred (split-mode) effects can never be
     /// mis-applied to a different instance that reused the slot.
@@ -155,7 +155,55 @@ pub(crate) struct Instance {
     pub(crate) cell: Option<usize>,
 }
 
+/// Hand-written for `clone_from`: a checkpoint image is patched slot by
+/// slot ([`Monitor::snapshot_into`]), and overwriting an image's instance
+/// in place reuses its `stage_ids`/`history` allocations.
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance {
+            uid: self.uid,
+            awaiting: self.awaiting,
+            bindings: self.bindings,
+            stage_ids: self.stage_ids.clone(),
+            history: self.history.clone(),
+            timer: self.timer,
+            cell: self.cell,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Instance { uid, awaiting, bindings, stage_ids, history, timer, cell } = source;
+        (self.uid, self.awaiting, self.bindings) = (*uid, *awaiting, *bindings);
+        self.stage_ids.clone_from(stage_ids);
+        self.history.clone_from(history);
+        (self.timer, self.cell) = (*timer, *cell);
+    }
+}
+
 type InstanceKey = (usize, Bindings);
+
+/// Names one moment at which a monitor and a checkpoint image held the
+/// same state: minted whenever [`Monitor::snapshot_into`] brings an image
+/// up to date, and written to both sides. Never serialized and only ever
+/// compared for equality, so its value cannot reach any output.
+pub(crate) type SyncToken = std::num::NonZeroU64;
+
+fn mint_sync_token() -> SyncToken {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the counter only has to hand out distinct values.
+    SyncToken::new(NEXT.fetch_add(1, Ordering::Relaxed)).expect("a u64 counter does not wrap")
+}
+
+/// The slots a monitor has written since it agreed with an image.
+#[derive(Debug)]
+struct Writes {
+    /// The agreement the writes are relative to: they patch the image
+    /// carrying the same token, and no other.
+    since: SyncToken,
+    /// Slots written since, in write order, repeats included.
+    slots: Vec<usize>,
+}
 
 /// Deferred state mutation (split mode). Each carries the *observation*
 /// time of the event that caused it: violations and windows are anchored to
@@ -241,6 +289,12 @@ pub struct Monitor {
     violations: Vec<Violation>,
     now: Instant,
     next_uid: u64,
+    /// Slot writes since this monitor last agreed with a checkpoint image
+    /// ([`Monitor::snapshot_into`], [`Monitor::restore`]). `None` while no
+    /// image is in step — nobody checkpoints this monitor, or the list
+    /// outgrew the slot array and was dropped — and then a write records
+    /// nothing and the next sync copies everything.
+    writes: Option<Writes>,
     /// Activity counters.
     pub stats: MonitorStats,
 }
@@ -286,6 +340,7 @@ impl Monitor {
             violations: Vec::new(),
             now: Instant::ZERO,
             next_uid: 0,
+            writes: None,
             stats: MonitorStats::default(),
         }
     }
@@ -630,6 +685,7 @@ impl Monitor {
                 self.slots.len() - 1
             }
         };
+        self.wrote(idx);
         let uid = self.next_uid;
         self.next_uid += 1;
         self.slots[idx] = Some(Instance {
@@ -690,6 +746,24 @@ impl Monitor {
                     }),
                     None => evict(rest, idx),
                 }
+            }
+        }
+    }
+
+    /// Note that slot `idx` changes, for the next
+    /// [`Monitor::snapshot_into`]. Every slot mutation goes through one of
+    /// three callers — `spawn`, `advance_instance_unindexed`,
+    /// `remove_instance` — and a dedup that only refreshes a timer writes
+    /// no slot. A list longer than the slot array would cost more to
+    /// replay than the full copy it saves, so it is dropped instead: the
+    /// memory held is O(slots) however rarely anyone syncs.
+    #[inline]
+    fn wrote(&mut self, idx: usize) {
+        if let Some(writes) = &mut self.writes {
+            if writes.slots.len() < self.slots.len() {
+                writes.slots.push(idx);
+            } else {
+                self.writes = None;
             }
         }
     }
@@ -760,6 +834,7 @@ impl Monitor {
         // may already have *extended* the bindings, but the key variable's
         // value is immutable once bound, so the bucket lookup still lands.
         self.bucket_remove(idx);
+        self.wrote(idx);
         let done = {
             let inst = self.slots[idx].as_mut().expect("live instance");
             if let Some(t) = inst.timer.take() {
@@ -828,6 +903,7 @@ impl Monitor {
     fn remove_instance(&mut self, idx: usize) {
         self.bucket_remove(idx);
         if let Some(inst) = self.slots[idx].take() {
+            self.wrote(idx);
             if let Some(t) = inst.timer {
                 self.timers.cancel(t);
             }
@@ -876,18 +952,77 @@ impl Monitor {
     /// are rebuilt on restore (candidate slots are sorted and deduplicated
     /// before evaluation, so bucket-internal order is not semantics-bearing).
     pub fn snapshot(&self) -> crate::snapshot::MonitorSnapshot {
-        crate::snapshot::MonitorSnapshot {
-            property: self.property.name.clone(),
-            stages: self.property.stages.len(),
-            slots: self.slots.clone(),
-            free: self.free.clone(),
-            timers: self.timers.snapshot(),
-            pending: self.pending.clone(),
-            violations: self.violations.clone(),
-            now: self.now,
-            next_uid: self.next_uid,
-            stats: self.stats.clone(),
+        let mut image = crate::snapshot::MonitorSnapshot::default();
+        self.write_image(&mut image, None);
+        image
+    }
+
+    /// Bring `image` up to this monitor's current state, at the cost of
+    /// what changed rather than what is live; afterwards `image` equals
+    /// [`Monitor::snapshot`] byte for byte. Returns the slots copied.
+    ///
+    /// When `image` is the one this monitor last synced into (or was last
+    /// restored from), only the slots written since are copied, plus the
+    /// small whole-value fields. Any other image — a fresh or decoded one,
+    /// another monitor's, one synced by someone else since — is overwritten
+    /// whole, as [`Monitor::snapshot`] would build it. Which it is, is
+    /// decided by a private identity on both sides, never by the caller: a
+    /// wrong base costs a full copy, it cannot produce a wrong image.
+    /// Either way the copy is in place and reuses `image`'s allocations.
+    ///
+    /// This is how the sharded runtime keeps its checkpoints; a monitor
+    /// that is never synced tracks nothing.
+    pub fn snapshot_into(&mut self, image: &mut crate::snapshot::MonitorSnapshot) -> usize {
+        let written = match self.writes.take() {
+            Some(Writes { since, mut slots }) if image.synced == Some(since) => {
+                slots.sort_unstable();
+                slots.dedup();
+                Some(slots)
+            }
+            _ => None,
+        };
+        self.write_image(image, written.as_deref());
+        // Heavy, and compiled out of release builds: every checkpoint any
+        // debug-build test takes checks the patched image against a fresh one.
+        debug_assert_eq!(image.to_bytes(), self.snapshot().to_bytes());
+        let copied = written.as_ref().map_or(self.slots.len(), Vec::len);
+        let since = mint_sync_token();
+        image.synced = Some(since);
+        let mut slots = written.unwrap_or_default();
+        slots.clear();
+        self.writes = Some(Writes { since, slots });
+        copied
+    }
+
+    /// Make `image` equal this monitor's state, nobody's base. Given
+    /// `written`, `image` holds an earlier state of this monitor from which
+    /// only those slots have changed; without it nothing is assumed of
+    /// `image` and every slot is copied.
+    fn write_image(&self, image: &mut crate::snapshot::MonitorSnapshot, written: Option<&[usize]>) {
+        // In place: a slot live on both sides keeps its box and its vectors.
+        let copy = |to: &mut Option<Box<Instance>>, from: &Option<Instance>| match (to, from) {
+            (Some(to), Some(from)) => to.as_mut().clone_from(from),
+            (to, from) => *to = from.clone().map(Box::new),
+        };
+        image.slots.resize(self.slots.len(), None);
+        match written {
+            Some(written) => {
+                written.iter().for_each(|&i| copy(&mut image.slots[i], &self.slots[i]))
+            }
+            None => {
+                image.property.clone_from(&self.property.name);
+                image.stages = self.property.stages.len();
+                image.slots.iter_mut().zip(&self.slots).for_each(|(to, from)| copy(to, from));
+            }
         }
+        image.free.clone_from(&self.free);
+        image.timers = self.timers.snapshot();
+        image.pending.clone_from(&self.pending);
+        image.violations.clone_from(&self.violations);
+        image.now = self.now;
+        image.next_uid = self.next_uid;
+        image.stats = self.stats.clone();
+        image.synced = None;
     }
 
     /// Replace this monitor's state with `snap`, previously taken from a
@@ -923,13 +1058,28 @@ impl Monitor {
                 }
             }
         }
+        let mut listed = vec![false; snap.slots.len()];
         for &f in &snap.free {
             if f >= snap.slots.len() || snap.slots[f].is_some() {
                 return Err(SnapshotError::Malformed("free-list entry is not an empty slot"));
             }
+            // Listed twice, the slot would be handed to two spawns and the
+            // second would overwrite the first's live instance.
+            if std::mem::replace(&mut listed[f], true) {
+                return Err(SnapshotError::Malformed("free-list names a slot twice"));
+            }
+        }
+        // The dedup index holds one slot per key; a second would stay live
+        // but unreachable.
+        let mut index = HashMap::with_capacity(snap.slots.len() - snap.free.len());
+        for (idx, inst) in snap.slots.iter().enumerate() {
+            let Some(inst) = inst else { continue };
+            if index.insert((inst.awaiting, inst.bindings), idx).is_some() {
+                return Err(SnapshotError::Malformed("two live instances share a dedup key"));
+            }
         }
 
-        self.slots = snap.slots.clone();
+        self.slots = snap.slots.iter().map(|slot| slot.as_deref().cloned()).collect();
         self.free = snap.free.clone();
         self.timers = TimerWheel::restore(&snap.timers);
         self.pending = snap.pending.clone();
@@ -939,9 +1089,11 @@ impl Monitor {
         self.stats = snap.stats.clone();
         self.scratch_effects.clear();
         self.scratch_candidates.clear();
+        // Equal to the image now, so whatever it is a base for, so is this.
+        self.writes = snap.synced.map(|since| Writes { since, slots: Vec::new() });
 
         // Rebuild the derived structures from the live slots.
-        self.index.clear();
+        self.index = index;
         self.cells = vec![None; capacity];
         self.buckets = (0..self.property.stages.len())
             .map(|s| match self.stage_keys.key(s) {
@@ -951,7 +1103,6 @@ impl Monitor {
             .collect();
         for idx in 0..self.slots.len() {
             let Some(inst) = self.slots[idx].as_ref() else { continue };
-            self.index.insert((inst.awaiting, inst.bindings), idx);
             if let Some(c) = inst.cell {
                 self.cells[c] = Some(idx);
             }
@@ -1438,6 +1589,116 @@ mod tests {
         assert_eq!(m.stats.window_expired, 1);
         assert_eq!(m.live_instances(), 0);
         assert_eq!(keyed_sizes(&m, 2), (0, 0));
+    }
+
+    // ---- checkpoint images (`snapshot_into`) ----------------------------
+
+    /// Sync `m` into `image`; the result must equal a fresh snapshot.
+    /// (Debug builds assert that inside `snapshot_into` too; this holds in
+    /// release as well.) Returns the slots copied.
+    fn synced(m: &mut Monitor, image: &mut crate::snapshot::MonitorSnapshot) -> usize {
+        let copied = m.snapshot_into(image);
+        assert_eq!(image.to_bytes(), m.snapshot().to_bytes());
+        copied
+    }
+
+    #[test]
+    fn a_sync_copies_the_slots_written_since_the_last_one() {
+        let mut m = Monitor::with_defaults(fw_timeout(Duration::from_millis(100)));
+        let mut image = Default::default();
+        for i in 0..40u8 {
+            m.process(&arrival(at(u64::from(i)), i + 1, 200, u64::from(i)));
+        }
+        assert_eq!(synced(&mut m, &mut image), 40, "nobody's base yet: a full copy");
+        assert_eq!(synced(&mut m, &mut image), 0, "nothing written since");
+        // A repeat only refreshes the incumbent's timer: no slot changes,
+        // yet the image's timer section must.
+        m.process(&arrival(at(50), 3, 200, 50));
+        assert_eq!(m.stats.refreshed, 1);
+        assert_eq!(synced(&mut m, &mut image), 0);
+        // One violation (slot freed), one new flow into that slot, one
+        // expiry sweep: the same slot written twice still copies once.
+        m.process(&dropped(at(51), 200, 7, 51));
+        m.process(&arrival(at(52), 99, 200, 52));
+        assert_eq!(synced(&mut m, &mut image), 1);
+        m.advance_to(at(149)); // every window but the refreshed and the new one
+        assert_eq!(m.stats.window_expired, 38);
+        assert_eq!(synced(&mut m, &mut image), 38);
+        assert_eq!(image.live_instances(), 2);
+    }
+
+    #[test]
+    fn a_never_synced_monitor_holds_no_write_list() {
+        // `MonitorSet`, the reference loop and every standalone user: a
+        // monitor nobody checkpoints must not pay for checkpointing.
+        let mut m = Monitor::with_defaults(fw_basic());
+        for i in 0..50_000u64 {
+            let host = (i % 251) as u8;
+            m.process(&arrival(at(i), host, 252, 2 * i));
+            m.process(&dropped(at(i), 252, host, 2 * i + 1));
+        }
+        assert_eq!(m.stats.events, 100_000);
+        assert_eq!((m.stats.spawned, m.stats.advanced), (50_000, 50_000));
+        assert!(m.writes.is_none());
+        // Nor does taking from-scratch snapshots start one.
+        let _ = m.snapshot();
+        m.process(&arrival(at(50_000), 1, 252, 0));
+        assert!(m.writes.is_none());
+    }
+
+    #[test]
+    fn a_write_list_never_outgrows_the_slots() {
+        // One flow opened and violated over and over between syncs: the
+        // list would grow with the run, so it is dropped and the next sync
+        // copies everything — all one slot of it.
+        let mut m = Monitor::with_defaults(fw_basic());
+        let mut image = Default::default();
+        m.process(&arrival(at(0), 1, 2, 0));
+        assert_eq!(synced(&mut m, &mut image), 1);
+        for i in 1..1000u64 {
+            m.process(&dropped(at(i), 2, 1, 2 * i));
+            m.process(&arrival(at(i), 1, 2, 2 * i + 1));
+            if let Some(writes) = &m.writes {
+                assert!(writes.slots.len() <= m.slots.len());
+            }
+        }
+        assert!(m.writes.is_none(), "dropped, not grown");
+        assert_eq!(synced(&mut m, &mut image), 1);
+        assert!(m.writes.is_some(), "a sync starts the next list");
+    }
+
+    #[test]
+    fn only_the_image_last_synced_into_is_patched() {
+        let mut m = Monitor::with_defaults(fw_basic());
+        let mut other = Monitor::with_defaults(fw_basic());
+        let (mut image, mut foreign) = Default::default();
+        for i in 0..10u8 {
+            m.process(&arrival(at(u64::from(i)), i + 1, 200, u64::from(i)));
+            other.process(&arrival(at(u64::from(i)), i + 101, 200, u64::from(i)));
+        }
+        assert_eq!(synced(&mut m, &mut image), 10);
+        assert_eq!(synced(&mut other, &mut foreign), 10);
+        m.process(&dropped(at(20), 200, 4, 20));
+        // Another monitor's image, a decoded one, a from-scratch one: none
+        // is this monitor's base, each is replaced whole.
+        assert_eq!(synced(&mut m, &mut foreign), 10);
+        m.process(&dropped(at(21), 200, 5, 21));
+        let mut decoded =
+            crate::snapshot::MonitorSnapshot::from_bytes(&foreign.to_bytes()).unwrap();
+        assert_eq!(synced(&mut m, &mut decoded), 10);
+        let mut scratch = m.snapshot();
+        assert_eq!(synced(&mut m, &mut scratch), 10);
+        // `image` fell behind while the others were synced: stale, so whole.
+        assert_eq!(synced(&mut m, &mut image), 10);
+        m.process(&dropped(at(22), 200, 6, 22));
+        assert_eq!(synced(&mut m, &mut image), 1, "and from here on it is the base again");
+        // A monitor restored from an image continues from it.
+        let mut revived = Monitor::with_defaults(fw_basic());
+        revived.restore(&image).unwrap();
+        revived.process(&dropped(at(23), 200, 7, 23));
+        assert_eq!(synced(&mut revived, &mut image), 1);
+        // Which leaves the original behind in turn.
+        assert_eq!(synced(&mut m, &mut image), 10);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! events, violations) live in [`crate::wire`]; only the engine-private
 //! structures (instances, effects, stats) are encoded here.
 
-use crate::engine::{Effect, Instance, MonitorStats, TimerKind};
+use crate::engine::{Effect, Instance, MonitorStats, SyncToken, TimerKind};
 use crate::violation::Violation;
 pub use crate::wire::SnapshotError;
 use crate::wire::{Reader, Writer};
@@ -47,11 +47,18 @@ const KILL_CLEARED: u8 = 0;
 /// [`Monitor::restore`](crate::Monitor::restore). The derived lookup
 /// structures (dedup index, stage buckets, capacity cells) are not part of
 /// the snapshot — they are rebuilt deterministically from the slots.
-#[derive(Debug, Clone)]
+///
+/// The `Default` image is of nothing — no property, no state, so no monitor
+/// restores from it: a place for
+/// [`Monitor::snapshot_into`](crate::Monitor::snapshot_into) to fill.
+#[derive(Debug, Clone, Default)]
 pub struct MonitorSnapshot {
     pub(crate) property: String,
     pub(crate) stages: usize,
-    pub(crate) slots: Vec<Option<Instance>>,
+    /// The monitor's slot array, each live instance in a box of its own:
+    /// an image that is patched for a whole run grows with the monitor's
+    /// state, and growing must move pointers, not instances.
+    pub(crate) slots: Vec<Option<Box<Instance>>>,
     pub(crate) free: Vec<usize>,
     pub(crate) timers: TimerWheelSnapshot<(usize, TimerKind)>,
     pub(crate) pending: Vec<(Instant, Effect)>,
@@ -59,6 +66,16 @@ pub struct MonitorSnapshot {
     pub(crate) now: Instant,
     pub(crate) next_uid: u64,
     pub(crate) stats: MonitorStats,
+    /// Set when a monitor brought this image up to date
+    /// ([`Monitor::snapshot_into`](crate::Monitor::snapshot_into)): the
+    /// moment the two agreed, which that monitor — and any restored from
+    /// this image — remembers too, and which makes this image the base its
+    /// next sync may patch instead of replace. A clone keeps it (same
+    /// state, as good a base; whichever is synced into moves on and leaves
+    /// the other stale). Not part of the encoding: a decoded image, like a
+    /// fresh [`Monitor::snapshot`](crate::Monitor::snapshot), is nobody's
+    /// base.
+    pub(crate) synced: Option<SyncToken>,
 }
 
 impl MonitorSnapshot {
@@ -143,7 +160,7 @@ impl MonitorSnapshot {
         for _ in 0..n_slots {
             slots.push(match r.u8()? {
                 0 => None,
-                1 => Some(read_instance(&mut r)?),
+                1 => Some(Box::new(read_instance(&mut r)?)),
                 t => return Err(SnapshotError::BadTag { what: "slot", tag: t }),
             });
         }
@@ -195,6 +212,7 @@ impl MonitorSnapshot {
             now,
             next_uid,
             stats,
+            synced: None,
         })
     }
 }
@@ -596,6 +614,78 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// `bytes` with its one occurrence of `from` overwritten by `to`.
+    fn patched(mut bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+        assert_eq!(from.len(), to.len());
+        let mut hits = (0..=bytes.len() - from.len()).filter(|&i| bytes[i..].starts_with(from));
+        let at = hits.next().expect("the pattern occurs");
+        assert!(hits.next().is_none(), "the pattern is ambiguous");
+        bytes[at..at + to.len()].copy_from_slice(to);
+        bytes
+    }
+
+    /// Sources 1–4 open; 1 and 2 are violated, which frees their slots.
+    /// The violations are taken, so bindings occur in the slots only.
+    fn two_live_two_free() -> MonitorSnapshot {
+        let mut m = Monitor::with_defaults(fw_timeout());
+        for src in 1..=4u8 {
+            m.process(&arrival(at(u64::from(src)), src, 99, u64::from(src)));
+        }
+        m.process(&dropped(at(10), 99, 1, 10));
+        m.process(&dropped(at(11), 99, 2, 11));
+        assert_eq!(m.take_violations().len(), 2);
+        let snap = m.snapshot();
+        assert_eq!((snap.live_instances(), snap.free.len()), (2, 2));
+        snap
+    }
+
+    /// A decoded image `restore` must refuse, leaving `target` as it was.
+    fn assert_restore_rejects(bytes: &[u8], reason: &str) {
+        let snap = MonitorSnapshot::from_bytes(bytes).expect("structurally valid");
+        let mut target = Monitor::with_defaults(fw_timeout());
+        target.process(&arrival(at(0), 7, 99, 0));
+        let before = target.snapshot().to_bytes();
+        match target.restore(&snap) {
+            Err(SnapshotError::Malformed(why)) => assert_eq!(why, reason),
+            other => panic!("restore returned {other:?}"),
+        }
+        assert_eq!(target.snapshot().to_bytes(), before, "a rejected restore touched the monitor");
+    }
+
+    #[test]
+    fn restore_rejects_a_free_list_naming_a_slot_twice() {
+        // Listed twice, a slot would go to two spawns, the second
+        // overwriting the first's live instance.
+        let snap = two_live_two_free();
+        let section = |free: &[usize]| {
+            let mut w = Writer::with_capacity(64);
+            w.u64(free.len() as u64);
+            free.iter().for_each(|&f| w.u64(f as u64));
+            w.into_bytes()
+        };
+        let mut twice = snap.free.clone();
+        twice[1] = twice[0];
+        let bytes = patched(snap.to_bytes(), &section(&snap.free), &section(&twice));
+        assert_restore_rejects(&bytes, "free-list names a slot twice");
+    }
+
+    #[test]
+    fn restore_rejects_two_live_instances_under_one_dedup_key() {
+        // The rebuilt index would keep one of them; the other would stay
+        // live but unreachable — never deduplicated against, never cleared.
+        let snap = two_live_two_free();
+        let mut live = snap.slots.iter().flatten();
+        let (a, b) = (live.next().unwrap(), live.next().unwrap());
+        assert_eq!(a.awaiting, b.awaiting);
+        let encoded = |inst: &Instance| {
+            let mut w = Writer::with_capacity(64);
+            w.bindings(&inst.bindings);
+            w.into_bytes()
+        };
+        let bytes = patched(snap.to_bytes(), &encoded(b), &encoded(a));
+        assert_restore_rejects(&bytes, "two live instances share a dedup key");
     }
 
     #[test]

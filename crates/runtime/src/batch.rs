@@ -130,17 +130,17 @@ impl Arena {
     }
 }
 
-/// What a quiesced shard reports back to the deploying session: a
-/// consistent snapshot of every hosted monitor, taken after the journal
-/// was fully drained and a forced checkpoint made the shard's output
-/// crash-stable.
+/// What a quiesced shard reports back to the deploying session: a copy
+/// of the images of the checkpoint it forced once the journal was fully
+/// drained — a consistent snapshot of every hosted monitor, and the one
+/// the shard itself would recover from.
 #[derive(Debug)]
 pub(crate) struct QuiesceAck {
-    /// `(global property index, snapshot)` for every monitor this shard
+    /// `(global property index, image)` for every monitor this shard
     /// hosts, under the *current* (pre-deploy) epoch's indexing.
     pub(crate) snapshots: Vec<(usize, MonitorSnapshot)>,
     /// Wall-clock nanoseconds the shard spent quiescing (journal drain +
-    /// forced checkpoint + snapshot encode).
+    /// forced checkpoint + a copy of its images).
     pub(crate) quiesce_nanos: u64,
 }
 

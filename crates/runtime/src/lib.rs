@@ -314,7 +314,7 @@ pub struct DeployOutcome {
     /// The epoch now in effect on every shard.
     pub epoch: u64,
     /// Per-shard quiesce pause in wall-clock nanoseconds (journal drain +
-    /// forced checkpoint + snapshot encode).
+    /// forced checkpoint + a copy of its images).
     pub quiesce_nanos: Vec<u64>,
     /// Properties carried across with their instance state intact.
     pub retained: usize,
@@ -727,7 +727,7 @@ impl Session<'_> {
     ///    any structural rejection happens before a shard is touched.
     /// 2. **Quiesce** — every shard drains its journal (crashing and
     ///    recovering here rides the normal supervision path), forces a
-    ///    checkpoint, and snapshots its monitors.
+    ///    checkpoint, and replies with a copy of its images.
     /// 3. **Prepare** — every shard builds the next epoch's monitor set
     ///    off to the side, restoring retained properties' snapshots
     ///    (re-homed when a pinned property's shard mapping changed). Any

@@ -78,7 +78,7 @@ pub struct RuntimeStats {
     /// failed prepare; the fleet continued under the prior epoch).
     pub deploys_rolled_back: u64,
     /// Wall-clock nanoseconds shards spent quiesced for deploys (journal
-    /// drain + forced checkpoint + snapshot encode), summed across shards.
+    /// drain + forced checkpoint + a copy of its images), summed across shards.
     pub quiesce_nanos: u64,
     /// Adaptive-ingress inline→fanned transitions this run (the initial
     /// fan-out of a non-adaptive session is not counted).

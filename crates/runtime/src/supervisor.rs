@@ -127,10 +127,11 @@ pub(crate) struct ShardOutcome {
     pub(crate) gaps: Vec<MonitoringGap>,
 }
 
-/// A consistent restart point: monitor snapshots — live state only, the
-/// replicas hold no violation history — plus how much of the shard's
-/// violation log was raised before them. Recovery truncates the log to
-/// `records_len` and replay re-raises the rest.
+/// A consistent restart point: one image per replica (none before the
+/// first checkpoint) — live state only, the replicas hold no violation
+/// history — plus how much of the shard's violation log was raised before
+/// them. Recovery truncates the log to `records_len` and replay re-raises
+/// the rest.
 struct Checkpoint {
     snapshots: Vec<MonitorSnapshot>,
     records_len: usize,
@@ -261,7 +262,6 @@ impl Supervisor {
     pub(crate) fn new(spec: ShardSpec) -> Self {
         let monitors = build_monitors(&spec.cfg, &spec.layout.props, |_, _| None)
             .expect("fresh monitors restore nothing");
-        let snapshots = monitors.iter().map(|(_, m)| m.snapshot()).collect();
         let told = vec![Told::default(); monitors.len()];
         let state = WorkerState::new(spec.layout, monitors);
         let inject_deploy =
@@ -271,7 +271,9 @@ impl Supervisor {
             shard: spec.shard,
             cfg: spec.cfg,
             state,
-            checkpoint: Checkpoint { snapshots, records_len: 0 },
+            // No images before the first checkpoint: a crash that early
+            // rebuilds the replicas fresh, which is what they were.
+            checkpoint: Checkpoint { snapshots: Vec::new(), records_len: 0 },
             pending: None,
             told,
             inject_deploy,
@@ -514,12 +516,22 @@ impl Supervisor {
     /// Take a checkpoint now. Requires a fully applied journal (callers:
     /// `maybe_checkpoint` after its guard, the quiesce barrier after a
     /// full drain, and deploy commit).
+    ///
+    /// The images are brought up to date in place
+    /// ([`Monitor::snapshot_into`]): a replica whose image is the one it
+    /// last synced into, or was restored from on recovery, copies the
+    /// slots it wrote since; any other pairing — the first checkpoint, a
+    /// deploy's new replica set — is a full copy, decided by the monitor.
     fn force_checkpoint(&mut self) {
         debug_assert_eq!(self.journal_pos, self.journal_len);
-        self.checkpoint = Checkpoint {
-            snapshots: self.state.monitors.iter().map(|(_, m)| m.snapshot()).collect(),
-            records_len: self.state.records.len(),
-        };
+        let t0 = std::time::Instant::now();
+        let images = &mut self.checkpoint.snapshots;
+        images.resize_with(self.state.monitors.len(), MonitorSnapshot::default);
+        let replicas = self.state.monitors.iter_mut().zip(images);
+        let copied: usize = replicas.map(|((_, m), image)| m.snapshot_into(image)).sum();
+        self.checkpoint.records_len = self.state.records.len();
+        self.probe.checkpoint_slots.add(copied as u64);
+        self.probe.checkpoint.record(t0.elapsed().as_nanos() as u64);
         self.journal.clear();
         self.journal_len = 0;
         self.journal_pos = 0;
@@ -537,14 +549,14 @@ impl Supervisor {
     /// Deploy phase 1: drain everything outstanding (crashing and
     /// recovering here follows the normal supervision path — a deploy
     /// racing a crash window rides on journal replay), force a checkpoint
-    /// so the shard's output is crash-stable, and snapshot every hosted
-    /// monitor for the session to re-route.
+    /// so the shard's output is crash-stable, and hand the session a copy
+    /// of that checkpoint's images to re-route.
     fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
         self.force_checkpoint();
-        let snapshots: Vec<(usize, MonitorSnapshot)> =
-            self.state.monitors.iter().map(|(g, m)| (*g, m.snapshot())).collect();
+        let images = self.state.monitors.iter().zip(&self.checkpoint.snapshots);
+        let snapshots = images.map(|((g, _), image)| (*g, image.clone())).collect();
         let nanos = t0.elapsed().as_nanos() as u64;
         self.probe.quiesce.record(nanos);
         Ok(QuiesceAck { snapshots, quiesce_nanos: nanos })
@@ -741,10 +753,14 @@ mod tests {
 
     /// Zero-copy batches of up to 8 events each, all destined to shard 0.
     fn batches(n: u64) -> Vec<Batch> {
+        batches_of(n, test_ev)
+    }
+
+    fn batches_of(n: u64, ev: impl Fn(u64) -> NetEvent) -> Vec<Batch> {
         let mut out = Vec::new();
         let mut arena = Arena::new(1, 8);
         for seq in 0..n {
-            if arena.push(seq, &test_ev(seq), &[1]) {
+            if arena.push(seq, &ev(seq), &[1]) {
                 out.extend(arena.seal(false).into_iter().map(|(_, b)| b));
             }
         }
@@ -882,6 +898,28 @@ mod tests {
         let (_, probe) = run_with(base_cfg(), vec![100_000], 20);
         assert_eq!(probe.restarts.get(), 0);
         assert_eq!(probe.processed.get(), 20);
+    }
+
+    #[test]
+    fn a_recovered_replica_keeps_patching_its_checkpoint_image() {
+        silence_injected_panics();
+        // Every event opens a new flow, a checkpoint every 8: each slot is
+        // written in exactly one window and copied by exactly one checkpoint.
+        let copied_with = |inject: Vec<u64>| {
+            let cfg = RuntimeConfig { shards: 1, checkpoint_every: 8, ..Default::default() };
+            let (mut sup, probe) = supervised(cfg, inject);
+            for batch in batches_of(96, |seq| arrival(10 * (seq + 1), seq as u8)) {
+                sup.handle(Msg::Events(batch)).unwrap();
+            }
+            assert_eq!(probe.checkpoints.get(), 12);
+            assert_eq!(probe.checkpoint.snapshot().count, 12, "one timed sample per checkpoint");
+            (probe.checkpoint_slots.get(), probe.restarts.get())
+        };
+        assert_eq!(copied_with(vec![]), (96, 0));
+        // A crash mid-window rebuilds the replica from its image, and the
+        // two stay a pair: the next checkpoint copies that window's 8
+        // slots, where an image that had lost its monitor would take all 56.
+        assert_eq!(copied_with(vec![50]), (96, 1));
     }
 
     #[test]

@@ -50,6 +50,12 @@ pub struct ShardProbe {
     pub restarts: Counter,
     /// Checkpoints taken.
     pub checkpoints: Counter,
+    /// Per-checkpoint wall time, nanoseconds: bringing every hosted
+    /// monitor's image up to date. One sample per checkpoint.
+    pub checkpoint: Histogram,
+    /// Instance slots copied into checkpoint images — what the checkpoints
+    /// cost, in the unit the engine's spawn/advance/clear counters use.
+    pub checkpoint_slots: Counter,
     /// Journal items re-applied during recoveries.
     pub replayed: Counter,
     /// Violations raised with downgraded provenance.
@@ -65,7 +71,7 @@ pub struct ShardProbe {
     /// [`RuntimeStats::recovery_nanos`].
     pub recovery: Histogram,
     /// Per-deploy quiesce pause, nanoseconds (journal drain + forced
-    /// checkpoint + snapshot encode). Empty until a deploy quiesces. Its
+    /// checkpoint + a copy of its images). Empty until a deploy quiesces. Its
     /// sum is [`RuntimeStats::quiesce_nanos`].
     pub quiesce: Histogram,
     /// Checkpoint-stable violation records published to the live store
@@ -262,6 +268,7 @@ impl TelemetryHub {
             page.counters.push(c(names::SHARD_SHED, probe.shed.get()));
             page.counters.push(c(names::SHARD_RESTARTS, probe.restarts.get()));
             page.counters.push(c(names::SHARD_CHECKPOINTS, probe.checkpoints.get()));
+            page.counters.push(c(names::SHARD_CHECKPOINT_SLOTS, probe.checkpoint_slots.get()));
             page.counters.push(c(names::SHARD_REPLAYED, probe.replayed.get()));
             page.counters.push(c(names::SHARD_DEGRADED, probe.degraded_violations.get()));
             page.counters.push(c(names::SHARD_VIOLATIONS, probe.violations.get()));
@@ -269,6 +276,10 @@ impl TelemetryHub {
             page.histograms.push((
                 Key::labeled(names::SHARD_QUEUE_DEPTH, "shard", s),
                 probe.queue_depth.snapshot(),
+            ));
+            page.histograms.push((
+                Key::labeled(names::SHARD_CHECKPOINT_NANOS, "shard", s),
+                probe.checkpoint.snapshot(),
             ));
             page.histograms.push((
                 Key::labeled(names::SHARD_RECOVERY_NANOS, "shard", s),

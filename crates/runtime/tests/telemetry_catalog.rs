@@ -23,7 +23,9 @@ fn run_sharded(shards: usize, telemetry: TelemetryConfig) -> (swmon_runtime::Out
         firewall::return_not_dropped_within(Duration::from_millis(5)),
     ];
     let nprops = props.len();
-    let cfg = RuntimeConfig { shards, batch: 8, telemetry, ..Default::default() };
+    // 1200 events: a cadence of 256 has every shard checkpoint.
+    let cfg =
+        RuntimeConfig { shards, batch: 8, checkpoint_every: 256, telemetry, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("valid properties");
     let out = rt.run(trace().iter(), END).expect("run succeeds");
     (out, nprops)
@@ -81,6 +83,13 @@ fn exported_counters_reconcile_with_final_stats() {
         counter(names::SHARD_VIOLATIONS),
         out.stats.per_shard.iter().map(|s| s.violations).sum::<u64>()
     );
+    // The checkpoint layer: one timed sample per checkpoint on each shard,
+    // and they copied something (how little: `tests/checkpoint_cost.rs`).
+    assert_eq!(counter(names::SHARD_CHECKPOINTS), out.stats.checkpoints);
+    assert!(out.stats.checkpoints > 0);
+    let timed = page.histograms.iter().filter(|(k, _)| k.name == names::SHARD_CHECKPOINT_NANOS);
+    assert_eq!(timed.map(|(_, h)| h.count).sum::<u64>(), out.stats.checkpoints);
+    assert!(counter(names::SHARD_CHECKPOINT_SLOTS) > 0);
     // Engine probes saw every monitor application (per-property fan-out).
     // Equality holds because this run is fault-free: with recoveries the
     // probes also count replays, which the restored MonitorStats do not.

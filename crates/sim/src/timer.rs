@@ -62,6 +62,13 @@ pub struct TimerWheelSnapshot<T> {
     pub next_seq: u64,
 }
 
+/// The image of a never-used wheel.
+impl<T> Default for TimerWheelSnapshot<T> {
+    fn default() -> Self {
+        TimerWheelSnapshot { entries: Vec::new(), next_id: 0, next_seq: 0 }
+    }
+}
+
 /// A set of armed timers, each carrying a payload of type `T`.
 ///
 /// Cancellation and refresh are O(log n) amortised: superseded heap entries
@@ -69,10 +76,12 @@ pub struct TimerWheelSnapshot<T> {
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     heap: BinaryHeap<Reverse<(Instant, u64, TimerId, u64)>>,
-    /// Live timers: id -> (current deadline, generation, payload). An id
-    /// missing here is cancelled; a heap entry whose generation disagrees is
-    /// stale (superseded by a refresh).
-    live: HashMap<TimerId, (Instant, u64, T)>,
+    /// Live timers by id, each with its current arming — the one heap
+    /// entry that speaks for it — so a snapshot is this map's values and
+    /// never walks the heap's tombstones. An id missing here is cancelled;
+    /// a heap entry whose generation disagrees is stale (superseded by a
+    /// refresh).
+    live: HashMap<TimerId, TimerEntry<T>>,
     next_id: u64,
     seq: u64,
 }
@@ -103,20 +112,16 @@ impl<T> TimerWheel<T> {
     pub fn schedule(&mut self, deadline: Instant, payload: T) -> TimerId {
         let id = TimerId(self.next_id);
         self.next_id += 1;
-        self.push_entry(deadline, id, 0);
-        self.live.insert(id, (deadline, 0, payload));
-        id
-    }
-
-    fn push_entry(&mut self, deadline: Instant, id: TimerId, gen: u64) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((deadline, seq, id, gen)));
+        self.heap.push(Reverse((deadline, seq, id, 0)));
+        self.live.insert(id, TimerEntry { deadline, seq, id, generation: 0, payload });
+        id
     }
 
     /// Cancel a timer, returning its payload if it was still live.
     pub fn cancel(&mut self, id: TimerId) -> Option<T> {
-        self.live.remove(&id).map(|(_, _, p)| p)
+        self.live.remove(&id).map(|a| a.payload)
     }
 
     /// Move a live timer's deadline (the paper's Feature 3 "reset whenever a
@@ -124,26 +129,29 @@ impl<T> TimerWheel<T> {
     /// A refreshed timer takes a fresh arming position for same-deadline
     /// tie-breaking, even when the deadline is unchanged.
     pub fn refresh(&mut self, id: TimerId, new_deadline: Instant) -> bool {
-        match self.live.get_mut(&id) {
-            Some((deadline, gen, _)) => {
-                *deadline = new_deadline;
-                *gen += 1;
-                let gen = *gen;
-                self.push_entry(new_deadline, id, gen);
-                true
-            }
-            None => false,
-        }
+        let Some(armed) = self.live.get_mut(&id) else { return false };
+        armed.deadline = new_deadline;
+        armed.generation += 1;
+        armed.seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse((new_deadline, armed.seq, id, armed.generation)));
+        true
     }
 
     /// The payload of a live timer.
     pub fn get(&self, id: TimerId) -> Option<&T> {
-        self.live.get(&id).map(|(_, _, p)| p)
+        self.live.get(&id).map(|a| &a.payload)
     }
 
     /// The current deadline of a live timer.
     pub fn deadline(&self, id: TimerId) -> Option<Instant> {
-        self.live.get(&id).map(|(d, _, _)| *d)
+        self.live.get(&id).map(|a| a.deadline)
+    }
+
+    /// Whether heap entry `(id, gen)` is `id`'s current arming (not
+    /// cancelled, not superseded by a refresh).
+    fn is_current(&self, id: TimerId, gen: u64) -> bool {
+        self.live.get(&id).is_some_and(|a| a.generation == gen)
     }
 
     /// The earliest live deadline, if any — what an event loop should sleep
@@ -151,12 +159,10 @@ impl<T> TimerWheel<T> {
     pub fn next_deadline(&mut self) -> Option<Instant> {
         loop {
             let &Reverse((deadline, _, id, gen)) = self.heap.peek()?;
-            match self.live.get(&id) {
-                Some((_, live_gen, _)) if *live_gen == gen => return Some(deadline),
-                _ => {
-                    self.heap.pop(); // stale or cancelled entry
-                }
+            if self.is_current(id, gen) {
+                return Some(deadline);
             }
+            self.heap.pop(); // stale or cancelled entry
         }
     }
 
@@ -164,25 +170,18 @@ impl<T> TimerWheel<T> {
     pub fn pop_due(&mut self, now: Instant) -> Option<(TimerId, Instant, T)> {
         loop {
             let &Reverse((deadline, _, id, gen)) = self.heap.peek()?;
-            if deadline > now {
-                // Earliest entry may still be stale; for pop we must check
-                // liveness before deciding nothing is due.
-                match self.live.get(&id) {
-                    Some((_, live_gen, _)) if *live_gen == gen => return None,
-                    _ => {
-                        self.heap.pop();
-                        continue;
-                    }
-                }
+            let current = self.is_current(id, gen);
+            // The earliest entry may be stale; for pop we must check
+            // liveness before deciding nothing is due.
+            if current && deadline > now {
+                return None;
             }
             self.heap.pop();
-            match self.live.get(&id) {
-                Some((_, live_gen, _)) if *live_gen == gen => {
-                    let (_, _, payload) = self.live.remove(&id).expect("checked live");
-                    return Some((id, deadline, payload));
-                }
-                _ => continue, // cancelled or refreshed; skip tombstone
+            if current {
+                let armed = self.live.remove(&id).expect("checked live");
+                return Some((id, deadline, armed.payload));
             }
+            // cancelled or refreshed; skip tombstone
         }
     }
 
@@ -203,20 +202,10 @@ impl<T: Clone> TimerWheel<T> {
     /// of every live timer plus both counters, so a [`TimerWheel::restore`]d
     /// wheel is behaviourally indistinguishable from the original: the same
     /// pops in the same order, and identical ids/tie-breaks for timers armed
-    /// *after* the restore.
+    /// *after* the restore. Costs the live timers, not the heap: tombstones
+    /// are never visited.
     pub fn snapshot(&self) -> TimerWheelSnapshot<T> {
-        let mut entries: Vec<TimerEntry<T>> = self
-            .heap
-            .iter()
-            .filter_map(|&Reverse((deadline, seq, id, generation))| {
-                match self.live.get(&id) {
-                    Some((_, live_gen, payload)) if *live_gen == generation => {
-                        Some(TimerEntry { deadline, seq, id, generation, payload: payload.clone() })
-                    }
-                    _ => None, // tombstone: cancelled or superseded
-                }
-            })
-            .collect();
+        let mut entries: Vec<TimerEntry<T>> = self.live.values().cloned().collect();
         entries.sort_unstable_by_key(|e| e.seq);
         TimerWheelSnapshot { entries, next_id: self.next_id, next_seq: self.seq }
     }
@@ -227,7 +216,7 @@ impl<T: Clone> TimerWheel<T> {
         let mut live = HashMap::with_capacity(snap.entries.len());
         for e in &snap.entries {
             heap.push(Reverse((e.deadline, e.seq, e.id, e.generation)));
-            live.insert(e.id, (e.deadline, e.generation, e.payload.clone()));
+            live.insert(e.id, e.clone());
         }
         TimerWheel { heap, live, next_id: snap.next_id, seq: snap.next_seq }
     }

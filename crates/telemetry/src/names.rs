@@ -26,6 +26,11 @@ pub const SHARD_SHED: &str = "swmon_shard_shed_total";
 pub const SHARD_RESTARTS: &str = "swmon_shard_restarts_total";
 /// Per-shard: checkpoints taken. Label: `shard`.
 pub const SHARD_CHECKPOINTS: &str = "swmon_shard_checkpoints_total";
+/// Per-shard wall time of each checkpoint in nanoseconds (histogram):
+/// bringing every hosted monitor's image up to date. Label: `shard`.
+pub const SHARD_CHECKPOINT_NANOS: &str = "swmon_shard_checkpoint_nanos";
+/// Per-shard: instance slots copied into checkpoint images. Label: `shard`.
+pub const SHARD_CHECKPOINT_SLOTS: &str = "swmon_shard_checkpoint_slots_total";
 /// Per-shard: journal items re-applied during recoveries. Label: `shard`.
 pub const SHARD_REPLAYED: &str = "swmon_shard_replayed_total";
 /// Per-shard: violations raised with downgraded provenance. Label: `shard`.
@@ -52,7 +57,7 @@ pub const DEPLOYS_APPLIED: &str = "swmon_deploys_applied_total";
 /// the fleet continued under the prior epoch.
 pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
 /// Per-shard quiesce pause during deploys, in nanoseconds (histogram):
-/// journal drain + forced checkpoint + snapshot encode. Label: `shard`.
+/// journal drain + forced checkpoint + a copy of its images. Label: `shard`.
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
 /// Ingress mode in effect: 0 inline (caller-thread supervision), 1 fanned
@@ -91,6 +96,8 @@ pub const ALL: &[&str] = &[
     SHARD_SHED,
     SHARD_RESTARTS,
     SHARD_CHECKPOINTS,
+    SHARD_CHECKPOINT_NANOS,
+    SHARD_CHECKPOINT_SLOTS,
     SHARD_REPLAYED,
     SHARD_DEGRADED,
     SHARD_VIOLATIONS,
@@ -127,6 +134,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 28);
+        assert_eq!(ALL.len(), 30);
     }
 }

@@ -6,9 +6,15 @@
 //! property the supervised runtime's crash recovery stands on
 //! (`crates/runtime/src/supervisor.rs`), checked here over the whole
 //! 21-property catalog rather than a single engine fixture.
+//!
+//! The runtime does not take those snapshots from scratch: it keeps one
+//! image per monitor and has the monitor patch it
+//! (`Monitor::snapshot_into`). The second half of this file holds that
+//! image to the same standard — after every sync, wherever the syncs fall,
+//! whatever image is handed in, it is byte-identical to a fresh `snapshot()`.
 
 use proptest::prelude::*;
-use swmon::monitor::{Monitor, MonitorConfig, MonitorSnapshot, ProvenanceMode};
+use swmon::monitor::{Monitor, MonitorConfig, MonitorSnapshot, ProcessingMode, ProvenanceMode};
 use swmon::packet::{Ipv4Address, MacAddr, Packet, PacketBuilder, TcpFlags};
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 
@@ -94,6 +100,120 @@ fn assert_cut_is_invisible(
         property.name
     );
     revived.violations().len()
+}
+
+/// Bring `image` up to date with `monitor`; it must then equal a snapshot
+/// taken from scratch. (Debug builds assert this inside `snapshot_into` as
+/// well; this holds under `--release` too.)
+fn sync(monitor: &mut Monitor, image: &mut MonitorSnapshot) {
+    monitor.snapshot_into(image);
+    assert_eq!(
+        image.to_bytes(),
+        monitor.snapshot().to_bytes(),
+        "patched image of {} differs from a fresh snapshot",
+        monitor.property().name
+    );
+}
+
+/// The engine configurations whose state an image has to carry: the
+/// default, pending split-mode effects, and a register-array store small
+/// enough that spawns evict.
+fn image_configs() -> [MonitorConfig; 3] {
+    let split = ProcessingMode::Split { lag: Duration::from_micros(120) };
+    [
+        MonitorConfig::default(),
+        MonitorConfig { mode: split, ..MonitorConfig::default() },
+        MonitorConfig { capacity: Some(3), ..MonitorConfig::default() },
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every catalog property under every configuration, random traces,
+    /// syncs at random points into one long-lived image: each sync leaves
+    /// the image equal to a fresh snapshot. Halfway, the monitor is thrown
+    /// away and rebuilt from the image — what crash recovery does — and
+    /// keeps syncing into that same image; the end state equals an
+    /// uninterrupted, never-synced run's.
+    #[test]
+    fn patched_images_equal_fresh_snapshots_across_the_catalog(
+        events in proptest::collection::vec(gen_event(), 1..50),
+        sync_at in proptest::collection::vec(any::<bool>(), 100),
+        cut_pct in 0usize..=100,
+    ) {
+        let trace = render_trace(&events, Duration::from_micros(50));
+        let cut = cut_pct * trace.len() / 100;
+        let end = trace.last().unwrap().time + Duration::from_secs(120);
+        for property in swmon_props::catalog() {
+            for cfg in image_configs() {
+                let mut reference = Monitor::new(property.clone(), cfg);
+                let mut monitor = Monitor::new(property.clone(), cfg);
+                let mut image = MonitorSnapshot::default();
+                for (i, ev) in trace.iter().enumerate() {
+                    if i == cut {
+                        sync(&mut monitor, &mut image);
+                        monitor = Monitor::new(property.clone(), cfg);
+                        monitor.restore(&image).expect("a monitor restores from its own image");
+                    }
+                    reference.process(ev);
+                    monitor.process(ev);
+                    if sync_at[i % sync_at.len()] {
+                        sync(&mut monitor, &mut image);
+                    }
+                }
+                reference.advance_to(end);
+                monitor.advance_to(end);
+                sync(&mut monitor, &mut image);
+                prop_assert_eq!(image.to_bytes(), reference.snapshot().to_bytes());
+            }
+        }
+    }
+
+    /// Whatever image a monitor is handed comes out equal to a fresh
+    /// snapshot: another monitor's, one decoded from bytes, a from-scratch
+    /// snapshot, a copy of its own image, and its own image gone stale
+    /// because one of those was synced in between. None of them may be
+    /// patched as if it were the image last synced into.
+    #[test]
+    fn any_image_comes_out_equal_to_a_fresh_snapshot(
+        events in proptest::collection::vec(gen_event(), 3..40),
+    ) {
+        let trace = render_trace(&events, Duration::from_micros(50));
+        // `ours` sees the whole trace, `theirs` only its last third; the
+        // stand-in images are synced one event apart, so each is handed in
+        // with writes outstanding against some other image.
+        let (head, tail) = trace.split_at(trace.len() / 3);
+        let (middle, tail) = tail.split_at(tail.len() / 2);
+        for property in swmon_props::catalog() {
+            for cfg in image_configs() {
+                let mut ours = Monitor::new(property.clone(), cfg);
+                let mut theirs = Monitor::new(property.clone(), cfg);
+                let (mut our_image, mut their_image) = Default::default();
+                head.iter().for_each(|ev| ours.process(ev));
+                sync(&mut ours, &mut our_image);
+                let mut standins = [
+                    MonitorSnapshot::from_bytes(&our_image.to_bytes()).unwrap(),
+                    ours.snapshot(),
+                    our_image.clone(),
+                ];
+                for (i, ev) in middle.iter().enumerate() {
+                    ours.process(ev);
+                    let n = standins.len();
+                    sync(&mut ours, &mut standins[i % n]);
+                }
+                for ev in tail {
+                    ours.process(ev);
+                    theirs.process(ev);
+                }
+                sync(&mut theirs, &mut their_image);
+                sync(&mut ours, &mut their_image);
+                // Synced elsewhere since: both original images are stale.
+                sync(&mut ours, &mut our_image);
+                sync(&mut theirs, &mut their_image);
+            }
+        }
+    }
 }
 
 proptest! {
