@@ -19,7 +19,6 @@ pub mod firewall;
 pub mod learning_switch;
 pub mod load_balancer;
 pub mod nat;
-pub mod output;
 pub mod port_knock;
 
 pub use arp_proxy::{ArpProxy, ArpProxyFault};

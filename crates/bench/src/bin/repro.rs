@@ -5,8 +5,8 @@
 //! ```text
 //! repro                         # run everything
 //! repro table1 e3               # run a subset
-//! repro e13 e14 --json          # also print machine-readable results
-//! repro e14 --json --quick      # small event counts (CI smoke)
+//! repro e15 e17 --json          # also print machine-readable results
+//! repro e16 --json --quick      # small event counts (CI smoke)
 //! repro stats --json            # telemetry page over the full catalog
 //! repro analyze --json          # proven facts + quantitative Table 2
 //! repro query 'degraded()'      # SWQL over a live catalog session
@@ -18,21 +18,22 @@
 //! envelope); under `--json` stdout carries one JSON document per
 //! experiment and nothing else — banners and tables go to stderr. A
 //! selector that names no experiment or subcommand exits 2 before anything
-//! runs. The process exits nonzero when any emitted result
-//! carries `"verified": false` (or `"reconciled": false`), a lint
+//! runs. The process exits nonzero when any emitted result failed its
+//! contract (an unverified row, an unreconciled ledger), a lint
 //! diagnostic gates, or a query fails to parse or verify — see
-//! `swmon_apps::output`.
+//! `swmon_bench::report`.
+//!
+//! `repro` checks contracts; it is not the stopwatch. Throughput, latency
+//! and per-layer cost are `benchmark/`'s (see `benchmark/README.md`).
 
-use swmon_apps::output::Emitter;
-use swmon_bench::experiments::{
-    e10, e11, e12, e13, e14, e15, e16, e17, e3, e4, e5, e6, e7, e8, e9, stats,
-};
+use swmon_bench::experiments::{e10, e11, e12, e15, e16, e17, e3, e4, e5, e6, e7, e8, e9, stats};
+use swmon_bench::report::Emitter;
 use swmon_bench::{analyze, lint, storequery};
 
 /// Every selector `repro` accepts, in run order.
-const SELECTORS: [&str; 23] = [
+const SELECTORS: [&str; 21] = [
     "table1", "e1", "table2", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-    "e13", "e14", "e15", "e16", "e17", "stats", "lint", "analyze", "query",
+    "e15", "e16", "e17", "stats", "lint", "analyze", "query",
 ];
 
 /// The selectors that name no experiment or subcommand — a typo must not
@@ -159,36 +160,21 @@ fn main() {
 
     let (flows, packets) = if quick { (64, 2_000) } else { (256, 20_000) };
 
-    if want("e13") {
-        em.section("E13 — sharded multi-core runtime scaling (extension)");
-        let o = e13::run(flows, packets, &e13::SHARD_COUNTS);
-        em.report(&e13::render(&o), &e13::to_json(&o));
-    }
-
-    if want("e14") {
-        em.section("E14 — single-thread hot-path throughput (extension)");
-        let o = e14::run(flows, packets);
-        em.report(&e14::render(&o), &e14::to_json(&o));
-    }
-
     if want("e15") {
         em.section("E15 — fault-tolerant runtime under chaos (extension)");
-        let o = e15::run(flows, packets);
-        em.report(&e15::render(&o), &e15::to_json(&o));
+        em.report(&e15::run(flows, packets));
     }
 
     if want("e16") {
         em.section("E16 — violation store: ingest, SWQL latency, live fidelity (extension)");
         let (sflows, spackets) = if quick { (24, 1_500) } else { (64, 6_000) };
         let synthetic = if quick { 120_000 } else { e16::SYNTHETIC_ROWS };
-        let o = e16::run(sflows, spackets, synthetic);
-        em.report(&e16::render(&o), &e16::to_json(&o));
+        em.report(&e16::run(sflows, spackets, synthetic));
     }
 
     if want("e17") {
         em.section("E17 — live property deployment: quiesce cost and rollback (extension)");
-        let o = e17::run(flows, packets);
-        em.report(&e17::render(&o), &e17::to_json(&o));
+        em.report(&e17::run(flows, packets));
     }
 
     if want("stats") {
@@ -205,12 +191,13 @@ fn main() {
             reconciled &= o.reconciled;
             docs.push(stats::to_json(&o));
         }
-        em.report(
+        em.emit(
             &format!(
                 "ledger reconciled at both shard counts: {}",
                 if reconciled { "yes" } else { "NO" }
             ),
             &format!("{{\"experiment\": \"stats\", \"runs\": [\n{}]}}", docs.join(",\n")),
+            reconciled,
         );
     }
 
@@ -259,9 +246,9 @@ mod tests {
     #[test]
     fn unknown_selectors_are_named_and_known_ones_pass() {
         let args: Vec<String> =
-            ["e13", "e99", "stats", "tabel1", "query"].iter().map(|s| s.to_string()).collect();
+            ["e15", "e13", "stats", "tabel1", "query"].iter().map(|s| s.to_string()).collect();
         let selectors: Vec<&String> = args.iter().collect();
-        assert_eq!(unknown_selectors(&selectors), ["e99", "tabel1"]);
+        assert_eq!(unknown_selectors(&selectors), ["e13", "tabel1"], "e13/e14 are retired");
         let all: Vec<String> = SELECTORS.iter().map(|s| s.to_string()).collect();
         assert!(unknown_selectors(&all.iter().collect::<Vec<_>>()).is_empty());
         assert!(unknown_selectors(&[]).is_empty(), "no selector means run everything");

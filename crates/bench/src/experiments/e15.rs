@@ -21,63 +21,35 @@
 //!    [`swmon_runtime::MonitoringGap`], zero unaccounted loss) — its
 //!    output intentionally differs from the reference, which is the point.
 
-use crate::TextTable;
+use crate::report::{Cell, Report};
 use std::time::Instant as WallInstant;
 use swmon_core::MonitorConfig;
 use swmon_runtime::{
     reference_records, signature, silence_injected_panics, FaultPoint, RuntimeConfig,
-    ShardedRuntime, TelemetryConfig,
+    ShardedRuntime,
 };
 use swmon_sim::time::{Duration, Instant};
-use swmon_sim::trace::NetEvent;
-use swmon_sim::{CrashWindow, FaultLog, FaultPlan, PortNo, SwitchId};
+use swmon_sim::{CrashWindow, FaultPlan, PortNo, SwitchId};
 use swmon_workloads::trace::lossy_trace;
 
 /// Shard count every supervised row runs at.
 pub const SHARDS: usize = 4;
 
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Human-readable configuration name.
-    pub label: String,
-    /// Worker threads (0 = the single-threaded reference loop).
-    pub shards: usize,
-    /// Wall-clock events per second.
-    pub events_per_sec: f64,
-    /// Merged violations found.
-    pub violations: usize,
-    /// Worker crash recoveries performed.
-    pub restarts: u64,
-    /// Journal items re-applied during recoveries.
-    pub replayed: u64,
-    /// Mean checkpoint-restore latency per recovery, microseconds.
-    pub recovery_us_mean: f64,
-    /// Events explicitly shed (journal bound hit).
-    pub shed: u64,
-    /// Violations reported with downgraded provenance.
-    pub degraded: u64,
-    /// Events neither processed nor explicitly shed — the zero-silent-loss
-    /// invariant; must be 0 in every row.
-    pub unaccounted: u64,
-    /// Telemetry tax versus the telemetry-off twin, percent. Only on the
-    /// instrumented fault-free row.
-    pub overhead_pct: Option<f64>,
-    /// Whether this row's contract held (see module docs: byte-identity
-    /// for recovery rows, the accounting contract for the degraded row).
-    pub verified: bool,
-}
-
-/// The experiment outcome.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Events in the (post-fault) workload trace.
-    pub events: usize,
-    /// What the fault plan did to the base traffic.
-    pub fault_log: FaultLog,
-    /// Reference first, then the supervised configurations.
-    pub rows: Vec<Row>,
-}
+/// What every row reports. `shards` 0 is the single-threaded reference
+/// loop; `recovery_us_mean` is checkpoint-restore latency per recovery;
+/// `unaccounted` — events neither processed nor explicitly shed, the
+/// zero-silent-loss invariant — must be 0 in every row.
+const COLUMNS: [&str; 9] = [
+    "shards",
+    "events_per_sec",
+    "violations",
+    "restarts",
+    "replayed",
+    "recovery_us_mean",
+    "shed",
+    "degraded",
+    "unaccounted",
+];
 
 /// The network fault plan: light but non-trivial loss, duplication and
 /// reordering, plus one switch crash window in the first quarter of the
@@ -107,74 +79,37 @@ fn crash_schedule(events: usize, count: usize) -> Vec<FaultPoint> {
         .collect()
 }
 
-fn run_supervised(
-    label: &str,
-    rt: &ShardedRuntime,
-    trace: &[NetEvent],
-    end: Instant,
-    ref_sigs: &[String],
-) -> Row {
-    let t0 = WallInstant::now();
-    let out = rt.run(trace, end).expect("supervised run survives its fault schedule");
-    let secs = t0.elapsed().as_secs_f64();
-    let s = &out.stats;
-    let gap_shed: u64 = s.gaps.iter().map(|g| g.shed).sum();
-    let accounting_holds = s.unaccounted_loss() == 0 && gap_shed == s.shed;
-    let verified = if s.shed == 0 {
-        // Recovery rows: byte-for-byte identity with the reference.
-        accounting_holds && out.signatures() == ref_sigs
-    } else {
-        // Degraded row: loss is intentional; the contract is accounting.
-        accounting_holds && s.degraded_violations > 0
-    };
-    Row {
-        label: label.to_string(),
-        shards: SHARDS,
-        events_per_sec: trace.len() as f64 / secs,
-        violations: out.records.len(),
-        restarts: s.restarts,
-        replayed: s.replayed,
-        recovery_us_mean: if s.restarts == 0 {
-            0.0
-        } else {
-            s.recovery_nanos as f64 / s.restarts as f64 / 1_000.0
-        },
-        shed: s.shed,
-        degraded: s.degraded_violations,
-        unaccounted: s.unaccounted_loss(),
-        overhead_pct: None,
-        verified,
-    }
-}
-
 /// Run the chaos benchmark over a `flows`-flow, `packets`-packet workload.
-pub fn run(flows: u32, packets: u32) -> Outcome {
+pub fn run(flows: u32, packets: u32) -> Report {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let span = Duration::from_micros(2) * u64::from(packets);
-    let (trace, fault_log) = lossy_trace(flows, packets, 13, &fault_plan(span));
+    let (trace, l) = lossy_trace(flows, packets, 13, &fault_plan(span));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
-    let cfg = MonitorConfig::default();
+
+    let mut report = Report::new("e15-fault-tolerance", &COLUMNS);
+    report.fact("events", trace.len());
+    report.fact("fault_dropped", l.dropped_events);
+    report.fact("fault_duplicated", l.duplicated_events);
+    report.fact("fault_reordered_units", l.reordered_units);
+    report.fact("fault_crash_lost", l.crash_lost_events);
+    report.fact("fault_oob_injected", l.oob_injected);
+    report.note(
+        "Events are counted after the network fault plan. Recovery rows must match the\n\
+         fault-free reference byte-for-byte; the degraded row must account every shed event\n\
+         (docs/FAULTS.md).",
+    );
 
     let t0 = WallInstant::now();
-    let reference = reference_records(&props, cfg, &trace, end);
+    let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
     let ref_secs = t0.elapsed().as_secs_f64();
     let ref_sigs: Vec<String> = reference.iter().map(signature).collect();
-
-    let mut rows = vec![Row {
-        label: "reference (1 thread)".into(),
-        shards: 0,
-        events_per_sec: trace.len() as f64 / ref_secs,
-        violations: reference.len(),
-        restarts: 0,
-        replayed: 0,
-        recovery_us_mean: 0.0,
-        shed: 0,
-        degraded: 0,
-        unaccounted: 0,
-        overhead_pct: None,
-        verified: true,
-    }];
+    // No runtime under the reference loop: its recovery and accounting
+    // columns do not apply.
+    let mut cells =
+        vec![0usize.into(), Cell::per_sec(trace.len(), ref_secs), reference.len().into()];
+    cells.resize(COLUMNS.len(), Cell::None);
+    report.row("reference (1 thread)", cells, true);
 
     let base_cfg = RuntimeConfig {
         shards: SHARDS,
@@ -183,184 +118,84 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
         checkpoint_every: 256,
         ..Default::default()
     };
-
-    // Fault-free pair: the telemetry-off twin first, then the default
-    // (instrumented) configuration carrying the overhead percentage — the
-    // telemetry tax measured under the full 21-property catalog.
-    let bare = ShardedRuntime::new(
-        props.clone(),
-        RuntimeConfig { telemetry: TelemetryConfig::off(), ..base_cfg.clone() },
-    )
-    .expect("catalog properties are valid");
-    let bare_row =
-        run_supervised("supervised, fault-free, telemetry off", &bare, &trace, end, &ref_sigs);
-    let bare_eps = bare_row.events_per_sec;
-    rows.push(bare_row);
-
-    let clean =
-        ShardedRuntime::new(props.clone(), base_cfg.clone()).expect("catalog properties are valid");
-    let mut clean_row = run_supervised("supervised, fault-free", &clean, &trace, end, &ref_sigs);
-    clean_row.overhead_pct =
-        Some(swmon_apps::output::overhead_pct(bare_eps, clean_row.events_per_sec));
-    rows.push(clean_row);
-
+    // One supervised configuration per row. `min_restarts` is how many
+    // injected crashes must really have fired for the row to count.
+    let mut supervised = |label: &str, cfg: RuntimeConfig, min_restarts: u64| {
+        let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
+        let t0 = WallInstant::now();
+        let out = rt.run(&trace, end).expect("supervised run survives its fault schedule");
+        let secs = t0.elapsed().as_secs_f64();
+        let s = &out.stats;
+        let gap_shed: u64 = s.gaps.iter().map(|g| g.shed).sum();
+        let accounting_holds = s.unaccounted_loss() == 0 && gap_shed == s.shed;
+        let contract = if s.shed == 0 {
+            // Recovery rows: byte-for-byte identity with the reference.
+            out.signatures() == ref_sigs
+        } else {
+            // Degraded row: loss is intentional; the contract is accounting.
+            s.degraded_violations > 0
+        };
+        let recovery_us_mean = if s.restarts == 0 {
+            0.0
+        } else {
+            s.recovery_nanos as f64 / s.restarts as f64 / 1_000.0
+        };
+        report.row(
+            label,
+            vec![
+                SHARDS.into(),
+                Cell::per_sec(trace.len(), secs),
+                out.records.len().into(),
+                s.restarts.into(),
+                s.replayed.into(),
+                recovery_us_mean.into(),
+                s.shed.into(),
+                s.degraded_violations.into(),
+                s.unaccounted_loss().into(),
+            ],
+            accounting_holds && contract && s.restarts >= min_restarts,
+        );
+    };
+    supervised("supervised, fault-free", base_cfg.clone(), 0);
     let crashes = crash_schedule(trace.len(), 5);
-    let chaotic = ShardedRuntime::new(
-        props.clone(),
-        RuntimeConfig { inject_faults: crashes.clone(), ..base_cfg.clone() },
-    )
-    .expect("catalog properties are valid");
-    let mut crash_row = run_supervised(
-        &format!("supervised, {} crashes", crashes.len()),
-        &chaotic,
-        &trace,
-        end,
-        &ref_sigs,
-    );
     // The headline claim needs real crashes: at least 3 must have fired.
-    crash_row.verified = crash_row.verified && crash_row.restarts >= 3;
-    rows.push(crash_row);
-
-    let starved = ShardedRuntime::new(props, RuntimeConfig { journal_limit: 24, ..base_cfg })
-        .expect("catalog properties are valid");
-    rows.push(run_supervised("degraded (journal=24)", &starved, &trace, end, &ref_sigs));
-
-    Outcome { events: trace.len(), fault_log, rows }
-}
-
-/// Printable report.
-pub fn render(o: &Outcome) -> String {
-    let mut t = TextTable::new(&[
-        "configuration",
-        "events/sec",
-        "violations",
-        "restarts",
-        "replayed",
-        "recovery µs",
-        "shed",
-        "degraded",
-        "unaccounted",
-        "overhead",
-        "verified",
-    ]);
-    for r in &o.rows {
-        t.row(vec![
-            r.label.clone(),
-            format!("{:.0}", r.events_per_sec),
-            r.violations.to_string(),
-            r.restarts.to_string(),
-            r.replayed.to_string(),
-            format!("{:.1}", r.recovery_us_mean),
-            r.shed.to_string(),
-            r.degraded.to_string(),
-            r.unaccounted.to_string(),
-            r.overhead_pct.map(|p| format!("{p:+.1}%")).unwrap_or_else(|| "-".into()),
-            if r.verified { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    let l = &o.fault_log;
-    format!(
-        "{}\n{} events after network faults (dropped {}, duplicated {}, reordered {} units,\n\
-         crash-lost {}, {} OOB injected). Recovery rows must match the fault-free reference\n\
-         byte-for-byte; the degraded row must account every shed event (docs/FAULTS.md).",
-        t.render(),
-        o.events,
-        l.dropped_events,
-        l.duplicated_events,
-        l.reordered_units,
-        l.crash_lost_events,
-        l.oob_injected,
-    )
-}
-
-/// The outcome as a JSON document (the `BENCH_faults.json` baseline).
-pub fn to_json(o: &Outcome) -> String {
-    let l = &o.fault_log;
-    let mut rows = String::new();
-    for (i, r) in o.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        let overhead = r.overhead_pct.map(|p| format!("{p:.2}")).unwrap_or_else(|| "null".into());
-        rows.push_str(&format!(
-            "    {{\"config\": \"{}\", \"shards\": {}, \"events_per_sec\": {:.0}, \
-             \"violations\": {}, \"restarts\": {}, \"replayed\": {}, \
-             \"recovery_us_mean\": {:.1}, \"shed\": {}, \"degraded\": {}, \
-             \"unaccounted\": {}, \"overhead_pct\": {}, \"verified\": {}}}",
-            r.label,
-            r.shards,
-            r.events_per_sec,
-            r.violations,
-            r.restarts,
-            r.replayed,
-            r.recovery_us_mean,
-            r.shed,
-            r.degraded,
-            r.unaccounted,
-            overhead,
-            r.verified
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"e15-fault-tolerance\",\n  \"events\": {},\n  \
-         \"fault_log\": {{\"dropped\": {}, \"duplicated\": {}, \"reordered_units\": {}, \
-         \"crash_lost\": {}, \"oob_injected\": {}}},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        o.events,
-        l.dropped_events,
-        l.duplicated_events,
-        l.reordered_units,
-        l.crash_lost_events,
-        l.oob_injected,
-        rows
-    )
+    supervised(
+        &format!("supervised, {} crashes", crashes.len()),
+        RuntimeConfig { inject_faults: crashes, ..base_cfg.clone() },
+        3,
+    );
+    supervised("degraded (journal=24)", RuntimeConfig { journal_limit: 24, ..base_cfg }, 0);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn row<'a>(o: &'a Outcome, label_part: &str) -> &'a Row {
-        o.rows
-            .iter()
-            .find(|r| r.label.contains(label_part))
-            .unwrap_or_else(|| panic!("no row labelled *{label_part}*"))
-    }
-
     #[test]
     fn every_row_verifies_at_smoke_scale() {
-        let o = run(24, 600);
-        assert_eq!(o.rows.len(), 5);
-        for r in &o.rows {
-            assert!(r.verified, "{r:?}");
-            assert_eq!(r.unaccounted, 0, "{r:?}");
+        let r = run(24, 600);
+        assert_eq!(r.len(), 4);
+        assert!(r.verified(), "{r:?}");
+        for config in ["fault-free", "crashes", "degraded"] {
+            assert_eq!(r.num(config, "unaccounted"), 0.0, "{r:?}");
         }
-        let crash_row = row(&o, "crashes");
-        assert!(crash_row.restarts >= 3, "{crash_row:?}");
-        assert!(crash_row.replayed > 0);
-        let degraded_row = row(&o, "degraded");
-        assert!(degraded_row.shed > 0, "{degraded_row:?}");
-        assert!(degraded_row.degraded > 0, "{degraded_row:?}");
-        // Only the instrumented fault-free row reports the telemetry tax.
-        assert!(row(&o, "telemetry off").overhead_pct.is_none());
-        let instrumented = o
-            .rows
-            .iter()
-            .find(|r| r.label == "supervised, fault-free")
-            .expect("instrumented fault-free row");
-        assert!(instrumented.overhead_pct.is_some(), "{instrumented:?}");
+        assert!(r.num("crashes", "restarts") >= 3.0, "{r:?}");
+        assert!(r.num("crashes", "replayed") > 0.0);
+        assert!(r.num("crashes", "recovery_us_mean") > 0.0);
+        assert!(r.num("degraded", "shed") > 0.0, "{r:?}");
+        assert!(r.num("degraded", "degraded") > 0.0, "{r:?}");
     }
 
     #[test]
     fn render_and_json_carry_the_contract_fields() {
-        let o = run(16, 300);
-        let txt = render(&o);
+        let r = run(16, 300);
+        let txt = r.render();
         assert!(txt.contains("reference (1 thread)"));
         assert!(txt.contains("crashes"));
-        assert!(txt.contains("telemetry off"));
-        let json = to_json(&o);
+        let json = r.to_json();
         assert!(json.contains("\"experiment\": \"e15-fault-tolerance\""));
         assert!(json.contains("\"unaccounted\": 0"));
-        assert!(json.contains("\"overhead_pct\""));
-        assert!(json.contains("\"fault_log\""));
+        assert!(json.contains("\"fault_dropped\""));
     }
 }

@@ -18,7 +18,7 @@
 //!    in the final sealed output and the runtime's
 //!    `unaccounted_loss() == 0` audit is undisturbed by publication.
 
-use crate::TextTable;
+use crate::report::{Cell, Report};
 use std::sync::Arc;
 use std::time::Instant as WallInstant;
 use swmon_core::{var, Bindings, Violation};
@@ -38,59 +38,10 @@ const SYNTH_SHARDS: u64 = 8;
 /// Nanoseconds between consecutive synthetic violations.
 const TICK_NS: u64 = 1_000;
 
-/// One measured SWQL query.
-#[derive(Debug, Clone)]
-pub struct QueryRow {
-    /// Query shape (`point`, `range`, `disjunctive`).
-    pub kind: &'static str,
-    /// The SWQL source executed.
-    pub swql: String,
-    /// Rows matched.
-    pub matches: u64,
-    /// Median query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile query latency, microseconds.
-    pub p99_us: f64,
-    /// True when the match count equals the index-free reference scan.
-    pub verified: bool,
-}
-
-/// The experiment outcome.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Synthetic violations ingested.
-    pub synthetic_rows: u64,
-    /// Store segments the synthetic ingest produced.
-    pub segments: usize,
-    /// Ingest throughput, violations per second (ingest calls only; row
-    /// generation is outside the timer).
-    pub ingest_per_sec: f64,
-    /// The measured queries over the synthetic store.
-    pub queries: Vec<QueryRow>,
-    /// Events in the catalog workload trace.
-    pub catalog_events: usize,
-    /// Violations in the catalog session's merged output.
-    pub catalog_violations: usize,
-    /// Encoded size of the sealed catalog store, bytes.
-    pub encoded_bytes: usize,
-    /// Store rows visible to the mid-run query.
-    pub live_rows: u64,
-    /// Runtime unaccounted loss observed at the mid-run query (must be 0).
-    pub live_unaccounted: u64,
-    /// True when the mid-run snapshot was prefix-consistent (every live
-    /// match present in the final sealed output, zero unaccounted loss).
-    pub live_verified: bool,
-    /// True when sealed `prop(*)` is byte-identical to the engine's merged
-    /// output and survives the encode/decode round-trip.
-    pub differential_verified: bool,
-}
-
-impl Outcome {
-    /// True when every contract held.
-    pub fn verified(&self) -> bool {
-        self.differential_verified && self.live_verified && self.queries.iter().all(|q| q.verified)
-    }
-}
+/// What every row reports. The three timed queries fill `p50_us` /
+/// `p99_us` (verified: the match count equals an index-free reference
+/// scan); the live catalog-session row fills `unaccounted` instead.
+const COLUMNS: [&str; 5] = ["swql", "matches", "p50_us", "p99_us", "unaccounted"];
 
 /// The `i`-th synthetic violation. `props` are the catalog property names
 /// (reused so the synthetic stream exercises realistic name cardinality).
@@ -123,9 +74,16 @@ fn percentiles(mut samples: Vec<f64>) -> (f64, f64) {
     (at(0.50), at(0.99))
 }
 
-/// Time `iters` executions of `swql` against `store` and verify the match
-/// count against `expected`.
-fn measure(store: &Store, kind: &'static str, swql: &str, expected: u64, iters: usize) -> QueryRow {
+/// Time `iters` executions of `swql` against `store` and add its row,
+/// verified when the match count equals `expected`.
+fn measure(
+    report: &mut Report,
+    store: &Store,
+    kind: &str,
+    swql: &str,
+    expected: u64,
+    iters: usize,
+) {
     let mut samples = Vec::with_capacity(iters);
     let mut matches = 0u64;
     for _ in 0..iters {
@@ -135,14 +93,11 @@ fn measure(store: &Store, kind: &'static str, swql: &str, expected: u64, iters: 
         matches = out.matches.len() as u64;
     }
     let (p50_us, p99_us) = percentiles(samples);
-    QueryRow {
+    report.row(
         kind,
-        swql: swql.to_string(),
-        matches,
-        p50_us,
-        p99_us,
-        verified: matches == expected,
-    }
+        vec![swql.into(), matches.into(), p50_us.into(), p99_us.into(), Cell::None],
+        matches == expected,
+    );
 }
 
 /// The catalog workload's network fault plan (same shape as E15's, fixed
@@ -166,7 +121,8 @@ fn fault_plan(span: Duration) -> FaultPlan {
 /// Run the store benchmark: `synthetic_rows` generated violations for the
 /// ingest/query half, a `flows`-flow `packets`-packet catalog session for
 /// the differential and live halves.
-pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Outcome {
+pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Report {
+    let mut report = Report::new("e16-violation-store", &COLUMNS);
     let props = swmon_props::catalog();
     let names: Vec<String> = props.iter().map(|p| p.name.clone()).collect();
 
@@ -185,7 +141,6 @@ pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Outcome {
         ingested += n;
         batch_no += 1;
     }
-    let ingest_per_sec = ingested as f64 / (ingest_nanos as f64 / 1e9);
 
     // Reference counts by an index-free scan of the same generated stream.
     let point_prop = names[0].as_str();
@@ -203,30 +158,21 @@ pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Outcome {
         expect_disj += u64::from(in_window && i % names.len() as u64 == 1 || i.is_multiple_of(101));
     }
     let iters = if synthetic_rows >= SYNTHETIC_ROWS { 64 } else { 16 };
-    let queries = vec![
-        measure(
-            &store,
-            "point",
-            &format!("prop({point_prop}), bind(PORT, 443)"),
-            expect_point,
-            iters,
-        ),
-        measure(
-            &store,
-            "range",
-            &format!("window({}, {})", window.0, window.1),
-            expect_range,
-            iters,
-        ),
-        measure(
-            &store,
+    report.fact("synthetic_rows", ingested);
+    report.fact("segments", store.segment_count());
+    report.fact("ingest_per_sec", Cell::per_sec(ingested as usize, ingest_nanos as f64 / 1e9));
+    let queries = [
+        ("point", format!("prop({point_prop}), bind(PORT, 443)"), expect_point),
+        ("range", format!("window({}, {})", window.0, window.1), expect_range),
+        (
             "disjunctive",
-            &format!("prop({}), window({}, {}) or degraded()", names[1], window.0, window.1),
+            format!("prop({}), window({}, {}) or degraded()", names[1], window.0, window.1),
             expect_disj,
-            iters,
         ),
     ];
-    let segments = store.segment_count();
+    for (kind, swql, expected) in &queries {
+        measure(&mut report, &store, kind, swql, *expected, iters);
+    }
     drop(store);
 
     // ---- 2 + 3. Catalog session with a live StoreSink -----------------
@@ -278,92 +224,25 @@ pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Outcome {
     differential_verified = differential_verified
         && reloaded.query_str("prop(*)").expect("prop(*) parses").signatures() == final_sigs;
 
-    Outcome {
-        synthetic_rows: ingested,
-        segments,
-        ingest_per_sec,
-        queries,
-        catalog_events: trace.len(),
-        catalog_violations: out.records.len(),
-        encoded_bytes: bytes.len(),
-        live_rows,
-        live_unaccounted,
+    report.fact("catalog_events", trace.len());
+    report.fact("catalog_violations", out.records.len());
+    report.fact("encoded_bytes", bytes.len());
+    report.row(
+        "live: mid-run snapshot is a prefix of the sealed output",
+        vec!["prop(*)".into(), live_rows.into(), Cell::None, Cell::None, live_unaccounted.into()],
         live_verified,
+    );
+    report.row(
+        "differential: sealed store equals the merge, and round-trips",
+        vec!["prop(*)".into(), sealed.total.into(), Cell::None, Cell::None, Cell::None],
         differential_verified,
-    }
-}
-
-/// Printable report.
-pub fn render(o: &Outcome) -> String {
-    let mut t = TextTable::new(&["query", "SWQL", "matches", "p50 µs", "p99 µs", "verified"]);
-    for q in &o.queries {
-        t.row(vec![
-            q.kind.to_string(),
-            q.swql.clone(),
-            q.matches.to_string(),
-            format!("{:.1}", q.p50_us),
-            format!("{:.1}", q.p99_us),
-            if q.verified { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    format!(
-        "{}\nIngested {} synthetic violations at {:.0}/sec into {} segments; query\n\
-         counts verified against an index-free reference scan.\n\
-         Catalog session ({} events, {} violations): sealed prop(*) byte-identical\n\
-         to the merge: {}; mid-run snapshot ({} rows, {} unaccounted) prefix-\n\
-         consistent: {}. Sealed store encodes to {} bytes (docs/STORE.md).",
-        t.render(),
-        o.synthetic_rows,
-        o.ingest_per_sec,
-        o.segments,
-        o.catalog_events,
-        o.catalog_violations,
-        if o.differential_verified { "yes" } else { "NO" },
-        o.live_rows,
-        o.live_unaccounted,
-        if o.live_verified { "yes" } else { "NO" },
-        o.encoded_bytes,
-    )
-}
-
-/// The outcome as a JSON document (the `BENCH_store.json` baseline).
-pub fn to_json(o: &Outcome) -> String {
-    let mut rows = String::new();
-    for (i, q) in o.queries.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"swql\": \"{}\", \"matches\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"verified\": {}}}",
-            q.kind,
-            q.swql.replace('"', "\\\""),
-            q.matches,
-            q.p50_us,
-            q.p99_us,
-            q.verified
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"e16-violation-store\",\n  \"synthetic_rows\": {},\n  \
-         \"segments\": {},\n  \"ingest_per_sec\": {:.0},\n  \"queries\": [\n{}\n  ],\n  \
-         \"catalog\": {{\"events\": {}, \"violations\": {}, \"encoded_bytes\": {}, \
-         \"differential_verified\": {}}},\n  \
-         \"live\": {{\"rows\": {}, \"unaccounted\": {}, \"verified\": {}}},\n  \
-         \"verified\": {}\n}}\n",
-        o.synthetic_rows,
-        o.segments,
-        o.ingest_per_sec,
-        rows,
-        o.catalog_events,
-        o.catalog_violations,
-        o.encoded_bytes,
-        o.differential_verified,
-        o.live_rows,
-        o.live_unaccounted,
-        o.live_verified,
-        o.verified()
-    )
+    );
+    report.note(
+        "Query rows: latency over the synthetic ingest, match counts verified against an\n\
+         index-free reference scan. Session rows: the full catalog under a live StoreSink\n\
+         (docs/STORE.md).",
+    );
+    report
 }
 
 #[cfg(test)]
@@ -372,31 +251,30 @@ mod tests {
 
     #[test]
     fn every_contract_holds_at_smoke_scale() {
-        let o = run(24, 800, 20_000);
-        assert_eq!(o.synthetic_rows, 20_000);
-        assert!(o.segments > 1, "multiple segments exercise cross-segment planning");
-        assert!(o.differential_verified, "{o:?}");
-        assert!(o.live_verified, "{o:?}");
-        assert_eq!(o.live_unaccounted, 0);
-        assert!(o.catalog_violations > 0, "catalog workload must violate");
-        for q in &o.queries {
-            assert!(q.verified, "{q:?}");
-        }
-        assert!(o.queries.iter().any(|q| q.matches > 0), "{:?}", o.queries);
-        assert!(o.verified());
+        let r = run(24, 800, 20_000);
+        assert_eq!(r.len(), 5);
+        assert!(r.verified(), "{r:?}");
+        assert_eq!(r.num("live", "unaccounted"), 0.0);
+        assert!(r.num("differential", "matches") > 0.0, "catalog workload must violate");
+        assert!(r.num("live", "matches") <= r.num("differential", "matches"));
+        assert!(r.num("range", "matches") > 0.0, "{r:?}");
+        assert!(r.num("point", "p99_us") >= r.num("point", "p50_us"));
     }
 
     #[test]
     fn render_and_json_carry_the_contract_fields() {
-        let o = run(16, 400, 10_000);
-        let txt = render(&o);
+        let r = run(16, 400, 10_000);
+        let txt = r.render();
         assert!(txt.contains("disjunctive"));
-        assert!(txt.contains("byte-identical"));
-        let json = to_json(&o);
+        assert!(txt.contains("sealed store equals the merge"));
+        let json = r.to_json();
         assert!(json.contains("\"experiment\": \"e16-violation-store\""));
-        assert!(json.contains("\"differential_verified\""));
+        assert!(json.contains("\"synthetic_rows\": 10000"));
+        assert!(
+            json.contains("\"segments\": 3"),
+            "multiple segments exercise cross-segment planning"
+        );
         assert!(json.contains("\"p99_us\""));
         assert!(json.ends_with("}\n"));
-        assert!(!json.contains("\"verified\": false"), "{json}");
     }
 }

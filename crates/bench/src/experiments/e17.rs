@@ -2,14 +2,14 @@
 //! plane (`docs/DEPLOY.md`) trades a per-shard quiesce barrier for the
 //! ability to change the property set without restarting the fleet. This
 //! experiment prices that trade over the full 21-property catalog on the
-//! E13 workload shape:
+//! `multi_flow_trace` workload:
 //!
 //! * **quiesce pause** — p50/p99 of the per-shard drain+checkpoint+
 //!   snapshot barrier, across every deploy of the row;
 //! * **throughput dip** — events/s of a session performing three
-//!   mid-stream deploys versus its no-deploy twin (the
-//!   [`swmon_apps::output::overhead_pct`] sign convention: positive =
-//!   deploys cost throughput);
+//!   mid-stream deploys versus its no-deploy twin, in percent of the twin
+//!   (positive = deploys cost throughput; one run each, so small values
+//!   of either sign are noise);
 //! * **rollback latency** — wall time for a deploy whose prepare phase
 //!   dies on one shard to reject and roll the fleet back.
 //!
@@ -21,7 +21,7 @@
 //! the rollback row must be byte-identical to a session that never
 //! attempted the plan. `"verified": false` anywhere fails `repro`.
 
-use crate::TextTable;
+use crate::report::{Cell, Report};
 use std::time::Instant as WallInstant;
 use swmon_core::{MonitorConfig, Property};
 use swmon_props::firewall;
@@ -38,45 +38,49 @@ pub const SHARDS: usize = 4;
 /// Deploys performed by the deploy rows.
 pub const DEPLOYS: usize = 3;
 
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Human-readable configuration name.
-    pub label: String,
-    /// Wall-clock events per second (deploy barriers included).
-    pub events_per_sec: f64,
-    /// Merged violations found.
-    pub violations: usize,
-    /// Deploys committed / rolled back.
-    pub deploys: u64,
-    /// Deploys rejected and rolled back.
-    pub rollbacks: u64,
-    /// Median per-shard quiesce pause, microseconds (0 when no deploy).
-    pub quiesce_p50_us: f64,
-    /// p99 per-shard quiesce pause, microseconds (0 when no deploy).
-    pub quiesce_p99_us: f64,
-    /// Wall time for the rejected deploy to roll back, microseconds.
-    pub rollback_us: Option<f64>,
-    /// Throughput dip versus the no-deploy twin, percent (positive =
-    /// deploys cost throughput). Only on deploy rows.
-    pub dip_pct: Option<f64>,
-    /// Worker crash recoveries performed.
-    pub restarts: u64,
-    /// Events neither processed nor explicitly shed; must be 0 everywhere.
-    pub unaccounted: u64,
-    /// Whether this row's differential contract held (see module docs).
-    pub verified: bool,
-}
+/// What every row reports. `deploys` / `rollbacks` are deploys committed /
+/// rejected and rolled back; the quiesce columns are the per-shard pause
+/// across the row's deploys; `rollback_us` is the wall time of the
+/// rejected deploy; `dip_pct` is the throughput dip versus the no-deploy
+/// twin; `unaccounted` must be 0 everywhere.
+const COLUMNS: [&str; 10] = [
+    "events_per_sec",
+    "violations",
+    "deploys",
+    "rollbacks",
+    "quiesce_p50_us",
+    "quiesce_p99_us",
+    "rollback_us",
+    "dip_pct",
+    "restarts",
+    "unaccounted",
+];
 
-/// The experiment outcome.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Events in the workload trace.
-    pub events: usize,
-    /// Worker shard count of the supervised rows.
-    pub shards: usize,
-    /// Reference first, then the supervised configurations.
-    pub rows: Vec<Row>,
+/// A supervised session's cells: throughput and final stats, plus what
+/// only some rows have (quiesce pauses in nanoseconds, a rollback time, a
+/// baseline events/s to report the dip against).
+fn session_cells(
+    out: &swmon_runtime::Outcome,
+    secs: f64,
+    mut quiesce: Vec<u64>,
+    rollback_us: Option<f64>,
+    baseline_eps: Option<f64>,
+) -> Vec<Cell> {
+    let s = &out.stats;
+    let eps = s.events_in as f64 / secs;
+    quiesce.sort_unstable();
+    vec![
+        Cell::Int(eps as u64),
+        out.records.len().into(),
+        s.deploys_applied.into(),
+        s.deploys_rolled_back.into(),
+        quantile_us(&quiesce, 0.50),
+        quantile_us(&quiesce, 0.99),
+        rollback_us.into(),
+        baseline_eps.map(|base| (base - eps) / base * 100.0).into(),
+        s.restarts.into(),
+        s.unaccounted_loss().into(),
+    ]
 }
 
 /// The hot-added properties: match-only firewall variants under fresh
@@ -92,14 +96,14 @@ fn sorted_name_sigs(records: &[ViolationRecord]) -> Vec<String> {
     v
 }
 
-/// `q`-th quantile of an unsorted sample, nearest-rank.
-fn quantile_us(samples: &mut [u64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// `q`-th quantile (nearest-rank) of a sorted sample of nanoseconds, in
+/// microseconds; no sample (a row without deploys), no cell.
+fn quantile_us(sorted: &[u64], q: f64) -> Cell {
+    if sorted.is_empty() {
+        return Cell::None;
     }
-    samples.sort_unstable();
-    let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-    samples[idx] as f64 / 1_000.0
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    (sorted[idx] as f64 / 1_000.0).into()
 }
 
 /// Worker panics spread across shards and across the trace.
@@ -157,31 +161,10 @@ fn deploy_oracle(
     expect
 }
 
-fn deploy_row(label: &str, run: DeployRun, expect: &[String], baseline_eps: f64) -> Row {
-    let mut q = run.quiesce;
-    let s = &run.out.stats;
-    let eps = s.events_in as f64 / run.secs;
-    Row {
-        label: label.to_string(),
-        events_per_sec: eps,
-        violations: run.out.records.len(),
-        deploys: s.deploys_applied,
-        rollbacks: s.deploys_rolled_back,
-        quiesce_p50_us: quantile_us(&mut q, 0.50),
-        quiesce_p99_us: quantile_us(&mut q, 0.99),
-        rollback_us: None,
-        dip_pct: Some(swmon_apps::output::overhead_pct(baseline_eps, eps)),
-        restarts: s.restarts,
-        unaccounted: s.unaccounted_loss(),
-        verified: s.unaccounted_loss() == 0
-            && s.deploys_applied == DEPLOYS as u64
-            && sorted_name_sigs(&run.out.records) == expect,
-    }
-}
-
 /// Run the deploy benchmark over a `flows`-flow, `packets`-packet
-/// workload (the E13 shape).
-pub fn run(flows: u32, packets: u32) -> Outcome {
+/// workload (`multi_flow_trace`, the shape `tests/runtime_differential.rs`
+/// sweeps).
+pub fn run(flows: u32, packets: u32) -> Report {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let trace = swmon_workloads::trace::multi_flow_trace(
@@ -193,27 +176,25 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
         13,
     );
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
-    let cfg = MonitorConfig::default();
 
-    // Reference row: the single-threaded loop, no deploys.
+    let mut report = Report::new("e17-deploy", &COLUMNS);
+    report.fact("events", trace.len());
+    report.fact("shards", SHARDS);
+    report.note(&format!(
+        "Deploy rows hot-add {DEPLOYS} properties mid-stream and must match the compositional\n\
+         oracle (full run for the retained catalog, suffix run for each hot-added property);\n\
+         the rollback row must be byte-identical to a session that never attempted its plan\n\
+         (docs/DEPLOY.md)."
+    ));
+
+    // Reference row: the single-threaded loop, no runtime and no deploys.
     let t0 = WallInstant::now();
-    let reference = reference_records(&props, cfg, &trace, end);
+    let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
     let ref_secs = t0.elapsed().as_secs_f64();
     let ref_sigs: Vec<String> = reference.iter().map(signature).collect();
-    let mut rows = vec![Row {
-        label: "reference (1 thread)".into(),
-        events_per_sec: trace.len() as f64 / ref_secs,
-        violations: reference.len(),
-        deploys: 0,
-        rollbacks: 0,
-        quiesce_p50_us: 0.0,
-        quiesce_p99_us: 0.0,
-        rollback_us: None,
-        dip_pct: None,
-        restarts: 0,
-        unaccounted: 0,
-        verified: true,
-    }];
+    let mut cells = vec![Cell::per_sec(trace.len(), ref_secs), reference.len().into()];
+    cells.resize(COLUMNS.len(), Cell::None);
+    report.row("reference (1 thread)", cells, true);
 
     let base_cfg = RuntimeConfig { shards: SHARDS, checkpoint_every: 256, ..Default::default() };
 
@@ -224,50 +205,39 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
     let twin_out = twin.run(&trace, end).expect("fault-free run cannot fail");
     let twin_secs = t0.elapsed().as_secs_f64();
     let baseline_eps = trace.len() as f64 / twin_secs;
-    rows.push(Row {
-        label: "supervised, no deploy".into(),
-        events_per_sec: baseline_eps,
-        violations: twin_out.records.len(),
-        deploys: 0,
-        rollbacks: 0,
-        quiesce_p50_us: 0.0,
-        quiesce_p99_us: 0.0,
-        rollback_us: None,
-        dip_pct: None,
-        restarts: 0,
-        unaccounted: twin_out.stats.unaccounted_loss(),
-        verified: twin_out.stats.unaccounted_loss() == 0 && twin_out.signatures() == ref_sigs,
-    });
-
-    // Three mid-stream hot-adds on a healthy fleet.
-    let clean =
-        ShardedRuntime::new(props.clone(), base_cfg.clone()).expect("catalog properties are valid");
-    let run_clean = run_with_deploys(&clean, &trace, end);
-    let expect = deploy_oracle(&props, cfg, &trace, end, &run_clean.deploy_points);
-    rows.push(deploy_row(
-        &format!("{DEPLOYS} live deploys (hot add)"),
-        run_clean,
-        &expect,
-        baseline_eps,
-    ));
-
-    // The same three deploys racing five injected worker crashes.
-    let crashes = crash_schedule(trace.len(), 5);
-    let chaotic = ShardedRuntime::new(
-        props.clone(),
-        RuntimeConfig { inject_faults: crashes.clone(), ..base_cfg.clone() },
-    )
-    .expect("catalog properties are valid");
-    let run_chaos = run_with_deploys(&chaotic, &trace, end);
-    let expect = deploy_oracle(&props, cfg, &trace, end, &run_chaos.deploy_points);
-    let mut crash_row = deploy_row(
-        &format!("{DEPLOYS} deploys racing {} crashes", crashes.len()),
-        run_chaos,
-        &expect,
-        baseline_eps,
+    report.row(
+        "supervised, no deploy",
+        session_cells(&twin_out, twin_secs, Vec::new(), None, None),
+        twin_out.stats.unaccounted_loss() == 0 && twin_out.signatures() == ref_sigs,
     );
-    crash_row.verified = crash_row.verified && crash_row.restarts >= 3;
-    rows.push(crash_row);
+
+    // `DEPLOYS` mid-stream hot-adds on a fleet configured by `cfg`, checked
+    // against the compositional oracle; the row counts only if at least
+    // `min_restarts` injected crashes really fired.
+    let mut deploy_row = |label: &str, cfg: RuntimeConfig, min_restarts: u64| {
+        let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
+        let run = run_with_deploys(&rt, &trace, end);
+        let expect =
+            deploy_oracle(&props, MonitorConfig::default(), &trace, end, &run.deploy_points);
+        let s = &run.out.stats;
+        let verified = s.unaccounted_loss() == 0
+            && s.deploys_applied == DEPLOYS as u64
+            && s.restarts >= min_restarts
+            && sorted_name_sigs(&run.out.records) == expect;
+        report.row(
+            label,
+            session_cells(&run.out, run.secs, run.quiesce, None, Some(baseline_eps)),
+            verified,
+        );
+    };
+    // On a healthy fleet, then racing five injected worker crashes.
+    deploy_row(&format!("{DEPLOYS} live deploys (hot add)"), base_cfg.clone(), 0);
+    let crashes = crash_schedule(trace.len(), 5);
+    deploy_row(
+        &format!("{DEPLOYS} deploys racing {} crashes", crashes.len()),
+        RuntimeConfig { inject_faults: crashes, ..base_cfg.clone() },
+        3,
+    );
 
     // Rejected deploy: one shard's prepare phase dies; the fleet must roll
     // back and finish byte-identical to never having attempted the plan.
@@ -291,150 +261,50 @@ pub fn run(flows: u32, packets: u32) -> Outcome {
     }
     let out = session.finish(end).expect("the fleet outlives the rollback");
     let secs = t0.elapsed().as_secs_f64();
-    rows.push(Row {
-        label: "rejected deploy (rollback)".into(),
-        events_per_sec: trace.len() as f64 / secs,
-        violations: out.records.len(),
-        deploys: out.stats.deploys_applied,
-        rollbacks: out.stats.deploys_rolled_back,
-        quiesce_p50_us: 0.0,
-        quiesce_p99_us: 0.0,
-        rollback_us: Some(rollback_us),
-        dip_pct: None,
-        restarts: out.stats.restarts,
-        unaccounted: out.stats.unaccounted_loss(),
-        verified: rejected
+    report.row(
+        "rejected deploy (rollback)",
+        session_cells(&out, secs, Vec::new(), Some(rollback_us), None),
+        rejected
             && out.stats.unaccounted_loss() == 0
             && out.stats.deploys_applied == 0
             && out.stats.deploys_rolled_back == 1
             && out.signatures() == ref_sigs,
-    });
-
-    Outcome { events: trace.len(), shards: SHARDS, rows }
-}
-
-/// Printable report.
-pub fn render(o: &Outcome) -> String {
-    let mut t = TextTable::new(&[
-        "configuration",
-        "events/sec",
-        "violations",
-        "deploys",
-        "rollbacks",
-        "quiesce p50 µs",
-        "quiesce p99 µs",
-        "rollback µs",
-        "dip",
-        "restarts",
-        "unaccounted",
-        "verified",
-    ]);
-    for r in &o.rows {
-        t.row(vec![
-            r.label.clone(),
-            format!("{:.0}", r.events_per_sec),
-            r.violations.to_string(),
-            r.deploys.to_string(),
-            r.rollbacks.to_string(),
-            format!("{:.1}", r.quiesce_p50_us),
-            format!("{:.1}", r.quiesce_p99_us),
-            r.rollback_us.map(|u| format!("{u:.1}")).unwrap_or_else(|| "-".into()),
-            r.dip_pct.map(|p| format!("{p:+.1}%")).unwrap_or_else(|| "-".into()),
-            r.restarts.to_string(),
-            r.unaccounted.to_string(),
-            if r.verified { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    format!(
-        "{}\n{} events, {} shards. Deploy rows hot-add {} properties mid-stream and must match\n\
-         the compositional oracle (full run for the retained catalog, suffix run for each\n\
-         hot-added property); the rollback row must be byte-identical to a session that never\n\
-         attempted its plan (docs/DEPLOY.md).",
-        t.render(),
-        o.events,
-        o.shards,
-        DEPLOYS,
-    )
-}
-
-/// The outcome as a JSON document (the `BENCH_deploy.json` baseline).
-pub fn to_json(o: &Outcome) -> String {
-    let mut rows = String::new();
-    for (i, r) in o.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        let rollback = r.rollback_us.map(|u| format!("{u:.1}")).unwrap_or_else(|| "null".into());
-        let dip = r.dip_pct.map(|p| format!("{p:.2}")).unwrap_or_else(|| "null".into());
-        rows.push_str(&format!(
-            "    {{\"config\": \"{}\", \"events_per_sec\": {:.0}, \"violations\": {}, \
-             \"deploys\": {}, \"rollbacks\": {}, \"quiesce_p50_us\": {:.1}, \
-             \"quiesce_p99_us\": {:.1}, \"rollback_us\": {}, \"dip_pct\": {}, \
-             \"restarts\": {}, \"unaccounted\": {}, \"verified\": {}}}",
-            r.label,
-            r.events_per_sec,
-            r.violations,
-            r.deploys,
-            r.rollbacks,
-            r.quiesce_p50_us,
-            r.quiesce_p99_us,
-            rollback,
-            dip,
-            r.restarts,
-            r.unaccounted,
-            r.verified
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"e17-deploy\",\n  \"events\": {},\n  \"shards\": {},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        o.events, o.shards, rows
-    )
+    );
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn row<'a>(o: &'a Outcome, label_part: &str) -> &'a Row {
-        o.rows
-            .iter()
-            .find(|r| r.label.contains(label_part))
-            .unwrap_or_else(|| panic!("no row labelled *{label_part}*"))
-    }
-
     #[test]
     fn every_row_verifies_at_smoke_scale() {
-        let o = run(24, 600);
-        assert_eq!(o.rows.len(), 5);
-        for r in &o.rows {
-            assert!(r.verified, "{r:?}");
-            assert_eq!(r.unaccounted, 0, "{r:?}");
+        let r = run(24, 600);
+        assert_eq!(r.len(), 5);
+        assert!(r.verified(), "{r:?}");
+        for config in ["no deploy", "live deploys", "racing", "rejected"] {
+            assert_eq!(r.num(config, "unaccounted"), 0.0, "{r:?}");
         }
-        let deploy = row(&o, "live deploys");
-        assert_eq!(deploy.deploys, DEPLOYS as u64);
-        assert!(deploy.quiesce_p99_us >= deploy.quiesce_p50_us);
-        assert!(deploy.quiesce_p50_us > 0.0, "a barrier costs something: {deploy:?}");
-        assert!(deploy.dip_pct.is_some());
-        let racing = row(&o, "racing");
-        assert!(racing.restarts >= 3, "{racing:?}");
-        let rollback = row(&o, "rejected");
-        assert_eq!(rollback.rollbacks, 1);
-        assert_eq!(rollback.deploys, 0);
-        assert!(rollback.rollback_us.is_some_and(|u| u > 0.0));
+        assert_eq!(r.num("live deploys", "deploys"), DEPLOYS as f64);
+        assert!(r.num("live deploys", "quiesce_p99_us") >= r.num("live deploys", "quiesce_p50_us"));
+        assert!(r.num("live deploys", "quiesce_p50_us") > 0.0, "a barrier costs something: {r:?}");
+        assert!(r.num("live deploys", "dip_pct").is_finite());
+        assert!(r.num("racing", "restarts") >= 3.0, "{r:?}");
+        assert_eq!(r.num("rejected", "rollbacks"), 1.0);
+        assert_eq!(r.num("rejected", "deploys"), 0.0);
+        assert!(r.num("rejected", "rollback_us") > 0.0);
     }
 
     #[test]
     fn render_and_json_carry_the_contract_fields() {
-        let o = run(16, 300);
-        let txt = render(&o);
-        assert!(txt.contains("quiesce p99"));
+        let r = run(16, 300);
+        let txt = r.render();
+        assert!(txt.contains("quiesce_p99_us"));
         assert!(txt.contains("rejected deploy (rollback)"));
-        let json = to_json(&o);
+        let json = r.to_json();
         assert!(json.contains("\"experiment\": \"e17-deploy\""));
         assert!(json.contains("\"quiesce_p99_us\""));
         assert!(json.contains("\"rollback_us\""));
         assert!(json.contains("\"unaccounted\": 0"));
-        assert!(!json.contains("\"verified\": false"));
     }
 }

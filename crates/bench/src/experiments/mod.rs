@@ -1,11 +1,10 @@
-//! The experiment implementations. Each module exposes a `run()` returning
-//! a structured result plus a `render()` producing the printable report.
+//! The experiment implementations. E3–E12 and `stats` expose a `run()`
+//! returning a structured result plus a `render()` producing the printable
+//! report; the contract runs E15–E17 return a [`crate::report::Report`].
 
 pub mod e10;
 pub mod e11;
 pub mod e12;
-pub mod e13;
-pub mod e14;
 pub mod e15;
 pub mod e16;
 pub mod e17;

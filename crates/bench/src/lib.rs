@@ -2,8 +2,11 @@
 //! # swmon-bench — the experiment harness
 //!
 //! Every table and figure-equivalent of the paper as a library function:
-//! the `repro` binary prints them, integration tests assert their shapes,
-//! and the Criterion benches measure the wall-clock side.
+//! the `repro` binary prints them and integration tests assert their
+//! shapes. Nothing here is the stopwatch: throughput, latency and per-layer
+//! cost are measured by `benchmark/` alone (`benchmark/README.md`). E15–E17
+//! are contract runs — every row differentially verified — that also record
+//! the few measurements nothing else takes, through one [`report::Report`].
 //!
 //! | Experiment | Paper artifact | Module |
 //! |---|---|---|
@@ -17,11 +20,21 @@
 //! | E8 | Sec 2.3: timeout-refresh subtlety | [`experiments::e8`] |
 //! | E9 | soundness: detection matrix | [`experiments::e9`] |
 //! | E10 | per-approach monitoring overhead | [`experiments::e10`] |
-//! | E16 | violation store: ingest, SWQL latency, live fidelity | [`experiments::e16`] |
+//! | E11 | extension: register-array capacity ablation | [`experiments::e11`] |
+//! | E12 | extension: postcard provenance (Sec 3.2) | [`experiments::e12`] |
+//! | E15 | extension: crash recovery, replay, explicit shedding | [`experiments::e15`] |
+//! | E16 | extension: violation store ingest, SWQL latency, live fidelity | [`experiments::e16`] |
+//! | E17 | extension: live deploy quiesce pause, dip, rollback | [`experiments::e17`] |
+//! | stats | extension: the telemetry page and its ledger | [`experiments::stats`] |
+//!
+//! (E13 and E14, the two-property throughput runs, are retired: their
+//! numbers are `benchmark/`'s `pair-256` metrics and their differential
+//! checks live in `tests/runtime_differential.rs`.)
 
 pub mod analyze;
 pub mod experiments;
 pub mod lint;
+pub mod report;
 pub mod storequery;
 pub mod table;
 

@@ -12,7 +12,8 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use swmon_apps::output::{json_escape, Emitter};
+use crate::report::Emitter;
+use swmon_core::json::escape;
 use swmon_runtime::{RuntimeConfig, ShardedRuntime, ViolationSink};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::{FaultPlan, SwitchId};
@@ -116,7 +117,7 @@ pub fn run(src: &str, flows: u32, packets: u32, follow: bool, em: &mut Emitter) 
             "{{\n  \"experiment\": \"query\",\n  \"swql\": \"{}\",\n  \"warnings\": [{}],\n  \
              \"events\": {},\n  \"merged_violations\": {},\n  \"differential_verified\": {},\n  \
              \"verified\": {},\n  \"result\": {}\n}}",
-            json_escape(src),
+            escape(src),
             warn_json.join(","),
             trace.len(),
             outcome.records.len(),

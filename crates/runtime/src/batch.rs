@@ -183,9 +183,9 @@ pub(crate) struct ShardPrepare {
 /// only sender, so when a supervisor sees `Quiesce`, every event sent
 /// before the deploy has already been admitted, and events sent after
 /// `Commit` are only ever interpreted under the new epoch's indexing.
-/// The SPSC rings ([`crate::ring`]) deliver messages strictly in send
-/// order, so the contract is unchanged from the mpsc channels they
-/// replaced.
+/// The lanes ([`crate::ring`]) deliver messages strictly in send
+/// order: each is a bounded channel whose only producer is the
+/// session.
 #[derive(Debug)]
 pub(crate) enum Msg {
     /// A batch of routed events, in global sequence order.

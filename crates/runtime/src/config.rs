@@ -104,7 +104,7 @@ pub struct RuntimeConfig {
     /// Events per channel message: the router accumulates up to this many
     /// events per shard before sending, amortising channel synchronisation.
     pub batch: usize,
-    /// Bounded SPSC ring capacity, in batches. When a worker falls behind,
+    /// Hand-off lane capacity, in batches. When a worker falls behind,
     /// the session *blocks* here — events are never dropped, because a
     /// silently dropped event would forge a negative observation
     /// (Feature 7 deadlines fire on absence of events).

@@ -35,7 +35,7 @@
 //! is either *local* (its supervisor is driven on the caller thread:
 //! `send` is a direct `handle` call, no hand-off cost at all) or *remote*
 //! (its supervisor runs on a worker thread: `send` enqueues on a bounded
-//! SPSC ring and the worker's loop is `recv` + `handle`). The session is
+//! channel and the worker's loop is `recv` + `handle`). The session is
 //! *adaptive* ([`config::AdaptiveConfig`]): it can keep its shards local
 //! under low load and fan them out under pressure; a transition converts
 //! each shard local↔remote, moving the same supervisor, so output is
@@ -338,7 +338,7 @@ enum Link {
     /// On the caller thread: a message is handled synchronously, inside
     /// `send` — no staging beyond the arena, no ring, no hand-off.
     Local(Supervisor),
-    /// On its own worker thread, fed over a bounded SPSC ring.
+    /// On its own worker thread, fed over a bounded channel.
     Remote(ring::Sender<Msg>),
 }
 

@@ -1,201 +1,61 @@
-//! Bounded SPSC ring buffers: the session→shard hand-off lane.
-//!
-//! One producer (the session thread) and one consumer (a shard's
-//! supervisor thread) per ring, so no multi-producer arbitration is ever
-//! paid on the hot path. Capacity is fixed at construction; a full ring
-//! **blocks the producer** (backpressure — events are never dropped,
-//! because a silently dropped event would forge a negative observation).
-//!
-//! The implementation is `forbid(unsafe_code)`-clean: slots are
-//! `Mutex<Option<T>>` cells that are only ever touched uncontended (the
-//! producer locks a slot only when it is empty and owned by it, the
-//! consumer only when it is full and owned by it), with head/tail cursors
-//! on sequentially-consistent atomics and a condvar for park/wake when a
-//! side would otherwise spin. Per-message cost is one uncontended lock and
-//! a handful of atomics — amortised over batch messages, far below the
-//! mpsc channel it replaces.
+//! Bounded hand-off lanes, session → shard: `std::sync::mpsc::sync_channel`
+//! plus a queued-message count for telemetry. The session is a lane's only
+//! producer, so messages arrive strictly in send order (the deploy protocol
+//! relies on that — see [`crate::batch::Msg`]). A full lane **blocks the
+//! producer**: events are never dropped, because a silently dropped event
+//! would forge a negative observation. Hand-offs are batch-granular; a
+//! hand-rolled spin-then-park ring measured no faster (docs/PERF.md).
 
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{mpsc, Arc};
 
-/// Spins before parking on the condvar. Hand-offs are batch-granular, so
-/// a short spin usually bridges the gap without a syscall.
-const SPINS: u32 = 64;
-
-struct Shared<T> {
-    slots: Vec<Mutex<Option<T>>>,
-    /// Next slot the consumer reads. Advanced only by the consumer.
-    head: AtomicU64,
-    /// Next slot the producer writes. Advanced only by the producer.
-    tail: AtomicU64,
-    /// The producer is gone: drain what remains, then end-of-stream.
-    closed: AtomicBool,
-    /// The consumer is gone: sends fail fast instead of blocking forever.
-    receiver_gone: AtomicBool,
-    producer_waiting: AtomicBool,
-    consumer_waiting: AtomicBool,
-    park: Mutex<()>,
-    wake: Condvar,
-}
-
-impl<T> Shared<T> {
-    fn len(&self) -> u64 {
-        self.tail.load(SeqCst).saturating_sub(self.head.load(SeqCst))
-    }
-
-    /// Wake the other side if it declared itself parked. Taking the park
-    /// lock before notifying closes the race with a waiter that has set
-    /// its flag but not yet entered `wait`.
-    fn notify(&self) {
-        let _guard = self.park.lock().unwrap();
-        self.wake.notify_all();
-    }
-}
-
-/// The producing half. Not `Clone` — the ring is strictly single-producer.
+/// The producing half.
+#[derive(Debug)]
 pub(crate) struct Sender<T> {
-    shared: Arc<Shared<T>>,
+    tx: mpsc::SyncSender<T>,
+    /// Messages sent and not yet received. A statistic: it orders nothing.
+    queued: Arc<AtomicU64>,
 }
 
-/// The consuming half. Not `Clone` — strictly single-consumer.
+/// The consuming half.
+#[derive(Debug)]
 pub(crate) struct Receiver<T> {
-    shared: Arc<Shared<T>>,
+    rx: mpsc::Receiver<T>,
+    queued: Arc<AtomicU64>,
 }
 
-/// A bounded SPSC ring of `capacity` messages (clamped to at least 1).
+/// A lane of `capacity` messages (at least 1: zero would be a rendezvous).
 pub(crate) fn channel<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let capacity = capacity.max(1);
-    let shared = Arc::new(Shared {
-        slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        head: AtomicU64::new(0),
-        tail: AtomicU64::new(0),
-        closed: AtomicBool::new(false),
-        receiver_gone: AtomicBool::new(false),
-        producer_waiting: AtomicBool::new(false),
-        consumer_waiting: AtomicBool::new(false),
-        park: Mutex::new(()),
-        wake: Condvar::new(),
-    });
-    (Sender { shared: shared.clone() }, Receiver { shared })
+    let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+    let queued = Arc::new(AtomicU64::new(0));
+    (Sender { tx, queued: queued.clone() }, Receiver { rx, queued })
 }
 
 impl<T> Sender<T> {
-    /// Enqueue one message, blocking while the ring is full. Returns the
+    /// Enqueue one message, blocking while the lane is full. Returns the
     /// message back when the receiver is gone (terminal: the shard died).
     pub(crate) fn send(&self, value: T) -> Result<(), T> {
-        let sh = &self.shared;
-        let cap = sh.slots.len() as u64;
-        let mut value = Some(value);
-        let mut spins = 0u32;
-        loop {
-            if sh.receiver_gone.load(SeqCst) {
-                return Err(value.take().expect("value still held"));
-            }
-            let tail = sh.tail.load(SeqCst);
-            if tail.wrapping_sub(sh.head.load(SeqCst)) < cap {
-                let slot = &sh.slots[(tail % cap) as usize];
-                *slot.lock().unwrap() = value.take();
-                sh.tail.store(tail.wrapping_add(1), SeqCst);
-                if sh.consumer_waiting.load(SeqCst) {
-                    sh.notify();
-                }
-                return Ok(());
-            }
-            if spins < SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            spins = 0;
-            sh.producer_waiting.store(true, SeqCst);
-            let mut guard = sh.park.lock().unwrap();
-            while sh.len() >= cap && !sh.receiver_gone.load(SeqCst) {
-                guard = sh.wake.wait(guard).unwrap();
-            }
-            drop(guard);
-            sh.producer_waiting.store(false, SeqCst);
-        }
+        // Counted first, so the receiver's decrement can never precede it.
+        self.queued.fetch_add(1, Relaxed);
+        self.tx.send(value).map_err(|mpsc::SendError(value)| {
+            self.queued.fetch_sub(1, Relaxed);
+            value
+        })
     }
 
-    /// Messages currently queued (sampled; the telemetry ring-occupancy
-    /// signal recorded at each send).
+    /// Messages queued now (the occupancy telemetry samples at each send).
     pub(crate) fn occupancy(&self) -> u64 {
-        self.shared.len()
+        self.queued.load(Relaxed)
     }
 }
 
 impl<T> Receiver<T> {
-    /// Dequeue the next message, blocking while the ring is empty.
-    /// `None` once the sender is gone **and** the ring is drained.
+    /// Dequeue the next message, blocking while the lane is empty.
+    /// `None` once the sender is gone **and** the lane is drained.
     pub(crate) fn recv(&self) -> Option<T> {
-        let sh = &self.shared;
-        let cap = sh.slots.len() as u64;
-        let mut spins = 0u32;
-        loop {
-            let head = sh.head.load(SeqCst);
-            // Read `closed` before re-reading `tail`: if the producer
-            // closed, the tail seen afterwards is final, so an empty ring
-            // here really is end-of-stream.
-            let closed = sh.closed.load(SeqCst);
-            if head != sh.tail.load(SeqCst) {
-                let slot = &sh.slots[(head % cap) as usize];
-                let value = slot.lock().unwrap().take();
-                sh.head.store(head.wrapping_add(1), SeqCst);
-                if sh.producer_waiting.load(SeqCst) {
-                    sh.notify();
-                }
-                return Some(value.expect("occupied ring slot holds a value"));
-            }
-            if closed {
-                return None;
-            }
-            if spins < SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            spins = 0;
-            sh.consumer_waiting.store(true, SeqCst);
-            let mut guard = sh.park.lock().unwrap();
-            while sh.head.load(SeqCst) == sh.tail.load(SeqCst) && !sh.closed.load(SeqCst) {
-                guard = sh.wake.wait(guard).unwrap();
-            }
-            drop(guard);
-            sh.consumer_waiting.store(false, SeqCst);
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, SeqCst);
-        self.shared.notify();
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.shared.receiver_gone.store(true, SeqCst);
-        self.shared.notify();
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ring::Sender")
-            .field("occupancy", &self.shared.len())
-            .field("capacity", &self.shared.slots.len())
-            .finish()
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ring::Receiver")
-            .field("occupancy", &self.shared.len())
-            .field("capacity", &self.shared.slots.len())
-            .finish()
+        let value = self.rx.recv().ok()?;
+        self.queued.fetch_sub(1, Relaxed);
+        Some(value)
     }
 }
 

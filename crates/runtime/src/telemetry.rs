@@ -77,7 +77,7 @@ pub struct ShardProbe {
     /// Checkpoint-stable violation records published to the live store
     /// sink ([`crate::sink::ViolationSink`]). Zero when no sink is wired.
     pub store_published: Counter,
-    /// SPSC ring occupancy (queued batches) sampled at each batch send.
+    /// Hand-off lane occupancy (queued batches) sampled at each batch send.
     /// Empty while the session runs inline (nothing is enqueued).
     pub ring_occupancy: Histogram,
 }
@@ -103,7 +103,7 @@ pub struct TelemetryHub {
     /// Deploy plans rolled back (validation rejection or aborted prepare).
     pub deploys_rolled_back: Counter,
     /// Ingress mode in effect: 0 inline (caller-thread supervision), 1
-    /// fanned out (per-shard worker threads fed over SPSC rings).
+    /// fanned out (per-shard worker threads fed over bounded channels).
     pub ingress_mode: Gauge,
     /// Adaptive inline→fanned transitions (the initial fan-out of a
     /// non-adaptive session is not counted).

@@ -61,14 +61,14 @@ pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
 /// Ingress mode in effect: 0 inline (caller-thread supervision), 1 fanned
-/// out (per-shard worker threads fed over SPSC rings).
+/// out (per-shard worker threads fed over bounded channels).
 pub const INGRESS_MODE: &str = "swmon_ingress_mode";
 /// Adaptive-ingress inline→fanned transitions (the initial fan-out of a
 /// non-adaptive session is not counted).
 pub const FAN_OUTS: &str = "swmon_fan_outs_total";
 /// Adaptive-ingress fanned→inline transitions.
 pub const FAN_INS: &str = "swmon_fan_ins_total";
-/// Per-shard SPSC ring occupancy (queued batches) sampled at each batch
+/// Per-shard hand-off lane occupancy (queued batches) sampled at each batch
 /// send (histogram). Label: `shard`.
 pub const SHARD_RING_OCCUPANCY: &str = "swmon_shard_ring_occupancy";
 

@@ -9,9 +9,12 @@
 //! still reach the shard holding the instance its *request* spawned.
 
 use proptest::prelude::*;
-use swmon::monitor::{MonitorConfig, Property, RouteMode};
+use swmon::monitor::{MonitorConfig, MonitorSet, Property, RouteMode};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
-use swmon::runtime::{reference_records, signature, RuntimeConfig, ShardedRuntime};
+use swmon::runtime::merge::merge;
+use swmon::runtime::{
+    reference_records, signature, RuntimeConfig, ShardedRuntime, ViolationRecord,
+};
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 use swmon_props::firewall;
 
@@ -247,6 +250,42 @@ fn multi_flow_routing_spreads_within_2x_of_even() {
         let live: u64 = out.stats.per_shard.iter().map(|s| s.live_instances).sum();
         assert_eq!(live, reference.live_instances() as u64, "occupancy counter diverged");
     }
+}
+
+/// The pre-dispatching [`MonitorSet`] — what the benchmark's `monitorset.*`
+/// layer times — finds exactly what the per-monitor reference loop finds:
+/// the whole catalog over the multi-flow workload, canonically merged and
+/// compared by signature.
+#[test]
+fn monitor_set_predispatch_matches_the_reference_loop() {
+    let props = full_catalog();
+    let trace = swmon::workloads::trace::multi_flow_trace(
+        64,
+        2_000,
+        0.4,
+        0.25,
+        Duration::from_micros(2),
+        13,
+    );
+    let end = trace.last().unwrap().time + Duration::from_secs(120);
+    let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
+    assert!(!reference.is_empty(), "the workload must produce violations");
+
+    let mut set = MonitorSet::from_properties(props.iter().cloned());
+    for ev in &trace {
+        set.process(ev);
+    }
+    set.advance_to(end);
+    let mut records = Vec::new();
+    for (i, m) in set.monitors().iter().enumerate() {
+        for v in m.violations() {
+            records.push(ViolationRecord::new(m.property(), i, 0, 0, v.clone()));
+        }
+    }
+    assert_eq!(
+        merge(records).iter().map(signature).collect::<Vec<_>>(),
+        reference.iter().map(signature).collect::<Vec<_>>(),
+    );
 }
 
 /// The catalog routes non-trivially: some properties hash (exploiting the
