@@ -47,10 +47,6 @@ pub(crate) struct Batch {
     pub(crate) block: Arc<EventBlock>,
     /// This shard's selection, in global sequence order.
     pub(crate) items: Vec<ItemRef>,
-    /// Force a checkpoint once the batch is applied. Set on bounded-
-    /// staleness flushes so a trickle shard's violations become
-    /// sink-visible without waiting for the checkpoint cadence.
-    pub(crate) checkpoint: bool,
 }
 
 /// Stages each fed event once and accumulates per-shard [`ItemRef`]
@@ -108,10 +104,8 @@ impl Arena {
     }
 
     /// Seal the block: one `Arc` of the slab shared across one [`Batch`]
-    /// per shard that has staged items. `checkpoint` marks bounded-
-    /// staleness flushes (receiving shards force a checkpoint after
-    /// applying, making the batch's violations sink-visible).
-    pub(crate) fn seal(&mut self, checkpoint: bool) -> Vec<(usize, Batch)> {
+    /// per shard that has staged items, in shard order.
+    pub(crate) fn seal(&mut self) -> Vec<(usize, Batch)> {
         if self.events.is_empty() {
             return Vec::new();
         }
@@ -124,7 +118,7 @@ impl Arena {
             .enumerate()
             .filter(|(_, items)| !items.is_empty())
             .map(|(shard, items)| {
-                (shard, Batch { block: block.clone(), items: std::mem::take(items), checkpoint })
+                (shard, Batch { block: block.clone(), items: std::mem::take(items) })
             })
             .collect()
     }
@@ -190,9 +184,11 @@ pub(crate) struct ShardPrepare {
 pub(crate) enum Msg {
     /// A batch of routed events, in global sequence order.
     Events(Batch),
-    /// End of input: advance every monitor to this instant (firing pending
-    /// deadlines), report, and exit.
-    Finish(Instant),
+    /// End of input: apply this shard's share of the arena's tail, advance
+    /// every monitor to this instant (firing pending deadlines), report,
+    /// and exit. The tail rides here, not in an `Events` of its own, so it
+    /// and the timer drain reach the sink as one publish.
+    Finish(Option<Batch>, Instant),
     /// Deploy phase 1 — quiesce: drain the journal, force a checkpoint,
     /// snapshot every hosted monitor, reply, and hold (the session sends
     /// no events between `Quiesce` and `Commit`/`Abort`).
@@ -257,8 +253,8 @@ mod tests {
         assert!(!arena.push(0, &ev(10), &[1, 0, 4]));
         assert!(!arena.push(1, &ev(20), &[0, 2, 0]));
         assert!(arena.push(2, &ev(30), &[1, 2, 4]), "third event fills the block");
-        let sealed = arena.seal(false);
-        assert!(arena.seal(false).is_empty(), "sealing empties the arena");
+        let sealed = arena.seal();
+        assert!(arena.seal().is_empty(), "sealing empties the arena");
         // Shards 0, 1, 2 all staged something.
         assert_eq!(sealed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![0, 1, 2]);
         // One slab, shared: 3 batch handles + the local `block` binding.
@@ -284,9 +280,7 @@ mod tests {
         let _ = arena.push(12, &ev(20), &[0, 1]);
         assert!(arena.stale(13, 8));
         // Sealing does.
-        let sealed = arena.seal(true);
-        assert_eq!(sealed.len(), 2);
-        assert!(sealed.iter().all(|(_, b)| b.checkpoint));
+        assert_eq!(arena.seal().len(), 2);
         assert!(!arena.stale(1_000, 8));
     }
 
@@ -294,7 +288,7 @@ mod tests {
     fn sealed_refs_carry_seq_mask_and_slab_slot() {
         let mut arena = Arena::new(1, 4);
         let _ = arena.push(7, &ev(42), &[1]);
-        let (_, batch) = arena.seal(false).pop().unwrap();
+        let (_, batch) = arena.seal().pop().unwrap();
         let r = batch.items[0];
         assert_eq!((r.seq, r.mask, r.idx), (7, 1, 0));
         assert_eq!(batch.block.events()[r.idx as usize].time, ev(42).time);

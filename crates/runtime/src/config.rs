@@ -111,9 +111,9 @@ pub struct RuntimeConfig {
     pub queue: usize,
     /// Bounded-staleness flush, in input ticks: when the oldest event
     /// staged in the session's arena is this many fed events old, the
-    /// partial block is dispatched with a forced checkpoint, so a
-    /// low-traffic shard's violations become visible to live queries
-    /// without waiting for `finish()`. `0` means *auto*: `4 * batch`.
+    /// partial block is dispatched like a full one. Dispatch staleness:
+    /// with `batch`, what bounds how far a violation's visibility to live
+    /// queries trails the input. `0` means *auto*: `4 * batch`.
     pub flush_every: usize,
     /// Adaptive ingress (see [`AdaptiveConfig`]).
     pub adaptive: AdaptiveConfig,
@@ -122,7 +122,8 @@ pub struct RuntimeConfig {
     /// Checkpoint cadence: a shard snapshots its monitors
     /// ([`swmon_core::Monitor::snapshot`]) after applying this many events
     /// since the last checkpoint, bounding both replay work after a crash
-    /// and the recovery journal's footprint. Clamped to at least 1.
+    /// and the recovery journal's footprint — recovery cost only: when a
+    /// sink sees a violation no longer depends on it. Clamped to at least 1.
     pub checkpoint_every: usize,
     /// Upper bound on the per-shard recovery journal (events retained
     /// since the last checkpoint for crash replay). `0` means *auto*:

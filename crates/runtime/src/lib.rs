@@ -237,10 +237,10 @@ impl ShardedRuntime {
     }
 
     /// Like [`ShardedRuntime::start`], but wire a live [`ViolationSink`]:
-    /// shards publish checkpoint-stable violations to it mid-run (exactly
-    /// once, crashes included), and [`Session::finish`] seals it with the
-    /// canonically merged records. See the [`sink`] module for the
-    /// delivery contract.
+    /// each shard publishes what a batch raised as soon as the batch is
+    /// applied (exactly once, crashes included), and [`Session::finish`]
+    /// seals it with the canonically merged records. See the [`sink`]
+    /// module for the delivery contract.
     pub fn start_with_sink(&self, sink: Option<Arc<dyn ViolationSink>>) -> Session<'_> {
         let shards = self.cfg.shards;
         let hashed = self.router.routes().iter().filter(|r| r.is_hashed()).count();
@@ -535,28 +535,26 @@ impl Session<'_> {
             Routed::bump(&self.routed.skipped);
             return self.adaptive_tick();
         }
-        if self.arena.push(seq, ev, &self.masks) {
-            self.dispatch(false)?;
-        } else if self.arena.stale(self.seq, self.rt.cfg.flush_every as u64) {
-            // Bounded staleness: the oldest staged event has waited long
-            // enough — dispatch the partial block with a forced
-            // checkpoint, so a trickle shard's violations become
-            // sink-visible without waiting for `finish()`.
-            self.dispatch(true)?;
+        // Full, or stale: the oldest staged event has waited `flush_every`
+        // input ticks, so a trickle shard's violations become sink-visible
+        // without waiting for a full block or `finish()`.
+        if self.arena.push(seq, ev, &self.masks)
+            || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64)
+        {
+            self.dispatch()?;
         }
         self.adaptive_tick()
     }
 
-    /// Seal the arena and send each shard its batch; `checkpoint` marks
-    /// bounded-staleness flushes. Also the single tail-flush shared by
-    /// [`Session::finish`], the deploy barrier and adaptive transitions:
-    /// after it returns, every fed event has been counted in the hub —
-    /// before its batch is sent, so a shard never shows more processed
-    /// than delivered — and applied (local shards) or queued on its
-    /// shard's ring (remote).
-    fn dispatch(&mut self, checkpoint: bool) -> Result<(), RuntimeError> {
+    /// Seal the arena and send each shard its batch. Also the tail-flush
+    /// shared by the deploy barrier and adaptive transitions: after it
+    /// returns, every fed event has been counted in the hub — before its
+    /// batch is sent, so a shard never shows more processed than
+    /// delivered — and applied (local shards) or queued on its shard's
+    /// ring (remote).
+    fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
-        for (s, batch) in self.arena.seal(checkpoint) {
+        for (s, batch) in self.arena.seal() {
             self.hub.batches.inc();
             self.send(s, Msg::Events(batch))?;
         }
@@ -619,7 +617,7 @@ impl Session<'_> {
         if !self.is_fanned() {
             return Ok(());
         }
-        self.dispatch(false)?;
+        self.dispatch()?;
         // Every worker is told to retire before any is joined. A dead
         // shard's send fails with the reason its worker exited.
         let mut failure: Option<RuntimeError> = None;
@@ -762,7 +760,7 @@ impl Session<'_> {
         let shards = self.masks.len();
         // Everything fed so far must reach the shards before the barrier,
         // so the differential "deploy at k" cut is exact.
-        self.dispatch(false)?;
+        self.dispatch()?;
         // Phase 1: quiesce the whole fleet and collect monitor snapshots.
         let acks = self.quiesce_all()?;
         let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
@@ -854,12 +852,19 @@ impl Session<'_> {
     /// are joined before an error is returned — finish never leaks
     /// threads.
     pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
-        self.dispatch(false)?;
-        // Every shard is told to finish before any is collected, so remote
+        // Every shard is told to finish — handed its share of the arena's
+        // tail in the same message — before any is collected, so remote
         // shards drain their timers concurrently. A dead shard's send fails
         // with the reason its worker exited.
-        let sent: Vec<Result<(), RuntimeError>> =
-            (0..self.shards.len()).map(|s| self.send(s, Msg::Finish(end))).collect();
+        self.routed.add_to(&self.hub);
+        let mut tails = self.arena.seal().into_iter().peekable();
+        let sent: Vec<Result<(), RuntimeError>> = (0..self.shards.len())
+            .map(|s| {
+                let tail = tails.next_if(|(shard, _)| *shard == s).map(|(_, batch)| batch);
+                self.hub.batches.add(tail.is_some() as u64);
+                self.send(s, Msg::Finish(tail, end))
+            })
+            .collect();
         let mut collected = Vec::with_capacity(sent.len());
         let mut failure: Option<RuntimeError> = None;
         for (s, (shard, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()

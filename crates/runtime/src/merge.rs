@@ -70,16 +70,10 @@ pub fn kind_rank(property: &Property, trigger_stage: &str) -> u8 {
     1
 }
 
-/// The canonical merge key of a record. Public so downstream consumers
-/// (notably `swmon-store`'s live query executor) can order any *subset* of
-/// records exactly as a full [`merge`] would order them — a prefix of
-/// published records sorted by this key is a prefix of the final canonical
-/// output.
-pub fn canonical_key(r: &ViolationRecord) -> (u64, usize, u8, String, String) {
-    key(r)
-}
-
-fn key(r: &ViolationRecord) -> (u64, usize, u8, String, String) {
+/// The canonical merge key of a record. `swmon-store` orders its rows by
+/// the same five components, borrowed (its `Row::order`), so any *subset*
+/// of records it returns is ordered exactly as a full [`merge`] orders it.
+pub(crate) fn key(r: &ViolationRecord) -> (u64, usize, u8, String, String) {
     (
         r.violation.time.as_nanos(),
         r.property,

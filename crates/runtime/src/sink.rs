@@ -4,12 +4,17 @@
 //! an external consumer (the `swmon-store` crate's ingest path) *while the
 //! run is still going*, without weakening any fault-tolerance contract:
 //!
-//! - **Exactly-once under crashes.** A shard publishes only
-//!   *checkpoint-stable* records: recovery truncates a shard's record list
-//!   back to its last checkpoint (`docs/FAULTS.md`), so anything below that
-//!   mark can never be retracted or re-discovered. The supervisor therefore
-//!   publishes at exactly the moments it checkpoints (and once more at
-//!   finish), and nothing it has published is ever published again.
+//! - **At batch cadence.** A shard publishes what a batch raised as soon
+//!   as the batch is applied — before any checkpoint it is due — and once
+//!   more at finish (the tail batch and the timer drain together). `batch`
+//!   and `flush_every` bound the lag; `checkpoint_every` does not enter.
+//! - **Exactly-once under crashes, by position.** A shard's log is a
+//!   deterministic function of its input, so recovery (restore, replay)
+//!   re-raises every record at the position it first had. The published
+//!   mark never moves back, the log keeps what lies below it, and replay's
+//!   copies of those positions are dropped: nothing a sink has seen is
+//!   retracted, altered or delivered again (`docs/FAULTS.md` has the
+//!   argument and its one edge: a gap opening between publish and crash).
 //! - **No silent loss.** Publication is copy-out; the supervisor's private
 //!   ledger and the `unaccounted_loss() == 0` audit are untouched.
 //! - **Canonical at seal.** Per-shard publications arrive in shard
@@ -25,13 +30,13 @@ use std::fmt;
 /// delivery contract.
 ///
 /// Implementations must be cheap and non-blocking-ish: `publish` runs on
-/// shard supervisor threads at checkpoint cadence, and a slow sink extends
-/// the shard's unavailability window exactly like a slow checkpoint.
+/// shard supervisor threads after every batch that raised something, and a
+/// slow sink stalls the shard's next batch exactly like a slow checkpoint.
 pub trait ViolationSink: Send + Sync + fmt::Debug {
-    /// Checkpoint-stable records newly produced by `shard`, in that shard's
-    /// discovery order. Each record is delivered exactly once across the
-    /// whole run, crashes included; violations carry no merge-time sequence
-    /// id yet (`merge_seq == None` until seal).
+    /// Records newly raised by `shard`, in that shard's discovery order,
+    /// never empty. Each log position is delivered exactly once across the
+    /// whole run, crashes included, and stands as delivered; violations
+    /// carry no merge-time sequence id yet (`merge_seq == None` until seal).
     fn publish(&self, shard: usize, records: &[ViolationRecord]);
 
     /// The run finished: `merged` is the complete canonical merged output,

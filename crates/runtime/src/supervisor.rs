@@ -35,7 +35,7 @@ use crate::ring;
 use crate::sink::ViolationSink;
 use crate::stats::MonitoringGap;
 use crate::telemetry::ShardProbe;
-use crate::worker::WorkerState;
+use crate::worker::{WorkerState, FLUSH_SEQ};
 use swmon_core::{Monitor, MonitorSnapshot, MonitorStats, Property};
 use swmon_sim::time::Instant;
 use swmon_telemetry::{SpanStage, SpanTracer};
@@ -86,8 +86,8 @@ pub(crate) struct ShardSpec {
     pub(crate) probe: Arc<ShardProbe>,
     /// The run's span tracer (disabled unless configured).
     pub(crate) tracer: Arc<SpanTracer>,
-    /// Optional live violation sink: checkpoint-stable records are
-    /// published to it exactly once (see [`crate::sink`]).
+    /// Optional live violation sink: every log position is published to
+    /// it exactly once, as its batch completes (see [`crate::sink`]).
     pub(crate) sink: Option<Arc<dyn ViolationSink>>,
 }
 
@@ -130,8 +130,8 @@ pub(crate) struct ShardOutcome {
 /// A consistent restart point: one image per replica (none before the
 /// first checkpoint) — live state only, the replicas hold no violation
 /// history — plus how much of the shard's violation log was raised before
-/// them. Recovery truncates the log to `records_len` and replay re-raises
-/// the rest.
+/// them. Recovery rewinds the log to `records_len` — keeping what a sink
+/// has already seen beyond it — and replay re-raises the rest.
 struct Checkpoint {
     snapshots: Vec<MonitorSnapshot>,
     records_len: usize,
@@ -246,9 +246,9 @@ pub(crate) struct Supervisor {
     probe: Arc<ShardProbe>,
     tracer: Arc<SpanTracer>,
     sink: Option<Arc<dyn ViolationSink>>,
-    /// Records already handed to the sink. Publication happens only at
-    /// checkpoints, and recovery truncates records back to the checkpoint,
-    /// so everything below this mark is crash-stable — exactly-once holds.
+    /// Log positions already handed to the sink: a high-water mark that
+    /// recovery never lowers. Replay is deterministic, so a position handed
+    /// over once is re-raised identically and dropped — exactly-once holds.
     published: usize,
 }
 
@@ -333,7 +333,8 @@ impl Supervisor {
     pub(crate) fn handle(&mut self, msg: Msg) -> Result<Flow, ShardFailure> {
         match msg {
             Msg::Events(batch) => self.apply_batch(batch)?,
-            Msg::Finish(end) => {
+            Msg::Finish(tail, end) => {
+                tail.into_iter().for_each(|batch| self.admit(batch));
                 self.drive(Some(end))?;
                 return Ok(Flow::Finished);
             }
@@ -358,18 +359,13 @@ impl Supervisor {
 
     /// Admit one sealed batch and drive it to completion under full
     /// supervision — journal, panic boundary with checkpoint/replay
-    /// recovery, shedding accounting, checkpoint cadence.
+    /// recovery, shedding accounting — and publish what it raised before
+    /// the checkpoint cadence can stall its visibility.
     fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
-        let force = batch.checkpoint;
         self.admit(batch);
         self.drive(None)?;
-        if force {
-            // Bounded-staleness flush: make this batch's output
-            // crash-stable (and sink-visible) immediately.
-            self.force_checkpoint();
-        } else {
-            self.maybe_checkpoint();
-        }
+        self.publish();
+        self.maybe_checkpoint();
         Ok(())
     }
 
@@ -474,7 +470,8 @@ impl Supervisor {
     }
 
     /// Rebuild the crash domain from the last checkpoint and rewind the
-    /// journal cursor so `drive` replays the gap.
+    /// journal cursor so `drive` replays the gap. What was published
+    /// stands: the log keeps it, and replay's copies of it are dropped.
     fn recover(&mut self, payload: &(dyn Any + Send)) -> Result<(), ShardFailure> {
         let t0 = std::time::Instant::now();
         let fail =
@@ -491,7 +488,8 @@ impl Supervisor {
         for (told, (_, m)) in self.told.iter_mut().zip(&self.state.monitors) {
             told.events = m.stats.events;
         }
-        self.state.records.truncate(self.checkpoint.records_len);
+        self.state.records.truncate(self.published.max(self.checkpoint.records_len));
+        self.state.logged = self.checkpoint.records_len;
         self.journal_pos = 0;
         self.probe.restarts.inc();
         self.probe.recovery.record(t0.elapsed().as_nanos() as u64);
@@ -502,15 +500,11 @@ impl Supervisor {
     /// is due or the journal hit its bound (draining it re-opens headroom;
     /// this is what closes a monitoring gap).
     fn maybe_checkpoint(&mut self) {
-        if self.journal_pos < self.journal_len {
-            return;
-        }
         let due = self.high_water >= self.cfg.checkpoint_every
             || self.journal_len >= self.cfg.journal_limit;
-        if !due {
-            return;
+        if due && self.journal_pos == self.journal_len {
+            self.force_checkpoint();
         }
-        self.force_checkpoint();
     }
 
     /// Take a checkpoint now. Requires a fully applied journal (callers:
@@ -541,16 +535,12 @@ impl Supervisor {
             self.gaps.push(gap);
         }
         self.in_gap = false;
-        // The records below the new checkpoint mark are now crash-stable
-        // (recovery can no longer truncate past them): safe to publish.
-        self.publish_stable(self.checkpoint.records_len);
     }
 
     /// Deploy phase 1: drain everything outstanding (crashing and
     /// recovering here follows the normal supervision path — a deploy
-    /// racing a crash window rides on journal replay), force a checkpoint
-    /// so the shard's output is crash-stable, and hand the session a copy
-    /// of that checkpoint's images to re-route.
+    /// racing a crash window rides on journal replay), force a checkpoint,
+    /// and hand the session a copy of its images to re-route.
     fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
@@ -622,24 +612,30 @@ impl Supervisor {
         self.pending = None;
     }
 
-    /// Hand records `[published, upto)` to the sink, exactly once.
-    fn publish_stable(&mut self, upto: usize) {
+    /// Hand the log positions past the published mark to the sink, and
+    /// count each event-triggered record's lag: input ticks up to the last
+    /// event admitted, the end of the batch whose publish carries it.
+    fn publish(&mut self) {
         let Some(sink) = &self.sink else { return };
-        if upto <= self.published {
+        let fresh = &self.state.records[self.published..];
+        if fresh.is_empty() {
             return;
         }
-        let fresh = &self.state.records[self.published..upto];
+        let upto = self.journal.last().and_then(|b| b.items.last()).map_or(0, |r| r.seq);
+        for r in fresh.iter().filter(|r| r.seq != FLUSH_SEQ) {
+            self.probe.publish_lag.record(upto.saturating_sub(r.seq));
+        }
         sink.publish(self.shard, fresh);
         self.probe.store_published.add(fresh.len() as u64);
-        self.published = upto;
+        self.published = self.state.records.len();
     }
 
     pub(crate) fn into_outcome(mut self) -> ShardOutcome {
         if let Some(gap) = self.open_gap.take() {
             self.gaps.push(gap);
         }
-        // End of input: every remaining record is final, publish the tail.
-        self.publish_stable(self.state.records.len());
+        // End of input: the tail batch's records and the timer drain's.
+        self.publish();
         let engine = self.state.monitors.iter().map(|(_, m)| m.stats.clone()).collect();
         ShardOutcome { records: self.state.records, engine, gaps: self.gaps }
     }
@@ -679,8 +675,9 @@ mod tests {
     use super::*;
     use crate::batch::Arena;
     use std::sync::Arc;
-    use swmon_core::{var, Atom, EventPattern, Guard, Property, Stage};
+    use swmon_core::{var, Atom, EventPattern, Guard, Property, RefreshPolicy, Stage};
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
+    use swmon_sim::time::Duration;
     use swmon_sim::trace::{NetEvent, NetEventKind, PacketId, PortNo, SwitchId};
 
     fn repeat_prop() -> Property {
@@ -723,14 +720,18 @@ mod tests {
     /// A one-shard spec. Its probe (`spec.probe`) is the only place the
     /// supervisor counts, so the tests read their numbers there.
     fn spec(cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
+        spec_of(vec![repeat_prop()], cfg, inject)
+    }
+
+    fn spec_of(props: Vec<Property>, cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
         let cfg = cfg.normalized();
         let hub = crate::telemetry::TelemetryHub::new(1, &cfg.telemetry, 0, 1);
         ShardSpec {
             shard: 0,
             layout: ShardLayout {
-                props: vec![(0, repeat_prop())],
-                lut: vec![Some(0)],
-                probes: vec![hub.engine("twice")],
+                lut: (0..props.len()).map(Some).collect(),
+                probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
+                props: props.into_iter().enumerate().collect(),
             },
             cfg,
             inject,
@@ -738,6 +739,32 @@ mod tests {
             tracer: hub.tracer().clone(),
             sink: None,
         }
+    }
+
+    /// Keeps each publish's records, one inner vector per call.
+    #[derive(Debug, Default)]
+    struct Recording(std::sync::Mutex<Vec<Vec<ViolationRecord>>>);
+
+    impl Recording {
+        fn publishes(&self) -> Vec<Vec<ViolationRecord>> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl ViolationSink for Recording {
+        fn publish(&self, _shard: usize, records: &[ViolationRecord]) {
+            self.0.lock().unwrap().push(records.to_vec());
+        }
+
+        fn seal(&self, _merged: &[ViolationRecord]) {}
+    }
+
+    /// A supervisor over `spec` publishing into a fresh [`Recording`].
+    fn recorded(mut spec: ShardSpec) -> (Supervisor, Arc<ShardProbe>, Arc<Recording>) {
+        let sink = Arc::new(Recording::default());
+        spec.sink = Some(sink.clone());
+        let probe = spec.probe.clone();
+        (Supervisor::new(spec), probe, sink)
     }
 
     /// A fresh supervisor over [`spec`], with its probe.
@@ -761,10 +788,10 @@ mod tests {
         let mut arena = Arena::new(1, 8);
         for seq in 0..n {
             if arena.push(seq, &ev(seq), &[1]) {
-                out.extend(arena.seal(false).into_iter().map(|(_, b)| b));
+                out.extend(arena.seal().into_iter().map(|(_, b)| b));
             }
         }
-        out.extend(arena.seal(false).into_iter().map(|(_, b)| b));
+        out.extend(arena.seal().into_iter().map(|(_, b)| b));
         out
     }
 
@@ -781,7 +808,9 @@ mod tests {
         for batch in batches(n) {
             tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
         }
-        tx.send(Msg::Finish(Instant::from_nanos(1_000_000))).map_err(|_| "ring closed").unwrap();
+        tx.send(Msg::Finish(None, Instant::from_nanos(1_000_000)))
+            .map_err(|_| "ring closed")
+            .unwrap();
         drop(tx);
         let (sup, probe) = supervised(cfg, inject);
         (finish_outcome(run_loop(rx, sup).expect("shard survives")), probe)
@@ -812,7 +841,7 @@ mod tests {
         for batch in batches(8) {
             tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
         }
-        tx.send(Msg::Finish(Instant::from_nanos(1_000))).map_err(|_| "ring closed").unwrap();
+        tx.send(Msg::Finish(None, Instant::from_nanos(1_000))).map_err(|_| "ring closed").unwrap();
         drop(tx);
         let cfg = RuntimeConfig { shards: 1, max_restarts: 0, ..Default::default() };
         let err = run_loop(rx, Supervisor::new(spec(cfg.normalized(), vec![2]))).unwrap_err();
@@ -838,11 +867,11 @@ mod tests {
         for seq in 16..24 {
             let _ = arena.push(seq, &test_ev(seq), &[1]);
         }
-        for (_, batch) in arena.seal(false) {
+        for (_, batch) in arena.seal() {
             assert_eq!(sup.handle(Msg::Events(batch)).unwrap(), Flow::Continue);
         }
         assert_eq!(
-            sup.handle(Msg::Finish(Instant::from_nanos(1_000_000))).unwrap(),
+            sup.handle(Msg::Finish(None, Instant::from_nanos(1_000_000))).unwrap(),
             Flow::Finished
         );
         let out = sup.into_outcome();
@@ -856,22 +885,98 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_batches_force_an_immediate_checkpoint() {
-        let (tx, rx) = ring::channel(8);
-        // One tiny batch flagged `checkpoint` (a bounded-staleness flush):
-        // far below the cadence, yet the shard must checkpoint right away.
+    fn a_staleness_flush_publishes_without_checkpointing() {
+        // A partial block, as a `flush_every` flush dispatches it: seqs 0
+        // and 5 share a source, so the second arrival raises.
         let mut arena = Arena::new(1, 64);
-        let _ = arena.push(0, &test_ev(0), &[1]);
-        for (_, batch) in arena.seal(true) {
-            tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
+        for seq in [0, 5] {
+            let _ = arena.push(seq, &test_ev(seq), &[1]);
         }
-        tx.send(Msg::Finish(Instant::from_nanos(1_000_000))).map_err(|_| "ring closed").unwrap();
-        drop(tx);
         let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
-        let (sup, probe) = supervised(cfg, vec![]);
-        run_loop(rx, sup).expect("shard survives");
-        assert_eq!(probe.checkpoints.get(), 1, "staleness flush checkpointed below the cadence");
-        assert_eq!(probe.processed.get(), 1);
+        let (mut sup, probe, sink) = recorded(spec(cfg, vec![]));
+        for (_, batch) in arena.seal() {
+            sup.handle(Msg::Events(batch)).unwrap();
+        }
+        let published = sink.publishes();
+        assert_eq!(published.len(), 1, "the flushed batch's violation is visible at once");
+        assert_eq!(published[0].iter().map(|r| r.seq).collect::<Vec<_>>(), [5]);
+        assert_eq!(probe.checkpoints.get(), 0, "a flush is a dispatch, not a checkpoint");
+        assert_eq!(probe.store_published.get(), 1);
+        let lag = probe.publish_lag.snapshot();
+        assert_eq!((lag.count, lag.max), (1, 0), "raised by the batch's last event");
+    }
+
+    #[test]
+    fn recovery_never_lowers_the_published_mark() {
+        silence_injected_panics();
+        let sig = |published: Vec<Vec<ViolationRecord>>| -> Vec<String> {
+            published.iter().flatten().map(crate::merge::signature).collect()
+        };
+        let run = |inject: Vec<u64>| {
+            let (mut sup, probe, sink) = recorded(spec(base_cfg(), inject));
+            let mut mark = 0;
+            for batch in batches(40) {
+                sup.handle(Msg::Events(batch)).unwrap();
+                assert!(sup.published >= mark, "the mark fell from {mark} to {}", sup.published);
+                assert_eq!(
+                    sup.published,
+                    sup.state.records.len(),
+                    "a batch publishes all it raised"
+                );
+                mark = sup.published;
+            }
+            assert_eq!(
+                sup.handle(Msg::Finish(None, Instant::from_nanos(1_000_000))),
+                Ok(Flow::Finished)
+            );
+            let log: Vec<String> =
+                sup.into_outcome().records.iter().map(crate::merge::signature).collect();
+            (sig(sink.publishes()), log, probe)
+        };
+        let (clean, clean_log, _) = run(vec![]);
+        assert!(clean.len() >= 30, "most arrivals repeat a source: {}", clean.len());
+        assert_eq!(clean, clean_log, "the published stream is the log");
+        // Checkpoints fall after seqs 15 and 31. Seq 13 crashes the second
+        // batch of a window whose first batch is already published, seq 35
+        // the first batch after a checkpoint: replay re-raises what the
+        // sink has seen, and none of it is delivered twice or moved.
+        let (faulty, faulty_log, probe) = run(vec![13, 35]);
+        assert_eq!(probe.restarts.get(), 2);
+        assert!(probe.replayed.get() >= 8, "the published batch was replayed");
+        assert_eq!(faulty, clean);
+        assert_eq!(faulty_log, clean_log);
+        assert_eq!(probe.store_published.get(), clean.len() as u64);
+    }
+
+    #[test]
+    fn finish_publishes_once() {
+        // `twice` raises on a repeated source; `due` 5 ns after every
+        // arrival, which for the last arrivals is after the input ends.
+        let due = Property {
+            name: "due".into(),
+            statement: String::new(),
+            stages: vec![
+                repeat_prop().stages.remove(0),
+                Stage::deadline("late", Duration::from_nanos(5), RefreshPolicy::NoRefresh),
+            ],
+        };
+        let cfg = RuntimeConfig { shards: 1, ..Default::default() };
+        let (mut sup, _, sink) = recorded(spec_of(vec![repeat_prop(), due], cfg, vec![]));
+        let mut arena = Arena::new(1, 64);
+        for seq in 0..12 {
+            let _ = arena.push(seq, &test_ev(seq), &[0b11]);
+        }
+        let (_, tail) = arena.seal().pop().unwrap();
+        assert_eq!(
+            sup.handle(Msg::Finish(Some(tail), Instant::from_nanos(1_000_000))),
+            Ok(Flow::Finished)
+        );
+        let log = sup.into_outcome().records;
+        let published = sink.publishes();
+        assert_eq!(published.len(), 1, "the tail batch and the timer drain are one publish");
+        assert_eq!(published[0].len(), log.len());
+        let drained = published[0].iter().filter(|r| r.seq == FLUSH_SEQ).count();
+        assert!(drained > 0 && drained < log.len(), "both raised: {drained} of {}", log.len());
     }
 
     #[test]

@@ -74,9 +74,13 @@ pub struct ShardProbe {
     /// checkpoint + a copy of its images). Empty until a deploy quiesces. Its
     /// sum is [`RuntimeStats::quiesce_nanos`].
     pub quiesce: Histogram,
-    /// Checkpoint-stable violation records published to the live store
-    /// sink ([`crate::sink::ViolationSink`]). Zero when no sink is wired.
+    /// Violation records published to the live store sink
+    /// ([`crate::sink::ViolationSink`]). Zero when no sink is wired.
     pub store_published: Counter,
+    /// How far behind the input each published record was, in input ticks:
+    /// its triggering `seq` to the last `seq` the shard had admitted.
+    /// Counted, never timed; the timer drain's records (no `seq`) skipped.
+    pub publish_lag: Histogram,
     /// Hand-off lane occupancy (queued batches) sampled at each batch send.
     /// Empty while the session runs inline (nothing is enqueued).
     pub ring_occupancy: Histogram,
@@ -273,26 +277,16 @@ impl TelemetryHub {
             page.counters.push(c(names::SHARD_DEGRADED, probe.degraded_violations.get()));
             page.counters.push(c(names::SHARD_VIOLATIONS, probe.violations.get()));
             page.counters.push(c(names::SHARD_STORE_PUBLISHED, probe.store_published.get()));
-            page.histograms.push((
-                Key::labeled(names::SHARD_QUEUE_DEPTH, "shard", s),
-                probe.queue_depth.snapshot(),
-            ));
-            page.histograms.push((
-                Key::labeled(names::SHARD_CHECKPOINT_NANOS, "shard", s),
-                probe.checkpoint.snapshot(),
-            ));
-            page.histograms.push((
-                Key::labeled(names::SHARD_RECOVERY_NANOS, "shard", s),
-                probe.recovery.snapshot(),
-            ));
-            page.histograms.push((
-                Key::labeled(names::SHARD_QUIESCE_NANOS, "shard", s),
-                probe.quiesce.snapshot(),
-            ));
-            page.histograms.push((
-                Key::labeled(names::SHARD_RING_OCCUPANCY, "shard", s),
-                probe.ring_occupancy.snapshot(),
-            ));
+            for (name, histogram) in [
+                (names::SHARD_QUEUE_DEPTH, &probe.queue_depth),
+                (names::SHARD_CHECKPOINT_NANOS, &probe.checkpoint),
+                (names::SHARD_RECOVERY_NANOS, &probe.recovery),
+                (names::SHARD_QUIESCE_NANOS, &probe.quiesce),
+                (names::SHARD_RING_OCCUPANCY, &probe.ring_occupancy),
+                (names::SHARD_PUBLISH_LAG, &probe.publish_lag),
+            ] {
+                page.histograms.push((Key::labeled(name, "shard", s), histogram.snapshot()));
+            }
         }
         for engine in self.engines().iter() {
             let k = |name: &str| Key::labeled(name, "property", engine.name());

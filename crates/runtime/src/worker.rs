@@ -9,7 +9,7 @@
 //! the purely deterministic part of a shard.
 
 use crate::batch::ShardLayout;
-use crate::merge::ViolationRecord;
+use crate::merge::{key, ViolationRecord};
 use swmon_core::Monitor;
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -31,6 +31,11 @@ pub(crate) struct WorkerState {
     pub(crate) monitors: Vec<(usize, Monitor)>,
     /// The shard's violation log, in discovery order.
     pub(crate) records: Vec<ViolationRecord>,
+    /// Log positions this incarnation has raised: `records.len()`, except
+    /// while a recovered one replays positions the log kept because a sink
+    /// had already seen them — those stand, and their re-raised copies are
+    /// dropped (replay is deterministic, so they are the same records).
+    pub(crate) logged: usize,
     /// Catalog epoch stamped on every record (deploy provenance). Bumped
     /// by the supervisor when a deploy commits.
     pub(crate) epoch: u64,
@@ -38,7 +43,7 @@ pub(crate) struct WorkerState {
 
 impl WorkerState {
     pub(crate) fn new(layout: ShardLayout, monitors: Vec<(usize, Monitor)>) -> Self {
-        WorkerState { layout, monitors, records: Vec::new(), epoch: 0 }
+        WorkerState { layout, monitors, records: Vec::new(), logged: 0, epoch: 0 }
     }
 
     /// Run one routed event through every monitor its mask selects and
@@ -61,38 +66,41 @@ impl WorkerState {
             } else {
                 m.process(ev);
             }
-            log_raised(&mut self.records, m, global, seq, self.epoch, in_gap);
+            self.log_raised(local, seq, in_gap);
         }
     }
 
     /// Advance every monitor to `end`, firing remaining deadlines, and log
     /// what they raise.
     pub(crate) fn finish(&mut self, end: Instant, in_gap: bool) {
-        for (global, m) in &mut self.monitors {
-            m.advance_to(end);
-            log_raised(&mut self.records, m, *global, FLUSH_SEQ, self.epoch, in_gap);
+        for local in 0..self.monitors.len() {
+            self.monitors[local].1.advance_to(end);
+            self.log_raised(local, FLUSH_SEQ, in_gap);
         }
     }
-}
 
-/// Move what `m` has just raised out of it and into `records`.
-fn log_raised(
-    records: &mut Vec<ViolationRecord>,
-    m: &mut Monitor,
-    global: usize,
-    seq: u64,
-    epoch: u64,
-    in_gap: bool,
-) {
-    for mut violation in m.take_violations() {
-        if in_gap {
-            // Coverage around this violation is incomplete (events were
-            // shed); downgrade its provenance rather than present stripped
-            // context as authoritative.
-            violation.degraded = true;
-            violation.history.clear();
+    /// Move what replica `local` has just raised out of it and into the
+    /// log, from position `logged` on.
+    fn log_raised(&mut self, local: usize, seq: u64, in_gap: bool) {
+        let (global, m) = &mut self.monitors[local];
+        for mut violation in m.take_violations() {
+            if in_gap {
+                // Coverage around this violation is incomplete (events were
+                // shed); downgrade its provenance rather than present
+                // stripped context as authoritative.
+                violation.degraded = true;
+                violation.history.clear();
+            }
+            let record = ViolationRecord::new(m.property(), *global, seq, self.epoch, violation);
+            match self.records.get(self.logged) {
+                // A kept position, raised again by replay. The two can
+                // differ only in `degraded`/`history`, when a gap opened
+                // after the publish; what the sink saw is what stays.
+                Some(kept) => debug_assert_eq!(key(kept), key(&record), "replay diverged"),
+                None => self.records.push(record),
+            }
+            self.logged += 1;
         }
-        records.push(ViolationRecord::new(m.property(), global, seq, epoch, violation));
     }
 }
 

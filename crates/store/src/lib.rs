@@ -8,10 +8,11 @@
 //! turns the merged violation stream into a queryable artifact, in three
 //! layers:
 //!
-//! 1. **Storage** ([`segment`], [`store`]) — an append-only, batch-ingesting
-//!    violation log. Each ingested batch becomes an immutable [`Segment`]
-//!    with secondary indexes: property name, interned binding values
-//!    (keyed by [`swmon_core::VarId`] against each segment's
+//! 1. **Storage** ([`segment`], [`store`]) — an append-only violation log.
+//!    A publish appends to an open, unindexed tail; a full tail is frozen
+//!    into an immutable [`Segment`] — the unit of indexing and encoding,
+//!    not of ingest — with secondary indexes: property name, interned
+//!    binding values (keyed by [`swmon_core::VarId`] against each segment's
 //!    [`swmon_core::VarTable`] — never re-stringified), originating shard,
 //!    the `degraded` provenance flag, and a min/max time range for window
 //!    pruning. Segments encode to the canonical `SWMS`-family byte framing
@@ -29,9 +30,9 @@
 //!    merged runtime output.
 //! 3. **Live surface** ([`sink`]) — [`StoreSink`] implements
 //!    [`swmon_runtime::ViolationSink`], so a long-running
-//!    [`swmon_runtime::Session`] feeds the store checkpoint-stable
-//!    violations mid-run and seals it with the canonical merge at finish.
-//!    Queries against a live store answer from a prefix-consistent
+//!    [`swmon_runtime::Session`] feeds the store what each batch raises,
+//!    as the batch is applied, and seals it with the canonical merge at
+//!    finish. Queries against a live store answer from a prefix-consistent
 //!    snapshot (one lock acquisition per query) without perturbing the
 //!    `unaccounted_loss == 0` contract.
 //!

@@ -6,7 +6,9 @@
 //! store's segments (posting-list lengths — the indexes are exact, so
 //! these are true cardinalities, not estimates in the statistics sense)
 //! and drives from the cheapest. `prop(*)` indexes nothing and costs the
-//! full store; `window` costs the rows of time-overlapping segments.
+//! full store; `window` costs the rows of time-overlapping segments. The
+//! store's open tail has no index, so every driver walks all of it and
+//! every atom's cost includes its rows — the counts stay exact.
 //! Ties keep the earliest atom, so plans are deterministic.
 
 use std::fmt;
@@ -85,30 +87,31 @@ impl Plan {
     }
 }
 
-/// Exact candidate-row count of driving the branch from `atom`.
-fn cost(atom: &Atom, segments: &[Segment], total: u64) -> u64 {
-    match atom {
-        Atom::Prop(None) => total,
-        Atom::Prop(Some(p)) => segments.iter().map(|s| s.prop_rows(p).len() as u64).sum(),
-        Atom::Bind(v, val) => segments.iter().map(|s| s.bind_rows(v, val).len() as u64).sum(),
-        Atom::Window(a, b) => {
-            segments.iter().filter(|s| s.overlaps(*a, *b)).map(|s| s.len() as u64).sum()
-        }
-        Atom::Degraded => segments.iter().map(|s| s.degraded_rows().len() as u64).sum(),
-        Atom::Shard(s) => segments.iter().map(|seg| seg.shard_rows(*s).len() as u64).sum(),
-        Atom::Epoch(e) => segments.iter().map(|seg| seg.epoch_rows(*e).len() as u64).sum(),
-    }
+/// Exact candidate-row count of driving the branch from `atom`: what its
+/// index yields across `segments`, plus the `tail` rows every driver walks.
+fn cost(atom: &Atom, segments: &[Segment], tail: u64) -> u64 {
+    let indexed = |seg: &Segment| match atom {
+        Atom::Prop(None) => seg.len(),
+        Atom::Prop(Some(p)) => seg.prop_rows(p).len(),
+        Atom::Bind(v, val) => seg.bind_rows(v, val).len(),
+        Atom::Window(a, b) if seg.overlaps(*a, *b) => seg.len(),
+        Atom::Window(..) => 0,
+        Atom::Degraded => seg.degraded_rows().len(),
+        Atom::Shard(s) => seg.shard_rows(*s).len(),
+        Atom::Epoch(e) => seg.epoch_rows(*e).len(),
+    };
+    tail + segments.iter().map(|seg| indexed(seg) as u64).sum::<u64>()
 }
 
-/// Plan `query` against the given segment set.
-pub fn plan(query: &Query, segments: &[Segment]) -> Plan {
-    let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
+/// Plan `query` against the given segment set and an open tail of `tail`
+/// unindexed rows.
+pub fn plan(query: &Query, segments: &[Segment], tail: u64) -> Plan {
     let branches = query
         .branches
         .iter()
         .map(|branch| {
             let costed: Vec<(u64, &Atom)> =
-                branch.atoms.iter().map(|(a, _)| (cost(a, segments, total), a)).collect();
+                branch.atoms.iter().map(|(a, _)| (cost(a, segments, tail), a)).collect();
             let (candidates, cheapest) = costed
                 .iter()
                 .min_by_key(|(c, _)| *c)
@@ -146,10 +149,8 @@ mod tests {
     fn seg(rows: Vec<(u64, &str, u64, u64, bool)>) -> Segment {
         Segment::build(
             rows.into_iter()
-                .map(|(seq, prop, t, port, degraded)| Row {
-                    store_seq: seq,
-                    shard: (seq % 2) as u32,
-                    record: ViolationRecord {
+                .map(|(seq, prop, t, port, degraded)| {
+                    let record = ViolationRecord {
                         seq,
                         property: 0,
                         rank: 1,
@@ -163,7 +164,8 @@ mod tests {
                             degraded,
                             merge_seq: Some(seq),
                         },
-                    },
+                    };
+                    Row::new(seq, (seq % 2) as u32, record)
                 })
                 .collect(),
         )
@@ -179,13 +181,13 @@ mod tests {
         ])];
         // degraded() has 1 posting, prop(fw) has 3: degraded drives.
         let q = parse("prop(fw), degraded()").unwrap();
-        let p = plan(&q, &segs);
+        let p = plan(&q, &segs, 0);
         assert_eq!(p.branches[0].driver, Driver::Degraded);
         assert_eq!(p.branches[0].candidates, 1);
         assert_eq!(p.branches[0].predicates.len(), 2);
         // bind(A, 443) has 1 posting, beats prop(fw)'s 3.
         let q = parse("prop(fw), bind(A, 443)").unwrap();
-        let p = plan(&q, &segs);
+        let p = plan(&q, &segs, 0);
         assert!(matches!(p.branches[0].driver, Driver::Bind(_, _)), "{:?}", p.branches[0]);
         let explain = p.explain();
         assert!(explain.contains("branch 0: drive bind(A, 443)"), "{explain}");
@@ -198,12 +200,12 @@ mod tests {
             seg(vec![(2, "fw", 1_000, 80, false)]),
         ];
         let q = parse("prop(*)").unwrap();
-        let p = plan(&q, &segs);
+        let p = plan(&q, &segs, 0);
         assert_eq!(p.branches[0].driver, Driver::FullScan);
         assert_eq!(p.branches[0].candidates, 3);
         // The window only overlaps the first segment.
         let q = parse("prop(*), window(0, 100)").unwrap();
-        let p = plan(&q, &segs);
+        let p = plan(&q, &segs, 0);
         assert_eq!(p.branches[0].driver, Driver::Window(0, 100));
         assert_eq!(p.branches[0].candidates, 2);
     }
@@ -212,7 +214,7 @@ mod tests {
     fn each_branch_plans_independently() {
         let segs = vec![seg(vec![(0, "fw", 10, 80, false), (1, "dhcp", 20, 443, true)])];
         let q = parse("prop(fw) or degraded()").unwrap();
-        let p = plan(&q, &segs);
+        let p = plan(&q, &segs, 0);
         assert_eq!(p.branches.len(), 2);
         assert_eq!(p.branches[0].driver, Driver::Prop("fw".into()));
         assert_eq!(p.branches[1].driver, Driver::Degraded);

@@ -1,8 +1,10 @@
-//! Immutable indexed segments — the store's unit of ingest and encoding.
+//! Immutable indexed segments — the store's unit of encoding, and of
+//! indexing; no longer of ingest.
 //!
-//! Every ingested batch becomes one [`Segment`]: a row vector plus
-//! secondary indexes built once at construction and never mutated. The
-//! indexes are *derived* data — the byte encoding frames only the rows
+//! A publish appends to the store's open tail ([`crate::store`]); a full
+//! tail is frozen into one [`Segment`]: a row vector plus secondary
+//! indexes built once at construction and never mutated. The indexes are
+//! *derived* data — the byte encoding frames only the rows
 //! (under the `SWVS` magic, via the canonical [`swmon_core::wire`]
 //! framing) and rebuilds the indexes on decode, so a segment that
 //! round-trips through bytes is structurally identical to one built
@@ -35,7 +37,8 @@ pub const SEGMENT_VERSION: u16 = 2;
 pub const NO_SHARD: u32 = u32::MAX;
 
 /// One stored violation: the store's primary key, its provenance, and the
-/// record itself.
+/// record itself. Built by [`Row::new`], which renders the one expensive
+/// component of the row's canonical position once.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The store's primary key. Before seal: ingest order (prefix of the
@@ -46,6 +49,32 @@ pub struct Row {
     pub shard: u32,
     /// The violation plus its canonical-merge metadata.
     pub record: ViolationRecord,
+    /// The bindings as the canonical merge renders them — the last
+    /// component of its key, and the only one that has to be formatted.
+    pub(crate) key: Box<str>,
+}
+
+impl Row {
+    /// A row for `record`, found by `shard`, under primary key `store_seq`.
+    pub fn new(store_seq: u64, shard: u32, record: ViolationRecord) -> Self {
+        let key = record.violation.bindings.as_ref().map(|b| b.to_string()).unwrap_or_default();
+        Row { store_seq, shard, record, key: key.into() }
+    }
+
+    /// The row's position in the canonical merge order — the components of
+    /// [`swmon_runtime::merge`]'s key, borrowed — made total by the primary
+    /// key. Sorting rows by it orders them as the merge orders their
+    /// records, without formatting or cloning anything.
+    pub(crate) fn order(&self) -> (u64, usize, u8, &str, &str, u64) {
+        let (time, property, rank, stage) = head(&self.record);
+        (time, property, rank, stage, &self.key, self.store_seq)
+    }
+}
+
+/// The components of a record's canonical merge key that need no
+/// formatting: time, property position, timer-before-event rank, stage.
+pub(crate) fn head(r: &ViolationRecord) -> (u64, usize, u8, &str) {
+    (r.violation.time.as_nanos(), r.property, r.rank, &r.violation.trigger_stage)
 }
 
 /// An immutable batch of rows with secondary indexes.
@@ -146,6 +175,12 @@ impl Segment {
         &self.rows
     }
 
+    /// The rows, for the seal to take their rendered bindings out of just
+    /// before it drops the segment (nothing indexed may change).
+    pub(crate) fn rows_mut(&mut self) -> &mut [Row] {
+        &mut self.rows
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -238,11 +273,17 @@ impl Segment {
     /// Encode the segment's rows under the `SWVS` magic. Indexes are not
     /// framed — [`Segment::from_bytes`] rebuilds them.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + self.rows.len() * 96);
+        Self::encode(&self.rows)
+    }
+
+    /// The `SWVS` framing of `rows`: what a segment built from them would
+    /// encode to (the store frames its open tail this way, unindexed).
+    pub(crate) fn encode(rows: &[Row]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(64 + rows.len() * 96);
         w.magic(SEGMENT_MAGIC);
         w.u16(SEGMENT_VERSION);
-        w.u64(self.rows.len() as u64);
-        for row in &self.rows {
+        w.u64(rows.len() as u64);
+        for row in rows {
             w.u64(row.store_seq);
             w.u32(row.shard);
             w.u64(row.record.seq);
@@ -279,11 +320,8 @@ impl Segment {
             let merge_seq = r.opt_u64()?;
             let mut violation = r.violation()?;
             violation.merge_seq = merge_seq;
-            rows.push(Row {
-                store_seq,
-                shard,
-                record: ViolationRecord { seq, property, rank, epoch, violation },
-            });
+            let record = ViolationRecord { seq, property, rank, epoch, violation };
+            rows.push(Row::new(store_seq, shard, record));
         }
         Ok(Segment::build(rows))
     }
@@ -297,10 +335,10 @@ mod tests {
 
     fn row(seq: u64, shard: u32, prop: &str, t: u64, port: u64, degraded: bool) -> Row {
         let b = Bindings::new().bind(var("A"), FieldValue::Uint(port));
-        Row {
-            store_seq: seq,
+        Row::new(
+            seq,
             shard,
-            record: ViolationRecord {
+            ViolationRecord {
                 seq,
                 property: 3,
                 rank: 1,
@@ -317,7 +355,7 @@ mod tests {
                     merge_seq: Some(seq),
                 },
             },
-        }
+        )
     }
 
     fn sample() -> Segment {

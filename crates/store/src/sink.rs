@@ -2,9 +2,10 @@
 //!
 //! [`StoreSink`] implements [`swmon_runtime::ViolationSink`]: hand it to
 //! [`swmon_runtime::ShardedRuntime::start_with_sink`] and the session's
-//! shards publish checkpoint-stable violations into the store mid-run
-//! (each batch visible atomically, so concurrent SWQL queries see a
-//! prefix-consistent snapshot), and [`swmon_runtime::Session::finish`]
+//! shards publish what each batch raises into the store as the batch is
+//! applied (each publish visible atomically, so concurrent SWQL queries
+//! see a prefix-consistent snapshot; exactly-once and never retracted,
+//! crashes included), and [`swmon_runtime::Session::finish`]
 //! seals the store with the canonical merge. Nothing about the runtime's
 //! accounting changes — publication is copy-out, and the
 //! `unaccounted_loss == 0` audit is untouched.

@@ -1,34 +1,39 @@
-//! The store: append-only segment log, canonical-order query executor,
-//! and the whole-store byte encoding.
+//! The store: an append-only log — frozen, indexed segments and one open
+//! tail — a canonical-order query executor, and the whole-store byte
+//! encoding.
+//!
+//! ## An open tail
+//!
+//! The runtime publishes after every batch, a handful of rows at a time,
+//! so an ingest must cost a lock and a push, not a set of indexes: it
+//! appends to an unindexed tail that every query scans in full, and a tail
+//! that has grown to [`TAIL_ROWS`] is frozen into an indexed [`Segment`].
 //!
 //! ## Prefix consistency for live queries
 //!
 //! All mutable state sits behind one `RwLock`: an ingest batch becomes
-//! visible atomically (one segment push under the write lock), and a query
-//! takes the read lock exactly once, so every answer reflects a *prefix*
-//! of the publication stream — never half a batch. Because the runtime
-//! publishes only checkpoint-stable records (see
-//! [`swmon_runtime::sink`]), that prefix is also crash-stable: nothing a
-//! query returned can later be retracted.
+//! visible atomically (appended under the write lock), and a query takes
+//! the read lock exactly once, so every answer reflects a *prefix* of the
+//! publication stream — never half a batch. Because what the runtime has
+//! published stands across crashes (see [`swmon_runtime::sink`]), nothing
+//! a query returned can later be retracted.
 //!
 //! ## Canonical order
 //!
-//! Query results are sorted by [`swmon_runtime::merge::canonical_key`] —
-//! the exact key the runtime's deterministic merge uses — so a query over
-//! a sealed store returns violations in the same order the engine's
-//! merged `Vec` holds them, and a live query returns the canonical
-//! ordering of the published-so-far subset.
+//! Query results are sorted by [`Row::order`] — the components of the key
+//! the runtime's deterministic merge uses — so a query over a sealed store
+//! returns violations in the same order the engine's merged `Vec` holds
+//! them, and a live query returns the canonical ordering of the
+//! published-so-far subset.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::RwLock;
 
 use swmon_analysis::json::escape;
 use swmon_core::wire::{Reader, SnapshotError, Writer};
-use swmon_runtime::merge::canonical_key;
 use swmon_runtime::{signature, ViolationRecord};
 
 use crate::plan::{plan, Driver, Plan};
-use crate::segment::{Row, Segment, NO_SHARD};
+use crate::segment::{head, Row, Segment, NO_SHARD};
 use crate::swql::{parse, Query, QueryError};
 
 /// Magic of the whole-store byte encoding (a framed list of `SWVS`
@@ -42,11 +47,34 @@ pub const STORE_VERSION: u16 = 1;
 /// queries can skip whole segments.
 const SEAL_SEGMENT_ROWS: usize = 65_536;
 
+/// Rows the open tail holds before it is frozen into a segment: a scan
+/// this long costs a query less than the indexes would cost each publish
+/// (docs/PERF.md, PR 21, has the 64 / 128 / 256 trial).
+const TAIL_ROWS: usize = 128;
+
 #[derive(Debug, Default)]
 struct Inner {
+    /// Frozen segments, oldest first.
     segments: Vec<Segment>,
+    /// The newest rows, unindexed. Always empty once sealed.
+    tail: Vec<Row>,
     next_seq: u64,
     sealed: bool,
+}
+
+impl Inner {
+    /// The rows of segment `si`; the open tail counts as the last one.
+    fn rows(&self, si: usize) -> &[Row] {
+        self.segments.get(si).map_or(&self.tail, Segment::rows)
+    }
+
+    fn len(&self) -> u64 {
+        self.segments.iter().map(|s| s.len() as u64).sum::<u64>() + self.tail.len() as u64
+    }
+
+    fn segment_count(&self) -> usize {
+        self.segments.len() + usize::from(!self.tail.is_empty())
+    }
 }
 
 /// The indexed violation store. Shareable across threads (`&self` API,
@@ -159,50 +187,69 @@ impl Store {
             return;
         }
         let base = inner.next_seq;
-        let rows: Vec<Row> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Row { store_seq: base + i as u64, shard, record: r.clone() })
-            .collect();
-        inner.next_seq += rows.len() as u64;
-        inner.segments.push(Segment::build(rows));
+        inner.next_seq += records.len() as u64;
+        let rows = records.iter().zip(base..).map(|(r, seq)| Row::new(seq, shard, r.clone()));
+        inner.tail.extend(rows);
+        if inner.tail.len() >= TAIL_ROWS {
+            let mut full = std::mem::replace(&mut inner.tail, Vec::with_capacity(TAIL_ROWS));
+            // The publish that overshot the capacity doubled it.
+            full.shrink_to_fit();
+            inner.segments.push(Segment::build(full));
+        }
     }
 
-    /// Replace the live log with the canonical merged output: rows are
-    /// re-keyed by [`swmon_core::Violation::merge_seq`], shard provenance
-    /// is recovered from the live rows by canonical signature (publication
-    /// is exactly-once, so the multisets agree whenever the run published
-    /// live), and the log is re-chunked into time-ordered segments.
+    /// Replace the live log with the canonical merged output — `merged` is
+    /// [`swmon_runtime::merge`]'s, in its order: rows are re-keyed by
+    /// [`swmon_core::Violation::merge_seq`] and re-chunked into
+    /// time-ordered segments. The live rows, sorted the same way, are
+    /// merge-joined with it on the merge key itself (time, property, rank,
+    /// stage, equal bindings), so each row's shard provenance and rendered
+    /// bindings carry over and nothing is formatted twice; publication is
+    /// exactly-once, so every record finds its row whenever the run
+    /// published live. A record the log lacks is a fresh row from
+    /// [`NO_SHARD`].
     pub fn seal(&self, merged: &[ViolationRecord]) {
         let mut inner = self.inner.write().expect("store lock poisoned");
-        let mut by_sig: HashMap<String, VecDeque<u32>> = HashMap::new();
-        for seg in &inner.segments {
-            for row in seg.rows() {
-                by_sig.entry(signature(&row.record)).or_default().push_back(row.shard);
+        let Inner { segments, tail, .. } = &mut *inner;
+        // Sorted by reference: a row is several hundred bytes, and all the
+        // join takes from it is its shard and its rendered bindings.
+        let mut live: Vec<&mut Row> =
+            segments.iter_mut().flat_map(Segment::rows_mut).chain(tail.iter_mut()).collect();
+        live.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        let mut at = 0;
+        let mut rows = merged.iter().enumerate().map(|(i, rec)| {
+            let store_seq = rec.violation.merge_seq.unwrap_or(i as u64);
+            while live.get(at).is_some_and(|row| head(&row.record) < head(rec)) {
+                at += 1;
             }
-        }
-        let rows: Vec<Row> = merged
-            .iter()
-            .enumerate()
-            .map(|(i, rec)| Row {
-                store_seq: rec.violation.merge_seq.unwrap_or(i as u64),
-                shard: by_sig
-                    .get_mut(&signature(rec))
-                    .and_then(VecDeque::pop_front)
-                    .unwrap_or(NO_SHARD),
-                record: rec.clone(),
-            })
-            .collect();
-        inner.segments =
-            rows.chunks(SEAL_SEGMENT_ROWS).map(|c| Segment::build(c.to_vec())).collect();
+            // Both sides order the rows sharing a head by their rendered
+            // bindings, so the record's row is the first of the run unless
+            // the log holds rows `merged` lacks.
+            let mut run = live[at..].iter().take_while(|row| head(&row.record) == head(rec));
+            match run.position(|row| row.record.violation.bindings == rec.violation.bindings) {
+                Some(k) => {
+                    at += k + 1;
+                    let row = &mut *live[at - 1];
+                    let key = std::mem::take(&mut row.key);
+                    Row { store_seq, shard: row.shard, record: rec.clone(), key }
+                }
+                None => Row::new(store_seq, NO_SHARD, rec.clone()),
+            }
+        });
+        let sealed = std::iter::from_fn(|| {
+            let chunk: Vec<Row> = rows.by_ref().take(SEAL_SEGMENT_ROWS).collect();
+            (!chunk.is_empty()).then(|| Segment::build(chunk))
+        })
+        .collect();
+        inner.segments = sealed;
+        inner.tail = Vec::new();
         inner.next_seq = merged.len() as u64;
         inner.sealed = true;
     }
 
     /// Total stored rows.
     pub fn len(&self) -> u64 {
-        let inner = self.inner.read().expect("store lock poisoned");
-        inner.segments.iter().map(|s| s.len() as u64).sum()
+        self.inner.read().expect("store lock poisoned").len()
     }
 
     /// True when no rows are stored.
@@ -215,23 +262,24 @@ impl Store {
         self.inner.read().expect("store lock poisoned").sealed
     }
 
-    /// Number of segments currently in the log.
+    /// Segments [`Store::to_bytes`] would frame: the frozen ones, plus the
+    /// open tail while it holds rows. A live store of `n` rows has at most
+    /// `n / TAIL_ROWS + 1`, however many publishes brought them.
     pub fn segment_count(&self) -> usize {
-        self.inner.read().expect("store lock poisoned").segments.len()
+        self.inner.read().expect("store lock poisoned").segment_count()
     }
 
     /// Execute a parsed query against a prefix-consistent snapshot.
     pub fn query(&self, q: &Query) -> QueryOutput {
         let inner = self.inner.read().expect("store lock poisoned");
         let segments = &inner.segments;
-        let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
-        let the_plan = plan(q, segments);
+        let the_plan = plan(q, segments, inner.tail.len() as u64);
         let mut hits: Vec<(usize, u32)> = Vec::new();
         let mut scanned = 0u64;
         for (branch, bplan) in q.branches.iter().zip(&the_plan.branches) {
             let mut consider = |seg_idx: usize, row_idx: u32| {
                 scanned += 1;
-                let row = &segments[seg_idx].rows()[row_idx as usize];
+                let row = &inner.rows(seg_idx)[row_idx as usize];
                 if branch.atoms.iter().all(|(a, _)| Segment::row_matches(row, a)) {
                     hits.push((seg_idx, row_idx));
                 }
@@ -290,22 +338,27 @@ impl Store {
                     }
                 }
             }
+            // The open tail has no index: every driver walks all of it.
+            for ri in 0..inner.tail.len() as u32 {
+                consider(segments.len(), ri);
+            }
         }
-        // Dedup across branches, then impose the canonical merge order.
+        // Dedup across branches, then impose the canonical merge order —
+        // on borrowed rows, so only the answer is cloned.
         hits.sort_unstable();
         hits.dedup();
-        let mut matches: Vec<QueryMatch> = hits
+        let mut rows: Vec<&Row> =
+            hits.into_iter().map(|(si, ri)| &inner.rows(si)[ri as usize]).collect();
+        rows.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        let matches = rows
             .into_iter()
-            .map(|(si, ri)| {
-                let row = &segments[si].rows()[ri as usize];
-                QueryMatch {
-                    store_seq: row.store_seq,
-                    shard: row.shard,
-                    record: row.record.clone(),
-                }
+            .map(|row| QueryMatch {
+                store_seq: row.store_seq,
+                shard: row.shard,
+                record: row.record.clone(),
             })
             .collect();
-        matches.sort_by_cached_key(|m| (canonical_key(&m.record), m.store_seq));
+        let total = inner.len();
         QueryOutput { matches, scanned, total, sealed: inner.sealed, plan: the_plan }
     }
 
@@ -315,7 +368,8 @@ impl Store {
     }
 
     /// Encode the whole store: a framed list of segments under the `SWVL`
-    /// magic.
+    /// magic, a non-empty tail framed as the last of them (it decodes as a
+    /// frozen segment, which answers the same).
     pub fn to_bytes(&self) -> Vec<u8> {
         let inner = self.inner.read().expect("store lock poisoned");
         let mut w = Writer::with_capacity(4096);
@@ -323,9 +377,9 @@ impl Store {
         w.u16(STORE_VERSION);
         w.u64(inner.next_seq);
         w.bool(inner.sealed);
-        w.u64(inner.segments.len() as u64);
-        for seg in &inner.segments {
-            let bytes = seg.to_bytes();
+        w.u64(inner.segment_count() as u64);
+        let tail = (!inner.tail.is_empty()).then(|| Segment::encode(&inner.tail));
+        for bytes in inner.segments.iter().map(Segment::to_bytes).chain(tail) {
             w.u64(bytes.len() as u64);
             w.raw(&bytes);
         }
@@ -346,7 +400,7 @@ impl Store {
             segments.push(Segment::from_bytes(r.take(len)?)?);
         }
         r.expect_end()?;
-        Ok(Store { inner: RwLock::new(Inner { segments, next_seq, sealed }) })
+        Ok(Store { inner: RwLock::new(Inner { segments, tail: Vec::new(), next_seq, sealed }) })
     }
 }
 
@@ -355,6 +409,7 @@ mod tests {
     use super::*;
     use swmon_core::{var, Bindings, Violation};
     use swmon_packet::FieldValue;
+    use swmon_runtime::merge::merge;
     use swmon_sim::time::Instant;
 
     fn rec(prop: &str, t: u64, port: u64, degraded: bool) -> ViolationRecord {
@@ -387,7 +442,7 @@ mod tests {
     fn queries_answer_in_canonical_order() {
         let s = seeded();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.segment_count(), 2);
+        assert_eq!(s.segment_count(), 1, "two small publishes share the open tail");
         let out = s.query_str("prop(*)").unwrap();
         assert!(!out.sealed);
         let times: Vec<u64> =
@@ -427,6 +482,138 @@ mod tests {
         assert_eq!(out.matches[1].shard, 0);
         assert_eq!(out.matches[2].shard, 1);
         assert_eq!(s.query_str("degraded()").unwrap().matches.len(), 1);
+        assert_eq!(s.segment_count(), 1, "the tail is folded into the sealed log");
+
+        // Published only in part: the rows the log lacks — before, between
+        // and after the ones it has, one sharing a head with a live row —
+        // are fresh rows from no shard; the rest keep theirs.
+        let s = seeded();
+        let merged = merge(vec![
+            rec("fw", 5, 1, false),
+            rec("fw", 10, 80, true),
+            rec("fw", 10, 90, true),
+            rec("dhcp", 20, 80, false),
+            rec("fw", 30, 443, false),
+            rec("fw", 40, 2, false),
+        ]);
+        s.seal(&merged);
+        let out = s.query_str("prop(*)").unwrap();
+        assert_eq!(out.signatures(), merged.iter().map(signature).collect::<Vec<_>>());
+        let shards: Vec<u32> = out.matches.iter().map(|m| m.shard).collect();
+        assert_eq!(shards, vec![NO_SHARD, 1, NO_SHARD, 0, 1, NO_SHARD]);
+        assert_eq!(out.matches.iter().map(|m| m.store_seq).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(s.query_str("shard(1)").unwrap().matches.len(), 2);
+
+        // Never published into: every row is from no shard.
+        let s = Store::new();
+        s.seal(&merged);
+        let out = s.query_str("prop(*)").unwrap();
+        assert_eq!(out.matches.len(), 6);
+        assert!(out.matches.iter().all(|m| m.shard == NO_SHARD));
+    }
+
+    /// `n` records out of time order, over three properties, every fifth
+    /// one degraded. Heads repeat (same time and property, different
+    /// bindings), and from 300 on so do whole keys.
+    fn stream(n: u64) -> Vec<ViolationRecord> {
+        let props = ["fw", "dhcp", "nat"];
+        (0..n)
+            .map(|i| {
+                let mut r = rec(props[(i % 3) as usize], (i * 7919) % 25, 80 + i % 4, i % 5 == 0);
+                r.property = (i % 3) as usize;
+                r.seq = i;
+                r
+            })
+            .collect()
+    }
+
+    /// Everything a query answers with, in answer order.
+    fn answers(s: &Store, src: &str) -> Vec<(u64, u32, String)> {
+        let out = s.query_str(src).unwrap();
+        let planned: u64 = out.plan.branches.iter().map(|b| b.candidates).sum();
+        assert_eq!(out.scanned, planned, "{src}: the plan's counts are exact");
+        out.matches.iter().map(|m| (m.store_seq, m.shard, signature(&m.record))).collect()
+    }
+
+    const QUERIES: [&str; 7] = [
+        "prop(*)",
+        "prop(fw), bind(A, 83)",
+        "window(5, 11)",
+        "prop(nat), window(0, 15) or degraded()",
+        "degraded(), shard(2)",
+        "bind(A, 81)",
+        "epoch(0), prop(dhcp)",
+    ];
+
+    #[test]
+    fn any_split_into_publishes_answers_like_one_segment() {
+        let records = stream(700);
+        let merged = merge(records.clone());
+        // The reference: one publish of everything is one `Segment::build`.
+        let whole = Store::new();
+        whole.ingest(2, &records);
+        assert_eq!(whole.segment_count(), 1);
+        let sealed_whole = Store::new();
+        sealed_whole.ingest(2, &records);
+        sealed_whole.seal(&merged);
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..12 {
+            let split = Store::new();
+            let mut rest = &records[..];
+            while !rest.is_empty() {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let (publish, later) =
+                    rest.split_at(rest.len().min(1 + (lcg >> 33) as usize % 300));
+                split.ingest(2, publish);
+                rest = later;
+            }
+            assert_eq!(split.len(), 700);
+            assert!(split.segment_count() <= 700 / TAIL_ROWS + 1, "{}", split.segment_count());
+            for q in QUERIES {
+                assert_eq!(answers(&split, q), answers(&whole, q), "live {q}");
+            }
+            split.seal(&merged);
+            for q in QUERIES {
+                assert_eq!(answers(&split, q), answers(&sealed_whole, q), "sealed {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_tail_is_costed_under_every_atom_and_round_trips() {
+        // 128 rows freeze into a segment; 40 more stay in the open tail.
+        let records = stream(168);
+        let s = Store::new();
+        s.ingest(0, &records[..128]);
+        s.ingest(1, &records[128..]);
+        assert_eq!(s.segment_count(), 2);
+        let indexed = Store::new();
+        indexed.ingest(0, &records[..128]);
+        let plan = |st: &Store, src: &str| st.query_str(src).unwrap().plan.branches[0].clone();
+        for atom in ["prop(*)", "prop(fw)", "bind(A, 83)", "degraded()", "shard(1)", "epoch(0)"] {
+            let (with_tail, without) = (plan(&s, atom), plan(&indexed, atom));
+            assert_eq!(with_tail.candidates, without.candidates + 40, "{atom}");
+            assert_eq!(with_tail.driver, without.driver, "{atom}");
+        }
+        // Two atoms whose indexes are empty tie on the tail's 40 rows; the
+        // earlier one drives, as it would without a tail.
+        for (src, driver) in
+            [("shard(9), epoch(7)", Driver::Shard(9)), ("epoch(7), shard(9)", Driver::Epoch(7))]
+        {
+            let out = s.query_str(src).unwrap();
+            assert_eq!(out.plan.branches[0].driver, driver, "{src}");
+            assert_eq!((out.scanned, out.matches.len()), (40, 0), "{src}");
+        }
+        // Mid-tail, the encoding frames the tail as a last segment, and
+        // the decoded store answers everything the same.
+        let back = Store::from_bytes(&s.to_bytes()).expect("valid store");
+        assert_eq!((back.len(), back.segment_count()), (168, 2));
+        for q in QUERIES {
+            assert_eq!(answers(&back, q), answers(&s, q), "{q}");
+        }
+        // And keeps ingesting where the original would.
+        back.ingest(3, &records[..1]);
+        assert_eq!(back.query_str("shard(3)").unwrap().matches[0].store_seq, 168);
     }
 
     #[test]

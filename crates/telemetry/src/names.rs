@@ -42,9 +42,13 @@ pub const SHARD_QUEUE_DEPTH: &str = "swmon_shard_queue_depth";
 /// Per-shard checkpoint-restore latency in nanoseconds (histogram).
 /// Label: `shard`.
 pub const SHARD_RECOVERY_NANOS: &str = "swmon_shard_recovery_nanos";
-/// Per-shard: checkpoint-stable violation records published to the live
-/// violation store sink. Label: `shard`.
+/// Per-shard: violation records published to the live violation store
+/// sink, each as the batch that raised it completed. Label: `shard`.
 pub const SHARD_STORE_PUBLISHED: &str = "swmon_shard_store_published_total";
+/// Per-shard: how far behind the input each published violation was, in
+/// input ticks — its triggering event's sequence number to the last one the
+/// shard had admitted when the publish began (histogram). Label: `shard`.
+pub const SHARD_PUBLISH_LAG: &str = "swmon_shard_publish_lag_events";
 /// Canonically merged records handed to the violation store at seal time.
 pub const STORE_SEALED: &str = "swmon_store_sealed_total";
 
@@ -104,6 +108,7 @@ pub const ALL: &[&str] = &[
     SHARD_QUEUE_DEPTH,
     SHARD_RECOVERY_NANOS,
     SHARD_STORE_PUBLISHED,
+    SHARD_PUBLISH_LAG,
     STORE_SEALED,
     PROPERTY_SET_EPOCH,
     DEPLOYS_APPLIED,
@@ -134,6 +139,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 30);
+        assert_eq!(ALL.len(), 31);
     }
 }

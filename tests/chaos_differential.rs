@@ -6,13 +6,23 @@
 //! reordering, a switch crash window). And nothing may vanish silently:
 //! every delivered event is processed or explicitly shed
 //! (`RuntimeStats::unaccounted_loss() == 0`).
+//!
+//! The same holds for what a live [`ViolationSink`] is handed *while* the
+//! workers crash: each shard's published stream is the fault-free run's,
+//! record for record — nothing twice, nothing retracted, nothing altered.
 
-use swmon::monitor::MonitorConfig;
+use std::sync::{Arc, Mutex};
+
+use swmon::monitor::{var, Atom, EventPattern, Guard, MonitorConfig, Property, Stage};
+use swmon::packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::{
-    reference_records, signature, silence_injected_panics, FaultPoint, RuntimeConfig,
-    ShardedRuntime,
+    reference_records, signature, silence_injected_panics, FaultPoint, Outcome, RuntimeConfig,
+    ShardedRuntime, ViolationRecord, ViolationSink,
 };
-use swmon::sim::{CrashWindow, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId};
+use swmon::sim::{
+    CrashWindow, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId, TraceBuilder,
+};
+use swmon::store::StoreSink;
 use swmon_workloads::trace::lossy_trace;
 
 /// The chaos workload: the E13-shaped interleaved trace pushed through a
@@ -126,4 +136,162 @@ fn starved_journal_degrades_explicitly() {
         out.records.iter().any(|r| r.violation.degraded),
         "downgraded provenance must survive the merge"
     );
+}
+
+/// A sink that keeps every publish, per shard and in arrival order, and
+/// forwards to a [`StoreSink`].
+#[derive(Debug)]
+struct Recording {
+    published: Mutex<Vec<Vec<ViolationRecord>>>,
+    store: StoreSink,
+}
+
+impl Recording {
+    fn new(shards: usize) -> Arc<Self> {
+        Arc::new(Recording {
+            published: Mutex::new(vec![Vec::new(); shards]),
+            store: StoreSink::new(),
+        })
+    }
+
+    /// Each shard's published stream: `(signature, triggering seq, degraded)`.
+    fn streams(&self) -> Vec<Vec<(String, u64, bool)>> {
+        let published = self.published.lock().unwrap();
+        let row = |r: &ViolationRecord| (signature(r), r.seq, r.violation.degraded);
+        published.iter().map(|shard| shard.iter().map(row).collect()).collect()
+    }
+}
+
+impl ViolationSink for Recording {
+    fn publish(&self, shard: usize, records: &[ViolationRecord]) {
+        assert!(!records.is_empty(), "an empty publish says nothing");
+        self.published.lock().unwrap()[shard].extend_from_slice(records);
+        self.store.publish(shard, records);
+    }
+
+    fn seal(&self, merged: &[ViolationRecord]) {
+        self.store.seal(merged);
+    }
+}
+
+/// Run `trace` under `cfg` with a [`Recording`] sink.
+fn run_recorded(
+    props: &[Property],
+    cfg: RuntimeConfig,
+    trace: &[NetEvent],
+    end: Instant,
+) -> (Outcome, Arc<Recording>) {
+    let sink = Recording::new(cfg.shards);
+    let rt = ShardedRuntime::new(props.to_vec(), cfg).expect("valid properties");
+    let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
+    for ev in trace {
+        session.feed(ev).expect("crashes stay within the restart budget");
+    }
+    (session.finish(end).expect("crashes stay within the restart budget"), sink)
+}
+
+/// Publication happens at batch cadence, long before a checkpoint covers
+/// it, so every crash here lands on a shard whose sink has already seen
+/// records the recovery will re-raise. Exactly-once is by log position:
+/// per shard, the published stream under crashes is the fault-free one.
+#[test]
+fn published_stream_is_exactly_once_under_crashes() {
+    silence_injected_panics();
+    let props = swmon_props::catalog();
+    let (trace, end) = chaos_trace();
+    for shards in [1usize, 4] {
+        let calm = RuntimeConfig { shards, ..Default::default() };
+        let (_, calm_sink) = run_recorded(&props, calm, &trace, end);
+        let want = calm_sink.streams();
+        assert!(want.iter().all(|s| !s.is_empty()), "every shard publishes on this workload");
+        for checkpoint_every in [16usize, 128, 1024] {
+            let cfg = RuntimeConfig {
+                shards,
+                checkpoint_every,
+                inject_faults: crash_schedule(trace.len(), 7, shards),
+                ..Default::default()
+            };
+            let (out, sink) = run_recorded(&props, cfg, &trace, end);
+            let at = format!("{shards} shard(s), checkpoint every {checkpoint_every}");
+            assert!(out.stats.restarts >= 3, "{at}: schedule must fire: {:?}", out.stats);
+            assert_eq!(out.stats.unaccounted_loss(), 0, "{at}");
+            assert_eq!(sink.streams(), want, "{at}: a shard's published stream moved");
+            let mut published: Vec<String> =
+                sink.streams().into_iter().flatten().map(|(sig, _, _)| sig).collect();
+            let mut merged = out.signatures();
+            published.sort_unstable();
+            merged.sort_unstable();
+            assert_eq!(published, merged, "{at}: published multiset is not the merged output");
+        }
+    }
+}
+
+/// The one way a replayed record can differ from its published original: a
+/// monitoring gap that opened *after* the publish makes the whole replay
+/// run degraded. What was published stands — the sink saw a record with
+/// full provenance, so that is the record the run keeps.
+#[test]
+fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
+    silence_injected_panics();
+    let stage = |n: &str| {
+        let guard = Guard::new(vec![Atom::Bind(var("A"), Field::Ipv4Src)]);
+        Stage::match_(n, EventPattern::Arrival, guard)
+    };
+    let twice = Property {
+        name: "twice".into(),
+        statement: String::new(),
+        stages: vec![stage("a"), stage("b")],
+    };
+    // Sources repeat every five arrivals: every arrival from the sixth on
+    // raises.
+    let mut tb = TraceBuilder::new();
+    for i in 0..32u8 {
+        tb.advance(Duration::from_micros(1));
+        tb.arrive(
+            PortNo(1),
+            PacketBuilder::tcp(
+                MacAddr::new(2, 0, 0, 0, 0, 1),
+                MacAddr::new(2, 0, 0, 0, 0, 99),
+                Ipv4Address::new(10, 0, 0, i % 5 + 1),
+                Ipv4Address::new(10, 0, 0, 99),
+                1000,
+                80,
+                TcpFlags::SYN,
+                &[],
+            ),
+        );
+    }
+    let trace = tb.build();
+    let end = tb.now() + Duration::from_secs(1);
+    // Batches of 8 against a 12-item journal: the first batch of a window
+    // fits and is published clean (seqs 5-7 raise); the second overflows —
+    // half admitted under a gap, half shed — and the journal bound forces
+    // the checkpoint that closes the gap.
+    let cfg = |inject_faults| RuntimeConfig {
+        shards: 1,
+        batch: 8,
+        checkpoint_every: 16,
+        journal_limit: 12,
+        inject_faults,
+        ..Default::default()
+    };
+    let twice = [twice];
+    let (calm, calm_sink) = run_recorded(&twice, cfg(vec![]), &trace, end);
+    // Seq 9 is inside the overflowing second batch: the replay re-raises
+    // seqs 5-7 with the gap already open.
+    let (out, sink) = run_recorded(&twice, cfg(vec![FaultPoint { shard: 0, seq: 9 }]), &trace, end);
+    assert_eq!(out.stats.restarts, 1);
+    assert!(out.stats.shed > 0 && out.stats.unaccounted_loss() == 0, "{:?}", out.stats);
+    let stream = &sink.streams()[0];
+    let clean: Vec<u64> = stream.iter().filter(|r| !r.2).map(|r| r.1).take(3).collect();
+    assert_eq!(clean, [5, 6, 7], "published before the gap, with full provenance: {stream:?}");
+    assert!(stream.iter().any(|r| r.2), "the gap did degrade what it covered");
+    assert_eq!(sink.streams(), calm_sink.streams(), "re-published, dropped or flipped");
+    assert_eq!(out.signatures(), calm.signatures());
+    // And the run agrees with its sink about which records are degraded.
+    let degraded: Vec<String> =
+        out.records.iter().filter(|r| r.violation.degraded).map(signature).collect();
+    let store = sink.store.store();
+    assert_eq!(store.query_str("degraded()").unwrap().signatures(), degraded);
+    assert_eq!(store.query_str("prop(*)").unwrap().signatures(), out.signatures());
 }

@@ -117,9 +117,10 @@ fn degraded_atom_returns_exactly_the_shed_window_violations() {
 /// trace, nothing ever dispatches by fullness — before the staleness
 /// clock existed, a trickle shard's violations stayed staged in the
 /// session arena until `finish()`, invisible to every live query. Now the
-/// `flush_every` clock force-flushes (with a checkpoint) once the oldest
-/// staged event is that many fed events old, so even a shard holding a
-/// single event becomes visible mid-run.
+/// `flush_every` clock dispatches the partial block once the oldest staged
+/// event is that many fed events old — a dispatch like any other: the
+/// shard applies it and publishes what it raised, no checkpoint involved —
+/// so even a shard holding a single event becomes visible mid-run.
 #[test]
 fn stale_trickle_batches_become_visible_without_finish() {
     let props = swmon_props::catalog();
