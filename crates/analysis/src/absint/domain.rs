@@ -5,19 +5,18 @@
 //!
 //! ```text
 //!                Top
-//!            /    |     \
-//!     Range(l,h)  Mac(..)  Ipv4(..)       (Range only for Uint payloads)
+//!            /         \
+//!     Range(l,h)     Const(Mac | Ipv4)    (Range only for Uint payloads)
 //!         |
 //!     Const(Uint)
-//!         \       |      /
-//!               Bottom
+//!            \         /
+//!              Bottom
 //! ```
 //!
-//! Every lattice operation here only ever produces interval endpoints drawn
-//! from the constants already present (plus the operands' endpoints), so
-//! for a fixed property the reachable sub-lattice is **finite** and the
-//! fixpoint terminates without widening — the chain of stages is traversed
-//! once per improvement and improvements are bounded by lattice height.
+//! The only lattice operation is [`AbsValue::meet`]: a property is a chain
+//! of stages, so knowledge only ever *accumulates* along it (a guard
+//! intersects what it demands with what is already known) and no two paths
+//! ever merge — there is nothing to join.
 
 use swmon_packet::FieldValue;
 
@@ -29,29 +28,13 @@ pub enum AbsValue {
     /// Exactly this value (constant propagation).
     Const(FieldValue),
     /// Any unsigned payload in `lo..=hi`. Only [`FieldValue::Uint`] values
-    /// are abstracted by ranges; MAC/IPv4 constants stay `Const` or go
-    /// `Top` on a join.
+    /// are abstracted by ranges; MAC/IPv4 constants stay `Const`.
     Range(u64, u64),
     /// Anything.
     Top,
 }
 
 impl AbsValue {
-    /// The least upper bound of two abstractions.
-    pub fn join(self, other: AbsValue) -> AbsValue {
-        use AbsValue::*;
-        match (self, other) {
-            (Bottom, x) | (x, Bottom) => x,
-            (Top, _) | (_, Top) => Top,
-            (Const(a), Const(b)) if a == b => Const(a),
-            (Const(FieldValue::Uint(a)), Const(FieldValue::Uint(b))) => Range(a.min(b), a.max(b)),
-            (Range(l1, h1), Range(l2, h2)) => Range(l1.min(l2), h1.max(h2)),
-            (Range(l, h), Const(FieldValue::Uint(c)))
-            | (Const(FieldValue::Uint(c)), Range(l, h)) => Range(l.min(c), h.max(c)),
-            _ => Top,
-        }
-    }
-
     /// The greatest lower bound — used by guard transfer to intersect a
     /// constraint with what is already known. `Bottom` means the
     /// constraint is unsatisfiable.
@@ -138,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn join_is_commutative_monotone_and_absorbs_bottom() {
+    fn meet_is_commutative_idempotent_and_absorbs_top() {
         let samples = [
             AbsValue::Bottom,
             u(80),
@@ -149,26 +132,21 @@ mod tests {
             AbsValue::Top,
         ];
         for a in samples {
-            assert_eq!(a.join(AbsValue::Bottom), a);
             assert_eq!(a.meet(AbsValue::Top), a);
-            assert_eq!(a.join(a), a, "idempotent");
+            assert_eq!(a.meet(AbsValue::Bottom), AbsValue::Bottom);
+            assert_eq!(a.meet(a), a, "idempotent");
             for b in samples {
-                assert_eq!(a.join(b), b.join(a), "commutative");
                 assert_eq!(a.meet(b), b.meet(a), "commutative");
-                // Everything either admits what its operands admit (join) or
-                // only what both admit (meet) — spot-check with 80.
+                // A meet admits only what both operands admit — spot-check
+                // with 80.
                 let v = FieldValue::Uint(80);
-                if a.admits(&v) || b.admits(&v) {
-                    assert!(a.join(b).admits(&v));
-                }
                 assert_eq!(a.meet(b).admits(&v), a.admits(&v) && b.admits(&v));
             }
         }
     }
 
     #[test]
-    fn uint_constants_join_into_ranges_and_meet_to_bottom() {
-        assert_eq!(u(80).join(u(443)), AbsValue::Range(80, 443));
+    fn uint_constants_and_ranges_meet_to_their_intersection() {
         assert_eq!(u(80).meet(u(443)), AbsValue::Bottom);
         assert_eq!(
             AbsValue::Range(10, 100).meet(AbsValue::Range(50, 200)),
@@ -177,15 +155,13 @@ mod tests {
         assert_eq!(AbsValue::Range(10, 20).meet(AbsValue::Range(30, 40)), AbsValue::Bottom);
         assert_eq!(AbsValue::Range(10, 20).meet(u(15)), u(15));
         assert_eq!(AbsValue::Range(10, 20).meet(u(25)), AbsValue::Bottom);
-        assert_eq!(AbsValue::Range(10, 20).join(u(5)), AbsValue::Range(5, 20));
         // Meets that pinch a range to one point re-constantify.
         assert_eq!(AbsValue::Range(10, 20).meet(AbsValue::Range(20, 30)), u(20));
     }
 
     #[test]
-    fn cross_kind_values_go_top_on_join_bottom_on_meet() {
+    fn cross_kind_values_meet_to_bottom() {
         let ip = AbsValue::Const(FieldValue::Ipv4(Ipv4Address::new(10, 0, 0, 1)));
-        assert_eq!(ip.join(u(80)), AbsValue::Top);
         assert_eq!(ip.meet(u(80)), AbsValue::Bottom);
         assert_eq!(ip.meet(AbsValue::Range(0, 9)), AbsValue::Bottom);
     }

@@ -1,10 +1,10 @@
 //! The abstract environment: what is known about an instance's bound
 //! variables at one program point (= awaiting one stage).
 //!
-//! A variable present in the map is *definitely bound* on every path to the
-//! point, and its [`AbsValue`] over-approximates the values it can hold. A
-//! variable absent from the map may or may not be bound — nothing is
-//! assumed about it (reads come back [`AbsValue::Top`]).
+//! A variable present in the map is *definitely bound* at the point, and
+//! its [`AbsValue`] over-approximates the values it can hold. A variable
+//! absent from the map may or may not be bound — nothing is assumed about
+//! it (reads come back [`AbsValue::Top`]).
 
 use super::domain::AbsValue;
 use std::collections::BTreeMap;
@@ -28,7 +28,7 @@ impl AbsEnv {
         self.vars.get(v).copied().unwrap_or(AbsValue::Top)
     }
 
-    /// True when `v` is bound on every path to this point.
+    /// True when `v` is definitely bound at this point.
     pub fn is_bound(&self, v: &Var) -> bool {
         self.vars.contains_key(v)
     }
@@ -40,29 +40,6 @@ impl AbsEnv {
         let merged = self.get(&v).meet(value);
         self.vars.insert(v, merged);
         merged
-    }
-
-    /// Least upper bound of two environments: variables definitely bound on
-    /// *both* paths survive with joined values; everything else becomes
-    /// unknown (dropped).
-    pub fn join(&self, other: &AbsEnv) -> AbsEnv {
-        let vars = self
-            .vars
-            .iter()
-            .filter_map(|(v, a)| other.vars.get(v).map(|b| (*v, a.join(*b))))
-            .collect();
-        AbsEnv { vars }
-    }
-
-    /// The tracked variables with their abstractions, in canonical order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Var, &AbsValue)> {
-        self.vars.iter()
-    }
-
-    /// True when some tracked variable admits no value — the point is
-    /// unreachable.
-    pub fn contradicted(&self) -> bool {
-        self.vars.values().any(AbsValue::is_bottom)
     }
 }
 
@@ -84,20 +61,5 @@ mod tests {
         assert_eq!(env.bind(var("A"), u(80)), u(80));
         assert_eq!(env.bind(var("A"), AbsValue::Range(0, 100)), u(80), "meet refines");
         assert_eq!(env.bind(var("A"), u(443)), AbsValue::Bottom, "contradiction");
-        assert!(env.contradicted());
-    }
-
-    #[test]
-    fn join_keeps_only_both_sides_bound() {
-        let mut a = AbsEnv::new();
-        a.bind(var("A"), u(80));
-        a.bind(var("B"), u(1));
-        let mut b = AbsEnv::new();
-        b.bind(var("A"), u(443));
-        let j = a.join(&b);
-        assert!(j.is_bound(&var("A")));
-        assert_eq!(j.get(&var("A")), AbsValue::Range(80, 443));
-        assert!(!j.is_bound(&var("B")), "B is unknown on one path");
-        assert_eq!(j.get(&var("B")), AbsValue::Top);
     }
 }

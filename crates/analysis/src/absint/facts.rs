@@ -1,15 +1,19 @@
-//! Synthesis: running the analysis for one property and packaging what it
-//! proved.
+//! Synthesis: packaging what the stage [`walk`] proved about a property.
 //!
-//! [`property_facts`] builds the CFG, solves the fixpoint, and derives:
+//! [`property_facts`] walks the stages and derives:
 //!
-//! * the **refined event-class mask** — the OR of the class masks of the
-//!   *feasible* event-driven edges. Sound because every reaction of the
-//!   engine to an event (spawn, advance, clear) is modelled by exactly one
-//!   edge, refresh classes are covered by the edge that completed the
-//!   refreshed stage, and an infeasible edge's transition can never fire;
-//! * **stage liveness** — stage `s` can be completed iff the target of its
-//!   completion edge is reachable (the chain has no other way in);
+//! * the **refined event-class mask** — the OR of the classes of the
+//!   event-driven reactions that can happen: the spawn, each advance out of
+//!   a reachable stage, each clearing of a reachable stage whose guard is
+//!   not refuted there. Sound because every reaction of the engine to an
+//!   event (spawn, advance, clear) is one of those, and refresh classes are
+//!   covered by the reaction that completed the refreshed stage. Clock-
+//!   driven reactions (deadlines, window expiry) carry no class, and
+//!   *stage-0 clearings* are left out: no instance ever awaits stage 0, so
+//!   the engine never evaluates them;
+//! * **stage liveness** — stage `s` can be completed iff no advance guard
+//!   up to and including its own is refuted (the chain has no other way
+//!   in);
 //! * the **spawn-cardinality bound** — for each routing key, how many
 //!   distinct spawn-binding tuples can exist: the product over spawn
 //!   binders of 1 (the binder's field is part of the routing key, so it is
@@ -23,11 +27,10 @@
 //! the syntactic one on every property (docs/ANALYSIS.md), so there is
 //! nothing to prune.
 
-use super::cfg::Cfg;
-use super::fixpoint::{self, Solution};
 use super::resources::ResourceEstimate;
+use super::walk::{walk, Walk};
 use std::collections::{BTreeMap, BTreeSet};
-use swmon_core::{Property, RouteMode, RoutingPlan};
+use swmon_core::{Property, RouteMode, RoutingPlan, StageKind};
 use swmon_packet::Field;
 
 /// Everything the abstract interpreter proved about one property.
@@ -44,39 +47,47 @@ pub struct PropertyFacts {
     pub spawn_cardinality: Option<u64>,
     /// Intrinsic per-instance state cost.
     pub estimate: ResourceEstimate,
-    /// The CFG the facts were derived on.
-    pub cfg: Cfg,
-    /// The fixpoint solution (per-node envs, per-edge feasibility).
-    pub solution: Solution,
 }
 
 /// Run the analysis for `property`. The property should be structurally
 /// valid ([`Property::validate`]); on a property with no stages the result
 /// is the trivial all-dead bundle.
 pub fn property_facts(property: &Property) -> PropertyFacts {
-    let cfg = Cfg::build(property);
-    let solution = fixpoint::solve(property, &cfg);
-    let refined_mask = cfg
-        .edges()
-        .iter()
-        .zip(&solution.edge_feasible)
-        .filter(|(_, &ok)| ok)
-        .fold(0u8, |m, (e, _)| m | e.class_mask);
-    let live_stages =
-        (0..property.stages.len()).map(|s| solution.reachable(cfg.completion_target(s))).collect();
-    let spawn_cardinality = spawn_cardinality(property, &cfg, &solution);
-    PropertyFacts {
-        syntactic_mask: property.event_class_mask(),
-        refined_mask,
-        live_stages,
-        spawn_cardinality,
-        estimate: ResourceEstimate::of(property),
-        cfg,
-        solution,
-    }
+    PropertyFacts::of(property, &walk(property))
 }
 
 impl PropertyFacts {
+    /// Derive the facts from `walk`, the walk of `property`.
+    pub fn of(property: &Property, walk: &Walk) -> PropertyFacts {
+        let mut refined_mask = 0u8;
+        // Stages `0..=dead_from` are the ones an instance can await (the
+        // spawn stage is "awaited" by the empty pre-spawn state), and only
+        // those before `dead_from` can be advanced out of.
+        let awaited = property.stages.iter().zip(&walk.stages).take(walk.dead_from + 1);
+        for (s, (stage, at)) in awaited.enumerate() {
+            match &stage.kind {
+                StageKind::Match { pattern, .. } if s < walk.dead_from => {
+                    refined_mask |= pattern.class_mask();
+                }
+                _ => {}
+            }
+            if s > 0 {
+                for (u, clearing) in stage.unless.iter().zip(&at.unless) {
+                    if !clearing.refuted() {
+                        refined_mask |= u.pattern.class_mask();
+                    }
+                }
+            }
+        }
+        PropertyFacts {
+            syntactic_mask: property.event_class_mask(),
+            refined_mask,
+            live_stages: (0..property.stages.len()).map(|s| s < walk.dead_from).collect(),
+            spawn_cardinality: spawn_cardinality(property, walk),
+            estimate: ResourceEstimate::of(property),
+        }
+    }
+
     /// True when the mask proves strictly fewer classes than the syntax.
     pub fn mask_is_refined(&self) -> bool {
         self.refined_mask != self.syntactic_mask
@@ -84,10 +95,11 @@ impl PropertyFacts {
 }
 
 /// The per-routing-key bound on distinct spawn-binding tuples.
-fn spawn_cardinality(property: &Property, cfg: &Cfg, solution: &Solution) -> Option<u64> {
-    let Some(env) = &solution.node_env[cfg.completion_target(0)] else {
+fn spawn_cardinality(property: &Property, walk: &Walk) -> Option<u64> {
+    if walk.dead_from == 0 {
         return Some(0); // the spawn guard is unsatisfiable: no instances at all
-    };
+    }
+    let env = &walk.stages[0].advance.env;
     let key_fields: BTreeSet<Field> = match RoutingPlan::of(property).mode() {
         RouteMode::HashExact { fields } | RouteMode::HashSymmetric { fields, .. } => {
             fields.iter().copied().collect()

@@ -1,7 +1,7 @@
 //! `SW010`–`SW013` — findings proven by the abstract interpreter.
 //!
-//! This pass runs the [`crate::absint`] framework once per property and
-//! reports what the fixpoint proved beyond the syntactic passes:
+//! This pass derives the [`PropertyFacts`] from the context's stage walk
+//! and reports what they prove beyond the per-guard lints:
 //!
 //! * `SW010` (Note) — the refined event-class mask is *strictly* tighter
 //!   than the syntactic one: the property's text names event classes
@@ -10,17 +10,16 @@
 //!   on the same stage: every event the later clause clears, the earlier
 //!   clause already clears, so the later clause never fires uniquely;
 //! * `SW012` (Warning) — a stage the abstract interpretation proves can
-//!   never be completed, where the purely syntactic `SW002` check found
-//!   nothing (new knowledge only: cross-stage constant conflicts,
-//!   out-of-range constants under field widths, definitely-unbound
-//!   negative reads);
+//!   never be completed, where `SW002` has nothing to say (only what
+//!   needs the value domain: cross-stage constant conflicts, out-of-range
+//!   constants under field widths, definitely-unbound negative reads);
 //! * `SW013` (Note) — a finite upper bound on distinct spawn-binding
 //!   tuples per routing key, i.e. a provable cap on instance cardinality.
 
-use super::{guards, Ctx};
-use crate::absint::{property_facts, PropertyFacts};
+use super::Ctx;
+use crate::absint::PropertyFacts;
 use crate::diag::{Code, Diagnostic, Position, Severity};
-use swmon_core::{ActionPattern, EventPattern, OobPattern, StageKind};
+use swmon_core::{ActionPattern, EventPattern, OobPattern};
 
 /// True when every event matching `narrow` also matches `wide`.
 fn pattern_covers(wide: &EventPattern, narrow: &EventPattern) -> bool {
@@ -43,11 +42,11 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     if ctx.prop.stages.is_empty() {
         return Vec::new(); // SW000 owns this; nothing to interpret
     }
-    let facts = property_facts(ctx.prop);
+    let facts = PropertyFacts::of(ctx.prop, &ctx.walk);
     let mut out = Vec::new();
     refined_mask(ctx, &facts, &mut out);
     dominated_clearings(ctx, &mut out);
-    prunable_stage(ctx, &facts, &mut out);
+    prunable_stage(ctx, &mut out);
     cardinality(ctx, &facts, &mut out);
     out
 }
@@ -99,16 +98,14 @@ fn dominated_clearings(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn prunable_stage(ctx: &Ctx<'_>, facts: &PropertyFacts, out: &mut Vec<Diagnostic>) {
-    // Liveness is prefix-closed; the first dead stage is the cause and the
-    // rest are consequences, so report exactly one finding.
-    let Some(s) = facts.live_stages.iter().position(|l| !l) else { return };
-    // New knowledge only: if the stage's own guard is syntactically
-    // unsatisfiable, SW002 already reports it (as an Error, no less).
-    if let StageKind::Match { guard, .. } = &ctx.prop.stages[s].kind {
-        if guards::unsat_reason(guard).is_some() {
-            return;
-        }
+fn prunable_stage(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
+    // The first dead stage is the cause and the rest are consequences, so
+    // report exactly one finding — unless the cause is a contradiction
+    // inside the guard, which SW002 reports (as an Error, no less).
+    let s = ctx.walk.dead_from;
+    let Some(at) = ctx.walk.stages.get(s) else { return };
+    if at.advance.findings_for(Code::UnsatGuard).next().is_some() {
+        return;
     }
     out.push(Diagnostic {
         code: Code::PrunableStage,

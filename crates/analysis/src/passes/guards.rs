@@ -1,7 +1,31 @@
-//! `SW002` unsatisfiable guards and `SW003` mirror-symmetry conflicts.
+//! `SW001` unbound reads, `SW002` unsatisfiable guards and `SW003`
+//! mirror-symmetry conflicts — the per-guard lints.
 //!
-//! A guard is a conjunction, so two top-level atoms that constrain one
-//! field incompatibly make the whole guard unsatisfiable:
+//! The guard evaluator ([`crate::absint::transfer::eval`]) finds what is
+//! wrong with a guard; this pass words it, once per guard site (a match
+//! stage's advance guard, or one `unless` clause).
+//!
+//! **`SW001`.** Guard evaluation is left-to-right and
+//! [`swmon_core::Atom::NeqVar`] *fails* when its variable is unbound (a
+//! negative match against nothing is unsatisfiable, not vacuously true). So
+//! a read of a variable that no earlier observation definitely binds is at
+//! best a dead atom and at worst a never-firing property:
+//!
+//! * a read in a stage's advance guard (top-level `!= ?v` or
+//!   `rr successor of ?v`) makes the stage unmatchable — **Error**;
+//! * a read inside an `any of:` disjunct kills only that disjunct, and a
+//!   read in an `unless` guard kills only the clearing — **Warning**;
+//! * a `within bound ?v` window whose variable is unbound never arms, so
+//!   the instance never expires — **Error**.
+//!
+//! "Definitely bound" means: a top-level `Bind` of an earlier match
+//! stage's guard, or a top-level `Bind` earlier in the same guard. Bindings
+//! made inside `any of:` disjuncts are discarded by evaluation and never
+//! count.
+//!
+//! **`SW002`.** A guard is a conjunction, so two top-level atoms that
+//! constrain one field incompatibly make the whole guard unsatisfiable;
+//! the first such pair per guard is reported:
 //!
 //! * `f == a` and `f == b` with `a != b`;
 //! * `f == a` and `f != a`;
@@ -10,66 +34,42 @@
 //! * `f == value` where the value's type can never be the field's type
 //!   (e.g. a MAC constant compared against an IPv4 field).
 //!
-//! `SW003` is the subtler symmetry bug: one guard binding the same
+//! **`SW003`** is the subtler symmetry bug: one guard binding the same
 //! variable at a field *and* at its directional mirror (`ipv4.src` and
 //! `ipv4.dst`). Unification forces both fields equal, so only
 //! self-addressed packets match — almost always a misspelling of the
 //! symmetric pattern, which puts the mirrored bind in a *later* stage.
 
 use super::Ctx;
+use crate::absint::{field_kind, value_kind, Eval, Reason};
 use crate::diag::{Code, Diagnostic, Position, Severity};
 use swmon_core::features::mirror_field;
-use swmon_core::{Atom, Guard, StageKind};
-use swmon_packet::{Field, FieldValue};
+use swmon_core::property::WindowSpec;
+use swmon_core::{Atom, Guard};
+use swmon_packet::Field;
 
-/// Run the guard-satisfiability checks.
+/// Run the per-guard lints.
 pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (s, stage) in ctx.prop.stages.iter().enumerate() {
-        if let StageKind::Match { guard, .. } = &stage.kind {
-            if let Some((atom, message, suggestion)) = unsat_reason(guard) {
-                out.push(Diagnostic {
-                    code: Code::UnsatGuard,
-                    severity: Severity::Error,
-                    locus: ctx.locus(s, Position::Guard { atom }),
-                    message: format!("{message}; the stage can never advance"),
-                    suggestion: Some(suggestion),
-                });
-            }
-            for (atom, message) in mirror_conflicts(guard) {
-                out.push(Diagnostic {
-                    code: Code::MirrorConflict,
-                    severity: Severity::Warning,
-                    locus: ctx.locus(s, Position::Guard { atom }),
-                    message,
-                    suggestion: Some(
-                        "for symmetric (request/reply) matching, bind the variable at the \
-                         mirrored field in a later stage, not alongside the original"
-                            .into(),
-                    ),
-                });
-            }
+    for (s, (stage, at)) in ctx.prop.stages.iter().zip(&ctx.walk.stages).enumerate() {
+        if let Some(guard) = stage.guard() {
+            lint_guard(ctx, s, None, guard, &at.advance, &mut out);
         }
-        for (c, u) in stage.unless.iter().enumerate() {
-            if let Some((_, message, suggestion)) = unsat_reason(&u.guard) {
+        for (c, (u, clearing)) in stage.unless.iter().zip(&at.unless).enumerate() {
+            lint_guard(ctx, s, Some(c), &u.guard, clearing, &mut out);
+        }
+        if let Some(WindowSpec::BoundSecs(v)) = &stage.within {
+            if !at.env.is_bound(v) {
                 out.push(Diagnostic {
-                    code: Code::UnsatGuard,
-                    severity: Severity::Warning,
-                    locus: ctx.locus(s, Position::Unless { clause: c }),
-                    message: format!("{message}; the clearing can never fire"),
-                    suggestion: Some(suggestion),
-                });
-            }
-            for (_, message) in mirror_conflicts(&u.guard) {
-                out.push(Diagnostic {
-                    code: Code::MirrorConflict,
-                    severity: Severity::Warning,
-                    locus: ctx.locus(s, Position::Unless { clause: c }),
-                    message,
-                    suggestion: Some(
-                        "bind the variable at one orientation per guard (src/dst are mirrors)"
-                            .into(),
+                    code: Code::UnboundVar,
+                    severity: Severity::Error,
+                    locus: ctx.locus(s, Position::Window),
+                    message: format!(
+                        "window `within bound ?{}` reads ?{0}, which no earlier stage binds; \
+                         the window never arms and the instance never expires",
+                        v.name()
                     ),
+                    suggestion: Some(format!("bind ?{} in an earlier stage", v.name())),
                 });
             }
         }
@@ -77,102 +77,118 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// The value type a field carries on the wire, for constant-type checking.
-#[derive(PartialEq, Eq, Clone, Copy, Debug)]
-enum Kind {
-    Mac,
-    Ipv4,
-    Uint,
-}
-
-fn field_kind(f: Field) -> Kind {
-    use Field::*;
-    match f {
-        EthSrc | EthDst | ArpSenderMac | ArpTargetMac | DhcpChaddr => Kind::Mac,
-        ArpSenderIp | ArpTargetIp | Ipv4Src | Ipv4Dst | DhcpYiaddr | DhcpCiaddr
-        | DhcpRequestedIp | DhcpServerId | FtpDataAddr => Kind::Ipv4,
-        _ => Kind::Uint,
+/// Lint one guard of stage `s` — its advance guard (`clause: None`) or
+/// `unless` clause `clause` — from its evaluation.
+fn lint_guard(
+    ctx: &Ctx<'_>,
+    s: usize,
+    clause: Option<usize>,
+    guard: &Guard,
+    eval: &Eval,
+    out: &mut Vec<Diagnostic>,
+) {
+    // A finding points at its atom in an advance guard, at the whole clause
+    // in a clearing; what fails is an Error there and a Warning here.
+    let position = |atom: usize| match clause {
+        None => Position::Guard { atom },
+        Some(clause) => Position::Unless { clause },
+    };
+    let (severity, never_matches, unsat_means, mirror_help) = match clause {
+        None => (
+            Severity::Error,
+            "the guard can never match, so the stage never advances",
+            "the stage can never advance",
+            "for symmetric (request/reply) matching, bind the variable at the mirrored field in \
+             a later stage, not alongside the original",
+        ),
+        Some(_) => (
+            Severity::Warning,
+            "the clearing can never match, so it never discharges the obligation",
+            "the clearing can never fire",
+            "bind the variable at one orientation per guard (src/dst are mirrors)",
+        ),
+    };
+    for f in &eval.findings {
+        let Reason::UnboundRead { var, round_robin, in_disjunct } = &f.reason else { continue };
+        let v = var.name();
+        let (severity, message) = if *in_disjunct {
+            let kills = "the disjunct can never hold";
+            (Severity::Warning, format!("disjunct reads ?{v} before anything binds it; {kills}"))
+        } else if *round_robin {
+            let what = format!("round-robin check reads ?{v} before anything binds it");
+            (severity, format!("{what}; {never_matches}"))
+        } else {
+            let what = format!("negative match against ?{v} reads it before anything binds it");
+            (severity, format!("{what}; {never_matches}"))
+        };
+        out.push(Diagnostic {
+            code: Code::UnboundVar,
+            severity,
+            locus: ctx.locus(s, position(f.atom)),
+            message,
+            suggestion: Some(format!(
+                "bind ?{v} with a top-level `bind` in an earlier stage (disjunct bindings are \
+                 discarded)"
+            )),
+        });
+    }
+    if let Some((atom, message, suggestion)) = unsat(eval) {
+        out.push(Diagnostic {
+            code: Code::UnsatGuard,
+            severity,
+            locus: ctx.locus(s, position(atom)),
+            message: format!("{message}; {unsat_means}"),
+            suggestion: Some(suggestion.into()),
+        });
+    }
+    for (atom, message) in mirror_conflicts(guard) {
+        out.push(Diagnostic {
+            code: Code::MirrorConflict,
+            severity: Severity::Warning,
+            locus: ctx.locus(s, position(atom)),
+            message,
+            suggestion: Some(mirror_help.into()),
+        });
     }
 }
 
-fn value_kind(v: &FieldValue) -> Kind {
-    match v {
-        FieldValue::Mac(_) => Kind::Mac,
-        FieldValue::Ipv4(_) => Kind::Ipv4,
-        FieldValue::Uint(_) => Kind::Uint,
-    }
-}
-
-fn fmt_val(v: &FieldValue) -> String {
-    match v {
-        FieldValue::Mac(m) => m.to_string(),
-        FieldValue::Ipv4(a) => a.to_string(),
-        FieldValue::Uint(n) => n.to_string(),
-    }
-}
-
-/// Why a guard's top-level conjunction is unsatisfiable, if it is:
+/// The guard's first in-guard contradiction, worded:
 /// `(index of the later conflicting atom, message, suggestion)`.
-pub(crate) fn unsat_reason(guard: &Guard) -> Option<(usize, String, String)> {
+fn unsat(eval: &Eval) -> Option<(usize, String, &'static str)> {
     let name = swmon_core::dsl::field_name;
-    for (i, atom) in guard.atoms.iter().enumerate() {
-        // Type-mismatched constants are self-contained contradictions.
-        if let Atom::EqConst(f, v) = atom {
-            if field_kind(*f) != value_kind(v) {
-                return Some((
-                    i,
-                    format!(
-                        "`{} == {}` compares a {:?}-valued field against a {:?} constant, which \
-                         can never be equal",
-                        name(*f),
-                        fmt_val(v),
-                        field_kind(*f),
-                        value_kind(v)
-                    ),
-                    "use a constant of the field's type".into(),
-                ));
-            }
+    let contradictory = "remove one of the contradictory constraints";
+    let finding = eval.findings_for(Code::UnsatGuard).next()?;
+    let (message, suggestion) = match &finding.reason {
+        Reason::TypeMismatch(f, v) => (
+            format!(
+                "`{} == {}` compares a {:?}-valued field against a {:?} constant, which can \
+                 never be equal",
+                name(*f),
+                v,
+                field_kind(*f),
+                value_kind(v)
+            ),
+            "use a constant of the field's type",
+        ),
+        Reason::ConstConflict(f, earlier, later) => (
+            format!("`{} == {}` contradicts earlier `{0} == {}`", name(*f), later, earlier),
+            contradictory,
+        ),
+        Reason::EqAndNeq(f, v) => {
+            (format!("`{} == {}` and `{0} != {1}` cannot both hold", name(*f), v), contradictory)
         }
-        // Pairwise conflicts with an earlier atom.
-        for earlier in &guard.atoms[..i] {
-            let conflict = match (earlier, atom) {
-                (Atom::EqConst(f1, v1), Atom::EqConst(f2, v2)) if f1 == f2 && v1 != v2 => {
-                    Some(format!(
-                        "`{} == {}` contradicts earlier `{0} == {}`",
-                        name(*f1),
-                        fmt_val(v2),
-                        fmt_val(v1)
-                    ))
-                }
-                (Atom::EqConst(f1, v1), Atom::NeqConst(f2, v2))
-                | (Atom::NeqConst(f2, v2), Atom::EqConst(f1, v1))
-                    if f1 == f2 && v1 == v2 =>
-                {
-                    Some(format!(
-                        "`{} == {}` and `{0} != {1}` cannot both hold",
-                        name(*f1),
-                        fmt_val(v1)
-                    ))
-                }
-                (Atom::Bind(v1, f1), Atom::NeqVar(f2, v2))
-                | (Atom::NeqVar(f2, v2), Atom::Bind(v1, f1))
-                    if f1 == f2 && v1 == v2 =>
-                {
-                    Some(format!(
-                        "`bind ?{} = {}` forces the field equal to ?{0}, so `{1} != ?{0}` in the \
-                         same guard can never hold",
-                        v1.name(),
-                        name(*f1)
-                    ))
-                }
-                _ => None,
-            };
-            if let Some(message) = conflict {
-                return Some((i, message, "remove one of the contradictory constraints".into()));
-            }
-        }
-    }
-    None
+        Reason::BindAndNeq(v, f) => (
+            format!(
+                "`bind ?{} = {}` forces the field equal to ?{0}, so `{1} != ?{0}` in the same \
+                 guard can never hold",
+                v.name(),
+                name(*f)
+            ),
+            contradictory,
+        ),
+        other => unreachable!("{other:?} is not an SW002 reason"),
+    };
+    Some((finding.atom, message, suggestion))
 }
 
 /// Same-guard binds of one variable at a field and its mirror:

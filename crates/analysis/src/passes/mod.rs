@@ -1,21 +1,24 @@
 //! The lint pass pipeline.
 //!
 //! Each pass is a function from the shared [`Ctx`] to a list of
-//! [`Diagnostic`]s. Passes are pure and order-independent; the orchestrator
-//! ([`run`]) executes them in code order and the result is sorted into a
-//! deterministic presentation order (severity, then code, then stage).
+//! [`Diagnostic`]s. [`Ctx::new`] walks the property's stages once
+//! ([`crate::absint::walk()`]); the guard passes ([`guards`], [`reach`],
+//! [`absint`]) render that walk's findings and never evaluate a
+//! guard themselves. Passes are pure and order-independent; the
+//! orchestrator ([`run`]) executes them in code order and the result is
+//! sorted into a deterministic presentation order (severity, then code,
+//! then stage).
 
 pub mod absint;
 pub mod backend;
-pub mod dataflow;
 pub mod guards;
 pub mod perf;
 pub mod reach;
 pub mod structural;
 
+use crate::absint::{walk, Walk};
 use crate::diag::{Diagnostic, Locus, Position};
-use std::collections::BTreeSet;
-use swmon_core::{Property, PropertySpans, StageKind, Var};
+use swmon_core::{Property, PropertySpans};
 
 /// Shared, precomputed analysis context handed to every pass.
 pub struct Ctx<'a> {
@@ -23,26 +26,14 @@ pub struct Ctx<'a> {
     pub prop: &'a Property,
     /// Source spans, when the property came from DSL text.
     pub spans: Option<&'a PropertySpans>,
-    /// `bound_before[s]`: variables *definitely* bound by any instance
-    /// awaiting stage `s` — the top-level binders of the match-stage guards
-    /// of all earlier stages. (A guard only succeeds if every one of its
-    /// `Bind` atoms held, so everything it binds is definite; `AnyOf`
-    /// disjunct bindings are discarded by evaluation and excluded.)
-    pub bound_before: Vec<BTreeSet<Var>>,
+    /// The abstract evaluation of every guard of `prop`, stage by stage.
+    pub walk: Walk,
 }
 
 impl<'a> Ctx<'a> {
-    /// Build the context for `prop`.
+    /// Build the context for `prop`: one walk down its stages.
     pub fn new(prop: &'a Property, spans: Option<&'a PropertySpans>) -> Ctx<'a> {
-        let mut bound_before = Vec::with_capacity(prop.stages.len());
-        let mut bound: BTreeSet<Var> = BTreeSet::new();
-        for stage in &prop.stages {
-            bound_before.push(bound.clone());
-            if let StageKind::Match { guard, .. } = &stage.kind {
-                bound.extend(guard.binders().map(|(v, _)| *v));
-            }
-        }
-        Ctx { prop, spans, bound_before }
+        Ctx { prop, spans, walk: walk(prop) }
     }
 
     /// A locus at `position` of stage `s`, with the stage name and (when
@@ -87,7 +78,6 @@ impl<'a> Ctx<'a> {
 pub fn run(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     out.extend(structural::check(ctx));
-    out.extend(dataflow::check(ctx));
     out.extend(guards::check(ctx));
     out.extend(reach::check(ctx));
     out.extend(perf::check(ctx));

@@ -1,9 +1,9 @@
 //! `SW004` unreachable stages and `SW005` dead timeouts.
 //!
 //! Stages execute strictly in order, so a match stage whose advance guard
-//! can never succeed — an unsatisfiable conjunction (`SW002`) or a
-//! top-level read of a never-bound variable (`SW001`) — blocks every stage
-//! after it. Deadline stages never block: time always passes. A clearing
+//! can never succeed — the walk found an unsatisfiable conjunction
+//! (`SW002`) or a top-level read of a never-bound variable (`SW001`) in it
+//! — blocks every stage after it. Deadline stages never block: time always passes. A clearing
 //! on the spawn stage is also unreachable (instances never *await* stage
 //! 0, so its `unless` list is dead code).
 //!
@@ -14,9 +14,10 @@
 //!   triggers on *repeats of the previous observation*, and a deadline has
 //!   no observation event to repeat.
 
-use super::{guards, Ctx};
+use super::Ctx;
+use crate::absint::Reason;
 use crate::diag::{Code, Diagnostic, Position, Severity};
-use swmon_core::{Atom, RefreshPolicy, StageKind};
+use swmon_core::{RefreshPolicy, StageKind};
 
 /// Run the reachability checks.
 pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
@@ -37,22 +38,24 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
         }
     }
 
-    // First blocked match stage, if any.
-    let blocked_at = ctx.prop.stages.iter().enumerate().find_map(|(s, stage)| {
-        let StageKind::Match { guard, .. } = &stage.kind else {
-            return None; // deadlines always fire
-        };
-        if guards::unsat_reason(guard).is_some() {
+    // The first stage whose advance guard carries an Error finding — a
+    // contradiction inside the guard, else a top-level unbound read —
+    // blocks every stage after it. (A stage only the value domain proves
+    // dead is `SW012`'s to report.)
+    let blocker = ctx.walk.stages.iter().enumerate().find_map(|(s, at)| {
+        if at.advance.findings_for(Code::UnsatGuard).next().is_some() {
             return Some((s, "its guard is unsatisfiable"));
         }
-        if has_unbound_advance_read(ctx, s, guard) {
-            return Some((s, "its guard reads a variable nothing binds"));
-        }
-        None
+        let unbound = |r: &Reason| matches!(r, Reason::UnboundRead { in_disjunct: false, .. });
+        at.advance
+            .findings
+            .iter()
+            .any(|f| unbound(&f.reason))
+            .then_some((s, "its guard reads a variable nothing binds"))
     });
 
     let mut unreachable = vec![false; ctx.prop.stages.len()];
-    if let Some((b, why)) = blocked_at {
+    if let Some((b, why)) = blocker {
         for (s, dead) in unreachable.iter_mut().enumerate().skip(b + 1) {
             *dead = true;
             out.push(Diagnostic {
@@ -114,23 +117,4 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
 
 fn stage_name(ctx: &Ctx<'_>, s: usize) -> String {
     ctx.prop.stages.get(s).map(|st| st.name.clone()).unwrap_or_default()
-}
-
-/// True when the advance guard has a top-level read (negative match or
-/// round-robin predecessor) of a variable bound neither by an earlier stage
-/// nor earlier in this guard — the `SW001` Error condition, recomputed here
-/// so reachability does not depend on diagnostic plumbing.
-fn has_unbound_advance_read(ctx: &Ctx<'_>, s: usize, guard: &swmon_core::Guard) -> bool {
-    let mut bound = ctx.bound_before[s].clone();
-    for atom in &guard.atoms {
-        match atom {
-            Atom::NeqVar(_, v) if !bound.contains(v) => return true,
-            Atom::RrSuccessorMismatch { prev, .. } if !bound.contains(prev) => return true,
-            Atom::Bind(v, _) => {
-                bound.insert(*v);
-            }
-            _ => {}
-        }
-    }
-    false
 }

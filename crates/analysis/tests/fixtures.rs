@@ -321,10 +321,10 @@ fn sw009_backend_gap_fires_once() {
     assert!(d.message.contains("1 of 1"), "{d:#?}");
 }
 
-#[test]
-fn corpus_diagnostics_round_trip_through_json() {
-    let mut all = Vec::new();
-    for p in [
+/// Every fixture above, in code order. `tests/lint_pinned.rs` at the
+/// workspace root pins the diagnostics of each.
+pub fn corpus() -> Vec<Property> {
+    vec![
         fx_structural(),
         fx_unbound(),
         fx_unsat(),
@@ -336,7 +336,14 @@ fn corpus_diagnostics_round_trip_through_json() {
         fx_identity_keyed(),
         fx_identity_in_anyof(),
         fx_pinned(),
-    ] {
+        fx_backend_gap(),
+    ]
+}
+
+#[test]
+fn corpus_diagnostics_round_trip_through_json() {
+    let mut all = Vec::new();
+    for p in corpus() {
         all.extend(analyze(&p));
     }
     all.extend(swmon_analysis::analyze_full(

@@ -44,7 +44,7 @@ fn gen_atom() -> impl Strategy<Value = GenAtom> {
 }
 
 #[derive(Debug, Clone)]
-struct GenStage {
+pub struct GenStage {
     kind: u8, // 0 = arrival match, 1 = departure match, 2 = deadline
     atoms: Vec<GenAtom>,
     unless: Option<Vec<GenAtom>>,
@@ -71,7 +71,7 @@ fn gen_stage() -> impl Strategy<Value = GenStage> {
 
 /// No structural clamping at all: stage 0 may be a deadline, carry a
 /// window, or have clearings. The linter has to cope (that is the point).
-fn gen_property() -> impl Strategy<Value = Vec<GenStage>> {
+pub fn gen_property() -> impl Strategy<Value = Vec<GenStage>> {
     proptest::collection::vec(gen_stage(), 1..5)
 }
 
@@ -87,7 +87,7 @@ fn to_atom(a: &GenAtom) -> Atom {
     }
 }
 
-fn build(stages: &[GenStage]) -> Property {
+pub fn build(stages: &[GenStage]) -> Property {
     let built: Vec<Stage> = stages
         .iter()
         .enumerate()

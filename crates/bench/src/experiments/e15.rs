@@ -21,16 +21,15 @@
 //!    [`swmon_runtime::MonitoringGap`], zero unaccounted loss) — its
 //!    output intentionally differs from the reference, which is the point.
 
+use super::crash_schedule;
 use crate::report::{Cell, Report};
 use std::time::Instant as WallInstant;
 use swmon_core::MonitorConfig;
 use swmon_runtime::{
-    reference_records, signature, silence_injected_panics, FaultPoint, RuntimeConfig,
-    ShardedRuntime,
+    reference_records, signature, silence_injected_panics, RuntimeConfig, ShardedRuntime,
 };
 use swmon_sim::time::{Duration, Instant};
-use swmon_sim::{CrashWindow, FaultPlan, PortNo, SwitchId};
-use swmon_workloads::trace::lossy_trace;
+use swmon_workloads::trace::{fault_plan, lossy_trace};
 
 /// Shard count every supervised row runs at.
 pub const SHARDS: usize = 4;
@@ -51,40 +50,13 @@ const COLUMNS: [&str; 9] = [
     "unaccounted",
 ];
 
-/// The network fault plan: light but non-trivial loss, duplication and
-/// reordering, plus one switch crash window in the first quarter of the
-/// trace (its `PortDown`/`PortUp` out-of-band events are monitorable).
-fn fault_plan(span: Duration) -> FaultPlan {
-    let quarter = Duration::from_nanos(span.as_nanos() / 4);
-    let tenth = Duration::from_nanos(span.as_nanos() / 10);
-    FaultPlan {
-        seed: 0xfa117,
-        drop_fraction: 0.02,
-        duplicate_fraction: 0.01,
-        reorder_fraction: 0.02,
-        crashes: vec![CrashWindow {
-            switch: SwitchId(0),
-            down: Instant::ZERO + quarter,
-            up: Instant::ZERO + quarter + tenth,
-            port: PortNo(0),
-        }],
-    }
-}
-
-/// A crash schedule spreading `count` worker panics across shards and
-/// across the trace (deterministic: same trace length, same schedule).
-fn crash_schedule(events: usize, count: usize) -> Vec<FaultPoint> {
-    (0..count)
-        .map(|i| FaultPoint { shard: i % SHARDS, seq: ((i + 1) * events / (count + 1)) as u64 })
-        .collect()
-}
-
 /// Run the chaos benchmark over a `flows`-flow, `packets`-packet workload.
 pub fn run(flows: u32, packets: u32) -> Report {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let span = Duration::from_micros(2) * u64::from(packets);
-    let (trace, l) = lossy_trace(flows, packets, 13, &fault_plan(span));
+    let tenth = Duration::from_nanos(span.as_nanos() / 10);
+    let (trace, l) = lossy_trace(flows, packets, 13, &fault_plan(0xfa117, span, tenth));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
 
     let mut report = Report::new("e15-fault-tolerance", &COLUMNS);
@@ -157,7 +129,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
         );
     };
     supervised("supervised, fault-free", base_cfg.clone(), 0);
-    let crashes = crash_schedule(trace.len(), 5);
+    let crashes = crash_schedule(trace.len(), 5, SHARDS);
     // The headline claim needs real crashes: at least 3 must have fired.
     supervised(
         &format!("supervised, {} crashes", crashes.len()),

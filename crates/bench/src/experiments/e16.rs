@@ -25,9 +25,8 @@ use swmon_core::{var, Bindings, Violation};
 use swmon_packet::FieldValue;
 use swmon_runtime::{RuntimeConfig, ShardedRuntime, ViolationRecord, ViolationSink};
 use swmon_sim::time::{Duration, Instant};
-use swmon_sim::{CrashWindow, FaultPlan, PortNo, SwitchId};
 use swmon_store::{Store, StoreSink};
-use swmon_workloads::trace::lossy_trace;
+use swmon_workloads::trace::{fault_plan, lossy_trace};
 
 /// Synthetic rows ingested at full scale (the headline claim is ≥ 1M).
 pub const SYNTHETIC_ROWS: u64 = 1_000_000;
@@ -100,24 +99,6 @@ fn measure(
     );
 }
 
-/// The catalog workload's network fault plan (same shape as E15's, fixed
-/// seed, no monitor-side faults — this experiment stresses the store).
-fn fault_plan(span: Duration) -> FaultPlan {
-    let quarter = Duration::from_nanos(span.as_nanos() / 4);
-    FaultPlan {
-        seed: 0x570fe,
-        drop_fraction: 0.02,
-        duplicate_fraction: 0.01,
-        reorder_fraction: 0.02,
-        crashes: vec![CrashWindow {
-            switch: SwitchId(0),
-            down: Instant::ZERO + quarter,
-            up: Instant::ZERO + quarter + quarter,
-            port: PortNo(0),
-        }],
-    }
-}
-
 /// Run the store benchmark: `synthetic_rows` generated violations for the
 /// ingest/query half, a `flows`-flow `packets`-packet catalog session for
 /// the differential and live halves.
@@ -177,7 +158,8 @@ pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Report {
 
     // ---- 2 + 3. Catalog session with a live StoreSink -----------------
     let span = Duration::from_micros(2) * u64::from(packets);
-    let (trace, _fault_log) = lossy_trace(flows, packets, 13, &fault_plan(span));
+    let quarter = Duration::from_nanos(span.as_nanos() / 4);
+    let (trace, _fault_log) = lossy_trace(flows, packets, 13, &fault_plan(0x570fe, span, quarter));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
     let rt = ShardedRuntime::new(
         props,

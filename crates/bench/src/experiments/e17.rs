@@ -21,12 +21,13 @@
 //! the rollback row must be byte-identical to a session that never
 //! attempted the plan. `"verified": false` anywhere fails `repro`.
 
+use super::crash_schedule;
 use crate::report::{Cell, Report};
 use std::time::Instant as WallInstant;
 use swmon_core::{MonitorConfig, Property};
 use swmon_props::firewall;
 use swmon_runtime::{
-    name_signature, reference_records, signature, silence_injected_panics, DeployPlan, FaultPoint,
+    name_signature, reference_records, signature, silence_injected_panics, DeployPlan,
     RuntimeConfig, RuntimeError, ShardedRuntime, ViolationRecord,
 };
 use swmon_sim::time::{Duration, Instant};
@@ -104,13 +105,6 @@ fn quantile_us(sorted: &[u64], q: f64) -> Cell {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     (sorted[idx] as f64 / 1_000.0).into()
-}
-
-/// Worker panics spread across shards and across the trace.
-fn crash_schedule(events: usize, count: usize) -> Vec<FaultPoint> {
-    (0..count)
-        .map(|i| FaultPoint { shard: i % SHARDS, seq: ((i + 1) * events / (count + 1)) as u64 })
-        .collect()
 }
 
 /// Feed the trace with `DEPLOYS` evenly spaced hot-adds; returns the row
@@ -232,7 +226,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
     };
     // On a healthy fleet, then racing five injected worker crashes.
     deploy_row(&format!("{DEPLOYS} live deploys (hot add)"), base_cfg.clone(), 0);
-    let crashes = crash_schedule(trace.len(), 5);
+    let crashes = crash_schedule(trace.len(), 5, SHARDS);
     deploy_row(
         &format!("{DEPLOYS} deploys racing {} crashes", crashes.len()),
         RuntimeConfig { inject_faults: crashes, ..base_cfg.clone() },

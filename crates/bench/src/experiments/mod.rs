@@ -16,3 +16,14 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 pub mod stats;
+
+use swmon_runtime::FaultPoint;
+
+/// Worker panics spread round-robin across `shards` and evenly across a
+/// trace of `events` events (deterministic: same trace length, same
+/// schedule) — the crash injection E15 and E17 share.
+pub fn crash_schedule(events: usize, count: usize, shards: usize) -> Vec<FaultPoint> {
+    (0..count)
+        .map(|i| FaultPoint { shard: i % shards, seq: ((i + 1) * events / (count + 1)) as u64 })
+        .collect()
+}

@@ -27,9 +27,9 @@
 use crate::TextTable;
 use swmon_runtime::{RuntimeConfig, RuntimeStats, ShardedRuntime};
 use swmon_sim::time::{Duration, Instant};
-use swmon_sim::{CrashWindow, FaultLog, FaultPlan, PortNo, SwitchId};
+use swmon_sim::FaultLog;
 use swmon_telemetry::{annotate_faults, names, Snapshot};
-use swmon_workloads::trace::lossy_trace;
+use swmon_workloads::trace::{fault_plan, lossy_trace};
 
 /// The stats run's outcome: final statistics plus the exported page.
 #[derive(Debug, Clone)]
@@ -54,25 +54,6 @@ pub struct Outcome {
     /// Whether every counter identity for this shard count held, and every
     /// live snapshot audited clean.
     pub reconciled: bool,
-}
-
-/// Light but non-trivial network faults: loss, duplication, reordering,
-/// and one switch crash window (whose `PortDown`/`PortUp` out-of-band
-/// events are themselves monitorable).
-fn fault_plan(span: Duration) -> FaultPlan {
-    let quarter = Duration::from_nanos(span.as_nanos() / 4);
-    FaultPlan {
-        seed: 0x57a75,
-        drop_fraction: 0.02,
-        duplicate_fraction: 0.01,
-        reorder_fraction: 0.02,
-        crashes: vec![CrashWindow {
-            switch: SwitchId(0),
-            down: Instant::ZERO + quarter,
-            up: Instant::ZERO + quarter + quarter,
-            port: PortNo(0),
-        }],
-    }
 }
 
 /// The counter identities for `shards`; false as well if any catalogued
@@ -107,7 +88,8 @@ pub fn run(flows: u32, packets: u32, shards: usize) -> Outcome {
     let props = swmon_props::catalog();
     let properties = props.len();
     let span = Duration::from_micros(2) * u64::from(packets);
-    let (trace, fault_log) = lossy_trace(flows, packets, 7, &fault_plan(span));
+    let quarter = Duration::from_nanos(span.as_nanos() / 4);
+    let (trace, fault_log) = lossy_trace(flows, packets, 7, &fault_plan(0x57a75, span, quarter));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
 
     let cfg = RuntimeConfig { shards, ..Default::default() };

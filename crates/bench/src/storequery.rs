@@ -16,31 +16,11 @@ use crate::report::Emitter;
 use swmon_core::json::escape;
 use swmon_runtime::{RuntimeConfig, ShardedRuntime, ViolationSink};
 use swmon_sim::time::{Duration, Instant};
-use swmon_sim::{FaultPlan, SwitchId};
 use swmon_store::{parse, StoreSink};
-use swmon_workloads::trace::lossy_trace;
+use swmon_workloads::trace::{fault_plan, lossy_trace};
 
 /// Events between `--follow` polls of the live store.
 const POLL_EVERY: usize = 2_048;
-
-/// The workload's network fault plan: light loss/duplication/reordering
-/// plus one switch crash window, so `degraded()`/`shard(S)`-style queries
-/// have provenance to find. Fixed seed — runs are reproducible.
-fn fault_plan(span: Duration) -> FaultPlan {
-    let quarter = Duration::from_nanos(span.as_nanos() / 4);
-    FaultPlan {
-        seed: 0x570fe,
-        drop_fraction: 0.02,
-        duplicate_fraction: 0.01,
-        reorder_fraction: 0.02,
-        crashes: vec![swmon_sim::CrashWindow {
-            switch: SwitchId(0),
-            down: Instant::ZERO + quarter,
-            up: Instant::ZERO + quarter + quarter,
-            port: swmon_sim::PortNo(0),
-        }],
-    }
-}
 
 /// Execute `src` over a `flows`-flow, `packets`-packet catalog session.
 /// Prints through `em`; marks it failed on parse errors, a failed
@@ -71,7 +51,8 @@ pub fn run(src: &str, flows: u32, packets: u32, follow: bool, em: &mut Emitter) 
         }
     }
     let span = Duration::from_micros(2) * u64::from(packets);
-    let (trace, _) = lossy_trace(flows, packets, 13, &fault_plan(span));
+    let quarter = Duration::from_nanos(span.as_nanos() / 4);
+    let (trace, _) = lossy_trace(flows, packets, 13, &fault_plan(0x570fe, span, quarter));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
     let rt = ShardedRuntime::new(
         props,

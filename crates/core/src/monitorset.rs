@@ -185,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn whole_catalog_runs_as_one_sink() {
-        // All thirteen Table 1 properties over a quiet trace: no panics,
-        // no violations, bounded state.
-        let mut set = MonitorSet::from_properties(swmon_props_catalog());
+    fn quiet_trace_raises_nothing_and_state_stays_bounded() {
+        // Fifty forwarded flows through a two-property set. (The run over
+        // the real catalog is `tests/catalog_set.rs` at the workspace root.)
+        let mut set = MonitorSet::from_properties(vec![fw(), floods()]);
         let mut tb = TraceBuilder::new();
         for i in 0..50u8 {
             let p = PacketBuilder::tcp(
@@ -211,8 +211,10 @@ mod tests {
             set.process(&ev);
         }
         set.advance_to(swmon_sim::Instant::ZERO + Duration::from_secs(60));
-        // Plain forwarded TCP violates none of the catalog properties.
+        // Plain forwarded TCP violates neither property, and holds at most
+        // one instance per flow.
         assert!(set.violations().is_empty(), "{:?}", set.counts());
+        assert!(set.live_instances() <= 50, "{}", set.live_instances());
     }
 
     #[test]
@@ -274,13 +276,5 @@ mod tests {
             "pre-dispatch delivered everything: {skipped} vs {}",
             floods_alone.stats.events
         );
-    }
-
-    /// The thirteen catalog properties, built locally to avoid a circular
-    /// dev-dependency on swmon-props (which depends on this crate).
-    fn swmon_props_catalog() -> Vec<Property> {
-        // A representative subset standing in for the catalog here; the
-        // true catalog-wide run lives in the workspace integration tests.
-        vec![fw(), floods()]
     }
 }

@@ -28,7 +28,7 @@
 
 use std::sync::RwLock;
 
-use swmon_analysis::json::escape;
+use swmon_core::json::escape;
 use swmon_core::wire::{Reader, SnapshotError, Writer};
 use swmon_runtime::{signature, ViolationRecord};
 

@@ -32,8 +32,8 @@
 
 use std::fmt;
 
-use swmon_analysis::json::escape;
 use swmon_analysis::Severity;
+use swmon_core::json::escape;
 use swmon_packet::{FieldValue, Ipv4Address, MacAddr};
 
 /// A half-open byte range `[start, end)` into the query source.

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::trace::{EgressAction, NetEvent};
-use swmon_sim::{FaultLog, FaultPlan, PortNo, TraceBuilder};
+use swmon_sim::{CrashWindow, FaultLog, FaultPlan, PortNo, SwitchId, TraceBuilder};
 
 /// A firewall-shaped trace: `pairs` distinct (A,B) address pairs send an
 /// outbound packet (spawning one monitor instance each); a fraction of
@@ -110,6 +110,27 @@ pub fn multi_flow_trace(
         t += inter_packet;
     }
     tb.build()
+}
+
+/// The network fault plan the chaos runs push [`lossy_trace`] through:
+/// light but non-trivial loss, duplication and reordering under `seed`,
+/// plus one crash window on switch 0 that opens a quarter of the way into
+/// `span` and lasts `down_for` (its `PortDown`/`PortUp` out-of-band events
+/// are themselves monitorable).
+pub fn fault_plan(seed: u64, span: Duration, down_for: Duration) -> FaultPlan {
+    let down = Instant::ZERO + Duration::from_nanos(span.as_nanos() / 4);
+    FaultPlan {
+        seed,
+        drop_fraction: 0.02,
+        duplicate_fraction: 0.01,
+        reorder_fraction: 0.02,
+        crashes: vec![CrashWindow {
+            switch: SwitchId(0),
+            down,
+            up: down + down_for,
+            port: PortNo(0),
+        }],
+    }
 }
 
 /// The E13/E15 interleaved workload with network faults applied: a

@@ -23,6 +23,7 @@ use swmon::sim::{
     CrashWindow, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId, TraceBuilder,
 };
 use swmon::store::StoreSink;
+use swmon_bench::experiments::crash_schedule;
 use swmon_workloads::trace::lossy_trace;
 
 /// The chaos workload: the E13-shaped interleaved trace pushed through a
@@ -45,13 +46,6 @@ fn chaos_trace() -> (Vec<NetEvent>, Instant) {
     assert!(log.accounted(), "the fault plan itself must account its edits: {log:?}");
     let end = trace.last().unwrap().time + Duration::from_secs(120);
     (trace, end)
-}
-
-/// Worker panics spread across all four shards and across the trace.
-fn crash_schedule(events: usize, count: usize, shards: usize) -> Vec<FaultPoint> {
-    (0..count)
-        .map(|i| FaultPoint { shard: i % shards, seq: ((i + 1) * events / (count + 1)) as u64 })
-        .collect()
 }
 
 /// The headline acceptance check: >= 3 injected worker panics across the

@@ -20,12 +20,13 @@
 
 use swmon::monitor::{MonitorConfig, Property};
 use swmon::runtime::{
-    name_signature, reference_records, silence_injected_panics, DeployPlan, FaultPoint,
-    RuntimeConfig, RuntimeError, ShardedRuntime, ViolationRecord,
+    name_signature, reference_records, silence_injected_panics, DeployPlan, RuntimeConfig,
+    RuntimeError, ShardedRuntime, ViolationRecord,
 };
 use swmon::sim::{
     CrashWindow, DeploySchedule, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId,
 };
+use swmon_bench::experiments::crash_schedule;
 use swmon_props::firewall;
 use swmon_workloads::trace::lossy_trace;
 
@@ -61,13 +62,6 @@ fn chaos_setup() -> (Vec<NetEvent>, Instant, DeploySchedule) {
     let schedule = DeploySchedule::around_crash_windows(&crashes, Duration::from_micros(100));
     assert_eq!(schedule.points.len(), 3, "before / during / after the outage");
     (trace, end, schedule)
-}
-
-/// Worker panics spread across all shards and across the trace.
-fn crash_schedule(events: usize, count: usize, shards: usize) -> Vec<FaultPoint> {
-    (0..count)
-        .map(|i| FaultPoint { shard: i % shards, seq: ((i + 1) * events / (count + 1)) as u64 })
-        .collect()
 }
 
 /// Sorted index-blind signatures ([`name_signature`]), as in
