@@ -72,7 +72,7 @@ impl Arena {
         let capacity = capacity.max(1);
         Arena {
             events: Vec::with_capacity(capacity),
-            pending: (0..shards).map(|_| Vec::new()).collect(),
+            pending: (0..shards).map(|_| Vec::with_capacity(capacity)).collect(),
             capacity,
             first_seq: None,
         }
@@ -104,7 +104,8 @@ impl Arena {
     }
 
     /// Seal the block: one `Arc` of the slab shared across one [`Batch`]
-    /// per shard that has staged items, in shard order.
+    /// per shard that has staged items, in shard order; what replaces a
+    /// handed-over selection is pre-sized for a full block.
     pub(crate) fn seal(&mut self) -> Vec<(usize, Batch)> {
         if self.events.is_empty() {
             return Vec::new();
@@ -118,7 +119,8 @@ impl Arena {
             .enumerate()
             .filter(|(_, items)| !items.is_empty())
             .map(|(shard, items)| {
-                (shard, Batch { block: block.clone(), items: std::mem::take(items) })
+                let items = std::mem::replace(items, Vec::with_capacity(self.capacity));
+                (shard, Batch { block: block.clone(), items })
             })
             .collect()
     }

@@ -101,19 +101,21 @@ impl AdaptiveConfig {
 pub struct RuntimeConfig {
     /// Number of worker threads (shards). Clamped to at least 1.
     pub shards: usize,
-    /// Events per channel message: the router accumulates up to this many
-    /// events per shard before sending, amortising channel synchronisation.
+    /// Events per dispatch: the session stages this many delivered events
+    /// before handing each shard its share. A shard publishes what a batch
+    /// raised as it completes, so `batch` ÷ the input rate is the detection
+    /// floor (default 8, where dispatch cost starts to show: docs/PERF.md).
     pub batch: usize,
     /// Hand-off lane capacity, in batches. When a worker falls behind,
     /// the session *blocks* here — events are never dropped, because a
     /// silently dropped event would forge a negative observation
     /// (Feature 7 deadlines fire on absence of events).
     pub queue: usize,
-    /// Bounded-staleness flush, in input ticks: when the oldest event
-    /// staged in the session's arena is this many fed events old, the
-    /// partial block is dispatched like a full one. Dispatch staleness:
-    /// with `batch`, what bounds how far a violation's visibility to live
-    /// queries trails the input. `0` means *auto*: `4 * batch`.
+    /// Bounded-staleness flush, in input ticks, checked on every fed event
+    /// (class-filtered ones too): when the oldest staged event is this many
+    /// fed events old, the partial block is dispatched like a full one, so
+    /// `flush_every` ÷ the input rate is the detection floor of a shard
+    /// whose share never fills a batch. `0` means *auto*: `4 * batch`.
     pub flush_every: usize,
     /// Adaptive ingress (see [`AdaptiveConfig`]).
     pub adaptive: AdaptiveConfig,
@@ -155,7 +157,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             shards: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-            batch: 64,
+            batch: 8,
             queue: 64,
             flush_every: 0,
             adaptive: AdaptiveConfig::default(),
@@ -228,6 +230,8 @@ mod tests {
     fn flush_every_auto_tracks_the_batch_size() {
         let n = RuntimeConfig { batch: 16, ..Default::default() }.normalized();
         assert_eq!(n.flush_every, 64);
+        let n = RuntimeConfig::default().normalized();
+        assert_eq!((n.batch, n.flush_every), (8, 32), "the defaults: detection within 8 events");
         let explicit = RuntimeConfig { flush_every: 7, ..Default::default() }.normalized();
         assert_eq!(explicit.flush_every, 7);
         assert!(!RuntimeConfig::default().adaptive.enabled, "adaptive ingress is opt-in");

@@ -529,18 +529,17 @@ impl Session<'_> {
                 }
             }
         }
+        // Pre-enqueue filtering: an event that provably cannot affect any
+        // monitor never enters the arena or a ring.
+        let full = delivered && self.arena.push(seq, ev, &self.masks);
         if !delivered {
-            // Pre-enqueue filtering: the event provably cannot affect any
-            // monitor, so it never enters the arena or a ring.
             Routed::bump(&self.routed.skipped);
-            return self.adaptive_tick();
         }
         // Full, or stale: the oldest staged event has waited `flush_every`
-        // input ticks, so a trickle shard's violations become sink-visible
-        // without waiting for a full block or `finish()`.
-        if self.arena.push(seq, ev, &self.masks)
-            || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64)
-        {
+        // input ticks — filtered ones count — so a trickle shard's
+        // violations become sink-visible without waiting for a full block,
+        // the next delivered event, or `finish()`.
+        if full || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64) {
             self.dispatch()?;
         }
         self.adaptive_tick()
@@ -983,7 +982,6 @@ mod tests {
     }
 
     fn arrival_from(i: u64) -> NetEvent {
-        use std::sync::Arc;
         use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
         use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
         let pkt = Arc::new(PacketBuilder::tcp(
@@ -1050,6 +1048,49 @@ mod tests {
         }
         // No finish: drop must drain and join without deadlocking.
         drop(session);
+    }
+
+    /// Counts what it is handed before the seal.
+    #[derive(Debug, Default)]
+    struct Published(std::sync::atomic::AtomicUsize);
+
+    impl ViolationSink for Published {
+        fn publish(&self, _shard: usize, records: &[ViolationRecord]) {
+            self.0.fetch_add(records.len(), std::sync::atomic::Ordering::Relaxed);
+        }
+
+        fn seal(&self, _merged: &[ViolationRecord]) {}
+    }
+
+    #[test]
+    fn the_staleness_flush_fires_on_filtered_events() {
+        use swmon_sim::trace::{NetEventKind, OobEvent, PortNo, SwitchId};
+        let cfg = RuntimeConfig {
+            shards: 1,
+            batch: 64,
+            flush_every: 4,
+            adaptive: AdaptiveConfig { window: u64::MAX, ..AdaptiveConfig::on() },
+            ..Default::default()
+        };
+        let rt = ShardedRuntime::new(vec![repeat_prop("p", Field::Ipv4Src)], cfg).unwrap();
+        let sink = Arc::new(Published::default());
+        let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
+        // Two arrivals from one source: the second raises, and both stay
+        // staged in a block of 64.
+        for i in [0, 7] {
+            session.feed(&arrival_from(i)).unwrap();
+        }
+        // `flush_every` events the property's class mask filters out.
+        for t in 10..14 {
+            let down = OobEvent::PortDown(SwitchId(0), PortNo(1));
+            let ev = NetEvent { time: Instant::from_nanos(t), kind: NetEventKind::OutOfBand(down) };
+            session.feed(&ev).unwrap();
+        }
+        assert_eq!(session.live_stats().skipped, 4, "the property masks every link event");
+        let seen = sink.0.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(seen, 1, "the staged violation is published before `finish`");
+        let out = session.finish(Instant::from_nanos(1_000)).unwrap();
+        assert_eq!(out.records.len(), 1);
     }
 
     #[test]

@@ -384,7 +384,10 @@ impl Supervisor {
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| self.apply_pending(finish_at)));
             let first_time = (self.high_water - high) as u64;
             self.probe.processed.add(first_time);
-            self.probe.replayed.add((self.journal_pos - pos) as u64 - first_time);
+            let replayed = (self.journal_pos - pos) as u64 - first_time;
+            if replayed != 0 {
+                self.probe.replayed.add(replayed);
+            }
             if self.in_gap {
                 self.probe.degraded_violations.add((self.state.records.len() - logged) as u64);
             }
@@ -400,19 +403,24 @@ impl Supervisor {
     /// probes: the events each examined (after every attempt — an unwound
     /// one's applications happened, and their replays count again) and,
     /// once an attempt `completed`, the change in its live instances,
-    /// making a property's gauge the sum over its replicas. Gauges skip an
-    /// unwound attempt's state: it is torn, and about to be replaced.
+    /// making a property's gauge the sum over its replicas — each written
+    /// only if it moved. Gauges skip an unwound attempt's state: it is
+    /// torn, and about to be replaced.
     fn read_engines(&mut self, completed: bool) {
         let probes = &self.state.layout.probes;
         let replicas = self.state.monitors.iter().zip(probes).zip(&mut self.told);
         let mut live_instances = 0;
         for (((_, m), probe), told) in replicas {
-            probe.events.add(m.stats.events - told.events);
-            told.events = m.stats.events;
+            if m.stats.events != told.events {
+                probe.events.add(m.stats.events - told.events);
+                told.events = m.stats.events;
+            }
             if completed {
                 let live = m.live_instances() as u64;
-                probe.live.add(live as i64 - told.live as i64);
-                told.live = live;
+                if live != told.live {
+                    probe.live.add(live as i64 - told.live as i64);
+                    told.live = live;
+                }
                 live_instances += live;
             }
         }
@@ -429,14 +437,7 @@ impl Supervisor {
     fn apply_pending(&mut self, finish_at: Option<Instant>) {
         let tracing = self.tracer.enabled();
         let faults = !self.inject.is_empty();
-        // Locate the flat cursor inside the batch list (replay resets it
-        // to 0; the steady state resumes at the tail batch).
-        let mut skip = self.journal_pos;
-        let mut b = 0;
-        while b < self.journal.len() && skip >= self.journal[b].items.len() {
-            skip -= self.journal[b].items.len();
-            b += 1;
-        }
+        let (mut b, mut skip) = self.resume_at();
         while b < self.journal.len() {
             for i in skip..self.journal[b].items.len() {
                 let ItemRef { seq, mask, idx } = self.journal[b].items[i];
@@ -467,6 +468,17 @@ impl Supervisor {
         if let Some(end) = finish_at {
             self.state.finish(end, self.in_gap);
         }
+    }
+
+    /// `journal_pos` as `(batch, offset)`, walked back from the tail: the
+    /// steady state resumes in the batch just admitted; only replay walks far.
+    fn resume_at(&self) -> (usize, usize) {
+        let (mut b, mut start) = (self.journal.len(), self.journal_len);
+        while start > self.journal_pos {
+            b -= 1;
+            start -= self.journal[b].items.len();
+        }
+        (b, self.journal_pos - start)
     }
 
     /// Rebuild the crash domain from the last checkpoint and rewind the
@@ -832,6 +844,71 @@ mod tests {
             |o: &ShardOutcome| o.records.iter().map(crate::merge::signature).collect::<Vec<_>>();
         assert_eq!(sig(&clean), sig(&faulty));
         assert_eq!(clean_probe.processed.get(), probe.processed.get());
+    }
+
+    /// Batches of 3 for 90 events against a cadence no window reaches, so
+    /// all 30 stay journalled; seq 47 (batch 15, third item) crashes. The
+    /// recovery replays 0..47 once; every drive around it resumes on the
+    /// next unapplied item, without walking the batches before it.
+    #[test]
+    fn a_crash_inside_batch_k_of_many_resumes_on_the_next_unapplied_item() {
+        silence_injected_panics();
+        let run = |inject: Vec<u64>| {
+            let crash_at = inject.first().copied();
+            let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
+            let (mut sup, probe, sink) = recorded(spec(cfg, inject));
+            let mut arena = Arena::new(1, 3);
+            for seq in 0..90 {
+                if arena.push(seq, &test_ev(seq), &[1]) {
+                    let (_, batch) = arena.seal().pop().unwrap();
+                    let replayed = probe.replayed.get();
+                    sup.handle(Msg::Events(batch)).unwrap();
+                    assert_eq!(sup.journal_pos, sup.journal_len, "batch ending at {seq} applied");
+                    assert_eq!(sup.resume_at(), (sup.journal.len(), 0));
+                    // The crashing batch ends on the crash: everything
+                    // before it since the checkpoint (none) is replayed.
+                    let replay = if crash_at == Some(seq) { seq } else { 0 };
+                    assert_eq!(probe.replayed.get() - replayed, replay, "batch ending at {seq}");
+                }
+            }
+            assert_eq!((sup.journal.len(), probe.checkpoints.get()), (30, 0));
+            (sink.publishes(), probe)
+        };
+        let (clean, _) = run(vec![]);
+        let (faulty, probe) = run(vec![47]);
+        assert_eq!(probe.restarts.get(), 1);
+        assert_eq!(probe.processed.get(), 90, "each item applied once, replays apart");
+        let sig = |p: &[Vec<ViolationRecord>]| {
+            p.iter().flatten().map(crate::merge::signature).collect::<Vec<_>>()
+        };
+        assert!(clean.len() > 20, "most batches raise: {}", clean.len());
+        assert_eq!(sig(&faulty), sig(&clean));
+    }
+
+    /// `resume_at` walks back from the tail to the same `(batch, offset)`
+    /// a walk forward from batch 0 finds, for every cursor position.
+    #[test]
+    fn the_cursor_is_found_from_the_tail() {
+        let (mut sup, _) = supervised(RuntimeConfig { shards: 1, ..Default::default() }, vec![]);
+        let mut seq = 0;
+        for size in [1, 3, 1, 8, 2, 5] {
+            let mut arena = Arena::new(1, size);
+            for _ in 0..size {
+                let _ = arena.push(seq, &test_ev(seq), &[1]);
+                seq += 1;
+            }
+            sup.admit(arena.seal().pop().unwrap().1);
+        }
+        assert_eq!(sup.journal_len, 20);
+        let mut forward = Vec::new();
+        for (b, batch) in sup.journal.iter().enumerate() {
+            forward.extend((0..batch.items.len()).map(|i| (b, i)));
+        }
+        forward.push((sup.journal.len(), 0));
+        for (pos, want) in forward.into_iter().enumerate() {
+            sup.journal_pos = pos;
+            assert_eq!(sup.resume_at(), want, "cursor {pos}");
+        }
     }
 
     #[test]

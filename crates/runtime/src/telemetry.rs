@@ -267,9 +267,14 @@ impl TelemetryHub {
         page.counters.push((Key::plain(names::FAN_INS), self.fan_ins.get()));
         for (s, probe) in self.shards.iter().enumerate() {
             let c = |name: &str, v: u64| (Key::labeled(name, "shard", s), v);
-            page.counters.push(c(names::SHARD_DELIVERED, probe.delivered.get()));
-            page.counters.push(c(names::SHARD_PROCESSED, probe.processed.get()));
-            page.counters.push(c(names::SHARD_SHED, probe.shed.get()));
+            // Backlog, derived here: the shard's counts are read first, as
+            // a delivery is counted before it is sent.
+            let (processed, shed) = (probe.processed.get(), probe.shed.get());
+            let delivered = probe.delivered.get();
+            page.counters.push(c(names::SHARD_DELIVERED, delivered));
+            page.counters.push(c(names::SHARD_PROCESSED, processed));
+            page.counters.push(c(names::SHARD_SHED, shed));
+            page.gauges.push(c(names::SHARD_BACKLOG, delivered.saturating_sub(processed + shed)));
             page.counters.push(c(names::SHARD_RESTARTS, probe.restarts.get()));
             page.counters.push(c(names::SHARD_CHECKPOINTS, probe.checkpoints.get()));
             page.counters.push(c(names::SHARD_CHECKPOINT_SLOTS, probe.checkpoint_slots.get()));
@@ -342,6 +347,15 @@ mod tests {
         let fin = h.final_stats();
         assert_eq!(fin.per_shard[0].events, 10);
         assert_eq!(fin.unaccounted_loss(), 1);
+        // Mid-run the same difference is the shard's backlog.
+        let page = h.export();
+        let backlog: Vec<u64> = page
+            .gauges
+            .iter()
+            .filter(|(k, _)| k.name == names::SHARD_BACKLOG)
+            .map(|&(_, v)| v)
+            .collect();
+        assert_eq!(backlog, [1, 0]);
     }
 
     #[test]

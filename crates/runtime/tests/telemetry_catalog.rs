@@ -59,6 +59,23 @@ fn export_covers_exactly_the_documented_catalog() {
     let mut catalog: Vec<&str> = names::ALL.to_vec();
     catalog.sort_unstable();
     assert_eq!(exported, catalog, "exported page and documented catalog diverged");
+    assert_eq!(catalog.len(), 32);
+}
+
+/// `swmon_shard_backlog_events` is what a shard still owes the router; a
+/// finished run owes nothing.
+#[test]
+fn backlog_gauge_is_zero_after_finish() {
+    let (out, _) = run_instrumented(TelemetryConfig::default());
+    let page = out.telemetry.export();
+    let backlog: Vec<u64> = page
+        .gauges
+        .iter()
+        .filter(|(k, _)| k.name == names::SHARD_BACKLOG)
+        .map(|&(_, v)| v)
+        .collect();
+    assert_eq!(backlog, [0, 0], "one series per shard, each drained");
+    assert!(out.stats.deliveries > 0);
 }
 
 #[test]

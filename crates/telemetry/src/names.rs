@@ -49,6 +49,10 @@ pub const SHARD_STORE_PUBLISHED: &str = "swmon_shard_store_published_total";
 /// input ticks — its triggering event's sequence number to the last one the
 /// shard had admitted when the publish began (histogram). Label: `shard`.
 pub const SHARD_PUBLISH_LAG: &str = "swmon_shard_publish_lag_events";
+/// Per-shard: items the router has counted for the shard that it has
+/// neither applied nor shed — `delivered − processed − shed`, computed at
+/// export from those three counters (gauge). Label: `shard`.
+pub const SHARD_BACKLOG: &str = "swmon_shard_backlog_events";
 /// Canonically merged records handed to the violation store at seal time.
 pub const STORE_SEALED: &str = "swmon_store_sealed_total";
 
@@ -109,6 +113,7 @@ pub const ALL: &[&str] = &[
     SHARD_RECOVERY_NANOS,
     SHARD_STORE_PUBLISHED,
     SHARD_PUBLISH_LAG,
+    SHARD_BACKLOG,
     STORE_SEALED,
     PROPERTY_SET_EPOCH,
     DEPLOYS_APPLIED,
@@ -139,6 +144,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 31);
+        assert_eq!(ALL.len(), 32);
     }
 }

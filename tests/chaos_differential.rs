@@ -116,7 +116,9 @@ fn starved_journal_degrades_explicitly() {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
-    let cfg = RuntimeConfig { shards: 4, journal_limit: 16, ..Default::default() };
+    // The batch is named: at the default of 8 a 16-item journal checkpoints
+    // before it overflows.
+    let cfg = RuntimeConfig { shards: 4, batch: 64, journal_limit: 16, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let out = rt.run(&trace, end).expect("shedding is not a failure");
 
@@ -187,36 +189,58 @@ fn run_recorded(
 /// Publication happens at batch cadence, long before a checkpoint covers
 /// it, so every crash here lands on a shard whose sink has already seen
 /// records the recovery will re-raise. Exactly-once is by log position:
-/// per shard, the published stream under crashes is the fault-free one.
+/// per shard, the published stream under crashes is the fault-free one —
+/// at every batch size, so recovery also rewinds through windows of
+/// hundreds of one-item batches (batch 1, checkpoint every 1024) and
+/// through a batch the journal bound split (the last run: batches of 64
+/// against a 100-item journal shed the tail of every second one).
 #[test]
 fn published_stream_is_exactly_once_under_crashes() {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
+    let mut runs: Vec<(usize, usize, usize, usize)> = Vec::new();
     for shards in [1usize, 4] {
-        let calm = RuntimeConfig { shards, ..Default::default() };
-        let (_, calm_sink) = run_recorded(&props, calm, &trace, end);
-        let want = calm_sink.streams();
-        assert!(want.iter().all(|s| !s.is_empty()), "every shard publishes on this workload");
-        for checkpoint_every in [16usize, 128, 1024] {
-            let cfg = RuntimeConfig {
-                shards,
-                checkpoint_every,
-                inject_faults: crash_schedule(trace.len(), 7, shards),
-                ..Default::default()
-            };
-            let (out, sink) = run_recorded(&props, cfg, &trace, end);
-            let at = format!("{shards} shard(s), checkpoint every {checkpoint_every}");
-            assert!(out.stats.restarts >= 3, "{at}: schedule must fire: {:?}", out.stats);
-            assert_eq!(out.stats.unaccounted_loss(), 0, "{at}");
-            assert_eq!(sink.streams(), want, "{at}: a shard's published stream moved");
-            let mut published: Vec<String> =
-                sink.streams().into_iter().flatten().map(|(sig, _, _)| sig).collect();
-            let mut merged = out.signatures();
-            published.sort_unstable();
-            merged.sort_unstable();
-            assert_eq!(published, merged, "{at}: published multiset is not the merged output");
+        for batch in [1usize, 8, 64] {
+            runs.extend([16, 128, 1024].map(|every| (shards, batch, every, 0)));
         }
+    }
+    runs.push((1, 64, 128, 100));
+    let mut calm_streams = std::collections::HashMap::new();
+    for (shards, batch, checkpoint_every, journal_limit) in runs {
+        let base = RuntimeConfig { shards, batch, journal_limit, ..Default::default() };
+        let shed_split = journal_limit != 0;
+        // The fault-free stream to match, at the default cadence — the
+        // stream must not depend on it — unless the journal bound lets the
+        // cadence decide what is shed.
+        let calm_every = if shed_split { checkpoint_every } else { base.checkpoint_every };
+        let key = (shards, batch, calm_every, journal_limit);
+        let want = calm_streams.entry(key).or_insert_with(|| {
+            let calm = RuntimeConfig { checkpoint_every: calm_every, ..base.clone() };
+            let streams = run_recorded(&props, calm, &trace, end).1.streams();
+            assert!(streams.iter().all(|s| !s.is_empty()), "every shard publishes");
+            streams
+        });
+        let cfg = RuntimeConfig {
+            checkpoint_every,
+            inject_faults: crash_schedule(trace.len(), 7, shards),
+            ..base
+        };
+        let (out, sink) = run_recorded(&props, cfg, &trace, end);
+        let at = format!(
+            "{shards} shard(s), batch {batch}, checkpoint every {checkpoint_every}, \
+             journal limit {journal_limit}"
+        );
+        assert!(out.stats.restarts >= 3, "{at}: schedule must fire: {:?}", out.stats);
+        assert_eq!(out.stats.shed > 0, shed_split, "{at}: {:?}", out.stats);
+        assert_eq!(out.stats.unaccounted_loss(), 0, "{at}");
+        assert_eq!(&sink.streams(), want, "{at}: a shard's published stream moved");
+        let mut published: Vec<String> =
+            sink.streams().into_iter().flatten().map(|(sig, _, _)| sig).collect();
+        let mut merged = out.signatures();
+        published.sort_unstable();
+        merged.sort_unstable();
+        assert_eq!(published, merged, "{at}: published multiset is not the merged output");
     }
 }
 

@@ -77,8 +77,10 @@ fn degraded_atom_returns_exactly_the_shed_window_violations() {
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
     // The PR-4 load-shedding scenario: a 16-item journal against 64-item
-    // batches must shed, downgrading gap-time violations.
-    let cfg = RuntimeConfig { shards: 4, journal_limit: 16, ..Default::default() };
+    // batches must shed, downgrading gap-time violations. (The batch is
+    // named: at the default of 8 a 16-item journal checkpoints before it
+    // overflows.)
+    let cfg = RuntimeConfig { shards: 4, batch: 64, journal_limit: 16, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let store = sink.store();
