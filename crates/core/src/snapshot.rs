@@ -155,8 +155,8 @@ impl MonitorSnapshot {
         r.expect_header(MAGIC, SNAPSHOT_VERSION)?;
         let property = r.str()?;
         let stages = r.len()?;
-        let n_slots = r.len()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 20));
+        let n_slots = r.count()?;
+        let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             slots.push(match r.u8()? {
                 0 => None,
@@ -164,15 +164,15 @@ impl MonitorSnapshot {
                 t => return Err(SnapshotError::BadTag { what: "slot", tag: t }),
             });
         }
-        let n_free = r.len()?;
-        let mut free = Vec::with_capacity(n_free.min(1 << 20));
+        let n_free = r.count()?;
+        let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
             free.push(r.len()?);
         }
         let next_id = r.u64()?;
         let next_seq = r.u64()?;
-        let n_timers = r.len()?;
-        let mut entries = Vec::with_capacity(n_timers.min(1 << 20));
+        let n_timers = r.count()?;
+        let mut entries = Vec::with_capacity(n_timers);
         for _ in 0..n_timers {
             let deadline = Instant::from_nanos(r.u64()?);
             let seq = r.u64()?;
@@ -186,14 +186,14 @@ impl MonitorSnapshot {
             };
             entries.push(TimerEntry { deadline, seq, id, generation, payload: (idx, kind) });
         }
-        let n_pending = r.len()?;
-        let mut pending = Vec::with_capacity(n_pending.min(1 << 20));
+        let n_pending = r.count()?;
+        let mut pending = Vec::with_capacity(n_pending);
         for _ in 0..n_pending {
             let ready = Instant::from_nanos(r.u64()?);
             pending.push((ready, read_effect(&mut r)?));
         }
-        let n_violations = r.len()?;
-        let mut violations = Vec::with_capacity(n_violations.min(1 << 20));
+        let n_violations = r.count()?;
+        let mut violations = Vec::with_capacity(n_violations);
         for _ in 0..n_violations {
             violations.push(r.violation()?);
         }
@@ -298,13 +298,13 @@ fn read_instance(r: &mut Reader<'_>) -> Result<Instance, SnapshotError> {
     let uid = r.u64()?;
     let awaiting = r.len()?;
     let bindings = r.bindings()?;
-    let n_ids = r.len()?;
-    let mut stage_ids = Vec::with_capacity(n_ids.min(1 << 16));
+    let n_ids = r.count()?;
+    let mut stage_ids = Vec::with_capacity(n_ids);
     for _ in 0..n_ids {
         stage_ids.push(r.opt_u64()?.map(PacketId));
     }
-    let n_hist = r.len()?;
-    let mut history = Vec::with_capacity(n_hist.min(1 << 16));
+    let n_hist = r.count()?;
+    let mut history = Vec::with_capacity(n_hist);
     for _ in 0..n_hist {
         history.push(r.event()?);
     }
@@ -324,8 +324,8 @@ fn read_effect(r: &mut Reader<'_>) -> Result<Effect, SnapshotError> {
             let obs_time = Instant::from_nanos(r.u64()?);
             let bindings = r.bindings()?;
             let stage_id = r.opt_u64()?.map(PacketId);
-            let n = r.len()?;
-            let mut history = Vec::with_capacity(n.min(1 << 16));
+            let n = r.count()?;
+            let mut history = Vec::with_capacity(n);
             for _ in 0..n {
                 history.push(r.event()?);
             }

@@ -318,6 +318,18 @@ impl<'a> Reader<'a> {
     pub fn len(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("length exceeds usize"))
     }
+    /// An element count: a [`Reader::len`] that the rest of the input can
+    /// hold. Every framed element encodes to at least one byte, so a count
+    /// beyond the remaining bytes is [`SnapshotError::Truncated`] before
+    /// anything is reserved for it — a short hostile input cannot make a
+    /// decoder allocate more than its own length in elements.
+    pub fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.len()?;
+        if n > self.b.len() - self.pos {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
+    }
     /// A bool byte (anything but 0/1 is a bad tag).
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
@@ -425,8 +437,8 @@ impl<'a> Reader<'a> {
             1 => Some(self.bindings()?),
             t => return Err(SnapshotError::BadTag { what: "option", tag: t }),
         };
-        let n = self.len()?;
-        let mut history = Vec::with_capacity(n.min(1 << 16));
+        let n = self.count()?;
+        let mut history = Vec::with_capacity(n);
         for _ in 0..n {
             history.push(self.event()?);
         }
@@ -486,6 +498,24 @@ mod tests {
         r.expect_header(b"AAAA", 1).unwrap();
         assert!(r.expect_end().is_ok());
         assert_eq!(Reader::new(&bytes[..3]).take(4), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn a_count_the_input_cannot_hold_is_truncated() {
+        let mut w = Writer::default();
+        w.u64(1 << 20);
+        w.raw(&[0; 12]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 20);
+        assert_eq!(Reader::new(&bytes).count(), Err(SnapshotError::Truncated));
+        let mut w = Writer::default();
+        w.u64(3);
+        w.raw(&[7; 3]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.count(), Ok(3), "one byte per element is enough");
+        assert_eq!(r.take(3).map(<[u8]>::len), Ok(3));
+        r.expect_end().unwrap();
     }
 
     #[test]

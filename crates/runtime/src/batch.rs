@@ -171,10 +171,11 @@ pub(crate) struct ShardPrepare {
     pub(crate) adopt: Vec<(usize, MonitorSnapshot)>,
 }
 
-/// A session→shard command — the one shard protocol. A shard driven on
-/// the caller thread and one driven by its own worker interpret the same
-/// messages through the same `Supervisor::handle`; only the transport
-/// differs (a direct call, or a ring). Deploy messages (`Quiesce`/`Prepare`/
+/// A session→shard command — the one shard protocol. The shard of a
+/// one-shard session, driven on the caller thread, and each shard of a
+/// wider one, driven by its own worker, interpret the same messages
+/// through the same `Supervisor::handle`; only the transport differs (a
+/// direct call, or a ring). Deploy messages (`Quiesce`/`Prepare`/
 /// `Commit`/`Abort`) rely on ring FIFO order: the session is a shard's
 /// only sender, so when a supervisor sees `Quiesce`, every event sent
 /// before the deploy has already been admitted, and events sent after
@@ -216,9 +217,6 @@ pub(crate) enum Msg {
     /// Deploy phase 3b — abort: drop the staged set; the shard continues
     /// under the prior epoch exactly as if the deploy was never attempted.
     Abort,
-    /// Adaptive fan-in: drain the journal and hand the supervisor back to
-    /// the session intact, to continue inline on the caller thread.
-    Retire,
 }
 
 #[cfg(test)]

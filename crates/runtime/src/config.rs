@@ -55,51 +55,33 @@ impl TelemetryConfig {
     }
 }
 
-/// Adaptive ingress ([`crate::Session`]): start inline — the sharded
-/// layout driven single-threaded on the caller thread, no hand-off cost —
-/// fan out to worker threads under sustained ingest pressure, and fold
-/// back when load drops. Transitions preserve byte-identical violation
-/// output (differentially tested at every transition point).
+/// Inert: a session's threading is fixed by [`RuntimeConfig::shards`]
+/// alone, and no code reads either field. They exist only because the
+/// frozen end-to-end benchmark constructs them (`benchmark/src/session.rs`,
+/// `pinned()`; `benchmark/src/layers.rs`, `untraced_sessions`), and go
+/// with those lines.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
-    /// Enable adaptive transitions. Off by default: the session fans out
-    /// at start and stays fanned, the pre-adaptive behaviour.
+    /// Inert.
     pub enabled: bool,
-    /// Events per ingest-rate estimation window. The rate heuristic is
-    /// consulted only at window boundaries, so a run shorter than one
-    /// window never transitions on its own.
-    pub window: u64,
-    /// Ingest rate (events/second) at or above which an inline session
-    /// fans out. Fan-out additionally requires more than one hardware
-    /// thread — on a single core the hand-off can only cost.
+    /// Inert.
     pub fan_out_rate: f64,
-    /// Ingest rate (events/second) below which a fanned session folds
-    /// back inline.
-    pub fan_in_rate: f64,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
-        AdaptiveConfig {
-            enabled: false,
-            window: 4096,
-            fan_out_rate: 500_000.0,
-            fan_in_rate: 50_000.0,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Adaptive mode with the default thresholds.
-    pub fn on() -> Self {
-        AdaptiveConfig { enabled: true, ..Self::default() }
+        AdaptiveConfig { enabled: false, fan_out_rate: 500_000.0 }
     }
 }
 
 /// Tuning knobs for the sharded runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of worker threads (shards). Clamped to at least 1.
+    /// Number of shards, which fixes the session's threading at start: one
+    /// shard is driven inline on the caller thread (no worker, no
+    /// hand-off); N > 1 shards each run on a worker thread of their own
+    /// from session start to `finish`. No session changes mode. Clamped to
+    /// at least 1.
     pub shards: usize,
     /// Events per dispatch: the session stages this many delivered events
     /// before handing each shard its share. A shard publishes what a batch
@@ -117,7 +99,7 @@ pub struct RuntimeConfig {
     /// `flush_every` ÷ the input rate is the detection floor of a shard
     /// whose share never fills a batch. `0` means *auto*: `4 * batch`.
     pub flush_every: usize,
-    /// Adaptive ingress (see [`AdaptiveConfig`]).
+    /// Inert (see [`AdaptiveConfig`]).
     pub adaptive: AdaptiveConfig,
     /// Configuration applied to every per-worker monitor replica.
     pub monitor: MonitorConfig,
@@ -234,7 +216,5 @@ mod tests {
         assert_eq!((n.batch, n.flush_every), (8, 32), "the defaults: detection within 8 events");
         let explicit = RuntimeConfig { flush_every: 7, ..Default::default() }.normalized();
         assert_eq!(explicit.flush_every, 7);
-        assert!(!RuntimeConfig::default().adaptive.enabled, "adaptive ingress is opt-in");
-        assert!(AdaptiveConfig::on().enabled);
     }
 }

@@ -30,19 +30,17 @@
 //! ## One command path
 //!
 //! Everything the session asks of a shard — apply a batch, finish, the
-//! four deploy phases, retire — is one message type sent through one
-//! `Session::send`, and interpreted by one `Supervisor::handle`. A shard
-//! is either *local* (its supervisor is driven on the caller thread:
-//! `send` is a direct `handle` call, no hand-off cost at all) or *remote*
-//! (its supervisor runs on a worker thread: `send` enqueues on a bounded
-//! channel and the worker's loop is `recv` + `handle`). The session is
-//! *adaptive* ([`config::AdaptiveConfig`]): it can keep its shards local
-//! under low load and fan them out under pressure; a transition converts
-//! each shard local↔remote, moving the same supervisor, so output is
-//! byte-identical either way (proven by the differential suites).
-//! Violations are merged deterministically ([`merge`]), so the sharded
-//! runtime's output is byte-for-byte equal to the single-threaded
-//! reference at any shard count, in either mode.
+//! four deploy phases — is one message type sent through one
+//! `Session::send`, and interpreted by one `Supervisor::handle`. The shard
+//! count alone fixes the threading, once, at session start
+//! ([`RuntimeConfig::shards`]): a one-shard session drives its supervisor
+//! on the caller thread (`send` is a direct `handle` call, no hand-off
+//! cost at all); an N-shard session runs each supervisor on a worker
+//! thread of its own until `finish` (`send` enqueues on a bounded channel
+//! and the worker's loop is `recv` + `handle`). Violations are merged
+//! deterministically ([`merge`]), so the sharded runtime's output is
+//! byte-for-byte equal to the single-threaded reference at any shard
+//! count.
 //!
 //! ## Fault tolerance
 //!
@@ -85,7 +83,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use batch::{Arena, Msg, QuiesceAck, ShardLayout, ShardPrepare};
-use supervisor::{LoopExit, ShardSpec, Supervisor};
+use supervisor::{ShardOutcome, ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -200,7 +198,7 @@ pub struct ShardedRuntime {
     router: Router,
 }
 
-type ShardHandle = JoinHandle<Result<LoopExit, ShardFailure>>;
+type ShardHandle = JoinHandle<Result<ShardOutcome, ShardFailure>>;
 
 impl ShardedRuntime {
     /// Validate `props` and derive their shard placement under `cfg`.
@@ -231,7 +229,8 @@ impl ShardedRuntime {
         &self.router
     }
 
-    /// Spawn the supervised workers and return a streaming session.
+    /// Start a streaming session: one shard driven inline, or one
+    /// supervised worker per shard (see [`RuntimeConfig::shards`]).
     pub fn start(&self) -> Session<'_> {
         self.start_with_sink(None)
     }
@@ -247,7 +246,7 @@ impl ShardedRuntime {
         let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
         let hub = TelemetryHub::new(shards, &self.cfg.telemetry, hashed, pinned);
         let probes: Vec<_> = self.props.iter().map(|p| hub.engine(&p.name)).collect();
-        let local_shards = (0..shards)
+        let links = (0..shards)
             .map(|s| {
                 let mut inject: Vec<u64> =
                     self.cfg.inject_faults.iter().filter(|f| f.shard == s).map(|f| f.seq).collect();
@@ -261,14 +260,19 @@ impl ShardedRuntime {
                     tracer: hub.tracer().clone(),
                     sink: sink.clone(),
                 });
-                Shard { link: Link::Local(sup), worker: None }
+                if shards == 1 {
+                    return Link::Local(sup);
+                }
+                let (tx, rx) = ring::channel::<Msg>(self.cfg.queue);
+                let worker = std::thread::spawn(move || supervisor::run_loop(rx, sup));
+                Link::Remote { tx, worker: Some(worker) }
             })
             .collect();
-        let mut session = Session {
+        Session {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.clone()),
             router: self.router.clone(),
-            shards: local_shards,
+            shards: links,
             arena: Arena::new(shards, self.cfg.batch),
             masks: vec![0u64; shards],
             seq: 0,
@@ -280,18 +284,7 @@ impl ShardedRuntime {
             tracing: hub.tracer().enabled(),
             hub,
             sink,
-            adaptive: AdaptiveClock {
-                window_start_seq: 0,
-                window_started: std::time::Instant::now(),
-                parallel: std::thread::available_parallelism().map(usize::from).unwrap_or(1) > 1,
-            },
-        };
-        if !self.cfg.adaptive.enabled {
-            // Pre-adaptive behaviour: fan out at start, stay fanned. Not
-            // counted as an adaptive transition.
-            session.spawn_fanned();
         }
-        session
     }
 
     /// One-shot convenience: feed `events` (must be in non-decreasing time
@@ -328,27 +321,33 @@ pub struct DeployOutcome {
 }
 
 /// Where a shard's [`Supervisor`] runs, i.e. how a [`Msg`] reaches it.
-/// Both variants run the same supervisor over the same layout, so a
-/// transition moves state without copying monitors.
+/// Both variants run the same supervisor over the same layout; which one a
+/// session holds is fixed at start by its shard count.
 #[derive(Debug)]
-// Local is the steady state of an adaptive session; boxing the supervisor
-// would put a pointer hop on every batch to shrink a per-shard value.
+// Local is the one-shard session's only link; boxing the supervisor would
+// put a pointer hop on every batch to shrink a per-shard value.
 #[allow(clippy::large_enum_variant)]
 enum Link {
     /// On the caller thread: a message is handled synchronously, inside
     /// `send` — no staging beyond the arena, no ring, no hand-off.
     Local(Supervisor),
     /// On its own worker thread, fed over a bounded channel.
-    Remote(ring::Sender<Msg>),
+    Remote {
+        tx: ring::Sender<Msg>,
+        /// The worker driving the shard; `None` once it has been joined
+        /// (error diagnosis).
+        worker: Option<ShardHandle>,
+    },
 }
 
-/// One shard as the session holds it.
-#[derive(Debug)]
-struct Shard {
-    link: Link,
-    /// The worker thread driving a remote shard. `None` for a local shard,
-    /// and once the worker has been joined (error diagnosis).
-    worker: Option<ShardHandle>,
+impl Link {
+    /// A remote shard's worker, if it has not been joined yet.
+    fn take_worker(&mut self) -> Option<ShardHandle> {
+        match self {
+            Link::Remote { worker, .. } => worker.take(),
+            Link::Local(_) => None,
+        }
+    }
 }
 
 /// Shard `s`'s slice of a catalog: the properties `router` can ever
@@ -377,25 +376,13 @@ fn shard_layout(
 /// Join a shard's worker (if it still has one) and report how its loop
 /// ended: a supervised failure and a supervisor-thread panic both surface
 /// as errors.
-fn join_worker(s: usize, worker: Option<ShardHandle>) -> Result<LoopExit, RuntimeError> {
+fn join_worker(s: usize, worker: Option<ShardHandle>) -> Result<ShardOutcome, RuntimeError> {
     let lost = |message| RuntimeError::WorkerLost { shard: s, message };
     match worker.map(JoinHandle::join) {
         Some(Ok(exit)) => exit.map_err(RuntimeError::from),
         Some(Err(payload)) => Err(lost(supervisor::panic_message(payload.as_ref()))),
         None => Err(lost("worker exited without reporting".to_string())),
     }
-}
-
-/// Ingest-rate estimation state for adaptive transitions.
-#[derive(Debug)]
-struct AdaptiveClock {
-    /// First sequence number of the current estimation window.
-    window_start_seq: u64,
-    /// Wall-clock start of the current estimation window.
-    window_started: std::time::Instant,
-    /// More than one hardware thread is available. On a single core the
-    /// hand-off can only cost, so fan-out is never taken.
-    parallel: bool,
 }
 
 /// What the router has counted since it last added to the
@@ -432,8 +419,8 @@ impl Routed {
 ///
 /// Dropping a session mid-stream is safe and deadlock-free: the drop
 /// handler closes every ring (drain signal), then joins the workers,
-/// discarding their reports; local supervisors are plain values and
-/// simply drop. Use [`Session::finish`] to get the merged outcome instead.
+/// discarding their reports; an inline supervisor is a plain value and
+/// simply drops. Use [`Session::finish`] to get the merged outcome instead.
 #[derive(Debug)]
 pub struct Session<'rt> {
     rt: &'rt ShardedRuntime,
@@ -444,8 +431,8 @@ pub struct Session<'rt> {
     catalog: CatalogEpoch,
     /// Routing for the current epoch (rebuilt at every committed deploy).
     router: Router,
-    /// Indexed by shard; all local or all remote between transitions.
-    shards: Vec<Shard>,
+    /// Indexed by shard: one local link, or one remote link per shard.
+    shards: Vec<Link>,
     /// Staging arena — events are staged here whether shards are local or
     /// remote and sent per sealed batch, so the supervision cost amortizes
     /// over the batch either way.
@@ -458,7 +445,6 @@ pub struct Session<'rt> {
     /// fixed at construction, so `feed` skips the per-event fetch.
     tracing: bool,
     sink: Option<Arc<dyn ViolationSink>>,
-    adaptive: AdaptiveClock,
 }
 
 impl Session<'_> {
@@ -477,21 +463,15 @@ impl Session<'_> {
         self.hub.live_stats()
     }
 
-    /// True when ingress is fanned out to per-shard worker threads; false
-    /// while the session drives its supervisors on the caller thread.
-    pub fn is_fanned(&self) -> bool {
-        self.shards.iter().any(|shard| shard.worker.is_some())
-    }
-
     /// Deliver one command to shard `s` — the only way the session talks
     /// to a shard. A local shard handles it before this returns (so a
     /// reply, if the message carries a reply channel, is already waiting
     /// in it); a remote one queues it on its ring, blocking while the ring
     /// is full. Fails only on a terminal shard failure.
     fn send(&mut self, s: usize, msg: Msg) -> Result<(), RuntimeError> {
-        let queued = match &mut self.shards[s].link {
+        let queued = match &mut self.shards[s] {
             Link::Local(sup) => return sup.handle(msg).map(drop).map_err(RuntimeError::from),
-            Link::Remote(tx) => {
+            Link::Remote { tx, .. } => {
                 self.hub.shard(s).ring_occupancy.record(tx.occupancy());
                 tx.send(msg).is_ok()
             }
@@ -542,110 +522,20 @@ impl Session<'_> {
         if full || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64) {
             self.dispatch()?;
         }
-        self.adaptive_tick()
+        Ok(())
     }
 
-    /// Seal the arena and send each shard its batch. Also the tail-flush
-    /// shared by the deploy barrier and adaptive transitions: after it
-    /// returns, every fed event has been counted in the hub — before its
-    /// batch is sent, so a shard never shows more processed than
-    /// delivered — and applied (local shards) or queued on its shard's
-    /// ring (remote).
+    /// Seal the arena and send each shard its batch. Also the deploy
+    /// barrier's tail-flush: after it returns, every fed event has been
+    /// counted in the hub — before its batch is sent, so a shard never
+    /// shows more processed than delivered — and applied (a local shard)
+    /// or queued on its shard's ring (remote).
     fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
         for (s, batch) in self.arena.seal() {
             self.hub.batches.inc();
             self.send(s, Msg::Events(batch))?;
         }
-        Ok(())
-    }
-
-    /// Consult the ingest-rate heuristic at window boundaries and
-    /// transition when warranted.
-    fn adaptive_tick(&mut self) -> Result<(), RuntimeError> {
-        let cfg = &self.rt.cfg.adaptive;
-        if !cfg.enabled || self.seq - self.adaptive.window_start_seq < cfg.window {
-            return Ok(());
-        }
-        let events = (self.seq - self.adaptive.window_start_seq) as f64;
-        let secs = self.adaptive.window_started.elapsed().as_secs_f64().max(1e-9);
-        let rate = events / secs;
-        self.adaptive.window_start_seq = self.seq;
-        self.adaptive.window_started = std::time::Instant::now();
-        let fanned = self.is_fanned();
-        if !fanned && self.adaptive.parallel && rate >= cfg.fan_out_rate {
-            self.fan_out();
-        } else if fanned && rate < cfg.fan_in_rate {
-            self.fan_in()?;
-        }
-        Ok(())
-    }
-
-    /// Force the inline→fanned transition now, regardless of the rate
-    /// heuristic. No-op if already fanned. The transition is a pure move:
-    /// every supervisor — monitors, journal, checkpoint, records —
-    /// relocates to its worker thread intact, so output is byte-identical
-    /// to a run that never transitioned.
-    pub fn fan_out(&mut self) {
-        if self.is_fanned() {
-            return;
-        }
-        self.spawn_fanned();
-        self.hub.fan_outs.inc();
-    }
-
-    /// Local → remote, per shard: move each supervisor onto a worker
-    /// thread fed by a fresh ring. Callers have checked that the shards
-    /// are local.
-    fn spawn_fanned(&mut self) {
-        for shard in &mut self.shards {
-            let (tx, rx) = ring::channel::<Msg>(self.rt.cfg.queue);
-            if let Link::Local(sup) = std::mem::replace(&mut shard.link, Link::Remote(tx)) {
-                shard.worker = Some(std::thread::spawn(move || supervisor::run_loop(rx, sup)));
-            }
-        }
-        self.hub.ingress_mode.set(1);
-    }
-
-    /// Force the fanned→inline transition now, regardless of the rate
-    /// heuristic. No-op if already inline. Flushes the arena, retires
-    /// every worker at a journal-drained point (`Msg::Retire`), and
-    /// takes the supervisors back onto the caller thread — byte-identical
-    /// output, like [`Session::fan_out`].
-    pub fn fan_in(&mut self) -> Result<(), RuntimeError> {
-        if !self.is_fanned() {
-            return Ok(());
-        }
-        self.dispatch()?;
-        // Every worker is told to retire before any is joined. A dead
-        // shard's send fails with the reason its worker exited.
-        let mut failure: Option<RuntimeError> = None;
-        for s in 0..self.shards.len() {
-            if let Err(e) = self.send(s, Msg::Retire) {
-                failure.get_or_insert(e);
-            }
-        }
-        // Remote → local, per shard: the retired worker hands its
-        // supervisor back (replacing the link hangs up the ring).
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            match join_worker(s, shard.worker.take()) {
-                Ok(LoopExit::Retired(sup)) => shard.link = Link::Local(*sup),
-                Ok(LoopExit::Finished(_)) => {
-                    failure.get_or_insert(RuntimeError::WorkerLost {
-                        shard: s,
-                        message: "worker finished during retire".to_string(),
-                    });
-                }
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(err) = failure {
-            return Err(err);
-        }
-        self.hub.ingress_mode.set(0);
-        self.hub.fan_ins.inc();
         Ok(())
     }
 
@@ -734,10 +624,11 @@ impl Session<'_> {
     ///    fleet resumes under the new epoch; violations raised from here
     ///    on carry it as provenance.
     ///
-    /// The barrier is the same messages whether shards are local or
-    /// remote: a remote shard's phases ride its FIFO ring (the session is
-    /// the ring's only producer, so `Quiesce` observes everything fed
-    /// before it); a local shard handles each phase as it is sent.
+    /// The barrier is the same messages whether the session runs inline
+    /// or on workers: a remote shard's phases ride its FIFO ring (the
+    /// session is the ring's only producer, so `Quiesce` observes
+    /// everything fed before it); a local shard handles each phase as it
+    /// is sent.
     ///
     /// On `Err(`[`RuntimeError::DeployRejected`]`)` the session keeps
     /// running under the prior epoch, byte-identical to one that never saw
@@ -866,22 +757,15 @@ impl Session<'_> {
             .collect();
         let mut collected = Vec::with_capacity(sent.len());
         let mut failure: Option<RuntimeError> = None;
-        for (s, (shard, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()
+        for (s, (link, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()
         {
-            let outcome = match shard.link {
+            let outcome = match link {
                 Link::Local(sup) => sent.map(|()| sup.into_outcome()),
-                Link::Remote(tx) => {
+                Link::Remote { tx, worker } => {
                     // Hang up before joining, so a worker can never be
                     // left waiting on its ring.
                     drop(tx);
-                    let exit = join_worker(s, shard.worker);
-                    sent.and(exit).and_then(|exit| match exit {
-                        LoopExit::Finished(o) => Ok(o),
-                        LoopExit::Retired(_) => Err(RuntimeError::WorkerLost {
-                            shard: s,
-                            message: "worker retired during finish".to_string(),
-                        }),
-                    })
+                    sent.and(join_worker(s, worker))
                 }
             };
             match outcome {
@@ -914,7 +798,7 @@ impl Session<'_> {
     /// Diagnose a dead shard: join its worker and surface the supervised
     /// failure if one was reported.
     fn shard_error(&mut self, s: usize) -> RuntimeError {
-        match join_worker(s, self.shards[s].worker.take()) {
+        match join_worker(s, self.shards[s].take_worker()) {
             Err(e) => e,
             Ok(_) => RuntimeError::WorkerLost {
                 shard: s,
@@ -926,12 +810,13 @@ impl Session<'_> {
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        // Close every ring first (draining the shards drops their links):
+        // Close every ring first (clearing the shards drops their links):
         // workers drain what was sent, then exit their receive loop — no
-        // Finish needed, no deadlock. Local supervisors are plain values
-        // and drop with their link. Then join.
+        // Finish needed, no deadlock. An inline supervisor is a plain
+        // value and drops with its link. Then join.
         let workers: Vec<ShardHandle> =
-            self.shards.drain(..).filter_map(|shard| shard.worker).collect();
+            self.shards.iter_mut().filter_map(Link::take_worker).collect();
+        self.shards.clear();
         for worker in workers {
             let _ = worker.join();
         }
@@ -1042,7 +927,6 @@ mod tests {
         )
         .unwrap();
         let mut session = rt.start();
-        assert!(session.is_fanned(), "non-adaptive sessions fan out at start");
         for i in 0..100u64 {
             session.feed(&arrival_from(i)).unwrap();
         }
@@ -1065,13 +949,7 @@ mod tests {
     #[test]
     fn the_staleness_flush_fires_on_filtered_events() {
         use swmon_sim::trace::{NetEventKind, OobEvent, PortNo, SwitchId};
-        let cfg = RuntimeConfig {
-            shards: 1,
-            batch: 64,
-            flush_every: 4,
-            adaptive: AdaptiveConfig { window: u64::MAX, ..AdaptiveConfig::on() },
-            ..Default::default()
-        };
+        let cfg = RuntimeConfig { shards: 1, batch: 64, flush_every: 4, ..Default::default() };
         let rt = ShardedRuntime::new(vec![repeat_prop("p", Field::Ipv4Src)], cfg).unwrap();
         let sink = Arc::new(Published::default());
         let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
@@ -1091,37 +969,5 @@ mod tests {
         assert_eq!(seen, 1, "the staged violation is published before `finish`");
         let out = session.finish(Instant::from_nanos(1_000)).unwrap();
         assert_eq!(out.records.len(), 1);
-    }
-
-    #[test]
-    fn adaptive_sessions_start_inline_and_transition_on_demand() {
-        let rt = ShardedRuntime::new(
-            vec![repeat_prop("p", Field::Ipv4Src)],
-            RuntimeConfig {
-                shards: 2,
-                adaptive: AdaptiveConfig { window: u64::MAX, ..AdaptiveConfig::on() },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut session = rt.start();
-        assert!(!session.is_fanned(), "adaptive sessions start inline");
-        for i in 0..10u64 {
-            session.feed(&arrival_from(i)).unwrap();
-        }
-        session.fan_out();
-        assert!(session.is_fanned());
-        for i in 10..20u64 {
-            session.feed(&arrival_from(i)).unwrap();
-        }
-        session.fan_in().unwrap();
-        assert!(!session.is_fanned());
-        for i in 20..30u64 {
-            session.feed(&arrival_from(i)).unwrap();
-        }
-        let out = session.finish(Instant::from_nanos(1_000)).unwrap();
-        assert_eq!(out.stats.events_in, 30);
-        assert_eq!((out.stats.fan_outs, out.stats.fan_ins), (1, 1));
-        assert_eq!(out.stats.unaccounted_loss(), 0);
     }
 }

@@ -80,11 +80,6 @@ pub struct RuntimeStats {
     /// Wall-clock nanoseconds shards spent quiesced for deploys (journal
     /// drain + forced checkpoint + a copy of its images), summed across shards.
     pub quiesce_nanos: u64,
-    /// Adaptive-ingress inline→fanned transitions this run (the initial
-    /// fan-out of a non-adaptive session is not counted).
-    pub fan_outs: u64,
-    /// Adaptive-ingress fanned→inline transitions this run.
-    pub fan_ins: u64,
     /// Shedding episodes across all shards.
     pub gaps: Vec<MonitoringGap>,
     /// Per-shard breakdown.

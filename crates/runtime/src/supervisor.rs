@@ -3,10 +3,11 @@
 //!
 //! A shard is a `Supervisor` interpreting `Msg` commands through
 //! `Supervisor::handle` — the only interpreter of the shard protocol.
-//! A *remote* shard's worker thread runs `run_loop` (`recv` + `handle`);
-//! a *local* shard is handed the same messages by the session on the
-//! caller thread. One supervision implementation, one command path, two
-//! transports. The supervisor owns the crash-domain
+//! Each shard of a multi-shard session has a worker thread running
+//! `run_loop` (`recv` + `handle`); the one shard of a one-shard session is
+//! handed the same messages by the session on the caller thread. One
+//! supervision implementation, one command path, two transports. The
+//! supervisor owns the crash-domain
 //! [`WorkerState`] and drives it only through `catch_unwind`, so a worker
 //! panic — a genuine engine bug, or a fault injected via
 //! [`RuntimeConfig::inject_faults`] — never takes the runtime down.
@@ -154,38 +155,23 @@ pub(crate) enum Flow {
     /// `Finish` was handled: timers are drained, collect the outcome
     /// ([`Supervisor::into_outcome`]).
     Finished,
-    /// `Retire` was handled: the journal is drained, hand the supervisor
-    /// back to the session.
-    Retired,
-}
-
-/// How a remote shard's receive loop ended.
-#[derive(Debug)]
-pub(crate) enum LoopExit {
-    /// Normal end of input: the shard's final outcome.
-    Finished(ShardOutcome),
-    /// Adaptive fan-in ([`Msg::Retire`]): the journal is drained and the
-    /// supervisor returns intact for the session to keep driving locally.
-    Retired(Box<Supervisor>),
 }
 
 /// A remote shard's worker thread: `recv` + [`Supervisor::handle`].
 pub(crate) fn run_loop(
     rx: ring::Receiver<Msg>,
     mut sup: Supervisor,
-) -> Result<LoopExit, ShardFailure> {
+) -> Result<ShardOutcome, ShardFailure> {
     while let Some(msg) = rx.recv() {
-        match sup.handle(msg)? {
-            Flow::Continue => {}
-            Flow::Finished => break,
-            Flow::Retired => return Ok(LoopExit::Retired(Box::new(sup))),
+        if sup.handle(msg)? == Flow::Finished {
+            break;
         }
     }
     // Reached by `Finish`, or by the session hanging up without one
     // (dropped mid-stream). Either way nothing is outstanding: every
     // admitted batch was driven to completion by the `handle` call that
     // admitted it.
-    Ok(LoopExit::Finished(sup.into_outcome()))
+    Ok(sup.into_outcome())
 }
 
 /// One admitted dispatch round in the journal: the shared event slab plus
@@ -208,10 +194,9 @@ struct PendingEpoch {
 }
 
 /// One shard's supervision state, driven one [`Msg`] at a time through
-/// [`Supervisor::handle`] — by its own worker thread ([`run_loop`]) while
-/// the shard is remote, by the session on the caller thread while it is
-/// local. Adaptive transitions move the same value between the two
-/// without copying monitors or records.
+/// [`Supervisor::handle`] — by its own worker thread ([`run_loop`]) when
+/// the session has several shards, by the session on the caller thread
+/// when it has one.
 pub(crate) struct Supervisor {
     shard: usize,
     cfg: RuntimeConfig,
@@ -349,10 +334,6 @@ impl Supervisor {
             }
             Msg::Commit { epoch } => self.commit(epoch),
             Msg::Abort => self.abort(),
-            Msg::Retire => {
-                self.drive(None)?;
-                return Ok(Flow::Retired);
-            }
         }
         Ok(Flow::Continue)
     }
@@ -807,13 +788,6 @@ mod tests {
         out
     }
 
-    fn finish_outcome(exit: LoopExit) -> ShardOutcome {
-        match exit {
-            LoopExit::Finished(outcome) => outcome,
-            LoopExit::Retired(_) => panic!("no retire was sent"),
-        }
-    }
-
     fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> (ShardOutcome, Arc<ShardProbe>) {
         silence_injected_panics();
         let (tx, rx) = ring::channel(64);
@@ -825,7 +799,7 @@ mod tests {
             .unwrap();
         drop(tx);
         let (sup, probe) = supervised(cfg, inject);
-        (finish_outcome(run_loop(rx, sup).expect("shard survives")), probe)
+        (run_loop(rx, sup).expect("shard survives"), probe)
     }
 
     fn base_cfg() -> RuntimeConfig {
@@ -925,40 +899,6 @@ mod tests {
         assert_eq!(err.shard, 0);
         assert_eq!(err.restarts, 0);
         assert!(err.message.starts_with(INJECTED_PANIC_PREFIX), "{}", err.message);
-    }
-
-    #[test]
-    fn retire_hands_the_supervisor_back_intact() {
-        let (tx, rx) = ring::channel(64);
-        for batch in batches(16) {
-            tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
-        }
-        tx.send(Msg::Retire).map_err(|_| "ring closed").unwrap();
-        drop(tx);
-        let (sup, probe) = supervised(base_cfg(), vec![]);
-        let exit = run_loop(rx, sup).unwrap();
-        let LoopExit::Retired(mut sup) = exit else { panic!("expected a retired supervisor") };
-        // The journal is drained; the session continues locally on the
-        // same supervisor without losing anything already applied.
-        let mut arena = Arena::new(1, 8);
-        for seq in 16..24 {
-            let _ = arena.push(seq, &test_ev(seq), &[1]);
-        }
-        for (_, batch) in arena.seal() {
-            assert_eq!(sup.handle(Msg::Events(batch)).unwrap(), Flow::Continue);
-        }
-        assert_eq!(
-            sup.handle(Msg::Finish(None, Instant::from_nanos(1_000_000))).unwrap(),
-            Flow::Finished
-        );
-        let out = sup.into_outcome();
-        assert_eq!(probe.processed.get(), 24);
-        assert_eq!(probe.shed.get(), 0);
-        // Matches a fully fanned run of the same input byte for byte.
-        let (fanned, _) = run_with(base_cfg(), vec![], 24);
-        let sig =
-            |o: &ShardOutcome| o.records.iter().map(crate::merge::signature).collect::<Vec<_>>();
-        assert_eq!(sig(&out), sig(&fanned));
     }
 
     #[test]

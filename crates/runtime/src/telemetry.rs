@@ -82,7 +82,8 @@ pub struct ShardProbe {
     /// Counted, never timed; the timer drain's records (no `seq`) skipped.
     pub publish_lag: Histogram,
     /// Hand-off lane occupancy (queued batches) sampled at each batch send.
-    /// Empty while the session runs inline (nothing is enqueued).
+    /// Empty on a one-shard session, which runs inline (nothing is
+    /// enqueued).
     pub ring_occupancy: Histogram,
 }
 
@@ -106,14 +107,6 @@ pub struct TelemetryHub {
     pub deploys_applied: Counter,
     /// Deploy plans rolled back (validation rejection or aborted prepare).
     pub deploys_rolled_back: Counter,
-    /// Ingress mode in effect: 0 inline (caller-thread supervision), 1
-    /// fanned out (per-shard worker threads fed over bounded channels).
-    pub ingress_mode: Gauge,
-    /// Adaptive inline→fanned transitions (the initial fan-out of a
-    /// non-adaptive session is not counted).
-    pub fan_outs: Counter,
-    /// Adaptive fanned→inline transitions.
-    pub fan_ins: Counter,
     shards: Vec<Arc<ShardProbe>>,
     /// One probe per property *name*, in first-request order. Locked only
     /// on cold paths: session start, deploy, export.
@@ -140,9 +133,6 @@ impl TelemetryHub {
             property_set_epoch: Gauge::new(),
             deploys_applied: Counter::new(),
             deploys_rolled_back: Counter::new(),
-            ingress_mode: Gauge::new(),
-            fan_outs: Counter::new(),
-            fan_ins: Counter::new(),
             shards: (0..shards).map(|_| Arc::new(ShardProbe::default())).collect(),
             engines: Mutex::new(Vec::new()),
             stage_sample_every: cfg.stage_sample_every,
@@ -214,8 +204,6 @@ impl TelemetryHub {
             property_set_epoch: self.property_set_epoch.get(),
             deploys_applied: self.deploys_applied.get(),
             deploys_rolled_back: self.deploys_rolled_back.get(),
-            fan_outs: self.fan_outs.get(),
-            fan_ins: self.fan_ins.get(),
             ..Default::default()
         };
         for probe in &self.shards {
@@ -262,9 +250,6 @@ impl TelemetryHub {
         page.counters.push((Key::plain(names::DEPLOYS_APPLIED), self.deploys_applied.get()));
         page.counters
             .push((Key::plain(names::DEPLOYS_ROLLED_BACK), self.deploys_rolled_back.get()));
-        page.gauges.push((Key::plain(names::INGRESS_MODE), self.ingress_mode.get()));
-        page.counters.push((Key::plain(names::FAN_OUTS), self.fan_outs.get()));
-        page.counters.push((Key::plain(names::FAN_INS), self.fan_ins.get()));
         for (s, probe) in self.shards.iter().enumerate() {
             let c = |name: &str, v: u64| (Key::labeled(name, "shard", s), v);
             // Backlog, derived here: the shard's counts are read first, as

@@ -250,11 +250,12 @@ fn hot_deployed_properties_are_observable() {
             session.deploy(&DeployPlan::add(added.clone())).expect("second attempt commits");
         }
         if i == 400 {
-            // Inline, so the count read next is everything fed so far.
-            session.fan_in().expect("no worker faults injected");
-            before_upgrade = events_of(&session.telemetry().export(), &original.name).unwrap();
             let plan = DeployPlan::upgrade(original.name.clone(), original.clone());
             assert_eq!(session.deploy(&plan).expect("upgrade commits").upgraded, 1);
+            // The deploy's quiesce applied everything fed so far under the
+            // old epoch, and the fresh replicas have seen nothing: the
+            // count read here is complete, on workers as inline.
+            before_upgrade = events_of(&session.telemetry().export(), &original.name).unwrap();
         }
     }
     let out = session.finish(Instant::from_nanos(u64::MAX / 2)).expect("run succeeds");

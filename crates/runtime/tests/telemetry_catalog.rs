@@ -59,7 +59,7 @@ fn export_covers_exactly_the_documented_catalog() {
     let mut catalog: Vec<&str> = names::ALL.to_vec();
     catalog.sort_unstable();
     assert_eq!(exported, catalog, "exported page and documented catalog diverged");
-    assert_eq!(catalog.len(), 32);
+    assert_eq!(catalog.len(), 29);
 }
 
 /// `swmon_shard_backlog_events` is what a shard still owes the router; a

@@ -308,8 +308,8 @@ impl Segment {
 
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         r.expect_header(SEGMENT_MAGIC, SEGMENT_VERSION)?;
-        let n = r.len()?;
-        let mut rows = Vec::with_capacity(n.min(1 << 20));
+        let n = r.count()?;
+        let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             let store_seq = r.u64()?;
             let shard = r.u32()?;

@@ -393,8 +393,8 @@ impl Store {
         r.expect_header(STORE_MAGIC, STORE_VERSION)?;
         let next_seq = r.u64()?;
         let sealed = r.bool()?;
-        let n = r.len()?;
-        let mut segments = Vec::with_capacity(n.min(1 << 16));
+        let n = r.count()?;
+        let mut segments = Vec::with_capacity(n);
         for _ in 0..n {
             let len = r.len()?;
             segments.push(Segment::from_bytes(r.take(len)?)?);

@@ -68,16 +68,9 @@ pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
 /// journal drain + forced checkpoint + a copy of its images. Label: `shard`.
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
-/// Ingress mode in effect: 0 inline (caller-thread supervision), 1 fanned
-/// out (per-shard worker threads fed over bounded channels).
-pub const INGRESS_MODE: &str = "swmon_ingress_mode";
-/// Adaptive-ingress inline→fanned transitions (the initial fan-out of a
-/// non-adaptive session is not counted).
-pub const FAN_OUTS: &str = "swmon_fan_outs_total";
-/// Adaptive-ingress fanned→inline transitions.
-pub const FAN_INS: &str = "swmon_fan_ins_total";
 /// Per-shard hand-off lane occupancy (queued batches) sampled at each batch
-/// send (histogram). Label: `shard`.
+/// send (histogram); empty on a one-shard session, which runs inline.
+/// Label: `shard`.
 pub const SHARD_RING_OCCUPANCY: &str = "swmon_shard_ring_occupancy";
 
 /// Per-property: in-scope events examined, replays included (equal to
@@ -119,9 +112,6 @@ pub const ALL: &[&str] = &[
     DEPLOYS_APPLIED,
     DEPLOYS_ROLLED_BACK,
     SHARD_QUIESCE_NANOS,
-    INGRESS_MODE,
-    FAN_OUTS,
-    FAN_INS,
     SHARD_RING_OCCUPANCY,
     PROPERTY_EVENTS,
     PROPERTY_LIVE,
@@ -144,6 +134,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 32);
+        assert_eq!(ALL.len(), 29);
     }
 }

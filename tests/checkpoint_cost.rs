@@ -10,7 +10,7 @@
 //! workload, where that rebuild was a third of the session's wall time
 //! (docs/PERF.md).
 
-use swmon::runtime::{AdaptiveConfig, RuntimeConfig, ShardedRuntime};
+use swmon::runtime::{RuntimeConfig, ShardedRuntime};
 use swmon::sim::Duration;
 use swmon_workloads::trace::multi_flow_trace;
 
@@ -19,15 +19,7 @@ fn checkpoints_copy_what_changed_not_what_is_live() {
     // One shard, driven inline on this thread (the benchmark's pinned
     // configuration), so the gauges read after a `feed` are the ones the
     // checkpoint inside that `feed` saw.
-    let cfg = RuntimeConfig {
-        shards: 1,
-        adaptive: AdaptiveConfig {
-            enabled: true,
-            fan_out_rate: f64::INFINITY,
-            ..AdaptiveConfig::default()
-        },
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig::with_shards(1);
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("the catalog is valid");
     let trace = multi_flow_trace(2048, 6_000, 0.4, 0.25, Duration::from_micros(2), 13);
 

@@ -13,9 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use swmon::runtime::{
-    AdaptiveConfig, Outcome, RuntimeConfig, ShardedRuntime, ViolationRecord, ViolationSink,
-};
+use swmon::runtime::{Outcome, RuntimeConfig, ShardedRuntime, ViolationRecord, ViolationSink};
 use swmon::sim::Duration;
 use swmon::store::StoreSink;
 use swmon_workloads::trace::multi_flow_trace;
@@ -81,15 +79,7 @@ fn feed_all(
     mut before: impl FnMut(u64),
     fed: impl FnOnce(),
 ) -> Outcome {
-    let cfg = RuntimeConfig {
-        shards: 1,
-        adaptive: AdaptiveConfig {
-            enabled: true,
-            fan_out_rate: f64::INFINITY,
-            ..AdaptiveConfig::default()
-        },
-        ..cfg
-    };
+    let cfg = RuntimeConfig { shards: 1, ..cfg };
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("the catalog is valid");
     let trace = multi_flow_trace(256, 6_000, 0.4, 0.25, Duration::from_micros(2), 13);
     let mut session = rt.start_with_sink(Some(sink));

@@ -13,7 +13,7 @@ use swmon::monitor::{MonitorConfig, MonitorSet, Property, RouteMode};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::merge::merge;
 use swmon::runtime::{
-    reference_records, signature, RuntimeConfig, ShardedRuntime, ViolationRecord,
+    reference_records, signature, AdaptiveConfig, RuntimeConfig, ShardedRuntime, ViolationRecord,
 };
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 use swmon_props::firewall;
@@ -140,6 +140,48 @@ fn seed_regression_outbound_then_dropped_reply() {
     assert_eq!(reference.len(), 1, "exactly one violation: the dropped reply");
 
     assert_all_shard_counts_match(&props, &trace, end);
+}
+
+/// The shard count alone fixes a session's threading: one shard is driven
+/// inline (its `swmon_shard_ring_occupancy` histogram is never sampled:
+/// there is no hand-off lane), two run on workers (every send is sampled)
+/// — whatever `AdaptiveConfig` says, since nothing reads it. Both match the
+/// reference over the catalog.
+#[test]
+fn the_shard_count_alone_picks_the_threading() {
+    let events: Vec<GenEvent> = (0..200usize)
+        .map(|i| GenEvent {
+            pair: (i / 2 % 6) as u8,
+            outbound: i % 2 == 0,
+            dropped: i % 2 == 1 && i / 2 % 4 < 2,
+            gap_steps: 1 + (i % 3) as u8,
+        })
+        .collect();
+    let trace = render_trace(&events, Duration::from_micros(50));
+    let end = trace.last().unwrap().time + Duration::from_secs(120);
+    let props = full_catalog();
+    let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
+    let expect: Vec<String> = reference.iter().map(signature).collect();
+    assert!(!expect.is_empty(), "the trace must violate");
+    let adaptives = [
+        AdaptiveConfig::default(),
+        AdaptiveConfig { enabled: true, fan_out_rate: f64::INFINITY },
+        AdaptiveConfig { enabled: false, fan_out_rate: 0.0 },
+    ];
+    for shards in [1usize, 2] {
+        for adaptive in &adaptives {
+            let cfg =
+                RuntimeConfig { adaptive: adaptive.clone(), ..RuntimeConfig::with_shards(shards) };
+            let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
+            let out = rt.run(&trace, end).expect("fault-free run cannot fail");
+            assert_eq!(out.signatures(), expect, "{shards} shard(s), {adaptive:?}");
+            assert_eq!(out.stats.unaccounted_loss(), 0);
+            for s in 0..shards {
+                let sampled = out.telemetry.shard(s).ring_occupancy.snapshot().count;
+                assert_eq!(sampled == 0, shards == 1, "shard {s} of {shards}, {adaptive:?}");
+            }
+        }
+    }
 }
 
 /// Satellite check (symmetric canonicalization): the firewall property is
