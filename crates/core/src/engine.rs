@@ -49,8 +49,8 @@ use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{Probe, StageKey, StageKeyPlan};
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
-use std::collections::HashMap;
-use swmon_packet::FieldValue;
+use std::hash::{Hash, Hasher};
+use swmon_packet::{FieldValue, FoldMap};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::timer::{TimerId, TimerWheel};
 use swmon_sim::trace::{EventSink, NetEvent};
@@ -180,7 +180,39 @@ impl Clone for Instance {
     }
 }
 
-type InstanceKey = (usize, Bindings);
+/// A dedup index key: the stage an instance awaits, and its bindings.
+///
+/// `Eq` compares both, variable names included. The hash reads only the
+/// stage and each bound value, one word each
+/// ([`FieldValue::to_u64_key`]); it skips the names. Equal keys hold
+/// equal values, so hash and `Eq` agree. Bindings that differ only in
+/// their names collide, and `Eq` tells them apart. This is not the
+/// [`Bindings`] `Hash` stream, which the capacity store's cell hash folds
+/// ([`Monitor::bindings_hash`]) and which stays as it is.
+#[derive(Debug, PartialEq, Eq)]
+struct InstanceKey(usize, Bindings);
+
+impl Hash for InstanceKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0);
+        for (_, value) in self.1.iter() {
+            state.write_u64(value.to_u64_key());
+        }
+    }
+}
+
+/// A value stage postings are keyed by, hashed as the one word
+/// [`FieldValue::to_u64_key`].
+#[derive(Debug, PartialEq, Eq)]
+struct Posted(FieldValue);
+
+impl Hash for Posted {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.to_u64_key());
+    }
+}
 
 /// Names one moment at which a monitor and a checkpoint image held the
 /// same state: minted whenever [`Monitor::snapshot_into`] brings an image
@@ -245,9 +277,19 @@ enum Bucket {
     /// `map[value]` = slots holding `value` for some probe source. All
     /// sources share the one map: a lookup that collides across sources
     /// only adds candidates, which guard evaluation then rejects.
-    Keyed { map: HashMap<FieldValue, Vec<usize>>, rest: Vec<usize> },
+    Keyed { map: FoldMap<Posted, Vec<usize>>, rest: Vec<usize> },
     /// All awaiting slots, scanned for every relevant event.
     Scan(Vec<usize>),
+}
+
+/// One empty bucket per stage of a property planned as `stage_keys`.
+fn empty_buckets(stages: usize, stage_keys: &StageKeyPlan) -> Vec<Bucket> {
+    (0..stages)
+        .map(|s| match stage_keys.key(s) {
+            Some(_) => Bucket::Keyed { map: FoldMap::default(), rest: Vec::new() },
+            None => Bucket::Scan(Vec::new()),
+        })
+        .collect()
 }
 
 /// The values `inst` is posted under in a bucket keyed by `key` — one per
@@ -260,10 +302,10 @@ enum Bucket {
 fn postings<'a>(
     key: &'a StageKey,
     inst: &'a Instance,
-) -> Option<impl Iterator<Item = FieldValue> + 'a> {
+) -> Option<impl Iterator<Item = Posted> + 'a> {
     let value = |p: &Probe| p.instance_value(&inst.bindings, &inst.stage_ids);
     let sources = key.sources();
-    sources.iter().all(|p| value(p).is_some()).then(|| sources.iter().filter_map(value))
+    sources.iter().all(|p| value(p).is_some()).then(|| sources.iter().filter_map(value).map(Posted))
 }
 
 /// The reference monitor for one property.
@@ -272,7 +314,7 @@ pub struct Monitor {
     cfg: MonitorConfig,
     slots: Vec<Option<Instance>>,
     free: Vec<usize>,
-    index: HashMap<InstanceKey, usize>,
+    index: FoldMap<InstanceKey, usize>,
     timers: TimerWheel<(usize, TimerKind)>,
     pending: Vec<(Instant, Effect)>,
     /// Occupancy of the bounded store: cell -> slot index.
@@ -318,18 +360,13 @@ impl Monitor {
     pub fn new(property: Property, cfg: MonitorConfig) -> Self {
         property.validate().expect("property must be well-formed");
         let stage_keys = StageKeyPlan::of(&property);
-        let buckets = (0..property.stages.len())
-            .map(|s| match stage_keys.key(s) {
-                Some(_) => Bucket::Keyed { map: HashMap::new(), rest: Vec::new() },
-                None => Bucket::Scan(Vec::new()),
-            })
-            .collect();
+        let buckets = empty_buckets(property.stages.len(), &stage_keys);
         Monitor {
             property,
             cfg,
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: FoldMap::default(),
             timers: TimerWheel::new(),
             pending: Vec::new(),
             cells: vec![None; cfg.capacity.unwrap_or(0)],
@@ -581,7 +618,7 @@ impl Monitor {
                     cands.extend_from_slice(rest);
                     let key = self.stage_keys.key(s).expect("keyed bucket has a stage key");
                     let mut look_up = |probe: &Probe| {
-                        if let Some(v) = probe.event_value(ev).and_then(|val| map.get(&val)) {
+                        if let Some(v) = probe.event_value(ev).and_then(|x| map.get(&Posted(x))) {
                             cands.extend_from_slice(v);
                         }
                     };
@@ -620,8 +657,7 @@ impl Monitor {
                     // advance extends them — computing the old key after
                     // assignment would leave a stale index entry that
                     // swallows future spawns via deduplication.
-                    let old_key = (inst.awaiting, inst.bindings);
-                    self.index.remove(&old_key);
+                    self.index.remove(&InstanceKey(inst.awaiting, inst.bindings));
                     inst.bindings = bindings;
                     if self.cfg.provenance == ProvenanceMode::Full {
                         if let Some(ev) = event {
@@ -661,7 +697,7 @@ impl Monitor {
             self.raise(at, &bindings, &history, 0);
             return;
         }
-        let key = (1usize, bindings);
+        let key = InstanceKey(1, bindings);
         if let Some(&incumbent) = self.index.get(&key) {
             self.dedup_against(incumbent, at);
             return;
@@ -821,7 +857,7 @@ impl Monitor {
     fn advance_instance(&mut self, idx: usize, stage_id: Option<PacketId>, at: Instant) {
         let old_key = {
             let inst = self.slots[idx].as_ref().expect("live instance");
-            (inst.awaiting, inst.bindings)
+            InstanceKey(inst.awaiting, inst.bindings)
         };
         self.index.remove(&old_key);
         self.advance_instance_unindexed(idx, stage_id, at);
@@ -859,7 +895,7 @@ impl Monitor {
         }
         // Dedup at the new position.
         let inst = self.slots[idx].as_ref().expect("live instance");
-        let new_key = (inst.awaiting, inst.bindings);
+        let new_key = InstanceKey(inst.awaiting, inst.bindings);
         if let Some(&incumbent) = self.index.get(&new_key) {
             // The incumbent wins; this instance dissolves into it.
             self.dedup_against(incumbent, at);
@@ -912,7 +948,7 @@ impl Monitor {
                     self.cells[c] = None;
                 }
             }
-            self.index.remove(&(inst.awaiting, inst.bindings));
+            self.index.remove(&InstanceKey(inst.awaiting, inst.bindings));
             self.free.push(idx);
         }
     }
@@ -1071,10 +1107,13 @@ impl Monitor {
         }
         // The dedup index holds one slot per key; a second would stay live
         // but unreachable.
-        let mut index = HashMap::with_capacity(snap.slots.len() - snap.free.len());
+        let mut index = FoldMap::with_capacity_and_hasher(
+            snap.slots.len() - snap.free.len(),
+            Default::default(),
+        );
         for (idx, inst) in snap.slots.iter().enumerate() {
             let Some(inst) = inst else { continue };
-            if index.insert((inst.awaiting, inst.bindings), idx).is_some() {
+            if index.insert(InstanceKey(inst.awaiting, inst.bindings), idx).is_some() {
                 return Err(SnapshotError::Malformed("two live instances share a dedup key"));
             }
         }
@@ -1095,12 +1134,7 @@ impl Monitor {
         // Rebuild the derived structures from the live slots.
         self.index = index;
         self.cells = vec![None; capacity];
-        self.buckets = (0..self.property.stages.len())
-            .map(|s| match self.stage_keys.key(s) {
-                Some(_) => Bucket::Keyed { map: HashMap::new(), rest: Vec::new() },
-                None => Bucket::Scan(Vec::new()),
-            })
-            .collect();
+        self.buckets = empty_buckets(self.property.stages.len(), &self.stage_keys);
         for idx in 0..self.slots.len() {
             let Some(inst) = self.slots[idx].as_ref() else { continue };
             if let Some(c) = inst.cell {
@@ -1769,6 +1803,24 @@ mod tests {
         // Still exactly one violation for the pair.
         m.process(&dropped(at(100), 2, 1, 99));
         assert_eq!(m.violations().len(), 1);
+    }
+
+    #[test]
+    fn equal_values_under_different_names_are_different_instances() {
+        // The dedup hash reads values, not names: {?A=1} and {?B=1} hash
+        // alike under one map's seed, and `Eq` must still keep them apart.
+        use std::hash::BuildHasher;
+        let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
+        let b = Bindings::new().bind(var("B"), FieldValue::Uint(1));
+        let state = swmon_packet::FoldState::default();
+        assert_eq!(state.hash_one(InstanceKey(1, a)), state.hash_one(InstanceKey(1, b)));
+        assert_ne!(InstanceKey(1, a), InstanceKey(1, b));
+        let mut m = Monitor::with_defaults(fw_basic());
+        m.spawn(at(0), a, None, Vec::new());
+        m.spawn(at(1), b, None, Vec::new());
+        assert_eq!((m.live_instances(), m.stats.deduplicated), (2, 0), "no dedup across names");
+        m.spawn(at(2), a, None, Vec::new());
+        assert_eq!((m.live_instances(), m.stats.deduplicated), (2, 1), "same name and value do");
     }
 
     #[test]

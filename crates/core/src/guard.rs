@@ -178,8 +178,9 @@ impl Guard {
         for atom in &self.atoms {
             match atom {
                 Atom::Bind(v, f) => {
-                    let val = ev.field(*f)?;
-                    env = env.unify(v, val)?;
+                    if !env.unify(v, ev.field(*f)?) {
+                        return None;
+                    }
                 }
                 Atom::EqConst(f, want) => {
                     if ev.field(*f)? != *want {

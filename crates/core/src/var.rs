@@ -11,15 +11,18 @@
 //!
 //! Variable names are interned once (at property-construction time) into a
 //! process-wide table, making [`Var`] a `Copy` handle, and [`Bindings`] is a
-//! fixed-capacity inline slot array kept sorted by variable name. `bind`,
-//! `unify`, and clone are then O(capacity) stack copies with zero heap
-//! allocation — the engine copies an environment on every match attempt, so
-//! this is the single hottest data structure in the workspace.
+//! fixed-capacity inline slot array kept sorted by variable name. `bind`
+//! and clone are then O(capacity) stack copies with zero heap allocation,
+//! and `unify` extends an environment in place — a guard evaluation copies
+//! its instance's environment once, however many variables it binds. This
+//! is the single hottest data structure in the workspace.
 //!
 //! The canonical (name-sorted) order is load-bearing: equality, ordering,
 //! hashing, and `Display` must be byte-for-byte identical to the original
-//! `BTreeMap<Var, FieldValue>` form, because instance dedup keys, the
-//! capacity-store cell hash, and violation output all derive from them.
+//! `BTreeMap<Var, FieldValue>` form. Instance dedup compares with `Eq`, and
+//! violation output prints with `Display`. Of the hashes, only the
+//! capacity-store cell hash derives from [`Bindings`]' `Hash` stream; the
+//! dedup index hashes the bound values alone (`engine::InstanceKey`).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -231,18 +234,16 @@ impl Bindings {
         self.len += 1;
     }
 
-    /// Unification: if `v` is unbound, bind it (returning the extended
-    /// environment); if bound, succeed with a copy of `self` only when
-    /// values agree.
+    /// Unification, in place: if `v` is unbound, bind it; if bound,
+    /// succeed only when the values agree. Returns false on a conflict,
+    /// and then leaves `self` untouched.
     #[inline]
-    pub fn unify(&self, v: &Var, val: FieldValue) -> Option<Bindings> {
+    pub fn unify(&mut self, v: &Var, val: FieldValue) -> bool {
         match self.get(v) {
-            Some(existing) if *existing == val => Some(*self),
-            Some(_) => None,
+            Some(existing) => *existing == val,
             None => {
-                let mut out = *self;
-                out.bind_in_place(*v, val);
-                Some(out)
+                self.bind_in_place(*v, val);
+                true
             }
         }
     }
@@ -333,8 +334,8 @@ mod tests {
 
     #[test]
     fn unify_binds_fresh_variables() {
-        let env = Bindings::new();
-        let env = env.unify(&var("A"), FieldValue::Uint(1)).unwrap();
+        let mut env = Bindings::new();
+        assert!(env.unify(&var("A"), FieldValue::Uint(1)));
         assert_eq!(env.get(&var("A")), Some(&FieldValue::Uint(1)));
         assert!(env.is_bound(&var("A")));
         assert!(!env.is_bound(&var("B")));
@@ -343,9 +344,10 @@ mod tests {
 
     #[test]
     fn unify_checks_existing_bindings() {
-        let env = Bindings::new().bind(var("A"), FieldValue::Uint(1));
-        assert!(env.unify(&var("A"), FieldValue::Uint(1)).is_some());
-        assert!(env.unify(&var("A"), FieldValue::Uint(2)).is_none());
+        let mut env = Bindings::new().bind(var("A"), FieldValue::Uint(1));
+        assert!(env.unify(&var("A"), FieldValue::Uint(1)));
+        assert!(!env.unify(&var("A"), FieldValue::Uint(2)));
+        assert_eq!(env.get(&var("A")), Some(&FieldValue::Uint(1)));
     }
 
     #[test]
@@ -367,9 +369,14 @@ mod tests {
 
     #[test]
     fn unify_leaves_original_untouched() {
-        let env = Bindings::new();
-        let _ = env.unify(&var("A"), FieldValue::Uint(1)).unwrap();
-        assert!(env.is_empty(), "unify is persistent, not mutating");
+        // In place, but only on success: a conflict changes nothing.
+        let env = Bindings::new().bind(var("B"), FieldValue::Uint(2));
+        let mut tried = env;
+        assert!(!tried.unify(&var("B"), FieldValue::Uint(3)));
+        assert_eq!(tried, env, "a failed unify does not mutate");
+        assert!(tried.unify(&var("A"), FieldValue::Uint(1)));
+        assert_eq!(tried.to_string(), "{?A=1, ?B=2}");
+        assert_eq!(env.len(), 1, "unifying a copy leaves the original alone");
     }
 
     #[test]

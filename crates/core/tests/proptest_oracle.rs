@@ -241,7 +241,7 @@ fn holds(guard: &Guard, ev: &NetEvent, env: &Bindings, ids: &StageIds) -> Option
     let mut env = *env;
     for atom in &guard.atoms {
         match atom {
-            Atom::Bind(v, f) => env = env.unify(v, ev.field(*f)?)?,
+            Atom::Bind(v, f) => env.unify(v, ev.field(*f)?).then_some(())?,
             Atom::EqConst(f, want) => (ev.field(*f)? == *want).then_some(())?,
             Atom::NeqVar(f, v) => (ev.field(*f)? != *env.get(v)?).then_some(())?,
             Atom::SamePacket(stage) => {

@@ -15,6 +15,8 @@
 //!   and Table 1's "Fields" column is derived from [`Field::layer`].
 //! * A [`Packet`] type pairing raw bytes with parsed headers, plus ergonomic
 //!   builders for every supported protocol.
+//! * [`FoldMap`], a `HashMap` with a seeded multiply hasher for keys made of
+//!   header values, which the monitor engine's hot maps use.
 //!
 //! Parsing is *total and explicit*: malformed input yields a typed
 //! [`ParseError`], never a panic. Emitting then re-parsing any header is
@@ -28,6 +30,7 @@ pub mod error;
 pub mod eth;
 pub mod field;
 pub mod ftp;
+pub mod hash;
 pub mod icmp;
 pub mod ipv4;
 pub mod packet;
@@ -41,6 +44,7 @@ pub use error::ParseError;
 pub use eth::{EtherType, EthernetFrame};
 pub use field::{Field, FieldValue, Layer};
 pub use ftp::FtpControl;
+pub use hash::{FoldMap, FoldState};
 pub use icmp::{IcmpMessage, IcmpType};
 pub use ipv4::{IpProto, Ipv4Header};
 pub use packet::{Headers, L4Header, L7Payload, Packet, PacketBuilder};

@@ -8,7 +8,8 @@
 
 use crate::time::Instant;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use swmon_packet::FoldMap;
 
 /// Handle to an armed timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,7 +73,9 @@ impl<T> Default for TimerWheelSnapshot<T> {
 /// A set of armed timers, each carrying a payload of type `T`.
 ///
 /// Cancellation and refresh are O(log n) amortised: superseded heap entries
-/// are tombstoned and skipped lazily on pop.
+/// are tombstoned and skipped lazily on pop. Everything a wheel returns —
+/// firing order, ids, snapshots — is a function of the calls made on it,
+/// never of the per-wheel hash seed.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     heap: BinaryHeap<Reverse<(Instant, u64, TimerId, u64)>>,
@@ -80,8 +83,10 @@ pub struct TimerWheel<T> {
     /// entry that speaks for it — so a snapshot is this map's values and
     /// never walks the heap's tombstones. An id missing here is cancelled;
     /// a heap entry whose generation disagrees is stale (superseded by a
-    /// refresh).
-    live: HashMap<TimerId, TimerEntry<T>>,
+    /// refresh). Probed on every `next_deadline`, so it is a [`FoldMap`]
+    /// with its own seed. Nothing iterates it in hash order (`snapshot`
+    /// sorts by `seq`), so the seed never reaches an output.
+    live: FoldMap<TimerId, TimerEntry<T>>,
     next_id: u64,
     seq: u64,
 }
@@ -95,7 +100,7 @@ impl<T> Default for TimerWheel<T> {
 impl<T> TimerWheel<T> {
     /// An empty wheel.
     pub fn new() -> Self {
-        TimerWheel { heap: BinaryHeap::new(), live: HashMap::new(), next_id: 0, seq: 0 }
+        TimerWheel { heap: BinaryHeap::new(), live: FoldMap::default(), next_id: 0, seq: 0 }
     }
 
     /// Number of live (armed, not yet fired or cancelled) timers.
@@ -213,7 +218,7 @@ impl<T: Clone> TimerWheel<T> {
     /// Rebuild a wheel from a [`TimerWheelSnapshot`].
     pub fn restore(snap: &TimerWheelSnapshot<T>) -> Self {
         let mut heap = BinaryHeap::with_capacity(snap.entries.len());
-        let mut live = HashMap::with_capacity(snap.entries.len());
+        let mut live = FoldMap::with_capacity_and_hasher(snap.entries.len(), Default::default());
         for e in &snap.entries {
             heap.push(Reverse((e.deadline, e.seq, e.id, e.generation)));
             live.insert(e.id, e.clone());
