@@ -73,7 +73,7 @@ pub struct MeasuredRow {
 pub fn run_measured() -> Vec<MeasuredRow> {
     // Every packet is a *new* flow: every packet spawns an instance, i.e.
     // one state update per packet — the monitoring-heavy regime.
-    let trace = firewall_trace_every_packet();
+    let trace = new_flow_per_packet_trace();
     let prop = firewall::return_not_dropped();
     let mut out = Vec::new();
     for mech in [static_varanus(), p4()] {
@@ -93,7 +93,7 @@ pub fn run_measured() -> Vec<MeasuredRow> {
     out
 }
 
-fn firewall_trace_every_packet() -> Vec<swmon_sim::NetEvent> {
+fn new_flow_per_packet_trace() -> Vec<swmon_sim::NetEvent> {
     swmon_workloads::trace::firewall_trace(5_000, 0.0, Duration::from_nanos(400), 4)
 }
 

@@ -195,22 +195,25 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, DslError> {
                     .map_err(|_| err("number too large".into()))?;
                 // Duration suffix?
                 let rest: String = chars[j..].iter().collect();
-                let (dur, len) = if rest.starts_with("ns") {
-                    (Some(Duration::from_nanos(n)), 2)
+                let (nanos_per_unit, len) = if rest.starts_with("ns") {
+                    (Some(1), 2)
                 } else if rest.starts_with("us") {
-                    (Some(Duration::from_micros(n)), 2)
+                    (Some(1_000), 2)
                 } else if rest.starts_with("ms") {
-                    (Some(Duration::from_millis(n)), 2)
+                    (Some(1_000_000), 2)
                 } else if rest.starts_with('s')
                     && rest.chars().nth(1).map(is_ident_char) != Some(true)
                 {
-                    (Some(Duration::from_secs(n)), 1)
+                    (Some(1_000_000_000), 1)
                 } else {
                     (None, 0)
                 };
-                match dur {
-                    Some(d) => {
-                        toks.push((line_no, Tok::Dur(d)));
+                match nanos_per_unit {
+                    Some(unit) => {
+                        let nanos = n
+                            .checked_mul(unit)
+                            .ok_or_else(|| err("duration out of range".into()))?;
+                        toks.push((line_no, Tok::Dur(Duration::from_nanos(nanos))));
                         i = j + len;
                     }
                     None => {
@@ -1004,6 +1007,31 @@ end
 "#;
         let p = parse_property(src).unwrap();
         assert_eq!(p.stages[1].within, Some(WindowSpec::Fixed(Duration::from_millis(250))));
+    }
+
+    /// Each unit's largest literal that fits in `u64` nanoseconds parses;
+    /// one more is an error, never a wrapped or panicking multiply.
+    #[test]
+    fn duration_literals_past_u64_nanoseconds_are_errors() {
+        let within = |literal: &str| {
+            let src = format!(
+                "property \"d\"\nobserve a on arrival\n  bind ?A = ipv4.src\nend\n\
+                 observe b on arrival within {literal}\n  ipv4.src == ?A\nend\n"
+            );
+            parse_property(&src).map(|p| p.stages[1].within.clone())
+        };
+        for (unit, nanos_per_unit) in [("us", 1_000), ("ms", 1_000_000), ("s", 1_000_000_000)] {
+            let max = u64::MAX / nanos_per_unit;
+            let fits = Duration::from_nanos(max * nanos_per_unit);
+            assert_eq!(within(&format!("{max}{unit}")), Ok(Some(WindowSpec::Fixed(fits))));
+            let e = within(&format!("{}{unit}", max + 1)).unwrap_err();
+            assert!(e.message.contains("duration out of range"), "{unit}: {e}");
+            assert_eq!(e.line, 5);
+        }
+        let max_ns = Duration::from_nanos(u64::MAX);
+        assert_eq!(within(&format!("{}ns", u64::MAX)), Ok(Some(WindowSpec::Fixed(max_ns))));
+        let e = within("18446744073709551616ns").unwrap_err();
+        assert!(e.message.contains("number too large"), "{e}");
     }
 
     #[test]

@@ -220,6 +220,13 @@ impl Hash for Posted {
 /// compared for equality, so its value cannot reach any output.
 pub(crate) type SyncToken = std::num::NonZeroU64;
 
+/// The deadline `window` after `at`, saturating at the latest
+/// representable instant: the DSL accepts windows longer than what is left
+/// of the clock, and such a deadline simply never comes.
+fn deadline_after(at: Instant, window: Duration) -> Instant {
+    at.checked_add(window).unwrap_or(Instant::from_nanos(u64::MAX))
+}
+
 fn mint_sync_token() -> SyncToken {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -842,7 +849,7 @@ impl Monitor {
         };
         if policy == RefreshPolicy::RefreshOnRepeat {
             if let (Some(w), Some(t)) = (window, inst.timer) {
-                if self.timers.refresh(t, at + w) {
+                if self.timers.refresh(t, deadline_after(at, w)) {
                     self.stats.refreshed += 1;
                 }
             }
@@ -925,13 +932,13 @@ impl Monitor {
         let stage: &Stage = &self.property.stages[awaiting];
         let timer = match &stage.kind {
             StageKind::Deadline { window, .. } => {
-                Some(self.timers.schedule(at + *window, (idx, TimerKind::Deadline)))
+                Some(self.timers.schedule(deadline_after(at, *window), (idx, TimerKind::Deadline)))
             }
-            StageKind::Match { .. } => stage
-                .within
-                .as_ref()
-                .and_then(|w: &WindowSpec| w.resolve(&inst.bindings))
-                .map(|w| self.timers.schedule(at + w, (idx, TimerKind::WindowExpiry))),
+            StageKind::Match { .. } => {
+                stage.within.as_ref().and_then(|w: &WindowSpec| w.resolve(&inst.bindings)).map(
+                    |w| self.timers.schedule(deadline_after(at, w), (idx, TimerKind::WindowExpiry)),
+                )
+            }
         };
         self.slots[idx].as_mut().expect("live").timer = timer;
     }
@@ -1957,5 +1964,28 @@ mod tests {
         }
         assert_eq!(m.live_instances(), 50);
         assert!(m.state_bytes() > 0);
+    }
+
+    /// The longest `within` the DSL accepts in seconds ends 0.71 s before
+    /// the clock runs out: armed any later, its deadline saturates at the
+    /// last representable instant instead of overflowing, and never comes.
+    #[test]
+    fn a_window_past_the_end_of_the_clock_never_expires() {
+        let src = r#"
+property "far"
+observe a on arrival
+  bind ?A = ipv4.src
+end
+observe b on departure(drop) within 18446744073s
+  ipv4.src == ?A
+end
+"#;
+        let mut m = Monitor::with_defaults(crate::dsl::parse_property(src).unwrap());
+        m.process(&arrival(at(1_000), 1, 9, 0));
+        m.process(&arrival(at(2_000), 2, 9, 1));
+        m.advance_to(Instant::from_nanos(u64::MAX - 1));
+        assert_eq!(m.live_instances(), 2);
+        assert_eq!(m.stats.window_expired, 0);
+        assert!(m.violations().is_empty());
     }
 }

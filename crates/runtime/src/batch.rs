@@ -175,14 +175,12 @@ pub(crate) struct ShardPrepare {
 /// one-shard session, driven on the caller thread, and each shard of a
 /// wider one, driven by its own worker, interpret the same messages
 /// through the same `Supervisor::handle`; only the transport differs (a
-/// direct call, or a ring). Deploy messages (`Quiesce`/`Prepare`/
-/// `Commit`/`Abort`) rely on ring FIFO order: the session is a shard's
-/// only sender, so when a supervisor sees `Quiesce`, every event sent
-/// before the deploy has already been admitted, and events sent after
-/// `Commit` are only ever interpreted under the new epoch's indexing.
-/// The lanes ([`crate::ring`]) deliver messages strictly in send
-/// order: each is a bounded channel whose only producer is the
-/// session.
+/// direct call, or a lane: std's bounded `sync_channel`). Deploy messages
+/// (`Quiesce`/`Prepare`/`Commit`/`Abort`) rely on lane FIFO order: the
+/// session is a shard's only sender, so when a supervisor sees `Quiesce`,
+/// every event sent before the deploy has already been admitted, and
+/// events sent after `Commit` are only ever interpreted under the new
+/// epoch's indexing.
 #[derive(Debug)]
 pub(crate) enum Msg {
     /// A batch of routed events, in global sequence order.

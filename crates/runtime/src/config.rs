@@ -25,25 +25,11 @@ pub struct TelemetryConfig {
     /// Wall-time every N-th event per monitor replica into the property's
     /// stage-time and occupancy histograms (`0` disables timing).
     pub stage_sample_every: u64,
-    /// Span-trace every N-th input sequence number through the runtime's
-    /// stages (`0` — the default — disables tracing entirely).
-    pub trace_every: u64,
-    /// Sampling offset: sequence `s` is traced iff
-    /// `(s + trace_seed) % trace_every == 0`. Deterministic, so traces of
-    /// two runs over the same input are comparable.
-    pub trace_seed: u64,
-    /// Maximum retained span records.
-    pub trace_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            stage_sample_every: 64,
-            trace_every: 0,
-            trace_seed: 0,
-            trace_capacity: 512,
-        }
+        TelemetryConfig { stage_sample_every: 64 }
     }
 }
 
@@ -51,7 +37,7 @@ impl TelemetryConfig {
     /// Everything off that can be off — the bare-throughput configuration
     /// the overhead benchmarks compare against.
     pub fn off() -> Self {
-        TelemetryConfig { stage_sample_every: 0, ..Self::default() }
+        TelemetryConfig { stage_sample_every: 0 }
     }
 }
 
@@ -88,11 +74,6 @@ pub struct RuntimeConfig {
     /// raised as it completes, so `batch` ÷ the input rate is the detection
     /// floor (default 8, where dispatch cost starts to show: docs/PERF.md).
     pub batch: usize,
-    /// Hand-off lane capacity, in batches. When a worker falls behind,
-    /// the session *blocks* here — events are never dropped, because a
-    /// silently dropped event would forge a negative observation
-    /// (Feature 7 deadlines fire on absence of events).
-    pub queue: usize,
     /// Bounded-staleness flush, in input ticks, checked on every fed event
     /// (class-filtered ones too): when the oldest staged event is this many
     /// fed events old, the partial block is dispatched like a full one, so
@@ -140,7 +121,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             shards: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
             batch: 8,
-            queue: 64,
             flush_every: 0,
             adaptive: AdaptiveConfig::default(),
             monitor: MonitorConfig::default(),
@@ -168,7 +148,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             shards: self.shards.max(1),
             batch,
-            queue: self.queue.max(1),
             flush_every: if self.flush_every == 0 { 4 * batch } else { self.flush_every },
             adaptive: self.adaptive.clone(),
             monitor: self.monitor,
@@ -192,9 +171,9 @@ mod tests {
 
     #[test]
     fn zero_values_are_clamped() {
-        let cfg = RuntimeConfig { shards: 0, batch: 0, queue: 0, ..Default::default() };
+        let cfg = RuntimeConfig { shards: 0, batch: 0, ..Default::default() };
         let n = cfg.normalized();
-        assert_eq!((n.shards, n.batch, n.queue), (1, 1, 1));
+        assert_eq!((n.shards, n.batch), (1, 1));
         assert!(RuntimeConfig::default().shards >= 1);
         assert_eq!(RuntimeConfig::with_shards(4).shards, 4);
     }

@@ -57,7 +57,6 @@
 mod batch;
 pub mod config;
 pub mod merge;
-mod ring;
 pub mod router;
 pub mod shardkey;
 pub mod sink;
@@ -78,7 +77,7 @@ pub use telemetry::{ShardProbe, TelemetryHub};
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -87,7 +86,14 @@ use supervisor::{ShardOutcome, ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
-use swmon_telemetry::{EngineProbe, SpanStage};
+use swmon_telemetry::EngineProbe;
+
+/// A worker shard's hand-off lane capacity, in batches: it bounds a
+/// worker's backlog to `LANE_BATCHES × batch` events. When a worker falls
+/// behind, the session *blocks* on its full lane — events are never
+/// dropped, because a silently dropped event would forge a negative
+/// observation (Feature 7 deadlines fire on absence of events).
+const LANE_BATCHES: usize = 64;
 
 /// Construction-time and run-time runtime failures.
 #[derive(Debug)]
@@ -257,13 +263,12 @@ impl ShardedRuntime {
                     cfg: self.cfg.clone(),
                     inject,
                     probe: hub.shard(s).clone(),
-                    tracer: hub.tracer().clone(),
                     sink: sink.clone(),
                 });
                 if shards == 1 {
                     return Link::Local(sup);
                 }
-                let (tx, rx) = ring::channel::<Msg>(self.cfg.queue);
+                let (tx, rx) = sync_channel::<Msg>(LANE_BATCHES);
                 let worker = std::thread::spawn(move || supervisor::run_loop(rx, sup));
                 Link::Remote { tx, worker: Some(worker) }
             })
@@ -281,7 +286,6 @@ impl ShardedRuntime {
                 skipped: Cell::new(0),
                 delivered: vec![Cell::new(0); shards],
             },
-            tracing: hub.tracer().enabled(),
             hub,
             sink,
         }
@@ -329,11 +333,14 @@ pub struct DeployOutcome {
 #[allow(clippy::large_enum_variant)]
 enum Link {
     /// On the caller thread: a message is handled synchronously, inside
-    /// `send` — no staging beyond the arena, no ring, no hand-off.
+    /// `send` — no staging beyond the arena, no lane, no hand-off.
     Local(Supervisor),
-    /// On its own worker thread, fed over a bounded channel.
+    /// On its own worker thread, fed over a bounded lane of
+    /// [`LANE_BATCHES`] messages. The session is the lane's only producer,
+    /// so messages arrive strictly in send order (the deploy protocol
+    /// relies on that — see [`Msg`]).
     Remote {
-        tx: ring::Sender<Msg>,
+        tx: SyncSender<Msg>,
         /// The worker driving the shard; `None` once it has been joined
         /// (error diagnosis).
         worker: Option<ShardHandle>,
@@ -418,7 +425,7 @@ impl Routed {
 /// A live run: feed events, then call [`Session::finish`].
 ///
 /// Dropping a session mid-stream is safe and deadlock-free: the drop
-/// handler closes every ring (drain signal), then joins the workers,
+/// handler closes every lane (drain signal), then joins the workers,
 /// discarding their reports; an inline supervisor is a plain value and
 /// simply drops. Use [`Session::finish`] to get the merged outcome instead.
 #[derive(Debug)]
@@ -441,9 +448,6 @@ pub struct Session<'rt> {
     seq: u64,
     routed: Routed,
     hub: Arc<TelemetryHub>,
-    /// `hub.tracer().enabled()`, hoisted: a tracer's sampling rate is
-    /// fixed at construction, so `feed` skips the per-event fetch.
-    tracing: bool,
     sink: Option<Arc<dyn ViolationSink>>,
 }
 
@@ -466,15 +470,12 @@ impl Session<'_> {
     /// Deliver one command to shard `s` — the only way the session talks
     /// to a shard. A local shard handles it before this returns (so a
     /// reply, if the message carries a reply channel, is already waiting
-    /// in it); a remote one queues it on its ring, blocking while the ring
+    /// in it); a remote one queues it on its lane, blocking while the lane
     /// is full. Fails only on a terminal shard failure.
     fn send(&mut self, s: usize, msg: Msg) -> Result<(), RuntimeError> {
         let queued = match &mut self.shards[s] {
             Link::Local(sup) => return sup.handle(msg).map(drop).map_err(RuntimeError::from),
-            Link::Remote { tx, .. } => {
-                self.hub.shard(s).ring_occupancy.record(tx.occupancy());
-                tx.send(msg).is_ok()
-            }
+            Link::Remote { tx, .. } => tx.send(msg).is_ok(),
         };
         if queued {
             Ok(())
@@ -485,7 +486,7 @@ impl Session<'_> {
 
     /// Route one event. An event whose class mask misses every property is
     /// filtered *here* — before any staging or hand-off. Blocks if a
-    /// destination shard's ring is full (backpressure — never drops).
+    /// destination shard's lane is full (backpressure — never drops).
     /// Fails only if a shard's supervisor has already escalated a terminal
     /// failure.
     pub fn feed(&mut self, ev: &NetEvent) -> Result<(), RuntimeError> {
@@ -500,17 +501,8 @@ impl Session<'_> {
                 Routed::bump(routed);
             }
         }
-        if self.tracing {
-            let tracer = self.hub.tracer();
-            tracer.record(seq, SpanStage::Routed, None);
-            for (s, &mask) in self.masks.iter().enumerate() {
-                if mask != 0 {
-                    tracer.record(seq, SpanStage::Enqueued, Some(s));
-                }
-            }
-        }
         // Pre-enqueue filtering: an event that provably cannot affect any
-        // monitor never enters the arena or a ring.
+        // monitor never enters the arena or a lane.
         let full = delivered && self.arena.push(seq, ev, &self.masks);
         if !delivered {
             Routed::bump(&self.routed.skipped);
@@ -529,7 +521,7 @@ impl Session<'_> {
     /// barrier's tail-flush: after it returns, every fed event has been
     /// counted in the hub — before its batch is sent, so a shard never
     /// shows more processed than delivered — and applied (a local shard)
-    /// or queued on its shard's ring (remote).
+    /// or queued on its shard's lane (remote).
     fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
         for (s, batch) in self.arena.seal() {
@@ -625,8 +617,8 @@ impl Session<'_> {
     ///    on carry it as provenance.
     ///
     /// The barrier is the same messages whether the session runs inline
-    /// or on workers: a remote shard's phases ride its FIFO ring (the
-    /// session is the ring's only producer, so `Quiesce` observes
+    /// or on workers: a remote shard's phases ride its FIFO lane (the
+    /// session is the lane's only producer, so `Quiesce` observes
     /// everything fed before it); a local shard handles each phase as it
     /// is sent.
     ///
@@ -763,7 +755,7 @@ impl Session<'_> {
                 Link::Local(sup) => sent.map(|()| sup.into_outcome()),
                 Link::Remote { tx, worker } => {
                     // Hang up before joining, so a worker can never be
-                    // left waiting on its ring.
+                    // left waiting on its lane.
                     drop(tx);
                     sent.and(join_worker(s, worker))
                 }
@@ -810,7 +802,7 @@ impl Session<'_> {
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
-        // Close every ring first (clearing the shards drops their links):
+        // Close every lane first (clearing the shards drops their links):
         // workers drain what was sent, then exit their receive loop — no
         // Finish needed, no deadlock. An inline supervisor is a plain
         // value and drops with its link. Then join.
@@ -922,12 +914,13 @@ mod tests {
     fn dropping_a_session_mid_stream_joins_cleanly() {
         let rt = ShardedRuntime::new(
             vec![repeat_prop("p", Field::Ipv4Src)],
-            // queue=1, batch=1: maximal pressure on the drop path.
-            RuntimeConfig { shards: 2, batch: 1, queue: 1, ..Default::default() },
+            // batch=1, and far more batches than a lane holds: pressure on
+            // the drop path.
+            RuntimeConfig { shards: 2, batch: 1, ..Default::default() },
         )
         .unwrap();
         let mut session = rt.start();
-        for i in 0..100u64 {
+        for i in 0..(16 * LANE_BATCHES) as u64 {
             session.feed(&arrival_from(i)).unwrap();
         }
         // No finish: drop must drain and join without deadlocking.

@@ -29,26 +29,22 @@ pub struct PropertyRoute {
 }
 
 impl PropertyRoute {
-    /// Placement for the property at position `index` under `cfg`, across
-    /// `shards` workers. Pinned properties are spread round-robin. The
-    /// event-class mask is left fully open; use
-    /// [`PropertyRoute::for_property`] to enable class pre-dispatch.
-    pub fn new(index: usize, plan: RoutingPlan, cfg: &MonitorConfig, shards: usize) -> Self {
-        let pin_override = if cfg.capacity.is_some() { Some(PIN_CAPACITY) } else { None };
-        PropertyRoute { plan, pinned_shard: index % shards.max(1), pin_override, class_mask: 0xFF }
-    }
-
-    /// As [`PropertyRoute::new`], deriving both the routing plan and the
-    /// event-class pre-dispatch mask from `property`.
+    /// Placement for `property`, at position `index` under `cfg`, across
+    /// `shards` workers: the routing plan and the event-class pre-dispatch
+    /// mask are both derived from the property. Pinned properties are
+    /// spread round-robin.
     pub fn for_property(
         index: usize,
         property: &Property,
         cfg: &MonitorConfig,
         shards: usize,
     ) -> Self {
-        let mut route = Self::new(index, RoutingPlan::of(property), cfg, shards);
-        route.class_mask = property.event_class_mask();
-        route
+        PropertyRoute {
+            plan: RoutingPlan::of(property),
+            pinned_shard: index % shards.max(1),
+            pin_override: cfg.capacity.map(|_| PIN_CAPACITY),
+            class_mask: property.event_class_mask(),
+        }
     }
 
     /// This placement carried to a new property index (live deployment
@@ -188,14 +184,14 @@ mod tests {
 
     #[test]
     fn capacity_override_pins_even_hashable_properties() {
-        let plan = RoutingPlan::of(&exact_prop());
-        assert!(plan.is_hashed());
+        let prop = exact_prop();
+        assert!(RoutingPlan::of(&prop).is_hashed());
         let free = MonitorConfig::default();
         let bounded = MonitorConfig { capacity: Some(8), ..Default::default() };
-        let hashed = PropertyRoute::new(3, plan.clone(), &free, 4);
+        let hashed = PropertyRoute::for_property(3, &prop, &free, 4);
         assert!(hashed.is_hashed());
         assert_eq!(hashed.home_shard(), None);
-        let pinned = PropertyRoute::new(3, plan, &bounded, 4);
+        let pinned = PropertyRoute::for_property(3, &prop, &bounded, 4);
         assert!(!pinned.is_hashed());
         assert_eq!(pinned.home_shard(), Some(3));
         assert_eq!(pinned.pin_override(), Some(PIN_CAPACITY));
@@ -204,12 +200,12 @@ mod tests {
 
     #[test]
     fn pinned_properties_spread_round_robin() {
-        let plan = RoutingPlan::of(&exact_prop());
+        let prop = exact_prop();
         let bounded = MonitorConfig { capacity: Some(8), ..Default::default() };
-        let r5 = PropertyRoute::new(5, plan.clone(), &bounded, 4);
+        let r5 = PropertyRoute::for_property(5, &prop, &bounded, 4);
         assert_eq!(r5.home_shard(), Some(1));
         assert!(r5.reaches(1) && !r5.reaches(0));
-        let hashed = PropertyRoute::new(5, plan, &MonitorConfig::default(), 4);
+        let hashed = PropertyRoute::for_property(5, &prop, &MonitorConfig::default(), 4);
         assert!(hashed.reaches(0) && hashed.reaches(3));
     }
 }

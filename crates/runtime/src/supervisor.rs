@@ -27,19 +27,18 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Once};
 
 use crate::batch::{Batch, EventBlock, ItemRef, Msg, QuiesceAck, ShardLayout, ShardPrepare};
 use crate::config::RuntimeConfig;
 use crate::merge::ViolationRecord;
-use crate::ring;
 use crate::sink::ViolationSink;
 use crate::stats::MonitoringGap;
 use crate::telemetry::ShardProbe;
 use crate::worker::{WorkerState, FLUSH_SEQ};
 use swmon_core::{Monitor, MonitorSnapshot, MonitorStats, Property};
 use swmon_sim::time::Instant;
-use swmon_telemetry::{SpanStage, SpanTracer};
 
 /// Message prefix of panics raised by deterministic fault injection.
 /// [`silence_injected_panics`] recognises it; anything else is a genuine
@@ -85,8 +84,6 @@ pub(crate) struct ShardSpec {
     pub(crate) inject: Vec<u64>,
     /// This shard's telemetry probe (shared with the hub).
     pub(crate) probe: Arc<ShardProbe>,
-    /// The run's span tracer (disabled unless configured).
-    pub(crate) tracer: Arc<SpanTracer>,
     /// Optional live violation sink: every log position is published to
     /// it exactly once, as its batch completes (see [`crate::sink`]).
     pub(crate) sink: Option<Arc<dyn ViolationSink>>,
@@ -159,10 +156,10 @@ pub(crate) enum Flow {
 
 /// A remote shard's worker thread: `recv` + [`Supervisor::handle`].
 pub(crate) fn run_loop(
-    rx: ring::Receiver<Msg>,
+    rx: Receiver<Msg>,
     mut sup: Supervisor,
 ) -> Result<ShardOutcome, ShardFailure> {
-    while let Some(msg) = rx.recv() {
+    while let Ok(msg) = rx.recv() {
         if sup.handle(msg)? == Flow::Finished {
             break;
         }
@@ -229,7 +226,6 @@ pub(crate) struct Supervisor {
     restarts_left: u64,
     /// Every count this shard keeps: the supervisor has no private copy.
     probe: Arc<ShardProbe>,
-    tracer: Arc<SpanTracer>,
     sink: Option<Arc<dyn ViolationSink>>,
     /// Log positions already handed to the sink: a high-water mark that
     /// recovery never lowers. Replay is deterministic, so a position handed
@@ -272,7 +268,6 @@ impl Supervisor {
             gaps: Vec::new(),
             restarts_left,
             probe: spec.probe,
-            tracer: spec.tracer,
             sink: spec.sink,
             published: 0,
         }
@@ -280,8 +275,7 @@ impl Supervisor {
 
     /// Append a batch to the journal. The batch's slab handle and item
     /// vector are adopted wholesale — admission does no per-item work
-    /// beyond the journal-bound check (and span stamps when tracing) —
-    /// and whatever exceeds the bound is split off and shed with full
+    /// beyond the journal-bound check — and whatever exceeds the bound is split off and shed with full
     /// gap accounting.
     fn admit(&mut self, batch: Batch) {
         self.probe.queue_depth.record(self.journal_len as u64);
@@ -289,11 +283,6 @@ impl Supervisor {
         let room = self.cfg.journal_limit.saturating_sub(self.journal_len);
         let overflow = if items.len() > room { items.split_off(room) } else { Vec::new() };
         if !items.is_empty() {
-            if self.tracer.enabled() {
-                for r in &items {
-                    self.tracer.record(r.seq, SpanStage::Admitted, Some(self.shard));
-                }
-            }
             self.journal_len += items.len();
             self.journal.push(JournalBatch { block, items });
         }
@@ -416,7 +405,6 @@ impl Supervisor {
     /// *before* it panics, and the journal cursors move only once an
     /// item's application has completed.
     fn apply_pending(&mut self, finish_at: Option<Instant>) {
-        let tracing = self.tracer.enabled();
         let faults = !self.inject.is_empty();
         let (mut b, mut skip) = self.resume_at();
         while b < self.journal.len() {
@@ -439,9 +427,6 @@ impl Supervisor {
                 self.state.apply(seq, mask, ev, self.in_gap);
                 self.journal_pos += 1;
                 self.high_water = self.high_water.max(self.journal_pos);
-                if tracing {
-                    self.tracer.record(seq, SpanStage::Applied, Some(self.shard));
-                }
             }
             skip = 0;
             b += 1;
@@ -667,6 +652,7 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::batch::Arena;
+    use std::sync::mpsc::sync_channel;
     use std::sync::Arc;
     use swmon_core::{var, Atom, EventPattern, Guard, Property, RefreshPolicy, Stage};
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
@@ -729,7 +715,6 @@ mod tests {
             cfg,
             inject,
             probe: hub.shard(0).clone(),
-            tracer: hub.tracer().clone(),
             sink: None,
         }
     }
@@ -790,12 +775,12 @@ mod tests {
 
     fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> (ShardOutcome, Arc<ShardProbe>) {
         silence_injected_panics();
-        let (tx, rx) = ring::channel(64);
+        let (tx, rx) = sync_channel(crate::LANE_BATCHES);
         for batch in batches(n) {
-            tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
+            tx.send(Msg::Events(batch)).map_err(|_| "lane closed").unwrap();
         }
         tx.send(Msg::Finish(None, Instant::from_nanos(1_000_000)))
-            .map_err(|_| "ring closed")
+            .map_err(|_| "lane closed")
             .unwrap();
         drop(tx);
         let (sup, probe) = supervised(cfg, inject);
@@ -888,11 +873,11 @@ mod tests {
     #[test]
     fn restart_budget_escalates_to_failure() {
         silence_injected_panics();
-        let (tx, rx) = ring::channel(64);
+        let (tx, rx) = sync_channel(crate::LANE_BATCHES);
         for batch in batches(8) {
-            tx.send(Msg::Events(batch)).map_err(|_| "ring closed").unwrap();
+            tx.send(Msg::Events(batch)).map_err(|_| "lane closed").unwrap();
         }
-        tx.send(Msg::Finish(None, Instant::from_nanos(1_000))).map_err(|_| "ring closed").unwrap();
+        tx.send(Msg::Finish(None, Instant::from_nanos(1_000))).map_err(|_| "lane closed").unwrap();
         drop(tx);
         let cfg = RuntimeConfig { shards: 1, max_restarts: 0, ..Default::default() };
         let err = run_loop(rx, Supervisor::new(spec(cfg.normalized(), vec![2]))).unwrap_err();

@@ -19,7 +19,7 @@
 //! - a **live** read computes it as `processed + shed` from the same two
 //!   atomics the loss audit reads, so [`RuntimeStats::unaccounted_loss`]
 //!   is zero on every live snapshot by construction (deliveries still
-//!   queued on a ring are not "lost");
+//!   queued on a lane are not "lost");
 //! - the **final** read takes it from the router-side count
 //!   ([`ShardProbe::delivered`]), written by the session and never by the
 //!   shard, so the audit is two-sided: a delivery a shard neither
@@ -32,11 +32,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::TelemetryConfig;
 use crate::stats::{RuntimeStats, ShardStats};
-use swmon_telemetry::{names, Counter, EngineProbe, Gauge, Histogram, Key, Snapshot, SpanTracer};
+use swmon_telemetry::{names, Counter, EngineProbe, Gauge, Histogram, Key, Snapshot};
 
 /// Per-shard counters. Written by the shard's supervisor — which keeps no
-/// private copy of any of them — except [`ShardProbe::delivered`] and
-/// [`ShardProbe::ring_occupancy`], which the session writes.
+/// private copy of any of them — except [`ShardProbe::delivered`], which
+/// the session writes.
 #[derive(Debug, Default)]
 pub struct ShardProbe {
     /// Items the router sent to this shard, added by the session at each
@@ -81,14 +81,10 @@ pub struct ShardProbe {
     /// its triggering `seq` to the last `seq` the shard had admitted.
     /// Counted, never timed; the timer drain's records (no `seq`) skipped.
     pub publish_lag: Histogram,
-    /// Hand-off lane occupancy (queued batches) sampled at each batch send.
-    /// Empty on a one-shard session, which runs inline (nothing is
-    /// enqueued).
-    pub ring_occupancy: Histogram,
 }
 
 /// All shared instrumentation for one run: router counters, per-shard
-/// probes, per-property engine probes, and the span tracer.
+/// probes and per-property engine probes.
 #[derive(Debug)]
 pub struct TelemetryHub {
     /// Events fed to the router.
@@ -112,7 +108,6 @@ pub struct TelemetryHub {
     /// on cold paths: session start, deploy, export.
     engines: Mutex<Vec<Arc<EngineProbe>>>,
     stage_sample_every: u64,
-    tracer: Arc<SpanTracer>,
     hashed_properties: usize,
     pinned_properties: usize,
 }
@@ -136,11 +131,6 @@ impl TelemetryHub {
             shards: (0..shards).map(|_| Arc::new(ShardProbe::default())).collect(),
             engines: Mutex::new(Vec::new()),
             stage_sample_every: cfg.stage_sample_every,
-            tracer: Arc::new(SpanTracer::sampled(
-                cfg.trace_every,
-                cfg.trace_seed,
-                cfg.trace_capacity,
-            )),
             hashed_properties,
             pinned_properties,
         })
@@ -167,11 +157,6 @@ impl TelemetryHub {
         }
         engines.push(EngineProbe::new(name, self.stage_sample_every));
         engines[engines.len() - 1].clone()
-    }
-
-    /// The span tracer (disabled unless configured).
-    pub fn tracer(&self) -> &Arc<SpanTracer> {
-        &self.tracer
     }
 
     /// A live [`RuntimeStats`] built from the shared atomics. Satisfies
@@ -272,7 +257,6 @@ impl TelemetryHub {
                 (names::SHARD_CHECKPOINT_NANOS, &probe.checkpoint),
                 (names::SHARD_RECOVERY_NANOS, &probe.recovery),
                 (names::SHARD_QUIESCE_NANOS, &probe.quiesce),
-                (names::SHARD_RING_OCCUPANCY, &probe.ring_occupancy),
                 (names::SHARD_PUBLISH_LAG, &probe.publish_lag),
             ] {
                 page.histograms.push((Key::labeled(name, "shard", s), histogram.snapshot()));
@@ -285,7 +269,6 @@ impl TelemetryHub {
             page.histograms.push((k(names::PROPERTY_STAGE_NANOS), engine.stage_nanos.snapshot()));
             page.histograms.push((k(names::PROPERTY_OCCUPANCY), engine.occupancy.snapshot()));
         }
-        page.spans = self.tracer.collect();
         page
     }
 }
@@ -359,7 +342,6 @@ mod tests {
     fn disabled_engine_layer_never_times() {
         let h = TelemetryHub::new(1, &TelemetryConfig::off(), 0, 1);
         assert!(!h.engine("fw").samples(0));
-        assert!(!h.tracer().enabled());
     }
 
     #[test]

@@ -20,8 +20,7 @@ fn runtime(shards: usize) -> ShardedRuntime {
         firewall::return_not_dropped(),
         firewall::return_not_dropped_within(Duration::from_millis(5)),
     ];
-    let cfg =
-        RuntimeConfig { shards, batch: 4, queue: 8, checkpoint_every: 64, ..Default::default() };
+    let cfg = RuntimeConfig { shards, batch: 4, checkpoint_every: 64, ..Default::default() };
     ShardedRuntime::new(props, cfg).expect("valid properties")
 }
 
@@ -131,7 +130,6 @@ fn live_stats_track_recoveries_under_injected_faults() {
     let cfg = RuntimeConfig {
         shards: 2,
         batch: 2,
-        queue: 8,
         checkpoint_every: 32,
         // Routing decides which shard sees which seq, so inject each seq
         // on *both* shards: whichever shard the key hash picks panics,

@@ -59,7 +59,7 @@ fn export_covers_exactly_the_documented_catalog() {
     let mut catalog: Vec<&str> = names::ALL.to_vec();
     catalog.sort_unstable();
     assert_eq!(exported, catalog, "exported page and documented catalog diverged");
-    assert_eq!(catalog.len(), 29);
+    assert_eq!(catalog.len(), 28);
 }
 
 /// `swmon_shard_backlog_events` is what a shard still owes the router; a
@@ -131,38 +131,6 @@ fn renders_prometheus_and_json_pages() {
 }
 
 #[test]
-fn sampled_timing_and_tracing_fill_their_instruments() {
-    let telemetry = TelemetryConfig {
-        stage_sample_every: 8,
-        trace_every: 50,
-        trace_seed: 3,
-        trace_capacity: 256,
-    };
-    let (out, _) = run_instrumented(telemetry);
-    let page = out.telemetry.export();
-    let nanos = page
-        .histograms
-        .iter()
-        .filter(|(k, _)| k.name == names::PROPERTY_STAGE_NANOS)
-        .map(|(_, h)| h.count)
-        .sum::<u64>();
-    assert!(nanos > 0, "sampled stage timing recorded nothing");
-    assert!(!page.spans.is_empty(), "tracing enabled but no spans");
-    // Spans follow the deterministic sampling rule.
-    assert!(page.spans.iter().all(|s| (s.seq + 3) % 50 == 0), "unsampled seq traced");
-    // A traced event's lifecycle is ordered: routed ≤ enqueued ≤ applied.
-    for span in &page.spans {
-        let routed = page
-            .spans
-            .iter()
-            .find(|s| s.seq == span.seq && s.stage == swmon_telemetry::SpanStage::Routed);
-        if let Some(r) = routed {
-            assert!(r.nanos <= span.nanos || span.stage == swmon_telemetry::SpanStage::Routed);
-        }
-    }
-}
-
-#[test]
 fn telemetry_off_still_reconciles_but_never_times() {
     let (out, _) = run_instrumented(TelemetryConfig::off());
     let page = out.telemetry.export();
@@ -176,7 +144,6 @@ fn telemetry_off_still_reconciles_but_never_times() {
         .map(|(_, h)| h.count)
         .sum::<u64>();
     assert_eq!(sampled, 0, "stage_sample_every = 0 must not time");
-    assert!(page.spans.is_empty());
     // Per-property counts are part of the ledger, not an option.
     assert_eq!(page.counter(names::PROPERTY_EVENTS), Some(out.stats.engine.events));
     assert!(out.stats.engine.events > 0);
@@ -195,7 +162,7 @@ fn telemetry_off_still_reconciles_but_never_times() {
 /// unsampled (or never-sampled) timing fails here, not on a stopwatch.
 #[test]
 fn stage_timing_cadence_is_exact() {
-    let telemetry = TelemetryConfig { stage_sample_every: 8, ..Default::default() };
+    let telemetry = TelemetryConfig { stage_sample_every: 8 };
     let (out, _) = run_sharded(1, telemetry);
     let page = out.telemetry.export();
     for property in property_names(&page) {

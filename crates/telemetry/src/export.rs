@@ -7,7 +7,6 @@
 //! name ever carries a quote.
 
 use crate::metrics::{bucket_bound, HistogramSnapshot, BUCKETS};
-use crate::trace::SpanRecord;
 use std::fmt::Write as _;
 use swmon_core::json::escape;
 
@@ -70,8 +69,6 @@ pub struct Snapshot {
     pub histograms: Vec<(Key, HistogramSnapshot)>,
     /// Out-of-band annotations (fault-injection activity, run metadata).
     pub annotations: Vec<Annotation>,
-    /// Sampled event-lifecycle spans.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl Snapshot {
@@ -191,22 +188,7 @@ impl Snapshot {
             }
             let _ = write!(out, "\n    \"{}\": {}", escape(&a.label), a.value);
         }
-        out.push_str("\n  },\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let shard = s.shard.map(|v| v.to_string()).unwrap_or_else(|| "null".into());
-            let _ = write!(
-                out,
-                "\n    {{\"seq\": {}, \"stage\": \"{}\", \"shard\": {}, \"nanos\": {}}}",
-                s.seq,
-                s.stage.name(),
-                shard,
-                s.nanos
-            );
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -238,7 +220,6 @@ fn label_escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::metrics::Histogram;
-    use crate::trace::SpanStage;
 
     fn page() -> Snapshot {
         let h = Histogram::new();
@@ -253,7 +234,6 @@ mod tests {
             gauges: vec![(Key::labeled("swmon_property_live_instances", "property", "fw"), 4)],
             histograms: vec![(Key::plain("swmon_engine_stage_nanos"), h.snapshot())],
             annotations: Vec::new(),
-            spans: vec![SpanRecord { seq: 5, stage: SpanStage::Routed, shard: None, nanos: 42 }],
         };
         s.annotate("faults dropped", 2);
         s
@@ -278,7 +258,6 @@ mod tests {
         assert!(json.contains("\"name\": \"swmon_events_in_total\""));
         assert!(json.contains("\"shard\": \"1\""));
         assert!(json.contains("\"faults dropped\": 2"));
-        assert!(json.contains("\"stage\": \"routed\""));
         assert_eq!(page.counter("swmon_shard_processed_total"), Some(10), "labels summed");
         assert_eq!(page.counter("missing"), None);
         assert!(page.names().contains(&"swmon_engine_stage_nanos"));

@@ -13,9 +13,6 @@
 //! * **[`probe::EngineProbe`]** — one property's engine instruments:
 //!   event count and occupancy read from the engine at batch boundaries,
 //!   and *sampled* engine-stage wall timing.
-//! * **[`trace::SpanTracer`]** — seeded, sampled span tracing of an
-//!   event's lifecycle (router → queue → admission → application); off by
-//!   default.
 //! * **[`export::Snapshot`]** — a frozen metric page rendered as a
 //!   Prometheus text exposition or a JSON report; fault-injection activity
 //!   rides along as [`export::Annotation`]s ([`annotate_faults`]).
@@ -31,10 +28,8 @@ pub mod export;
 pub mod metrics;
 pub mod names;
 pub mod probe;
-pub mod trace;
 
 pub use annotate::annotate_faults;
 pub use export::{Annotation, Key, Snapshot};
 pub use metrics::{bucket_bound, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use probe::EngineProbe;
-pub use trace::{SpanRecord, SpanStage, SpanTracer};

@@ -68,11 +68,6 @@ pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
 /// journal drain + forced checkpoint + a copy of its images. Label: `shard`.
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
-/// Per-shard hand-off lane occupancy (queued batches) sampled at each batch
-/// send (histogram); empty on a one-shard session, which runs inline.
-/// Label: `shard`.
-pub const SHARD_RING_OCCUPANCY: &str = "swmon_shard_ring_occupancy";
-
 /// Per-property: in-scope events examined, replays included (equal to
 /// `stats.engine.events` on a fault-free run). Label: `property`.
 pub const PROPERTY_EVENTS: &str = "swmon_property_events_total";
@@ -112,7 +107,6 @@ pub const ALL: &[&str] = &[
     DEPLOYS_APPLIED,
     DEPLOYS_ROLLED_BACK,
     SHARD_QUIESCE_NANOS,
-    SHARD_RING_OCCUPANCY,
     PROPERTY_EVENTS,
     PROPERTY_LIVE,
     PROPERTY_STAGE_NANOS,
@@ -134,6 +128,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 29);
+        assert_eq!(ALL.len(), 28);
     }
 }

@@ -9,11 +9,15 @@
 //! still reach the shard holding the instance its *request* spawned.
 
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use swmon::monitor::{MonitorConfig, MonitorSet, Property, RouteMode};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::merge::merge;
+
 use swmon::runtime::{
     reference_records, signature, AdaptiveConfig, RuntimeConfig, ShardedRuntime, ViolationRecord,
+    ViolationSink,
 };
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 use swmon_props::firewall;
@@ -142,11 +146,23 @@ fn seed_regression_outbound_then_dropped_reply() {
     assert_all_shard_counts_match(&props, &trace, end);
 }
 
+/// Records which thread hands it each publish, per shard.
+#[derive(Debug, Default)]
+struct ThreadSink(Mutex<Vec<(usize, ThreadId)>>);
+
+impl ViolationSink for ThreadSink {
+    fn publish(&self, shard: usize, _records: &[ViolationRecord]) {
+        self.0.lock().unwrap().push((shard, std::thread::current().id()));
+    }
+
+    fn seal(&self, _merged: &[ViolationRecord]) {}
+}
+
 /// The shard count alone fixes a session's threading: one shard is driven
-/// inline (its `swmon_shard_ring_occupancy` histogram is never sampled:
-/// there is no hand-off lane), two run on workers (every send is sampled)
-/// — whatever `AdaptiveConfig` says, since nothing reads it. Both match the
-/// reference over the catalog.
+/// inline, so every publish comes from the feeding thread; two run on a
+/// worker each, so none does, and each shard publishes from one thread of
+/// its own — whatever `AdaptiveConfig` says, since nothing reads it. Both
+/// match the reference over the catalog.
 #[test]
 fn the_shard_count_alone_picks_the_threading() {
     let events: Vec<GenEvent> = (0..200usize)
@@ -168,17 +184,26 @@ fn the_shard_count_alone_picks_the_threading() {
         AdaptiveConfig { enabled: true, fan_out_rate: f64::INFINITY },
         AdaptiveConfig { enabled: false, fan_out_rate: 0.0 },
     ];
+    let me = std::thread::current().id();
     for shards in [1usize, 2] {
         for adaptive in &adaptives {
             let cfg =
                 RuntimeConfig { adaptive: adaptive.clone(), ..RuntimeConfig::with_shards(shards) };
             let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
-            let out = rt.run(&trace, end).expect("fault-free run cannot fail");
+            let sink = Arc::new(ThreadSink::default());
+            let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
+            for ev in &trace {
+                session.feed(ev).expect("fault-free run cannot fail");
+            }
+            let out = session.finish(end).expect("fault-free run cannot fail");
             assert_eq!(out.signatures(), expect, "{shards} shard(s), {adaptive:?}");
             assert_eq!(out.stats.unaccounted_loss(), 0);
-            for s in 0..shards {
-                let sampled = out.telemetry.shard(s).ring_occupancy.snapshot().count;
-                assert_eq!(sampled == 0, shards == 1, "shard {s} of {shards}, {adaptive:?}");
+            let publishes = sink.0.lock().unwrap().clone();
+            assert!(!publishes.is_empty(), "{shards} shard(s), {adaptive:?}: nothing published");
+            for &(s, thread) in &publishes {
+                assert_eq!(thread == me, shards == 1, "shard {s} of {shards}, {adaptive:?}");
+                let other = publishes.iter().find(|&&(t, id)| (t == s) != (id == thread));
+                assert!(other.is_none(), "shard {s} of {shards} shares a thread: {other:?}");
             }
         }
     }
