@@ -17,6 +17,10 @@
 //!   loss) and `events_in ≤ delivered + skipped` (fan-out can only add
 //!   deliveries).
 //!
+//! Beside the ledger it reports how many monitors an event wakes:
+//! `visits_per_event`, the sum of `swmon_property_events_total` (one count
+//! per replica visit) over `swmon_events_in_total` — the spawn index's judge.
+//!
 //! Every live snapshot taken mid-run must already satisfy
 //! `unaccounted_loss() == 0` (see `crates/runtime/src/telemetry.rs` for
 //! why that holds by construction). The network fault plan's activity is
@@ -49,6 +53,8 @@ pub struct Outcome {
     pub stats: RuntimeStats,
     /// What the fault plan did to the base traffic.
     pub fault_log: FaultLog,
+    /// Monitor visits per input event ([`visits_per_event`]).
+    pub visits_per_event: f64,
     /// The exported metric page, fault activity annotated.
     pub page: Snapshot,
     /// Whether every counter identity for this shard count held, and every
@@ -82,6 +88,17 @@ fn reconcile(page: &Snapshot, stats: &RuntimeStats, shards: usize) -> bool {
     }
 }
 
+/// How many monitors an event wakes: replica visits, summed over every
+/// property's `swmon_property_events_total`, per `swmon_events_in_total`. Zero
+/// on a page that counted no input.
+pub fn visits_per_event(page: &Snapshot) -> f64 {
+    let visits = page.counter(names::PROPERTY_EVENTS).unwrap_or(0);
+    match page.counter(names::EVENTS_IN) {
+        Some(events) if events > 0 => visits as f64 / events as f64,
+        _ => 0.0,
+    }
+}
+
 /// Run the catalog over a `flows`-flow, `packets`-packet faulted workload
 /// on `shards` workers, auditing live snapshots along the way.
 pub fn run(flows: u32, packets: u32, shards: usize) -> Outcome {
@@ -111,6 +128,7 @@ pub fn run(flows: u32, packets: u32, shards: usize) -> Outcome {
     annotate_faults(&mut page, &fault_log);
     let reconciled = live_ok && reconcile(&page, &out.stats, shards);
     Outcome {
+        visits_per_event: visits_per_event(&page),
         events: trace.len(),
         shards,
         properties,
@@ -132,6 +150,7 @@ pub fn render(o: &Outcome) -> String {
     t.row(vec!["violations".into(), o.violations.to_string()]);
     t.row(vec!["restarts".into(), o.stats.restarts.to_string()]);
     t.row(vec!["shed".into(), o.stats.shed.to_string()]);
+    t.row(vec!["visits per event".into(), format!("{:.2}", o.visits_per_event)]);
     t.row(vec!["live snapshots audited".into(), o.live_checks.to_string()]);
     t.row(vec!["counters reconcile".into(), if o.reconciled { "yes".into() } else { "NO".into() }]);
     format!(
@@ -151,12 +170,14 @@ pub fn to_json(o: &Outcome) -> String {
     format!(
         "{{\n  \"experiment\": \"stats-telemetry-page\",\n  \"events\": {},\n  \
          \"shards\": {},\n  \"properties\": {},\n  \"violations\": {},\n  \
-         \"live_checks\": {},\n  \"reconciled\": {},\n  \"page\": {}}}\n",
+         \"live_checks\": {},\n  \"visits_per_event\": {:.4},\n  \"reconciled\": {},\n  \
+         \"page\": {}}}\n",
         o.events,
         o.shards,
         o.properties,
         o.violations,
         o.live_checks,
+        o.visits_per_event,
         o.reconciled,
         o.page.to_json()
     )
@@ -165,6 +186,7 @@ pub fn to_json(o: &Outcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swmon_workloads::trace::multi_flow_trace;
 
     #[test]
     fn literal_identity_holds_at_one_shard() {
@@ -190,6 +212,22 @@ mod tests {
         assert!(o.page.annotations.iter().any(|a| a.label == "fault_oob_injected"));
     }
 
+    /// The spawn index's judge: over the TCP catalog workload, an event
+    /// wakes at most 7 of the 21 monitors (about 17 before the index: all
+    /// the class mask admits), inline and on workers alike.
+    #[test]
+    fn an_event_wakes_at_most_seven_monitors_on_the_tcp_catalog() {
+        let trace = multi_flow_trace(256, 12_500, 0.4, 0.25, Duration::from_micros(2), 13);
+        let end = trace.last().unwrap().time + Duration::from_secs(120);
+        for shards in [1, 4] {
+            let cfg = RuntimeConfig { shards, ..Default::default() };
+            let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).unwrap();
+            let out = rt.run(trace.iter(), end).unwrap();
+            let visits = visits_per_event(&out.telemetry.export());
+            assert!(visits > 0.0 && visits <= 7.0, "{visits:.2} visits per event at {shards}");
+        }
+    }
+
     #[test]
     fn render_and_json_carry_both_expositions() {
         let o = run(8, 200, 2);
@@ -200,6 +238,8 @@ mod tests {
         let json = to_json(&o);
         assert!(json.contains("\"experiment\": \"stats-telemetry-page\""));
         assert!(json.contains("\"reconciled\": true"));
+        assert!(json.contains("\"visits_per_event\": "));
+        assert!(txt.contains("visits per event"));
         assert!(json.contains("\"counters\""));
         assert!(json.contains(names::PROPERTY_EVENTS));
     }

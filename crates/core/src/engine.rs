@@ -421,6 +421,15 @@ impl Monitor {
         self.index.len()
     }
 
+    /// True when the monitor holds no live instance and no pending
+    /// split-mode effect: then only an event that spawns in stage 0 can
+    /// change what it reports (see [`crate::spawn`]). Read fresh at each
+    /// decision, so no restore, recovery or deploy can leave it stale.
+    #[inline]
+    pub fn is_idle(&self) -> bool {
+        self.index.is_empty() && self.pending.is_empty()
+    }
+
     /// Approximate bytes of monitor state (bindings + retained provenance).
     pub fn state_bytes(&self) -> usize {
         self.slots

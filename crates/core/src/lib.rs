@@ -36,6 +36,7 @@ pub mod postcard;
 pub mod property;
 pub mod routing;
 pub mod snapshot;
+pub mod spawn;
 pub mod var;
 pub mod violation;
 pub mod wire;
@@ -55,6 +56,7 @@ pub use postcard::{Postcard, PostcardCollector};
 pub use property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, Unless};
 pub use routing::{PinReason, Probe, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
 pub use snapshot::{MonitorSnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use spawn::{SpawnIndex, MAX_PROPERTIES};
 pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};
 pub use violation::{ProvenanceMode, Violation};
 pub use wire::{Reader as WireReader, Writer as WireWriter};

@@ -7,8 +7,8 @@
 //! operator sizing switch memory actually needs.
 
 use crate::engine::{Monitor, MonitorConfig};
-use crate::pattern::event_class;
 use crate::property::Property;
+use crate::spawn::SpawnIndex;
 use crate::violation::Violation;
 use swmon_sim::time::Instant;
 use swmon_sim::trace::{EventSink, NetEvent};
@@ -17,12 +17,13 @@ use swmon_sim::trace::{EventSink, NetEvent};
 #[derive(Default)]
 pub struct MonitorSet {
     monitors: Vec<Monitor>,
-    /// Per-monitor [`crate::property::Property::event_class_mask`]: an event
-    /// whose class bit misses the mask cannot match any of that property's
-    /// patterns, so the member is skipped entirely (pre-dispatch). Timers
-    /// are unaffected — they fire from the clock, which [`Monitor::process`]
-    /// and [`MonitorSet::advance_to`] still advance on delivered events.
-    masks: Vec<u8>,
+    /// The members' spawn index, member `i` at bit `i`: an event visits a
+    /// member only if its class reaches one of the member's patterns and
+    /// the member is busy or the event may spawn in it (pre-dispatch, see
+    /// [`crate::spawn`]). Timers are unaffected — they fire from the clock,
+    /// which [`Monitor::process`] and [`MonitorSet::advance_to`] still
+    /// advance on delivered events.
+    index: SpawnIndex,
 }
 
 impl MonitorSet {
@@ -32,8 +33,12 @@ impl MonitorSet {
     }
 
     /// Add a property with its own configuration.
+    ///
+    /// # Panics
+    /// If the set already holds [`crate::MAX_PROPERTIES`] members: each is one bit
+    /// of the spawn index, which asserts the cap.
     pub fn add(&mut self, property: Property, cfg: MonitorConfig) -> &mut Self {
-        self.masks.push(property.event_class_mask());
+        self.index.insert(self.monitors.len(), &property);
         self.monitors.push(Monitor::new(property, cfg));
         self
     }
@@ -67,17 +72,25 @@ impl MonitorSet {
         &self.monitors
     }
 
-    /// Process one event through every monitor whose property can react to
-    /// its event class. Results are identical to unconditional fan-out: a
-    /// masked-out member would have produced no effects (its clock catches
-    /// up — with timers firing at their own deadlines — on its next
-    /// delivered event or [`MonitorSet::advance_to`]).
+    /// Process one event through every monitor it can move: one whose
+    /// property can react to its event class and that is busy, or idle
+    /// with a stage 0 the event may spawn in. Results are identical to
+    /// unconditional fan-out: a skipped member would have produced no
+    /// effects (its clock catches up — with timers firing at their own
+    /// deadlines — on its next delivered event or
+    /// [`MonitorSet::advance_to`]).
     pub fn process(&mut self, ev: &NetEvent) {
-        let class = event_class(ev);
-        for (m, &mask) in self.monitors.iter_mut().zip(&self.masks) {
-            if mask & class != 0 {
+        let mut mask = self.index.reachable(ev);
+        let mut spawnable = None;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            let m = &mut self.monitors[i];
+            if !m.is_idle()
+                || *spawnable.get_or_insert_with(|| self.index.spawnable(ev, mask)) & (1 << i) != 0
+            {
                 m.process(ev);
             }
+            mask &= mask - 1;
         }
     }
 

@@ -8,7 +8,7 @@
 
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use swmon_core::{MonitorSnapshot, Property};
+use swmon_core::{MonitorSnapshot, Property, SpawnIndex};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
 use swmon_telemetry::EngineProbe;
@@ -152,6 +152,21 @@ pub(crate) struct ShardLayout {
     /// `probes[local]` is the local replica's engine probe: the hub's one
     /// probe for the property's name, whichever epoch introduced it.
     pub(crate) probes: Vec<Arc<EngineProbe>>,
+    /// The hosted properties' spawn index, at their global bit positions
+    /// (the router's masks): which idle replicas an event can move.
+    pub(crate) spawn: SpawnIndex,
+}
+
+impl ShardLayout {
+    /// A layout hosting `props`, with its spawn index built over them.
+    pub(crate) fn new(
+        props: Vec<(usize, Property)>,
+        lut: Vec<Option<usize>>,
+        probes: Vec<Arc<EngineProbe>>,
+    ) -> Self {
+        let spawn = SpawnIndex::new(props.iter().map(|(g, p)| (*g, p)));
+        ShardLayout { props, lut, probes, spawn }
+    }
 }
 
 /// The new shard configuration staged by a deploy's prepare phase. Built

@@ -67,12 +67,14 @@ mod worker;
 
 pub use config::{AdaptiveConfig, FaultPoint, RuntimeConfig, TelemetryConfig};
 pub use merge::{name_signature, signature, ViolationRecord};
-pub use router::{Router, MAX_PROPERTIES};
+pub use router::Router;
 pub use shardkey::PropertyRoute;
 pub use sink::ViolationSink;
 pub use stats::{MonitoringGap, RuntimeStats, ShardStats};
 pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX};
-pub use swmon_core::{CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin};
+pub use swmon_core::{
+    CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin, MAX_PROPERTIES,
+};
 pub use telemetry::{ShardProbe, TelemetryHub};
 
 use std::cell::Cell;
@@ -377,7 +379,7 @@ fn shard_layout(
         props.push((global, catalog[global].clone()));
         probes.push(engines[global].clone());
     }
-    ShardLayout { props, lut, probes }
+    ShardLayout::new(props, lut, probes)
 }
 
 /// Join a shard's worker (if it still has one) and report how its loop

@@ -1,12 +1,8 @@
 //! Event → shard dispatch.
 
 use crate::shardkey::PropertyRoute;
-use swmon_core::{MonitorConfig, Property};
+use swmon_core::{MonitorConfig, Property, MAX_PROPERTIES};
 use swmon_sim::trace::NetEvent;
-
-/// Maximum properties per runtime — property sets are routed with a `u64`
-/// bitmask per (event, shard) pair.
-pub const MAX_PROPERTIES: usize = 64;
 
 /// Properties whose routes resolve identically for every event, dispatched
 /// with a single `shard_for` evaluation. `route` is a clone of the first
@@ -44,13 +40,15 @@ fn group(routes: &[PropertyRoute]) -> Vec<DispatchGroup> {
 }
 
 impl Router {
-    /// Derive placements for `props` across `shards` workers.
+    /// Derive placements for `props` across `shards` workers (0 is
+    /// taken as 1, as in [`Router::from_routes`]).
     ///
     /// # Panics
     /// If `props.len() > MAX_PROPERTIES` (checked earlier by the runtime
     /// constructor, which reports it as an error).
     pub fn new(props: &[Property], cfg: &MonitorConfig, shards: usize) -> Router {
         assert!(props.len() <= MAX_PROPERTIES);
+        let shards = shards.max(1);
         let routes = props
             .iter()
             .enumerate()
@@ -255,6 +253,26 @@ mod tests {
         let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
         let pinned = Router::new(&[p0, p1], &bounded, 4);
         assert_eq!(pinned.dispatch_groups(), 2, "pin homes differ: shard 0 vs shard 1");
+    }
+
+    #[test]
+    fn zero_shards_route_like_one() {
+        // One hashed and one pinned placement: a hashed route used to
+        // divide by zero in `shard_for`, a pinned one to index `out[0]` of
+        // an empty slice.
+        let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
+        let p1 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
+        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
+        for cfg in [MonitorConfig::default(), bounded] {
+            let zero = Router::new(&[p0.clone(), p1.clone()], &cfg, 0);
+            let one = Router::new(&[p0.clone(), p1.clone()], &cfg, 1);
+            assert_eq!(zero.shards(), 1);
+            let (mut got, mut want) = ([0u64], [0u64]);
+            zero.masks(&arrival(1, 2), &mut got);
+            one.masks(&arrival(1, 2), &mut want);
+            assert_eq!(got, want);
+            assert_eq!(got, [0b11]);
+        }
     }
 
     #[test]

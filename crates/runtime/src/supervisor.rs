@@ -707,11 +707,11 @@ mod tests {
         let hub = crate::telemetry::TelemetryHub::new(1, &cfg.telemetry, 0, 1);
         ShardSpec {
             shard: 0,
-            layout: ShardLayout {
-                lut: (0..props.len()).map(Some).collect(),
-                probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
-                props: props.into_iter().enumerate().collect(),
-            },
+            layout: ShardLayout::new(
+                props.iter().cloned().enumerate().collect(),
+                (0..props.len()).map(Some).collect(),
+                props.iter().map(|p| hub.engine(&p.name)).collect(),
+            ),
             cfg,
             inject,
             probe: hub.shard(0).clone(),

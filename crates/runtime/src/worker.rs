@@ -46,17 +46,29 @@ impl WorkerState {
         WorkerState { layout, monitors, records: Vec::new(), logged: 0, epoch: 0 }
     }
 
-    /// Run one routed event through every monitor its mask selects and
-    /// move any violation it raises into the log. `in_gap`: the supervisor
-    /// is currently shedding load, so provenance near this event is
-    /// incomplete and the violations are logged degraded. The replica's
-    /// engine probe says which of its applications to wall-time.
+    /// Run one routed event through every monitor its mask selects that
+    /// it can move — a busy replica, or an idle one whose stage 0 the
+    /// event may spawn in (the layout's spawn index, consulted at most once
+    /// per event) — and move any violation it raises into the log.
+    /// `in_gap`: the supervisor is currently shedding load, so provenance
+    /// near this event is incomplete and the violations are logged
+    /// degraded. The replica's engine probe says which of its applications
+    /// to wall-time.
     pub(crate) fn apply(&mut self, seq: u64, mut mask: u64, ev: &NetEvent, in_gap: bool) {
+        let mut spawnable = None;
         while mask != 0 {
             let global = mask.trailing_zeros() as usize;
+            let rest = mask;
             mask &= mask - 1;
             let Some(local) = self.layout.lut.get(global).copied().flatten() else { continue };
             let (_, m) = &mut self.monitors[local];
+            if m.is_idle()
+                && *spawnable.get_or_insert_with(|| self.layout.spawn.spawnable(ev, rest))
+                    & (1 << global)
+                    == 0
+            {
+                continue;
+            }
             let probe = &self.layout.probes[local];
             if probe.samples(m.stats.events) {
                 let t0 = std::time::Instant::now();
@@ -162,7 +174,8 @@ mod tests {
         lut[3] = Some(0);
         lut[5] = Some(1);
         let probes = vec![EngineProbe::new("a", 2), EngineProbe::new("b", 2)];
-        let layout = ShardLayout { props: Vec::new(), lut, probes: probes.clone() };
+        let props = vec![(3, repeat_prop()), (5, repeat_prop())];
+        let layout = ShardLayout::new(props, lut, probes.clone());
         let mut state = WorkerState::new(layout, monitors);
         state.apply(0, 1 << 3, &arrival(10, 1), false);
         state.apply(1, 1 << 3, &arrival(20, 1), false);
@@ -190,15 +203,47 @@ mod tests {
     fn gap_violations_are_downgraded() {
         let monitors =
             vec![(0usize, swmon_core::Monitor::new(repeat_prop(), MonitorConfig::default()))];
-        let layout = ShardLayout {
-            props: Vec::new(),
-            lut: vec![Some(0)],
-            probes: vec![EngineProbe::new("p", 0)],
-        };
+        let layout = ShardLayout::new(
+            vec![(0, repeat_prop())],
+            vec![Some(0)],
+            vec![EngineProbe::new("p", 0)],
+        );
         let mut state = WorkerState::new(layout, monitors);
         state.apply(0, 1, &arrival(10, 1), false);
         state.apply(1, 1, &arrival(20, 1), true);
         assert!(state.records[0].violation.degraded);
         assert!(state.records[0].violation.history.is_empty());
+    }
+
+    #[test]
+    fn an_idle_replica_wakes_only_for_an_event_that_may_spawn() {
+        // Replica 0 spawns only on port 443; replica 1 on any IPv4 source.
+        // Every test arrival goes to port 80.
+        let https = Property {
+            name: "https".into(),
+            statement: String::new(),
+            stages: vec![
+                Stage::match_(
+                    "a",
+                    EventPattern::Arrival,
+                    Guard::new(vec![Atom::EqConst(Field::L4Dst, 443u64.into())]),
+                ),
+                repeat_prop().stages[1].clone(),
+            ],
+        };
+        let props = vec![(0, https), (1, repeat_prop())];
+        let monitors = props
+            .iter()
+            .map(|(g, p)| (*g, swmon_core::Monitor::new(p.clone(), MonitorConfig::default())))
+            .collect();
+        let probes = vec![EngineProbe::new("https", 0), EngineProbe::new("twice", 0)];
+        let layout = ShardLayout::new(props, vec![Some(0), Some(1)], probes);
+        let mut state = WorkerState::new(layout, monitors);
+        state.apply(0, 0b11, &arrival(10, 1), false);
+        state.apply(1, 0b11, &arrival(20, 2), false);
+        assert_eq!(state.monitors[0].1.stats.events, 0, "idle, and port 80 cannot spawn");
+        assert!(state.monitors[0].1.is_idle());
+        assert_eq!(state.monitors[1].1.stats.events, 2, "may spawn, then busy");
+        assert!(!state.monitors[1].1.is_idle());
     }
 }

@@ -8,10 +8,12 @@
 //! firewall/NAT *reply* travels with mirrored header fields, and must
 //! still reach the shard holding the instance its *request* spawned.
 
+mod common;
+
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
-use swmon::monitor::{MonitorConfig, MonitorSet, Property, RouteMode};
+use swmon::monitor::{Monitor, MonitorConfig, MonitorSet, Property, RouteMode};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::merge::merge;
 
@@ -320,13 +322,16 @@ fn multi_flow_routing_spreads_within_2x_of_even() {
 }
 
 /// The pre-dispatching [`MonitorSet`] — what the benchmark's `monitorset.*`
-/// layer times — finds exactly what the per-monitor reference loop finds:
-/// the whole catalog over the multi-flow workload, canonically merged and
-/// compared by signature.
+/// layer times, and which skips idle members an event cannot spawn in —
+/// finds exactly what the per-monitor reference loop finds: the whole
+/// catalog over the multi-flow TCP workload and over the catalog's
+/// scenario traffic, canonically merged and compared by signature. Every
+/// 1024 events, each member holds as many live instances as its
+/// reference monitor, which sees every event.
 #[test]
 fn monitor_set_predispatch_matches_the_reference_loop() {
     let props = full_catalog();
-    let trace = swmon::workloads::trace::multi_flow_trace(
+    let tcp = swmon::workloads::trace::multi_flow_trace(
         64,
         2_000,
         0.4,
@@ -334,25 +339,35 @@ fn monitor_set_predispatch_matches_the_reference_loop() {
         Duration::from_micros(2),
         13,
     );
-    let end = trace.last().unwrap().time + Duration::from_secs(120);
-    let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
-    assert!(!reference.is_empty(), "the workload must produce violations");
+    for (name, trace) in [("tcp", tcp), ("apps", common::scenario_trace(48, 13))] {
+        let end = trace.last().unwrap().time + Duration::from_secs(120);
+        let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
+        assert!(!reference.is_empty(), "the {name} workload must produce violations");
 
-    let mut set = MonitorSet::from_properties(props.iter().cloned());
-    for ev in &trace {
-        set.process(ev);
-    }
-    set.advance_to(end);
-    let mut records = Vec::new();
-    for (i, m) in set.monitors().iter().enumerate() {
-        for v in m.violations() {
-            records.push(ViolationRecord::new(m.property(), i, 0, 0, v.clone()));
+        let mut set = MonitorSet::from_properties(props.iter().cloned());
+        let mut each: Vec<Monitor> = props.iter().cloned().map(Monitor::with_defaults).collect();
+        for (n, ev) in trace.iter().enumerate() {
+            set.process(ev);
+            each.iter_mut().for_each(|m| m.process(ev));
+            if n % 1024 == 1023 {
+                let live =
+                    |ms: &[Monitor]| ms.iter().map(Monitor::live_instances).collect::<Vec<_>>();
+                assert_eq!(live(set.monitors()), live(&each), "{name}: live after event {n}");
+            }
         }
+        set.advance_to(end);
+        let mut records = Vec::new();
+        for (i, m) in set.monitors().iter().enumerate() {
+            for v in m.violations() {
+                records.push(ViolationRecord::new(m.property(), i, 0, 0, v.clone()));
+            }
+        }
+        assert_eq!(
+            merge(records).iter().map(signature).collect::<Vec<_>>(),
+            reference.iter().map(signature).collect::<Vec<_>>(),
+            "{name}"
+        );
     }
-    assert_eq!(
-        merge(records).iter().map(signature).collect::<Vec<_>>(),
-        reference.iter().map(signature).collect::<Vec<_>>(),
-    );
 }
 
 /// The catalog routes non-trivially: some properties hash (exploiting the
