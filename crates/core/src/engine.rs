@@ -28,12 +28,14 @@
 //!
 //! ## Deduplication and refresh (Features 3, 7)
 //!
-//! Instances are keyed by `(awaiting stage, bindings)`. A spawn or advance
-//! that collides with a live instance is dropped; if the incumbent's stage
-//! policy is [`RefreshPolicy::RefreshOnRepeat`] its window restarts. This
-//! one rule encodes both the firewall's "reset whenever a new A→B packet is
-//! seen" and the ARP proxy's (T−1)-second-storm subtlety (a `NoRefresh`
-//! deadline keeps ticking through repeats).
+//! Instances are keyed by `(awaiting stage, bindings)`, a key stored once,
+//! in the instance: the [`DedupIndex`] holds slot numbers, not keys. A
+//! spawn or advance that collides with a live instance is dropped; if the
+//! incumbent's stage policy is [`RefreshPolicy::RefreshOnRepeat`] its
+//! window restarts. This one rule encodes both the firewall's "reset
+//! whenever a new A→B packet is seen" and the ARP proxy's
+//! (T−1)-second-storm subtlety (a `NoRefresh` deadline keeps ticking
+//! through repeats).
 //!
 //! ## Side-effect control (Feature 9)
 //!
@@ -49,7 +51,8 @@ use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{Probe, StageKey, StageKeyPlan};
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, Hash, Hasher};
 use swmon_packet::{FieldValue, FoldMap};
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::timer::{TimerId, TimerWheel};
@@ -155,6 +158,9 @@ pub(crate) struct Instance {
     pub(crate) cell: Option<usize>,
 }
 
+// A live slot's size; see docs/PERF.md, "An instance is stored once".
+const _: () = assert!(size_of::<Option<Instance>>() <= 296);
+
 /// Hand-written for `clone_from`: a checkpoint image is patched slot by
 /// slot ([`Monitor::snapshot_into`]), and overwriting an image's instance
 /// in place reuses its `stage_ids`/`history` allocations.
@@ -180,25 +186,115 @@ impl Clone for Instance {
     }
 }
 
-/// A dedup index key: the stage an instance awaits, and its bindings.
-///
-/// `Eq` compares both, variable names included. The hash reads only the
-/// stage and each bound value, one word each
-/// ([`FieldValue::to_u64_key`]); it skips the names. Equal keys hold
-/// equal values, so hash and `Eq` agree. Bindings that differ only in
-/// their names collide, and `Eq` tells them apart. This is not the
-/// [`Bindings`] `Hash` stream, which the capacity store's cell hash folds
-/// ([`Monitor::bindings_hash`]) and which stays as it is.
-#[derive(Debug, PartialEq, Eq)]
-struct InstanceKey(usize, Bindings);
+/// The slots filed under one dedup hash or one probe value: almost
+/// always one, held inline; a second spills the set to the heap, and a
+/// set shrunk back to one is inline again.
+#[derive(Debug)]
+enum Slots {
+    One(usize),
+    Many(Vec<usize>),
+}
 
-impl Hash for InstanceKey {
+impl Slots {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Slots::One(idx) => std::slice::from_ref(idx),
+            Slots::Many(v) => v,
+        }
+    }
+}
+
+/// File slot `idx` under `key`.
+fn file<K: Hash + Eq>(map: &mut FoldMap<K, Slots>, key: K, idx: usize) {
+    map.entry(key)
+        .and_modify(|filed| match filed {
+            Slots::One(first) => *filed = Slots::Many(vec![*first, idx]),
+            Slots::Many(v) => v.push(idx),
+        })
+        .or_insert(Slots::One(idx));
+}
+
+/// Take one filing of slot `idx` out from under `key`, dropping the entry
+/// once none is left. False when `idx` was not filed there.
+fn unfile<K: Hash + Eq>(map: &mut FoldMap<K, Slots>, key: K, idx: usize) -> bool {
+    let Entry::Occupied(mut e) = map.entry(key) else { return false };
+    match e.get_mut() {
+        Slots::One(only) if *only == idx => {
+            e.remove();
+        }
+        Slots::One(_) => return false,
+        Slots::Many(v) => {
+            let Some(pos) = v.iter().position(|&i| i == idx) else { return false };
+            v.swap_remove(pos);
+            if let [only] = v[..] {
+                *e.get_mut() = Slots::One(only);
+            }
+        }
+    }
+    true
+}
+
+/// The dedup index: every live instance's slot, filed under a hash of the
+/// stage it awaits and its bound values. It keeps no key of its own — the
+/// instance in the slot is the key — so a lookup confirms each slot filed
+/// under the hash against that slot's `awaiting` and `bindings`. Two keys
+/// under one 64-bit hash share an entry and are told apart that way.
+///
+/// The hash reads the stage and each bound value, one word each
+/// ([`FieldValue::to_u64_key`]), under the map's own seed; it skips the
+/// names. Bindings that differ only in their names therefore collide, and
+/// the comparison keeps them apart. This is not the [`Bindings`] `Hash`
+/// stream, which the capacity store's cell hash folds
+/// ([`Monitor::bindings_hash`]) and which stays as it is.
+#[derive(Debug, Default)]
+struct DedupIndex {
+    map: FoldMap<u64, Slots>,
+    /// Slots filed: the live instances.
+    len: usize,
+}
+
+impl DedupIndex {
+    /// The hash an instance awaiting `stage` with `bindings` is filed under.
     #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.0);
-        for (_, value) in self.1.iter() {
+    fn hash(&self, stage: usize, bindings: &Bindings) -> u64 {
+        let mut state = self.map.hasher().build_hasher();
+        state.write_usize(stage);
+        for (_, value) in bindings.iter() {
             state.write_u64(value.to_u64_key());
         }
+        state.finish()
+    }
+
+    /// The live slot awaiting `stage` with `bindings`, filed under `hash`.
+    #[inline]
+    fn get(
+        &self,
+        hash: u64,
+        stage: usize,
+        bindings: &Bindings,
+        slots: &[Option<Instance>],
+    ) -> Option<usize> {
+        let filed = self.map.get(&hash)?.as_slice();
+        filed.iter().copied().find(|&idx| {
+            slots[idx].as_ref().is_some_and(|i| i.awaiting == stage && i.bindings == *bindings)
+        })
+    }
+
+    fn insert(&mut self, hash: u64, idx: usize) {
+        file(&mut self.map, hash, idx);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, hash: u64, idx: usize) {
+        if unfile(&mut self.map, hash, idx) {
+            self.len -= 1;
+        }
+    }
+
+    /// Unfile `inst`, which sits in slot `idx` under the key it was filed
+    /// with.
+    fn remove_instance(&mut self, inst: &Instance, idx: usize) {
+        self.remove(self.hash(inst.awaiting, &inst.bindings), idx);
     }
 }
 
@@ -284,7 +380,7 @@ enum Bucket {
     /// `map[value]` = slots holding `value` for some probe source. All
     /// sources share the one map: a lookup that collides across sources
     /// only adds candidates, which guard evaluation then rejects.
-    Keyed { map: FoldMap<Posted, Vec<usize>>, rest: Vec<usize> },
+    Keyed { map: FoldMap<Posted, Slots>, rest: Vec<usize> },
     /// All awaiting slots, scanned for every relevant event.
     Scan(Vec<usize>),
 }
@@ -321,7 +417,7 @@ pub struct Monitor {
     cfg: MonitorConfig,
     slots: Vec<Option<Instance>>,
     free: Vec<usize>,
-    index: FoldMap<InstanceKey, usize>,
+    index: DedupIndex,
     timers: TimerWheel<(usize, TimerKind)>,
     pending: Vec<(Instant, Effect)>,
     /// Occupancy of the bounded store: cell -> slot index.
@@ -373,7 +469,7 @@ impl Monitor {
             cfg,
             slots: Vec::new(),
             free: Vec::new(),
-            index: FoldMap::default(),
+            index: DedupIndex::default(),
             timers: TimerWheel::new(),
             pending: Vec::new(),
             cells: vec![None; cfg.capacity.unwrap_or(0)],
@@ -418,7 +514,7 @@ impl Monitor {
     /// Number of live instances (the paper's scalability metric: Varanus
     /// pipeline depth equals this).
     pub fn live_instances(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// True when the monitor holds no live instance and no pending
@@ -427,7 +523,7 @@ impl Monitor {
     /// decision, so no restore, recovery or deploy can leave it stale.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.index.is_empty() && self.pending.is_empty()
+        self.index.len == 0 && self.pending.is_empty()
     }
 
     /// Approximate bytes of monitor state (bindings + retained provenance).
@@ -635,7 +731,7 @@ impl Monitor {
                     let key = self.stage_keys.key(s).expect("keyed bucket has a stage key");
                     let mut look_up = |probe: &Probe| {
                         if let Some(v) = probe.event_value(ev).and_then(|x| map.get(&Posted(x))) {
-                            cands.extend_from_slice(v);
+                            cands.extend_from_slice(v.as_slice());
                         }
                     };
                     if adv_hit {
@@ -673,7 +769,7 @@ impl Monitor {
                     // advance extends them — computing the old key after
                     // assignment would leave a stale index entry that
                     // swallows future spawns via deduplication.
-                    self.index.remove(&InstanceKey(inst.awaiting, inst.bindings));
+                    self.index.remove_instance(inst, idx);
                     inst.bindings = bindings;
                     if self.cfg.provenance == ProvenanceMode::Full {
                         if let Some(ev) = event {
@@ -713,8 +809,8 @@ impl Monitor {
             self.raise(at, &bindings, &history, 0);
             return;
         }
-        let key = InstanceKey(1, bindings);
-        if let Some(&incumbent) = self.index.get(&key) {
+        let hash = self.index.hash(1, &bindings);
+        if let Some(incumbent) = self.index.get(hash, 1, &bindings, &self.slots) {
             self.dedup_against(incumbent, at);
             return;
         }
@@ -752,7 +848,7 @@ impl Monitor {
         if let Some(c) = cell {
             self.cells[c] = Some(idx);
         }
-        self.index.insert(key, idx);
+        self.index.insert(hash, idx);
         self.arm_stage_timer(idx, at);
         self.bucket_insert(idx);
     }
@@ -765,7 +861,7 @@ impl Monitor {
             Bucket::Keyed { map, rest } => {
                 let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
                 match postings(key, inst) {
-                    Some(vals) => vals.for_each(|val| map.entry(val).or_default().push(idx)),
+                    Some(vals) => vals.for_each(|val| file(map, val, idx)),
                     None => rest.push(idx),
                 }
             }
@@ -789,12 +885,7 @@ impl Monitor {
                 let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
                 match postings(key, inst) {
                     Some(vals) => vals.for_each(|val| {
-                        if let Some(v) = map.get_mut(&val) {
-                            evict(v, idx);
-                            if v.is_empty() {
-                                map.remove(&val);
-                            }
-                        }
+                        unfile(map, val, idx);
                     }),
                     None => evict(rest, idx),
                 }
@@ -871,11 +962,8 @@ impl Monitor {
     /// advances that extend bindings go through
     /// [`Monitor::advance_instance_unindexed`].
     fn advance_instance(&mut self, idx: usize, stage_id: Option<PacketId>, at: Instant) {
-        let old_key = {
-            let inst = self.slots[idx].as_ref().expect("live instance");
-            InstanceKey(inst.awaiting, inst.bindings)
-        };
-        self.index.remove(&old_key);
+        let inst = self.slots[idx].as_ref().expect("live instance");
+        self.index.remove_instance(inst, idx);
         self.advance_instance_unindexed(idx, stage_id, at);
     }
 
@@ -911,8 +999,8 @@ impl Monitor {
         }
         // Dedup at the new position.
         let inst = self.slots[idx].as_ref().expect("live instance");
-        let new_key = InstanceKey(inst.awaiting, inst.bindings);
-        if let Some(&incumbent) = self.index.get(&new_key) {
+        let hash = self.index.hash(inst.awaiting, &inst.bindings);
+        if let Some(incumbent) = self.index.get(hash, inst.awaiting, &inst.bindings, &self.slots) {
             // The incumbent wins; this instance dissolves into it.
             self.dedup_against(incumbent, at);
             if let Some(inst) = self.slots[idx].take() {
@@ -928,7 +1016,7 @@ impl Monitor {
             self.free.push(idx);
             return;
         }
-        self.index.insert(new_key, idx);
+        self.index.insert(hash, idx);
         self.arm_stage_timer(idx, at);
         self.bucket_insert(idx);
     }
@@ -964,7 +1052,7 @@ impl Monitor {
                     self.cells[c] = None;
                 }
             }
-            self.index.remove(&InstanceKey(inst.awaiting, inst.bindings));
+            self.index.remove_instance(&inst, idx);
             self.free.push(idx);
         }
     }
@@ -1122,19 +1210,23 @@ impl Monitor {
             }
         }
         // The dedup index holds one slot per key; a second would stay live
-        // but unreachable.
-        let mut index = FoldMap::with_capacity_and_hasher(
-            snap.slots.len() - snap.free.len(),
-            Default::default(),
-        );
-        for (idx, inst) in snap.slots.iter().enumerate() {
+        // but unreachable. The index reads its keys from the slots, so they
+        // come first; `self` is untouched until both are built.
+        let slots: Vec<Option<Instance>> =
+            snap.slots.iter().map(|slot| slot.as_deref().cloned()).collect();
+        let live = slots.len() - snap.free.len();
+        let map = FoldMap::with_capacity_and_hasher(live, self.index.map.hasher().clone());
+        let mut index = DedupIndex { map, len: 0 };
+        for (idx, inst) in slots.iter().enumerate() {
             let Some(inst) = inst else { continue };
-            if index.insert(InstanceKey(inst.awaiting, inst.bindings), idx).is_some() {
+            let hash = index.hash(inst.awaiting, &inst.bindings);
+            if index.get(hash, inst.awaiting, &inst.bindings, &slots).is_some() {
                 return Err(SnapshotError::Malformed("two live instances share a dedup key"));
             }
+            index.insert(hash, idx);
         }
 
-        self.slots = snap.slots.iter().map(|slot| slot.as_deref().cloned()).collect();
+        self.slots = slots;
         self.free = snap.free.clone();
         self.timers = TimerWheel::restore(&snap.timers);
         self.pending = snap.pending.clone();
@@ -1824,19 +1916,56 @@ mod tests {
     #[test]
     fn equal_values_under_different_names_are_different_instances() {
         // The dedup hash reads values, not names: {?A=1} and {?B=1} hash
-        // alike under one map's seed, and `Eq` must still keep them apart.
-        use std::hash::BuildHasher;
+        // alike under one map's seed, and the slot comparison must still
+        // keep them apart — before a checkpoint and after a restore.
         let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
         let b = Bindings::new().bind(var("B"), FieldValue::Uint(1));
-        let state = swmon_packet::FoldState::default();
-        assert_eq!(state.hash_one(InstanceKey(1, a)), state.hash_one(InstanceKey(1, b)));
-        assert_ne!(InstanceKey(1, a), InstanceKey(1, b));
         let mut m = Monitor::with_defaults(fw_basic());
+        assert_eq!(m.index.hash(1, &a), m.index.hash(1, &b));
+        assert_ne!(a, b);
         m.spawn(at(0), a, None, Vec::new());
         m.spawn(at(1), b, None, Vec::new());
         assert_eq!((m.live_instances(), m.stats.deduplicated), (2, 0), "no dedup across names");
-        m.spawn(at(2), a, None, Vec::new());
-        assert_eq!((m.live_instances(), m.stats.deduplicated), (2, 1), "same name and value do");
+        let mut revived = Monitor::with_defaults(fw_basic());
+        revived.restore(&m.snapshot()).expect("two keys under one hash are two keys");
+        for m in [&mut m, &mut revived] {
+            m.spawn(at(2), a, None, Vec::new());
+            let live_and_deduplicated = (m.live_instances(), m.stats.deduplicated);
+            assert_eq!(live_and_deduplicated, (2, 1), "same name and value do");
+        }
+    }
+
+    #[test]
+    fn the_dedup_index_tells_apart_keys_filed_under_one_hash() {
+        // 64-bit collisions do not happen on real traces, so file three
+        // keys under one hash by hand: two stages, two environments.
+        let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
+        let b = Bindings::new().bind(var("A"), FieldValue::Uint(2));
+        let keys = [(1, a), (1, b), (2, a)];
+        let (stage_ids, history, timer, cell) = (Vec::new(), Vec::new(), None, None);
+        let slots = keys.map(|(awaiting, bindings)| {
+            let (stage_ids, history) = (stage_ids.clone(), history.clone());
+            Some(Instance { uid: 0, awaiting, bindings, stage_ids, history, timer, cell })
+        });
+        const HASH: u64 = 0x5eed;
+        let find = |index: &DedupIndex, (stage, bindings): (usize, Bindings)| {
+            index.get(HASH, stage, &bindings, &slots)
+        };
+        let found = |index: &DedupIndex| keys.map(|key| find(index, key));
+        let mut index = DedupIndex::default();
+        for (idx, &key) in keys.iter().enumerate() {
+            assert_eq!(find(&index, key), None, "key {idx} is not filed yet");
+            index.insert(HASH, idx);
+        }
+        assert_eq!(found(&index), [Some(0), Some(1), Some(2)]);
+        assert_eq!((index.len, find(&index, (2, b))), (3, None), "an unfiled key stays unfound");
+        index.remove(HASH, 0);
+        assert_eq!(found(&index), [None, Some(1), Some(2)]);
+        index.remove(HASH, 0);
+        assert_eq!(index.len, 2, "removing an unfiled slot changes nothing");
+        index.remove(HASH, 2);
+        index.remove(HASH, 1);
+        assert_eq!((index.len, index.map.len()), (0, 0), "the last removal drops the entry");
     }
 
     #[test]

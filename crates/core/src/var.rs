@@ -10,24 +10,29 @@
 //! ## Hot-path representation
 //!
 //! Variable names are interned once (at property-construction time) into a
-//! process-wide table, making [`Var`] a `Copy` handle, and [`Bindings`] is a
-//! fixed-capacity inline slot array kept sorted by variable name. `bind`
-//! and clone are then O(capacity) stack copies with zero heap allocation,
-//! and `unify` extends an environment in place — a guard evaluation copies
-//! its instance's environment once, however many variables it binds. This
-//! is the single hottest data structure in the workspace.
+//! process-wide table that hands each name one leaked handle, so a [`Var`]
+//! is a single pointer (8 bytes) and two variables are equal exactly when
+//! their handles are. [`Bindings`] is a fixed-capacity inline environment
+//! kept sorted by variable name, its handles and values in two side-by-side
+//! arrays (200 bytes, against 264 for an array of `(name, value)` pairs of
+//! a 16-byte `&str`; see docs/PERF.md, "An instance is stored once"). `bind`
+//! and clone are O(capacity) stack copies with zero heap allocation, and
+//! `unify` extends an environment in place — a guard evaluation copies its
+//! instance's environment once, however many variables it binds. This is
+//! the single hottest data structure in the workspace.
 //!
 //! The canonical (name-sorted) order is load-bearing: equality, ordering,
 //! hashing, and `Display` must be byte-for-byte identical to the original
 //! `BTreeMap<Var, FieldValue>` form. Instance dedup compares with `Eq`, and
 //! violation output prints with `Display`. Of the hashes, only the
 //! capacity-store cell hash derives from [`Bindings`]' `Hash` stream; the
-//! dedup index hashes the bound values alone (`engine::InstanceKey`).
+//! engine's dedup index hashes the awaited stage and the bound values
+//! alone.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use swmon_packet::FieldValue;
 
 /// Most distinct binder variables one property may use (the catalog's
@@ -36,24 +41,21 @@ use swmon_packet::FieldValue;
 /// event time.
 pub const MAX_VARS: usize = 8;
 
-/// Intern `name`, returning a `'static` handle shared by every [`Var`]
-/// with that name. The table only ever grows (names are tiny and come from
-/// property definitions, not events), so leaking is the correct lifetime.
-fn intern(name: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut t = table.lock().expect("interner poisoned");
-    if let Some(&s) = t.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    t.insert(leaked);
-    leaked
+/// The interner: each name seen so far, with the one handle it was given.
+/// It only ever grows (names are tiny and come from property definitions
+/// and decoded records, not events), so leaking is the correct lifetime.
+fn table() -> MutexGuard<'static, HashMap<&'static str, Var>> {
+    static TABLE: OnceLock<Mutex<HashMap<&'static str, Var>>> = OnceLock::new();
+    TABLE.get_or_init(Default::default).lock().expect("interner poisoned")
 }
 
-/// A named binder variable. `Copy`: internally an interned-string handle.
+/// A named binder variable: `Copy`, one pointer wide. Every `Var` of one
+/// name shares the handle the interner leaked for it.
 #[derive(Debug, Clone, Copy)]
-pub struct Var(&'static str);
+pub struct Var(&'static &'static str);
+
+// One word: see docs/PERF.md, "An instance is stored once".
+const _: () = assert!(size_of::<Var>() == 8);
 
 impl Var {
     /// The variable's name (without the `?` sigil).
@@ -61,14 +63,20 @@ impl Var {
     pub fn name(&self) -> &'static str {
         self.0
     }
+
+    /// The variable named `name`, if anything has interned it; never
+    /// interns. `None` means no property or decoded record binds that
+    /// name, so no environment can hold it.
+    pub fn lookup(name: &str) -> Option<Var> {
+        table().get(name).copied()
+    }
 }
 
 impl PartialEq for Var {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        // Interned: pointer equality decides almost always; fall back to
-        // content so externally-constructed handles stay correct.
-        std::ptr::eq(self.0, other.0) || self.0 == other.0
+        // One handle per name, and only the interner makes handles.
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -84,7 +92,7 @@ impl PartialOrd for Var {
 impl Ord for Var {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(other.0)
+        self.name().cmp(other.name())
     }
 }
 
@@ -92,18 +100,25 @@ impl Hash for Var {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Same byte stream as the former `Var(String)` derive (str hash).
-        self.0.hash(state);
+        self.name().hash(state);
     }
 }
 
-/// Shorthand constructor: `var("A")`.
+/// Shorthand constructor: `var("A")`, interning `name` on first use.
 pub fn var(name: &str) -> Var {
-    Var(intern(name))
+    let mut t = table();
+    if let Some(&v) = t.get(name) {
+        return v;
+    }
+    let name: &'static str = Box::leak(name.into());
+    let v = Var(Box::leak(Box::new(name)));
+    t.insert(name, v);
+    v
 }
 
 impl fmt::Display for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "?{}", self.0)
+        write!(f, "?{}", self.name())
     }
 }
 
@@ -161,17 +176,23 @@ impl VarTable {
 /// Kept sorted by variable name so that environments have a canonical form:
 /// two instances with the same bindings compare equal, hash equal, and print
 /// identically — which is what instance deduplication keys on. Stored
-/// inline (no heap): copying an environment is a `memcpy`.
+/// inline, no heap: the first `len` entries of `vars` name the bound
+/// variables and the same entries of `vals` hold their values; the rest
+/// are `None` and a filler value that nothing reads.
 #[derive(Clone, Copy)]
 pub struct Bindings {
     len: u8,
-    slots: [Option<(Var, FieldValue)>; MAX_VARS],
+    vars: [Option<Var>; MAX_VARS],
+    vals: [FieldValue; MAX_VARS],
 }
+
+// See docs/PERF.md, "An instance is stored once".
+const _: () = assert!(size_of::<Bindings>() <= 200);
 
 impl Default for Bindings {
     #[inline]
     fn default() -> Self {
-        Bindings { len: 0, slots: [None; MAX_VARS] }
+        Bindings { len: 0, vars: [None; MAX_VARS], vals: [FieldValue::Uint(0); MAX_VARS] }
     }
 }
 
@@ -183,14 +204,16 @@ impl Bindings {
     }
 
     #[inline]
-    fn entries(&self) -> impl Iterator<Item = &(Var, FieldValue)> {
-        self.slots[..self.len as usize].iter().map(|s| s.as_ref().expect("slot within len"))
+    fn entries(&self) -> impl Iterator<Item = (&Var, &FieldValue)> {
+        let n = self.len as usize;
+        self.vars[..n].iter().map(|v| v.as_ref().expect("slot within len")).zip(&self.vals[..n])
     }
 
     /// Value of `v`, if bound.
     #[inline]
     pub fn get(&self, v: &Var) -> Option<&FieldValue> {
-        self.entries().find(|(bv, _)| bv == v).map(|(_, val)| val)
+        let n = self.len as usize;
+        self.vars[..n].iter().position(|bv| *bv == Some(*v)).map(|i| &self.vals[i])
     }
 
     /// True if `v` is bound.
@@ -214,23 +237,21 @@ impl Bindings {
         let n = self.len as usize;
         let mut i = 0;
         while i < n {
-            let (bv, bval) = self.slots[i].as_ref().expect("slot within len");
+            let bv = self.vars[i].expect("slot within len");
             match bv.name().cmp(v.name()) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Equal => {
-                    assert_eq!(*bval, val, "rebinding {v} to a different value");
+                    assert_eq!(self.vals[i], val, "rebinding {v} to a different value");
                     return;
                 }
                 std::cmp::Ordering::Greater => break,
             }
         }
         assert!(n < MAX_VARS, "environment capacity ({MAX_VARS} variables) exceeded binding {v}");
-        let mut j = n;
-        while j > i {
-            self.slots[j] = self.slots[j - 1];
-            j -= 1;
-        }
-        self.slots[i] = Some((v, val));
+        self.vars.copy_within(i..n, i + 1);
+        self.vals.copy_within(i..n, i + 1);
+        self.vars[i] = Some(v);
+        self.vals[i] = val;
         self.len += 1;
     }
 
@@ -263,7 +284,7 @@ impl Bindings {
     /// Iterate bindings in canonical (name) order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &FieldValue)> {
-        self.entries().map(|(v, val)| (v, val))
+        self.entries()
     }
 
     /// Approximate memory footprint, for provenance/state accounting.
@@ -274,7 +295,10 @@ impl Bindings {
 
 impl PartialEq for Bindings {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.entries().eq(other.entries())
+        let n = self.len as usize;
+        self.len == other.len
+            && self.vars[..n] == other.vars[..n]
+            && self.vals[..n] == other.vals[..n]
     }
 }
 
@@ -311,7 +335,7 @@ impl Hash for Bindings {
 impl fmt::Debug for Bindings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Bindings ")?;
-        f.debug_map().entries(self.entries().map(|(v, val)| (v, val))).finish()
+        f.debug_map().entries(self.entries()).finish()
     }
 }
 
@@ -443,6 +467,15 @@ mod tests {
         assert_eq!(t.get(VarId(1)), Some(var("B")));
         let names: Vec<&str> = t.iter().map(|v| v.name()).collect();
         assert_eq!(names, ["A", "B", "C"]);
+    }
+
+    #[test]
+    fn lookup_finds_interned_names_and_interns_none() {
+        assert_eq!(Var::lookup("LookedUpBeforeInterning"), None);
+        assert_eq!(Var::lookup("LookedUpBeforeInterning"), None, "a miss interns nothing");
+        let v = var("LookedUpAfterInterning");
+        assert_eq!(Var::lookup("LookedUpAfterInterning"), Some(v));
+        assert!(std::ptr::eq(Var::lookup("LookedUpAfterInterning").unwrap().name(), v.name()));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod store;
 pub mod swql;
 
 pub use plan::{BranchPlan, Driver, Plan};
-pub use segment::{Row, Segment, NO_SHARD, SEGMENT_MAGIC, SEGMENT_VERSION};
+pub use segment::{Check, Row, Segment, NO_SHARD, SEGMENT_MAGIC, SEGMENT_VERSION};
 pub use sink::StoreSink;
 pub use store::{QueryMatch, QueryOutput, Store, STORE_MAGIC, STORE_VERSION};
 pub use swql::{parse, validate_properties, Atom, Branch, Code, Query, QueryError, Span};

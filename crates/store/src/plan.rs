@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::segment::Segment;
+use crate::segment::{Check, Segment};
 use crate::swql::{Atom, Query};
 
 /// The access path chosen to enumerate a branch's candidate rows.
@@ -90,10 +90,11 @@ impl Plan {
 /// Exact candidate-row count of driving the branch from `atom`: what its
 /// index yields across `segments`, plus the `tail` rows every driver walks.
 fn cost(atom: &Atom, segments: &[Segment], tail: u64) -> u64 {
+    let var = Check::new(atom).var();
     let indexed = |seg: &Segment| match atom {
         Atom::Prop(None) => seg.len(),
         Atom::Prop(Some(p)) => seg.prop_rows(p).len(),
-        Atom::Bind(v, val) => seg.bind_rows(v, val).len(),
+        Atom::Bind(_, val) => var.map_or(0, |v| seg.bind_rows(v, val).len()),
         Atom::Window(a, b) if seg.overlaps(*a, *b) => seg.len(),
         Atom::Window(..) => 0,
         Atom::Degraded => seg.degraded_rows().len(),

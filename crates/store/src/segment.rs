@@ -19,11 +19,36 @@
 use std::collections::HashMap;
 
 use swmon_core::wire::{Reader, SnapshotError, Writer};
-use swmon_core::{var, VarId, VarTable};
+use swmon_core::{Var, VarId, VarTable};
 use swmon_packet::FieldValue;
 use swmon_runtime::ViolationRecord;
 
 use crate::swql::Atom;
+
+/// A query atom made ready to test rows: a `bind` atom's variable is
+/// looked up once, when the check is made, and never interned. A name
+/// nothing has interned is bound by no row, so the atom matches none.
+#[derive(Debug, Clone, Copy)]
+pub struct Check<'q> {
+    atom: &'q Atom,
+    var: Option<Var>,
+}
+
+impl<'q> Check<'q> {
+    /// The check for `atom`.
+    pub fn new(atom: &'q Atom) -> Self {
+        let var = match atom {
+            Atom::Bind(name, _) => Var::lookup(name),
+            _ => None,
+        };
+        Check { atom, var }
+    }
+
+    /// The variable a `bind` atom names, when some row may bind it.
+    pub fn var(&self) -> Option<Var> {
+        self.var
+    }
+}
 
 /// Magic of the segment byte encoding (`SWMS`-family framing).
 pub const SEGMENT_MAGIC: &[u8; 4] = b"SWVS";
@@ -216,10 +241,10 @@ impl Segment {
         }
     }
 
-    /// Row positions whose bindings map variable `name` to `value`
+    /// Row positions whose bindings map variable `v` to `value`
     /// (interned-index probe: binary search of the flat key vector).
-    pub fn bind_rows(&self, name: &str, value: &FieldValue) -> &[u32] {
-        let Some(id) = self.vars.id(&var(name)) else { return &[] };
+    pub fn bind_rows(&self, v: Var, value: &FieldValue) -> &[u32] {
+        let Some(id) = self.vars.id(&v) else { return &[] };
         match self.bind_keys.binary_search_by_key(&(id, *value), |&(k, _, _)| k) {
             Ok(i) => {
                 let (_, start, end) = self.bind_keys[i];
@@ -250,15 +275,17 @@ impl Segment {
         &self.degraded
     }
 
-    /// True when `row` satisfies `atom` (the exact per-row predicate the
-    /// executor applies after index-driven candidate selection).
-    pub fn row_matches(row: &Row, atom: &Atom) -> bool {
+    /// True when `row` satisfies `check`'s atom (the exact per-row
+    /// predicate the executor applies after index-driven candidate
+    /// selection).
+    pub fn row_matches(row: &Row, check: &Check<'_>) -> bool {
         let v = &row.record.violation;
-        match atom {
+        match check.atom {
             Atom::Prop(None) => true,
             Atom::Prop(Some(name)) => v.property == *name,
-            Atom::Bind(name, value) => {
-                v.bindings.as_ref().is_some_and(|b| b.get(&var(name)) == Some(value))
+            Atom::Bind(_, value) => {
+                let bound = v.bindings.as_ref().zip(check.var);
+                bound.is_some_and(|(b, var)| b.get(&var) == Some(value))
             }
             Atom::Window(a, b) => {
                 let t = v.time.as_nanos();
@@ -330,7 +357,7 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swmon_core::{Bindings, Violation};
+    use swmon_core::{var, Bindings, Violation};
     use swmon_sim::time::Instant;
 
     fn row(seq: u64, shard: u32, prop: &str, t: u64, port: u64, degraded: bool) -> Row {
@@ -372,16 +399,16 @@ mod tests {
         assert_eq!(s.prop_rows("fw"), &[0, 1]);
         assert_eq!(s.prop_rows("dhcp"), &[2]);
         assert!(s.prop_rows("nat").is_empty());
-        assert_eq!(s.bind_rows("A", &FieldValue::Uint(80)), &[0, 2]);
-        assert!(s.bind_rows("A", &FieldValue::Uint(22)).is_empty());
-        assert!(s.bind_rows("Z", &FieldValue::Uint(80)).is_empty());
+        assert_eq!(s.bind_rows(var("A"), &FieldValue::Uint(80)), &[0, 2]);
+        assert!(s.bind_rows(var("A"), &FieldValue::Uint(22)).is_empty());
+        assert!(s.bind_rows(var("Z"), &FieldValue::Uint(80)).is_empty());
         assert_eq!(s.shard_rows(0), &[0, 2]);
         assert_eq!(s.shard_rows(1), &[1]);
         assert_eq!(s.epoch_rows(0), &[0, 2]);
         assert_eq!(s.epoch_rows(1), &[1]);
         assert!(s.epoch_rows(9).is_empty());
-        assert!(Segment::row_matches(&s.rows()[1], &Atom::Epoch(1)));
-        assert!(!Segment::row_matches(&s.rows()[0], &Atom::Epoch(1)));
+        assert!(Segment::row_matches(&s.rows()[1], &Check::new(&Atom::Epoch(1))));
+        assert!(!Segment::row_matches(&s.rows()[0], &Check::new(&Atom::Epoch(1))));
         assert_eq!(s.degraded_rows(), &[1]);
         assert_eq!((s.min_time(), s.max_time()), (10, 30));
         assert!(s.overlaps(15, 25));
@@ -397,8 +424,8 @@ mod tests {
         assert_eq!(back.prop_rows("fw"), s.prop_rows("fw"));
         assert_eq!(back.degraded_rows(), s.degraded_rows());
         assert_eq!(
-            back.bind_rows("A", &FieldValue::Uint(443)),
-            s.bind_rows("A", &FieldValue::Uint(443))
+            back.bind_rows(var("A"), &FieldValue::Uint(443)),
+            s.bind_rows(var("A"), &FieldValue::Uint(443))
         );
         assert_eq!(back.rows()[1].record.violation.merge_seq, Some(1));
         assert!(back.rows()[1].record.violation.degraded, "provenance survives the framing");

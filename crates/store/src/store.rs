@@ -30,10 +30,11 @@ use std::sync::RwLock;
 
 use swmon_core::json::escape;
 use swmon_core::wire::{Reader, SnapshotError, Writer};
+use swmon_core::Var;
 use swmon_runtime::{signature, ViolationRecord};
 
 use crate::plan::{plan, Driver, Plan};
-use crate::segment::{head, Row, Segment, NO_SHARD};
+use crate::segment::{head, Check, Row, Segment, NO_SHARD};
 use crate::swql::{parse, Query, QueryError};
 
 /// Magic of the whole-store byte encoding (a framed list of `SWVS`
@@ -277,10 +278,11 @@ impl Store {
         let mut hits: Vec<(usize, u32)> = Vec::new();
         let mut scanned = 0u64;
         for (branch, bplan) in q.branches.iter().zip(&the_plan.branches) {
+            let checks: Vec<Check> = branch.atoms.iter().map(|(a, _)| Check::new(a)).collect();
             let mut consider = |seg_idx: usize, row_idx: u32| {
                 scanned += 1;
                 let row = &inner.rows(seg_idx)[row_idx as usize];
-                if branch.atoms.iter().all(|(a, _)| Segment::row_matches(row, a)) {
+                if checks.iter().all(|c| Segment::row_matches(row, c)) {
                     hits.push((seg_idx, row_idx));
                 }
             };
@@ -300,9 +302,12 @@ impl Store {
                     }
                 }
                 Driver::Bind(v, val) => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for &ri in seg.bind_rows(v, val) {
-                            consider(si, ri);
+                    // No segment indexes a name nothing has interned.
+                    if let Some(v) = Var::lookup(v) {
+                        for (si, seg) in segments.iter().enumerate() {
+                            for &ri in seg.bind_rows(v, val) {
+                                consider(si, ri);
+                            }
                         }
                     }
                 }
@@ -462,6 +467,22 @@ mod tests {
         let out = s.query_str("degraded() or prop(fw)").unwrap();
         assert_eq!(out.matches.len(), 2);
         assert_eq!(s.query_str("prop(nat-consistent)").unwrap().matches.len(), 0);
+    }
+
+    #[test]
+    fn bind_on_a_name_nothing_binds_matches_nothing_and_interns_nothing() {
+        // Query text comes from operators, not property definitions: a
+        // fresh name per query must not grow the interner for good.
+        let live = seeded();
+        let decoded = Store::from_bytes(&live.to_bytes()).expect("valid store");
+        assert_eq!(decoded.segment_count(), 1);
+        for k in 0..1_000 {
+            for s in [&live, &decoded] {
+                assert!(s.query_str(&format!("bind(Fresh{k}, 1)")).unwrap().matches.is_empty());
+            }
+        }
+        assert_eq!(Var::lookup("Fresh999"), None);
+        assert_eq!(decoded.query_str("bind(A, 443)").unwrap().matches.len(), 1);
     }
 
     #[test]
