@@ -3,11 +3,11 @@
 //! when the *monitoring infrastructure itself* fails. A seeded
 //! [`swmon_sim::FaultPlan`] batters the workload (drops, duplicates,
 //! reorders, a switch crash window), and a deterministic crash schedule
-//! ([`swmon_runtime::FaultPoint`]) kills supervised workers mid-stream.
+//! ([`swmon_runtime::FaultPoint`]) crashes supervised shards mid-stream.
 //!
 //! Three contracts are measured and verified:
 //!
-//! 1. **Recovery fidelity** — with worker crashes injected across shards,
+//! 1. **Recovery fidelity** — with crashes injected across shards,
 //!    the merged violation output is *byte-for-byte identical* to the
 //!    fault-free single-threaded reference over the full 21-property
 //!    catalog, and every delivered event is accounted

@@ -224,7 +224,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
             verified,
         );
     };
-    // On a healthy fleet, then racing five injected worker crashes.
+    // On a healthy fleet, then racing five injected shard crashes.
     deploy_row(&format!("{DEPLOYS} live deploys (hot add)"), base_cfg.clone(), 0);
     let crashes = crash_schedule(trace.len(), 5, SHARDS);
     deploy_row(

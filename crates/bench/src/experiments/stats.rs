@@ -214,7 +214,7 @@ mod tests {
 
     /// The spawn index's judge: over the TCP catalog workload, an event
     /// wakes at most 7 of the 21 monitors (about 17 before the index: all
-    /// the class mask admits), inline and on workers alike.
+    /// the class mask admits), at one shard and at four alike.
     #[test]
     fn an_event_wakes_at_most_seven_monitors_on_the_tcp_catalog() {
         let trace = multi_flow_trace(256, 12_500, 0.4, 0.25, Duration::from_micros(2), 13);

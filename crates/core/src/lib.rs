@@ -61,10 +61,12 @@ pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};
 pub use violation::{ProvenanceMode, Violation};
 pub use wire::{Reader as WireReader, Writer as WireWriter};
 
-/// Compile-time thread-safety audit. A multi-core runtime moves monitors
-/// into worker threads and events/violations across channels; these checks
-/// make any regression (say, an `Rc` slipping into an event type) a build
-/// error here rather than a trait-bound error three crates away.
+/// Compile-time thread-safety audit. The runtime drives every shard on
+/// the caller thread today, but a runtime that moves monitors into worker
+/// threads and events/violations across channels must stay possible; these
+/// checks make any regression (say, an `Rc` slipping into an event type) a
+/// build error here rather than a trait-bound error three crates away.
+/// `swmon-runtime` asserts the same of its shard supervisor and runtime.
 const fn assert_send_sync<T: Send + Sync>() {}
 const fn assert_send<T: Send>() {}
 const _: () = {

@@ -6,10 +6,8 @@
 //! selecting the events that shard must run. An event fed to an N-shard
 //! session is cloned exactly once (into the block), never per shard.
 
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use swmon_core::{MonitorSnapshot, Property, SpawnIndex};
-use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
 use swmon_telemetry::EngineProbe;
 
@@ -53,8 +51,8 @@ pub(crate) struct Batch {
 /// selections until the block is worth dispatching ([`Arena::seal`]).
 ///
 /// The caller routes — and class-mask-filters — *before* staging: an
-/// event whose masks are all zero never enters the arena, so it never
-/// crosses a thread boundary.
+/// event whose masks are all zero never enters the arena, so no shard
+/// ever sees it.
 #[derive(Debug)]
 pub(crate) struct Arena {
     events: Vec<NetEvent>,
@@ -186,56 +184,11 @@ pub(crate) struct ShardPrepare {
     pub(crate) adopt: Vec<(usize, MonitorSnapshot)>,
 }
 
-/// A session→shard command — the one shard protocol. The shard of a
-/// one-shard session, driven on the caller thread, and each shard of a
-/// wider one, driven by its own worker, interpret the same messages
-/// through the same `Supervisor::handle`; only the transport differs (a
-/// direct call, or a lane: std's bounded `sync_channel`). Deploy messages
-/// (`Quiesce`/`Prepare`/`Commit`/`Abort`) rely on lane FIFO order: the
-/// session is a shard's only sender, so when a supervisor sees `Quiesce`,
-/// every event sent before the deploy has already been admitted, and
-/// events sent after `Commit` are only ever interpreted under the new
-/// epoch's indexing.
-#[derive(Debug)]
-pub(crate) enum Msg {
-    /// A batch of routed events, in global sequence order.
-    Events(Batch),
-    /// End of input: apply this shard's share of the arena's tail, advance
-    /// every monitor to this instant (firing pending deadlines), report,
-    /// and exit. The tail rides here, not in an `Events` of its own, so it
-    /// and the timer drain reach the sink as one publish.
-    Finish(Option<Batch>, Instant),
-    /// Deploy phase 1 — quiesce: drain the journal, force a checkpoint,
-    /// snapshot every hosted monitor, reply, and hold (the session sends
-    /// no events between `Quiesce` and `Commit`/`Abort`).
-    Quiesce {
-        /// Reply channel for the ack.
-        reply: Sender<QuiesceAck>,
-    },
-    /// Deploy phase 2 — prepare: build the next epoch's monitor set off to
-    /// the side (validate-before-mutate) and stage it. Replies `Err` on
-    /// any restore failure or panic, leaving live state untouched.
-    Prepare {
-        /// The staged shard configuration.
-        prep: Box<ShardPrepare>,
-        /// Reply channel: `Ok(())` when staged, `Err(reason)` otherwise.
-        reply: Sender<Result<(), String>>,
-    },
-    /// Deploy phase 3a — commit: swap the staged monitor set in and resume
-    /// under `epoch`. Infallible (everything fallible happened in prepare).
-    Commit {
-        /// The epoch now in effect.
-        epoch: u64,
-    },
-    /// Deploy phase 3b — abort: drop the staged set; the shard continues
-    /// under the prior epoch exactly as if the deploy was never attempted.
-    Abort,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
+    use swmon_sim::time::Instant;
     use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
 
     fn ev(t: u64) -> NetEvent {

@@ -2,14 +2,14 @@
 
 use swmon_core::MonitorConfig;
 
-/// A deterministic fault-injection point: the supervised worker for
-/// `shard` panics when it is about to apply the event with input sequence
-/// number `seq`. Used by chaos tests and the `e15` benchmark to prove the
+/// A deterministic fault-injection point: the supervised shard `shard`
+/// panics when it is about to apply the event with input sequence number
+/// `seq`. Used by chaos tests and the `e15` benchmark to prove the
 /// recovery path; injection is consumed before the panic is raised, so
 /// replay after recovery proceeds normally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPoint {
-    /// The shard whose worker should crash.
+    /// The shard that should crash.
     pub shard: usize,
     /// The input sequence number (position in the fed trace) to crash at.
     /// Points at events never delivered to `shard` are skipped.
@@ -41,8 +41,8 @@ impl TelemetryConfig {
     }
 }
 
-/// Inert: a session's threading is fixed by [`RuntimeConfig::shards`]
-/// alone, and no code reads either field. They exist only because the
+/// Inert: every session runs on the caller thread, and no code reads
+/// either field. They exist only because the
 /// frozen end-to-end benchmark constructs them (`benchmark/src/session.rs`,
 /// `pinned()`; `benchmark/src/layers.rs`, `untraced_sessions`), and go
 /// with those lines.
@@ -63,11 +63,10 @@ impl Default for AdaptiveConfig {
 /// Tuning knobs for the sharded runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of shards, which fixes the session's threading at start: one
-    /// shard is driven inline on the caller thread (no worker, no
-    /// hand-off); N > 1 shards each run on a worker thread of their own
-    /// from session start to `finish`. No session changes mode. Clamped to
-    /// at least 1.
+    /// Number of shards: inline partitions of the catalog's instance
+    /// keys, every one driven on the caller thread. More than one adds
+    /// routing cost and nothing else (docs/RUNTIME.md, "One thread"), so
+    /// the default is 1. Clamped to at least 1.
     pub shards: usize,
     /// Events per dispatch: the session stages this many delivered events
     /// before handing each shard its share. A shard publishes what a batch
@@ -82,7 +81,7 @@ pub struct RuntimeConfig {
     pub flush_every: usize,
     /// Inert (see [`AdaptiveConfig`]).
     pub adaptive: AdaptiveConfig,
-    /// Configuration applied to every per-worker monitor replica.
+    /// Configuration applied to every per-shard monitor replica.
     pub monitor: MonitorConfig,
     /// Checkpoint cadence: a shard snapshots its monitors
     /// ([`swmon_core::Monitor::snapshot`]) after applying this many events
@@ -98,12 +97,7 @@ pub struct RuntimeConfig {
     /// counted in a [`crate::MonitoringGap`], with violations raised
     /// during the gap carrying downgraded provenance (`docs/FAULTS.md`).
     pub journal_limit: usize,
-    /// How many times a shard may be recovered (checkpoint restore +
-    /// journal replay) before the runtime gives up and reports
-    /// [`crate::RuntimeError::ShardFailed`]. `0` disables recovery: the
-    /// first worker panic is terminal.
-    pub max_restarts: usize,
-    /// Deterministic worker-crash schedule, for chaos testing. Empty in
+    /// Deterministic shard-crash schedule, for chaos testing. Empty in
     /// production use.
     pub inject_faults: Vec<FaultPoint>,
     /// Deterministic deploy-prepare failures, for chaos testing: each
@@ -119,14 +113,13 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            shards: std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+            shards: 1,
             batch: 8,
             flush_every: 0,
             adaptive: AdaptiveConfig::default(),
             monitor: MonitorConfig::default(),
             checkpoint_every: 1024,
             journal_limit: 0,
-            max_restarts: 8,
             inject_faults: Vec::new(),
             inject_deploy_faults: Vec::new(),
             telemetry: TelemetryConfig::default(),
@@ -157,7 +150,6 @@ impl RuntimeConfig {
             } else {
                 self.journal_limit
             },
-            max_restarts: self.max_restarts,
             inject_faults: self.inject_faults.clone(),
             inject_deploy_faults: self.inject_deploy_faults.clone(),
             telemetry: self.telemetry.clone(),
@@ -174,7 +166,7 @@ mod tests {
         let cfg = RuntimeConfig { shards: 0, batch: 0, ..Default::default() };
         let n = cfg.normalized();
         assert_eq!((n.shards, n.batch), (1, 1));
-        assert!(RuntimeConfig::default().shards >= 1);
+        assert_eq!(RuntimeConfig::default().shards, 1, "one shard unless asked");
         assert_eq!(RuntimeConfig::with_shards(4).shards, 4);
     }
 

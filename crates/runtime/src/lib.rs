@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! # swmon-runtime — sharded multi-core monitor runtime
+//! # swmon-runtime — sharded monitor runtime on the caller thread
 //!
-//! Runs the reference engine ([`swmon_core::Monitor`]) across worker
-//! threads by sharding on the *instance key*. The routing plan is derived
+//! Runs the reference engine ([`swmon_core::Monitor`]) across shards:
+//! inline partitions of the catalog by *instance key*, every one driven on
+//! the thread that feeds the session. The routing plan is derived
 //! automatically per property from the core's instance-identification
 //! analysis ([`swmon_core::RoutingPlan`]):
 //!
@@ -14,44 +15,41 @@
 //!   reply land on the same shard even though their header fields are
 //!   mirrored.
 //! - **Wandering** keys — and any property whose guards defeat the
-//!   analysis — are pinned to a single worker, which is always sound.
+//!   analysis — are pinned to a single shard, which is always sound.
 //!
 //! ## Ingress
 //!
-//! Routing and event-class mask filtering happen **before** any hand-off:
-//! an event that provably cannot affect any monitor never crosses a
-//! thread boundary. Deliverable events are staged exactly once in a
-//! shared arena block; each destination shard receives an `Arc` handle
-//! plus its `(seq, mask, index)` selections — zero clones per shard.
-//! Backpressure blocks the router; events are **never dropped**, because
-//! a dropped event would forge a negative observation (deadline
-//! properties fire on the *absence* of traffic).
+//! Routing and event-class mask filtering happen **before** staging: an
+//! event that provably cannot affect any monitor never reaches a shard.
+//! Deliverable events are staged exactly once in a shared arena block;
+//! each destination shard receives an `Arc` handle plus its `(seq, mask,
+//! index)` selections — zero clones per shard. Events are **never
+//! dropped**, because a dropped event would forge a negative observation
+//! (deadline properties fire on the *absence* of traffic).
 //!
-//! ## One command path
+//! ## One thread
 //!
-//! Everything the session asks of a shard — apply a batch, finish, the
-//! four deploy phases — is one message type sent through one
-//! `Session::send`, and interpreted by one `Supervisor::handle`. The shard
-//! count alone fixes the threading, once, at session start
-//! ([`RuntimeConfig::shards`]): a one-shard session drives its supervisor
-//! on the caller thread (`send` is a direct `handle` call, no hand-off
-//! cost at all); an N-shard session runs each supervisor on a worker
-//! thread of its own until `finish` (`send` enqueues on a bounded channel
-//! and the worker's loop is `recv` + `handle`). Violations are merged
-//! deterministically ([`merge`]), so the sharded runtime's output is
-//! byte-for-byte equal to the single-threaded reference at any shard
-//! count.
+//! The session calls each shard's supervisor directly: a sealed batch is
+//! applied before the `feed` that sealed it returns, and the deploy
+//! barrier's phases and `finish` are plain calls (`docs/RUNTIME.md`, "One
+//! thread", has the measurements behind this). Shard supervisors and the
+//! runtime stay `Send` (asserted below), so threads can come back without
+//! a redesign. Violations are merged deterministically
+//! ([`merge`]), so the output is byte-for-byte equal to the
+//! single-threaded reference at any shard count.
 //!
 //! ## Fault tolerance
 //!
-//! Every shard is *supervised* ([`supervisor`]): worker panics are caught
-//! at a panic boundary, the shard's monitors are restored from their last
+//! Every shard is *supervised* ([`supervisor`]): panics are caught at a
+//! panic boundary, the shard's monitors are restored from their last
 //! checkpoint ([`swmon_core::Monitor::snapshot`]), and the delivery gap is
 //! replayed from a bounded in-memory journal — so a run that survives
-//! worker crashes produces output byte-for-byte identical to a fault-free
-//! one. When the journal bound is exceeded, load is shed **explicitly**
-//! and accounted in [`MonitoringGap`]s; nothing is ever lost silently
-//! ([`RuntimeStats::unaccounted_loss`] is the audited invariant). See
+//! crashes produces output byte-for-byte identical to a fault-free one.
+//! When the journal bound is exceeded, load is shed **explicitly** and
+//! accounted in [`MonitoringGap`]s; nothing is ever lost silently
+//! ([`RuntimeStats::unaccounted_loss`] is the audited invariant). A shard
+//! that exhausts its restart budget fails the session for good: every
+//! later call returns the same [`RuntimeError::ShardFailed`]. See
 //! `docs/FAULTS.md` for the full fault model and recovery protocol.
 
 mod batch;
@@ -71,7 +69,7 @@ pub use router::Router;
 pub use shardkey::PropertyRoute;
 pub use sink::ViolationSink;
 pub use stats::{MonitoringGap, RuntimeStats, ShardStats};
-pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX};
+pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX, MAX_RESTARTS};
 pub use swmon_core::{
     CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin, MAX_PROPERTIES,
 };
@@ -79,23 +77,14 @@ pub use telemetry::{ShardProbe, TelemetryHub};
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::mpsc::{channel, sync_channel, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use batch::{Arena, Msg, QuiesceAck, ShardLayout, ShardPrepare};
-use supervisor::{ShardOutcome, ShardSpec, Supervisor};
+use batch::{Arena, QuiesceAck, ShardLayout, ShardPrepare};
+use supervisor::{ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
 use swmon_telemetry::EngineProbe;
-
-/// A worker shard's hand-off lane capacity, in batches: it bounds a
-/// worker's backlog to `LANE_BATCHES × batch` events. When a worker falls
-/// behind, the session *blocks* on its full lane — events are never
-/// dropped, because a silently dropped event would forge a negative
-/// observation (Feature 7 deadlines fire on absence of events).
-const LANE_BATCHES: usize = 64;
 
 /// Construction-time and run-time runtime failures.
 #[derive(Debug)]
@@ -110,22 +99,14 @@ pub enum RuntimeError {
     /// More than [`MAX_PROPERTIES`] properties were supplied.
     TooManyProperties(usize),
     /// A shard exhausted its restart budget (or failed to restore a
-    /// checkpoint) and was escalated by its supervisor.
+    /// checkpoint) and was escalated by its supervisor. Terminal: the
+    /// session returns this same error from every later call.
     ShardFailed {
         /// The failing shard.
         shard: usize,
         /// Recoveries attempted before giving up.
         restarts: u64,
         /// The final panic message or restore error.
-        message: String,
-    },
-    /// A worker thread disappeared without reporting a supervised failure
-    /// — the supervisor itself died, which indicates a runtime bug.
-    WorkerLost {
-        /// The affected shard.
-        shard: usize,
-        /// The supervisor thread's panic message, when one could be
-        /// recovered from the join.
         message: String,
     },
     /// A [`Session::deploy`] was rejected and rolled back atomically; the
@@ -152,12 +133,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::ShardFailed { shard, restarts, message } => {
                 write!(f, "shard {shard} failed after {restarts} restart(s): {message}")
-            }
-            RuntimeError::WorkerLost { shard, message } => {
-                write!(
-                    f,
-                    "shard {shard}'s worker thread was lost without a failure report: {message}"
-                )
             }
             RuntimeError::DeployRejected { epoch, reason } => {
                 write!(f, "deploy rejected (still at epoch {epoch}): {reason}")
@@ -206,8 +181,6 @@ pub struct ShardedRuntime {
     router: Router,
 }
 
-type ShardHandle = JoinHandle<Result<ShardOutcome, ShardFailure>>;
-
 impl ShardedRuntime {
     /// Validate `props` and derive their shard placement under `cfg`.
     pub fn new(props: Vec<Property>, cfg: RuntimeConfig) -> Result<Self, RuntimeError> {
@@ -237,8 +210,8 @@ impl ShardedRuntime {
         &self.router
     }
 
-    /// Start a streaming session: one shard driven inline, or one
-    /// supervised worker per shard (see [`RuntimeConfig::shards`]).
+    /// Start a streaming session: one supervised shard per
+    /// [`RuntimeConfig::shards`], all driven on the caller thread.
     pub fn start(&self) -> Session<'_> {
         self.start_with_sink(None)
     }
@@ -254,32 +227,26 @@ impl ShardedRuntime {
         let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
         let hub = TelemetryHub::new(shards, &self.cfg.telemetry, hashed, pinned);
         let probes: Vec<_> = self.props.iter().map(|p| hub.engine(&p.name)).collect();
-        let links = (0..shards)
+        let supervisors = (0..shards)
             .map(|s| {
                 let mut inject: Vec<u64> =
                     self.cfg.inject_faults.iter().filter(|f| f.shard == s).map(|f| f.seq).collect();
                 inject.sort_unstable();
-                let sup = Supervisor::new(ShardSpec {
+                Supervisor::new(ShardSpec {
                     shard: s,
                     layout: shard_layout(&self.router, &self.props, &probes, s),
                     cfg: self.cfg.clone(),
                     inject,
                     probe: hub.shard(s).clone(),
                     sink: sink.clone(),
-                });
-                if shards == 1 {
-                    return Link::Local(sup);
-                }
-                let (tx, rx) = sync_channel::<Msg>(LANE_BATCHES);
-                let worker = std::thread::spawn(move || supervisor::run_loop(rx, sup));
-                Link::Remote { tx, worker: Some(worker) }
+                })
             })
             .collect();
         Session {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.clone()),
             router: self.router.clone(),
-            shards: links,
+            shards: supervisors,
             arena: Arena::new(shards, self.cfg.batch),
             masks: vec![0u64; shards],
             seq: 0,
@@ -290,6 +257,7 @@ impl ShardedRuntime {
             },
             hub,
             sink,
+            failed: None,
         }
     }
 
@@ -326,39 +294,6 @@ pub struct DeployOutcome {
     pub removed: usize,
 }
 
-/// Where a shard's [`Supervisor`] runs, i.e. how a [`Msg`] reaches it.
-/// Both variants run the same supervisor over the same layout; which one a
-/// session holds is fixed at start by its shard count.
-#[derive(Debug)]
-// Local is the one-shard session's only link; boxing the supervisor would
-// put a pointer hop on every batch to shrink a per-shard value.
-#[allow(clippy::large_enum_variant)]
-enum Link {
-    /// On the caller thread: a message is handled synchronously, inside
-    /// `send` — no staging beyond the arena, no lane, no hand-off.
-    Local(Supervisor),
-    /// On its own worker thread, fed over a bounded lane of
-    /// [`LANE_BATCHES`] messages. The session is the lane's only producer,
-    /// so messages arrive strictly in send order (the deploy protocol
-    /// relies on that — see [`Msg`]).
-    Remote {
-        tx: SyncSender<Msg>,
-        /// The worker driving the shard; `None` once it has been joined
-        /// (error diagnosis).
-        worker: Option<ShardHandle>,
-    },
-}
-
-impl Link {
-    /// A remote shard's worker, if it has not been joined yet.
-    fn take_worker(&mut self) -> Option<ShardHandle> {
-        match self {
-            Link::Remote { worker, .. } => worker.take(),
-            Link::Local(_) => None,
-        }
-    }
-}
-
 /// Shard `s`'s slice of a catalog: the properties `router` can ever
 /// deliver to it, the `global → local` lookup, and each local replica's
 /// engine probe (`engines[global]`: the hub's probe for that property's
@@ -380,18 +315,6 @@ fn shard_layout(
         probes.push(engines[global].clone());
     }
     ShardLayout::new(props, lut, probes)
-}
-
-/// Join a shard's worker (if it still has one) and report how its loop
-/// ended: a supervised failure and a supervisor-thread panic both surface
-/// as errors.
-fn join_worker(s: usize, worker: Option<ShardHandle>) -> Result<ShardOutcome, RuntimeError> {
-    let lost = |message| RuntimeError::WorkerLost { shard: s, message };
-    match worker.map(JoinHandle::join) {
-        Some(Ok(exit)) => exit.map_err(RuntimeError::from),
-        Some(Err(payload)) => Err(lost(supervisor::panic_message(payload.as_ref()))),
-        None => Err(lost("worker exited without reporting".to_string())),
-    }
 }
 
 /// What the router has counted since it last added to the
@@ -424,12 +347,9 @@ impl Routed {
     }
 }
 
-/// A live run: feed events, then call [`Session::finish`].
-///
-/// Dropping a session mid-stream is safe and deadlock-free: the drop
-/// handler closes every lane (drain signal), then joins the workers,
-/// discarding their reports; an inline supervisor is a plain value and
-/// simply drops. Use [`Session::finish`] to get the merged outcome instead.
+/// A live run: feed events, then call [`Session::finish`]. Every shard is
+/// driven on the thread that calls the session, so dropping one mid-stream
+/// just drops its shards.
 #[derive(Debug)]
 pub struct Session<'rt> {
     rt: &'rt ShardedRuntime,
@@ -440,22 +360,33 @@ pub struct Session<'rt> {
     catalog: CatalogEpoch,
     /// Routing for the current epoch (rebuilt at every committed deploy).
     router: Router,
-    /// Indexed by shard: one local link, or one remote link per shard.
-    shards: Vec<Link>,
-    /// Staging arena — events are staged here whether shards are local or
-    /// remote and sent per sealed batch, so the supervision cost amortizes
-    /// over the batch either way.
+    /// Indexed by shard.
+    shards: Vec<Supervisor>,
+    /// Staging arena — events are staged here and handed to the shards per
+    /// sealed batch, so the supervision cost amortizes over the batch.
     arena: Arena,
     masks: Vec<u64>,
     seq: u64,
     routed: Routed,
     hub: Arc<TelemetryHub>,
     sink: Option<Arc<dyn ViolationSink>>,
+    /// The first terminal shard failure. Once set, every `feed`, `deploy`
+    /// and `finish` returns it, and no further work reaches any shard.
+    failed: Option<ShardFailure>,
 }
+
+/// Compile-time audit, beside `swmon_core`'s: no thread moves a shard
+/// today, so nothing else would notice a shard or a runtime that could no
+/// longer be moved to one.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Supervisor>();
+    assert_send::<ShardedRuntime>();
+};
 
 impl Session<'_> {
     /// The run's live telemetry hub. Cheap to clone out; stays valid (and
-    /// live — shard threads keep writing) for the whole session.
+    /// live — every dispatch writes to it) for the whole session.
     pub fn telemetry(&self) -> &Arc<TelemetryHub> {
         &self.hub
     }
@@ -469,29 +400,26 @@ impl Session<'_> {
         self.hub.live_stats()
     }
 
-    /// Deliver one command to shard `s` — the only way the session talks
-    /// to a shard. A local shard handles it before this returns (so a
-    /// reply, if the message carries a reply channel, is already waiting
-    /// in it); a remote one queues it on its lane, blocking while the lane
-    /// is full. Fails only on a terminal shard failure.
-    fn send(&mut self, s: usize, msg: Msg) -> Result<(), RuntimeError> {
-        let queued = match &mut self.shards[s] {
-            Link::Local(sup) => return sup.handle(msg).map(drop).map_err(RuntimeError::from),
-            Link::Remote { tx, .. } => tx.send(msg).is_ok(),
-        };
-        if queued {
-            Ok(())
-        } else {
-            Err(self.shard_error(s))
-        }
+    /// The latched shard failure, if one has escalated.
+    fn healthy(&self) -> Result<(), RuntimeError> {
+        self.failed.as_ref().map_or(Ok(()), |f| Err(f.clone().into()))
+    }
+
+    /// Keep a shard's terminal failure: the session answers with it from
+    /// here on.
+    fn latch<T>(&mut self, result: Result<T, ShardFailure>) -> Result<T, RuntimeError> {
+        result.map_err(|f| {
+            self.failed = Some(f.clone());
+            f.into()
+        })
     }
 
     /// Route one event. An event whose class mask misses every property is
-    /// filtered *here* — before any staging or hand-off. Blocks if a
-    /// destination shard's lane is full (backpressure — never drops).
-    /// Fails only if a shard's supervisor has already escalated a terminal
-    /// failure.
+    /// filtered *here* — before any staging. A full or stale block is
+    /// applied before this returns. Fails if a shard's supervisor has
+    /// escalated a terminal failure, now or on an earlier call.
     pub fn feed(&mut self, ev: &NetEvent) -> Result<(), RuntimeError> {
+        self.healthy()?;
         let seq = self.seq;
         self.seq += 1;
         Routed::bump(&self.routed.events_in);
@@ -503,8 +431,8 @@ impl Session<'_> {
                 Routed::bump(routed);
             }
         }
-        // Pre-enqueue filtering: an event that provably cannot affect any
-        // monitor never enters the arena or a lane.
+        // Pre-staging filtering: an event that provably cannot affect any
+        // monitor never enters the arena.
         let full = delivered && self.arena.push(seq, ev, &self.masks);
         if !delivered {
             Routed::bump(&self.routed.skipped);
@@ -519,16 +447,16 @@ impl Session<'_> {
         Ok(())
     }
 
-    /// Seal the arena and send each shard its batch. Also the deploy
+    /// Seal the arena and apply each shard's batch. Also the deploy
     /// barrier's tail-flush: after it returns, every fed event has been
-    /// counted in the hub — before its batch is sent, so a shard never
-    /// shows more processed than delivered — and applied (a local shard)
-    /// or queued on its shard's lane (remote).
+    /// counted in the hub — before its batch is applied, so a shard never
+    /// shows more processed than delivered — and applied.
     fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
         for (s, batch) in self.arena.seal() {
             self.hub.batches.inc();
-            self.send(s, Msg::Events(batch))?;
+            let applied = self.shards[s].apply_batch(batch);
+            self.latch(applied)?;
         }
         Ok(())
     }
@@ -544,58 +472,23 @@ impl Session<'_> {
         self.catalog.epoch()
     }
 
-    /// Deploy phase 1: quiesce the whole fleet and collect monitor
-    /// snapshots. Every shard is asked before any reply is awaited, so
-    /// remote shards quiesce concurrently.
+    /// Deploy phase 1: quiesce every shard and collect its monitor
+    /// snapshots.
     fn quiesce_all(&mut self) -> Result<Vec<QuiesceAck>, RuntimeError> {
-        let mut rxs = Vec::with_capacity(self.shards.len());
-        for s in 0..self.shards.len() {
-            let (reply, rx) = channel();
-            self.send(s, Msg::Quiesce { reply })?;
-            rxs.push(rx);
-        }
-        let mut acks = Vec::with_capacity(rxs.len());
-        for (s, rx) in rxs.into_iter().enumerate() {
-            // A dropped reply channel means the shard died quiescing.
-            acks.push(rx.recv().map_err(|_| self.shard_error(s))?);
-        }
-        Ok(acks)
+        let acks = self.shards.iter_mut().map(Supervisor::quiesce).collect();
+        self.latch(acks)
     }
 
-    /// Deploy phase 2: stage `preps[s]` on shard `s`. Returns the first
-    /// prepare rejection, if any (a terminal shard failure is an `Err`
-    /// instead).
-    fn prepare_all(
-        &mut self,
-        preps: Vec<ShardPrepare>,
-    ) -> Result<Option<(usize, String)>, RuntimeError> {
-        let mut rxs = Vec::with_capacity(preps.len());
-        for (s, prep) in preps.into_iter().enumerate() {
-            let (reply, rx) = channel();
-            self.send(s, Msg::Prepare { prep: Box::new(prep), reply })?;
-            rxs.push(rx);
-        }
+    /// Deploy phase 2: stage `preps[s]` on shard `s` — on every shard, even
+    /// past a rejection. Returns the first rejection, if any.
+    fn prepare_all(&mut self, preps: Vec<ShardPrepare>) -> Option<(usize, String)> {
         let mut failed = None;
-        for (s, rx) in rxs.into_iter().enumerate() {
-            match rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(reason)) => {
-                    failed.get_or_insert((s, reason));
-                }
-                Err(_) => return Err(self.shard_error(s)),
+        for (s, (sup, prep)) in self.shards.iter_mut().zip(preps).enumerate() {
+            if let Err(reason) = sup.prepare(prep) {
+                failed.get_or_insert((s, reason));
             }
         }
-        Ok(failed)
-    }
-
-    /// Deploy phase 3a: commit the staged epoch on every shard.
-    fn commit_all(&mut self, epoch: u64) -> Result<(), RuntimeError> {
-        (0..self.shards.len()).try_for_each(|s| self.send(s, Msg::Commit { epoch }))
-    }
-
-    /// Deploy phase 3b: drop the staged epoch on every shard.
-    fn abort_all(&mut self) -> Result<(), RuntimeError> {
-        (0..self.shards.len()).try_for_each(|s| self.send(s, Msg::Abort))
+        failed
     }
 
     /// Hot-deploy a property change onto the **running** fleet: add,
@@ -612,23 +505,21 @@ impl Session<'_> {
     /// 3. **Prepare** — every shard builds the next epoch's monitor set
     ///    off to the side, restoring retained properties' snapshots
     ///    (re-homed when a pinned property's shard mapping changed). Any
-    ///    failure — including a mid-deploy worker panic — aborts the plan
-    ///    on *every* shard.
+    ///    failure — including a panic while preparing — aborts the plan on
+    ///    *every* shard.
     /// 4. **Commit** — the staged sets are swapped in atomically and the
     ///    fleet resumes under the new epoch; violations raised from here
     ///    on carry it as provenance.
     ///
-    /// The barrier is the same messages whether the session runs inline
-    /// or on workers: a remote shard's phases ride its FIFO lane (the
-    /// session is the lane's only producer, so `Quiesce` observes
-    /// everything fed before it); a local shard handles each phase as it
-    /// is sent.
+    /// Each phase is a direct call on every shard, and nothing else
+    /// reaches a shard between the quiesce and the commit or abort.
     ///
     /// On `Err(`[`RuntimeError::DeployRejected`]`)` the session keeps
     /// running under the prior epoch, byte-identical to one that never saw
     /// the plan; any other error is a terminal shard failure, as from
     /// [`Session::feed`].
     pub fn deploy(&mut self, plan: &DeployPlan) -> Result<DeployOutcome, RuntimeError> {
+        self.healthy()?;
         let prior = self.catalog.epoch();
         let next = match self.catalog.apply(plan) {
             Ok(next) => next,
@@ -698,16 +589,16 @@ impl Session<'_> {
                 adopt,
             })
             .collect();
-        if let Some((s, reason)) = self.prepare_all(preps)? {
+        if let Some((s, reason)) = self.prepare_all(preps) {
             // Phase 3b: one shard could not stage — abort everywhere. No
             // live state was mutated, so rollback is the absence of a
             // commit (and of the probes this deploy registered).
-            self.abort_all()?;
+            self.shards.iter_mut().for_each(Supervisor::abort);
             self.hub.engines().truncate(registered);
             return Err(self.reject(prior, format!("shard {s} failed to prepare: {reason}")));
         }
-        // Phase 3a: commit everywhere. Infallible on the shard side.
-        self.commit_all(epoch)?;
+        // Phase 3a: commit everywhere. Infallible.
+        self.shards.iter_mut().for_each(|sup| sup.commit(epoch));
         let retained = retained_of_old.iter().flatten().count();
         let (mut upgraded, mut added) = (0, 0);
         for origin in next.origins() {
@@ -732,45 +623,18 @@ impl Session<'_> {
     }
 
     /// Flush pending batches, advance every monitor to `end` (firing any
-    /// remaining deadlines), collect every shard, and merge. All workers
-    /// are joined before an error is returned — finish never leaks
-    /// threads.
+    /// remaining deadlines), collect every shard, and merge.
     pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
-        // Every shard is told to finish — handed its share of the arena's
-        // tail in the same message — before any is collected, so remote
-        // shards drain their timers concurrently. A dead shard's send fails
-        // with the reason its worker exited.
+        self.healthy()?;
+        // Each shard finishes with its share of the arena's tail, so the
+        // tail and the timer drain reach the sink as one publish.
         self.routed.add_to(&self.hub);
         let mut tails = self.arena.seal().into_iter().peekable();
-        let sent: Vec<Result<(), RuntimeError>> = (0..self.shards.len())
-            .map(|s| {
-                let tail = tails.next_if(|(shard, _)| *shard == s).map(|(_, batch)| batch);
-                self.hub.batches.add(tail.is_some() as u64);
-                self.send(s, Msg::Finish(tail, end))
-            })
-            .collect();
-        let mut collected = Vec::with_capacity(sent.len());
-        let mut failure: Option<RuntimeError> = None;
-        for (s, (link, sent)) in std::mem::take(&mut self.shards).into_iter().zip(sent).enumerate()
-        {
-            let outcome = match link {
-                Link::Local(sup) => sent.map(|()| sup.into_outcome()),
-                Link::Remote { tx, worker } => {
-                    // Hang up before joining, so a worker can never be
-                    // left waiting on its lane.
-                    drop(tx);
-                    sent.and(join_worker(s, worker))
-                }
-            };
-            match outcome {
-                Ok(o) => collected.push(o),
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(err) = failure {
-            return Err(err);
+        let mut collected = Vec::with_capacity(self.shards.len());
+        for (s, sup) in self.shards.into_iter().enumerate() {
+            let tail = tails.next_if(|(shard, _)| *shard == s).map(|(_, batch)| batch);
+            self.hub.batches.add(tail.is_some() as u64);
+            collected.push(sup.finish(tail, end)?);
         }
         // Every shard has stopped counting: the hub is final. What it
         // cannot carry comes back with the shards.
@@ -787,33 +651,6 @@ impl Session<'_> {
             self.hub.store_sealed.add(records.len() as u64);
         }
         Ok(Outcome { records, stats, telemetry: self.hub.clone() })
-    }
-
-    /// Diagnose a dead shard: join its worker and surface the supervised
-    /// failure if one was reported.
-    fn shard_error(&mut self, s: usize) -> RuntimeError {
-        match join_worker(s, self.shards[s].take_worker()) {
-            Err(e) => e,
-            Ok(_) => RuntimeError::WorkerLost {
-                shard: s,
-                message: "worker exited without reporting".to_string(),
-            },
-        }
-    }
-}
-
-impl Drop for Session<'_> {
-    fn drop(&mut self) {
-        // Close every lane first (clearing the shards drops their links):
-        // workers drain what was sent, then exit their receive loop — no
-        // Finish needed, no deadlock. An inline supervisor is a plain
-        // value and drops with its link. Then join.
-        let workers: Vec<ShardHandle> =
-            self.shards.iter_mut().filter_map(Link::take_worker).collect();
-        self.shards.clear();
-        for worker in workers {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -913,19 +750,17 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_session_mid_stream_joins_cleanly() {
+    fn dropping_a_session_mid_stream_is_clean() {
         let rt = ShardedRuntime::new(
             vec![repeat_prop("p", Field::Ipv4Src)],
-            // batch=1, and far more batches than a lane holds: pressure on
-            // the drop path.
             RuntimeConfig { shards: 2, batch: 1, ..Default::default() },
         )
         .unwrap();
         let mut session = rt.start();
-        for i in 0..(16 * LANE_BATCHES) as u64 {
+        for i in 0..1024 {
             session.feed(&arrival_from(i)).unwrap();
         }
-        // No finish: drop must drain and join without deadlocking.
+        // No finish: the shards simply drop with the session.
         drop(session);
     }
 

@@ -40,7 +40,7 @@ fn group(routes: &[PropertyRoute]) -> Vec<DispatchGroup> {
 }
 
 impl Router {
-    /// Derive placements for `props` across `shards` workers (0 is
+    /// Derive placements for `props` across `shards` shards (0 is
     /// taken as 1, as in [`Router::from_routes`]).
     ///
     /// # Panics

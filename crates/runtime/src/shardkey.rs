@@ -30,7 +30,7 @@ pub struct PropertyRoute {
 
 impl PropertyRoute {
     /// Placement for `property`, at position `index` under `cfg`, across
-    /// `shards` workers: the routing plan and the event-class pre-dispatch
+    /// `shards` shards: the routing plan and the event-class pre-dispatch
     /// mask are both derived from the property. Pinned properties are
     /// spread round-robin.
     pub fn for_property(

@@ -30,7 +30,7 @@ use std::fmt;
 /// delivery contract.
 ///
 /// Implementations must be cheap and non-blocking-ish: `publish` runs on
-/// shard supervisor threads after every batch that raised something, and a
+/// the feeding thread after every batch that raised something, and a
 /// slow sink stalls the shard's next batch exactly like a slow checkpoint.
 pub trait ViolationSink: Send + Sync + fmt::Debug {
     /// Records newly raised by `shard`, in that shard's discovery order,

@@ -51,13 +51,14 @@ pub struct RuntimeStats {
     /// Events that matched no property's key fields and were delivered
     /// nowhere (provably unable to affect any monitor).
     pub skipped: u64,
-    /// Channel messages sent.
+    /// Batches handed to shards: one per shard with staged events, per
+    /// dispatch.
     pub batches: u64,
     /// Properties routed by instance-key hash.
     pub hashed_properties: usize,
-    /// Properties pinned to a single worker.
+    /// Properties pinned to a single shard.
     pub pinned_properties: usize,
-    /// Worker crash recoveries across all shards.
+    /// Shard crash recoveries across all shards.
     pub restarts: u64,
     /// Checkpoints taken across all shards.
     pub checkpoints: u64,
@@ -84,12 +85,12 @@ pub struct RuntimeStats {
     pub gaps: Vec<MonitoringGap>,
     /// Per-shard breakdown.
     pub per_shard: Vec<ShardStats>,
-    /// Aggregated engine counters, summed over every worker replica.
+    /// Aggregated engine counters, summed over every shard replica.
     pub engine: MonitorStats,
 }
 
 impl RuntimeStats {
-    /// Fold one worker monitor's counters into the aggregate.
+    /// Fold one shard monitor's counters into the aggregate.
     pub(crate) fn absorb_engine(&mut self, s: &MonitorStats) {
         let e = &mut self.engine;
         e.events += s.events;

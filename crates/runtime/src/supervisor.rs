@@ -1,16 +1,15 @@
 //! Shard supervision: panic isolation, checkpoint/replay recovery, and
 //! bounded-journal load shedding.
 //!
-//! A shard is a `Supervisor` interpreting `Msg` commands through
-//! `Supervisor::handle` — the only interpreter of the shard protocol.
-//! Each shard of a multi-shard session has a worker thread running
-//! `run_loop` (`recv` + `handle`); the one shard of a one-shard session is
-//! handed the same messages by the session on the caller thread. One
-//! supervision implementation, one command path, two transports. The
-//! supervisor owns the crash-domain
-//! [`WorkerState`] and drives it only through `catch_unwind`, so a worker
-//! panic — a genuine engine bug, or a fault injected via
-//! [`RuntimeConfig::inject_faults`] — never takes the runtime down.
+//! A shard is a `Supervisor`, called by the session on the caller thread:
+//! `apply_batch` per dispatch, the deploy barrier's `quiesce`, `prepare`,
+//! `commit` and `abort`, and `finish` at the end of input. The supervisor
+//! owns the crash-domain [`WorkerState`] and drives it only through
+//! `catch_unwind`, so a panic inside it — a genuine engine bug, or a fault
+//! injected via [`RuntimeConfig::inject_faults`] — never takes the runtime
+//! down. After [`MAX_RESTARTS`] recoveries the next panic escalates a
+//! [`ShardFailure`], which the session keeps as its answer to every later
+//! call.
 //! Recovery rebuilds the monitors from the last checkpoint
 //! ([`swmon_core::Monitor::restore`]) and replays the in-memory journal of
 //! events delivered since, so a recovered run's merged violation output is
@@ -27,10 +26,9 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Once};
 
-use crate::batch::{Batch, EventBlock, ItemRef, Msg, QuiesceAck, ShardLayout, ShardPrepare};
+use crate::batch::{Batch, EventBlock, ItemRef, QuiesceAck, ShardLayout, ShardPrepare};
 use crate::config::RuntimeConfig;
 use crate::merge::ViolationRecord;
 use crate::sink::ViolationSink;
@@ -40,6 +38,10 @@ use crate::worker::{WorkerState, FLUSH_SEQ};
 use swmon_core::{Monitor, MonitorSnapshot, MonitorStats, Property};
 use swmon_sim::time::Instant;
 
+/// How many times a shard may be recovered (checkpoint restore + journal
+/// replay); the next panic escalates a [`ShardFailure`].
+pub const MAX_RESTARTS: u64 = 8;
+
 /// Message prefix of panics raised by deterministic fault injection.
 /// [`silence_injected_panics`] recognises it; anything else is a genuine
 /// bug and still reaches the default panic hook.
@@ -48,7 +50,7 @@ pub const INJECTED_PANIC_PREFIX: &str = "injected fault";
 /// Install a process-wide panic hook that suppresses the stderr noise of
 /// *injected* panics (recognised by [`INJECTED_PANIC_PREFIX`]) while
 /// delegating every other panic to the previous hook. Idempotent; chaos
-/// tests and the `e15` benchmark call this so dozens of intentional worker
+/// tests and the `e15` benchmark call this so dozens of intentional shard
 /// crashes don't drown real diagnostics.
 pub fn silence_injected_panics() {
     static ONCE: Once = Once::new();
@@ -89,10 +91,10 @@ pub(crate) struct ShardSpec {
     pub(crate) sink: Option<Arc<dyn ViolationSink>>,
 }
 
-/// Terminal shard failure: the restart budget
-/// ([`RuntimeConfig::max_restarts`]) is exhausted, or a checkpoint could
-/// not be restored. Reported instead of an outcome; the runtime surfaces
-/// it as [`crate::RuntimeError::ShardFailed`].
+/// Terminal shard failure: the restart budget ([`MAX_RESTARTS`]) is
+/// exhausted, or a checkpoint could not be restored. Reported instead of
+/// an outcome; the runtime surfaces it as
+/// [`crate::RuntimeError::ShardFailed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFailure {
     /// The failing shard.
@@ -144,33 +146,6 @@ struct Told {
     live: u64,
 }
 
-/// What the shard's driver does after [`Supervisor::handle`] returns.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Flow {
-    /// Keep feeding messages.
-    Continue,
-    /// `Finish` was handled: timers are drained, collect the outcome
-    /// ([`Supervisor::into_outcome`]).
-    Finished,
-}
-
-/// A remote shard's worker thread: `recv` + [`Supervisor::handle`].
-pub(crate) fn run_loop(
-    rx: Receiver<Msg>,
-    mut sup: Supervisor,
-) -> Result<ShardOutcome, ShardFailure> {
-    while let Ok(msg) = rx.recv() {
-        if sup.handle(msg)? == Flow::Finished {
-            break;
-        }
-    }
-    // Reached by `Finish`, or by the session hanging up without one
-    // (dropped mid-stream). Either way nothing is outstanding: every
-    // admitted batch was driven to completion by the `handle` call that
-    // admitted it.
-    Ok(sup.into_outcome())
-}
-
 /// One admitted dispatch round in the journal: the shared event slab plus
 /// the accepted [`ItemRef`] selection over it. Admission *moves* the
 /// batch's vectors in wholesale — no per-item pushes, no per-item `Arc`
@@ -190,10 +165,9 @@ struct PendingEpoch {
     monitors: Vec<(usize, Monitor)>,
 }
 
-/// One shard's supervision state, driven one [`Msg`] at a time through
-/// [`Supervisor::handle`] — by its own worker thread ([`run_loop`]) when
-/// the session has several shards, by the session on the caller thread
-/// when it has one.
+/// One shard's supervision state, called directly by the session. Between
+/// a deploy's `quiesce` and its closing `commit` or `abort`, the session
+/// calls nothing else on it.
 pub(crate) struct Supervisor {
     shard: usize,
     cfg: RuntimeConfig,
@@ -221,8 +195,8 @@ pub(crate) struct Supervisor {
     in_gap: bool,
     open_gap: Option<MonitoringGap>,
     gaps: Vec<MonitoringGap>,
-    /// Recoveries still allowed ([`RuntimeConfig::max_restarts`] at
-    /// start) — the budget, not a statistic.
+    /// Recoveries still allowed ([`MAX_RESTARTS`] at start) — the budget,
+    /// not a statistic.
     restarts_left: u64,
     /// Every count this shard keeps: the supervisor has no private copy.
     probe: Arc<ShardProbe>,
@@ -247,7 +221,6 @@ impl Supervisor {
         let state = WorkerState::new(spec.layout, monitors);
         let inject_deploy =
             spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
-        let restarts_left = spec.cfg.max_restarts as u64;
         Supervisor {
             shard: spec.shard,
             cfg: spec.cfg,
@@ -266,7 +239,7 @@ impl Supervisor {
             in_gap: false,
             open_gap: None,
             gaps: Vec::new(),
-            restarts_left,
+            restarts_left: MAX_RESTARTS,
             probe: spec.probe,
             sink: spec.sink,
             published: 0,
@@ -300,38 +273,11 @@ impl Supervisor {
         }
     }
 
-    /// Interpret one shard command — the only `match` over [`Msg`] in the
-    /// crate. Deploy messages run the quiesce/prepare/commit barrier
-    /// in-line: the session sends nothing else between `Quiesce` and the
-    /// closing `Commit`/`Abort`.
-    pub(crate) fn handle(&mut self, msg: Msg) -> Result<Flow, ShardFailure> {
-        match msg {
-            Msg::Events(batch) => self.apply_batch(batch)?,
-            Msg::Finish(tail, end) => {
-                tail.into_iter().for_each(|batch| self.admit(batch));
-                self.drive(Some(end))?;
-                return Ok(Flow::Finished);
-            }
-            Msg::Quiesce { reply } => {
-                let ack = self.quiesce()?;
-                // A closed reply channel means the session died mid-deploy;
-                // the subsequent hangup ends the loop normally.
-                let _ = reply.send(ack);
-            }
-            Msg::Prepare { prep, reply } => {
-                let _ = reply.send(self.prepare(*prep));
-            }
-            Msg::Commit { epoch } => self.commit(epoch),
-            Msg::Abort => self.abort(),
-        }
-        Ok(Flow::Continue)
-    }
-
     /// Admit one sealed batch and drive it to completion under full
     /// supervision — journal, panic boundary with checkpoint/replay
     /// recovery, shedding accounting — and publish what it raised before
     /// the checkpoint cadence can stall its visibility.
-    fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
+    pub(crate) fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
         self.admit(batch);
         self.drive(None)?;
         self.publish();
@@ -454,15 +400,14 @@ impl Supervisor {
         let t0 = std::time::Instant::now();
         let fail =
             |restarts: u64, message: String| ShardFailure { shard: self.shard, restarts, message };
-        let budget = self.cfg.max_restarts as u64;
         let Some(left) = self.restarts_left.checked_sub(1) else {
-            return Err(fail(budget, panic_message(payload)));
+            return Err(fail(MAX_RESTARTS, panic_message(payload)));
         };
         self.restarts_left = left;
         let snapshots = &self.checkpoint.snapshots;
         self.state.monitors =
             build_monitors(&self.cfg, &self.state.layout.props, |local, _| snapshots.get(local))
-                .map_err(|e| fail(budget - left, e))?;
+                .map_err(|e| fail(MAX_RESTARTS - left, e))?;
         for (told, (_, m)) in self.told.iter_mut().zip(&self.state.monitors) {
             told.events = m.stats.events;
         }
@@ -519,7 +464,7 @@ impl Supervisor {
     /// recovering here follows the normal supervision path — a deploy
     /// racing a crash window rides on journal replay), force a checkpoint,
     /// and hand the session a copy of its images to re-route.
-    fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
+    pub(crate) fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
         self.force_checkpoint();
@@ -535,7 +480,7 @@ impl Supervisor {
     /// the panic boundary; any failure (restore error, panic, injected
     /// deploy fault) leaves the shard exactly as the quiesce checkpoint
     /// left it — rollback is the absence of a commit.
-    fn prepare(&mut self, prep: ShardPrepare) -> Result<(), String> {
+    pub(crate) fn prepare(&mut self, prep: ShardPrepare) -> Result<(), String> {
         let inject = self.inject_deploy > 0;
         if inject {
             self.inject_deploy -= 1;
@@ -565,7 +510,7 @@ impl Supervisor {
     /// logged from here on carry the new epoch. The outgoing replicas'
     /// shares of their properties' gauges are retracted (a retired or
     /// re-homed one no longer lives here), the incoming set's added.
-    fn commit(&mut self, epoch: u64) {
+    pub(crate) fn commit(&mut self, epoch: u64) {
         let Some(pending) = self.pending.take() else {
             debug_assert!(false, "commit without a staged prepare");
             return;
@@ -586,7 +531,7 @@ impl Supervisor {
     /// Deploy phase 3b: drop the staged epoch. Nothing was mutated during
     /// prepare, so the shard is byte-identical to one that never saw the
     /// deploy.
-    fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         self.pending = None;
     }
 
@@ -608,14 +553,23 @@ impl Supervisor {
         self.published = self.state.records.len();
     }
 
-    pub(crate) fn into_outcome(mut self) -> ShardOutcome {
+    /// End of input: apply this shard's share of the arena's tail, advance
+    /// every monitor to `end` (firing pending deadlines), and hand back
+    /// what the probe cannot carry. The tail is applied here rather than as
+    /// a batch of its own, so it and the timer drain are one publish.
+    pub(crate) fn finish(
+        mut self,
+        tail: Option<Batch>,
+        end: Instant,
+    ) -> Result<ShardOutcome, ShardFailure> {
+        tail.into_iter().for_each(|batch| self.admit(batch));
+        self.drive(Some(end))?;
         if let Some(gap) = self.open_gap.take() {
             self.gaps.push(gap);
         }
-        // End of input: the tail batch's records and the timer drain's.
         self.publish();
         let engine = self.state.monitors.iter().map(|(_, m)| m.stats.clone()).collect();
-        ShardOutcome { records: self.state.records, engine, gaps: self.gaps }
+        Ok(ShardOutcome { records: self.state.records, engine, gaps: self.gaps })
     }
 }
 
@@ -640,19 +594,18 @@ fn build_monitors<'a>(
     Ok(monitors)
 }
 
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "worker panicked with a non-string payload".to_string())
+        .unwrap_or_else(|| "shard panicked with a non-string payload".to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Arena;
-    use std::sync::mpsc::sync_channel;
     use std::sync::Arc;
     use swmon_core::{var, Atom, EventPattern, Guard, Property, RefreshPolicy, Stage};
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
@@ -775,16 +728,11 @@ mod tests {
 
     fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> (ShardOutcome, Arc<ShardProbe>) {
         silence_injected_panics();
-        let (tx, rx) = sync_channel(crate::LANE_BATCHES);
+        let (mut sup, probe) = supervised(cfg, inject);
         for batch in batches(n) {
-            tx.send(Msg::Events(batch)).map_err(|_| "lane closed").unwrap();
+            sup.apply_batch(batch).expect("shard survives");
         }
-        tx.send(Msg::Finish(None, Instant::from_nanos(1_000_000)))
-            .map_err(|_| "lane closed")
-            .unwrap();
-        drop(tx);
-        let (sup, probe) = supervised(cfg, inject);
-        (run_loop(rx, sup).expect("shard survives"), probe)
+        (sup.finish(None, Instant::from_nanos(1_000_000)).expect("shard survives"), probe)
     }
 
     fn base_cfg() -> RuntimeConfig {
@@ -821,7 +769,7 @@ mod tests {
                 if arena.push(seq, &test_ev(seq), &[1]) {
                     let (_, batch) = arena.seal().pop().unwrap();
                     let replayed = probe.replayed.get();
-                    sup.handle(Msg::Events(batch)).unwrap();
+                    sup.apply_batch(batch).unwrap();
                     assert_eq!(sup.journal_pos, sup.journal_len, "batch ending at {seq} applied");
                     assert_eq!(sup.resume_at(), (sup.journal.len(), 0));
                     // The crashing batch ends on the crash: everything
@@ -873,17 +821,19 @@ mod tests {
     #[test]
     fn restart_budget_escalates_to_failure() {
         silence_injected_panics();
-        let (tx, rx) = sync_channel(crate::LANE_BATCHES);
-        for batch in batches(8) {
-            tx.send(Msg::Events(batch)).map_err(|_| "lane closed").unwrap();
-        }
-        tx.send(Msg::Finish(None, Instant::from_nanos(1_000))).map_err(|_| "lane closed").unwrap();
-        drop(tx);
-        let cfg = RuntimeConfig { shards: 1, max_restarts: 0, ..Default::default() };
-        let err = run_loop(rx, Supervisor::new(spec(cfg.normalized(), vec![2]))).unwrap_err();
+        // One fault more than the budget, all on the one shard: seqs 1..=9.
+        let inject = (1..=MAX_RESTARTS + 1).collect();
+        let (mut sup, probe) =
+            supervised(RuntimeConfig { shards: 1, ..Default::default() }, inject);
+        let err = batches(16)
+            .into_iter()
+            .find_map(|batch| sup.apply_batch(batch).err())
+            .expect("the fault past the budget escalates");
         assert_eq!(err.shard, 0);
-        assert_eq!(err.restarts, 0);
+        assert_eq!(err.restarts, MAX_RESTARTS);
+        assert_eq!(probe.restarts.get(), MAX_RESTARTS, "every recovery in the budget ran");
         assert!(err.message.starts_with(INJECTED_PANIC_PREFIX), "{}", err.message);
+        assert!(err.message.ends_with("at seq 9"), "{}", err.message);
     }
 
     #[test]
@@ -897,7 +847,7 @@ mod tests {
         let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
         let (mut sup, probe, sink) = recorded(spec(cfg, vec![]));
         for (_, batch) in arena.seal() {
-            sup.handle(Msg::Events(batch)).unwrap();
+            sup.apply_batch(batch).unwrap();
         }
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the flushed batch's violation is visible at once");
@@ -918,7 +868,7 @@ mod tests {
             let (mut sup, probe, sink) = recorded(spec(base_cfg(), inject));
             let mut mark = 0;
             for batch in batches(40) {
-                sup.handle(Msg::Events(batch)).unwrap();
+                sup.apply_batch(batch).unwrap();
                 assert!(sup.published >= mark, "the mark fell from {mark} to {}", sup.published);
                 assert_eq!(
                     sup.published,
@@ -927,12 +877,8 @@ mod tests {
                 );
                 mark = sup.published;
             }
-            assert_eq!(
-                sup.handle(Msg::Finish(None, Instant::from_nanos(1_000_000))),
-                Ok(Flow::Finished)
-            );
-            let log: Vec<String> =
-                sup.into_outcome().records.iter().map(crate::merge::signature).collect();
+            let out = sup.finish(None, Instant::from_nanos(1_000_000)).expect("finish succeeds");
+            let log: Vec<String> = out.records.iter().map(crate::merge::signature).collect();
             (sig(sink.publishes()), log, probe)
         };
         let (clean, clean_log, _) = run(vec![]);
@@ -963,17 +909,14 @@ mod tests {
             ],
         };
         let cfg = RuntimeConfig { shards: 1, ..Default::default() };
-        let (mut sup, _, sink) = recorded(spec_of(vec![repeat_prop(), due], cfg, vec![]));
+        let (sup, _, sink) = recorded(spec_of(vec![repeat_prop(), due], cfg, vec![]));
         let mut arena = Arena::new(1, 64);
         for seq in 0..12 {
             let _ = arena.push(seq, &test_ev(seq), &[0b11]);
         }
         let (_, tail) = arena.seal().pop().unwrap();
-        assert_eq!(
-            sup.handle(Msg::Finish(Some(tail), Instant::from_nanos(1_000_000))),
-            Ok(Flow::Finished)
-        );
-        let log = sup.into_outcome().records;
+        let out = sup.finish(Some(tail), Instant::from_nanos(1_000_000)).expect("finish succeeds");
+        let log = out.records;
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the tail batch and the timer drain are one publish");
         assert_eq!(published[0].len(), log.len());
@@ -1016,7 +959,7 @@ mod tests {
             let cfg = RuntimeConfig { shards: 1, checkpoint_every: 8, ..Default::default() };
             let (mut sup, probe) = supervised(cfg, inject);
             for batch in batches_of(96, |seq| arrival(10 * (seq + 1), seq as u8)) {
-                sup.handle(Msg::Events(batch)).unwrap();
+                sup.apply_batch(batch).unwrap();
             }
             assert_eq!(probe.checkpoints.get(), 12);
             assert_eq!(probe.checkpoint.snapshot().count, 12, "one timed sample per checkpoint");
@@ -1038,7 +981,7 @@ mod tests {
         let mut sizes = Vec::new();
         for batch in batches(400) {
             let before = probe.checkpoints.get();
-            sup.handle(Msg::Events(batch)).unwrap();
+            sup.apply_batch(batch).unwrap();
             if probe.checkpoints.get() > before {
                 let snaps = &sup.checkpoint.snapshots;
                 assert!(snaps.iter().all(|s| s.violations().is_empty()));

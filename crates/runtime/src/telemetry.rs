@@ -18,8 +18,8 @@
 //!
 //! - a **live** read computes it as `processed + shed` from the same two
 //!   atomics the loss audit reads, so [`RuntimeStats::unaccounted_loss`]
-//!   is zero on every live snapshot by construction (deliveries still
-//!   queued on a lane are not "lost");
+//!   is zero on every live snapshot by construction (deliveries counted
+//!   but not yet applied are not "lost");
 //! - the **final** read takes it from the router-side count
 //!   ([`ShardProbe::delivered`]), written by the session and never by the
 //!   shard, so the audit is two-sided: a delivery a shard neither
@@ -113,7 +113,7 @@ pub struct TelemetryHub {
 }
 
 impl TelemetryHub {
-    /// Build the hub for `shards` workers.
+    /// Build the hub for `shards` shards.
     pub(crate) fn new(
         shards: usize,
         cfg: &TelemetryConfig,

@@ -252,7 +252,7 @@ fn hot_deployed_properties_are_observable() {
             assert_eq!(session.deploy(&plan).expect("upgrade commits").upgraded, 1);
             // The deploy's quiesce applied everything fed so far under the
             // old epoch, and the fresh replicas have seen nothing: the
-            // count read here is complete, on workers as inline.
+            // count read here is complete.
             before_upgrade = events_of(&session.telemetry().export(), &original.name).unwrap();
         }
     }

@@ -1,5 +1,5 @@
-//! Sharded runtime quickstart: run the firewall property across 4 worker
-//! threads with the streaming API, and show that the merged output equals
+//! Sharded runtime quickstart: run the firewall property across 4 inline
+//! shards with the streaming API, and show that the merged output equals
 //! the single-threaded reference.
 //!
 //! ```text
@@ -24,7 +24,7 @@ fn main() {
 
     // Streaming ingestion: feed events as they arrive, then close out.
     // Both calls are fallible: a shard that exhausts its restart budget
-    // surfaces here as a typed error instead of a worker panic.
+    // surfaces here as a typed error instead of a panic.
     let mut session = rt.start();
     for ev in &trace {
         session.feed(ev).expect("no shard failure");

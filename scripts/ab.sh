@@ -12,11 +12,16 @@
 # worktree is registered, nothing to prune); the change is the working tree
 # as it stands, committed or not. Prints, per workload x end-to-end metric:
 # both medians and quartiles, change/parent, and the pairs the change won
-# (ties count for neither). With --trace, the runs are traced (`--trace 1`,
-# same alternating order) and the table is per workload x `per_layer`
-# metric of BENCHMARK.json instead. The raw result lines stay in
-# .bench_build/ab/<workload>.<side>[.trace].jsonl, traced runs' spans in
-# .bench_build/ab/out/. Touches nothing under benchmark/.
+# (ties count for neither). Under it, per workload, each side's median of
+# the harness's own whole-rep figure (the median X of each run's
+# `events_per_s.reps ... median X` line) and the pairs won: the headline
+# `events_per_s` adds up each step's fastest time, so a step that returns
+# before its work is done inflates it, and the whole reps show that. With
+# --trace, the runs are traced (`--trace 1`, same alternating order) and the
+# table is per workload x `per_layer` metric of BENCHMARK.json instead. The
+# raw result lines stay in .bench_build/ab/<workload>.<side>[.trace].jsonl,
+# the whole-rep medians in .bench_build/ab/<workload>.<side>.reps, traced
+# runs' spans in .bench_build/ab/out/. Touches nothing under benchmark/.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,20 +58,26 @@ change_bin=$build/change/release/swmon-benchmark
 out=$build/ab
 kind=$([ "$trace" -eq 1 ] && echo .trace || true)
 mkdir -p "$out"
-# One run: append the result line to the side's log, fail loudly unless it
-# is a clean one. Run from $out, so a traced run writes its spans to
+# One run: append the result line to the side's log and the whole-rep
+# median (untraced runs print one) to its .reps file, fail loudly unless the
+# result is a clean one. Run from $out, so a traced run writes its spans to
 # $out/out/ rather than benchmark/out/.
 run() { # side binary workload
-    line=$(cd "$out" && "$2" --workload "$3" --seed "$seed" --seconds "$seconds" --trace "$trace" \
-        2>/dev/null | tail -n 1)
+    full=$(cd "$out" && "$2" --workload "$3" --seed "$seed" --seconds "$seconds" --trace "$trace" \
+        2>/dev/null)
+    line=$(printf '%s\n' "$full" | tail -n 1)
     case $line in
         '{"correct": true,'*'"failed": 0,'*) echo "$line" >>"$out/$3.$1$kind.jsonl" ;;
         *) echo "ab.sh: $1 run of $3 was not clean: $line" >&2; exit 1 ;;
     esac
+    printf '%s\n' "$full" | sed -n 's/^events_per_s\.reps .*median \([0-9.]*\),.*/\1/p' \
+        >>"$out/$3.$1$kind.reps"
 }
 for w in $workloads; do
-    : >"$out/$w.parent$kind.jsonl"
-    : >"$out/$w.change$kind.jsonl"
+    for side in parent change; do
+        : >"$out/$w.$side$kind.jsonl"
+        : >"$out/$w.$side$kind.reps"
+    done
     i=0
     while [ "$i" -lt "$pairs" ]; do
         echo "$w: pair $((i + 1))/$pairs" >&2
@@ -108,4 +119,20 @@ for w in workloads:
         cell = lambda m, a, b: f"{m:.6g} [{a:.6g}, {b:.6g}]"
         ratio = cm / pm if pm else float("nan")
         print(f"{w:<12} {name:<{width}} {cell(pm, p1, p3):>32} {cell(cm, c1, c3):>32} {ratio:>6.3f} {won:>3}-{lost:<2}")
+
+def reps(workload, side):
+    with open(f"{out}/{workload}.{side}{kind}.reps") as f:
+        return [float(x) for x in f.read().split()]
+
+rows = [(w, reps(w, "parent"), reps(w, "change")) for w in workloads]
+if any(p and c for _, p, c in rows):
+    print()
+    print("whole reps: each run's `events_per_s.reps` median (events/s, higher is better)")
+    print(f"{'workload':<12} {'parent median':>14} {'change median':>14} {'ratio':>6} {'won':>6}")
+    for w, p, c in rows:
+        if p and c:
+            won = sum(b > a for a, b in zip(p, c))
+            lost = sum(b < a for a, b in zip(p, c))
+            pm, cm = statistics.median(p), statistics.median(c)
+            print(f"{w:<12} {pm:>14.0f} {cm:>14.0f} {cm / pm:>6.3f} {won:>3}-{lost:<2}")
 EOF

@@ -16,8 +16,9 @@ use std::sync::{Arc, Mutex};
 use swmon::monitor::{var, Atom, EventPattern, Guard, MonitorConfig, Property, Stage};
 use swmon::packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::{
-    reference_records, signature, silence_injected_panics, FaultPoint, Outcome, RuntimeConfig,
-    ShardedRuntime, ViolationRecord, ViolationSink,
+    reference_records, signature, silence_injected_panics, DeployPlan, FaultPoint, Outcome,
+    RuntimeConfig, RuntimeError, RuntimeStats, ShardedRuntime, ViolationRecord, ViolationSink,
+    MAX_RESTARTS,
 };
 use swmon::sim::{
     CrashWindow, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId, TraceBuilder,
@@ -312,4 +313,52 @@ fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
     let store = sink.store.store();
     assert_eq!(store.query_str("degraded()").unwrap().signatures(), degraded);
     assert_eq!(store.query_str("prop(*)").unwrap().signatures(), out.signatures());
+}
+
+/// A shard that escalates stays failed. Faults at every seq from 100 on
+/// shard 0 exhaust its restart budget ([`MAX_RESTARTS`]); from the feed
+/// that escalates on, every `feed`, `deploy` and `finish` returns that same
+/// `ShardFailed` — same shard, same message — and no shard applies, routes
+/// or checkpoints anything more, at 1 shard and at 2.
+#[test]
+fn an_escalated_shard_fails_every_later_call() {
+    silence_injected_panics();
+    let props = swmon_props::catalog();
+    let (trace, log) = lossy_trace(48, 1_200, 7, &FaultPlan::none());
+    assert!(log.accounted());
+    let end = trace.last().unwrap().time + Duration::from_secs(120);
+    let work = |s: &RuntimeStats| (s.events_in, s.batches, s.restarts, s.checkpoints);
+    for shards in [1usize, 2] {
+        let faults = (100..200).map(|seq| FaultPoint { shard: 0, seq });
+        let cfg = RuntimeConfig { shards, inject_faults: faults.collect(), ..Default::default() };
+        let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
+        let mut session = rt.start();
+        let mut events = trace.iter();
+        let first = events.find_map(|ev| session.feed(ev).err()).expect("shard 0 escalates");
+        let RuntimeError::ShardFailed { shard, restarts, ref message } = first else {
+            panic!("{shards} shard(s): not a shard failure: {first}");
+        };
+        assert_eq!((shard, restarts), (0, MAX_RESTARTS), "{shards} shard(s)");
+        assert!(message.starts_with("injected fault: shard 0"), "{message}");
+        let frozen = session.live_stats();
+        let processed = |s: &RuntimeStats| s.per_shard.iter().map(|p| p.processed).sum::<u64>();
+        let same = |err: RuntimeError, call: &str| match err {
+            RuntimeError::ShardFailed { shard: s, restarts: r, message: m } => {
+                assert_eq!((s, r, &m), (shard, restarts, message), "{shards} shard(s), {call}");
+            }
+            other => panic!("{shards} shard(s), {call}: {other}"),
+        };
+        let mut later = 0;
+        for ev in events {
+            same(session.feed(ev).expect_err("a failed session takes no events"), "feed");
+            later += 1;
+        }
+        assert!(later > 1_000, "{later} feeds after the escalation");
+        let plan = DeployPlan::remove(props[0].name.clone());
+        same(session.deploy(&plan).expect_err("a failed session takes no deploy"), "deploy");
+        let now = session.live_stats();
+        assert_eq!(work(&now), work(&frozen), "{shards} shard(s): work after the escalation");
+        assert_eq!(processed(&now), processed(&frozen), "{shards} shard(s)");
+        same(session.finish(end).expect_err("a failed session has no outcome"), "finish");
+    }
 }

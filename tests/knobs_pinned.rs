@@ -1,5 +1,5 @@
 //! The knob count lives in code. The ROADMAP's ground rule — no knob a PR
-//! cannot show paying — is counted as `RuntimeConfig` 11 (`adaptive`
+//! cannot show paying — is counted as `RuntimeConfig` 10 (`adaptive`
 //! inert) / `AdaptiveConfig` 2 (inert) / `TelemetryConfig` 1 /
 //! `MonitorConfig` 4. Each test below destructures one configuration
 //! exhaustively (no `..`) into an array of that length, so a field added
@@ -12,7 +12,7 @@ use swmon::monitor::MonitorConfig;
 use swmon::runtime::{AdaptiveConfig, RuntimeConfig, TelemetryConfig};
 
 #[test]
-fn runtime_config_has_eleven_knobs() {
+fn runtime_config_has_ten_knobs() {
     let RuntimeConfig {
         shards,
         batch,
@@ -21,12 +21,11 @@ fn runtime_config_has_eleven_knobs() {
         monitor,
         checkpoint_every,
         journal_limit,
-        max_restarts,
         inject_faults,
         inject_deploy_faults,
         telemetry,
     } = RuntimeConfig::default();
-    let _knobs: [&dyn Debug; 11] = [
+    let _knobs: [&dyn Debug; 10] = [
         &shards,
         &batch,
         &flush_every,
@@ -34,15 +33,14 @@ fn runtime_config_has_eleven_knobs() {
         &monitor,
         &checkpoint_every,
         &journal_limit,
-        &max_restarts,
         &inject_faults,
         &inject_deploy_faults,
         &telemetry,
     ];
 }
 
-/// Both fields are inert: `RuntimeConfig::shards` alone picks a session's
-/// threading, and nothing in `crates/` reads either. They are kept because
+/// Both fields are inert: every session runs on the caller thread, and
+/// nothing in `crates/` reads either. They are kept because
 /// the frozen benchmark builds them — `benchmark/src/session.rs`'s
 /// `pinned()` (`enabled: true, fan_out_rate: f64::INFINITY`) and
 /// `benchmark/src/layers.rs`'s `untraced_sessions` (`AdaptiveConfig::default()`)

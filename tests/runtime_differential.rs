@@ -11,6 +11,7 @@
 mod common;
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use swmon::monitor::{Monitor, MonitorConfig, MonitorSet, Property, RouteMode};
@@ -160,13 +161,13 @@ impl ViolationSink for ThreadSink {
     fn seal(&self, _merged: &[ViolationRecord]) {}
 }
 
-/// The shard count alone fixes a session's threading: one shard is driven
-/// inline, so every publish comes from the feeding thread; two run on a
-/// worker each, so none does, and each shard publishes from one thread of
-/// its own — whatever `AdaptiveConfig` says, since nothing reads it. Both
-/// match the reference over the catalog.
+/// Every shard runs on the thread that feeds the session: at 1, 2 and 4
+/// shards every publish comes from this test's thread, more than one shard
+/// publishes once there are several, and the output matches the reference
+/// over the catalog — whatever `AdaptiveConfig` says, since nothing reads
+/// it.
 #[test]
-fn the_shard_count_alone_picks_the_threading() {
+fn every_shard_publishes_from_the_feeding_thread() {
     let events: Vec<GenEvent> = (0..200usize)
         .map(|i| GenEvent {
             pair: (i / 2 % 6) as u8,
@@ -187,7 +188,7 @@ fn the_shard_count_alone_picks_the_threading() {
         AdaptiveConfig { enabled: false, fan_out_rate: 0.0 },
     ];
     let me = std::thread::current().id();
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 4] {
         for adaptive in &adaptives {
             let cfg =
                 RuntimeConfig { adaptive: adaptive.clone(), ..RuntimeConfig::with_shards(shards) };
@@ -203,10 +204,10 @@ fn the_shard_count_alone_picks_the_threading() {
             let publishes = sink.0.lock().unwrap().clone();
             assert!(!publishes.is_empty(), "{shards} shard(s), {adaptive:?}: nothing published");
             for &(s, thread) in &publishes {
-                assert_eq!(thread == me, shards == 1, "shard {s} of {shards}, {adaptive:?}");
-                let other = publishes.iter().find(|&&(t, id)| (t == s) != (id == thread));
-                assert!(other.is_none(), "shard {s} of {shards} shares a thread: {other:?}");
+                assert_eq!(thread, me, "shard {s} of {shards}, {adaptive:?}");
             }
+            let publishers: BTreeSet<usize> = publishes.iter().map(|&(s, _)| s).collect();
+            assert_eq!(publishers.len() > 1, shards > 1, "{shards} shard(s): {publishers:?}");
         }
     }
 }
