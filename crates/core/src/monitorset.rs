@@ -72,6 +72,12 @@ impl MonitorSet {
         &self.monitors
     }
 
+    /// The member monitors, mutably: the spawn index reads only their
+    /// properties, which a monitor never changes.
+    pub fn monitors_mut(&mut self) -> &mut [Monitor] {
+        &mut self.monitors
+    }
+
     /// Process one event through every monitor it can move: one whose
     /// property can react to its event class and that is busy, or idle
     /// with a stage 0 the event may spawn in. Results are identical to
@@ -80,7 +86,21 @@ impl MonitorSet {
     /// deadlines — on its next delivered event or
     /// [`MonitorSet::advance_to`]).
     pub fn process(&mut self, ev: &NetEvent) {
-        let mut mask = self.index.reachable(ev);
+        self.process_masked(ev, u64::MAX, |_, m| m.process(ev));
+    }
+
+    /// The one visit loop: hand `visit` each member among `among` (bit
+    /// `i` is member `i`) that `ev` can move, in member order — reachable
+    /// by its class, and busy or with a stage 0 `ev` may spawn in (the
+    /// index is asked that at most once per event). `visit` does the
+    /// delivery, so a caller can time it or collect what it raised.
+    pub fn process_masked(
+        &mut self,
+        ev: &NetEvent,
+        among: u64,
+        mut visit: impl FnMut(usize, &mut Monitor),
+    ) {
+        let mut mask = among & self.index.reachable(ev);
         let mut spawnable = None;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
@@ -88,7 +108,7 @@ impl MonitorSet {
             if !m.is_idle()
                 || *spawnable.get_or_insert_with(|| self.index.spawnable(ev, mask)) & (1 << i) != 0
             {
-                m.process(ev);
+                visit(i, m);
             }
             mask &= mask - 1;
         }
@@ -164,6 +184,20 @@ mod tests {
             .unwrap()
     }
 
+    /// Spawns only on an arrival to port 443.
+    fn https() -> Property {
+        PropertyBuilder::new("https", "")
+            .observe("hello", EventPattern::Arrival)
+            .eq(Field::L4Dst, 443u64)
+            .bind("A", Field::Ipv4Src)
+            .done()
+            .observe("drop", EventPattern::Departure(ActionPattern::Drop))
+            .bind("A", Field::Ipv4Dst)
+            .done()
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn set_runs_all_members_and_aggregates() {
         let mut set = MonitorSet::from_properties([fw(), floods()]);
@@ -195,6 +229,35 @@ mod tests {
         assert_eq!(all[0].property, "no-floods");
         assert_eq!(all[1].property, "fw");
         assert!(set.state_bytes() > 0 || set.live_instances() == 0);
+    }
+
+    #[test]
+    fn the_visit_loop_hands_over_members_among_the_mask_in_order() {
+        // A flooded arrival to port 443: the arrival may spawn in both
+        // copies of fw and in https, the flood in no-floods.
+        let mut set = MonitorSet::from_properties([fw(), floods(), https(), fw()]);
+        let mut tb = TraceBuilder::new();
+        let (m1, m2) = (MacAddr::new(2, 0, 0, 0, 0, 1), MacAddr::new(2, 0, 0, 0, 0, 2));
+        let (a, b) = (Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(192, 0, 2, 1));
+        tb.arrive_depart(
+            PortNo(0),
+            PacketBuilder::tcp(m1, m2, a, b, 1, 443, TcpFlags::SYN, &[]),
+            EgressAction::Flood,
+        );
+        let trace = tb.build();
+        let mut visits = |among: u64| {
+            let mut seen = Vec::new();
+            for ev in &trace {
+                set.process_masked(ev, among, |i, m| {
+                    seen.push(i);
+                    m.process(ev);
+                });
+            }
+            seen
+        };
+        assert_eq!(visits(u64::MAX), [0, 2, 3, 1], "arrival: 0, 2, 3; flood: 1");
+        assert_eq!(visits(0b1010), [3, 1], "members outside `among` are never visited");
+        assert_eq!(visits(0), Vec::<usize>::new());
     }
 
     #[test]
@@ -232,10 +295,12 @@ mod tests {
 
     #[test]
     fn pre_dispatch_skips_events_without_changing_results() {
-        // fw only reacts to arrivals and drops; no-floods only to floods.
-        // Feed a mixed trace through the pre-dispatching set and through
-        // plain per-monitor loops; violations must be identical while the
-        // set demonstrably skipped deliveries.
+        // fw only reacts to arrivals and drops; no-floods only to floods;
+        // https reacts to arrivals and drops too, but spawns only on port
+        // 443, which no event goes to. Feed a mixed trace through the
+        // pre-dispatching set and through plain per-monitor loops;
+        // violations must be identical while the set demonstrably skipped
+        // deliveries.
         let trace = {
             let mut tb = TraceBuilder::new();
             let m1 = MacAddr::new(2, 0, 0, 0, 0, 1);
@@ -261,23 +326,20 @@ mod tests {
             }
             tb.build()
         };
-        let mut set = MonitorSet::from_properties([fw(), floods()]);
-        let mut fw_alone = Monitor::with_defaults(fw());
-        let mut floods_alone = Monitor::with_defaults(floods());
+        let mut set = MonitorSet::from_properties([fw(), floods(), https()]);
+        let mut alone: Vec<Monitor> =
+            [fw(), floods(), https()].into_iter().map(Monitor::with_defaults).collect();
         for ev in &trace {
             set.process(ev);
-            fw_alone.process(ev);
-            floods_alone.process(ev);
+            alone.iter_mut().for_each(|m| m.process(ev));
         }
-        let expected: Vec<_> = fw_alone
-            .violations()
+        let mut want: Vec<_> = alone
             .iter()
-            .chain(floods_alone.violations())
+            .flat_map(|m| m.violations())
             .map(|v| (v.time, v.property.clone()))
             .collect();
         let mut got: Vec<_> =
             set.violations().iter().map(|v| (v.time, v.property.clone())).collect();
-        let mut want = expected.clone();
         got.sort();
         want.sort();
         assert_eq!(got, want);
@@ -285,9 +347,14 @@ mod tests {
         // event (arrivals, drops, unicast outputs all miss its mask).
         let skipped = set.monitors()[1].stats.events;
         assert!(
-            skipped < floods_alone.stats.events,
+            skipped < alone[1].stats.events,
             "pre-dispatch delivered everything: {skipped} vs {}",
-            floods_alone.stats.events
+            alone[1].stats.events
         );
+        // The https monitor stayed idle, and an idle monitor wakes only for
+        // an event that may spawn in it: it examined nothing.
+        assert!(alone[2].stats.events > 0, "its class reaches arrivals and drops");
+        assert!(set.monitors()[2].is_idle());
+        assert_eq!(set.monitors()[2].stats.events, 0, "idle, and port 2 cannot spawn");
     }
 }

@@ -7,7 +7,7 @@
 //! session is cloned exactly once (into the block), never per shard.
 
 use std::sync::Arc;
-use swmon_core::{MonitorSnapshot, Property, SpawnIndex};
+use swmon_core::{MonitorSnapshot, Property};
 use swmon_sim::trace::NetEvent;
 use swmon_telemetry::EngineProbe;
 
@@ -126,45 +126,31 @@ impl Arena {
 
 /// What a quiesced shard reports back to the deploying session: a copy
 /// of the images of the checkpoint it forced once the journal was fully
-/// drained — a consistent snapshot of every hosted monitor, and the one
-/// the shard itself would recover from.
+/// drained — a consistent snapshot of every replica, and the one the shard
+/// itself would recover from.
 #[derive(Debug)]
 pub(crate) struct QuiesceAck {
-    /// `(global property index, image)` for every monitor this shard
-    /// hosts, under the *current* (pre-deploy) epoch's indexing.
-    pub(crate) snapshots: Vec<(usize, MonitorSnapshot)>,
+    /// One image per property, at its *current* (pre-deploy) catalog
+    /// position. Off its home shard, a pinned property's image is empty.
+    pub(crate) snapshots: Vec<MonitorSnapshot>,
     /// Wall-clock nanoseconds the shard spent quiescing (journal drain +
     /// forced checkpoint + a copy of its images).
     pub(crate) quiesce_nanos: u64,
 }
 
-/// One shard's slice of a catalog epoch: what it hosts and how to find
-/// it. Built by the session (`shard_layout`) for the initial epoch and for
-/// every deploy; the supervisor builds its monitors from it.
-#[derive(Debug)]
+/// A catalog epoch as every shard hosts it: one replica of each property
+/// at its catalog position, and where that replica's engine probe is.
+/// Built by the session for the initial epoch and for every deploy; the
+/// supervisor builds its monitors from it. The router never sets a pinned
+/// property's bit off its home shard, so a replica there stays idle and is
+/// never visited.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardLayout {
-    /// `(global property index, property)` pairs hosted on this shard.
-    pub(crate) props: Vec<(usize, Property)>,
-    /// `lut[global]` locates the local replica (`None`: not hosted here).
-    pub(crate) lut: Vec<Option<usize>>,
-    /// `probes[local]` is the local replica's engine probe: the hub's one
-    /// probe for the property's name, whichever epoch introduced it.
+    /// The catalog, in property order, shared by every shard.
+    pub(crate) props: Arc<[Property]>,
+    /// `probes[i]` is property `i`'s engine probe: the hub's one probe for
+    /// the property's name, whichever epoch introduced it.
     pub(crate) probes: Vec<Arc<EngineProbe>>,
-    /// The hosted properties' spawn index, at their global bit positions
-    /// (the router's masks): which idle replicas an event can move.
-    pub(crate) spawn: SpawnIndex,
-}
-
-impl ShardLayout {
-    /// A layout hosting `props`, with its spawn index built over them.
-    pub(crate) fn new(
-        props: Vec<(usize, Property)>,
-        lut: Vec<Option<usize>>,
-        probes: Vec<Arc<EngineProbe>>,
-    ) -> Self {
-        let spawn = SpawnIndex::new(props.iter().map(|(g, p)| (*g, p)));
-        ShardLayout { props, lut, probes, spawn }
-    }
 }
 
 /// The new shard configuration staged by a deploy's prepare phase. Built
@@ -175,13 +161,13 @@ impl ShardLayout {
 pub(crate) struct ShardPrepare {
     /// The epoch this preparation targets.
     pub(crate) epoch: u64,
-    /// What this shard hosts under the new epoch (new global indices).
+    /// The catalog under the new epoch (new property positions).
     pub(crate) layout: ShardLayout,
-    /// Snapshots to restore into the new monitor set, keyed by **new**
-    /// global index: retained properties carry their instance state across
-    /// the deploy (re-homed here when a pinned property's shard mapping
-    /// changed). Added/upgraded properties are absent — they start fresh.
-    pub(crate) adopt: Vec<(usize, MonitorSnapshot)>,
+    /// `adopt[i]`: the image to restore new property `i` from. Retained
+    /// properties carry their instance state across the deploy — a
+    /// hashed one from this shard's own image, a pinned one from its old
+    /// home's, on its new home only. Everything else starts fresh.
+    pub(crate) adopt: Vec<Option<MonitorSnapshot>>,
 }
 
 #[cfg(test)]

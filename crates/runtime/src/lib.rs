@@ -19,13 +19,19 @@
 //!
 //! ## Ingress
 //!
-//! Routing and event-class mask filtering happen **before** staging: an
-//! event that provably cannot affect any monitor never reaches a shard.
-//! Deliverable events are staged exactly once in a shared arena block;
-//! each destination shard receives an `Arc` handle plus its `(seq, mask,
-//! index)` selections — zero clones per shard. Events are **never
-//! dropped**, because a dropped event would forge a negative observation
-//! (deadline properties fire on the *absence* of traffic).
+//! Routing happens **before** staging, from one class-mask table: the
+//! router starts from the catalog's [`swmon_core::SpawnIndex::reachable`]
+//! answer and only partitions it across shards, so an event that provably
+//! cannot affect any monitor never reaches a shard. Every shard holds a
+//! replica of every property, at its catalog position, in a
+//! [`swmon_core::MonitorSet`] whose one visit loop decides which replicas
+//! an event wakes; a pinned property's bit is only ever set on its home
+//! shard, so its other replicas stay idle. Deliverable events are staged
+//! exactly once in a shared arena block; each destination shard receives
+//! an `Arc` handle plus its `(seq, mask, index)` selections — zero clones
+//! per shard. Events are **never dropped**, because a dropped event would
+//! forge a negative observation (deadline properties fire on the *absence*
+//! of traffic).
 //!
 //! ## One thread
 //!
@@ -77,6 +83,7 @@ pub use telemetry::{ShardProbe, TelemetryHub};
 
 use std::cell::Cell;
 use std::fmt;
+use std::mem::take;
 use std::sync::Arc;
 
 use batch::{Arena, QuiesceAck, ShardLayout, ShardPrepare};
@@ -84,7 +91,6 @@ use supervisor::{ShardSpec, Supervisor};
 use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
-use swmon_telemetry::EngineProbe;
 
 /// Construction-time and run-time runtime failures.
 #[derive(Debug)]
@@ -176,7 +182,9 @@ impl Outcome {
 /// A set of properties plus the routing decisions to run them sharded.
 #[derive(Debug)]
 pub struct ShardedRuntime {
-    props: Vec<Property>,
+    /// Shared with every session's shard layouts: starting a session
+    /// copies no property.
+    props: Arc<[Property]>,
     cfg: RuntimeConfig,
     router: Router,
 }
@@ -192,7 +200,7 @@ impl ShardedRuntime {
         }
         let cfg = cfg.normalized();
         let router = Router::new(&props, &cfg.monitor, cfg.shards);
-        Ok(ShardedRuntime { props, cfg, router })
+        Ok(ShardedRuntime { props: props.into(), cfg, router })
     }
 
     /// The monitored properties, in routing order.
@@ -226,7 +234,8 @@ impl ShardedRuntime {
         let hashed = self.router.routes().iter().filter(|r| r.is_hashed()).count();
         let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
         let hub = TelemetryHub::new(shards, &self.cfg.telemetry, hashed, pinned);
-        let probes: Vec<_> = self.props.iter().map(|p| hub.engine(&p.name)).collect();
+        let probes = self.props.iter().map(|p| hub.engine(&p.name)).collect();
+        let layout = ShardLayout { props: self.props.clone(), probes };
         let supervisors = (0..shards)
             .map(|s| {
                 let mut inject: Vec<u64> =
@@ -234,7 +243,7 @@ impl ShardedRuntime {
                 inject.sort_unstable();
                 Supervisor::new(ShardSpec {
                     shard: s,
-                    layout: shard_layout(&self.router, &self.props, &probes, s),
+                    layout: layout.clone(),
                     cfg: self.cfg.clone(),
                     inject,
                     probe: hub.shard(s).clone(),
@@ -244,7 +253,7 @@ impl ShardedRuntime {
             .collect();
         Session {
             rt: self,
-            catalog: CatalogEpoch::initial(self.props.clone()),
+            catalog: CatalogEpoch::initial(self.props.to_vec()),
             router: self.router.clone(),
             shards: supervisors,
             arena: Arena::new(shards, self.cfg.batch),
@@ -292,29 +301,6 @@ pub struct DeployOutcome {
     /// Properties retired (their monitors were dropped at the barrier;
     /// violations already raised are kept).
     pub removed: usize,
-}
-
-/// Shard `s`'s slice of a catalog: the properties `router` can ever
-/// deliver to it, the `global → local` lookup, and each local replica's
-/// engine probe (`engines[global]`: the hub's probe for that property's
-/// *name*, so a series survives re-indexing and an added property has one).
-/// The one layout builder, for the initial epoch and for every deploy.
-fn shard_layout(
-    router: &Router,
-    catalog: &[Property],
-    engines: &[Arc<EngineProbe>],
-    s: usize,
-) -> ShardLayout {
-    let hosted = router.properties_on(s);
-    let mut lut = vec![None; catalog.len()];
-    let mut props = Vec::with_capacity(hosted.len());
-    let mut probes = Vec::with_capacity(hosted.len());
-    for (local, &global) in hosted.iter().enumerate() {
-        lut[global] = Some(local);
-        props.push((global, catalog[global].clone()));
-        probes.push(engines[global].clone());
-    }
-    ShardLayout::new(props, lut, probes)
 }
 
 /// What the router has counted since it last added to the
@@ -540,8 +526,7 @@ impl Session<'_> {
         let acks = self.quiesce_all()?;
         let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
         // Next epoch's placements. Retained properties carry their derived
-        // plan and pre-dispatch mask verbatim; upgraded/added ones derive
-        // fresh placements.
+        // plan verbatim; upgraded/added ones derive fresh placements.
         let routes: Vec<PropertyRoute> = next
             .properties()
             .iter()
@@ -553,41 +538,37 @@ impl Session<'_> {
                 }
             })
             .collect();
-        // Which new index each old property retains into, if any.
-        let mut retained_of_old: Vec<Option<usize>> = vec![None; self.catalog.properties().len()];
+        // Hand each retained property's quiesce images on: hashed state
+        // stays on its shard (the hash mapping is index-independent), and
+        // pinned state moves from its old home — the only shard that ever
+        // delivered to it — to its new one, `index % shards`. Removed and
+        // upgraded state is dropped.
+        let mut images: Vec<Vec<MonitorSnapshot>> = acks.into_iter().map(|a| a.snapshots).collect();
+        let mut adopts = vec![vec![None; next.properties().len()]; shards];
+        let mut retained = 0;
         for (i, origin) in next.origins().iter().enumerate() {
-            if let PropertyOrigin::Retained(prev) = origin {
-                retained_of_old[*prev] = Some(i);
-            }
-        }
-        // Hand each quiesce snapshot to the shard that hosts its property
-        // under the new epoch: hashed state stays put (the hash mapping is
-        // index-independent), pinned state re-homes to `index % shards`,
-        // and removed/upgraded state is dropped.
-        let mut adopts: Vec<Vec<(usize, MonitorSnapshot)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (s, ack) in acks.into_iter().enumerate() {
-            for (g, snap) in ack.snapshots {
-                let Some(i) = retained_of_old.get(g).copied().flatten() else { continue };
-                match routes[i].home_shard() {
-                    None => adopts[s].push((i, snap)),
-                    Some(home) => adopts[home].push((i, snap)),
+            let PropertyOrigin::Retained(prev) = *origin else { continue };
+            retained += 1;
+            match (self.router.routes()[prev].home_shard(), routes[i].home_shard()) {
+                (Some(old), Some(new)) => adopts[new][i] = Some(take(&mut images[old][prev])),
+                _ => {
+                    for (adopt, images) in adopts.iter_mut().zip(&mut images) {
+                        adopt[i] = Some(take(&mut images[prev]));
+                    }
                 }
             }
         }
-        let router_next = Router::from_routes(routes, shards);
+        let router_next = Router::from_routes(next.properties(), routes, shards);
         // Phase 2: stage the new configuration on every shard.
         let epoch = next.epoch();
         let registered = self.hub.engines().len();
-        let probes: Vec<_> = next.properties().iter().map(|p| self.hub.engine(&p.name)).collect();
+        let layout = ShardLayout {
+            probes: next.properties().iter().map(|p| self.hub.engine(&p.name)).collect(),
+            props: next.properties().into(),
+        };
         let preps = adopts
             .into_iter()
-            .enumerate()
-            .map(|(s, adopt)| ShardPrepare {
-                epoch,
-                layout: shard_layout(&router_next, next.properties(), &probes, s),
-                adopt,
-            })
+            .map(|adopt| ShardPrepare { epoch, layout: layout.clone(), adopt })
             .collect();
         if let Some((s, reason)) = self.prepare_all(preps) {
             // Phase 3b: one shard could not stage — abort everywhere. No
@@ -599,7 +580,6 @@ impl Session<'_> {
         }
         // Phase 3a: commit everywhere. Infallible.
         self.shards.iter_mut().for_each(|sup| sup.commit(epoch));
-        let retained = retained_of_old.iter().flatten().count();
         let (mut upgraded, mut added) = (0, 0);
         for origin in next.origins() {
             match origin {

@@ -1,7 +1,7 @@
 //! Event → shard dispatch.
 
 use crate::shardkey::PropertyRoute;
-use swmon_core::{MonitorConfig, Property, MAX_PROPERTIES};
+use swmon_core::{MonitorConfig, Property, SpawnIndex, MAX_PROPERTIES};
 use swmon_sim::trace::NetEvent;
 
 /// Properties whose routes resolve identically for every event, dispatched
@@ -17,26 +17,19 @@ struct DispatchGroup {
 /// Computes, for each event, the set of shards that must see it and which
 /// properties each shard runs it through.
 ///
-/// Routes that provably dispatch identically (equal plans and class masks —
-/// e.g. several properties keyed on the same flow fields) are grouped, so
-/// the per-event routing cost is one hash per *distinct* dispatch rule,
-/// not one per property.
+/// Which properties an event's class reaches is the catalog's
+/// [`SpawnIndex`]'s answer, the same table each shard's monitor set
+/// consults; the router only partitions that answer. Routes that provably
+/// dispatch identically (hashed ones with equal plans, pinned ones with a
+/// common home shard) are grouped, so the per-event routing cost is one
+/// hash per *distinct* dispatch rule, not one per property.
 #[derive(Debug, Clone)]
 pub struct Router {
     routes: Vec<PropertyRoute>,
     groups: Vec<DispatchGroup>,
+    /// The catalog's spawn index, property `i` at bit `i`.
+    index: SpawnIndex,
     shards: usize,
-}
-
-fn group(routes: &[PropertyRoute]) -> Vec<DispatchGroup> {
-    let mut groups: Vec<DispatchGroup> = Vec::new();
-    for (i, route) in routes.iter().enumerate() {
-        match groups.iter_mut().find(|g| g.route.same_dispatch(route)) {
-            Some(g) => g.members |= 1u64 << i,
-            None => groups.push(DispatchGroup { route: route.clone(), members: 1u64 << i }),
-        }
-    }
-    groups
 }
 
 impl Router {
@@ -47,27 +40,35 @@ impl Router {
     /// If `props.len() > MAX_PROPERTIES` (checked earlier by the runtime
     /// constructor, which reports it as an error).
     pub fn new(props: &[Property], cfg: &MonitorConfig, shards: usize) -> Router {
-        assert!(props.len() <= MAX_PROPERTIES);
         let shards = shards.max(1);
         let routes = props
             .iter()
             .enumerate()
             .map(|(i, p)| PropertyRoute::for_property(i, p, cfg, shards))
-            .collect::<Vec<_>>();
-        let groups = group(&routes);
-        Router { routes, groups, shards }
+            .collect();
+        Router::from_routes(props, routes, shards)
     }
 
-    /// Assemble a router from pre-built placements (live deployment builds
-    /// the next epoch's routes one property at a time, carrying retained
-    /// placements across via [`PropertyRoute::reindexed`]).
+    /// Assemble a router over `props` from pre-built placements, one per
+    /// property (live deployment builds the next epoch's routes one
+    /// property at a time, carrying retained placements across via
+    /// [`PropertyRoute::reindexed`]).
     ///
     /// # Panics
-    /// If `routes.len() > MAX_PROPERTIES`.
-    pub fn from_routes(routes: Vec<PropertyRoute>, shards: usize) -> Router {
-        assert!(routes.len() <= MAX_PROPERTIES);
-        let groups = group(&routes);
-        Router { routes, groups, shards: shards.max(1) }
+    /// If `props.len() > MAX_PROPERTIES`, or `routes` is not one per
+    /// property.
+    pub fn from_routes(props: &[Property], routes: Vec<PropertyRoute>, shards: usize) -> Router {
+        assert!(props.len() <= MAX_PROPERTIES);
+        assert_eq!(props.len(), routes.len(), "one route per property");
+        let mut groups: Vec<DispatchGroup> = Vec::new();
+        for (i, route) in routes.iter().enumerate() {
+            match groups.iter_mut().find(|g| g.route.same_dispatch(route)) {
+                Some(g) => g.members |= 1u64 << i,
+                None => groups.push(DispatchGroup { route: route.clone(), members: 1u64 << i }),
+            }
+        }
+        let index = SpawnIndex::new(props.iter().enumerate());
+        Router { routes, groups, index, shards: shards.max(1) }
     }
 
     /// Per-property placements, in property order.
@@ -81,14 +82,19 @@ impl Router {
     }
 
     /// Fill `out[s]` with the bitmask of properties shard `s` must run
-    /// `ev` through. `out.len()` must equal `shards()`; previous contents
+    /// `ev` through: those `ev`'s class reaches, each on the one shard its
+    /// route picks. `out.len()` must equal `shards()`; previous contents
     /// are overwritten.
     pub fn masks(&self, ev: &NetEvent, out: &mut [u64]) {
         debug_assert_eq!(out.len(), self.shards);
         out.fill(0);
+        let reach = self.index.reachable(ev);
         for g in &self.groups {
-            if let Some(s) = g.route.shard_for(ev, self.shards) {
-                out[s] |= g.members;
+            let members = g.members & reach;
+            if members != 0 {
+                if let Some(s) = g.route.shard_for(ev, self.shards) {
+                    out[s] |= members;
+                }
             }
         }
     }
@@ -96,11 +102,6 @@ impl Router {
     /// Distinct dispatch rules (grouped identical routes count once).
     pub fn dispatch_groups(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Global property indices that can ever reach shard `s`.
-    pub fn properties_on(&self, s: usize) -> Vec<usize> {
-        self.routes.iter().enumerate().filter(|(_, r)| r.reaches(s)).map(|(i, _)| i).collect()
     }
 }
 
@@ -235,7 +236,8 @@ mod tests {
         let grouped = Router::new(&[p0.clone(), p1.clone(), p2.clone()], &cfg, 4);
         assert_eq!(grouped.dispatch_groups(), 2);
 
-        // Grouped masks equal the per-route reference on every event.
+        // Grouped masks equal the per-route reference on every event (an
+        // arrival's class reaches all three properties).
         for (src, dst) in [(1, 2), (3, 9), (7, 7), (42, 1)] {
             let ev = arrival(src, dst);
             let mut got = vec![0u64; 4];
@@ -249,10 +251,33 @@ mod tests {
             assert_eq!(got, want);
         }
 
-        // Pinned placements with different home shards must not group.
+        // Pinned placements group by home shard: shards 0 and 1 at four
+        // shards, one home at one shard.
         let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
-        let pinned = Router::new(&[p0, p1], &bounded, 4);
+        let pinned = Router::new(&[p0.clone(), p1.clone()], &bounded, 4);
         assert_eq!(pinned.dispatch_groups(), 2, "pin homes differ: shard 0 vs shard 1");
+        assert_eq!(Router::new(&[p0, p1, p2], &bounded, 1).dispatch_groups(), 1);
+    }
+
+    #[test]
+    fn pinned_routes_group_by_home_whatever_pins_them() {
+        // One property pinned by its plan (no binder, so no key), one by a
+        // capacity-bounded store: both always answer their home shard, so
+        // at a common home they are one dispatch rule.
+        let keyless = two_stage(&[], &[]);
+        let keyed = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
+        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
+        let routes = vec![
+            PropertyRoute::for_property(0, &keyless, &MonitorConfig::default(), 2),
+            PropertyRoute::for_property(1, &keyed, &bounded, 2),
+            PropertyRoute::for_property(2, &keyed, &bounded, 2),
+        ];
+        assert!(routes[0].pin_override().is_none() && !routes[0].is_hashed());
+        let router = Router::from_routes(&[keyless, keyed.clone(), keyed], routes, 2);
+        assert_eq!(router.dispatch_groups(), 2, "homes 0, 1 and 0");
+        let mut masks = [0u64; 2];
+        router.masks(&arrival(1, 2), &mut masks);
+        assert_eq!(masks, [0b101, 0b010]);
     }
 
     #[test]
@@ -273,18 +298,5 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(got, [0b11]);
         }
-    }
-
-    #[test]
-    fn properties_on_lists_hashed_everywhere_and_pinned_once() {
-        let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
-        let p1 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
-        let props = vec![p0, p1];
-        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
-        let router = Router::new(&props, &bounded, 3);
-        // Capacity forces both properties onto their home shards.
-        assert_eq!(router.properties_on(0), vec![0]);
-        assert_eq!(router.properties_on(1), vec![1]);
-        assert!(router.properties_on(2).is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! behaviour depends on the *whole* instance population — splitting it
 //! across shards would change which incumbents get evicted).
 
-use swmon_core::{event_class, MonitorConfig, Property, Route, RouteMode, RoutingPlan};
+use swmon_core::{MonitorConfig, Property, Route, RouteMode, RoutingPlan};
 use swmon_sim::trace::NetEvent;
 
 /// Why a property bypasses hash routing even though its plan allows it.
@@ -22,17 +22,12 @@ pub struct PropertyRoute {
     /// Set when the runtime configuration forces pinning regardless of the
     /// derived plan.
     pin_override: Option<&'static str>,
-    /// [`Property::event_class_mask`] of the routed property: an event
-    /// whose [`event_class`] bit misses this mask cannot match any of the
-    /// property's patterns, so it needs no delivery at all (pre-dispatch).
-    class_mask: u8,
 }
 
 impl PropertyRoute {
     /// Placement for `property`, at position `index` under `cfg`, across
-    /// `shards` shards: the routing plan and the event-class pre-dispatch
-    /// mask are both derived from the property. Pinned properties are
-    /// spread round-robin.
+    /// `shards` shards: the routing plan is derived from the property.
+    /// Pinned properties are spread round-robin.
     pub fn for_property(
         index: usize,
         property: &Property,
@@ -43,23 +38,18 @@ impl PropertyRoute {
             plan: RoutingPlan::of(property),
             pinned_shard: index % shards.max(1),
             pin_override: cfg.capacity.map(|_| PIN_CAPACITY),
-            class_mask: property.event_class_mask(),
         }
     }
 
     /// This placement carried to a new property index (live deployment
     /// compacts or extends the catalog, shifting indices). The derived
-    /// plan, pre-dispatch mask, and pin override are index-independent and
-    /// survive verbatim, but a pinned property's home shard is
-    /// `index % shards`, so re-indexing may move it (its instance store is
-    /// re-homed by the deploy's snapshot hand-off; see `docs/DEPLOY.md`).
+    /// plan and pin override are index-independent and survive verbatim,
+    /// but a pinned property's home shard is `index % shards`, so
+    /// re-indexing may move it (its instance store is re-homed from the
+    /// old home's image by the deploy's snapshot hand-off; see
+    /// `docs/DEPLOY.md`).
     pub fn reindexed(&self, index: usize, shards: usize) -> Self {
         PropertyRoute { pinned_shard: index % shards.max(1), ..self.clone() }
-    }
-
-    /// The event-class bits this property can react to.
-    pub fn class_mask(&self) -> u8 {
-        self.class_mask
     }
 
     /// The derived routing plan.
@@ -87,13 +77,11 @@ impl PropertyRoute {
     }
 
     /// Which shard must see `ev` for this property, if any. `None` means
-    /// the event provably cannot affect any of the property's instances —
-    /// its class misses every pattern, or it is missing a key field, so no
-    /// guard of the property can match.
+    /// the event is missing a key field, so no guard of the property can
+    /// match. Whether `ev`'s class reaches the property at all is the
+    /// router's question, asked once for the catalog
+    /// ([`swmon_core::SpawnIndex::reachable`]).
     pub fn shard_for(&self, ev: &NetEvent, shards: usize) -> Option<usize> {
-        if self.class_mask & event_class(ev) == 0 {
-            return None;
-        }
         if self.pin_override.is_some() {
             return Some(self.pinned_shard);
         }
@@ -104,28 +92,16 @@ impl PropertyRoute {
         }
     }
 
-    /// True if this property can ever deliver events to shard `s`.
-    pub fn reaches(&self, s: usize) -> bool {
-        self.is_hashed() || self.pinned_shard == s
-    }
-
     /// True when `self` and `other` resolve [`PropertyRoute::shard_for`]
     /// identically for **every** event — the router then dispatches them
-    /// as one group, computing the shard once. Requires equal class masks
-    /// (same pre-dispatch filtering); pin-overridden routes must share the
-    /// pinned shard (their plan is never consulted); otherwise the plans
-    /// must be equal, and pinned outcomes (`Route::Pinned`) must land on
-    /// the same shard.
+    /// as one group, computing the shard once. Pinned routes, by override
+    /// or by plan, always answer their home shard, so they must share it;
+    /// hashed routes must have equal plans (a hashed plan never answers
+    /// `Route::Pinned`).
     pub(crate) fn same_dispatch(&self, other: &PropertyRoute) -> bool {
-        if self.class_mask != other.class_mask {
-            return false;
-        }
-        match (self.pin_override, other.pin_override) {
-            (Some(_), Some(_)) => self.pinned_shard == other.pinned_shard,
-            (None, None) => {
-                self.plan == other.plan
-                    && (self.plan.is_hashed() || self.pinned_shard == other.pinned_shard)
-            }
+        match (self.home_shard(), other.home_shard()) {
+            (Some(a), Some(b)) => a == b,
+            (None, None) => self.plan == other.plan,
             _ => false,
         }
     }
@@ -204,8 +180,8 @@ mod tests {
         let bounded = MonitorConfig { capacity: Some(8), ..Default::default() };
         let r5 = PropertyRoute::for_property(5, &prop, &bounded, 4);
         assert_eq!(r5.home_shard(), Some(1));
-        assert!(r5.reaches(1) && !r5.reaches(0));
+        assert_eq!(r5.reindexed(6, 4).home_shard(), Some(2), "a deploy may move it");
         let hashed = PropertyRoute::for_property(5, &prop, &MonitorConfig::default(), 4);
-        assert!(hashed.reaches(0) && hashed.reaches(3));
+        assert_eq!(hashed.home_shard(), None);
     }
 }

@@ -35,7 +35,7 @@ use crate::sink::ViolationSink;
 use crate::stats::MonitoringGap;
 use crate::telemetry::ShardProbe;
 use crate::worker::{WorkerState, FLUSH_SEQ};
-use swmon_core::{Monitor, MonitorSnapshot, MonitorStats, Property};
+use swmon_core::{Monitor, MonitorSet, MonitorSnapshot, MonitorStats, Property};
 use swmon_sim::time::Instant;
 
 /// How many times a shard may be recovered (checkpoint restore + journal
@@ -162,7 +162,7 @@ struct JournalBatch {
 struct PendingEpoch {
     epoch: u64,
     layout: ShardLayout,
-    monitors: Vec<(usize, Monitor)>,
+    set: MonitorSet,
 }
 
 /// One shard's supervision state, called directly by the session. Between
@@ -175,7 +175,8 @@ pub(crate) struct Supervisor {
     checkpoint: Checkpoint,
     /// Staged next epoch between a deploy's prepare and commit/abort.
     pending: Option<PendingEpoch>,
-    /// `told[local]` goes with the layout's `probes[local]`.
+    /// `told[i]` goes with property `i`'s replica and the layout's
+    /// `probes[i]`.
     told: Vec<Told>,
     /// Remaining injected deploy-prepare failures (chaos testing): each
     /// one makes the next prepare panic inside its catch_unwind boundary.
@@ -215,10 +216,10 @@ impl fmt::Debug for Supervisor {
 
 impl Supervisor {
     pub(crate) fn new(spec: ShardSpec) -> Self {
-        let monitors = build_monitors(&spec.cfg, &spec.layout.props, |_, _| None)
+        let set = build_set(&spec.cfg, &spec.layout.props, |_| None)
             .expect("fresh monitors restore nothing");
-        let told = vec![Told::default(); monitors.len()];
-        let state = WorkerState::new(spec.layout, monitors);
+        let told = vec![Told::default(); set.len()];
+        let state = WorkerState::new(spec.layout, set);
         let inject_deploy =
             spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
         Supervisor {
@@ -296,7 +297,8 @@ impl Supervisor {
     /// it added to the log is degraded.
     fn drive(&mut self, finish_at: Option<Instant>) -> Result<(), ShardFailure> {
         loop {
-            let (pos, high, logged) = (self.journal_pos, self.high_water, self.state.records.len());
+            let (pos, high, logged) =
+                (self.journal_pos, self.high_water, self.state.log.records.len());
             let attempt = panic::catch_unwind(AssertUnwindSafe(|| self.apply_pending(finish_at)));
             let first_time = (self.high_water - high) as u64;
             self.probe.processed.add(first_time);
@@ -305,7 +307,7 @@ impl Supervisor {
                 self.probe.replayed.add(replayed);
             }
             if self.in_gap {
-                self.probe.degraded_violations.add((self.state.records.len() - logged) as u64);
+                self.probe.degraded_violations.add((self.state.log.records.len() - logged) as u64);
             }
             self.read_engines(attempt.is_ok());
             match attempt {
@@ -324,9 +326,9 @@ impl Supervisor {
     /// torn, and about to be replaced.
     fn read_engines(&mut self, completed: bool) {
         let probes = &self.state.layout.probes;
-        let replicas = self.state.monitors.iter().zip(probes).zip(&mut self.told);
+        let replicas = self.state.set.monitors().iter().zip(probes).zip(&mut self.told);
         let mut live_instances = 0;
-        for (((_, m), probe), told) in replicas {
+        for ((m, probe), told) in replicas {
             if m.stats.events != told.events {
                 probe.events.add(m.stats.events - told.events);
                 told.events = m.stats.events;
@@ -342,7 +344,7 @@ impl Supervisor {
         }
         if completed {
             self.probe.live_instances.set(live_instances);
-            self.probe.violations.set(self.state.records.len() as u64);
+            self.probe.violations.set(self.state.log.records.len() as u64);
         }
     }
 
@@ -405,14 +407,14 @@ impl Supervisor {
         };
         self.restarts_left = left;
         let snapshots = &self.checkpoint.snapshots;
-        self.state.monitors =
-            build_monitors(&self.cfg, &self.state.layout.props, |local, _| snapshots.get(local))
-                .map_err(|e| fail(MAX_RESTARTS - left, e))?;
-        for (told, (_, m)) in self.told.iter_mut().zip(&self.state.monitors) {
+        self.state.set = build_set(&self.cfg, &self.state.layout.props, |i| snapshots.get(i))
+            .map_err(|e| fail(MAX_RESTARTS - left, e))?;
+        for (told, m) in self.told.iter_mut().zip(self.state.set.monitors()) {
             told.events = m.stats.events;
         }
-        self.state.records.truncate(self.published.max(self.checkpoint.records_len));
-        self.state.logged = self.checkpoint.records_len;
+        let log = &mut self.state.log;
+        log.records.truncate(self.published.max(self.checkpoint.records_len));
+        log.logged = self.checkpoint.records_len;
         self.journal_pos = 0;
         self.probe.restarts.inc();
         self.probe.recovery.record(t0.elapsed().as_nanos() as u64);
@@ -443,10 +445,10 @@ impl Supervisor {
         debug_assert_eq!(self.journal_pos, self.journal_len);
         let t0 = std::time::Instant::now();
         let images = &mut self.checkpoint.snapshots;
-        images.resize_with(self.state.monitors.len(), MonitorSnapshot::default);
-        let replicas = self.state.monitors.iter_mut().zip(images);
-        let copied: usize = replicas.map(|((_, m), image)| m.snapshot_into(image)).sum();
-        self.checkpoint.records_len = self.state.records.len();
+        images.resize_with(self.state.set.len(), MonitorSnapshot::default);
+        let replicas = self.state.set.monitors_mut().iter_mut().zip(images);
+        let copied: usize = replicas.map(|(m, image)| m.snapshot_into(image)).sum();
+        self.checkpoint.records_len = self.state.log.records.len();
         self.probe.checkpoint_slots.add(copied as u64);
         self.probe.checkpoint.record(t0.elapsed().as_nanos() as u64);
         self.journal.clear();
@@ -468,8 +470,7 @@ impl Supervisor {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
         self.force_checkpoint();
-        let images = self.state.monitors.iter().zip(&self.checkpoint.snapshots);
-        let snapshots = images.map(|((g, _), image)| (*g, image.clone())).collect();
+        let snapshots = self.checkpoint.snapshots.clone();
         let nanos = t0.elapsed().as_nanos() as u64;
         self.probe.quiesce.record(nanos);
         Ok(QuiesceAck { snapshots, quiesce_nanos: nanos })
@@ -491,13 +492,11 @@ impl Supervisor {
             if inject {
                 panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard {shard}");
             }
-            build_monitors(&self.cfg, &layout.props, |_, g| {
-                adopt.iter().find(|(ag, _)| *ag == g).map(|(_, snap)| snap)
-            })
+            build_set(&self.cfg, &layout.props, |i| adopt.get(i).and_then(Option::as_ref))
         }));
         match built {
-            Ok(Ok(monitors)) => {
-                self.pending = Some(PendingEpoch { epoch, layout, monitors });
+            Ok(Ok(set)) => {
+                self.pending = Some(PendingEpoch { epoch, layout, set });
                 Ok(())
             }
             Ok(Err(e)) => Err(e),
@@ -519,11 +518,11 @@ impl Supervisor {
         for (probe, told) in self.state.layout.probes.iter().zip(&self.told) {
             probe.live.add(-(told.live as i64));
         }
-        let told = |(_, m): &(usize, Monitor)| Told { events: m.stats.events, live: 0 };
-        self.told = pending.monitors.iter().map(told).collect();
+        let told = |m: &Monitor| Told { events: m.stats.events, live: 0 };
+        self.told = pending.set.monitors().iter().map(told).collect();
         self.state.layout = pending.layout;
-        self.state.monitors = pending.monitors;
-        self.state.epoch = epoch;
+        self.state.set = pending.set;
+        self.state.log.epoch = epoch;
         self.read_engines(true);
         self.force_checkpoint();
     }
@@ -540,7 +539,7 @@ impl Supervisor {
     /// event admitted, the end of the batch whose publish carries it.
     fn publish(&mut self) {
         let Some(sink) = &self.sink else { return };
-        let fresh = &self.state.records[self.published..];
+        let fresh = &self.state.log.records[self.published..];
         if fresh.is_empty() {
             return;
         }
@@ -550,7 +549,7 @@ impl Supervisor {
         }
         sink.publish(self.shard, fresh);
         self.probe.store_published.add(fresh.len() as u64);
-        self.published = self.state.records.len();
+        self.published = self.state.log.records.len();
     }
 
     /// End of input: apply this shard's share of the arena's tail, advance
@@ -568,30 +567,30 @@ impl Supervisor {
             self.gaps.push(gap);
         }
         self.publish();
-        let engine = self.state.monitors.iter().map(|(_, m)| m.stats.clone()).collect();
-        Ok(ShardOutcome { records: self.state.records, engine, gaps: self.gaps })
+        let engine = self.state.set.monitors().iter().map(|m| m.stats.clone()).collect();
+        Ok(ShardOutcome { records: self.state.log.records, engine, gaps: self.gaps })
     }
 }
 
 /// The one place a shard's monitors are built — for the initial epoch
 /// ([`Supervisor::new`]), after a crash (`recover`) and for a staged epoch
-/// (`prepare`): a fresh replica per hosted property, restored from
-/// `snapshot_for(local, global)` when that yields one.
-fn build_monitors<'a>(
+/// (`prepare`): a fresh replica of every property, property `i` restored
+/// from `snapshot_for(i)` when that yields one.
+fn build_set<'a>(
     cfg: &RuntimeConfig,
-    props: &[(usize, Property)],
-    snapshot_for: impl Fn(usize, usize) -> Option<&'a MonitorSnapshot>,
-) -> Result<Vec<(usize, Monitor)>, String> {
-    let mut monitors = Vec::with_capacity(props.len());
-    for (local, (g, p)) in props.iter().enumerate() {
-        let mut m = Monitor::new(p.clone(), cfg.monitor);
-        if let Some(snap) = snapshot_for(local, *g) {
-            m.restore(snap)
-                .map_err(|e| format!("snapshot restore for property {g} failed: {e}"))?;
+    props: &[Property],
+    snapshot_for: impl Fn(usize) -> Option<&'a MonitorSnapshot>,
+) -> Result<MonitorSet, String> {
+    let mut set = MonitorSet::new();
+    for (i, p) in props.iter().enumerate() {
+        set.add(p.clone(), cfg.monitor);
+        if let Some(snap) = snapshot_for(i) {
+            set.monitors_mut()[i]
+                .restore(snap)
+                .map_err(|e| format!("snapshot restore for property {i} failed: {e}"))?;
         }
-        monitors.push((*g, m));
     }
-    Ok(monitors)
+    Ok(set)
 }
 
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -660,11 +659,10 @@ mod tests {
         let hub = crate::telemetry::TelemetryHub::new(1, &cfg.telemetry, 0, 1);
         ShardSpec {
             shard: 0,
-            layout: ShardLayout::new(
-                props.iter().cloned().enumerate().collect(),
-                (0..props.len()).map(Some).collect(),
-                props.iter().map(|p| hub.engine(&p.name)).collect(),
-            ),
+            layout: ShardLayout {
+                probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
+                props: props.into(),
+            },
             cfg,
             inject,
             probe: hub.shard(0).clone(),
@@ -872,7 +870,7 @@ mod tests {
                 assert!(sup.published >= mark, "the mark fell from {mark} to {}", sup.published);
                 assert_eq!(
                     sup.published,
-                    sup.state.records.len(),
+                    sup.state.log.records.len(),
                     "a batch publishes all it raised"
                 );
                 mark = sup.published;
@@ -989,7 +987,8 @@ mod tests {
             }
         }
         assert!(sizes.len() >= 5, "several checkpoints: {sizes:?}");
-        assert!(sup.state.records.len() >= 100, "{} violations", sup.state.records.len());
+        let logged = sup.state.log.records.len();
+        assert!(logged >= 100, "{logged} violations");
         assert!(
             sizes[sizes.len() - 1] <= sizes[1],
             "a checkpoint's size tracks live state, not run length: {sizes:?}"

@@ -24,7 +24,7 @@
 //! for that sliver of behaviour.
 
 use proptest::prelude::*;
-use swmon::monitor::{MonitorConfig, Property};
+use swmon::monitor::{Monitor, MonitorConfig, Property};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::{
     name_signature, reference_records, DeployPlan, Outcome, RuntimeConfig, RuntimeError,
@@ -234,7 +234,49 @@ fn hot_remove_matches_survivors_plus_prefix_run() {
             "the removed property only ever raised under epoch 0"
         );
         assert_eq!(out.stats.unaccounted_loss(), 0);
+        if shards >= 2 {
+            assert_pinned_state_rehomes(shards, &trace[..k]);
+        }
     }
+}
+
+/// Removing [`VICTIM`] after `prefix` moves pinned properties holding
+/// live instances at the barrier to another home shard: assert that it
+/// moves at least one, so the oracle above covers re-homing, and that each
+/// one's instances arrive — a property re-homed from the wrong shard's
+/// image (empty: off its home, a replica is never visited) would hold
+/// none. Liveness at the barrier is read off a reference monitor; after
+/// the deploy, off the session's per-property gauge.
+fn assert_pinned_state_rehomes(shards: usize, prefix: &[NetEvent]) {
+    let catalog = full_catalog();
+    let rt = ShardedRuntime::new(catalog.clone(), RuntimeConfig::with_shards(shards)).unwrap();
+    let mut session = rt.start();
+    prefix.iter().for_each(|ev| session.feed(ev).expect("fault-free feed"));
+    session.deploy(&DeployPlan::remove(VICTIM)).expect("a valid plan deploys");
+    let page = session.telemetry().export();
+    let live_now = |name: &str| {
+        let labels = [("property".to_string(), name.to_string())];
+        let mut gauges = page.gauges.iter();
+        let series =
+            gauges.find(|(k, _)| k.name == "swmon_property_live_instances" && k.labels == labels);
+        series.map_or(0, |(_, live)| *live)
+    };
+    let survivors = catalog.iter().enumerate().filter(|(_, p)| p.name != VICTIM);
+    let mut moved = 0;
+    for (now, (before, p)) in survivors.enumerate() {
+        let route = &rt.router().routes()[before];
+        let home = route.home_shard();
+        if home.is_none() || home == route.reindexed(now, shards).home_shard() {
+            continue;
+        }
+        let mut reference = Monitor::with_defaults(p.clone());
+        prefix.iter().for_each(|ev| reference.process(ev));
+        if reference.live_instances() > 0 {
+            moved += 1;
+            assert!(live_now(&p.name) > 0, "{} moved from shard {home:?} with no state", p.name);
+        }
+    }
+    assert!(moved > 0, "no pinned property holding live instances changes home at {shards} shards");
 }
 
 /// Hot **upgrade** at the midpoint: old version ≡ prefix run, new version
