@@ -49,6 +49,7 @@
 
 use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{Probe, StageKey, StageKeyPlan};
+use crate::slots::SlotStore;
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
 use std::collections::hash_map::Entry;
@@ -148,9 +149,6 @@ pub(crate) struct Instance {
     /// Index of the stage this instance waits to satisfy.
     pub(crate) awaiting: usize,
     pub(crate) bindings: Bindings,
-    /// Identity token observed at each completed stage (None for deadline
-    /// stages and OOB events).
-    pub(crate) stage_ids: Vec<Option<PacketId>>,
     /// Advancing events, kept only in `Full` provenance mode.
     pub(crate) history: Vec<NetEvent>,
     pub(crate) timer: Option<TimerId>,
@@ -163,14 +161,13 @@ const _: () = assert!(size_of::<Option<Instance>>() <= 296);
 
 /// Hand-written for `clone_from`: a checkpoint image is patched slot by
 /// slot ([`Monitor::snapshot_into`]), and overwriting an image's instance
-/// in place reuses its `stage_ids`/`history` allocations.
+/// in place reuses its `history` allocation.
 impl Clone for Instance {
     fn clone(&self) -> Self {
         Instance {
             uid: self.uid,
             awaiting: self.awaiting,
             bindings: self.bindings,
-            stage_ids: self.stage_ids.clone(),
             history: self.history.clone(),
             timer: self.timer,
             cell: self.cell,
@@ -178,9 +175,8 @@ impl Clone for Instance {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        let Instance { uid, awaiting, bindings, stage_ids, history, timer, cell } = source;
+        let Instance { uid, awaiting, bindings, history, timer, cell } = source;
         (self.uid, self.awaiting, self.bindings) = (*uid, *awaiting, *bindings);
-        self.stage_ids.clone_from(stage_ids);
         self.history.clone_from(history);
         (self.timer, self.cell) = (*timer, *cell);
     }
@@ -272,11 +268,11 @@ impl DedupIndex {
         hash: u64,
         stage: usize,
         bindings: &Bindings,
-        slots: &[Option<Instance>],
+        slots: &SlotStore,
     ) -> Option<usize> {
         let filed = self.map.get(&hash)?.as_slice();
         filed.iter().copied().find(|&idx| {
-            slots[idx].as_ref().is_some_and(|i| i.awaiting == stage && i.bindings == *bindings)
+            slots.get(idx).is_some_and(|i| i.awaiting == stage && i.bindings == *bindings)
         })
     }
 
@@ -395,18 +391,19 @@ fn empty_buckets(stages: usize, stage_keys: &StageKeyPlan) -> Vec<Bucket> {
         .collect()
 }
 
-/// The values `inst` is posted under in a bucket keyed by `key` — one per
-/// probe source — or `None` when it holds no value for some source and
-/// belongs in `rest`. Pure in the instance's awaited stage, the bindings
-/// held on entering it and `stage_ids` — none of which change while it
-/// awaits — so insert and remove agree. (Two sources holding the same
-/// value post the slot twice under it and remove it twice; candidates are
-/// deduplicated anyway.)
+/// The values `inst`, holding stage ids `ids`, is posted under in a bucket
+/// keyed by `key` — one per probe source — or `None` when it holds no value
+/// for some source and belongs in `rest`. Pure in the instance's awaited
+/// stage, the bindings held on entering it and its stage ids — none of
+/// which change while it awaits — so insert and remove agree. (Two sources
+/// holding the same value post the slot twice under it and remove it
+/// twice; candidates are deduplicated anyway.)
 fn postings<'a>(
     key: &'a StageKey,
     inst: &'a Instance,
+    ids: &'a [Option<PacketId>],
 ) -> Option<impl Iterator<Item = Posted> + 'a> {
-    let value = |p: &Probe| p.instance_value(&inst.bindings, &inst.stage_ids);
+    let value = |p: &Probe| p.instance_value(&inst.bindings, ids);
     let sources = key.sources();
     sources.iter().all(|p| value(p).is_some()).then(|| sources.iter().filter_map(value).map(Posted))
 }
@@ -415,12 +412,14 @@ fn postings<'a>(
 pub struct Monitor {
     property: Property,
     cfg: MonitorConfig,
-    slots: Vec<Option<Instance>>,
+    /// Live instances with their stage ids, in chunks that never move.
+    slots: SlotStore,
     free: Vec<usize>,
     index: DedupIndex,
     timers: TimerWheel<(usize, TimerKind)>,
     pending: Vec<(Instant, Effect)>,
-    /// Occupancy of the bounded store: cell -> slot index.
+    /// Occupancy of the bounded store: cell -> slot index. Empty until an
+    /// instance first takes a cell.
     cells: Vec<Option<usize>>,
     /// Which instance-matching key (if any) each stage supports.
     stage_keys: StageKeyPlan,
@@ -464,15 +463,18 @@ impl Monitor {
         property.validate().expect("property must be well-formed");
         let stage_keys = StageKeyPlan::of(&property);
         let buckets = empty_buckets(property.stages.len(), &stage_keys);
+        // An instance records one id per stage it completes before the
+        // last, which raises.
+        let slots = SlotStore::new(property.stages.len() - 1);
         Monitor {
             property,
             cfg,
-            slots: Vec::new(),
+            slots,
             free: Vec::new(),
             index: DedupIndex::default(),
             timers: TimerWheel::new(),
             pending: Vec::new(),
-            cells: vec![None; cfg.capacity.unwrap_or(0)],
+            cells: Vec::new(),
             stage_keys,
             buckets,
             scratch_effects: Vec::new(),
@@ -529,15 +531,14 @@ impl Monitor {
     /// Approximate bytes of monitor state (bindings + retained provenance).
     pub fn state_bytes(&self) -> usize {
         self.slots
-            .iter()
-            .flatten()
-            .map(|i| {
+            .live()
+            .map(|(_, i, ids)| {
                 i.bindings.approx_bytes()
                     + i.history
                         .iter()
                         .map(|e| e.packet().map(|p| p.len()).unwrap_or(8))
                         .sum::<usize>()
-                    + i.stage_ids.len() * 9
+                    + ids.len() * 9
             })
             .sum()
     }
@@ -586,7 +587,7 @@ impl Monitor {
         if deadline > self.now {
             self.now = deadline;
         }
-        let Some(inst) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
+        let Some(inst) = self.slots.get_mut(idx) else {
             return;
         };
         if inst.timer != Some(fired) {
@@ -629,12 +630,13 @@ impl Monitor {
         debug_assert!(effects.is_empty() && cands.is_empty());
         self.gather_candidates(ev, &mut cands);
         for &idx in &cands {
-            let Some(inst) = self.slots[idx].as_ref() else { continue };
+            let Some((inst, ids)) = self.slots.entry(idx) else { continue };
             let stage = &self.property.stages[inst.awaiting];
             // Clearings first.
-            let cleared = stage.unless.iter().any(|u| {
-                u.pattern.matches(ev) && u.guard.eval(ev, &inst.bindings, &inst.stage_ids).is_some()
-            });
+            let cleared = stage
+                .unless
+                .iter()
+                .any(|u| u.pattern.matches(ev) && u.guard.eval(ev, &inst.bindings, ids).is_some());
             if cleared {
                 effects.push(Effect::Kill { idx, uid: inst.uid, expected_stage: inst.awaiting });
                 continue;
@@ -642,7 +644,7 @@ impl Monitor {
             // Advances.
             if let StageKind::Match { pattern, guard } = &stage.kind {
                 if pattern.matches(ev) {
-                    if let Some(env) = guard.eval(ev, &inst.bindings, &inst.stage_ids) {
+                    if let Some(env) = guard.eval(ev, &inst.bindings, ids) {
                         let event =
                             (self.cfg.provenance == ProvenanceMode::Full).then(|| ev.clone());
                         effects.push(Effect::Advance {
@@ -758,13 +760,12 @@ impl Monitor {
                 let valid = self
                     .slots
                     .get(idx)
-                    .and_then(Option::as_ref)
                     .is_some_and(|i| i.uid == uid && i.awaiting == expected_stage);
                 if !valid {
                     self.stats.stale_effects_dropped += 1;
                     return;
                 }
-                if let Some(inst) = self.slots[idx].as_mut() {
+                if let Some(inst) = self.slots.get_mut(idx) {
                     // Unindex under the *original* bindings before the
                     // advance extends them — computing the old key after
                     // assignment would leave a stale index entry that
@@ -783,7 +784,6 @@ impl Monitor {
                 let valid = self
                     .slots
                     .get(idx)
-                    .and_then(Option::as_ref)
                     .is_some_and(|i| i.uid == uid && i.awaiting == expected_stage);
                 if !valid {
                     self.stats.stale_effects_dropped += 1;
@@ -821,30 +821,22 @@ impl Monitor {
             (h % cap.max(1) as u64) as usize
         });
         if let Some(c) = cell {
+            // The register array is allocated by the first spawn that
+            // needs it, so an idle replica holds none.
+            if self.cells.is_empty() {
+                self.cells = vec![None; self.cfg.capacity.unwrap_or(0)];
+            }
             if let Some(victim) = self.cells[c] {
                 self.stats.evicted += 1;
                 self.remove_instance(victim);
             }
         }
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
+        let idx = self.free.pop().unwrap_or_else(|| self.slots.push_empty());
         self.wrote(idx);
         let uid = self.next_uid;
         self.next_uid += 1;
-        self.slots[idx] = Some(Instance {
-            uid,
-            awaiting: 1,
-            bindings,
-            stage_ids: vec![stage_id],
-            history,
-            timer: None,
-            cell,
-        });
+        let inst = Instance { uid, awaiting: 1, bindings, history, timer: None, cell };
+        self.slots.put(idx, inst, stage_id);
         if let Some(c) = cell {
             self.cells[c] = Some(idx);
         }
@@ -855,12 +847,12 @@ impl Monitor {
 
     /// Add slot `idx` to the bucket of the stage it now awaits.
     fn bucket_insert(&mut self, idx: usize) {
-        let inst = self.slots[idx].as_ref().expect("live instance");
+        let (inst, ids) = self.slots.entry(idx).expect("live instance");
         match &mut self.buckets[inst.awaiting] {
             Bucket::Scan(v) => v.push(idx),
             Bucket::Keyed { map, rest } => {
                 let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
-                match postings(key, inst) {
+                match postings(key, inst, ids) {
                     Some(vals) => vals.for_each(|val| file(map, val, idx)),
                     None => rest.push(idx),
                 }
@@ -873,7 +865,7 @@ impl Monitor {
     /// under (binding *extension* is fine: existing values never change,
     /// only new variables are added, and recorded stage ids are immutable).
     fn bucket_remove(&mut self, idx: usize) {
-        let Some(inst) = self.slots.get(idx).and_then(Option::as_ref) else { return };
+        let Some((inst, ids)) = self.slots.entry(idx) else { return };
         fn evict(v: &mut Vec<usize>, idx: usize) {
             if let Some(pos) = v.iter().position(|&i| i == idx) {
                 v.swap_remove(pos);
@@ -883,7 +875,7 @@ impl Monitor {
             Bucket::Scan(v) => evict(v, idx),
             Bucket::Keyed { map, rest } => {
                 let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
-                match postings(key, inst) {
+                match postings(key, inst, ids) {
                     Some(vals) => vals.for_each(|val| {
                         unfile(map, val, idx);
                     }),
@@ -936,7 +928,7 @@ impl Monitor {
     /// Handle a duplicate spawn/advance landing on `incumbent`.
     fn dedup_against(&mut self, incumbent: usize, at: Instant) {
         self.stats.deduplicated += 1;
-        let Some(inst) = self.slots.get(incumbent).and_then(Option::as_ref) else {
+        let Some(inst) = self.slots.get(incumbent) else {
             return;
         };
         let stage = &self.property.stages[inst.awaiting];
@@ -962,7 +954,7 @@ impl Monitor {
     /// advances that extend bindings go through
     /// [`Monitor::advance_instance_unindexed`].
     fn advance_instance(&mut self, idx: usize, stage_id: Option<PacketId>, at: Instant) {
-        let inst = self.slots[idx].as_ref().expect("live instance");
+        let inst = self.slots.get(idx).expect("live instance");
         self.index.remove_instance(inst, idx);
         self.advance_instance_unindexed(idx, stage_id, at);
     }
@@ -976,17 +968,15 @@ impl Monitor {
         self.bucket_remove(idx);
         self.wrote(idx);
         let done = {
-            let inst = self.slots[idx].as_mut().expect("live instance");
+            let inst = self.slots.advance(idx, stage_id);
             if let Some(t) = inst.timer.take() {
                 self.timers.cancel(t);
             }
-            inst.stage_ids.push(stage_id);
-            inst.awaiting += 1;
             self.stats.advanced += 1;
             inst.awaiting == self.property.stages.len()
         };
         if done {
-            let inst = self.slots[idx].take().expect("live instance");
+            let inst = self.slots.take(idx).expect("live instance");
             if let Some(c) = inst.cell {
                 if self.cells[c] == Some(idx) {
                     self.cells[c] = None;
@@ -998,12 +988,12 @@ impl Monitor {
             return;
         }
         // Dedup at the new position.
-        let inst = self.slots[idx].as_ref().expect("live instance");
+        let inst = self.slots.get(idx).expect("live instance");
         let hash = self.index.hash(inst.awaiting, &inst.bindings);
         if let Some(incumbent) = self.index.get(hash, inst.awaiting, &inst.bindings, &self.slots) {
             // The incumbent wins; this instance dissolves into it.
             self.dedup_against(incumbent, at);
-            if let Some(inst) = self.slots[idx].take() {
+            if let Some(inst) = self.slots.take(idx) {
                 if let Some(c) = inst.cell {
                     if self.cells[c] == Some(idx) {
                         self.cells[c] = None;
@@ -1024,7 +1014,7 @@ impl Monitor {
     /// Arm the timer appropriate to the stage instance `idx` now awaits,
     /// measured from observation time `at`.
     fn arm_stage_timer(&mut self, idx: usize, at: Instant) {
-        let inst = self.slots[idx].as_ref().expect("live");
+        let inst = self.slots.get(idx).expect("live");
         let awaiting = inst.awaiting;
         let stage: &Stage = &self.property.stages[awaiting];
         let timer = match &stage.kind {
@@ -1037,12 +1027,12 @@ impl Monitor {
                 )
             }
         };
-        self.slots[idx].as_mut().expect("live").timer = timer;
+        self.slots.get_mut(idx).expect("live").timer = timer;
     }
 
     fn remove_instance(&mut self, idx: usize) {
         self.bucket_remove(idx);
-        if let Some(inst) = self.slots[idx].take() {
+        if let Some(inst) = self.slots.take(idx) {
             self.wrote(idx);
             if let Some(t) = inst.timer {
                 self.timers.cancel(t);
@@ -1139,20 +1129,15 @@ impl Monitor {
     /// only those slots have changed; without it nothing is assumed of
     /// `image` and every slot is copied.
     fn write_image(&self, image: &mut crate::snapshot::MonitorSnapshot, written: Option<&[usize]>) {
-        // In place: a slot live on both sides keeps its box and its vectors.
-        let copy = |to: &mut Option<Box<Instance>>, from: &Option<Instance>| match (to, from) {
-            (Some(to), Some(from)) => to.as_mut().clone_from(from),
-            (to, from) => *to = from.clone().map(Box::new),
-        };
-        image.slots.resize(self.slots.len(), None);
+        // In place: the image's chunks are reused, and so is the history
+        // of a slot live on both sides.
         match written {
-            Some(written) => {
-                written.iter().for_each(|&i| copy(&mut image.slots[i], &self.slots[i]))
-            }
+            Some(written) => image.slots.copy_some(&self.slots, written),
             None => {
                 image.property.clone_from(&self.property.name);
                 image.stages = self.property.stages.len();
-                image.slots.iter_mut().zip(&self.slots).for_each(|(to, from)| copy(to, from));
+                image.slots.copy_all(&self.slots);
+                image.defect = None;
             }
         }
         image.free.clone_from(&self.free);
@@ -1187,8 +1172,11 @@ impl Monitor {
             });
         }
         // Validate before mutating, so a bad snapshot cannot half-apply.
+        if let Some(why) = snap.defect {
+            return Err(SnapshotError::Malformed(why));
+        }
         let capacity = self.cfg.capacity.unwrap_or(0);
-        for inst in snap.slots.iter().flatten() {
+        for (_, inst, _) in snap.slots.live() {
             if inst.awaiting == 0 || inst.awaiting >= self.property.stages.len() {
                 return Err(SnapshotError::Malformed("instance awaits an out-of-range stage"));
             }
@@ -1200,7 +1188,7 @@ impl Monitor {
         }
         let mut listed = vec![false; snap.slots.len()];
         for &f in &snap.free {
-            if f >= snap.slots.len() || snap.slots[f].is_some() {
+            if f >= snap.slots.len() || snap.slots.get(f).is_some() {
                 return Err(SnapshotError::Malformed("free-list entry is not an empty slot"));
             }
             // Listed twice, the slot would be handed to two spawns and the
@@ -1211,14 +1199,13 @@ impl Monitor {
         }
         // The dedup index holds one slot per key; a second would stay live
         // but unreachable. The index reads its keys from the slots, so they
-        // come first; `self` is untouched until both are built.
-        let slots: Vec<Option<Instance>> =
-            snap.slots.iter().map(|slot| slot.as_deref().cloned()).collect();
+        // come first; `self` is untouched until both are built. Every
+        // instance awaits a stage below the last, so its ids fit a row.
+        let slots = SlotStore::restride(&snap.slots, self.property.stages.len() - 1);
         let live = slots.len() - snap.free.len();
         let map = FoldMap::with_capacity_and_hasher(live, self.index.map.hasher().clone());
         let mut index = DedupIndex { map, len: 0 };
-        for (idx, inst) in slots.iter().enumerate() {
-            let Some(inst) = inst else { continue };
+        for (idx, inst, _) in slots.live() {
             let hash = index.hash(inst.awaiting, &inst.bindings);
             if index.get(hash, inst.awaiting, &inst.bindings, &slots).is_some() {
                 return Err(SnapshotError::Malformed("two live instances share a dedup key"));
@@ -1241,11 +1228,14 @@ impl Monitor {
 
         // Rebuild the derived structures from the live slots.
         self.index = index;
-        self.cells = vec![None; capacity];
+        self.cells = Vec::new();
         self.buckets = empty_buckets(self.property.stages.len(), &self.stage_keys);
         for idx in 0..self.slots.len() {
-            let Some(inst) = self.slots[idx].as_ref() else { continue };
-            if let Some(c) = inst.cell {
+            let Some(cell) = self.slots.get(idx).map(|inst| inst.cell) else { continue };
+            if let Some(c) = cell {
+                if self.cells.is_empty() {
+                    self.cells = vec![None; capacity];
+                }
                 self.cells[c] = Some(idx);
             }
             self.bucket_insert(idx);
@@ -1635,8 +1625,8 @@ mod tests {
         // ignores: exactly the instance that recorded it.
         let hit = candidates(&m, &forwarded(at(50), 99, 98, 1006));
         assert_eq!(hit.len(), 1);
-        let inst = m.slots[hit[0]].as_ref().unwrap();
-        assert_eq!(inst.stage_ids, vec![Some(PacketId(1006))]);
+        let (_, ids) = m.slots.entry(hit[0]).unwrap();
+        assert_eq!(ids, [Some(PacketId(1006))]);
         // A drop of that packet does not match the stage's pattern at all.
         assert!(candidates(&m, &dropped(at(50), 7, 200, 1006)).is_empty());
 
@@ -1810,6 +1800,68 @@ mod tests {
     }
 
     #[test]
+    fn a_live_instance_stays_put_while_the_store_grows() {
+        // Slot 0 is spawned first; 1 999 more spawns take the store through
+        // twelve more chunks, and neither the instance nor its ids move.
+        let mut m = Monitor::with_defaults(fw_basic());
+        let flow = |i: u64| Bindings::new().bind(var("A"), FieldValue::Uint(i));
+        m.spawn(at(0), flow(0), Some(PacketId(0)), Vec::new());
+        let (first, ids) = m.slots.entry(0).expect("spawned");
+        let (first, ids): (*const Instance, *const Option<PacketId>) = (first, ids.as_ptr());
+        for i in 1..2_000 {
+            m.spawn(at(0), flow(i), Some(PacketId(i)), Vec::new());
+        }
+        assert_eq!((m.live_instances(), m.slots.len()), (2_000, 2_000));
+        let (now, now_ids) = m.slots.entry(0).expect("still live");
+        assert!(std::ptr::eq(first, now), "the instance moved");
+        assert!(std::ptr::eq(ids, now_ids.as_ptr()), "its stage ids moved");
+        assert_eq!(now_ids, [Some(PacketId(0))]);
+    }
+
+    #[test]
+    fn an_image_patched_while_the_store_grows_equals_a_fresh_snapshot() {
+        // Each round opens 300 flows, so the store and the image gain
+        // chunks between syncs, and violates every third flow opened so far,
+        // freeing slots the next round reuses. Every sync after the first
+        // patches the image; `synced` compares it with a fresh snapshot
+        // byte for byte, in release builds too.
+        let mut m = Monitor::with_defaults(fw_basic());
+        let mut image = Default::default();
+        let host = |f: u64| ((f % 250) as u8 + 1, (f / 250) as u8 + 1);
+        let mut copied = Vec::new();
+        for round in 0..8u64 {
+            for f in round * 300..(round + 1) * 300 {
+                let (a, b) = host(f);
+                m.process(&arrival(at(f), a, b, 2 * f));
+            }
+            for f in (0..(round + 1) * 300).step_by(3) {
+                let (a, b) = host(f);
+                m.process(&dropped(at((round + 1) * 300), b, a, 2 * f + 1));
+            }
+            copied.push((synced(&mut m, &mut image), m.slots.len()));
+        }
+        assert!(m.slots.len() > 1_000, "the store grew past several chunks");
+        assert!(copied[1..].iter().all(|&(n, len)| n < len), "each later sync patched: {copied:?}");
+        assert_eq!(image.live_instances(), m.live_instances());
+    }
+
+    #[test]
+    fn an_idle_replica_holds_no_register_array() {
+        // A shard builds a replica of every property; under a bounded store
+        // only a replica that spawns pays for the cells.
+        let cfg = MonitorConfig { capacity: Some(1 << 20), ..Default::default() };
+        let mut m = Monitor::new(fw_basic(), cfg);
+        assert_eq!((m.cells.capacity(), m.slots.len()), (0, 0));
+        let mut replica = Monitor::new(fw_basic(), cfg);
+        replica.restore(&m.snapshot()).expect("an idle image restores");
+        assert_eq!(replica.cells.capacity(), 0, "restoring an idle image allocates none");
+        m.process(&arrival(at(0), 1, 2, 0));
+        assert_eq!(m.cells.len(), 1 << 20, "the first spawn allocates the array");
+        replica.restore(&m.snapshot()).expect("a live image restores");
+        assert_eq!(replica.cells.len(), 1 << 20);
+    }
+
+    #[test]
     fn only_the_image_last_synced_into_is_patched() {
         let mut m = Monitor::with_defaults(fw_basic());
         let mut other = Monitor::with_defaults(fw_basic());
@@ -1942,11 +1994,20 @@ mod tests {
         let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
         let b = Bindings::new().bind(var("A"), FieldValue::Uint(2));
         let keys = [(1, a), (1, b), (2, a)];
-        let (stage_ids, history, timer, cell) = (Vec::new(), Vec::new(), None, None);
-        let slots = keys.map(|(awaiting, bindings)| {
-            let (stage_ids, history) = (stage_ids.clone(), history.clone());
-            Some(Instance { uid: 0, awaiting, bindings, stage_ids, history, timer, cell })
-        });
+        let mut slots = SlotStore::new(2);
+        for (awaiting, bindings) in keys {
+            let idx = slots.push_empty();
+            let inst = Instance {
+                uid: 0,
+                awaiting: 1,
+                bindings,
+                history: Vec::new(),
+                timer: None,
+                cell: None,
+            };
+            slots.put(idx, inst, None);
+            (1..awaiting).for_each(|_| _ = slots.advance(idx, None));
+        }
         const HASH: u64 = 0x5eed;
         let find = |index: &DedupIndex, (stage, bindings): (usize, Bindings)| {
             index.get(HASH, stage, &bindings, &slots)

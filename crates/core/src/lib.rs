@@ -35,6 +35,7 @@ pub mod pattern;
 pub mod postcard;
 pub mod property;
 pub mod routing;
+mod slots;
 pub mod snapshot;
 pub mod spawn;
 pub mod var;

@@ -25,6 +25,7 @@
 //! structures (instances, effects, stats) are encoded here.
 
 use crate::engine::{Effect, Instance, MonitorStats, SyncToken, TimerKind};
+use crate::slots::SlotStore;
 use crate::violation::Violation;
 pub use crate::wire::SnapshotError;
 use crate::wire::{Reader, Writer};
@@ -55,10 +56,10 @@ const KILL_CLEARED: u8 = 0;
 pub struct MonitorSnapshot {
     pub(crate) property: String,
     pub(crate) stages: usize,
-    /// The monitor's slot array, each live instance in a box of its own:
-    /// an image that is patched for a whole run grows with the monitor's
-    /// state, and growing must move pointers, not instances.
-    pub(crate) slots: Vec<Option<Box<Instance>>>,
+    /// The monitor's slots, laid out as the monitor lays out its own: an
+    /// image patched for a whole run grows with the monitor's state, and
+    /// growing adds a chunk, never moving an instance.
+    pub(crate) slots: SlotStore,
     pub(crate) free: Vec<usize>,
     pub(crate) timers: TimerWheelSnapshot<(usize, TimerKind)>,
     pub(crate) pending: Vec<(Instant, Effect)>,
@@ -76,6 +77,12 @@ pub struct MonitorSnapshot {
     /// fresh [`Monitor::snapshot`](crate::Monitor::snapshot), is nobody's
     /// base.
     pub(crate) synced: Option<SyncToken>,
+    /// Why `restore` must refuse this image, found while decoding it: an
+    /// instance whose stage-id count is not its awaited stage, or is more
+    /// than a slot of its property holds. Such an image does not re-encode
+    /// to the bytes it came from: an instance awaiting stage `k` is written
+    /// with at most its first `k` ids. Not part of the encoding.
+    pub(crate) defect: Option<&'static str>,
 }
 
 impl MonitorSnapshot {
@@ -86,7 +93,7 @@ impl MonitorSnapshot {
 
     /// Number of live instances captured.
     pub fn live_instances(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.slots.live().count()
     }
 
     /// Violations raised up to the snapshot point.
@@ -107,12 +114,12 @@ impl MonitorSnapshot {
         w.str(&self.property);
         w.u64(self.stages as u64);
         w.u64(self.slots.len() as u64);
-        for slot in &self.slots {
-            match slot {
+        for idx in 0..self.slots.len() {
+            match self.slots.entry(idx) {
                 None => w.u8(0),
-                Some(inst) => {
+                Some((inst, ids)) => {
                     w.u8(1);
-                    write_instance(&mut w, inst);
+                    write_instance(&mut w, inst, ids);
                 }
             }
         }
@@ -156,14 +163,26 @@ impl MonitorSnapshot {
         let property = r.str()?;
         let stages = r.len()?;
         let n_slots = r.count()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            slots.push(match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(read_instance(&mut r)?)),
-                t => return Err(SnapshotError::BadTag { what: "slot", tag: t }),
-            });
-        }
+        let mut defect = None;
+        let slots = SlotStore::decode(n_slots, |ids| match r.u8()? {
+            0 => Ok(None),
+            1 => {
+                let start = ids.len();
+                let inst = read_instance(&mut r, ids)?;
+                // A slot of a property of `stages` stages holds one id per
+                // stage an instance can complete, and an instance awaiting
+                // stage `k` has recorded exactly `k` of them.
+                let n_ids = ids.len() - start;
+                if n_ids > stages.saturating_sub(1) {
+                    defect.get_or_insert("instance holds more stage ids than its slot");
+                } else if n_ids != inst.awaiting {
+                    defect
+                        .get_or_insert("instance's stage-id count differs from its awaited stage");
+                }
+                Ok(Some(inst))
+            }
+            t => Err(SnapshotError::BadTag { what: "slot", tag: t }),
+        })?;
         let n_free = r.count()?;
         let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
@@ -213,6 +232,7 @@ impl MonitorSnapshot {
             next_uid,
             stats,
             synced: None,
+            defect,
         })
     }
 }
@@ -222,12 +242,12 @@ impl MonitorSnapshot {
 // These encode `pub(crate)` engine types (instances, pending effects, stage
 // counters) and so stay here; everything shareable lives in `crate::wire`.
 
-fn write_instance(w: &mut Writer, inst: &Instance) {
+fn write_instance(w: &mut Writer, inst: &Instance, stage_ids: &[Option<PacketId>]) {
     w.u64(inst.uid);
     w.u64(inst.awaiting as u64);
     w.bindings(&inst.bindings);
-    w.u64(inst.stage_ids.len() as u64);
-    for id in &inst.stage_ids {
+    w.u64(stage_ids.len() as u64);
+    for id in stage_ids {
         w.opt_u64(id.map(|PacketId(x)| x));
     }
     w.u64(inst.history.len() as u64);
@@ -294,13 +314,15 @@ fn write_stats(w: &mut Writer, s: &MonitorStats) {
     }
 }
 
-fn read_instance(r: &mut Reader<'_>) -> Result<Instance, SnapshotError> {
+/// Read one instance, appending its stage ids to `stage_ids`.
+fn read_instance(
+    r: &mut Reader<'_>,
+    stage_ids: &mut Vec<Option<PacketId>>,
+) -> Result<Instance, SnapshotError> {
     let uid = r.u64()?;
     let awaiting = r.len()?;
     let bindings = r.bindings()?;
-    let n_ids = r.count()?;
-    let mut stage_ids = Vec::with_capacity(n_ids);
-    for _ in 0..n_ids {
+    for _ in 0..r.count()? {
         stage_ids.push(r.opt_u64()?.map(PacketId));
     }
     let n_hist = r.count()?;
@@ -315,7 +337,7 @@ fn read_instance(r: &mut Reader<'_>) -> Result<Instance, SnapshotError> {
             Some(usize::try_from(c).map_err(|_| SnapshotError::Malformed("cell exceeds usize"))?)
         }
     };
-    Ok(Instance { uid, awaiting, bindings, stage_ids, history, timer, cell })
+    Ok(Instance { uid, awaiting, bindings, history, timer, cell })
 }
 
 fn read_effect(r: &mut Reader<'_>) -> Result<Effect, SnapshotError> {
@@ -641,10 +663,11 @@ mod tests {
         snap
     }
 
-    /// A decoded image `restore` must refuse, leaving `target` as it was.
-    fn assert_restore_rejects(bytes: &[u8], reason: &str) {
+    /// A decoded image `restore` must refuse, leaving `target`, a monitor of
+    /// `property`, as it was.
+    fn assert_restore_rejects(property: Property, bytes: &[u8], reason: &str) {
         let snap = MonitorSnapshot::from_bytes(bytes).expect("structurally valid");
-        let mut target = Monitor::with_defaults(fw_timeout());
+        let mut target = Monitor::with_defaults(property);
         target.process(&arrival(at(0), 7, 99, 0));
         let before = target.snapshot().to_bytes();
         match target.restore(&snap) {
@@ -668,7 +691,7 @@ mod tests {
         let mut twice = snap.free.clone();
         twice[1] = twice[0];
         let bytes = patched(snap.to_bytes(), &section(&snap.free), &section(&twice));
-        assert_restore_rejects(&bytes, "free-list names a slot twice");
+        assert_restore_rejects(fw_timeout(), &bytes, "free-list names a slot twice");
     }
 
     #[test]
@@ -676,7 +699,7 @@ mod tests {
         // The rebuilt index would keep one of them; the other would stay
         // live but unreachable — never deduplicated against, never cleared.
         let snap = two_live_two_free();
-        let mut live = snap.slots.iter().flatten();
+        let mut live = snap.slots.live().map(|(_, inst, _)| inst);
         let (a, b) = (live.next().unwrap(), live.next().unwrap());
         assert_eq!(a.awaiting, b.awaiting);
         let encoded = |inst: &Instance| {
@@ -685,7 +708,44 @@ mod tests {
             w.into_bytes()
         };
         let bytes = patched(snap.to_bytes(), &encoded(b), &encoded(a));
-        assert_restore_rejects(&bytes, "two live instances share a dedup key");
+        assert_restore_rejects(fw_timeout(), &bytes, "two live instances share a dedup key");
+    }
+
+    #[test]
+    fn restore_rejects_stage_ids_that_do_not_fit_the_instance() {
+        // A third stage, so a slot holds two stage ids and an instance may
+        // await stage 2. The instance below awaits stage 1 and has
+        // recorded packet 0x5157.
+        let mut three = fw_timeout();
+        three.stages.push(Stage::match_("again", EventPattern::Arrival, Guard::any()));
+        let mut m = Monitor::with_defaults(three.clone());
+        m.process(&arrival(at(0), 7, 99, 0x5157));
+        let snap = m.snapshot();
+        let bindings = snap.slots.live().next().expect("one live instance").1.bindings;
+        let bytes = snap.to_bytes();
+        let section = |awaiting: u64| {
+            let mut w = Writer::with_capacity(64);
+            w.u64(awaiting);
+            w.bindings(&bindings);
+            w.into_bytes()
+        };
+        // Awaiting stage 2 — in range — with one id recorded: the engine
+        // would read a second id the instance never saw.
+        let bytes_2 = patched(bytes.clone(), &section(1), &section(2));
+        assert_restore_rejects(
+            three.clone(),
+            &bytes_2,
+            "instance's stage-id count differs from its awaited stage",
+        );
+        // Nine ids, in the bytes of one: more than a slot of three stages holds.
+        let ids = |ids: &[Option<u64>]| {
+            let mut w = Writer::with_capacity(64);
+            w.u64(ids.len() as u64);
+            ids.iter().for_each(|&id| w.opt_u64(id));
+            w.into_bytes()
+        };
+        let bytes_9 = patched(bytes, &ids(&[Some(0x5157)]), &ids(&[None; 9]));
+        assert_restore_rejects(three, &bytes_9, "instance holds more stage ids than its slot");
     }
 
     #[test]
