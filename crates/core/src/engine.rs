@@ -47,7 +47,7 @@
 //! missed/duplicated observations the paper warns about, which experiment E6
 //! quantifies.
 
-use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
+use crate::property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{Probe, StageKey, StageKeyPlan};
 use crate::slots::SlotStore;
 use crate::var::Bindings;
@@ -102,6 +102,27 @@ impl Default for MonitorConfig {
         }
     }
 }
+
+/// Why [`Monitor::try_new`] refused to build a monitor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MonitorError {
+    /// The property failed [`Property::validate`].
+    Property(PropertyError),
+    /// [`MonitorConfig::capacity`] is `Some(0)`: a register array with no
+    /// cell can hold no instance.
+    ZeroCapacity,
+}
+
+impl std::fmt::Display for MonitorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MonitorError::Property(e) => write!(f, "{e}"),
+            MonitorError::ZeroCapacity => write!(f, "a capacity-bounded store needs a cell"),
+        }
+    }
+}
+
+impl std::error::Error for MonitorError {}
 
 /// Counters describing what the monitor has done.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -444,12 +465,13 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Build a monitor, rejecting structurally invalid properties.
-    pub fn try_new(
-        property: Property,
-        cfg: MonitorConfig,
-    ) -> Result<Self, crate::property::PropertyError> {
-        property.validate()?;
+    /// Build a monitor, rejecting structurally invalid properties and a
+    /// zero [`MonitorConfig::capacity`].
+    pub fn try_new(property: Property, cfg: MonitorConfig) -> Result<Self, MonitorError> {
+        property.validate().map_err(MonitorError::Property)?;
+        if cfg.capacity == Some(0) {
+            return Err(MonitorError::ZeroCapacity);
+        }
         Ok(Self::new(property, cfg))
     }
 
@@ -457,10 +479,12 @@ impl Monitor {
     ///
     /// # Panics
     ///
-    /// Panics if the property fails [`Property::validate`]; use
-    /// [`Monitor::try_new`] for untrusted (e.g. DSL-loaded) input.
+    /// Panics if the property fails [`Property::validate`] or
+    /// `cfg.capacity` is `Some(0)`; use [`Monitor::try_new`] for untrusted
+    /// (e.g. DSL-loaded) input.
     pub fn new(property: Property, cfg: MonitorConfig) -> Self {
         property.validate().expect("property must be well-formed");
+        assert_ne!(cfg.capacity, Some(0), "a capacity-bounded store needs a cell");
         let stage_keys = StageKeyPlan::of(&property);
         let buckets = empty_buckets(property.stages.len(), &stage_keys);
         // An instance records one id per stage it completes before the
@@ -818,7 +842,7 @@ impl Monitor {
         // hash cell; a different live incumbent there is evicted.
         let cell = self.cfg.capacity.map(|cap| {
             let h = Self::bindings_hash(&bindings);
-            (h % cap.max(1) as u64) as usize
+            (h % cap as u64) as usize
         });
         if let Some(c) = cell {
             // The register array is allocated by the first spawn that

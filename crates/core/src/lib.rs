@@ -48,7 +48,7 @@ pub use dsl::{
     parse_properties, parse_properties_spanned, parse_property, parse_property_spanned, to_dsl,
     DslError, PropertySpans, StageSpan,
 };
-pub use engine::{Monitor, MonitorConfig, MonitorStats, ProcessingMode};
+pub use engine::{Monitor, MonitorConfig, MonitorError, MonitorStats, ProcessingMode};
 pub use features::{FeatureSet, InstanceIdClass};
 pub use guard::{Atom, Guard};
 pub use monitorset::MonitorSet;

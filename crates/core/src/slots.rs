@@ -234,9 +234,8 @@ impl SlotStore {
 
     /// Decode `n` slots, one `read` each: `read` appends the stage ids of
     /// the instance it returns (if any) to the buffer it is given. Each
-    /// chunk is as wide as its widest instance, so what the store holds
-    /// stays in proportion to what was read, whatever the stage count an
-    /// image claims.
+    /// chunk is as wide as its widest instance, so `read` bounds what the
+    /// store holds by bounding how many ids it leaves for one instance.
     pub(crate) fn decode<E>(
         n: usize,
         mut read: impl FnMut(&mut Vec<StageId>) -> Result<Option<Instance>, E>,
@@ -272,6 +271,14 @@ fn copy_slot(dst: &mut Chunk, src: &Chunk, off: usize) {
     if let Some(inst) = &src.insts[off] {
         let ids = src.ids(off, inst);
         dst.ids[off * dst.stride..(off + 1) * dst.stride][..ids.len()].copy_from_slice(ids);
+    }
+}
+
+#[cfg(test)]
+impl SlotStore {
+    /// The widest row any chunk holds.
+    pub(crate) fn widest(&self) -> usize {
+        self.chunks.iter().map(|c| c.stride).max().unwrap_or(0)
     }
 }
 

@@ -164,17 +164,21 @@ impl MonitorSnapshot {
         let stages = r.len()?;
         let n_slots = r.count()?;
         let mut defect = None;
+        // A slot of a property of `stages` stages holds one id per stage an
+        // instance can complete, and an instance awaiting stage `k` has
+        // recorded exactly `k` of them.
+        let width = stages.saturating_sub(1);
         let slots = SlotStore::decode(n_slots, |ids| match r.u8()? {
             0 => Ok(None),
             1 => {
                 let start = ids.len();
                 let inst = read_instance(&mut r, ids)?;
-                // A slot of a property of `stages` stages holds one id per
-                // stage an instance can complete, and an instance awaiting
-                // stage `k` has recorded exactly `k` of them.
                 let n_ids = ids.len() - start;
-                if n_ids > stages.saturating_sub(1) {
+                if n_ids > width {
                     defect.get_or_insert("instance holds more stage ids than its slot");
+                    // Not stored: a chunk is as wide as its widest row, so
+                    // one deep instance would widen all 256 of its slots.
+                    ids.truncate(start + width);
                 } else if n_ids != inst.awaiting {
                     defect
                         .get_or_insert("instance's stage-id count differs from its awaited stage");
@@ -639,12 +643,18 @@ mod tests {
     }
 
     /// `bytes` with its one occurrence of `from` overwritten by `to`.
-    fn patched(mut bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+    fn patched(bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
         assert_eq!(from.len(), to.len());
+        spliced(bytes, from, to)
+    }
+
+    /// `bytes` with the one occurrence of `from` replaced by `to`, of any
+    /// length.
+    fn spliced(mut bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
         let mut hits = (0..=bytes.len() - from.len()).filter(|&i| bytes[i..].starts_with(from));
         let at = hits.next().expect("the pattern occurs");
         assert!(hits.next().is_none(), "the pattern is ambiguous");
-        bytes[at..at + to.len()].copy_from_slice(to);
+        bytes.splice(at..at + from.len(), to.iter().copied());
         bytes
     }
 
@@ -746,6 +756,44 @@ mod tests {
         };
         let bytes_9 = patched(bytes, &ids(&[Some(0x5157)]), &ids(&[None; 9]));
         assert_restore_rejects(three, &bytes_9, "instance holds more stage ids than its slot");
+    }
+
+    #[test]
+    fn a_crafted_deep_instance_widens_no_chunk() {
+        // One live instance, in slot 0, awaiting stage 1 with one id.
+        let mut m = Monitor::with_defaults(fw_timeout());
+        m.process(&arrival(at(0), 7, 99, 0x5157));
+        let snap = m.snapshot();
+        let inst = snap.slots.live().next().expect("one live instance").1.clone();
+        let bytes = snap.to_bytes();
+        // Crafted: the instance moves to slot 256, the first of a 256-slot
+        // chunk, behind 256 empty slots, and encodes 10 000 ids (one byte
+        // each) where it recorded one.
+        let slots = |n: u64, empty: usize| {
+            let mut w = Writer::with_capacity(300);
+            w.u64(n);
+            (0..empty).for_each(|_| w.u8(0));
+            w.u8(1);
+            w.u64(inst.uid);
+            w.u64(inst.awaiting as u64);
+            w.into_bytes()
+        };
+        let ids = |ids: &[Option<u64>]| {
+            let mut w = Writer::with_capacity(64);
+            w.u64(ids.len() as u64);
+            ids.iter().for_each(|&id| w.opt_u64(id));
+            w.into_bytes()
+        };
+        let bytes = spliced(bytes, &slots(1, 0), &slots(257, 256));
+        let bytes = spliced(bytes, &ids(&[Some(0x5157)]), &ids(&[None; 10_000]));
+        let snap = MonitorSnapshot::from_bytes(&bytes).expect("structurally valid");
+        assert_eq!(snap.defect, Some("instance holds more stage ids than its slot"));
+        assert_eq!(snap.slots.len(), 257);
+        assert_eq!(snap.live_instances(), 1);
+        // A row as wide as a slot of the property holds: one id, not 10 000
+        // for each of the chunk's 256 slots.
+        assert_eq!(snap.slots.widest(), 1);
+        assert_restore_rejects(fw_timeout(), &bytes, "instance holds more stage ids than its slot");
     }
 
     #[test]

@@ -245,3 +245,18 @@ fn try_new_rejects_invalid_properties() {
     assert!(Monitor::try_new(invalid, MonitorConfig::default()).is_err());
     assert!(Monitor::try_new(fw(), MonitorConfig::default()).is_ok());
 }
+
+#[test]
+fn try_new_refuses_a_zero_capacity() {
+    let cfg = MonitorConfig { capacity: Some(0), ..Default::default() };
+    let err = Monitor::try_new(fw(), cfg).err();
+    assert_eq!(err, Some(swmon_core::MonitorError::ZeroCapacity));
+    let one = MonitorConfig { capacity: Some(1), ..Default::default() };
+    assert!(Monitor::try_new(fw(), one).is_ok());
+}
+
+#[test]
+#[should_panic(expected = "a capacity-bounded store needs a cell")]
+fn new_refuses_a_zero_capacity() {
+    Monitor::new(fw(), MonitorConfig { capacity: Some(0), ..Default::default() });
+}

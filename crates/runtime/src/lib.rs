@@ -104,6 +104,9 @@ pub enum RuntimeError {
     },
     /// More than [`MAX_PROPERTIES`] properties were supplied.
     TooManyProperties(usize),
+    /// The monitor configuration bounds each instance store to zero cells
+    /// (`capacity: Some(0)`), which can hold no instance.
+    ZeroCapacity,
     /// A shard exhausted its restart budget (or failed to restore a
     /// checkpoint) and was escalated by its supervisor. Terminal: the
     /// session returns this same error from every later call.
@@ -137,6 +140,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::TooManyProperties(n) => {
                 write!(f, "{n} properties exceed the runtime limit of {MAX_PROPERTIES}")
             }
+            RuntimeError::ZeroCapacity => write!(f, "a capacity-bounded store needs a cell"),
             RuntimeError::ShardFailed { shard, restarts, message } => {
                 write!(f, "shard {shard} failed after {restarts} restart(s): {message}")
             }
@@ -194,6 +198,9 @@ impl ShardedRuntime {
     pub fn new(props: Vec<Property>, cfg: RuntimeConfig) -> Result<Self, RuntimeError> {
         if props.len() > MAX_PROPERTIES {
             return Err(RuntimeError::TooManyProperties(props.len()));
+        }
+        if cfg.monitor.capacity == Some(0) {
+            return Err(RuntimeError::ZeroCapacity);
         }
         for (index, p) in props.iter().enumerate() {
             p.validate().map_err(|source| RuntimeError::Invalid { index, source })?;
@@ -711,6 +718,21 @@ mod tests {
             (0..65).map(|i| repeat_prop(&format!("p{i}"), Field::Ipv4Src)).collect();
         let err = ShardedRuntime::new(many, RuntimeConfig::with_shards(1)).unwrap_err();
         assert!(matches!(err, RuntimeError::TooManyProperties(65)), "{err}");
+    }
+
+    #[test]
+    fn a_zero_capacity_is_refused_before_any_event() {
+        let props = vec![repeat_prop("p", Field::Ipv4Src)];
+        let bounded = |capacity| RuntimeConfig {
+            monitor: MonitorConfig { capacity: Some(capacity), ..Default::default() },
+            ..RuntimeConfig::with_shards(2)
+        };
+        let err = ShardedRuntime::new(props.clone(), bounded(0)).unwrap_err();
+        assert!(matches!(err, RuntimeError::ZeroCapacity), "{err}");
+        let rt = ShardedRuntime::new(props, bounded(1)).expect("one cell is a store");
+        let events: Vec<NetEvent> = (0..20).map(arrival_from).collect();
+        let out = rt.run(&events, Instant::from_nanos(1_000)).unwrap();
+        assert_eq!(out.stats.unaccounted_loss(), 0);
     }
 
     #[test]

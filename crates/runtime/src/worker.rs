@@ -10,7 +10,7 @@
 //! the purely deterministic part of a shard.
 
 use crate::batch::ShardLayout;
-use crate::merge::{key, ViolationRecord};
+use crate::merge::{canonical_cmp, ViolationRecord};
 use swmon_core::{Monitor, MonitorSet};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -103,7 +103,10 @@ impl ViolationLog {
                 // A kept position, raised again by replay. The two can
                 // differ only in `degraded`/`history`, when a gap opened
                 // after the publish; what the sink saw is what stays.
-                Some(kept) => debug_assert_eq!(key(kept), key(&record), "replay diverged"),
+                Some(kept) => debug_assert!(
+                    canonical_cmp(kept, &record).is_eq(),
+                    "replay diverged: {kept:?} against {record:?}"
+                ),
                 None => self.records.push(record),
             }
             self.logged += 1;

@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use swmon_core::Var;
+
 use crate::segment::{Check, Segment};
 use crate::swql::{Atom, Query};
 
@@ -87,21 +89,45 @@ impl Plan {
     }
 }
 
+/// The rows of `seg` that `driver` enumerates: its postings there, or
+/// `None` for every row. `var` is a `bind` driver's variable, if anything
+/// has interned it. The planner counts what the executor walks.
+pub(crate) fn candidates<'s>(
+    seg: &'s Segment,
+    driver: &Driver,
+    var: Option<Var>,
+) -> Option<&'s [u32]> {
+    match driver {
+        Driver::FullScan => None,
+        Driver::Window(a, b) if seg.overlaps(*a, *b) => None,
+        Driver::Window(..) => Some(&[]),
+        Driver::Prop(p) => Some(seg.prop_rows(p)),
+        Driver::Bind(_, val) => Some(var.map_or(&[][..], |v| seg.bind_rows(v, val))),
+        Driver::Degraded => Some(seg.degraded_rows()),
+        Driver::Shard(s) => Some(seg.shard_rows(*s)),
+        Driver::Epoch(e) => Some(seg.epoch_rows(*e)),
+    }
+}
+
+/// The access path that drives a branch from `atom`.
+fn driver(atom: &Atom) -> Driver {
+    match atom.clone() {
+        Atom::Prop(None) => Driver::FullScan,
+        Atom::Prop(Some(p)) => Driver::Prop(p),
+        Atom::Bind(v, val) => Driver::Bind(v, val),
+        Atom::Window(a, b) => Driver::Window(a, b),
+        Atom::Degraded => Driver::Degraded,
+        Atom::Shard(s) => Driver::Shard(s),
+        Atom::Epoch(e) => Driver::Epoch(e),
+    }
+}
+
 /// Exact candidate-row count of driving the branch from `atom`: what its
 /// index yields across `segments`, plus the `tail` rows every driver walks.
 fn cost(atom: &Atom, segments: &[Segment], tail: u64) -> u64 {
-    let var = Check::new(atom).var();
-    let indexed = |seg: &Segment| match atom {
-        Atom::Prop(None) => seg.len(),
-        Atom::Prop(Some(p)) => seg.prop_rows(p).len(),
-        Atom::Bind(_, val) => var.map_or(0, |v| seg.bind_rows(v, val).len()),
-        Atom::Window(a, b) if seg.overlaps(*a, *b) => seg.len(),
-        Atom::Window(..) => 0,
-        Atom::Degraded => seg.degraded_rows().len(),
-        Atom::Shard(s) => seg.shard_rows(*s).len(),
-        Atom::Epoch(e) => seg.epoch_rows(*e).len(),
-    };
-    tail + segments.iter().map(|seg| indexed(seg) as u64).sum::<u64>()
+    let (driver, var) = (driver(atom), Check::new(atom).var());
+    let rows = |seg: &Segment| candidates(seg, &driver, var).map_or(seg.len(), <[u32]>::len);
+    tail + segments.iter().map(|seg| rows(seg) as u64).sum::<u64>()
 }
 
 /// Plan `query` against the given segment set and an open tail of `tail`
@@ -113,23 +139,11 @@ pub fn plan(query: &Query, segments: &[Segment], tail: u64) -> Plan {
         .map(|branch| {
             let costed: Vec<(u64, &Atom)> =
                 branch.atoms.iter().map(|(a, _)| (cost(a, segments, tail), a)).collect();
-            let (candidates, cheapest) = costed
-                .iter()
-                .min_by_key(|(c, _)| *c)
-                .map(|(c, a)| (*c, (*a).clone()))
-                .expect("a branch has at least one atom");
-            let driver = match cheapest {
-                Atom::Prop(None) => Driver::FullScan,
-                Atom::Prop(Some(p)) => Driver::Prop(p),
-                Atom::Bind(v, val) => Driver::Bind(v, val),
-                Atom::Window(a, b) => Driver::Window(a, b),
-                Atom::Degraded => Driver::Degraded,
-                Atom::Shard(s) => Driver::Shard(s),
-                Atom::Epoch(e) => Driver::Epoch(e),
-            };
+            let (candidates, cheapest) =
+                costed.iter().min_by_key(|(c, _)| *c).expect("a branch has at least one atom");
             BranchPlan {
-                driver,
-                candidates,
+                driver: driver(cheapest),
+                candidates: *candidates,
                 predicates: branch.atoms.iter().map(|(a, _)| a.clone()).collect(),
             }
         })

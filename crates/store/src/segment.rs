@@ -16,11 +16,15 @@
 //! probe is one binary search of a flat postings index, not a scan of
 //! `Display` output.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use swmon_core::wire::{Reader, SnapshotError, Writer};
 use swmon_core::{Var, VarId, VarTable};
-use swmon_packet::FieldValue;
+use swmon_packet::{FieldValue, Ipv4Address, MacAddr};
+use swmon_runtime::merge::{head, rendered};
 use swmon_runtime::ViolationRecord;
 
 use crate::swql::Atom;
@@ -62,8 +66,9 @@ pub const SEGMENT_VERSION: u16 = 2;
 pub const NO_SHARD: u32 = u32::MAX;
 
 /// One stored violation: the store's primary key, its provenance, and the
-/// record itself. Built by [`Row::new`], which renders the one expensive
-/// component of the row's canonical position once.
+/// record itself. Made by [`Row::new`], which formats nothing: the row's
+/// bindings are rendered only when a sort finds it tied with another row
+/// on the rest of its canonical position, and kept from then on.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The store's primary key. Before seal: ingest order (prefix of the
@@ -74,32 +79,29 @@ pub struct Row {
     pub shard: u32,
     /// The violation plus its canonical-merge metadata.
     pub record: ViolationRecord,
-    /// The bindings as the canonical merge renders them — the last
-    /// component of its key, and the only one that has to be formatted.
-    pub(crate) key: Box<str>,
+    /// The bindings as the canonical merge renders them
+    /// ([`swmon_runtime::merge::rendered`]), once a tie has needed them.
+    pub(crate) key: OnceLock<Box<str>>,
 }
 
 impl Row {
     /// A row for `record`, found by `shard`, under primary key `store_seq`.
     pub fn new(store_seq: u64, shard: u32, record: ViolationRecord) -> Self {
-        let key = record.violation.bindings.as_ref().map(|b| b.to_string()).unwrap_or_default();
-        Row { store_seq, shard, record, key: key.into() }
+        Row { store_seq, shard, record, key: OnceLock::new() }
     }
 
-    /// The row's position in the canonical merge order — the components of
-    /// [`swmon_runtime::merge`]'s key, borrowed — made total by the primary
-    /// key. Sorting rows by it orders them as the merge orders their
-    /// records, without formatting or cloning anything.
-    pub(crate) fn order(&self) -> (u64, usize, u8, &str, &str, u64) {
-        let (time, property, rank, stage) = head(&self.record);
-        (time, property, rank, stage, &self.key, self.store_seq)
+    /// The rows' order in the canonical merge ([`swmon_runtime::merge`]),
+    /// made total by the primary key. A row is rendered, once, only when
+    /// its head ties another's.
+    pub(crate) fn canonical_cmp(&self, other: &Row) -> Ordering {
+        (head(&self.record).cmp(&head(&other.record)))
+            .then_with(|| self.rendered().cmp(other.rendered()))
+            .then(self.store_seq.cmp(&other.store_seq))
     }
-}
 
-/// The components of a record's canonical merge key that need no
-/// formatting: time, property position, timer-before-event rank, stage.
-pub(crate) fn head(r: &ViolationRecord) -> (u64, usize, u8, &str) {
-    (r.violation.time.as_nanos(), r.property, r.rank, &r.violation.trigger_stage)
+    fn rendered(&self) -> &str {
+        self.key.get_or_init(|| rendered(&self.record).into())
+    }
 }
 
 /// An immutable batch of rows with secondary indexes.
@@ -129,20 +131,65 @@ pub struct Segment {
     degraded: Vec<u32>,
 }
 
+/// File `row` under `key` in `index`, a short list searched front to back.
+fn post<K: PartialEq>(index: &mut Vec<(K, Vec<u32>)>, key: K, row: u32) {
+    match index.iter().position(|(k, _)| *k == key) {
+        Some(at) => index[at].1.push(row),
+        None => index.push((key, vec![row])),
+    }
+}
+
+/// The rows filed under `key` in `index`, sorted by key.
+fn rows_of<'a, K: Borrow<Q>, Q: Ord + ?Sized>(index: &'a [(K, Vec<u32>)], key: &Q) -> &'a [u32] {
+    index.binary_search_by(|(k, _)| k.borrow().cmp(key)).map_or(&[], |i| &index[i].1)
+}
+
+/// Variables a build looks up by handle before it looks them up by name.
+const FEW_VARS: usize = 32;
+
+/// Where a [`pack`]ed binding keeps its variable.
+const VAR_SHIFT: u32 = 98;
+
+/// One binding as an integer that orders as `((VarId, FieldValue),
+/// position)`: the variable in bits 98.., the value's variant (in
+/// declaration order) in bits 96..98, its payload in 32..96 (MAC and IPv4
+/// big-endian, so they order as their octets), the row's position in 0..32.
+fn pack(id: VarId, value: &FieldValue, position: u32) -> u128 {
+    let (variant, payload) = match *value {
+        FieldValue::Mac(m) => (0u128, m.to_u64()),
+        FieldValue::Ipv4(a) => (1, u64::from(a.to_u32())),
+        FieldValue::Uint(v) => (2, v),
+    };
+    u128::from(id.0) << VAR_SHIFT | variant << 96 | u128::from(payload) << 32 | u128::from(position)
+}
+
+/// The `(VarId, FieldValue)` key of a [`pack`]ed occurrence.
+fn unpack(p: u128) -> (VarId, FieldValue) {
+    let payload = (p >> 32) as u64;
+    let value = match (p >> 96) & 3 {
+        0 => FieldValue::Mac(MacAddr::from_u64(payload)),
+        1 => FieldValue::Ipv4(Ipv4Address::from_u32(payload as u32)),
+        _ => FieldValue::Uint(payload),
+    };
+    (VarId((p >> VAR_SHIFT) as u16), value)
+}
+
 impl Segment {
     /// Build a segment (and all its indexes) from `rows`.
     pub fn build(rows: Vec<Row>) -> Self {
         let mut min_time = u64::MAX;
         let mut max_time = 0u64;
-        let vars = VarTable::from_vars(
-            rows.iter()
-                .filter_map(|r| r.record.violation.bindings.as_ref())
-                .flat_map(|b| b.iter().map(|(v, _)| *v)),
-        );
-        let mut props: HashMap<&str, Vec<u32>> = HashMap::new();
-        let mut pairs: Vec<((VarId, FieldValue), u32)> = Vec::new();
-        let mut shards: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut epochs: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut props: Vec<(&str, Vec<u32>)> = Vec::new();
+        // Variables as first seen, and every binding packed under its
+        // variable's place in that list. A variable is found by handle (a
+        // pointer compare) among the first few, which is all a catalog
+        // binds, else by name, so a crafted segment binding thousands of
+        // names still builds in one linear pass.
+        let mut vars: Vec<Var> = Vec::new();
+        let mut many: HashMap<Var, usize> = HashMap::new();
+        let mut packed: Vec<u128> = Vec::new();
+        let mut shards: Vec<(u32, Vec<u32>)> = Vec::new();
+        let mut epochs: Vec<(u64, Vec<u32>)> = Vec::new();
         let mut degraded = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             let i = i as u32;
@@ -150,42 +197,55 @@ impl Segment {
             let t = v.time.as_nanos();
             min_time = min_time.min(t);
             max_time = max_time.max(t);
-            props.entry(v.property.as_str()).or_default().push(i);
-            if let Some(b) = &v.bindings {
-                for (bv, val) in b.iter() {
-                    let id = vars.id(bv).expect("segment VarTable covers its own rows");
-                    pairs.push(((id, *val), i));
-                }
+            post(&mut props, v.property.as_str(), i);
+            for (bv, val) in v.bindings.iter().flat_map(|b| b.iter()) {
+                let seen = match vars.iter().take(FEW_VARS).position(|known| known == bv) {
+                    Some(k) => k,
+                    None => *many.entry(*bv).or_insert_with(|| {
+                        vars.push(*bv);
+                        vars.len() - 1
+                    }),
+                };
+                packed.push(pack(VarId(seen as u16), val, i));
             }
-            shards.entry(row.shard).or_default().push(i);
-            epochs.entry(row.record.epoch).or_default().push(i);
+            post(&mut shards, row.shard, i);
+            post(&mut epochs, row.record.epoch, i);
             if v.degraded {
                 degraded.push(i);
             }
         }
-        // Row positions are pushed in increasing order, so the full
-        // (key, position) sort leaves each key's postings run sorted.
-        pairs.sort_unstable();
+        // Only the distinct variables are sorted by name, into the
+        // segment's `VarTable` numbering, and each binding is renumbered to
+        // match.
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_unstable_by_key(|&k| vars[k]);
+        let mut id = vec![0u128; vars.len()];
+        for (rank, &k) in by_name.iter().enumerate() {
+            id[k] = rank as u128;
+        }
+        for p in &mut packed {
+            *p = id[(*p >> VAR_SHIFT) as usize] << VAR_SHIFT | *p & ((1 << VAR_SHIFT) - 1);
+        }
+        // Each binding sorts as `((VarId, FieldValue), position)` would, so
+        // each key's postings run comes out in row order.
+        packed.sort_unstable();
         let mut bind_keys: Vec<((VarId, FieldValue), u32, u32)> = Vec::new();
-        let bind_postings: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
-        for (at, &(key, _)) in pairs.iter().enumerate() {
+        let bind_postings: Vec<u32> = packed.iter().map(|&p| p as u32).collect();
+        for (at, &p) in packed.iter().enumerate() {
             match bind_keys.last_mut() {
-                Some((k, _, end)) if *k == key => *end += 1,
-                _ => bind_keys.push((key, at as u32, at as u32 + 1)),
+                Some((k, _, end)) if *k == unpack(p) => *end += 1,
+                _ => bind_keys.push((unpack(p), at as u32, at as u32 + 1)),
             }
         }
-        let mut props: Vec<(String, Vec<u32>)> =
-            props.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        props.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut shards: Vec<(u32, Vec<u32>)> = shards.into_iter().collect();
-        shards.sort_by_key(|(s, _)| *s);
-        let mut epochs: Vec<(u64, Vec<u32>)> = epochs.into_iter().collect();
-        epochs.sort_by_key(|(e, _)| *e);
+        props.sort_unstable_by_key(|(name, _)| *name);
+        let props = props.into_iter().map(|(name, rows)| (name.to_string(), rows)).collect();
+        shards.sort_unstable_by_key(|(s, _)| *s);
+        epochs.sort_unstable_by_key(|(e, _)| *e);
         Segment {
             rows,
             min_time,
             max_time,
-            vars,
+            vars: VarTable::from_vars(vars),
             props,
             bind_keys,
             bind_postings,
@@ -200,8 +260,8 @@ impl Segment {
         &self.rows
     }
 
-    /// The rows, for the seal to take their rendered bindings out of just
-    /// before it drops the segment (nothing indexed may change).
+    /// The rows, for the seal to move their records out of just before it
+    /// drops the segment (nothing indexed may change).
     pub(crate) fn rows_mut(&mut self) -> &mut [Row] {
         &mut self.rows
     }
@@ -235,10 +295,7 @@ impl Segment {
 
     /// Row positions of violations of property `name`.
     pub fn prop_rows(&self, name: &str) -> &[u32] {
-        match self.props.binary_search_by(|(p, _)| p.as_str().cmp(name)) {
-            Ok(i) => &self.props[i].1,
-            Err(_) => &[],
-        }
+        rows_of(&self.props, name)
     }
 
     /// Row positions whose bindings map variable `v` to `value`
@@ -256,18 +313,12 @@ impl Segment {
 
     /// Row positions discovered by shard `s`.
     pub fn shard_rows(&self, s: u32) -> &[u32] {
-        match self.shards.binary_search_by_key(&s, |(k, _)| *k) {
-            Ok(i) => &self.shards[i].1,
-            Err(_) => &[],
-        }
+        rows_of(&self.shards, &s)
     }
 
     /// Row positions raised under catalog epoch `e` (deploy provenance).
     pub fn epoch_rows(&self, e: u64) -> &[u32] {
-        match self.epochs.binary_search_by_key(&e, |(k, _)| *k) {
-            Ok(i) => &self.epochs[i].1,
-            Err(_) => &[],
-        }
+        rows_of(&self.epochs, &e)
     }
 
     /// Row positions with degraded provenance.
@@ -413,6 +464,102 @@ mod tests {
         assert_eq!((s.min_time(), s.max_time()), (10, 30));
         assert!(s.overlaps(15, 25));
         assert!(!s.overlaps(31, 99));
+    }
+
+    /// Rows binding up to four variables, interned out of name order, to
+    /// values of every kind, edge values included (addresses whose octets
+    /// order differently read from either end); a property name under two
+    /// catalog positions.
+    fn mixed_rows(n: u64) -> Vec<Row> {
+        let names = ["Zeta", "A", "Mid", "B"];
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 33) % bound
+        };
+        (0..n)
+            .map(|i| {
+                let mut b = Bindings::new();
+                for name in names {
+                    let value = match draw(5) {
+                        0 => continue,
+                        1 => FieldValue::Mac(MacAddr::from_u64(draw(3) << 40 | draw(4))),
+                        2 => FieldValue::Ipv4(Ipv4Address::from_u32(
+                            [0x0a00_0009, 0x0a00_000a, 0x0a00_00ff, 0x0b00_0001, 0x09ff_0000]
+                                [draw(5) as usize],
+                        )),
+                        _ => FieldValue::Uint([0, 9, 10, u64::MAX][draw(4) as usize]),
+                    };
+                    b = b.bind(var(name), value);
+                }
+                let mut r = row(i, (i % 3) as u32, ["fw", "nat"][draw(2) as usize], i, 0, false);
+                r.record.violation.bindings = (draw(6) > 0).then_some(b);
+                r.record.property = draw(2) as usize;
+                r
+            })
+            .collect()
+    }
+
+    /// The bind index by its definition: every binding sorted as
+    /// `((VarId, FieldValue), row)`.
+    #[allow(clippy::type_complexity)]
+    fn tuple_sorted(rows: &[Row]) -> (VarTable, Vec<((VarId, FieldValue), u32, u32)>, Vec<u32>) {
+        let bound = || rows.iter().filter_map(|r| r.record.violation.bindings.as_ref());
+        let vars = VarTable::from_vars(bound().flat_map(|b| b.iter().map(|(v, _)| *v)));
+        let mut pairs: Vec<((VarId, FieldValue), u32)> = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            for (v, val) in row.record.violation.bindings.iter().flat_map(|b| b.iter()) {
+                pairs.push(((vars.id(v).unwrap(), *val), i as u32));
+            }
+        }
+        pairs.sort_unstable();
+        let mut keys: Vec<((VarId, FieldValue), u32, u32)> = Vec::new();
+        for (at, &(key, _)) in pairs.iter().enumerate() {
+            match keys.last_mut() {
+                Some((k, _, end)) if *k == key => *end += 1,
+                _ => keys.push((key, at as u32, at as u32 + 1)),
+            }
+        }
+        (vars, keys, pairs.iter().map(|&(_, i)| i).collect())
+    }
+
+    #[test]
+    fn packed_postings_equal_the_tuple_sort() {
+        let rows = mixed_rows(600);
+        let seg = Segment::build(rows.clone());
+        assert_eq!(
+            (seg.vars.clone(), seg.bind_keys.clone(), seg.bind_postings.clone()),
+            tuple_sorted(&rows)
+        );
+        // Each property name is one entry, its rows in order.
+        let fw: Vec<u32> =
+            (0..600).filter(|&i| rows[i as usize].record.violation.property == "fw").collect();
+        assert_eq!(seg.prop_rows("fw"), fw);
+        assert_eq!(seg.props.iter().map(|(p, _)| p.as_str()).collect::<Vec<_>>(), ["fw", "nat"]);
+        let shard = |s: u32| (0..600).filter(|i| i % 3 == s).collect::<Vec<u32>>();
+        assert_eq!(seg.shards, (0..3).map(|s| (s, shard(s))).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn many_variable_names_index_as_few_do() {
+        // More names than a build looks up by handle, bound in an order
+        // unrelated to their names; some rows repeat earlier names.
+        let rows: Vec<Row> = (0..300u64)
+            .map(|i| {
+                let mut r = row(i, 0, "fw", i, 0, false);
+                let b = Bindings::new()
+                    .bind(var(&format!("Many{}", (i * 37) % 101)), FieldValue::Uint(i % 5))
+                    .bind(var(&format!("More{}", (i * 11) % 53)), FieldValue::Uint(i % 3));
+                r.record.violation.bindings = Some(b);
+                r
+            })
+            .collect();
+        let seg = Segment::build(rows.clone());
+        assert!(seg.vars.len() > FEW_VARS);
+        assert_eq!(
+            (seg.vars.clone(), seg.bind_keys.clone(), seg.bind_postings.clone()),
+            tuple_sorted(&rows)
+        );
     }
 
     #[test]

@@ -20,21 +20,22 @@
 //!
 //! ## Canonical order
 //!
-//! Query results are sorted by [`Row::order`] — the components of the key
-//! the runtime's deterministic merge uses — so a query over a sealed store
-//! returns violations in the same order the engine's merged `Vec` holds
-//! them, and a live query returns the canonical ordering of the
-//! published-so-far subset.
+//! Query results are sorted by [`Row::canonical_cmp`] — the order of the
+//! runtime's deterministic merge — so a query over a sealed store returns
+//! violations in the same order the engine's merged `Vec` holds them, and a
+//! live query returns the canonical ordering of the published-so-far
+//! subset.
 
 use std::sync::RwLock;
 
 use swmon_core::json::escape;
 use swmon_core::wire::{Reader, SnapshotError, Writer};
-use swmon_core::Var;
+use swmon_core::{Var, Violation};
+use swmon_runtime::merge::head;
 use swmon_runtime::{signature, ViolationRecord};
 
-use crate::plan::{plan, Driver, Plan};
-use crate::segment::{head, Check, Row, Segment, NO_SHARD};
+use crate::plan::{candidates, plan, Driver, Plan};
+use crate::segment::{Check, Row, Segment, NO_SHARD};
 use crate::swql::{parse, Query, QueryError};
 
 /// Magic of the whole-store byte encoding (a framed list of `SWVS`
@@ -76,6 +77,29 @@ impl Inner {
     fn segment_count(&self) -> usize {
         self.segments.len() + usize::from(!self.tail.is_empty())
     }
+}
+
+/// The sealed copy of the live record `live`, which the join matched with
+/// `merged`: the live record itself, moved out (its row is dropped next),
+/// stamped with the merged sequence id. What was published is what was
+/// merged, so nothing else can differ.
+fn take_merged(live: &mut ViolationRecord, merged: &ViolationRecord) -> ViolationRecord {
+    let v = &mut live.violation;
+    let violation = Violation {
+        property: std::mem::take(&mut v.property),
+        trigger_stage: std::mem::take(&mut v.trigger_stage),
+        history: std::mem::take(&mut v.history),
+        merge_seq: merged.violation.merge_seq,
+        ..*v
+    };
+    let record = ViolationRecord { violation, ..*live };
+    debug_assert!(
+        signature(&record) == signature(merged)
+            && record.violation.degraded == merged.violation.degraded
+            && (record.epoch, record.seq) == (merged.epoch, merged.seq),
+        "a live row differs from its merged record: {record:?} against {merged:?}"
+    );
+    record
 }
 
 /// The indexed violation store. Shareable across threads (`&self` API,
@@ -189,12 +213,17 @@ impl Store {
         }
         let base = inner.next_seq;
         inner.next_seq += records.len() as u64;
+        // A publish that overshoots the tail grows it to exactly what it
+        // holds, so the frozen rows are neither copied twice nor slack.
+        let need = inner.tail.len() + records.len();
+        if need > inner.tail.capacity() {
+            let more = need.max(TAIL_ROWS) - inner.tail.len();
+            inner.tail.reserve_exact(more);
+        }
         let rows = records.iter().zip(base..).map(|(r, seq)| Row::new(seq, shard, r.clone()));
         inner.tail.extend(rows);
         if inner.tail.len() >= TAIL_ROWS {
-            let mut full = std::mem::replace(&mut inner.tail, Vec::with_capacity(TAIL_ROWS));
-            // The publish that overshot the capacity doubled it.
-            full.shrink_to_fit();
+            let full = std::mem::replace(&mut inner.tail, Vec::with_capacity(TAIL_ROWS));
             inner.segments.push(Segment::build(full));
         }
     }
@@ -204,19 +233,21 @@ impl Store {
     /// [`swmon_core::Violation::merge_seq`] and re-chunked into
     /// time-ordered segments. The live rows, sorted the same way, are
     /// merge-joined with it on the merge key itself (time, property, rank,
-    /// stage, equal bindings), so each row's shard provenance and rendered
-    /// bindings carry over and nothing is formatted twice; publication is
+    /// stage, equal bindings); a row the join finds gives the sealed row
+    /// its shard provenance, its rendered bindings if a tie needed them,
+    /// and its own record, moved rather than cloned and stamped with the
+    /// merged `merge_seq`. Publication is
     /// exactly-once, so every record finds its row whenever the run
     /// published live. A record the log lacks is a fresh row from
     /// [`NO_SHARD`].
     pub fn seal(&self, merged: &[ViolationRecord]) {
         let mut inner = self.inner.write().expect("store lock poisoned");
         let Inner { segments, tail, .. } = &mut *inner;
-        // Sorted by reference: a row is several hundred bytes, and all the
-        // join takes from it is its shard and its rendered bindings.
+        // Sorted by reference: a row is several hundred bytes, and the
+        // join moves out what it takes.
         let mut live: Vec<&mut Row> =
             segments.iter_mut().flat_map(Segment::rows_mut).chain(tail.iter_mut()).collect();
-        live.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        live.sort_unstable_by(|a, b| a.canonical_cmp(b));
         let mut at = 0;
         let mut rows = merged.iter().enumerate().map(|(i, rec)| {
             let store_seq = rec.violation.merge_seq.unwrap_or(i as u64);
@@ -231,8 +262,8 @@ impl Store {
                 Some(k) => {
                     at += k + 1;
                     let row = &mut *live[at - 1];
-                    let key = std::mem::take(&mut row.key);
-                    Row { store_seq, shard: row.shard, record: rec.clone(), key }
+                    let record = take_merged(&mut row.record, rec);
+                    Row { store_seq, shard: row.shard, record, key: std::mem::take(&mut row.key) }
                 }
                 None => Row::new(store_seq, NO_SHARD, rec.clone()),
             }
@@ -286,61 +317,15 @@ impl Store {
                     hits.push((seg_idx, row_idx));
                 }
             };
-            match &bplan.driver {
-                Driver::FullScan => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for ri in 0..seg.len() as u32 {
-                            consider(si, ri);
-                        }
-                    }
-                }
-                Driver::Prop(p) => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for &ri in seg.prop_rows(p) {
-                            consider(si, ri);
-                        }
-                    }
-                }
-                Driver::Bind(v, val) => {
-                    // No segment indexes a name nothing has interned.
-                    if let Some(v) = Var::lookup(v) {
-                        for (si, seg) in segments.iter().enumerate() {
-                            for &ri in seg.bind_rows(v, val) {
-                                consider(si, ri);
-                            }
-                        }
-                    }
-                }
-                Driver::Window(a, b) => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        if !seg.overlaps(*a, *b) {
-                            continue;
-                        }
-                        for ri in 0..seg.len() as u32 {
-                            consider(si, ri);
-                        }
-                    }
-                }
-                Driver::Degraded => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for &ri in seg.degraded_rows() {
-                            consider(si, ri);
-                        }
-                    }
-                }
-                Driver::Shard(s) => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for &ri in seg.shard_rows(*s) {
-                            consider(si, ri);
-                        }
-                    }
-                }
-                Driver::Epoch(e) => {
-                    for (si, seg) in segments.iter().enumerate() {
-                        for &ri in seg.epoch_rows(*e) {
-                            consider(si, ri);
-                        }
-                    }
+            // No segment indexes a name nothing has interned.
+            let var = match &bplan.driver {
+                Driver::Bind(v, _) => Var::lookup(v),
+                _ => None,
+            };
+            for (si, seg) in segments.iter().enumerate() {
+                match candidates(seg, &bplan.driver, var) {
+                    Some(rows) => rows.iter().for_each(|&ri| consider(si, ri)),
+                    None => (0..seg.len() as u32).for_each(|ri| consider(si, ri)),
                 }
             }
             // The open tail has no index: every driver walks all of it.
@@ -354,7 +339,7 @@ impl Store {
         hits.dedup();
         let mut rows: Vec<&Row> =
             hits.into_iter().map(|(si, ri)| &inner.rows(si)[ri as usize]).collect();
-        rows.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        rows.sort_unstable_by(|a, b| a.canonical_cmp(b));
         let matches = rows
             .into_iter()
             .map(|row| QueryMatch {
