@@ -30,7 +30,7 @@
 use super::resources::ResourceEstimate;
 use super::walk::{walk, Walk};
 use std::collections::{BTreeMap, BTreeSet};
-use swmon_core::{Property, RouteMode, RoutingPlan, StageKind};
+use swmon_core::{Property, RoutingPlan, StageKind};
 use swmon_packet::Field;
 
 /// Everything the abstract interpreter proved about one property.
@@ -100,12 +100,8 @@ fn spawn_cardinality(property: &Property, walk: &Walk) -> Option<u64> {
         return Some(0); // the spawn guard is unsatisfiable: no instances at all
     }
     let env = &walk.stages[0].advance.env;
-    let key_fields: BTreeSet<Field> = match RoutingPlan::of(property).mode() {
-        RouteMode::HashExact { fields } | RouteMode::HashSymmetric { fields, .. } => {
-            fields.iter().copied().collect()
-        }
-        RouteMode::Pinned(_) => BTreeSet::new(),
-    };
+    let key_fields: BTreeSet<Field> =
+        RoutingPlan::of(property).key_fields().iter().copied().collect();
     // A variable bound (anywhere in the spawn guard) from a routing-key
     // field is fixed per key: factor 1.
     let mut keyed: BTreeMap<_, bool> = BTreeMap::new();

@@ -39,8 +39,8 @@ pub enum Code {
     /// `SW007` — instances awaiting this stage can only be found by a full
     /// scan: no bound variable is re-bound by every guard of the stage.
     FullScanFallback,
-    /// `SW008` — the property's events cannot be spread across shards; a
-    /// multi-core runtime pins it to one worker.
+    /// `SW008` — no hashable instance key: a hash-indexed register array
+    /// (Sec 3.3) cannot index the property's instances.
     RoutingPin,
     /// `SW009` — one or more surveyed switch approaches cannot host this
     /// property (Table 2 as a lint).

@@ -19,7 +19,7 @@
 //! | `SW005` | Warning | timeout that can never arm or refresh |
 //! | `SW006` | Error | empty event-class mask (inert property) |
 //! | `SW007` | Perf | stage matching falls back to a full instance scan |
-//! | `SW008` | Perf | property pinned to one shard |
+//! | `SW008` | Perf | no hashable instance key |
 //! | `SW009` | Note | backend approaches that cannot host the property |
 //! | `SW010` | Note | abstract interpretation tightened the event-class mask |
 //! | `SW011` | Warning | a clearing clause is dominated by an earlier one |

@@ -4,10 +4,11 @@
 //! [`StageKeyPlan`] finds a guard with no probe (neither a re-bound held
 //! variable nor a `same packet as N`) on a stage that matches events, the
 //! engine falls back to scanning every instance awaiting that stage on
-//! every candidate event; if [`RoutingPlan`] cannot derive a
-//! shard key, the multi-core runtime pins the whole property to a single
-//! worker. Both are correct and both deserve to be *reported* at authoring
-//! time rather than discovered in a profile.
+//! every candidate event; if [`RoutingPlan`] finds no field position that
+//! names the property's instances, a hash-indexed register array (Sec 3.3)
+//! cannot index them. Both are correct on the reference engine and both
+//! deserve to be *reported* at authoring time rather than discovered
+//! later.
 
 use super::Ctx;
 use crate::diag::{Code, Diagnostic, Position, Severity};
@@ -49,8 +50,8 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
             severity: Severity::Perf,
             locus: ctx.prop_locus(),
             message: format!(
-                "events of this property cannot be sharded ({reason}); a multi-core runtime \
-                 pins it to one worker"
+                "no hashable instance key ({reason}): a hash-indexed register array (Sec 3.3) \
+                 cannot index its instances"
             ),
             suggestion: Some(
                 "re-bind a spawn-stage variable in every later guard at the same field (or its \

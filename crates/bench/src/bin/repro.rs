@@ -178,26 +178,17 @@ fn main() {
     }
 
     if want("stats") {
-        // The telemetry page over the full catalog, at both reconciliation
-        // regimes: shards=1 (literal identity) and shards=4 (generalized
-        // ledger). See docs/TELEMETRY.md. One JSON document holds both runs.
+        // The telemetry page over the full catalog, with its literal
+        // identity events_in == processed + shed + skipped. See
+        // docs/TELEMETRY.md.
         let (sflows, spackets) = if quick { (16, 1_000) } else { (32, 5_000) };
-        let mut docs = Vec::new();
-        let mut reconciled = true;
-        for shards in [1usize, 4] {
-            em.section(&format!("stats — telemetry page, full catalog, {shards} shard(s)"));
-            let o = stats::run(sflows, spackets, shards);
-            em.text(&stats::render(&o));
-            reconciled &= o.reconciled;
-            docs.push(stats::to_json(&o));
-        }
+        em.section("stats — telemetry page, full catalog");
+        let o = stats::run(sflows, spackets);
+        em.text(&stats::render(&o));
         em.emit(
-            &format!(
-                "ledger reconciled at both shard counts: {}",
-                if reconciled { "yes" } else { "NO" }
-            ),
-            &format!("{{\"experiment\": \"stats\", \"runs\": [\n{}]}}", docs.join(",\n")),
-            reconciled,
+            &format!("ledger reconciled: {}", if o.reconciled { "yes" } else { "NO" }),
+            &format!("{{\"experiment\": \"stats\", \"runs\": [\n{}]}}", stats::to_json(&o)),
+            o.reconciled,
         );
     }
 

@@ -3,12 +3,12 @@
 //! when the *monitoring infrastructure itself* fails. A seeded
 //! [`swmon_sim::FaultPlan`] batters the workload (drops, duplicates,
 //! reorders, a switch crash window), and a deterministic crash schedule
-//! ([`swmon_runtime::FaultPoint`]) crashes supervised shards mid-stream.
+//! ([`swmon_runtime::FaultPoint`]) crashes the supervised shard mid-stream.
 //!
 //! Three contracts are measured and verified:
 //!
-//! 1. **Recovery fidelity** — with crashes injected across shards,
-//!    the merged violation output is *byte-for-byte identical* to the
+//! 1. **Recovery fidelity** — with crashes injected mid-stream, the
+//!    merged violation output is *byte-for-byte identical* to the
 //!    fault-free single-threaded reference over the full 21-property
 //!    catalog, and every delivered event is accounted
 //!    ([`swmon_runtime::RuntimeStats::unaccounted_loss`] `== 0`).
@@ -31,15 +31,11 @@ use swmon_runtime::{
 use swmon_sim::time::{Duration, Instant};
 use swmon_workloads::trace::{fault_plan, lossy_trace};
 
-/// Shard count every supervised row runs at.
-pub const SHARDS: usize = 4;
-
-/// What every row reports. `shards` 0 is the single-threaded reference
-/// loop; `recovery_us_mean` is checkpoint-restore latency per recovery;
-/// `unaccounted` — events neither processed nor explicitly shed, the
-/// zero-silent-loss invariant — must be 0 in every row.
-const COLUMNS: [&str; 9] = [
-    "shards",
+/// What every row reports. `recovery_us_mean` is checkpoint-restore
+/// latency per recovery; `unaccounted` — events neither processed nor
+/// explicitly shed, the zero-silent-loss invariant — must be 0 in every
+/// row.
+const COLUMNS: [&str; 8] = [
     "events_per_sec",
     "violations",
     "restarts",
@@ -78,13 +74,11 @@ pub fn run(flows: u32, packets: u32) -> Report {
     let ref_sigs: Vec<String> = reference.iter().map(signature).collect();
     // No runtime under the reference loop: its recovery and accounting
     // columns do not apply.
-    let mut cells =
-        vec![0usize.into(), Cell::per_sec(trace.len(), ref_secs), reference.len().into()];
+    let mut cells = vec![Cell::per_sec(trace.len(), ref_secs), reference.len().into()];
     cells.resize(COLUMNS.len(), Cell::None);
     report.row("reference (1 thread)", cells, true);
 
     let base_cfg = RuntimeConfig {
-        shards: SHARDS,
         // Small enough that crash recovery replays a measurable journal
         // even in --quick runs.
         checkpoint_every: 256,
@@ -115,7 +109,6 @@ pub fn run(flows: u32, packets: u32) -> Report {
         report.row(
             label,
             vec![
-                SHARDS.into(),
                 Cell::per_sec(trace.len(), secs),
                 out.records.len().into(),
                 s.restarts.into(),
@@ -129,7 +122,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
         );
     };
     supervised("supervised, fault-free", base_cfg.clone(), 0);
-    let crashes = crash_schedule(trace.len(), 5, SHARDS);
+    let crashes = crash_schedule(trace.len(), 5);
     // The headline claim needs real crashes: at least 3 must have fired.
     supervised(
         &format!("supervised, {} crashes", crashes.len()),

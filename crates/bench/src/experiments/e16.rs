@@ -7,7 +7,7 @@
 //!    disjunctive SWQL query against the live (unsealed) store are
 //!    reported, each query count verified against an index-free reference
 //!    scan of the same generated stream (the `BENCH_store.json` baseline).
-//! 2. **Differential fidelity** — a sharded session over the full
+//! 2. **Differential fidelity** — a supervised session over the full
 //!    21-property catalog runs with a [`swmon_store::StoreSink`]; after
 //!    seal, `prop(*)` must return *byte-for-byte* the engine's merged
 //!    output (identical signature vectors, store sequence ≡ merge
@@ -161,11 +161,8 @@ pub fn run(flows: u32, packets: u32, synthetic_rows: u64) -> Report {
     let quarter = Duration::from_nanos(span.as_nanos() / 4);
     let (trace, _fault_log) = lossy_trace(flows, packets, 13, &fault_plan(0x570fe, span, quarter));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
-    let rt = ShardedRuntime::new(
-        props,
-        RuntimeConfig { shards: 4, checkpoint_every: 256, ..Default::default() },
-    )
-    .expect("catalog properties are valid");
+    let cfg = RuntimeConfig { checkpoint_every: 256, ..Default::default() };
+    let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let live = sink.store();
     let mut session = rt.start_with_sink(Some(sink as Arc<dyn ViolationSink>));

@@ -1,17 +1,17 @@
 //! **E17 (extension) — cost of live property deployment.** The deploy
-//! plane (`docs/DEPLOY.md`) trades a per-shard quiesce barrier for the
-//! ability to change the property set without restarting the fleet. This
+//! plane (`docs/DEPLOY.md`) trades a quiesce barrier for the ability to
+//! change the property set without restarting the session. This
 //! experiment prices that trade over the full 21-property catalog on the
 //! `multi_flow_trace` workload:
 //!
-//! * **quiesce pause** — p50/p99 of the per-shard drain+checkpoint+
+//! * **quiesce pause** — p50/p99 of the shard's drain+checkpoint+
 //!   snapshot barrier, across every deploy of the row;
 //! * **throughput dip** — events/s of a session performing three
 //!   mid-stream deploys versus its no-deploy twin, in percent of the twin
 //!   (positive = deploys cost throughput; one run each, so small values
 //!   of either sign are noise);
 //! * **rollback latency** — wall time for a deploy whose prepare phase
-//!   dies on one shard to reject and roll the fleet back.
+//!   dies to reject and roll the session back.
 //!
 //! Every row is differentially verified. Deploy rows check the
 //! compositional oracle of `tests/deploy_differential.rs` — retained
@@ -33,14 +33,11 @@ use swmon_runtime::{
 use swmon_sim::time::{Duration, Instant};
 use swmon_sim::trace::NetEvent;
 
-/// Worker shard count every supervised row runs at.
-pub const SHARDS: usize = 4;
-
 /// Deploys performed by the deploy rows.
 pub const DEPLOYS: usize = 3;
 
 /// What every row reports. `deploys` / `rollbacks` are deploys committed /
-/// rejected and rolled back; the quiesce columns are the per-shard pause
+/// rejected and rolled back; the quiesce columns are the shard's pause
 /// across the row's deploys; `rollback_us` is the wall time of the
 /// rejected deploy; `dip_pct` is the throughput dip versus the no-deploy
 /// twin; `unaccounted` must be 0 everywhere.
@@ -127,7 +124,7 @@ fn run_with_deploys(rt: &ShardedRuntime, trace: &[NetEvent], end: Instant) -> De
         if next < deploy_points.len() && i == deploy_points[next] {
             let outcome =
                 session.deploy(&DeployPlan::add(hot_prop(next))).expect("a valid hot-add deploys");
-            quiesce.extend(outcome.quiesce_nanos);
+            quiesce.push(outcome.quiesce_nanos);
             next += 1;
         }
         session.feed(ev).expect("within the restart budget");
@@ -173,7 +170,6 @@ pub fn run(flows: u32, packets: u32) -> Report {
 
     let mut report = Report::new("e17-deploy", &COLUMNS);
     report.fact("events", trace.len());
-    report.fact("shards", SHARDS);
     report.note(&format!(
         "Deploy rows hot-add {DEPLOYS} properties mid-stream and must match the compositional\n\
          oracle (full run for the retained catalog, suffix run for each hot-added property);\n\
@@ -190,7 +186,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
     cells.resize(COLUMNS.len(), Cell::None);
     report.row("reference (1 thread)", cells, true);
 
-    let base_cfg = RuntimeConfig { shards: SHARDS, checkpoint_every: 256, ..Default::default() };
+    let base_cfg = RuntimeConfig { checkpoint_every: 256, ..Default::default() };
 
     // No-deploy twin: the baseline the dip is measured against.
     let twin =
@@ -205,7 +201,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
         twin_out.stats.unaccounted_loss() == 0 && twin_out.signatures() == ref_sigs,
     );
 
-    // `DEPLOYS` mid-stream hot-adds on a fleet configured by `cfg`, checked
+    // `DEPLOYS` mid-stream hot-adds on a session configured by `cfg`, checked
     // against the compositional oracle; the row counts only if at least
     // `min_restarts` injected crashes really fired.
     let mut deploy_row = |label: &str, cfg: RuntimeConfig, min_restarts: u64| {
@@ -224,22 +220,19 @@ pub fn run(flows: u32, packets: u32) -> Report {
             verified,
         );
     };
-    // On a healthy fleet, then racing five injected shard crashes.
+    // On a healthy session, then racing five injected shard crashes.
     deploy_row(&format!("{DEPLOYS} live deploys (hot add)"), base_cfg.clone(), 0);
-    let crashes = crash_schedule(trace.len(), 5, SHARDS);
+    let crashes = crash_schedule(trace.len(), 5);
     deploy_row(
         &format!("{DEPLOYS} deploys racing {} crashes", crashes.len()),
         RuntimeConfig { inject_faults: crashes, ..base_cfg.clone() },
         3,
     );
 
-    // Rejected deploy: one shard's prepare phase dies; the fleet must roll
-    // back and finish byte-identical to never having attempted the plan.
-    let faulty = ShardedRuntime::new(
-        props,
-        RuntimeConfig { inject_deploy_faults: vec![SHARDS - 1], ..base_cfg },
-    )
-    .expect("catalog properties are valid");
+    // Rejected deploy: the prepare phase dies; the session must roll back
+    // and finish byte-identical to never having attempted the plan.
+    let faulty = ShardedRuntime::new(props, RuntimeConfig { inject_deploy_faults: 1, ..base_cfg })
+        .expect("catalog properties are valid");
     let k = trace.len() / 2;
     let t0 = WallInstant::now();
     let mut session = faulty.start();
@@ -253,7 +246,7 @@ pub fn run(flows: u32, packets: u32) -> Report {
     for ev in &trace[k..] {
         session.feed(ev).expect("fault-free feed");
     }
-    let out = session.finish(end).expect("the fleet outlives the rollback");
+    let out = session.finish(end).expect("the session outlives the rollback");
     let secs = t0.elapsed().as_secs_f64();
     report.row(
         "rejected deploy (rollback)",

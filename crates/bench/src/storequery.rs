@@ -3,7 +3,7 @@
 //! user-supplied SWQL query against the store, and cross-check the sealed
 //! store against the engine's merged output.
 //!
-//! `--follow` streams matches as shards publish them mid-run (each poll is
+//! `--follow` streams matches as the shard publishes them mid-run (each poll is
 //! one prefix-consistent snapshot), then prints the sealed answer. Either
 //! way the run ends with a differential check — sealed `prop(*)` must be
 //! byte-identical to the session's merged violations — whose failure
@@ -54,11 +54,8 @@ pub fn run(src: &str, flows: u32, packets: u32, follow: bool, em: &mut Emitter) 
     let quarter = Duration::from_nanos(span.as_nanos() / 4);
     let (trace, _) = lossy_trace(flows, packets, 13, &fault_plan(0x570fe, span, quarter));
     let end = trace.last().map(|e| e.time + Duration::from_secs(120)).unwrap_or(Instant::ZERO);
-    let rt = ShardedRuntime::new(
-        props,
-        RuntimeConfig { shards: 4, checkpoint_every: 256, ..Default::default() },
-    )
-    .expect("catalog properties are valid");
+    let cfg = RuntimeConfig { checkpoint_every: 256, ..Default::default() };
+    let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let store = sink.store();
     let mut session = rt.start_with_sink(Some(sink as Arc<dyn ViolationSink>));

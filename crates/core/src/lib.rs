@@ -55,7 +55,7 @@ pub use monitorset::MonitorSet;
 pub use pattern::{event_class, ActionPattern, EventPattern, OobPattern, EVENT_CLASSES};
 pub use postcard::{Postcard, PostcardCollector};
 pub use property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, Unless};
-pub use routing::{PinReason, Probe, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
+pub use routing::{PinReason, Probe, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
 pub use snapshot::{MonitorSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use spawn::{SpawnIndex, MAX_PROPERTIES};
 pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};

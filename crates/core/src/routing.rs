@@ -1,30 +1,28 @@
-//! Instance-key routing analysis — how a property's events may be sharded.
+//! Instance-identification analysis — which event fields name a
+//! property's instance (the paper's Feature 8, Sec 3.3).
 //!
-//! A multi-core runtime can only split a property's event stream across
-//! workers if every event that can possibly touch one instance lands on the
-//! same worker. This module derives, per property, a [`RoutingPlan`] that
-//! is *provably* consistent with the reference engine's semantics:
+//! A hash-indexed register array can only hold a property's instances if
+//! every event that can touch one instance carries its key at fixed field
+//! positions. This module derives, per property, a [`RoutingPlan`] that is
+//! *provably* consistent with the reference engine's semantics:
 //!
 //! * **Hash-exact** — some set of stage-0 binder variables is re-bound by
 //!   *every* later match/clearing guard against the *same* field. Any event
 //!   that can spawn, advance, clear, or refresh an instance therefore
-//!   carries the instance's key values at fixed field positions, and
-//!   hashing those positions routes all of an instance's events together.
+//!   carries the instance's key values at fixed field positions.
 //! * **Hash-symmetric** — later guards re-bind the key variables against
 //!   the *mirror* fields (src↔dst), the paper's symmetric instance
-//!   identification. The key is canonicalized (the hash of the extracted
-//!   tuple and of its mirror-permuted form, whichever is smaller) so a
-//!   request and its reply produce the same shard key even though their
-//!   headers are swapped.
+//!   identification: a request and its reply carry the same key with its
+//!   fields swapped, and `perm` says how.
 //! * **Pinned** — anything else (wandering identification, `Guard::any()`
 //!   clearings, out-of-band observations, guards that reference a key
-//!   variable only negatively). All events go to one worker, preserving
-//!   reference semantics trivially.
+//!   variable only negatively): no field position names the instance.
 //!
-//! Key extraction failure is also meaningful: if an event lacks a key
-//! field, it cannot satisfy any guard of the property (every guard binds
-//! every key variable, and [`crate::guard::Atom::Bind`] fails on a missing
-//! field), so the router may skip delivering it — see [`Route::Skip`].
+//! A missing key field is also meaningful: if an event lacks one, it cannot
+//! satisfy any guard of the property (every guard binds every key variable,
+//! and [`crate::guard::Atom::Bind`] fails on a missing field), so it can
+//! neither spawn, advance, clear nor evict an instance, and the runtime's
+//! ingress need not deliver it ([`RoutingPlan::key_fields`]).
 //!
 //! Only *top-level* `Bind` atoms count as binders: bindings made inside an
 //! `AnyOf` disjunct are discarded by guard evaluation, so they do not pin
@@ -38,7 +36,7 @@ use std::collections::BTreeMap;
 use swmon_packet::{Field, FieldValue};
 use swmon_sim::trace::{NetEvent, PacketId};
 
-/// Why a property must be pinned to a single worker.
+/// Why no field position names a property's instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PinReason {
     /// No stage-0 binder variable is re-bound by every later guard (this
@@ -66,17 +64,17 @@ impl std::fmt::Display for PinReason {
     }
 }
 
-/// How events of one property map to shards.
+/// How one property's instances are identified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteMode {
-    /// Hash the values at `fields` (one per key variable, in canonical
-    /// variable order).
+    /// The values at `fields` (one per key variable, in canonical variable
+    /// order) name the instance.
     HashExact {
         /// Extraction positions, ordered by key variable name.
         fields: Vec<Field>,
     },
-    /// Hash the canonical form of the values at `fields`: the smaller of
-    /// the tuple's hash and its mirror-permuted tuple's hash.
+    /// The values at `fields` name the instance in either orientation:
+    /// a reply carries the request's key permuted by `perm`.
     HashSymmetric {
         /// Extraction positions, ordered by key variable name.
         fields: Vec<Field>,
@@ -84,70 +82,20 @@ pub enum RouteMode {
         /// `fields[i]` (self for unmirrored fields).
         perm: Vec<usize>,
     },
-    /// Every event goes to the property's single assigned worker.
+    /// No field position names the instance.
     Pinned(PinReason),
 }
 
-/// Where the router should send one event for one property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// Deliver to shard `key % num_shards`.
-    Hash(u64),
-    /// Deliver to the property's pinned shard.
-    Pinned,
-    /// The event lacks a key field, so no guard of this property can match
-    /// it: it needs no delivery at all.
-    Skip,
-}
-
-/// The derived routing discipline for one property.
+/// The derived instance identification of one property.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingPlan {
     mode: RouteMode,
 }
 
-/// Routing keys fit on the stack: one slot per key variable, and no property
-/// in (or out of) the catalog binds more than a 4-tuple. The router runs per
-/// event on the ingress hot path, so extraction must not allocate.
+/// The widest key classified as hashable: no property in (or out of) the
+/// catalog binds more than a 4-tuple, and a wider one is classified
+/// pinned, which is always sound.
 const MAX_KEY_FIELDS: usize = 8;
-
-/// Pull the key values out of an event into `buf`, failing on any missing
-/// field (the event then cannot satisfy any guard of the property).
-///
-/// One fetch of the packet's memoized parse serves every packet-borne key
-/// field; [`NetEvent::field`] remains the fallback for event-metadata
-/// fields (ports) and for packets whose full-depth parse failed, where a
-/// shallow field may still be readable by a bounded re-parse — exactly
-/// the lookup the engine's guards would perform.
-fn extract<'b>(
-    ev: &NetEvent,
-    fields: &[Field],
-    buf: &'b mut [FieldValue; MAX_KEY_FIELDS],
-) -> Option<&'b [FieldValue]> {
-    debug_assert!(fields.len() <= MAX_KEY_FIELDS);
-    let headers = ev.packet().map(|p| p.parsed());
-    for (slot, &f) in buf.iter_mut().zip(fields) {
-        *slot = match (&headers, f) {
-            (Some(Ok(h)), f) if !matches!(f, Field::InPort | Field::OutPort) => h.field(f)?,
-            _ => ev.field(f)?,
-        };
-    }
-    Some(&buf[..fields.len()])
-}
-
-/// Order-dependent mix of a key tuple into a shard key. Routing shares no
-/// arithmetic with the switch substrate's `values_hash` (which monitors
-/// use to mirror hash-based network functions); it only needs a
-/// deterministic, well-dispersed 64-bit key, computed in a few cycles per
-/// field rather than FNV's byte-at-a-time walk.
-fn key_hash(vals: impl IntoIterator<Item = FieldValue>) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for v in vals {
-        h = (h ^ v.to_u64_key()).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 29;
-    }
-    h
-}
 
 impl RoutingPlan {
     /// Analyse `property` and derive its routing plan.
@@ -160,28 +108,18 @@ impl RoutingPlan {
         &self.mode
     }
 
-    /// True if events of this property can be spread across shards.
+    /// True if some field position names this property's instances.
     pub fn is_hashed(&self) -> bool {
         !matches!(self.mode, RouteMode::Pinned(_))
     }
 
-    /// Route one event under this plan.
-    pub fn route(&self, ev: &NetEvent) -> Route {
-        let mut buf = [FieldValue::Uint(0); MAX_KEY_FIELDS];
+    /// The fields every event that can touch an instance carries (empty
+    /// when pinned): an event lacking one of them cannot satisfy any guard
+    /// of the property.
+    pub fn key_fields(&self) -> &[Field] {
         match &self.mode {
-            RouteMode::Pinned(_) => Route::Pinned,
-            RouteMode::HashExact { fields } => match extract(ev, fields, &mut buf) {
-                Some(vals) => Route::Hash(key_hash(vals.iter().copied())),
-                None => Route::Skip,
-            },
-            RouteMode::HashSymmetric { fields, perm } => match extract(ev, fields, &mut buf) {
-                Some(vals) => {
-                    let straight = key_hash(vals.iter().copied());
-                    let mirrored = key_hash(perm.iter().map(|&j| vals[j]));
-                    Route::Hash(straight.min(mirrored))
-                }
-                None => Route::Skip,
-            },
+            RouteMode::HashExact { fields } | RouteMode::HashSymmetric { fields, .. } => fields,
+            RouteMode::Pinned(_) => &[],
         }
     }
 
@@ -235,8 +173,6 @@ impl RoutingPlan {
             return RouteMode::HashExact { fields: exact.into_iter().map(|(_, f)| f).collect() };
         }
         if exact.len() > MAX_KEY_FIELDS {
-            // Wider keys than the stack extraction buffer: pinning is always
-            // sound, and no real property binds more than a 4-tuple.
             return RouteMode::Pinned(PinReason::NoStableKey);
         }
 
@@ -530,12 +466,7 @@ mod tests {
             plan.mode(),
             &RouteMode::HashExact { fields: vec![Field::Ipv4Src, Field::Ipv4Dst] }
         );
-        // Same flow → same key; different flow → (overwhelmingly) different.
-        let k1 = plan.route(&tcp_event(1, 2, 10, 20));
-        let k2 = plan.route(&tcp_event(1, 2, 99, 99));
-        let k3 = plan.route(&tcp_event(3, 4, 10, 20));
-        assert_eq!(k1, k2);
-        assert_ne!(k1, k3);
+        assert_eq!(plan.key_fields(), [Field::Ipv4Src, Field::Ipv4Dst]);
     }
 
     #[test]
@@ -545,12 +476,15 @@ mod tests {
             bind_stage("rep", &[("B", Field::Ipv4Src), ("A", Field::Ipv4Dst)]),
         ]);
         let plan = RoutingPlan::of(&p);
-        assert!(matches!(plan.mode(), RouteMode::HashSymmetric { .. }));
-        let fwd = plan.route(&tcp_event(1, 2, 10, 20));
-        let rev = plan.route(&tcp_event(2, 1, 10, 20));
-        assert!(matches!(fwd, Route::Hash(_)));
-        assert_eq!(fwd, rev, "request and reply must share a shard key");
-        assert_ne!(fwd, plan.route(&tcp_event(1, 3, 10, 20)));
+        // The reply carries the request's key with its two fields swapped.
+        assert_eq!(
+            plan.mode(),
+            &RouteMode::HashSymmetric {
+                fields: vec![Field::Ipv4Src, Field::Ipv4Dst],
+                perm: vec![1, 0]
+            }
+        );
+        assert_eq!(plan.key_fields(), [Field::Ipv4Src, Field::Ipv4Dst]);
     }
 
     #[test]
@@ -576,13 +510,13 @@ mod tests {
             ),
         ]);
         let plan = RoutingPlan::of(&p);
-        assert!(matches!(plan.mode(), RouteMode::HashSymmetric { .. }));
-        assert_eq!(plan.route(&tcp_event(1, 2, 10, 20)), plan.route(&tcp_event(2, 1, 20, 10)));
-        assert_ne!(
-            plan.route(&tcp_event(1, 2, 10, 20)),
-            plan.route(&tcp_event(2, 1, 10, 20)),
-            "swapping only L3 is a different bidirectional flow"
-        );
+        // L3 pairs with L3 and L4 with L4: swapping only the addresses is a
+        // different bidirectional flow.
+        let RouteMode::HashSymmetric { fields, perm } = plan.mode() else {
+            panic!("not symmetric: {:?}", plan.mode());
+        };
+        assert_eq!(fields, &[Field::Ipv4Src, Field::Ipv4Dst, Field::L4Src, Field::L4Dst]);
+        assert_eq!(perm, &[1, 0, 3, 2]);
     }
 
     #[test]
@@ -661,7 +595,9 @@ mod tests {
         ]);
         let plan = RoutingPlan::of(&p);
         assert!(plan.is_hashed());
-        assert_eq!(plan.route(&tcp_event(1, 2, 10, 20)), Route::Skip);
+        assert_eq!(plan.key_fields(), [Field::DhcpXid]);
+        assert_eq!(tcp_event(1, 2, 10, 20).field(Field::DhcpXid), None);
+        assert!(RoutingPlan::of(&prop(vec![bind_stage("a", &[])])).key_fields().is_empty());
     }
 
     #[test]

@@ -2,17 +2,15 @@
 
 use swmon_core::MonitorConfig;
 
-/// A deterministic fault-injection point: the supervised shard `shard`
-/// panics when it is about to apply the event with input sequence number
-/// `seq`. Used by chaos tests and the `e15` benchmark to prove the
-/// recovery path; injection is consumed before the panic is raised, so
-/// replay after recovery proceeds normally.
+/// A deterministic fault-injection point: the supervised shard panics
+/// when it is about to apply the event with input sequence number `seq`.
+/// Used by chaos tests and the `e15` benchmark to prove the recovery path;
+/// injection is consumed before the panic is raised, so replay after
+/// recovery proceeds normally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPoint {
-    /// The shard that should crash.
-    pub shard: usize,
     /// The input sequence number (position in the fed trace) to crash at.
-    /// Points at events never delivered to `shard` are skipped.
+    /// Points at events the ingress filtered out are skipped.
     pub seq: u64,
 }
 
@@ -60,28 +58,30 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Tuning knobs for the sharded runtime.
+/// Tuning knobs for the runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of shards: inline partitions of the catalog's instance
-    /// keys, every one driven on the caller thread. More than one adds
-    /// routing cost and nothing else (docs/RUNTIME.md, "One thread"), so
-    /// the default is 1. Clamped to at least 1.
+    /// Inert: a session is one supervised partition, driven on the caller
+    /// thread, whatever this says (docs/RUNTIME.md, "One thread"). No code
+    /// reads it; it exists only because the frozen end-to-end benchmark
+    /// constructs it (`benchmark/src/session.rs`, `pinned()`;
+    /// `benchmark/src/layers.rs`, `untraced_sessions` and the router
+    /// layer), and goes with those lines.
     pub shards: usize,
     /// Events per dispatch: the session stages this many delivered events
-    /// before handing each shard its share. A shard publishes what a batch
+    /// before handing them to the shard. The shard publishes what a batch
     /// raised as it completes, so `batch` ÷ the input rate is the detection
     /// floor (default 8, where dispatch cost starts to show: docs/PERF.md).
     pub batch: usize,
     /// Bounded-staleness flush, in input ticks, checked on every fed event
     /// (class-filtered ones too): when the oldest staged event is this many
     /// fed events old, the partial block is dispatched like a full one, so
-    /// `flush_every` ÷ the input rate is the detection floor of a shard
-    /// whose share never fills a batch. `0` means *auto*: `4 * batch`.
+    /// `flush_every` ÷ the input rate is the detection floor of a trickle
+    /// that never fills a batch. `0` means *auto*: `4 * batch`.
     pub flush_every: usize,
     /// Inert (see [`AdaptiveConfig`]).
     pub adaptive: AdaptiveConfig,
-    /// Configuration applied to every per-shard monitor replica.
+    /// Configuration applied to every monitor.
     pub monitor: MonitorConfig,
     /// Checkpoint cadence: a shard snapshots its monitors
     /// ([`swmon_core::Monitor::snapshot`]) after applying this many events
@@ -89,7 +89,7 @@ pub struct RuntimeConfig {
     /// and the recovery journal's footprint — recovery cost only: when a
     /// sink sees a violation no longer depends on it. Clamped to at least 1.
     pub checkpoint_every: usize,
-    /// Upper bound on the per-shard recovery journal (events retained
+    /// Upper bound on the shard's recovery journal (events retained
     /// since the last checkpoint for crash replay). `0` means *auto*:
     /// `checkpoint_every + batch`, which guarantees no shedding in normal
     /// operation. Setting it below the auto value trades coverage for
@@ -100,12 +100,11 @@ pub struct RuntimeConfig {
     /// Deterministic shard-crash schedule, for chaos testing. Empty in
     /// production use.
     pub inject_faults: Vec<FaultPoint>,
-    /// Deterministic deploy-prepare failures, for chaos testing: each
-    /// listed shard index makes one `Session::deploy` prepare phase panic
-    /// on that shard (inside its panic boundary), forcing the deploy to
-    /// roll back. A shard listed twice fails two prepares. Empty in
+    /// Deterministic deploy-prepare failures, for chaos testing: the first
+    /// this many `Session::deploy` prepare phases panic (inside the shard's
+    /// panic boundary), forcing each of those deploys to roll back. 0 in
     /// production use.
-    pub inject_deploy_faults: Vec<usize>,
+    pub inject_deploy_faults: usize,
     /// Observability configuration (see [`TelemetryConfig`]).
     pub telemetry: TelemetryConfig,
 }
@@ -121,25 +120,20 @@ impl Default for RuntimeConfig {
             checkpoint_every: 1024,
             journal_limit: 0,
             inject_faults: Vec::new(),
-            inject_deploy_faults: Vec::new(),
+            inject_deploy_faults: 0,
             telemetry: TelemetryConfig::default(),
         }
     }
 }
 
 impl RuntimeConfig {
-    /// The default configuration with an explicit shard count.
-    pub fn with_shards(shards: usize) -> Self {
-        RuntimeConfig { shards, ..Self::default() }
-    }
-
     /// The values actually used (clamped to sane minima; `journal_limit`
     /// auto resolved).
     pub(crate) fn normalized(&self) -> RuntimeConfig {
         let batch = self.batch.max(1);
         let checkpoint_every = self.checkpoint_every.max(1);
         RuntimeConfig {
-            shards: self.shards.max(1),
+            shards: self.shards,
             batch,
             flush_every: if self.flush_every == 0 { 4 * batch } else { self.flush_every },
             adaptive: self.adaptive.clone(),
@@ -151,7 +145,7 @@ impl RuntimeConfig {
                 self.journal_limit
             },
             inject_faults: self.inject_faults.clone(),
-            inject_deploy_faults: self.inject_deploy_faults.clone(),
+            inject_deploy_faults: self.inject_deploy_faults,
             telemetry: self.telemetry.clone(),
         }
     }
@@ -163,11 +157,9 @@ mod tests {
 
     #[test]
     fn zero_values_are_clamped() {
-        let cfg = RuntimeConfig { shards: 0, batch: 0, ..Default::default() };
+        let cfg = RuntimeConfig { batch: 0, checkpoint_every: 0, ..Default::default() };
         let n = cfg.normalized();
-        assert_eq!((n.shards, n.batch), (1, 1));
-        assert_eq!(RuntimeConfig::default().shards, 1, "one shard unless asked");
-        assert_eq!(RuntimeConfig::with_shards(4).shards, 4);
+        assert_eq!((n.batch, n.checkpoint_every), (1, 1));
     }
 
     #[test]

@@ -1,52 +1,38 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! # swmon-runtime — sharded monitor runtime on the caller thread
+//! # swmon-runtime — supervised monitor runtime on the caller thread
 //!
-//! Runs the reference engine ([`swmon_core::Monitor`]) across shards:
-//! inline partitions of the catalog by *instance key*, every one driven on
-//! the thread that feeds the session. The routing plan is derived
-//! automatically per property from the core's instance-identification
-//! analysis ([`swmon_core::RoutingPlan`]):
-//!
-//! - **Exact** keys hash the fixed binder fields, so every event of an
-//!   instance lands on the same shard.
-//! - **Symmetric** keys (e.g. a stateful firewall's `(inside, outside)`
-//!   pair) are canonicalized order-independently, so a request and its
-//!   reply land on the same shard even though their header fields are
-//!   mirrored.
-//! - **Wandering** keys — and any property whose guards defeat the
-//!   analysis — are pinned to a single shard, which is always sound.
+//! Runs the reference engine ([`swmon_core::Monitor`]) for a catalog of
+//! properties as one supervised partition (the *shard*), driven on the
+//! thread that feeds the session.
 //!
 //! ## Ingress
 //!
-//! Routing happens **before** staging, from one class-mask table: the
-//! router starts from the catalog's [`swmon_core::SpawnIndex::reachable`]
-//! answer and only partitions it across shards, so an event that provably
-//! cannot affect any monitor never reaches a shard. Every shard holds a
-//! replica of every property, at its catalog position, in a
-//! [`swmon_core::MonitorSet`] whose one visit loop decides which replicas
-//! an event wakes; a pinned property's bit is only ever set on its home
-//! shard, so its other replicas stay idle. Deliverable events are staged
-//! exactly once in a shared arena block; each destination shard receives
-//! an `Arc` handle plus its `(seq, mask, index)` selections — zero clones
-//! per shard. Events are **never dropped**, because a dropped event would
-//! forge a negative observation (deadline properties fire on the *absence*
-//! of traffic).
+//! Filtering happens **before** staging ([`Router`]): the catalog's
+//! [`swmon_core::SpawnIndex::reachable`] answer, with a property's bit
+//! cleared when the event lacks one of its instance-key fields
+//! ([`swmon_core::RoutingPlan::key_fields`]), so an event that provably
+//! cannot affect any monitor never reaches the shard. The shard holds one
+//! monitor per property, at its catalog position, in a
+//! [`swmon_core::MonitorSet`] whose one visit loop decides which monitors
+//! an event wakes. Deliverable events are staged once, beside their
+//! `(seq, mask)`. Events are **never dropped** past the filter, because a
+//! dropped event would forge a negative observation (deadline properties
+//! fire on the *absence* of traffic).
 //!
 //! ## One thread
 //!
-//! The session calls each shard's supervisor directly: a sealed batch is
+//! The session calls the shard's supervisor directly: a sealed batch is
 //! applied before the `feed` that sealed it returns, and the deploy
 //! barrier's phases and `finish` are plain calls (`docs/RUNTIME.md`, "One
-//! thread", has the measurements behind this). Shard supervisors and the
-//! runtime stay `Send` (asserted below), so threads can come back without
-//! a redesign. Violations are merged deterministically
-//! ([`merge`]), so the output is byte-for-byte equal to the
-//! single-threaded reference at any shard count.
+//! thread", has the measurements behind this). The supervisor and the
+//! runtime stay `Send` (asserted below). Violations are merged
+//! deterministically ([`merge`]), so the output is byte-for-byte equal to
+//! the single-threaded reference.
 //!
 //! ## Fault tolerance
 //!
-//! Every shard is *supervised* ([`supervisor`]): panics are caught at a
+//! The shard is *supervised* ([`supervisor`]): panics are caught at a
 //! panic boundary, the shard's monitors are restored from their last
 //! checkpoint ([`swmon_core::Monitor::snapshot`]), and the delivery gap is
 //! replayed from a bounded in-memory journal — so a run that survives
@@ -62,7 +48,6 @@ mod batch;
 pub mod config;
 pub mod merge;
 pub mod router;
-pub mod shardkey;
 pub mod sink;
 pub mod stats;
 pub mod supervisor;
@@ -72,7 +57,6 @@ mod worker;
 pub use config::{AdaptiveConfig, FaultPoint, RuntimeConfig, TelemetryConfig};
 pub use merge::{name_signature, signature, ViolationRecord};
 pub use router::Router;
-pub use shardkey::PropertyRoute;
 pub use sink::ViolationSink;
 pub use stats::{MonitoringGap, RuntimeStats, ShardStats};
 pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX, MAX_RESTARTS};
@@ -88,7 +72,7 @@ use std::sync::Arc;
 
 use batch::{Arena, QuiesceAck, ShardLayout, ShardPrepare};
 use supervisor::{ShardSpec, Supervisor};
-use swmon_core::{Monitor, MonitorSnapshot, Property, PropertyError, Violation};
+use swmon_core::{Monitor, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
 
@@ -107,11 +91,11 @@ pub enum RuntimeError {
     /// The monitor configuration bounds each instance store to zero cells
     /// (`capacity: Some(0)`), which can hold no instance.
     ZeroCapacity,
-    /// A shard exhausted its restart budget (or failed to restore a
+    /// The shard exhausted its restart budget (or failed to restore a
     /// checkpoint) and was escalated by its supervisor. Terminal: the
     /// session returns this same error from every later call.
     ShardFailed {
-        /// The failing shard.
+        /// The failing shard (always 0: a session is one partition).
         shard: usize,
         /// Recoveries attempted before giving up.
         restarts: u64,
@@ -125,7 +109,7 @@ pub enum RuntimeError {
     DeployRejected {
         /// The epoch still in effect after the rollback.
         epoch: u64,
-        /// Why the plan was rejected (catalog validation or a shard's
+        /// Why the plan was rejected (catalog validation or the shard's
         /// prepare failure).
         reason: String,
     },
@@ -183,18 +167,18 @@ impl Outcome {
     }
 }
 
-/// A set of properties plus the routing decisions to run them sharded.
+/// A set of properties plus the ingress filter to run them supervised.
 #[derive(Debug)]
 pub struct ShardedRuntime {
-    /// Shared with every session's shard layouts: starting a session
-    /// copies no property.
+    /// Shared with every session's shard layout: starting a session copies
+    /// no property.
     props: Arc<[Property]>,
     cfg: RuntimeConfig,
     router: Router,
 }
 
 impl ShardedRuntime {
-    /// Validate `props` and derive their shard placement under `cfg`.
+    /// Validate `props` and derive their ingress filter.
     pub fn new(props: Vec<Property>, cfg: RuntimeConfig) -> Result<Self, RuntimeError> {
         if props.len() > MAX_PROPERTIES {
             return Err(RuntimeError::TooManyProperties(props.len()));
@@ -206,11 +190,11 @@ impl ShardedRuntime {
             p.validate().map_err(|source| RuntimeError::Invalid { index, source })?;
         }
         let cfg = cfg.normalized();
-        let router = Router::new(&props, &cfg.monitor, cfg.shards);
+        let router = Router::new(&props, &cfg.monitor, 1);
         Ok(ShardedRuntime { props: props.into(), cfg, router })
     }
 
-    /// The monitored properties, in routing order.
+    /// The monitored properties, in catalog order.
     pub fn properties(&self) -> &[Property] {
         &self.props
     }
@@ -220,57 +204,42 @@ impl ShardedRuntime {
         &self.cfg
     }
 
-    /// The routing decisions.
+    /// The ingress filter.
     pub fn router(&self) -> &Router {
         &self.router
     }
 
-    /// Start a streaming session: one supervised shard per
-    /// [`RuntimeConfig::shards`], all driven on the caller thread.
+    /// Start a streaming session: one supervised shard, driven on the
+    /// caller thread.
     pub fn start(&self) -> Session<'_> {
         self.start_with_sink(None)
     }
 
     /// Like [`ShardedRuntime::start`], but wire a live [`ViolationSink`]:
-    /// each shard publishes what a batch raised as soon as the batch is
+    /// the shard publishes what a batch raised as soon as the batch is
     /// applied (exactly once, crashes included), and [`Session::finish`]
     /// seals it with the canonically merged records. See the [`sink`]
     /// module for the delivery contract.
     pub fn start_with_sink(&self, sink: Option<Arc<dyn ViolationSink>>) -> Session<'_> {
-        let shards = self.cfg.shards;
-        let hashed = self.router.routes().iter().filter(|r| r.is_hashed()).count();
-        let pinned = self.router.routes().iter().filter(|r| !r.is_hashed()).count();
-        let hub = TelemetryHub::new(shards, &self.cfg.telemetry, hashed, pinned);
+        let hub = TelemetryHub::new(&self.cfg.telemetry);
         let probes = self.props.iter().map(|p| hub.engine(&p.name)).collect();
-        let layout = ShardLayout { props: self.props.clone(), probes };
-        let supervisors = (0..shards)
-            .map(|s| {
-                let mut inject: Vec<u64> =
-                    self.cfg.inject_faults.iter().filter(|f| f.shard == s).map(|f| f.seq).collect();
-                inject.sort_unstable();
-                Supervisor::new(ShardSpec {
-                    shard: s,
-                    layout: layout.clone(),
-                    cfg: self.cfg.clone(),
-                    inject,
-                    probe: hub.shard(s).clone(),
-                    sink: sink.clone(),
-                })
-            })
-            .collect();
+        let mut inject: Vec<u64> = self.cfg.inject_faults.iter().map(|f| f.seq).collect();
+        inject.sort_unstable();
+        let shard = Supervisor::new(ShardSpec {
+            layout: ShardLayout { props: self.props.clone(), probes },
+            cfg: self.cfg.clone(),
+            inject,
+            probe: hub.shard().clone(),
+            sink: sink.clone(),
+        });
         Session {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.to_vec()),
             router: self.router.clone(),
-            shards: supervisors,
-            arena: Arena::new(shards, self.cfg.batch),
-            masks: vec![0u64; shards],
+            shard,
+            arena: Arena::new(self.cfg.batch),
             seq: 0,
-            routed: Routed {
-                events_in: Cell::new(0),
-                skipped: Cell::new(0),
-                delivered: vec![Cell::new(0); shards],
-            },
+            routed: Routed::default(),
             hub,
             sink,
             failed: None,
@@ -294,11 +263,11 @@ impl ShardedRuntime {
 /// Summary of one committed [`Session::deploy`].
 #[derive(Debug, Clone)]
 pub struct DeployOutcome {
-    /// The epoch now in effect on every shard.
+    /// The epoch now in effect.
     pub epoch: u64,
-    /// Per-shard quiesce pause in wall-clock nanoseconds (journal drain +
-    /// forced checkpoint + a copy of its images).
-    pub quiesce_nanos: Vec<u64>,
+    /// The shard's quiesce pause in wall-clock nanoseconds (journal drain
+    /// + forced checkpoint + a copy of its images).
+    pub quiesce_nanos: u64,
     /// Properties carried across with their instance state intact.
     pub retained: usize,
     /// Properties replaced in place (fresh state).
@@ -313,17 +282,17 @@ pub struct DeployOutcome {
 /// What the router has counted since it last added to the
 /// [`TelemetryHub`] — the hub holds the only running totals.
 ///
-/// `feed` bumps these plain cells; every dispatch, and every
-/// [`Session::live_stats`] read, adds them to the hub's atomics and zeroes
-/// them: a few atomic RMWs per batch instead of several per event on the
-/// inline hot path, and a live read is never staler than the last `feed`.
-/// `Cell` (not `&mut`) because the live read goes through `&self`.
-#[derive(Debug)]
+/// `feed` bumps these plain cells; every dispatch, and every live read
+/// ([`Session::live_stats`], [`Session::telemetry`]), adds them to the
+/// hub's atomics and zeroes them: a few atomic RMWs per batch instead of
+/// several per event on the inline hot path, and a live read is never
+/// staler than the last `feed`. `Cell` (not `&mut`) because the live read
+/// goes through `&self`.
+#[derive(Debug, Default)]
 struct Routed {
     events_in: Cell<u64>,
     skipped: Cell<u64>,
-    /// Per destination shard.
-    delivered: Vec<Cell<u64>>,
+    delivered: Cell<u64>,
 }
 
 impl Routed {
@@ -334,15 +303,13 @@ impl Routed {
     fn add_to(&self, hub: &TelemetryHub) {
         hub.events_in.add(self.events_in.take());
         hub.skipped.add(self.skipped.take());
-        for (s, delivered) in self.delivered.iter().enumerate() {
-            hub.shard(s).delivered.add(delivered.take());
-        }
+        hub.shard().delivered.add(self.delivered.take());
     }
 }
 
-/// A live run: feed events, then call [`Session::finish`]. Every shard is
+/// A live run: feed events, then call [`Session::finish`]. The shard is
 /// driven on the thread that calls the session, so dropping one mid-stream
-/// just drops its shards.
+/// just drops its shard.
 #[derive(Debug)]
 pub struct Session<'rt> {
     rt: &'rt ShardedRuntime,
@@ -351,20 +318,19 @@ pub struct Session<'rt> {
     /// replaces it. (The runtime's own catalog never changes — it describes
     /// what sessions *start* with.)
     catalog: CatalogEpoch,
-    /// Routing for the current epoch (rebuilt at every committed deploy).
+    /// The ingress filter for the current epoch (rebuilt at every
+    /// committed deploy).
     router: Router,
-    /// Indexed by shard.
-    shards: Vec<Supervisor>,
-    /// Staging arena — events are staged here and handed to the shards per
+    shard: Supervisor,
+    /// Staging arena — events are staged here and handed to the shard per
     /// sealed batch, so the supervision cost amortizes over the batch.
     arena: Arena,
-    masks: Vec<u64>,
     seq: u64,
     routed: Routed,
     hub: Arc<TelemetryHub>,
     sink: Option<Arc<dyn ViolationSink>>,
-    /// The first terminal shard failure. Once set, every `feed`, `deploy`
-    /// and `finish` returns it, and no further work reaches any shard.
+    /// The terminal shard failure. Once set, every `feed`, `deploy` and
+    /// `finish` returns it, and no further work reaches the shard.
     failed: Option<ShardFailure>,
 }
 
@@ -378,9 +344,12 @@ const _: () = {
 };
 
 impl Session<'_> {
-    /// The run's live telemetry hub. Cheap to clone out; stays valid (and
-    /// live — every dispatch writes to it) for the whole session.
+    /// The run's live telemetry hub, brought up to the last `feed` (its
+    /// router-side counts otherwise move at dispatch). Cheap to clone out;
+    /// stays valid (and live — every dispatch writes to it) for the whole
+    /// session.
     pub fn telemetry(&self) -> &Arc<TelemetryHub> {
+        self.routed.add_to(&self.hub);
         &self.hub
     }
 
@@ -393,7 +362,7 @@ impl Session<'_> {
         self.hub.live_stats()
     }
 
-    /// The latched shard failure, if one has escalated.
+    /// The latched shard failure, if it has escalated.
     fn healthy(&self) -> Result<(), RuntimeError> {
         self.failed.as_ref().map_or(Ok(()), |f| Err(f.clone().into()))
     }
@@ -407,48 +376,45 @@ impl Session<'_> {
         })
     }
 
-    /// Route one event. An event whose class mask misses every property is
-    /// filtered *here* — before any staging. A full or stale block is
-    /// applied before this returns. Fails if a shard's supervisor has
-    /// escalated a terminal failure, now or on an earlier call.
+    /// Filter and stage one event. An event no property can use
+    /// ([`Router`]) is dropped *here* — before any staging. A full or stale
+    /// block is applied before this returns. Fails if the shard's
+    /// supervisor has escalated a terminal failure, now or on an earlier
+    /// call.
     pub fn feed(&mut self, ev: &NetEvent) -> Result<(), RuntimeError> {
         self.healthy()?;
         let seq = self.seq;
         self.seq += 1;
         Routed::bump(&self.routed.events_in);
-        self.router.masks(ev, &mut self.masks);
-        let mut delivered = false;
-        for (&mask, routed) in self.masks.iter().zip(&self.routed.delivered) {
-            if mask != 0 {
-                delivered = true;
-                Routed::bump(routed);
-            }
-        }
+        let mask = self.router.mask(ev);
         // Pre-staging filtering: an event that provably cannot affect any
         // monitor never enters the arena.
-        let full = delivered && self.arena.push(seq, ev, &self.masks);
-        if !delivered {
+        let full = if mask == 0 {
             Routed::bump(&self.routed.skipped);
-        }
+            false
+        } else {
+            Routed::bump(&self.routed.delivered);
+            self.arena.push(seq, ev, mask)
+        };
         // Full, or stale: the oldest staged event has waited `flush_every`
-        // input ticks — filtered ones count — so a trickle shard's
-        // violations become sink-visible without waiting for a full block,
-        // the next delivered event, or `finish()`.
+        // input ticks — filtered ones count — so a trickle's violations
+        // become sink-visible without waiting for a full block, the next
+        // delivered event, or `finish()`.
         if full || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64) {
             self.dispatch()?;
         }
         Ok(())
     }
 
-    /// Seal the arena and apply each shard's batch. Also the deploy
-    /// barrier's tail-flush: after it returns, every fed event has been
-    /// counted in the hub — before its batch is applied, so a shard never
-    /// shows more processed than delivered — and applied.
+    /// Seal the arena and apply its batch. Also the deploy barrier's
+    /// tail-flush: after it returns, every fed event has been counted in
+    /// the hub — before its batch is applied, so the shard never shows
+    /// more processed than delivered — and applied.
     fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
-        for (s, batch) in self.arena.seal() {
+        if let Some(batch) = self.arena.seal() {
             self.hub.batches.inc();
-            let applied = self.shards[s].apply_batch(batch);
+            let applied = self.shard.apply_batch(batch);
             self.latch(applied)?;
         }
         Ok(())
@@ -460,52 +426,28 @@ impl Session<'_> {
         &self.catalog
     }
 
-    /// The epoch currently in effect on every shard.
+    /// The epoch currently in effect.
     pub fn epoch(&self) -> u64 {
         self.catalog.epoch()
     }
 
-    /// Deploy phase 1: quiesce every shard and collect its monitor
-    /// snapshots.
-    fn quiesce_all(&mut self) -> Result<Vec<QuiesceAck>, RuntimeError> {
-        let acks = self.shards.iter_mut().map(Supervisor::quiesce).collect();
-        self.latch(acks)
-    }
-
-    /// Deploy phase 2: stage `preps[s]` on shard `s` — on every shard, even
-    /// past a rejection. Returns the first rejection, if any.
-    fn prepare_all(&mut self, preps: Vec<ShardPrepare>) -> Option<(usize, String)> {
-        let mut failed = None;
-        for (s, (sup, prep)) in self.shards.iter_mut().zip(preps).enumerate() {
-            if let Err(reason) = sup.prepare(prep) {
-                failed.get_or_insert((s, reason));
-            }
-        }
-        failed
-    }
-
-    /// Hot-deploy a property change onto the **running** fleet: add,
+    /// Hot-deploy a property change onto the **running** session: add,
     /// remove, or upgrade properties without dropping a single event.
     ///
-    /// The protocol is a per-shard quiesce barrier with all-or-nothing
-    /// activation (see `docs/DEPLOY.md`):
+    /// The protocol is a quiesce barrier with all-or-nothing activation
+    /// (see `docs/DEPLOY.md`):
     ///
     /// 1. **Validate** — [`CatalogEpoch::apply`] derives the next epoch;
-    ///    any structural rejection happens before a shard is touched.
-    /// 2. **Quiesce** — every shard drains its journal (crashing and
+    ///    any structural rejection happens before the shard is touched.
+    /// 2. **Quiesce** — the shard drains its journal (crashing and
     ///    recovering here rides the normal supervision path), forces a
     ///    checkpoint, and replies with a copy of its images.
-    /// 3. **Prepare** — every shard builds the next epoch's monitor set
-    ///    off to the side, restoring retained properties' snapshots
-    ///    (re-homed when a pinned property's shard mapping changed). Any
-    ///    failure — including a panic while preparing — aborts the plan on
-    ///    *every* shard.
-    /// 4. **Commit** — the staged sets are swapped in atomically and the
-    ///    fleet resumes under the new epoch; violations raised from here
-    ///    on carry it as provenance.
-    ///
-    /// Each phase is a direct call on every shard, and nothing else
-    /// reaches a shard between the quiesce and the commit or abort.
+    /// 3. **Prepare** — the shard builds the next epoch's monitor set off
+    ///    to the side, restoring retained properties' images. Any failure —
+    ///    including a panic while preparing — aborts the plan.
+    /// 4. **Commit** — the staged set is swapped in and the session
+    ///    resumes under the new epoch; violations raised from here on carry
+    ///    it as provenance.
     ///
     /// On `Err(`[`RuntimeError::DeployRejected`]`)` the session keeps
     /// running under the prior epoch, byte-identical to one that never saw
@@ -525,79 +467,44 @@ impl Session<'_> {
                 format!("{n} properties exceed the runtime limit of {MAX_PROPERTIES}"),
             ));
         }
-        let shards = self.masks.len();
-        // Everything fed so far must reach the shards before the barrier,
+        // Everything fed so far must reach the shard before the barrier,
         // so the differential "deploy at k" cut is exact.
         self.dispatch()?;
-        // Phase 1: quiesce the whole fleet and collect monitor snapshots.
-        let acks = self.quiesce_all()?;
-        let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
-        // Next epoch's placements. Retained properties carry their derived
-        // plan verbatim; upgraded/added ones derive fresh placements.
-        let routes: Vec<PropertyRoute> = next
-            .properties()
+        let quiesced = self.shard.quiesce();
+        let QuiesceAck { mut snapshots, quiesce_nanos } = self.latch(quiesced)?;
+        // Retained properties carry their images across; upgraded and
+        // added ones start fresh, and removed ones are dropped.
+        let adopt: Vec<_> = next
+            .origins()
             .iter()
-            .enumerate()
-            .map(|(i, p)| match next.origin(i) {
-                PropertyOrigin::Retained(prev) => self.router.routes()[prev].reindexed(i, shards),
-                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => {
-                    PropertyRoute::for_property(i, p, &self.rt.cfg.monitor, shards)
-                }
+            .map(|origin| match *origin {
+                PropertyOrigin::Retained(prev) => Some(take(&mut snapshots[prev])),
+                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => None,
             })
             .collect();
-        // Hand each retained property's quiesce images on: hashed state
-        // stays on its shard (the hash mapping is index-independent), and
-        // pinned state moves from its old home — the only shard that ever
-        // delivered to it — to its new one, `index % shards`. Removed and
-        // upgraded state is dropped.
-        let mut images: Vec<Vec<MonitorSnapshot>> = acks.into_iter().map(|a| a.snapshots).collect();
-        let mut adopts = vec![vec![None; next.properties().len()]; shards];
-        let mut retained = 0;
-        for (i, origin) in next.origins().iter().enumerate() {
-            let PropertyOrigin::Retained(prev) = *origin else { continue };
-            retained += 1;
-            match (self.router.routes()[prev].home_shard(), routes[i].home_shard()) {
-                (Some(old), Some(new)) => adopts[new][i] = Some(take(&mut images[old][prev])),
-                _ => {
-                    for (adopt, images) in adopts.iter_mut().zip(&mut images) {
-                        adopt[i] = Some(take(&mut images[prev]));
-                    }
-                }
-            }
-        }
-        let router_next = Router::from_routes(next.properties(), routes, shards);
-        // Phase 2: stage the new configuration on every shard.
         let epoch = next.epoch();
         let registered = self.hub.engines().len();
         let layout = ShardLayout {
             probes: next.properties().iter().map(|p| self.hub.engine(&p.name)).collect(),
             props: next.properties().into(),
         };
-        let preps = adopts
-            .into_iter()
-            .map(|adopt| ShardPrepare { epoch, layout: layout.clone(), adopt })
-            .collect();
-        if let Some((s, reason)) = self.prepare_all(preps) {
-            // Phase 3b: one shard could not stage — abort everywhere. No
-            // live state was mutated, so rollback is the absence of a
+        if let Err(reason) = self.shard.deploy(ShardPrepare { epoch, layout, adopt }) {
+            // No live state was mutated, so rollback is the absence of a
             // commit (and of the probes this deploy registered).
-            self.shards.iter_mut().for_each(Supervisor::abort);
             self.hub.engines().truncate(registered);
-            return Err(self.reject(prior, format!("shard {s} failed to prepare: {reason}")));
+            return Err(self.reject(prior, format!("shard 0 failed to prepare: {reason}")));
         }
-        // Phase 3a: commit everywhere. Infallible.
-        self.shards.iter_mut().for_each(|sup| sup.commit(epoch));
-        let (mut upgraded, mut added) = (0, 0);
+        let (mut retained, mut upgraded, mut added) = (0, 0, 0);
         for origin in next.origins() {
             match origin {
+                PropertyOrigin::Retained(_) => retained += 1,
                 PropertyOrigin::Upgraded(_) => upgraded += 1,
                 PropertyOrigin::Added => added += 1,
-                PropertyOrigin::Retained(_) => {}
             }
         }
         let removed = self.catalog.properties().len() - retained - upgraded;
+        self.router = Router::new(next.properties(), &self.rt.cfg.monitor, 1);
         self.catalog = next;
-        self.router = router_next;
         self.hub.deploys_applied.inc();
         self.hub.property_set_epoch.set(epoch);
         Ok(DeployOutcome { epoch, quiesce_nanos, retained, upgraded, added, removed })
@@ -609,30 +516,22 @@ impl Session<'_> {
         RuntimeError::DeployRejected { epoch, reason }
     }
 
-    /// Flush pending batches, advance every monitor to `end` (firing any
-    /// remaining deadlines), collect every shard, and merge.
+    /// Apply the staged tail, advance every monitor to `end` (firing any
+    /// remaining deadlines), collect the shard, and merge.
     pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
         self.healthy()?;
-        // Each shard finishes with its share of the arena's tail, so the
-        // tail and the timer drain reach the sink as one publish.
+        // The shard finishes with the arena's tail, so the tail and the
+        // timer drain reach the sink as one publish.
         self.routed.add_to(&self.hub);
-        let mut tails = self.arena.seal().into_iter().peekable();
-        let mut collected = Vec::with_capacity(self.shards.len());
-        for (s, sup) in self.shards.into_iter().enumerate() {
-            let tail = tails.next_if(|(shard, _)| *shard == s).map(|(_, batch)| batch);
-            self.hub.batches.add(tail.is_some() as u64);
-            collected.push(sup.finish(tail, end)?);
-        }
-        // Every shard has stopped counting: the hub is final. What it
-        // cannot carry comes back with the shards.
+        let tail = self.arena.seal();
+        self.hub.batches.add(tail.is_some() as u64);
+        let shard = self.shard.finish(tail, end)?;
+        // The shard has stopped counting: the hub is final. What it cannot
+        // carry comes back with the shard.
         let mut stats = self.hub.final_stats();
-        let mut records = Vec::new();
-        for shard in collected {
-            stats.gaps.extend(shard.gaps);
-            shard.engine.iter().for_each(|engine| stats.absorb_engine(engine));
-            records.extend(shard.records);
-        }
-        let records = merge::merge(records);
+        stats.gaps = shard.gaps;
+        shard.engine.iter().for_each(|engine| stats.absorb_engine(engine));
+        let records = merge::merge(shard.records);
         if let Some(sink) = &self.sink {
             sink.seal(&records);
             self.hub.store_sealed.add(records.len() as u64);
@@ -643,8 +542,8 @@ impl Session<'_> {
 
 /// Run the single-threaded reference over the same inputs and return its
 /// violations as canonically merged records. The differential contract:
-/// for any shard count — and any recoverable fault schedule —
-/// [`ShardedRuntime::run`] produces records with exactly these signatures.
+/// under any recoverable fault schedule, [`ShardedRuntime::run`] produces
+/// records with exactly these signatures.
 pub fn reference_records(
     props: &[Property],
     cfg: swmon_core::MonitorConfig,
@@ -711,12 +610,12 @@ mod tests {
     #[test]
     fn rejects_invalid_and_oversized_property_sets() {
         let bad = Property { name: "empty".into(), statement: String::new(), stages: vec![] };
-        let err = ShardedRuntime::new(vec![bad], RuntimeConfig::with_shards(1)).unwrap_err();
+        let err = ShardedRuntime::new(vec![bad], RuntimeConfig::default()).unwrap_err();
         assert!(matches!(err, RuntimeError::Invalid { index: 0, .. }), "{err}");
 
         let many: Vec<Property> =
             (0..65).map(|i| repeat_prop(&format!("p{i}"), Field::Ipv4Src)).collect();
-        let err = ShardedRuntime::new(many, RuntimeConfig::with_shards(1)).unwrap_err();
+        let err = ShardedRuntime::new(many, RuntimeConfig::default()).unwrap_err();
         assert!(matches!(err, RuntimeError::TooManyProperties(65)), "{err}");
     }
 
@@ -725,7 +624,7 @@ mod tests {
         let props = vec![repeat_prop("p", Field::Ipv4Src)];
         let bounded = |capacity| RuntimeConfig {
             monitor: MonitorConfig { capacity: Some(capacity), ..Default::default() },
-            ..RuntimeConfig::with_shards(2)
+            ..RuntimeConfig::default()
         };
         let err = ShardedRuntime::new(props.clone(), bounded(0)).unwrap_err();
         assert!(matches!(err, RuntimeError::ZeroCapacity), "{err}");
@@ -737,15 +636,12 @@ mod tests {
 
     #[test]
     fn empty_run_produces_no_records() {
-        let rt = ShardedRuntime::new(
-            vec![repeat_prop("p", Field::Ipv4Src)],
-            RuntimeConfig::with_shards(2),
-        )
-        .unwrap();
+        let rt =
+            ShardedRuntime::new(vec![repeat_prop("p", Field::Ipv4Src)], RuntimeConfig::default())
+                .unwrap();
         let out = rt.run(std::iter::empty(), Instant::from_nanos(1_000)).unwrap();
         assert!(out.records.is_empty());
         assert_eq!(out.stats.events_in, 0);
-        assert_eq!(out.stats.hashed_properties, 1);
         assert_eq!(out.stats.unaccounted_loss(), 0);
         let cfg = MonitorConfig::default();
         assert!(reference_records(rt.properties(), cfg, &[], Instant::from_nanos(1_000)).is_empty());
@@ -755,14 +651,14 @@ mod tests {
     fn dropping_a_session_mid_stream_is_clean() {
         let rt = ShardedRuntime::new(
             vec![repeat_prop("p", Field::Ipv4Src)],
-            RuntimeConfig { shards: 2, batch: 1, ..Default::default() },
+            RuntimeConfig { batch: 1, ..Default::default() },
         )
         .unwrap();
         let mut session = rt.start();
         for i in 0..1024 {
             session.feed(&arrival_from(i)).unwrap();
         }
-        // No finish: the shards simply drop with the session.
+        // No finish: the shard simply drops with the session.
         drop(session);
     }
 
@@ -781,7 +677,7 @@ mod tests {
     #[test]
     fn the_staleness_flush_fires_on_filtered_events() {
         use swmon_sim::trace::{NetEventKind, OobEvent, PortNo, SwitchId};
-        let cfg = RuntimeConfig { shards: 1, batch: 64, flush_every: 4, ..Default::default() };
+        let cfg = RuntimeConfig { batch: 64, flush_every: 4, ..Default::default() };
         let rt = ShardedRuntime::new(vec![repeat_prop("p", Field::Ipv4Src)], cfg).unwrap();
         let sink = Arc::new(Published::default());
         let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));

@@ -1,107 +1,82 @@
-//! Event → shard dispatch.
+//! The ingress filter: which properties an event can affect.
 
-use crate::shardkey::PropertyRoute;
-use swmon_core::{MonitorConfig, Property, SpawnIndex, MAX_PROPERTIES};
+use swmon_core::{MonitorConfig, Property, RoutingPlan, SpawnIndex, MAX_PROPERTIES};
+use swmon_packet::Field;
 use swmon_sim::trace::NetEvent;
 
-/// Properties whose routes resolve identically for every event, dispatched
-/// with a single `shard_for` evaluation. `route` is a clone of the first
-/// member's route; `members` is the property bitmask the group contributes
-/// to the winning shard.
+/// Properties whose instances are named by the same set of fields: an
+/// event lacking one of `fields` can touch an instance of none of
+/// `members`.
 #[derive(Debug, Clone)]
-struct DispatchGroup {
-    route: PropertyRoute,
+struct KeyCheck {
+    /// Sorted and deduplicated.
+    fields: Vec<Field>,
     members: u64,
 }
 
-/// Computes, for each event, the set of shards that must see it and which
-/// properties each shard runs it through.
+/// Computes, for each event, the properties it must be run through.
 ///
-/// Which properties an event's class reaches is the catalog's
-/// [`SpawnIndex`]'s answer, the same table each shard's monitor set
-/// consults; the router only partitions that answer. Routes that provably
-/// dispatch identically (hashed ones with equal plans, pinned ones with a
-/// common home shard) are grouped, so the per-event routing cost is one
-/// hash per *distinct* dispatch rule, not one per property.
+/// The answer starts from the catalog's [`SpawnIndex::reachable`] — the
+/// properties whose patterns the event's class can satisfy — and clears a
+/// property's bit when the event lacks one of its instance-key fields
+/// ([`RoutingPlan::key_fields`]): every guard of such a property binds
+/// every key field, so the event can neither spawn, advance, clear nor
+/// evict one of its instances. Properties sharing a key-field set are
+/// checked once, so the per-event cost is one presence test per distinct
+/// set, and no hash.
 #[derive(Debug, Clone)]
 pub struct Router {
-    routes: Vec<PropertyRoute>,
-    groups: Vec<DispatchGroup>,
     /// The catalog's spawn index, property `i` at bit `i`.
     index: SpawnIndex,
-    shards: usize,
+    keys: Vec<KeyCheck>,
 }
 
 impl Router {
-    /// Derive placements for `props` across `shards` shards (0 is
-    /// taken as 1, as in [`Router::from_routes`]).
+    /// The filter for `props`. `cfg` and `shards` are not read: a session
+    /// is one partition whatever the configuration (kept for callers that
+    /// still pass them).
     ///
     /// # Panics
     /// If `props.len() > MAX_PROPERTIES` (checked earlier by the runtime
     /// constructor, which reports it as an error).
-    pub fn new(props: &[Property], cfg: &MonitorConfig, shards: usize) -> Router {
-        let shards = shards.max(1);
-        let routes = props
-            .iter()
-            .enumerate()
-            .map(|(i, p)| PropertyRoute::for_property(i, p, cfg, shards))
-            .collect();
-        Router::from_routes(props, routes, shards)
-    }
-
-    /// Assemble a router over `props` from pre-built placements, one per
-    /// property (live deployment builds the next epoch's routes one
-    /// property at a time, carrying retained placements across via
-    /// [`PropertyRoute::reindexed`]).
-    ///
-    /// # Panics
-    /// If `props.len() > MAX_PROPERTIES`, or `routes` is not one per
-    /// property.
-    pub fn from_routes(props: &[Property], routes: Vec<PropertyRoute>, shards: usize) -> Router {
+    pub fn new(props: &[Property], _cfg: &MonitorConfig, _shards: usize) -> Router {
         assert!(props.len() <= MAX_PROPERTIES);
-        assert_eq!(props.len(), routes.len(), "one route per property");
-        let mut groups: Vec<DispatchGroup> = Vec::new();
-        for (i, route) in routes.iter().enumerate() {
-            match groups.iter_mut().find(|g| g.route.same_dispatch(route)) {
-                Some(g) => g.members |= 1u64 << i,
-                None => groups.push(DispatchGroup { route: route.clone(), members: 1u64 << i }),
+        let mut keys: Vec<KeyCheck> = Vec::new();
+        for (i, p) in props.iter().enumerate() {
+            let mut fields = RoutingPlan::of(p).key_fields().to_vec();
+            if fields.is_empty() {
+                continue;
+            }
+            fields.sort_unstable();
+            fields.dedup();
+            match keys.iter_mut().find(|k| k.fields == fields) {
+                Some(k) => k.members |= 1u64 << i,
+                None => keys.push(KeyCheck { fields, members: 1u64 << i }),
             }
         }
-        let index = SpawnIndex::new(props.iter().enumerate());
-        Router { routes, groups, index, shards: shards.max(1) }
+        Router { index: SpawnIndex::new(props.iter().enumerate()), keys }
     }
 
-    /// Per-property placements, in property order.
-    pub fn routes(&self) -> &[PropertyRoute] {
-        &self.routes
-    }
-
-    /// The shard count this router was built for.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Fill `out[s]` with the bitmask of properties shard `s` must run
-    /// `ev` through: those `ev`'s class reaches, each on the one shard its
-    /// route picks. `out.len()` must equal `shards()`; previous contents
-    /// are overwritten.
+    /// Write to `out[0]` the bitmask of properties `ev` must be run
+    /// through (see [`Router`]); 0 when it can affect none.
     pub fn masks(&self, ev: &NetEvent, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.shards);
-        out.fill(0);
-        let reach = self.index.reachable(ev);
-        for g in &self.groups {
-            let members = g.members & reach;
-            if members != 0 {
-                if let Some(s) = g.route.shard_for(ev, self.shards) {
-                    out[s] |= members;
-                }
-            }
-        }
+        out[0] = self.mask(ev);
     }
 
-    /// Distinct dispatch rules (grouped identical routes count once).
+    /// The bitmask of properties `ev` must be run through.
+    pub(crate) fn mask(&self, ev: &NetEvent) -> u64 {
+        let mut mask = self.index.reachable(ev);
+        for k in &self.keys {
+            if k.members & mask != 0 && !k.fields.iter().all(|&f| ev.field(f).is_some()) {
+                mask &= !k.members;
+            }
+        }
+        mask
+    }
+
+    /// Distinct key-field sets checked per event.
     pub fn dispatch_groups(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
     }
 }
 
@@ -110,9 +85,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use swmon_core::{var, Atom, EventPattern, Guard, Stage};
-    use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
+    use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
     use swmon_sim::time::Instant;
-    use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
+    use swmon_sim::trace::{EgressAction, NetEventKind, OobEvent, PacketId, PortNo, SwitchId};
 
     fn two_stage(binds: &[(&str, Field)], binds2: &[(&str, Field)]) -> Property {
         let stage = |name: &str, binds: &[(&str, Field)]| {
@@ -129,8 +104,8 @@ mod tests {
         }
     }
 
-    fn arrival(src: u8, dst: u8) -> NetEvent {
-        let pkt = Arc::new(PacketBuilder::tcp(
+    fn tcp(src: u8, dst: u8) -> Arc<swmon_packet::Packet> {
+        Arc::new(PacketBuilder::tcp(
             MacAddr::new(2, 0, 0, 0, 0, src),
             MacAddr::new(2, 0, 0, 0, 0, dst),
             Ipv4Address::new(10, 0, 0, src),
@@ -139,74 +114,38 @@ mod tests {
             80,
             TcpFlags::SYN,
             &[],
-        ));
-        NetEvent {
-            time: Instant::ZERO,
-            kind: NetEventKind::Arrival {
-                switch: SwitchId(0),
-                port: PortNo(1),
-                pkt,
-                id: PacketId(7),
-            },
-        }
+        ))
     }
 
-    #[test]
-    fn masks_partition_properties_across_shards() {
-        // Property 0: exact on Ipv4Src (hashed). Property 1: wandering
-        // key (src then dst with no mirror pairing on MACs? use differing
-        // vars) — exact on Ipv4Dst. Both hashed, different key fields.
-        let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
-        let p1 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
-        let props = vec![p0, p1];
-        let router = Router::new(&props, &MonitorConfig::default(), 4);
-        assert!(router.routes()[0].is_hashed());
-        assert!(router.routes()[1].is_hashed());
+    fn arrival(src: u8, dst: u8) -> NetEvent {
+        let kind = NetEventKind::Arrival {
+            switch: SwitchId(0),
+            port: PortNo(1),
+            pkt: tcp(src, dst),
+            id: PacketId(7),
+        };
+        NetEvent { time: Instant::ZERO, kind }
+    }
 
-        let ev = arrival(1, 2);
-        let mut masks = vec![0u64; 4];
-        router.masks(&ev, &mut masks);
-        // Every property lands on exactly one shard.
-        let mut seen0 = 0;
-        let mut seen1 = 0;
-        for m in &masks {
-            if m & 1 != 0 {
-                seen0 += 1;
-            }
-            if m & 2 != 0 {
-                seen1 += 1;
-            }
-        }
-        assert_eq!((seen0, seen1), (1, 1));
-
-        // Same flow, same shard — deterministic.
-        let mut again = vec![0u64; 4];
-        router.masks(&arrival(1, 2), &mut again);
-        assert_eq!(masks, again);
+    fn mask(router: &Router, ev: &NetEvent) -> u64 {
+        let mut out = [u64::MAX];
+        router.masks(ev, &mut out);
+        assert_eq!(out[0], router.mask(ev));
+        out[0]
     }
 
     #[test]
     fn class_masked_events_need_no_delivery() {
         // Both properties observe only arrivals; a departure's class bit
-        // misses their masks, so the router delivers it nowhere — even for
-        // the pinned (capacity-bounded) placement.
-        use swmon_sim::trace::EgressAction;
+        // misses their masks, so the router delivers it nowhere — under a
+        // capacity bound too.
         let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
         let p1 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
         let departure = NetEvent {
             time: Instant::ZERO,
             kind: NetEventKind::Departure {
                 switch: SwitchId(0),
-                pkt: Arc::new(PacketBuilder::tcp(
-                    MacAddr::new(2, 0, 0, 0, 0, 1),
-                    MacAddr::new(2, 0, 0, 0, 0, 2),
-                    Ipv4Address::new(10, 0, 0, 1),
-                    Ipv4Address::new(10, 0, 0, 2),
-                    1000,
-                    80,
-                    TcpFlags::SYN,
-                    &[],
-                )),
+                pkt: tcp(1, 2),
                 id: PacketId(7),
                 action: EgressAction::Output(PortNo(2)),
             },
@@ -215,88 +154,80 @@ mod tests {
             [MonitorConfig::default(), MonitorConfig { capacity: Some(4), ..Default::default() }]
         {
             let router = Router::new(&[p0.clone(), p1.clone()], &cfg, 4);
-            let mut masks = vec![u64::MAX; 4];
-            router.masks(&departure, &mut masks);
-            assert_eq!(masks, vec![0u64; 4]);
-            let mut arr = vec![0u64; 4];
-            router.masks(&arrival(1, 2), &mut arr);
-            assert_ne!(arr, vec![0u64; 4], "arrivals still route");
+            assert_eq!(mask(&router, &departure), 0);
+            assert_eq!(mask(&router, &arrival(1, 2)), 0b11, "arrivals still route");
         }
     }
 
     #[test]
     fn identical_dispatch_rules_group_without_changing_masks() {
-        // Two hashed properties on the same key field: one dispatch group,
-        // one shard_for evaluation per event. A third on a different key
-        // stays separate.
+        // Two properties keyed on the same field are one check; a third on
+        // a different key stays separate, and a keyless one needs none. A
+        // symmetric key is the same field set as the exact one over it.
         let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
         let p1 = two_stage(&[("X", Field::Ipv4Src)], &[("X", Field::Ipv4Src)]);
         let p2 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
+        let keyless = two_stage(&[], &[]);
         let cfg = MonitorConfig::default();
-        let grouped = Router::new(&[p0.clone(), p1.clone(), p2.clone()], &cfg, 4);
+        let grouped = Router::new(&[p0.clone(), p1, p2, keyless], &cfg, 1);
         assert_eq!(grouped.dispatch_groups(), 2);
-
-        // Grouped masks equal the per-route reference on every event (an
-        // arrival's class reaches all three properties).
         for (src, dst) in [(1, 2), (3, 9), (7, 7), (42, 1)] {
-            let ev = arrival(src, dst);
-            let mut got = vec![0u64; 4];
-            grouped.masks(&ev, &mut got);
-            let mut want = vec![0u64; 4];
-            for (i, route) in grouped.routes().iter().enumerate() {
-                if let Some(s) = route.shard_for(&ev, 4) {
-                    want[s] |= 1u64 << i;
-                }
-            }
-            assert_eq!(got, want);
+            assert_eq!(mask(&grouped, &arrival(src, dst)), 0b1111);
         }
-
-        // Pinned placements group by home shard: shards 0 and 1 at four
-        // shards, one home at one shard.
-        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
-        let pinned = Router::new(&[p0.clone(), p1.clone()], &bounded, 4);
-        assert_eq!(pinned.dispatch_groups(), 2, "pin homes differ: shard 0 vs shard 1");
-        assert_eq!(Router::new(&[p0, p1, p2], &bounded, 1).dispatch_groups(), 1);
+        let pair = |a: Field, b: Field| two_stage(&[("A", a), ("B", b)], &[("A", a), ("B", b)]);
+        let exact = pair(Field::Ipv4Src, Field::Ipv4Dst);
+        let symmetric = two_stage(
+            &[("A", Field::Ipv4Src), ("B", Field::Ipv4Dst)],
+            &[("B", Field::Ipv4Src), ("A", Field::Ipv4Dst)],
+        );
+        let reversed = pair(Field::Ipv4Dst, Field::Ipv4Src);
+        assert_eq!(Router::new(&[exact, symmetric, reversed, p0], &cfg, 1).dispatch_groups(), 2);
     }
 
     #[test]
-    fn pinned_routes_group_by_home_whatever_pins_them() {
-        // One property pinned by its plan (no binder, so no key), one by a
-        // capacity-bounded store: both always answer their home shard, so
-        // at a common home they are one dispatch rule.
-        let keyless = two_stage(&[], &[]);
-        let keyed = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
-        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
-        let routes = vec![
-            PropertyRoute::for_property(0, &keyless, &MonitorConfig::default(), 2),
-            PropertyRoute::for_property(1, &keyed, &bounded, 2),
-            PropertyRoute::for_property(2, &keyed, &bounded, 2),
-        ];
-        assert!(routes[0].pin_override().is_none() && !routes[0].is_hashed());
-        let router = Router::from_routes(&[keyless, keyed.clone(), keyed], routes, 2);
-        assert_eq!(router.dispatch_groups(), 2, "homes 0, 1 and 0");
-        let mut masks = [0u64; 2];
-        router.masks(&arrival(1, 2), &mut masks);
-        assert_eq!(masks, [0b101, 0b010]);
+    fn events_lacking_a_key_field_are_filtered_per_property() {
+        // A link event carries no packet: a keyless property observing it
+        // still sees it, a keyed one cannot — whatever the capacity bound.
+        let keyed = Stage::match_(
+            "a",
+            EventPattern::OutOfBand(swmon_core::OobPattern::PortDown),
+            Guard::new(vec![Atom::Bind(var("A"), Field::Ipv4Src)]),
+        );
+        let bare = Stage::match_(
+            "a",
+            EventPattern::OutOfBand(swmon_core::OobPattern::PortDown),
+            Guard::new(vec![]),
+        );
+        let oob = |stage: Stage| Property {
+            name: "link".into(),
+            statement: String::new(),
+            stages: vec![stage.clone(), stage],
+        };
+        let down = NetEvent {
+            time: Instant::ZERO,
+            kind: NetEventKind::OutOfBand(OobEvent::PortDown(SwitchId(0), PortNo(1))),
+        };
+        let cfg = MonitorConfig { capacity: Some(4), ..Default::default() };
+        let router = Router::new(&[oob(keyed), oob(bare)], &cfg, 1);
+        assert_eq!(mask(&router, &down), 0b10);
+
+        let by_xid = two_stage(&[("X", Field::DhcpXid)], &[("X", Field::DhcpXid)]);
+        let router = Router::new(&[by_xid], &cfg, 1);
+        assert_eq!(mask(&router, &arrival(1, 2)), 0, "a TCP packet carries no DHCP xid");
+        let by_src = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
+        let router = Router::new(&[by_src], &cfg, 1);
+        assert_eq!(mask(&router, &arrival(1, 2)), 1);
     }
 
     #[test]
     fn zero_shards_route_like_one() {
-        // One hashed and one pinned placement: a hashed route used to
-        // divide by zero in `shard_for`, a pinned one to index `out[0]` of
-        // an empty slice.
+        // `shards` is not read: 0, 1 and 8 build the same filter.
         let p0 = two_stage(&[("A", Field::Ipv4Src)], &[("A", Field::Ipv4Src)]);
         let p1 = two_stage(&[("B", Field::Ipv4Dst)], &[("B", Field::Ipv4Dst)]);
-        let bounded = MonitorConfig { capacity: Some(4), ..Default::default() };
-        for cfg in [MonitorConfig::default(), bounded] {
-            let zero = Router::new(&[p0.clone(), p1.clone()], &cfg, 0);
-            let one = Router::new(&[p0.clone(), p1.clone()], &cfg, 1);
-            assert_eq!(zero.shards(), 1);
-            let (mut got, mut want) = ([0u64], [0u64]);
-            zero.masks(&arrival(1, 2), &mut got);
-            one.masks(&arrival(1, 2), &mut want);
-            assert_eq!(got, want);
-            assert_eq!(got, [0b11]);
+        let cfg = MonitorConfig::default();
+        for shards in [0, 1, 8] {
+            let router = Router::new(&[p0.clone(), p1.clone()], &cfg, shards);
+            assert_eq!(mask(&router, &arrival(1, 2)), 0b11, "{shards} shards");
         }
     }
 }

@@ -2,14 +2,14 @@
 
 use swmon_core::MonitorStats;
 
-/// One contiguous episode of explicit load shedding on a shard: the
+/// One contiguous episode of explicit load shedding: the
 /// recovery journal hit its bound ([`crate::RuntimeConfig::journal_limit`])
 /// and the overflow was dropped *with accounting* rather than silently.
 /// Violations raised while a gap was open carry downgraded provenance
 /// ([`swmon_core::Violation::degraded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitoringGap {
-    /// The shard that shed.
+    /// The shard that shed (always 0: a session is one partition).
     pub shard: usize,
     /// Input sequence number of the first shed event.
     pub first_seq: u64,
@@ -19,7 +19,7 @@ pub struct MonitoringGap {
     pub shed: u64,
 }
 
-/// Per-shard activity.
+/// The shard's activity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Events delivered to this shard (each counted once, however many of
@@ -28,9 +28,7 @@ pub struct ShardStats {
     /// Violations this shard's monitors reported.
     pub violations: u64,
     /// Instances still live on this shard when it finished — the occupancy
-    /// the shard carried to end-of-trace. Uneven values explain throughput
-    /// dips that delivery counts alone hide: a shard hosting most of the
-    /// live instances does most of the matching work per delivery.
+    /// the shard carried to end-of-trace.
     pub live_instances: u64,
     /// Events applied to this shard's monitors exactly once.
     pub processed: u64,
@@ -45,26 +43,20 @@ pub struct ShardStats {
 pub struct RuntimeStats {
     /// Events fed to the router.
     pub events_in: u64,
-    /// Event deliveries across all shards (an event delivered to two
-    /// shards counts twice).
+    /// Events delivered to the shard: `events_in - skipped`.
     pub deliveries: u64,
-    /// Events that matched no property's key fields and were delivered
+    /// Events no property's class mask or key fields admitted, delivered
     /// nowhere (provably unable to affect any monitor).
     pub skipped: u64,
-    /// Batches handed to shards: one per shard with staged events, per
-    /// dispatch.
+    /// Batches handed to the shard: one per dispatch with staged events.
     pub batches: u64,
-    /// Properties routed by instance-key hash.
-    pub hashed_properties: usize,
-    /// Properties pinned to a single shard.
-    pub pinned_properties: usize,
-    /// Shard crash recoveries across all shards.
+    /// Shard crash recoveries.
     pub restarts: u64,
-    /// Checkpoints taken across all shards.
+    /// Checkpoints taken.
     pub checkpoints: u64,
     /// Journal items re-applied during recoveries.
     pub replayed: u64,
-    /// Events explicitly shed across all shards.
+    /// Events explicitly shed.
     pub shed: u64,
     /// Violations raised with downgraded provenance (inside a gap).
     pub degraded_violations: u64,
@@ -73,24 +65,24 @@ pub struct RuntimeStats {
     /// The catalog epoch in effect ([`swmon_core::CatalogEpoch`]): 0 until
     /// a [`crate::Session::deploy`] commits, then the committed epoch.
     pub property_set_epoch: u64,
-    /// Deploy plans applied (committed on every shard).
+    /// Deploy plans applied (committed).
     pub deploys_applied: u64,
     /// Deploy plans rolled back (rejected at validation or aborted after a
-    /// failed prepare; the fleet continued under the prior epoch).
+    /// failed prepare; the session continued under the prior epoch).
     pub deploys_rolled_back: u64,
-    /// Wall-clock nanoseconds shards spent quiesced for deploys (journal
-    /// drain + forced checkpoint + a copy of its images), summed across shards.
+    /// Wall-clock nanoseconds the shard spent quiesced for deploys
+    /// (journal drain + forced checkpoint + a copy of its images).
     pub quiesce_nanos: u64,
-    /// Shedding episodes across all shards.
+    /// Shedding episodes.
     pub gaps: Vec<MonitoringGap>,
-    /// Per-shard breakdown.
+    /// The shard's breakdown: one entry, the session's one partition.
     pub per_shard: Vec<ShardStats>,
-    /// Aggregated engine counters, summed over every shard replica.
+    /// Aggregated engine counters, summed over every monitor.
     pub engine: MonitorStats,
 }
 
 impl RuntimeStats {
-    /// Fold one shard monitor's counters into the aggregate.
+    /// Fold one monitor's counters into the aggregate.
     pub(crate) fn absorb_engine(&mut self, s: &MonitorStats) {
         let e = &mut self.engine;
         e.events += s.events;

@@ -1,9 +1,9 @@
 //! Shard supervision: panic isolation, checkpoint/replay recovery, and
 //! bounded-journal load shedding.
 //!
-//! A shard is a `Supervisor`, called by the session on the caller thread:
-//! `apply_batch` per dispatch, the deploy barrier's `quiesce`, `prepare`,
-//! `commit` and `abort`, and `finish` at the end of input. The supervisor
+//! The session's one shard is a `Supervisor`, called on the caller thread:
+//! `apply_batch` per dispatch, the deploy barrier's `quiesce` and
+//! `deploy`, and `finish` at the end of input. The supervisor
 //! owns the crash-domain [`WorkerState`] and drives it only through
 //! `catch_unwind`, so a panic inside it — a genuine engine bug, or a fault
 //! injected via [`RuntimeConfig::inject_faults`] — never takes the runtime
@@ -17,7 +17,7 @@
 //!
 //! The journal is bounded ([`RuntimeConfig::journal_limit`]). When a
 //! delivery burst exceeds it, the overflow is **shed explicitly**: counted
-//! in a per-shard [`MonitoringGap`], never silently lost, and every
+//! in a [`MonitoringGap`], never silently lost, and every
 //! violation raised while the gap is open carries downgraded provenance
 //! ([`swmon_core::Violation::degraded`]). See `docs/FAULTS.md` for the
 //! full fault model.
@@ -28,7 +28,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use crate::batch::{Batch, EventBlock, ItemRef, QuiesceAck, ShardLayout, ShardPrepare};
+use crate::batch::{Batch, Item, QuiesceAck, ShardLayout, ShardPrepare};
 use crate::config::RuntimeConfig;
 use crate::merge::ViolationRecord;
 use crate::sink::ViolationSink;
@@ -70,12 +70,10 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// Blueprint for building — and after a crash, *re*building — one shard's
-/// monitor replicas.
+/// Blueprint for building — and after a crash, *re*building — the shard's
+/// monitors.
 #[derive(Debug)]
 pub(crate) struct ShardSpec {
-    /// This shard's index.
-    pub(crate) shard: usize,
     /// What the shard hosts under the initial epoch.
     pub(crate) layout: ShardLayout,
     /// The runtime configuration in effect (already normalized).
@@ -84,7 +82,7 @@ pub(crate) struct ShardSpec {
     /// supervisor-side *before* the panic is raised, so replay after
     /// recovery does not re-trigger the fault.
     pub(crate) inject: Vec<u64>,
-    /// This shard's telemetry probe (shared with the hub).
+    /// The shard's telemetry probe (shared with the hub).
     pub(crate) probe: Arc<ShardProbe>,
     /// Optional live violation sink: every log position is published to
     /// it exactly once, as its batch completes (see [`crate::sink`]).
@@ -127,8 +125,8 @@ pub(crate) struct ShardOutcome {
     pub(crate) gaps: Vec<MonitoringGap>,
 }
 
-/// A consistent restart point: one image per replica (none before the
-/// first checkpoint) — live state only, the replicas hold no violation
+/// A consistent restart point: one image per monitor (none before the
+/// first checkpoint) — live state only, the monitors hold no violation
 /// history — plus how much of the shard's violation log was raised before
 /// them. Recovery rewinds the log to `records_len` — keeping what a sink
 /// has already seen beyond it — and replay re-raises the rest.
@@ -137,8 +135,8 @@ struct Checkpoint {
     records_len: usize,
 }
 
-/// What one replica's engine probe has been told: the replica's event
-/// count at the last read (rewound with the replica on recovery, so
+/// What one monitor's engine probe has been told: the monitor's event
+/// count at the last read (rewound with the monitor on recovery, so
 /// replays count again) and its current share of the property's gauge.
 #[derive(Clone, Copy, Default)]
 struct Told {
@@ -146,45 +144,24 @@ struct Told {
     live: u64,
 }
 
-/// One admitted dispatch round in the journal: the shared event slab plus
-/// the accepted [`ItemRef`] selection over it. Admission *moves* the
-/// batch's vectors in wholesale — no per-item pushes, no per-item `Arc`
-/// traffic — and recovery replays the same refs against the same slab.
-#[derive(Debug)]
-struct JournalBatch {
-    block: Arc<EventBlock>,
-    items: Vec<ItemRef>,
-}
-
-/// A deploy's staged next-epoch shard configuration: built during prepare
-/// without touching live state, swapped in atomically at commit, dropped
-/// at abort.
-struct PendingEpoch {
-    epoch: u64,
-    layout: ShardLayout,
-    set: MonitorSet,
-}
-
-/// One shard's supervision state, called directly by the session. Between
-/// a deploy's `quiesce` and its closing `commit` or `abort`, the session
-/// calls nothing else on it.
+/// The shard's supervision state, called directly by the session. Between
+/// a deploy's `quiesce` and its `deploy`, the session calls nothing else
+/// on it.
 pub(crate) struct Supervisor {
-    shard: usize,
     cfg: RuntimeConfig,
     state: WorkerState,
     checkpoint: Checkpoint,
-    /// Staged next epoch between a deploy's prepare and commit/abort.
-    pending: Option<PendingEpoch>,
-    /// `told[i]` goes with property `i`'s replica and the layout's
+    /// `told[i]` goes with property `i`'s monitor and the layout's
     /// `probes[i]`.
     told: Vec<Told>,
     /// Remaining injected deploy-prepare failures (chaos testing): each
     /// one makes the next prepare panic inside its catch_unwind boundary.
     inject_deploy: usize,
-    /// Batches delivered since the last checkpoint, in admission order.
-    /// Flat item counters (`journal_len`/`journal_pos`/`high_water`) index
-    /// into the concatenation of every batch's `items`.
-    journal: Vec<JournalBatch>,
+    /// Batches delivered since the last checkpoint, in admission order:
+    /// admission *moves* each batch in, and recovery replays the same
+    /// items. Flat item counters (`journal_len`/`journal_pos`/`high_water`)
+    /// index into the concatenation of every batch.
+    journal: Vec<Batch>,
     /// Total items across the journal's batches.
     journal_len: usize,
     /// How many journal items the current incarnation has applied.
@@ -210,7 +187,7 @@ pub(crate) struct Supervisor {
 
 impl fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Supervisor").field("shard", &self.shard).finish_non_exhaustive()
+        f.debug_struct("Supervisor").field("epoch", &self.state.log.epoch).finish_non_exhaustive()
     }
 }
 
@@ -220,16 +197,13 @@ impl Supervisor {
             .expect("fresh monitors restore nothing");
         let told = vec![Told::default(); set.len()];
         let state = WorkerState::new(spec.layout, set);
-        let inject_deploy =
-            spec.cfg.inject_deploy_faults.iter().filter(|&&s| s == spec.shard).count();
+        let inject_deploy = spec.cfg.inject_deploy_faults;
         Supervisor {
-            shard: spec.shard,
             cfg: spec.cfg,
             state,
             // No images before the first checkpoint: a crash that early
-            // rebuilds the replicas fresh, which is what they were.
+            // rebuilds the monitors fresh, which is what they were.
             checkpoint: Checkpoint { snapshots: Vec::new(), records_len: 0 },
-            pending: None,
             told,
             inject_deploy,
             journal: Vec::new(),
@@ -247,24 +221,23 @@ impl Supervisor {
         }
     }
 
-    /// Append a batch to the journal. The batch's slab handle and item
-    /// vector are adopted wholesale — admission does no per-item work
-    /// beyond the journal-bound check — and whatever exceeds the bound is split off and shed with full
-    /// gap accounting.
-    fn admit(&mut self, batch: Batch) {
+    /// Append a batch to the journal. The batch is adopted wholesale —
+    /// admission does no per-item work beyond the journal-bound check — and
+    /// whatever exceeds the bound is split off and shed with full gap
+    /// accounting.
+    fn admit(&mut self, mut items: Batch) {
         self.probe.queue_depth.record(self.journal_len as u64);
-        let Batch { block, mut items, .. } = batch;
         let room = self.cfg.journal_limit.saturating_sub(self.journal_len);
         let overflow = if items.len() > room { items.split_off(room) } else { Vec::new() };
         if !items.is_empty() {
             self.journal_len += items.len();
-            self.journal.push(JournalBatch { block, items });
+            self.journal.push(items);
         }
         if let (Some(first), Some(last)) = (overflow.first(), overflow.last()) {
             self.probe.shed.add(overflow.len() as u64);
             self.in_gap = true;
             let gap = self.open_gap.get_or_insert(MonitoringGap {
-                shard: self.shard,
+                shard: 0,
                 first_seq: first.seq,
                 last_seq: first.seq,
                 shed: 0,
@@ -317,18 +290,17 @@ impl Supervisor {
         }
     }
 
-    /// Add what the replicas did since the last read to their engine
+    /// Add what the monitors did since the last read to their engine
     /// probes: the events each examined (after every attempt — an unwound
     /// one's applications happened, and their replays count again) and,
-    /// once an attempt `completed`, the change in its live instances,
-    /// making a property's gauge the sum over its replicas — each written
-    /// only if it moved. Gauges skip an unwound attempt's state: it is
+    /// once an attempt `completed`, the change in its live instances —
+    /// each written only if it moved. Gauges skip an unwound attempt's state: it is
     /// torn, and about to be replaced.
     fn read_engines(&mut self, completed: bool) {
         let probes = &self.state.layout.probes;
-        let replicas = self.state.set.monitors().iter().zip(probes).zip(&mut self.told);
+        let monitors = self.state.set.monitors().iter().zip(probes).zip(&mut self.told);
         let mut live_instances = 0;
-        for ((m, probe), told) in replicas {
+        for ((m, probe), told) in monitors {
             if m.stats.events != told.events {
                 probe.events.add(m.stats.events - told.events);
                 told.events = m.stats.events;
@@ -356,11 +328,11 @@ impl Supervisor {
         let faults = !self.inject.is_empty();
         let (mut b, mut skip) = self.resume_at();
         while b < self.journal.len() {
-            for i in skip..self.journal[b].items.len() {
-                let ItemRef { seq, mask, idx } = self.journal[b].items[i];
+            for i in skip..self.journal[b].len() {
+                let Item { seq, mask, ref ev } = self.journal[b][i];
                 if faults {
                     while self.inject.front().is_some_and(|&s| s < seq) {
-                        // Injection point routed elsewhere or shed: never
+                        // Injection point filtered out or shed: never
                         // reachable.
                         self.inject.pop_front();
                     }
@@ -368,10 +340,9 @@ impl Supervisor {
                         // Consume the injection first so replay does not
                         // re-panic.
                         self.inject.pop_front();
-                        panic!("{INJECTED_PANIC_PREFIX}: shard {} at seq {}", self.shard, seq);
+                        panic!("{INJECTED_PANIC_PREFIX}: shard 0 at seq {seq}");
                     }
                 }
-                let ev = &self.journal[b].block.events()[idx as usize];
                 self.state.apply(seq, mask, ev, self.in_gap);
                 self.journal_pos += 1;
                 self.high_water = self.high_water.max(self.journal_pos);
@@ -390,7 +361,7 @@ impl Supervisor {
         let (mut b, mut start) = (self.journal.len(), self.journal_len);
         while start > self.journal_pos {
             b -= 1;
-            start -= self.journal[b].items.len();
+            start -= self.journal[b].len();
         }
         (b, self.journal_pos - start)
     }
@@ -400,8 +371,7 @@ impl Supervisor {
     /// stands: the log keeps it, and replay's copies of it are dropped.
     fn recover(&mut self, payload: &(dyn Any + Send)) -> Result<(), ShardFailure> {
         let t0 = std::time::Instant::now();
-        let fail =
-            |restarts: u64, message: String| ShardFailure { shard: self.shard, restarts, message };
+        let fail = |restarts: u64, message: String| ShardFailure { shard: 0, restarts, message };
         let Some(left) = self.restarts_left.checked_sub(1) else {
             return Err(fail(MAX_RESTARTS, panic_message(payload)));
         };
@@ -437,17 +407,17 @@ impl Supervisor {
     /// full drain, and deploy commit).
     ///
     /// The images are brought up to date in place
-    /// ([`Monitor::snapshot_into`]): a replica whose image is the one it
+    /// ([`Monitor::snapshot_into`]): a monitor whose image is the one it
     /// last synced into, or was restored from on recovery, copies the
     /// slots it wrote since; any other pairing — the first checkpoint, a
-    /// deploy's new replica set — is a full copy, decided by the monitor.
+    /// deploy's new monitor set — is a full copy, decided by the monitor.
     fn force_checkpoint(&mut self) {
         debug_assert_eq!(self.journal_pos, self.journal_len);
         let t0 = std::time::Instant::now();
         let images = &mut self.checkpoint.snapshots;
         images.resize_with(self.state.set.len(), MonitorSnapshot::default);
-        let replicas = self.state.set.monitors_mut().iter_mut().zip(images);
-        let copied: usize = replicas.map(|(m, image)| m.snapshot_into(image)).sum();
+        let monitors = self.state.set.monitors_mut().iter_mut().zip(images);
+        let copied: usize = monitors.map(|(m, image)| m.snapshot_into(image)).sum();
         self.checkpoint.records_len = self.state.log.records.len();
         self.probe.checkpoint_slots.add(copied as u64);
         self.probe.checkpoint.record(t0.elapsed().as_nanos() as u64);
@@ -465,7 +435,7 @@ impl Supervisor {
     /// Deploy phase 1: drain everything outstanding (crashing and
     /// recovering here follows the normal supervision path — a deploy
     /// racing a crash window rides on journal replay), force a checkpoint,
-    /// and hand the session a copy of its images to re-route.
+    /// and hand the session a copy of its images to carry across.
     pub(crate) fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
@@ -476,62 +446,45 @@ impl Supervisor {
         Ok(QuiesceAck { snapshots, quiesce_nanos: nanos })
     }
 
-    /// Deploy phase 2: build the next epoch's monitor set from the staged
-    /// configuration *without touching live state*. Restores run inside
-    /// the panic boundary; any failure (restore error, panic, injected
-    /// deploy fault) leaves the shard exactly as the quiesce checkpoint
-    /// left it — rollback is the absence of a commit.
-    pub(crate) fn prepare(&mut self, prep: ShardPrepare) -> Result<(), String> {
+    /// Deploy phases 2 and 3: build the next epoch's monitor set *without
+    /// touching live state* (prepare), then swap it in and checkpoint under
+    /// it (commit), so any later recovery restores the *new* set.
+    ///
+    /// Restores run inside the panic boundary; any failure (restore error,
+    /// panic, injected deploy fault) returns before the commit and leaves
+    /// the shard exactly as the quiesce checkpoint left it — rollback is
+    /// the absence of a commit. On commit, violations logged from here on
+    /// carry the new epoch; the outgoing monitors' shares of their
+    /// properties' gauges are retracted (a retired one no longer lives
+    /// anywhere), the incoming set's added.
+    pub(crate) fn deploy(&mut self, prep: ShardPrepare) -> Result<(), String> {
         let inject = self.inject_deploy > 0;
         if inject {
             self.inject_deploy -= 1;
         }
-        let shard = self.shard;
         let ShardPrepare { epoch, layout, adopt } = prep;
         let built = panic::catch_unwind(AssertUnwindSafe(|| {
             if inject {
-                panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard {shard}");
+                panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard 0");
             }
             build_set(&self.cfg, &layout.props, |i| adopt.get(i).and_then(Option::as_ref))
         }));
-        match built {
-            Ok(Ok(set)) => {
-                self.pending = Some(PendingEpoch { epoch, layout, set });
-                Ok(())
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(panic_message(payload.as_ref())),
-        }
-    }
-
-    /// Deploy phase 3a: swap the staged epoch in and checkpoint under it,
-    /// so any later recovery restores the *new* monitor set. Violations
-    /// logged from here on carry the new epoch. The outgoing replicas'
-    /// shares of their properties' gauges are retracted (a retired or
-    /// re-homed one no longer lives here), the incoming set's added.
-    pub(crate) fn commit(&mut self, epoch: u64) {
-        let Some(pending) = self.pending.take() else {
-            debug_assert!(false, "commit without a staged prepare");
-            return;
+        let set = match built {
+            Ok(Ok(set)) => set,
+            Ok(Err(e)) => return Err(e),
+            Err(payload) => return Err(panic_message(payload.as_ref())),
         };
-        debug_assert_eq!(pending.epoch, epoch);
         for (probe, told) in self.state.layout.probes.iter().zip(&self.told) {
             probe.live.add(-(told.live as i64));
         }
         let told = |m: &Monitor| Told { events: m.stats.events, live: 0 };
-        self.told = pending.set.monitors().iter().map(told).collect();
-        self.state.layout = pending.layout;
-        self.state.set = pending.set;
+        self.told = set.monitors().iter().map(told).collect();
+        self.state.layout = layout;
+        self.state.set = set;
         self.state.log.epoch = epoch;
         self.read_engines(true);
         self.force_checkpoint();
-    }
-
-    /// Deploy phase 3b: drop the staged epoch. Nothing was mutated during
-    /// prepare, so the shard is byte-identical to one that never saw the
-    /// deploy.
-    pub(crate) fn abort(&mut self) {
-        self.pending = None;
+        Ok(())
     }
 
     /// Hand the log positions past the published mark to the sink, and
@@ -543,16 +496,16 @@ impl Supervisor {
         if fresh.is_empty() {
             return;
         }
-        let upto = self.journal.last().and_then(|b| b.items.last()).map_or(0, |r| r.seq);
+        let upto = self.journal.last().and_then(|b| b.last()).map_or(0, |r| r.seq);
         for r in fresh.iter().filter(|r| r.seq != FLUSH_SEQ) {
             self.probe.publish_lag.record(upto.saturating_sub(r.seq));
         }
-        sink.publish(self.shard, fresh);
+        sink.publish(0, fresh);
         self.probe.store_published.add(fresh.len() as u64);
         self.published = self.state.log.records.len();
     }
 
-    /// End of input: apply this shard's share of the arena's tail, advance
+    /// End of input: apply the arena's tail, advance
     /// every monitor to `end` (firing pending deadlines), and hand back
     /// what the probe cannot carry. The tail is applied here rather than as
     /// a batch of its own, so it and the timer drain are one publish.
@@ -574,7 +527,7 @@ impl Supervisor {
 
 /// The one place a shard's monitors are built — for the initial epoch
 /// ([`Supervisor::new`]), after a crash (`recover`) and for a staged epoch
-/// (`prepare`): a fresh replica of every property, property `i` restored
+/// (`prepare`): a fresh monitor for every property, property `i` restored
 /// from `snapshot_for(i)` when that yields one.
 fn build_set<'a>(
     cfg: &RuntimeConfig,
@@ -656,16 +609,15 @@ mod tests {
 
     fn spec_of(props: Vec<Property>, cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
         let cfg = cfg.normalized();
-        let hub = crate::telemetry::TelemetryHub::new(1, &cfg.telemetry, 0, 1);
+        let hub = crate::telemetry::TelemetryHub::new(&cfg.telemetry);
         ShardSpec {
-            shard: 0,
             layout: ShardLayout {
                 probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
                 props: props.into(),
             },
             cfg,
             inject,
-            probe: hub.shard(0).clone(),
+            probe: hub.shard().clone(),
             sink: None,
         }
     }
@@ -707,20 +659,20 @@ mod tests {
         arrival(10 * (seq + 1), (seq % 5) as u8 + 1)
     }
 
-    /// Zero-copy batches of up to 8 events each, all destined to shard 0.
+    /// Batches of up to 8 events each.
     fn batches(n: u64) -> Vec<Batch> {
         batches_of(n, test_ev)
     }
 
     fn batches_of(n: u64, ev: impl Fn(u64) -> NetEvent) -> Vec<Batch> {
         let mut out = Vec::new();
-        let mut arena = Arena::new(1, 8);
+        let mut arena = Arena::new(8);
         for seq in 0..n {
-            if arena.push(seq, &ev(seq), &[1]) {
-                out.extend(arena.seal().into_iter().map(|(_, b)| b));
+            if arena.push(seq, &ev(seq), 1) {
+                out.extend(arena.seal());
             }
         }
-        out.extend(arena.seal().into_iter().map(|(_, b)| b));
+        out.extend(arena.seal());
         out
     }
 
@@ -734,7 +686,7 @@ mod tests {
     }
 
     fn base_cfg() -> RuntimeConfig {
-        RuntimeConfig { shards: 1, checkpoint_every: 16, ..Default::default() }
+        RuntimeConfig { checkpoint_every: 16, ..Default::default() }
     }
 
     #[test]
@@ -760,12 +712,12 @@ mod tests {
         silence_injected_panics();
         let run = |inject: Vec<u64>| {
             let crash_at = inject.first().copied();
-            let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
+            let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
             let (mut sup, probe, sink) = recorded(spec(cfg, inject));
-            let mut arena = Arena::new(1, 3);
+            let mut arena = Arena::new(3);
             for seq in 0..90 {
-                if arena.push(seq, &test_ev(seq), &[1]) {
-                    let (_, batch) = arena.seal().pop().unwrap();
+                if arena.push(seq, &test_ev(seq), 1) {
+                    let batch = arena.seal().unwrap();
                     let replayed = probe.replayed.get();
                     sup.apply_batch(batch).unwrap();
                     assert_eq!(sup.journal_pos, sup.journal_len, "batch ending at {seq} applied");
@@ -794,20 +746,20 @@ mod tests {
     /// a walk forward from batch 0 finds, for every cursor position.
     #[test]
     fn the_cursor_is_found_from_the_tail() {
-        let (mut sup, _) = supervised(RuntimeConfig { shards: 1, ..Default::default() }, vec![]);
+        let (mut sup, _) = supervised(RuntimeConfig::default(), vec![]);
         let mut seq = 0;
         for size in [1, 3, 1, 8, 2, 5] {
-            let mut arena = Arena::new(1, size);
+            let mut arena = Arena::new(size);
             for _ in 0..size {
-                let _ = arena.push(seq, &test_ev(seq), &[1]);
+                let _ = arena.push(seq, &test_ev(seq), 1);
                 seq += 1;
             }
-            sup.admit(arena.seal().pop().unwrap().1);
+            sup.admit(arena.seal().unwrap());
         }
         assert_eq!(sup.journal_len, 20);
         let mut forward = Vec::new();
         for (b, batch) in sup.journal.iter().enumerate() {
-            forward.extend((0..batch.items.len()).map(|i| (b, i)));
+            forward.extend((0..batch.len()).map(|i| (b, i)));
         }
         forward.push((sup.journal.len(), 0));
         for (pos, want) in forward.into_iter().enumerate() {
@@ -819,10 +771,9 @@ mod tests {
     #[test]
     fn restart_budget_escalates_to_failure() {
         silence_injected_panics();
-        // One fault more than the budget, all on the one shard: seqs 1..=9.
+        // One fault more than the budget: seqs 1..=9.
         let inject = (1..=MAX_RESTARTS + 1).collect();
-        let (mut sup, probe) =
-            supervised(RuntimeConfig { shards: 1, ..Default::default() }, inject);
+        let (mut sup, probe) = supervised(RuntimeConfig::default(), inject);
         let err = batches(16)
             .into_iter()
             .find_map(|batch| sup.apply_batch(batch).err())
@@ -838,15 +789,13 @@ mod tests {
     fn a_staleness_flush_publishes_without_checkpointing() {
         // A partial block, as a `flush_every` flush dispatches it: seqs 0
         // and 5 share a source, so the second arrival raises.
-        let mut arena = Arena::new(1, 64);
+        let mut arena = Arena::new(64);
         for seq in [0, 5] {
-            let _ = arena.push(seq, &test_ev(seq), &[1]);
+            let _ = arena.push(seq, &test_ev(seq), 1);
         }
-        let cfg = RuntimeConfig { shards: 1, checkpoint_every: 1 << 20, ..Default::default() };
+        let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
         let (mut sup, probe, sink) = recorded(spec(cfg, vec![]));
-        for (_, batch) in arena.seal() {
-            sup.apply_batch(batch).unwrap();
-        }
+        sup.apply_batch(arena.seal().unwrap()).unwrap();
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the flushed batch's violation is visible at once");
         assert_eq!(published[0].iter().map(|r| r.seq).collect::<Vec<_>>(), [5]);
@@ -906,14 +855,14 @@ mod tests {
                 Stage::deadline("late", Duration::from_nanos(5), RefreshPolicy::NoRefresh),
             ],
         };
-        let cfg = RuntimeConfig { shards: 1, ..Default::default() };
+        let cfg = RuntimeConfig::default();
         let (sup, _, sink) = recorded(spec_of(vec![repeat_prop(), due], cfg, vec![]));
-        let mut arena = Arena::new(1, 64);
+        let mut arena = Arena::new(64);
         for seq in 0..12 {
-            let _ = arena.push(seq, &test_ev(seq), &[0b11]);
+            let _ = arena.push(seq, &test_ev(seq), 0b11);
         }
-        let (_, tail) = arena.seal().pop().unwrap();
-        let out = sup.finish(Some(tail), Instant::from_nanos(1_000_000)).expect("finish succeeds");
+        let out =
+            sup.finish(arena.seal(), Instant::from_nanos(1_000_000)).expect("finish succeeds");
         let log = out.records;
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the tail batch and the timer drain are one publish");
@@ -924,12 +873,7 @@ mod tests {
 
     #[test]
     fn tiny_journal_sheds_explicitly_and_accounts_everything() {
-        let cfg = RuntimeConfig {
-            shards: 1,
-            checkpoint_every: 16,
-            journal_limit: 3,
-            ..Default::default()
-        };
+        let cfg = RuntimeConfig { checkpoint_every: 16, journal_limit: 3, ..Default::default() };
         let (out, probe) = run_with(cfg, vec![], 40);
         let shed = probe.shed.get();
         assert!(shed > 0, "bursts beyond the journal bound are shed");
@@ -941,8 +885,8 @@ mod tests {
 
     #[test]
     fn unreachable_injection_points_are_skipped() {
-        // Seq 7 never reaches the shard's journal front cleanly if shed or
-        // routed elsewhere; stale fronts must not wedge later injections.
+        // A seq the shard never sees (shed, or filtered at the ingress)
+        // must not wedge later injections.
         let (_, probe) = run_with(base_cfg(), vec![100_000], 20);
         assert_eq!(probe.restarts.get(), 0);
         assert_eq!(probe.processed.get(), 20);
@@ -954,7 +898,7 @@ mod tests {
         // Every event opens a new flow, a checkpoint every 8: each slot is
         // written in exactly one window and copied by exactly one checkpoint.
         let copied_with = |inject: Vec<u64>| {
-            let cfg = RuntimeConfig { shards: 1, checkpoint_every: 8, ..Default::default() };
+            let cfg = RuntimeConfig { checkpoint_every: 8, ..Default::default() };
             let (mut sup, probe) = supervised(cfg, inject);
             for batch in batches_of(96, |seq| arrival(10 * (seq + 1), seq as u8)) {
                 sup.apply_batch(batch).unwrap();
@@ -964,7 +908,7 @@ mod tests {
             (probe.checkpoint_slots.get(), probe.restarts.get())
         };
         assert_eq!(copied_with(vec![]), (96, 0));
-        // A crash mid-window rebuilds the replica from its image, and the
+        // A crash mid-window rebuilds the monitor from its image, and the
         // two stay a pair: the next checkpoint copies that window's 8
         // slots, where an image that had lost its monitor would take all 56.
         assert_eq!(copied_with(vec![50]), (96, 1));
@@ -974,7 +918,7 @@ mod tests {
     fn checkpoints_hold_live_state_only() {
         // Source addresses repeat every 5 events (each repeat raises), so
         // a checkpoint every 40 always lands on the same live state.
-        let cfg = RuntimeConfig { shards: 1, checkpoint_every: 40, ..Default::default() };
+        let cfg = RuntimeConfig { checkpoint_every: 40, ..Default::default() };
         let (mut sup, probe) = supervised(cfg, vec![]);
         let mut sizes = Vec::new();
         for batch in batches(400) {

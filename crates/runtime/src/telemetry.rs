@@ -1,12 +1,12 @@
 //! The runtime's telemetry hub: the run's one statistics ledger. The
-//! router and every shard count *only* here, in shared atomics readable at
+//! router and the shard count *only* here, in shared atomics readable at
 //! any moment from outside the run.
 //!
 //! Every view is a read of these atomics:
 //! [`Session::live_stats`](crate::Session::live_stats) mid-run,
 //! [`Outcome::stats`](crate::Outcome::stats) at the end (the same
 //! constructor, plus the monitoring gaps and summed engine counters the
-//! shards hand back), and [`TelemetryHub::export`] for the full metric
+//! shard hands back), and [`TelemetryHub::export`] for the full metric
 //! page ([`swmon_telemetry::Snapshot`]) behind `repro stats`. There is no
 //! second copy for them to disagree with.
 //!
@@ -34,13 +34,14 @@ use crate::config::TelemetryConfig;
 use crate::stats::{RuntimeStats, ShardStats};
 use swmon_telemetry::{names, Counter, EngineProbe, Gauge, Histogram, Key, Snapshot};
 
-/// Per-shard counters. Written by the shard's supervisor — which keeps no
+/// The shard's counters. Written by its supervisor — which keeps no
 /// private copy of any of them — except [`ShardProbe::delivered`], which
 /// the session writes.
 #[derive(Debug, Default)]
 pub struct ShardProbe {
-    /// Items the router sent to this shard, added by the session at each
-    /// dispatch: the router side of the no-silent-loss audit.
+    /// Items the router sent to the shard, added by the session at each
+    /// dispatch and live read: the router side of the no-silent-loss
+    /// audit.
     pub delivered: Counter,
     /// Items applied to the monitors exactly once.
     pub processed: Counter,
@@ -83,15 +84,15 @@ pub struct ShardProbe {
     pub publish_lag: Histogram,
 }
 
-/// All shared instrumentation for one run: router counters, per-shard
-/// probes and per-property engine probes.
+/// All shared instrumentation for one run: router counters, the shard's
+/// probe and per-property engine probes.
 #[derive(Debug)]
 pub struct TelemetryHub {
     /// Events fed to the router.
     pub events_in: Counter,
     /// Events delivered nowhere.
     pub skipped: Counter,
-    /// Channel batches sent.
+    /// Batches dispatched to the shard.
     pub batches: Counter,
     /// Canonically merged records handed to the store sink at seal time.
     /// Zero when no sink is wired (or until the session finishes).
@@ -99,27 +100,20 @@ pub struct TelemetryHub {
     /// The catalog epoch in effect: 0 at session start, set to the
     /// committed epoch by every applied [`crate::Session::deploy`].
     pub property_set_epoch: Gauge,
-    /// Deploy plans committed on every shard.
+    /// Deploy plans committed.
     pub deploys_applied: Counter,
     /// Deploy plans rolled back (validation rejection or aborted prepare).
     pub deploys_rolled_back: Counter,
-    shards: Vec<Arc<ShardProbe>>,
+    shard: Arc<ShardProbe>,
     /// One probe per property *name*, in first-request order. Locked only
     /// on cold paths: session start, deploy, export.
     engines: Mutex<Vec<Arc<EngineProbe>>>,
     stage_sample_every: u64,
-    hashed_properties: usize,
-    pinned_properties: usize,
 }
 
 impl TelemetryHub {
-    /// Build the hub for `shards` shards.
-    pub(crate) fn new(
-        shards: usize,
-        cfg: &TelemetryConfig,
-        hashed_properties: usize,
-        pinned_properties: usize,
-    ) -> Arc<Self> {
+    /// Build the hub.
+    pub(crate) fn new(cfg: &TelemetryConfig) -> Arc<Self> {
         Arc::new(TelemetryHub {
             events_in: Counter::new(),
             skipped: Counter::new(),
@@ -128,17 +122,15 @@ impl TelemetryHub {
             property_set_epoch: Gauge::new(),
             deploys_applied: Counter::new(),
             deploys_rolled_back: Counter::new(),
-            shards: (0..shards).map(|_| Arc::new(ShardProbe::default())).collect(),
+            shard: Arc::new(ShardProbe::default()),
             engines: Mutex::new(Vec::new()),
             stage_sample_every: cfg.stage_sample_every,
-            hashed_properties,
-            pinned_properties,
         })
     }
 
-    /// Shard `s`'s probe.
-    pub fn shard(&self, s: usize) -> &Arc<ShardProbe> {
-        &self.shards[s]
+    /// The shard's probe.
+    pub fn shard(&self) -> &Arc<ShardProbe> {
+        &self.shard
     }
 
     /// The registered engine probes. (A rolled-back deploy truncates the
@@ -148,8 +140,8 @@ impl TelemetryHub {
     }
 
     /// The engine probe for the property called `name`, registered on
-    /// first request: every replica of a property — on any shard, in any
-    /// epoch — and every property sharing its name reports to one series.
+    /// first request: a property's monitor in every epoch, and every
+    /// property sharing its name, reports to one series.
     pub(crate) fn engine(&self, name: &str) -> Arc<EngineProbe> {
         let mut engines = self.engines();
         if let Some(probe) = engines.iter().find(|p| p.name() == name) {
@@ -184,34 +176,31 @@ impl TelemetryHub {
             events_in: self.events_in.get(),
             skipped: self.skipped.get(),
             batches: self.batches.get(),
-            hashed_properties: self.hashed_properties,
-            pinned_properties: self.pinned_properties,
             property_set_epoch: self.property_set_epoch.get(),
             deploys_applied: self.deploys_applied.get(),
             deploys_rolled_back: self.deploys_rolled_back.get(),
             ..Default::default()
         };
-        for probe in &self.shards {
-            let delivered = probe.delivered.get();
-            let processed = probe.processed.get();
-            let shed = probe.shed.get();
-            stats.deliveries += delivered;
-            stats.per_shard.push(ShardStats {
-                events: if router_side { delivered } else { processed + shed },
-                violations: probe.violations.get(),
-                live_instances: probe.live_instances.get(),
-                processed,
-                shed,
-                restarts: probe.restarts.get(),
-            });
-            stats.restarts += probe.restarts.get();
-            stats.checkpoints += probe.checkpoints.get();
-            stats.replayed += probe.replayed.get();
-            stats.shed += shed;
-            stats.degraded_violations += probe.degraded_violations.get();
-            stats.recovery_nanos += probe.recovery.snapshot().sum;
-            stats.quiesce_nanos += probe.quiesce.snapshot().sum;
-        }
+        let probe = &self.shard;
+        let delivered = probe.delivered.get();
+        let processed = probe.processed.get();
+        let shed = probe.shed.get();
+        stats.deliveries = delivered;
+        stats.per_shard.push(ShardStats {
+            events: if router_side { delivered } else { processed + shed },
+            violations: probe.violations.get(),
+            live_instances: probe.live_instances.get(),
+            processed,
+            shed,
+            restarts: probe.restarts.get(),
+        });
+        stats.restarts = probe.restarts.get();
+        stats.checkpoints = probe.checkpoints.get();
+        stats.replayed = probe.replayed.get();
+        stats.shed = shed;
+        stats.degraded_violations = probe.degraded_violations.get();
+        stats.recovery_nanos = probe.recovery.snapshot().sum;
+        stats.quiesce_nanos = probe.quiesce.snapshot().sum;
         // `stats.engine` stays zeroed: engine probes count every monitor
         // application *including recovery replays*, while the final
         // MonitorStats are checkpoint-restored and count each event once —
@@ -225,9 +214,9 @@ impl TelemetryHub {
     /// [`swmon_telemetry::names`]; the catalog test keeps that closed.
     pub fn export(&self) -> Snapshot {
         let mut page = Snapshot::default();
+        let probe = &self.shard;
         page.counters.push((Key::plain(names::EVENTS_IN), self.events_in.get()));
-        let deliveries = self.shards.iter().map(|p| p.delivered.get()).sum();
-        page.counters.push((Key::plain(names::DELIVERIES), deliveries));
+        page.counters.push((Key::plain(names::DELIVERIES), probe.delivered.get()));
         page.counters.push((Key::plain(names::SKIPPED), self.skipped.get()));
         page.counters.push((Key::plain(names::BATCHES), self.batches.get()));
         page.counters.push((Key::plain(names::STORE_SEALED), self.store_sealed.get()));
@@ -235,32 +224,31 @@ impl TelemetryHub {
         page.counters.push((Key::plain(names::DEPLOYS_APPLIED), self.deploys_applied.get()));
         page.counters
             .push((Key::plain(names::DEPLOYS_ROLLED_BACK), self.deploys_rolled_back.get()));
-        for (s, probe) in self.shards.iter().enumerate() {
-            let c = |name: &str, v: u64| (Key::labeled(name, "shard", s), v);
-            // Backlog, derived here: the shard's counts are read first, as
-            // a delivery is counted before it is sent.
-            let (processed, shed) = (probe.processed.get(), probe.shed.get());
-            let delivered = probe.delivered.get();
-            page.counters.push(c(names::SHARD_DELIVERED, delivered));
-            page.counters.push(c(names::SHARD_PROCESSED, processed));
-            page.counters.push(c(names::SHARD_SHED, shed));
-            page.gauges.push(c(names::SHARD_BACKLOG, delivered.saturating_sub(processed + shed)));
-            page.counters.push(c(names::SHARD_RESTARTS, probe.restarts.get()));
-            page.counters.push(c(names::SHARD_CHECKPOINTS, probe.checkpoints.get()));
-            page.counters.push(c(names::SHARD_CHECKPOINT_SLOTS, probe.checkpoint_slots.get()));
-            page.counters.push(c(names::SHARD_REPLAYED, probe.replayed.get()));
-            page.counters.push(c(names::SHARD_DEGRADED, probe.degraded_violations.get()));
-            page.counters.push(c(names::SHARD_VIOLATIONS, probe.violations.get()));
-            page.counters.push(c(names::SHARD_STORE_PUBLISHED, probe.store_published.get()));
-            for (name, histogram) in [
-                (names::SHARD_QUEUE_DEPTH, &probe.queue_depth),
-                (names::SHARD_CHECKPOINT_NANOS, &probe.checkpoint),
-                (names::SHARD_RECOVERY_NANOS, &probe.recovery),
-                (names::SHARD_QUIESCE_NANOS, &probe.quiesce),
-                (names::SHARD_PUBLISH_LAG, &probe.publish_lag),
-            ] {
-                page.histograms.push((Key::labeled(name, "shard", s), histogram.snapshot()));
-            }
+        let c = |name: &str, v: u64| (Key::labeled(name, "shard", 0), v);
+        // Backlog — what the shard still owes the router: delivered events
+        // staged for a batch not yet dispatched. Its counts are read first,
+        // as a delivery is counted before it is applied.
+        let (processed, shed) = (probe.processed.get(), probe.shed.get());
+        let delivered = probe.delivered.get();
+        page.counters.push(c(names::SHARD_DELIVERED, delivered));
+        page.counters.push(c(names::SHARD_PROCESSED, processed));
+        page.counters.push(c(names::SHARD_SHED, shed));
+        page.gauges.push(c(names::SHARD_BACKLOG, delivered.saturating_sub(processed + shed)));
+        page.counters.push(c(names::SHARD_RESTARTS, probe.restarts.get()));
+        page.counters.push(c(names::SHARD_CHECKPOINTS, probe.checkpoints.get()));
+        page.counters.push(c(names::SHARD_CHECKPOINT_SLOTS, probe.checkpoint_slots.get()));
+        page.counters.push(c(names::SHARD_REPLAYED, probe.replayed.get()));
+        page.counters.push(c(names::SHARD_DEGRADED, probe.degraded_violations.get()));
+        page.counters.push(c(names::SHARD_VIOLATIONS, probe.violations.get()));
+        page.counters.push(c(names::SHARD_STORE_PUBLISHED, probe.store_published.get()));
+        for (name, histogram) in [
+            (names::SHARD_QUEUE_DEPTH, &probe.queue_depth),
+            (names::SHARD_CHECKPOINT_NANOS, &probe.checkpoint),
+            (names::SHARD_RECOVERY_NANOS, &probe.recovery),
+            (names::SHARD_QUIESCE_NANOS, &probe.quiesce),
+            (names::SHARD_PUBLISH_LAG, &probe.publish_lag),
+        ] {
+            page.histograms.push((Key::labeled(name, "shard", 0), histogram.snapshot()));
         }
         for engine in self.engines().iter() {
             let k = |name: &str| Key::labeled(name, "property", engine.name());
@@ -278,7 +266,7 @@ mod tests {
     use super::*;
 
     fn hub() -> Arc<TelemetryHub> {
-        let h = TelemetryHub::new(2, &TelemetryConfig::default(), 1, 1);
+        let h = TelemetryHub::new(&TelemetryConfig::default());
         h.engine("fw");
         h.engine("dhcp");
         h
@@ -288,27 +276,24 @@ mod tests {
     fn live_stats_reconcile_by_construction() {
         let h = hub();
         h.events_in.add(10);
-        h.shard(0).delivered.add(9);
-        h.shard(0).processed.add(7);
-        h.shard(0).shed.add(2);
-        h.shard(1).delivered.add(3);
-        h.shard(1).processed.add(3);
+        h.shard().delivered.add(9);
+        h.shard().processed.add(7);
+        h.shard().shed.add(2);
         let live = h.live_stats();
         assert_eq!(live.unaccounted_loss(), 0);
         assert_eq!(live.per_shard[0].events, 9);
-        assert_eq!(live.deliveries, 12);
+        assert_eq!(live.deliveries, 9);
         assert_eq!(live.shed, 2);
-        assert_eq!((live.hashed_properties, live.pinned_properties), (1, 1));
     }
 
     #[test]
     fn final_stats_audit_against_the_router_side_count() {
-        // The router sent shard 0 ten items; it accounts for nine.
+        // The router sent the shard ten items; it accounts for nine.
         let h = hub();
-        h.shard(0).delivered.add(10);
-        h.shard(0).processed.add(7);
-        h.shard(0).shed.add(2);
-        // Mid-run the tenth may simply be queued: the live view never
+        h.shard().delivered.add(10);
+        h.shard().processed.add(7);
+        h.shard().shed.add(2);
+        // Mid-run the tenth may simply be staged: the live view never
         // calls it lost.
         assert_eq!(h.live_stats().unaccounted_loss(), 0);
         // At the end it is — the final audit is not `x == x`.
@@ -323,13 +308,13 @@ mod tests {
             .filter(|(k, _)| k.name == names::SHARD_BACKLOG)
             .map(|&(_, v)| v)
             .collect();
-        assert_eq!(backlog, [1, 0]);
+        assert_eq!(backlog, [1]);
     }
 
     #[test]
     fn export_covers_exactly_the_catalog() {
         let h = hub();
-        h.shard(1).queue_depth.record(3);
+        h.shard().queue_depth.record(3);
         let page = h.export();
         let mut exported = page.names();
         exported.sort_unstable();
@@ -340,7 +325,7 @@ mod tests {
 
     #[test]
     fn disabled_engine_layer_never_times() {
-        let h = TelemetryHub::new(1, &TelemetryConfig::off(), 0, 1);
+        let h = TelemetryHub::new(&TelemetryConfig::off());
         assert!(!h.engine("fw").samples(0));
     }
 

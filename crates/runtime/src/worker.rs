@@ -1,6 +1,6 @@
-//! Crash-domain worker state: the shard's `MonitorSet` — a private replica
-//! of every catalog property — plus its violation log, the only copy of
-//! everything they have raised.
+//! Crash-domain worker state: the shard's `MonitorSet` — one monitor per
+//! catalog property — plus its violation log, the only copy of everything
+//! they have raised.
 //!
 //! A worker panic — a genuine engine bug or an injected fault — can leave
 //! this state torn mid-event, so the supervisor ([`crate::supervisor`])
@@ -19,21 +19,21 @@ use swmon_sim::trace::NetEvent;
 /// timers at finish (no triggering event exists).
 pub(crate) const FLUSH_SEQ: u64 = u64::MAX;
 
-/// The mutable state a shard panic can corrupt: monitor replicas and the
-/// log their violations are moved into. The replicas keep no violation
+/// The mutable state a shard panic can corrupt: the monitors and the log
+/// their violations are moved into. The monitors keep no violation
 /// history of their own (every violation is taken out as it is raised), so
 /// a checkpoint is their live state plus a length of the log.
 pub(crate) struct WorkerState {
     /// The catalog the shard hosts, with its engine probes. Replaced, with
     /// `set`, when a deploy commits.
     pub(crate) layout: ShardLayout,
-    /// One replica per catalog property, at its catalog position: the
+    /// One monitor per catalog property, at its catalog position: the
     /// set's visit loop decides which ones an event wakes.
     pub(crate) set: MonitorSet,
     pub(crate) log: ViolationLog,
 }
 
-/// The shard's violation log: the only copy of everything its replicas
+/// The shard's violation log: the only copy of everything its monitors
 /// have raised.
 pub(crate) struct ViolationLog {
     /// The records, in discovery order.
@@ -54,8 +54,8 @@ impl WorkerState {
         WorkerState { layout, set, log }
     }
 
-    /// Run one routed event through the replicas its mask selects, by the
-    /// set's visit loop, wall-timing the applications the replica's engine
+    /// Run one staged event through the monitors its mask selects, by the
+    /// set's visit loop, wall-timing the applications the monitor's engine
     /// probe samples and moving any violation raised into the log.
     /// `in_gap`: the supervisor is currently shedding load, so provenance
     /// near this event is incomplete and the violations are logged
@@ -76,7 +76,7 @@ impl WorkerState {
         });
     }
 
-    /// Advance every replica to `end`, firing remaining deadlines, and log
+    /// Advance every monitor to `end`, firing remaining deadlines, and log
     /// what they raise.
     pub(crate) fn finish(&mut self, end: Instant, in_gap: bool) {
         for (i, m) in self.set.monitors_mut().iter_mut().enumerate() {
@@ -87,7 +87,7 @@ impl WorkerState {
 }
 
 impl ViolationLog {
-    /// Move what property `property`'s replica `m` has just raised out of
+    /// Move what property `property`'s monitor `m` has just raised out of
     /// it and into the log, from position `logged` on.
     fn raised(&mut self, property: usize, m: &mut Monitor, seq: u64, in_gap: bool) {
         for mut violation in m.take_violations() {

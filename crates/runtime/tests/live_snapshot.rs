@@ -15,12 +15,12 @@ use swmon_sim::time::{Duration, Instant};
 use swmon_telemetry::{names, Snapshot};
 use swmon_workloads::trace::multi_flow_trace;
 
-fn runtime(shards: usize) -> ShardedRuntime {
+fn runtime(batch: usize) -> ShardedRuntime {
     let props = vec![
         firewall::return_not_dropped(),
         firewall::return_not_dropped_within(Duration::from_millis(5)),
     ];
-    let cfg = RuntimeConfig { shards, batch: 4, checkpoint_every: 64, ..Default::default() };
+    let cfg = RuntimeConfig { batch, checkpoint_every: 64, ..Default::default() };
     ShardedRuntime::new(props, cfg).expect("valid properties")
 }
 
@@ -68,11 +68,11 @@ proptest! {
 
     #[test]
     fn live_snapshots_reconcile_and_stay_monotone(
-        shards in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+        batch in prop_oneof![Just(1usize), Just(4), Just(16)],
         packets in 200u32..800,
         seed in 0u64..1_000,
     ) {
-        let rt = runtime(shards);
+        let rt = runtime(batch);
         let events = multi_flow_trace(32, packets, 0.4, 0.25, Duration::from_micros(2), seed);
         let mut session = rt.start();
         let mut snapshots = Vec::new();
@@ -98,7 +98,7 @@ proptest! {
             assert_monotone(&w[0], &w[1], "successive snapshots");
         }
         // The final live view agrees with the final stats on the router
-        // ledger, which the session thread owns (no cross-thread lag).
+        // ledger, which the session thread owns.
         let last = session_final(&snapshots);
         prop_assert_eq!(last.events_in, out.stats.events_in);
         prop_assert_eq!(last.deliveries, out.stats.deliveries);
@@ -128,22 +128,11 @@ fn live_stats_track_recoveries_under_injected_faults() {
     swmon_runtime::silence_injected_panics();
     let props = vec![firewall::return_not_dropped()];
     let cfg = RuntimeConfig {
-        shards: 2,
         batch: 2,
         checkpoint_every: 32,
-        // Routing decides which shard sees which seq, so inject each seq
-        // on *both* shards: whichever shard the key hash picks panics,
-        // the other point is unreachable and skipped.
-        inject_faults: vec![
-            swmon_runtime::FaultPoint { shard: 0, seq: 40 },
-            swmon_runtime::FaultPoint { shard: 1, seq: 40 },
-            swmon_runtime::FaultPoint { shard: 0, seq: 41 },
-            swmon_runtime::FaultPoint { shard: 1, seq: 41 },
-            swmon_runtime::FaultPoint { shard: 0, seq: 90 },
-            swmon_runtime::FaultPoint { shard: 1, seq: 90 },
-            swmon_runtime::FaultPoint { shard: 0, seq: 91 },
-            swmon_runtime::FaultPoint { shard: 1, seq: 91 },
-        ],
+        // A seq the ingress filters out is skipped, so inject on pairs:
+        // at least one of each pair is an event the property can use.
+        inject_faults: [40, 41, 90, 91].map(|seq| swmon_runtime::FaultPoint { seq }).to_vec(),
         ..Default::default()
     };
     let name = props[0].name.clone();
@@ -162,7 +151,7 @@ fn live_stats_track_recoveries_under_injected_faults() {
             examined.extend(events_of(&session.telemetry().export(), &name));
         }
     }
-    // Every mid-run view reconciles even while shards crash and replay.
+    // Every mid-run view reconciles even while the shard crashes and replays.
     let mid = session.live_stats();
     assert_eq!(mid.unaccounted_loss(), 0);
     let out = session.finish(end).expect("recovers");
@@ -187,11 +176,10 @@ fn live_stats_track_recoveries_under_injected_faults() {
 fn final_stats_equal_the_live_view_across_deploys() {
     swmon_runtime::silence_injected_panics();
     let cfg = RuntimeConfig {
-        shards: 2,
         batch: 4,
         checkpoint_every: 64,
-        // The first prepare on shard 0 panics: that deploy rolls back.
-        inject_deploy_faults: vec![0],
+        // The first prepare panics: that deploy rolls back.
+        inject_deploy_faults: 1,
         ..Default::default()
     };
     let rt = ShardedRuntime::new(vec![firewall::return_not_dropped()], cfg).expect("valid");
@@ -212,7 +200,7 @@ fn final_stats_equal_the_live_view_across_deploys() {
     let stats = &out.stats;
     assert_eq!((stats.deploys_rolled_back, stats.deploys_applied), (1, 1));
     assert_eq!(stats.property_set_epoch, 1);
-    assert!(stats.quiesce_nanos > 0, "both deploys quiesced the fleet");
+    assert!(stats.quiesce_nanos > 0, "both deploys quiesced the shard");
     assert_eq!(stats.unaccounted_loss(), 0);
     assert_final_equals_live(&out);
 }
@@ -224,11 +212,10 @@ fn final_stats_equal_the_live_view_across_deploys() {
 fn hot_deployed_properties_are_observable() {
     swmon_runtime::silence_injected_panics();
     let cfg = RuntimeConfig {
-        shards: 2,
         batch: 4,
         checkpoint_every: 64,
-        // The first prepare on shard 0 panics: that deploy rolls back.
-        inject_deploy_faults: vec![0],
+        // The first prepare panics: that deploy rolls back.
+        inject_deploy_faults: 1,
         ..Default::default()
     };
     let original = firewall::return_not_dropped();
@@ -251,7 +238,7 @@ fn hot_deployed_properties_are_observable() {
             let plan = DeployPlan::upgrade(original.name.clone(), original.clone());
             assert_eq!(session.deploy(&plan).expect("upgrade commits").upgraded, 1);
             // The deploy's quiesce applied everything fed so far under the
-            // old epoch, and the fresh replicas have seen nothing: the
+            // old epoch, and the fresh monitors have seen nothing: the
             // count read here is complete.
             before_upgrade = events_of(&session.telemetry().export(), &original.name).unwrap();
         }

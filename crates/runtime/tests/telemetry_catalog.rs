@@ -4,6 +4,7 @@
 //! adding a metric to an exporter without cataloguing it (or vice versa)
 //! fails here before it can drift from `docs/TELEMETRY.md`.
 
+use swmon_core::Monitor;
 use swmon_props::firewall;
 use swmon_runtime::{DeployPlan, RuntimeConfig, ShardedRuntime, TelemetryConfig};
 use swmon_sim::time::{Duration, Instant};
@@ -17,22 +18,23 @@ fn trace() -> Vec<NetEvent> {
     multi_flow_trace(24, 600, 0.4, 0.25, Duration::from_micros(2), 11)
 }
 
-fn run_sharded(shards: usize, telemetry: TelemetryConfig) -> (swmon_runtime::Outcome, usize) {
+fn run_instrumented(telemetry: TelemetryConfig) -> (swmon_runtime::Outcome, usize) {
     let props = vec![
         firewall::return_not_dropped(),
         firewall::return_not_dropped_within(Duration::from_millis(5)),
     ];
     let nprops = props.len();
-    // 1200 events: a cadence of 256 has every shard checkpoint.
-    let cfg =
-        RuntimeConfig { shards, batch: 8, checkpoint_every: 256, telemetry, ..Default::default() };
+    // 1200 events: a cadence of 256 has the shard checkpoint.
+    let cfg = RuntimeConfig { batch: 8, checkpoint_every: 256, telemetry, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("valid properties");
     let out = rt.run(trace().iter(), END).expect("run succeeds");
     (out, nprops)
 }
 
-fn run_instrumented(telemetry: TelemetryConfig) -> (swmon_runtime::Outcome, usize) {
-    run_sharded(2, telemetry)
+/// The shard's backlog series on `page`.
+fn backlog(page: &Snapshot) -> Vec<u64> {
+    let gauges = page.gauges.iter().filter(|(k, _)| k.name == names::SHARD_BACKLOG);
+    gauges.map(|&(_, v)| v).collect()
 }
 
 /// The value of `property`'s series of a per-property metric.
@@ -62,20 +64,45 @@ fn export_covers_exactly_the_documented_catalog() {
     assert_eq!(catalog.len(), 28);
 }
 
-/// `swmon_shard_backlog_events` is what a shard still owes the router; a
+/// `swmon_shard_backlog_events` is what the shard still owes the router; a
 /// finished run owes nothing.
 #[test]
 fn backlog_gauge_is_zero_after_finish() {
     let (out, _) = run_instrumented(TelemetryConfig::default());
-    let page = out.telemetry.export();
-    let backlog: Vec<u64> = page
-        .gauges
-        .iter()
-        .filter(|(k, _)| k.name == names::SHARD_BACKLOG)
-        .map(|&(_, v)| v)
-        .collect();
-    assert_eq!(backlog, [0, 0], "one series per shard, each drained");
+    assert_eq!(backlog(&out.telemetry.export()), [0], "one series, drained");
     assert!(out.stats.deliveries > 0);
+}
+
+/// How far behind the monitor is, live: the events delivered and staged
+/// for a batch not yet dispatched. Fewer than `batch` of them read as the
+/// backlog on the live page; the dispatch that applies them, and `finish`,
+/// read 0.
+#[test]
+fn backlog_gauge_counts_staged_events_until_their_dispatch() {
+    let props = vec![firewall::return_not_dropped()];
+    let batch = 16u64;
+    // Staleness parked: only a full block dispatches.
+    let cfg = RuntimeConfig { batch: batch as usize, flush_every: 1 << 30, ..Default::default() };
+    let rt = ShardedRuntime::new(props, cfg).expect("valid property");
+    let mut session = rt.start();
+    let mut events = trace().into_iter();
+    let mut staged = 0;
+    while staged < batch - 1 {
+        let ev = events.next().expect("the trace outlasts a batch");
+        session.feed(&ev).expect("no faults injected");
+        staged = session.live_stats().deliveries;
+        assert_eq!(backlog(&session.telemetry().export()), [staged]);
+    }
+    assert!(staged > 0 && session.live_stats().per_shard[0].processed == 0);
+    // The next delivered event fills the block: it is dispatched and the
+    // backlog drains.
+    while session.live_stats().deliveries == staged {
+        session.feed(&events.next().expect("a delivered event")).expect("no faults injected");
+    }
+    assert_eq!(backlog(&session.telemetry().export()), [0]);
+    assert_eq!(session.live_stats().per_shard[0].processed, batch);
+    let out = session.finish(END).expect("run succeeds");
+    assert_eq!(backlog(&out.telemetry.export()), [0]);
 }
 
 #[test]
@@ -88,8 +115,8 @@ fn exported_counters_reconcile_with_final_stats() {
     assert_eq!(counter(names::DELIVERIES), out.stats.deliveries);
     assert_eq!(counter(names::SKIPPED), out.stats.skipped);
     assert_eq!(counter(names::BATCHES), out.stats.batches);
-    // The router-side ledger: every non-skipped event went to ≥1 shard.
-    assert!(counter(names::DELIVERIES) >= counter(names::EVENTS_IN) - counter(names::SKIPPED));
+    // The router-side ledger: every event is delivered once or skipped.
+    assert_eq!(counter(names::DELIVERIES), counter(names::EVENTS_IN) - counter(names::SKIPPED));
     // The shard-side ledger: every delivery processed or shed, no loss.
     assert_eq!(
         counter(names::SHARD_DELIVERED),
@@ -100,7 +127,7 @@ fn exported_counters_reconcile_with_final_stats() {
         counter(names::SHARD_VIOLATIONS),
         out.stats.per_shard.iter().map(|s| s.violations).sum::<u64>()
     );
-    // The checkpoint layer: one timed sample per checkpoint on each shard,
+    // The checkpoint layer: one timed sample per checkpoint,
     // and they copied something (how little: `tests/checkpoint_cost.rs`).
     assert_eq!(counter(names::SHARD_CHECKPOINTS), out.stats.checkpoints);
     assert!(out.stats.checkpoints > 0);
@@ -163,7 +190,7 @@ fn telemetry_off_still_reconciles_but_never_times() {
 #[test]
 fn stage_timing_cadence_is_exact() {
     let telemetry = TelemetryConfig { stage_sample_every: 8 };
-    let (out, _) = run_sharded(1, telemetry);
+    let (out, _) = run_instrumented(telemetry);
     let page = out.telemetry.export();
     for property in property_names(&page) {
         let events = *of(&page.counters, names::PROPERTY_EVENTS, property);
@@ -174,29 +201,35 @@ fn stage_timing_cadence_is_exact() {
     }
 }
 
-/// A hashed property has a replica on every shard; its live gauge is the
-/// property's state — the sum over them — and a deploy that retires the
-/// property retires its state.
+/// Two monitors of one property name report to one live gauge: it is the
+/// sum of their state — each holding what a reference monitor over the
+/// same trace holds — and a deploy that retires the property retires its
+/// state.
 #[test]
 fn live_gauge_sums_replicas_and_retracts_on_removal() {
     let property = firewall::return_not_dropped();
     let name = property.name.clone();
-    let cfg = RuntimeConfig { shards: 4, batch: 8, ..Default::default() };
-    let rt = ShardedRuntime::new(vec![property], cfg).expect("valid property");
-    assert_eq!(rt.router().routes().iter().filter(|r| r.is_hashed()).count(), 1);
+    let cfg = RuntimeConfig { batch: 8, ..Default::default() };
+    let rt = ShardedRuntime::new(vec![property.clone(), property.clone()], cfg)
+        .expect("valid properties");
     let live = |page: &Snapshot| *of(&page.gauges, names::PROPERTY_LIVE, &name);
 
+    let mut reference = Monitor::with_defaults(property);
+    trace().iter().for_each(|ev| reference.process(ev));
+    reference.advance_to(END);
+    let held = reference.live_instances() as u64;
+    assert!(held > 0, "the trace must leave instances live");
     let out = rt.run(trace().iter(), END).expect("run succeeds");
-    let per_shard: Vec<u64> = out.stats.per_shard.iter().map(|s| s.live_instances).collect();
-    assert!(per_shard.iter().filter(|&&n| n > 0).count() > 1, "state on one shard: {per_shard:?}");
-    assert_eq!(live(&out.telemetry.export()), per_shard.iter().sum::<u64>());
+    assert_eq!(out.stats.per_shard[0].live_instances, 2 * held);
+    assert_eq!(live(&out.telemetry.export()), 2 * held);
 
     let mut session = rt.start();
     for ev in &trace() {
         session.feed(ev).expect("no faults injected");
     }
-    session.deploy(&DeployPlan::remove(name.clone())).expect("removal commits");
-    // (Shards commit asynchronously; finishing joins them.)
+    let mut both = DeployPlan::remove(name.clone());
+    both.actions.extend(DeployPlan::remove(name.clone()).actions);
+    session.deploy(&both).expect("removal commits");
     let page = session.finish(END).expect("run succeeds").telemetry.export();
     assert_eq!(live(&page), 0, "a retired property holds no state");
     assert!(*of(&page.counters, names::PROPERTY_EVENTS, &name) > 0, "its count stays");
@@ -206,7 +239,7 @@ fn live_gauge_sums_replicas_and_retracts_on_removal() {
 fn same_named_properties_share_one_series() {
     let props = vec![firewall::return_not_dropped(), firewall::return_not_dropped()];
     let name = props[0].name.clone();
-    let rt = ShardedRuntime::new(props, RuntimeConfig::with_shards(2)).expect("valid properties");
+    let rt = ShardedRuntime::new(props, RuntimeConfig::default()).expect("valid properties");
     let out = rt.run(trace().iter(), END).expect("run succeeds");
     let page = out.telemetry.export();
     assert_eq!(property_names(&page), [name.as_str()]);

@@ -8,8 +8,7 @@
 
 /// Events fed to the router.
 pub const EVENTS_IN: &str = "swmon_events_in_total";
-/// Event deliveries across all shards (multi-shard events count once per
-/// destination).
+/// Events delivered to the shard (`events_in - skipped`).
 pub const DELIVERIES: &str = "swmon_deliveries_total";
 /// Events that matched no property and were delivered nowhere.
 pub const SKIPPED: &str = "swmon_skipped_total";
@@ -59,20 +58,20 @@ pub const STORE_SEALED: &str = "swmon_store_sealed_total";
 /// The catalog epoch in effect: 0 at session start, bumped by every
 /// committed live deploy (`Session::deploy`).
 pub const PROPERTY_SET_EPOCH: &str = "swmon_property_set_epoch";
-/// Deploy plans committed on every shard.
+/// Deploy plans committed.
 pub const DEPLOYS_APPLIED: &str = "swmon_deploys_applied_total";
 /// Deploy plans rolled back (validation rejection or aborted prepare);
-/// the fleet continued under the prior epoch.
+/// the session continued under the prior epoch.
 pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
-/// Per-shard quiesce pause during deploys, in nanoseconds (histogram):
+/// The shard's quiesce pause during deploys, in nanoseconds (histogram):
 /// journal drain + forced checkpoint + a copy of its images. Label: `shard`.
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
 /// Per-property: in-scope events examined, replays included (equal to
 /// `stats.engine.events` on a fault-free run). Label: `property`.
 pub const PROPERTY_EVENTS: &str = "swmon_property_events_total";
-/// Per-property: live instances — sum over replicas, as of each shard's
-/// last batch. Label: `property`.
+/// Per-property: live instances — sum over the monitors of that name, as
+/// of the shard's last batch. Label: `property`.
 pub const PROPERTY_LIVE: &str = "swmon_property_live_instances";
 /// Per-property sampled engine-stage wall time in nanoseconds (histogram).
 /// Label: `property`.

@@ -15,15 +15,15 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct EngineProbe {
     name: String,
-    /// In-scope events this property's monitors examined (all replicas,
-    /// recovery replays included), as of each shard's last batch.
+    /// In-scope events this property's monitors examined (recovery replays
+    /// included), as of the shard's last batch.
     pub events: Counter,
     /// Sampled wall time of one engine processing stage, nanoseconds.
     pub stage_nanos: Histogram,
     /// Sampled instance-store occupancy at event time.
     pub occupancy: Histogram,
-    /// Live instances, summed over replicas, as of each shard's last
-    /// completed batch.
+    /// Live instances, summed over the property's monitors, as of the
+    /// shard's last completed batch.
     pub live: Gauge,
     sample_every: u64,
 }

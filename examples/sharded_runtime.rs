@@ -1,12 +1,12 @@
-//! Sharded runtime quickstart: run the firewall property across 4 inline
-//! shards with the streaming API, and show that the merged output equals
-//! the single-threaded reference.
+//! Runtime quickstart: run the firewall property on the supervised runtime
+//! with the streaming API, and show that the merged output equals the
+//! single-threaded reference.
 //!
 //! ```text
 //! cargo run --example sharded_runtime
 //! ```
 
-use swmon::monitor::MonitorConfig;
+use swmon::monitor::{MonitorConfig, RoutingPlan};
 use swmon::runtime::{reference_records, signature, RuntimeConfig, ShardedRuntime};
 use swmon::sim::Duration;
 use swmon_props::firewall;
@@ -17,9 +17,9 @@ fn main() {
     let trace = multi_flow_trace(64, 2_000, 0.4, 0.25, Duration::from_micros(5), 42);
     let end = trace.last().unwrap().time + Duration::from_secs(60);
 
-    let rt = ShardedRuntime::new(props.clone(), RuntimeConfig::with_shards(4)).unwrap();
-    for (i, route) in rt.router().routes().iter().enumerate() {
-        println!("property {i} [{}]: {}", rt.properties()[i].name, route.describe());
+    let rt = ShardedRuntime::new(props.clone(), RuntimeConfig::default()).unwrap();
+    for (i, p) in rt.properties().iter().enumerate() {
+        println!("property {i} [{}]: {:?}", p.name, RoutingPlan::of(p).mode());
     }
 
     // Streaming ingestion: feed events as they arrive, then close out.
@@ -32,16 +32,12 @@ fn main() {
     let out = session.finish(end).expect("no shard failure");
 
     println!(
-        "\n{} events over {} shards: {} violations ({} hashed, {} pinned properties)",
+        "\n{} events: {} delivered, {} skipped at the ingress; {} violations",
         out.stats.events_in,
-        out.stats.per_shard.len(),
+        out.stats.deliveries,
+        out.stats.skipped,
         out.records.len(),
-        out.stats.hashed_properties,
-        out.stats.pinned_properties,
     );
-    for (s, shard) in out.stats.per_shard.iter().enumerate() {
-        println!("  shard {s}: {} events, {} violations", shard.events, shard.violations);
-    }
 
     let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
     let matches = out.signatures() == reference.iter().map(signature).collect::<Vec<_>>();

@@ -8,8 +8,8 @@
 //! (`RuntimeStats::unaccounted_loss() == 0`).
 //!
 //! The same holds for what a live [`ViolationSink`] is handed *while* the
-//! workers crash: each shard's published stream is the fault-free run's,
-//! record for record — nothing twice, nothing retracted, nothing altered.
+//! shard crashes: its published stream is the fault-free run's, record for
+//! record — nothing twice, nothing retracted, nothing altered.
 
 use std::sync::{Arc, Mutex};
 
@@ -63,13 +63,11 @@ fn crashed_workers_recover_to_the_reference_output() {
         .collect();
     assert!(!expect.is_empty(), "the chaos workload must produce violations");
 
-    let shards = 4;
     let cfg = RuntimeConfig {
-        shards,
         // Small cadence so crashes land between checkpoints and recovery
         // actually replays a journal suffix.
         checkpoint_every: 128,
-        inject_faults: crash_schedule(trace.len(), 5, shards),
+        inject_faults: crash_schedule(trace.len(), 5),
         ..Default::default()
     };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
@@ -80,32 +78,6 @@ fn crashed_workers_recover_to_the_reference_output() {
     assert_eq!(out.stats.shed, 0, "an adequate journal sheds nothing");
     assert_eq!(out.stats.unaccounted_loss(), 0, "no silent loss: {:?}", out.stats);
     assert_eq!(out.signatures(), expect, "recovered output diverged from the reference");
-}
-
-/// The same contract at every shard count — crash placement moves with the
-/// shard topology, the output must not.
-#[test]
-fn recovery_is_shard_count_invariant() {
-    silence_injected_panics();
-    let props = swmon_props::catalog();
-    let (trace, end) = chaos_trace();
-    let expect: Vec<String> = reference_records(&props, MonitorConfig::default(), &trace, end)
-        .iter()
-        .map(signature)
-        .collect();
-    for shards in [1usize, 2, 8] {
-        let cfg = RuntimeConfig {
-            shards,
-            checkpoint_every: 128,
-            inject_faults: crash_schedule(trace.len(), 4, shards),
-            ..Default::default()
-        };
-        let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
-        let out = rt.run(&trace, end).expect("crashes stay within the restart budget");
-        assert!(out.stats.restarts >= 1, "no crash fired at {shards} shards");
-        assert_eq!(out.stats.unaccounted_loss(), 0);
-        assert_eq!(out.signatures(), expect, "diverged at {shards} shards");
-    }
 }
 
 /// Degradation is explicit, never silent: with the journal starved, events
@@ -119,7 +91,7 @@ fn starved_journal_degrades_explicitly() {
     let (trace, end) = chaos_trace();
     // The batch is named: at the default of 8 a 16-item journal checkpoints
     // before it overflows.
-    let cfg = RuntimeConfig { shards: 4, batch: 64, journal_limit: 16, ..Default::default() };
+    let cfg = RuntimeConfig { batch: 64, journal_limit: 16, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let out = rt.run(&trace, end).expect("shedding is not a failure");
 
@@ -135,34 +107,31 @@ fn starved_journal_degrades_explicitly() {
     );
 }
 
-/// A sink that keeps every publish, per shard and in arrival order, and
-/// forwards to a [`StoreSink`].
+/// A sink that keeps every publish, in arrival order, and forwards to a
+/// [`StoreSink`].
 #[derive(Debug)]
 struct Recording {
-    published: Mutex<Vec<Vec<ViolationRecord>>>,
+    published: Mutex<Vec<ViolationRecord>>,
     store: StoreSink,
 }
 
 impl Recording {
-    fn new(shards: usize) -> Arc<Self> {
-        Arc::new(Recording {
-            published: Mutex::new(vec![Vec::new(); shards]),
-            store: StoreSink::new(),
-        })
+    fn new() -> Arc<Self> {
+        Arc::new(Recording { published: Mutex::new(Vec::new()), store: StoreSink::new() })
     }
 
-    /// Each shard's published stream: `(signature, triggering seq, degraded)`.
-    fn streams(&self) -> Vec<Vec<(String, u64, bool)>> {
+    /// The published stream: `(signature, triggering seq, degraded)`.
+    fn stream(&self) -> Vec<(String, u64, bool)> {
         let published = self.published.lock().unwrap();
-        let row = |r: &ViolationRecord| (signature(r), r.seq, r.violation.degraded);
-        published.iter().map(|shard| shard.iter().map(row).collect()).collect()
+        published.iter().map(|r| (signature(r), r.seq, r.violation.degraded)).collect()
     }
 }
 
 impl ViolationSink for Recording {
     fn publish(&self, shard: usize, records: &[ViolationRecord]) {
         assert!(!records.is_empty(), "an empty publish says nothing");
-        self.published.lock().unwrap()[shard].extend_from_slice(records);
+        assert_eq!(shard, 0, "a session is one partition");
+        self.published.lock().unwrap().extend_from_slice(records);
         self.store.publish(shard, records);
     }
 
@@ -178,7 +147,7 @@ fn run_recorded(
     trace: &[NetEvent],
     end: Instant,
 ) -> (Outcome, Arc<Recording>) {
-    let sink = Recording::new(cfg.shards);
+    let sink = Recording::new();
     let rt = ShardedRuntime::new(props.to_vec(), cfg).expect("valid properties");
     let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
     for ev in trace {
@@ -190,7 +159,7 @@ fn run_recorded(
 /// Publication happens at batch cadence, long before a checkpoint covers
 /// it, so every crash here lands on a shard whose sink has already seen
 /// records the recovery will re-raise. Exactly-once is by log position:
-/// per shard, the published stream under crashes is the fault-free one —
+/// the published stream under crashes is the fault-free one —
 /// at every batch size, so recovery also rewinds through windows of
 /// hundreds of one-item batches (batch 1, checkpoint every 1024) and
 /// through a batch the journal bound split (the last run: batches of 64
@@ -200,44 +169,40 @@ fn published_stream_is_exactly_once_under_crashes() {
     silence_injected_panics();
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
-    let mut runs: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for shards in [1usize, 4] {
-        for batch in [1usize, 8, 64] {
-            runs.extend([16, 128, 1024].map(|every| (shards, batch, every, 0)));
-        }
+    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    for batch in [1usize, 8, 64] {
+        runs.extend([16, 128, 1024].map(|every| (batch, every, 0)));
     }
-    runs.push((1, 64, 128, 100));
+    runs.push((64, 128, 100));
     let mut calm_streams = std::collections::HashMap::new();
-    for (shards, batch, checkpoint_every, journal_limit) in runs {
-        let base = RuntimeConfig { shards, batch, journal_limit, ..Default::default() };
+    for (batch, checkpoint_every, journal_limit) in runs {
+        let base = RuntimeConfig { batch, journal_limit, ..Default::default() };
         let shed_split = journal_limit != 0;
         // The fault-free stream to match, at the default cadence — the
         // stream must not depend on it — unless the journal bound lets the
         // cadence decide what is shed.
         let calm_every = if shed_split { checkpoint_every } else { base.checkpoint_every };
-        let key = (shards, batch, calm_every, journal_limit);
+        let key = (batch, calm_every, journal_limit);
         let want = calm_streams.entry(key).or_insert_with(|| {
             let calm = RuntimeConfig { checkpoint_every: calm_every, ..base.clone() };
-            let streams = run_recorded(&props, calm, &trace, end).1.streams();
-            assert!(streams.iter().all(|s| !s.is_empty()), "every shard publishes");
-            streams
+            let stream = run_recorded(&props, calm, &trace, end).1.stream();
+            assert!(!stream.is_empty(), "the shard publishes");
+            stream
         });
         let cfg = RuntimeConfig {
             checkpoint_every,
-            inject_faults: crash_schedule(trace.len(), 7, shards),
+            inject_faults: crash_schedule(trace.len(), 7),
             ..base
         };
         let (out, sink) = run_recorded(&props, cfg, &trace, end);
         let at = format!(
-            "{shards} shard(s), batch {batch}, checkpoint every {checkpoint_every}, \
-             journal limit {journal_limit}"
+            "batch {batch}, checkpoint every {checkpoint_every}, journal limit {journal_limit}"
         );
         assert!(out.stats.restarts >= 3, "{at}: schedule must fire: {:?}", out.stats);
         assert_eq!(out.stats.shed > 0, shed_split, "{at}: {:?}", out.stats);
         assert_eq!(out.stats.unaccounted_loss(), 0, "{at}");
-        assert_eq!(&sink.streams(), want, "{at}: a shard's published stream moved");
-        let mut published: Vec<String> =
-            sink.streams().into_iter().flatten().map(|(sig, _, _)| sig).collect();
+        assert_eq!(&sink.stream(), want, "{at}: the published stream moved");
+        let mut published: Vec<String> = sink.stream().into_iter().map(|(sig, _, _)| sig).collect();
         let mut merged = out.signatures();
         published.sort_unstable();
         merged.sort_unstable();
@@ -287,7 +252,6 @@ fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
     // half admitted under a gap, half shed — and the journal bound forces
     // the checkpoint that closes the gap.
     let cfg = |inject_faults| RuntimeConfig {
-        shards: 1,
         batch: 8,
         checkpoint_every: 16,
         journal_limit: 12,
@@ -298,14 +262,14 @@ fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
     let (calm, calm_sink) = run_recorded(&twice, cfg(vec![]), &trace, end);
     // Seq 9 is inside the overflowing second batch: the replay re-raises
     // seqs 5-7 with the gap already open.
-    let (out, sink) = run_recorded(&twice, cfg(vec![FaultPoint { shard: 0, seq: 9 }]), &trace, end);
+    let (out, sink) = run_recorded(&twice, cfg(vec![FaultPoint { seq: 9 }]), &trace, end);
     assert_eq!(out.stats.restarts, 1);
     assert!(out.stats.shed > 0 && out.stats.unaccounted_loss() == 0, "{:?}", out.stats);
-    let stream = &sink.streams()[0];
+    let stream = &sink.stream();
     let clean: Vec<u64> = stream.iter().filter(|r| !r.2).map(|r| r.1).take(3).collect();
     assert_eq!(clean, [5, 6, 7], "published before the gap, with full provenance: {stream:?}");
     assert!(stream.iter().any(|r| r.2), "the gap did degrade what it covered");
-    assert_eq!(sink.streams(), calm_sink.streams(), "re-published, dropped or flipped");
+    assert_eq!(sink.stream(), calm_sink.stream(), "re-published, dropped or flipped");
     assert_eq!(out.signatures(), calm.signatures());
     // And the run agrees with its sink about which records are degraded.
     let degraded: Vec<String> =
@@ -316,10 +280,10 @@ fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
 }
 
 /// A shard that escalates stays failed. Faults at every seq from 100 on
-/// shard 0 exhaust its restart budget ([`MAX_RESTARTS`]); from the feed
-/// that escalates on, every `feed`, `deploy` and `finish` returns that same
-/// `ShardFailed` — same shard, same message — and no shard applies, routes
-/// or checkpoints anything more, at 1 shard and at 2.
+/// exhaust its restart budget ([`MAX_RESTARTS`]); from the feed that
+/// escalates on, every `feed`, `deploy` and `finish` returns that same
+/// `ShardFailed` — same shard, same message — and the shard applies, routes
+/// or checkpoints nothing more.
 #[test]
 fn an_escalated_shard_fails_every_later_call() {
     silence_injected_panics();
@@ -328,37 +292,35 @@ fn an_escalated_shard_fails_every_later_call() {
     assert!(log.accounted());
     let end = trace.last().unwrap().time + Duration::from_secs(120);
     let work = |s: &RuntimeStats| (s.events_in, s.batches, s.restarts, s.checkpoints);
-    for shards in [1usize, 2] {
-        let faults = (100..200).map(|seq| FaultPoint { shard: 0, seq });
-        let cfg = RuntimeConfig { shards, inject_faults: faults.collect(), ..Default::default() };
-        let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
-        let mut session = rt.start();
-        let mut events = trace.iter();
-        let first = events.find_map(|ev| session.feed(ev).err()).expect("shard 0 escalates");
-        let RuntimeError::ShardFailed { shard, restarts, ref message } = first else {
-            panic!("{shards} shard(s): not a shard failure: {first}");
-        };
-        assert_eq!((shard, restarts), (0, MAX_RESTARTS), "{shards} shard(s)");
-        assert!(message.starts_with("injected fault: shard 0"), "{message}");
-        let frozen = session.live_stats();
-        let processed = |s: &RuntimeStats| s.per_shard.iter().map(|p| p.processed).sum::<u64>();
-        let same = |err: RuntimeError, call: &str| match err {
-            RuntimeError::ShardFailed { shard: s, restarts: r, message: m } => {
-                assert_eq!((s, r, &m), (shard, restarts, message), "{shards} shard(s), {call}");
-            }
-            other => panic!("{shards} shard(s), {call}: {other}"),
-        };
-        let mut later = 0;
-        for ev in events {
-            same(session.feed(ev).expect_err("a failed session takes no events"), "feed");
-            later += 1;
+    let faults = (100..200).map(|seq| FaultPoint { seq });
+    let cfg = RuntimeConfig { inject_faults: faults.collect(), ..Default::default() };
+    let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
+    let mut session = rt.start();
+    let mut events = trace.iter();
+    let first = events.find_map(|ev| session.feed(ev).err()).expect("the shard escalates");
+    let RuntimeError::ShardFailed { shard, restarts, ref message } = first else {
+        panic!("not a shard failure: {first}");
+    };
+    assert_eq!((shard, restarts), (0, MAX_RESTARTS));
+    assert!(message.starts_with("injected fault: shard 0"), "{message}");
+    let frozen = session.live_stats();
+    let processed = |s: &RuntimeStats| s.per_shard[0].processed;
+    let same = |err: RuntimeError, call: &str| match err {
+        RuntimeError::ShardFailed { shard: s, restarts: r, message: m } => {
+            assert_eq!((s, r, &m), (shard, restarts, message), "{call}");
         }
-        assert!(later > 1_000, "{later} feeds after the escalation");
-        let plan = DeployPlan::remove(props[0].name.clone());
-        same(session.deploy(&plan).expect_err("a failed session takes no deploy"), "deploy");
-        let now = session.live_stats();
-        assert_eq!(work(&now), work(&frozen), "{shards} shard(s): work after the escalation");
-        assert_eq!(processed(&now), processed(&frozen), "{shards} shard(s)");
-        same(session.finish(end).expect_err("a failed session has no outcome"), "finish");
+        other => panic!("{call}: {other}"),
+    };
+    let mut later = 0;
+    for ev in events {
+        same(session.feed(ev).expect_err("a failed session takes no events"), "feed");
+        later += 1;
     }
+    assert!(later > 1_000, "{later} feeds after the escalation");
+    let plan = DeployPlan::remove(props[0].name.clone());
+    same(session.deploy(&plan).expect_err("a failed session takes no deploy"), "deploy");
+    let now = session.live_stats();
+    assert_eq!(work(&now), work(&frozen), "work after the escalation");
+    assert_eq!(processed(&now), processed(&frozen));
+    same(session.finish(end).expect_err("a failed session has no outcome"), "finish");
 }

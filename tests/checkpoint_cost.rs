@@ -19,7 +19,7 @@ fn checkpoints_copy_what_changed_not_what_is_live() {
     // One shard, driven inline on this thread (the benchmark's pinned
     // configuration), so the gauges read after a `feed` are the ones the
     // checkpoint inside that `feed` saw.
-    let cfg = RuntimeConfig::with_shards(1);
+    let cfg = RuntimeConfig::default();
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("the catalog is valid");
     let trace = multi_flow_trace(2048, 6_000, 0.4, 0.25, Duration::from_micros(2), 13);
 
@@ -41,7 +41,7 @@ fn checkpoints_copy_what_changed_not_what_is_live() {
     assert!(checkpoints >= 10, "{checkpoints} checkpoints");
     assert!(live_peak >= 10_000, "state should dwarf a window's writes: peak {live_peak}");
 
-    let copied = out.telemetry.shard(0).checkpoint_slots.get();
+    let copied = out.telemetry.shard().checkpoint_slots.get();
     assert!(copied > 0);
     // Every copy answers for a write: a spawn, an advance or a removal.
     // (A slot never outnumbers the spawns that made it, which covers the

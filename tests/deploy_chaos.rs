@@ -1,12 +1,12 @@
 //! Deploy chaos: live deploys racing injected worker crashes.
 //!
 //! The quiesce/prepare/commit protocol (`docs/DEPLOY.md`) must hold not
-//! just on a healthy fleet but *while* the supervision layer is crash-
-//! restarting workers around it. Three layers of adversity are combined
+//! just on a healthy session but *while* the supervision layer is crash-
+//! restarting the shard around it. Three layers of adversity are combined
 //! here: the workload is battered by network faults (drops, duplicates,
 //! reorders, a switch-crash window), the deploy points are placed by
 //! [`DeploySchedule::around_crash_windows`] to bracket that outage, and
-//! `inject_faults` panics workers mid-stream — `>= 3` crashes racing the
+//! `inject_faults` panics the shard mid-stream — `>= 3` crashes racing the
 //! deploys. The contracts under all of it:
 //!
 //! * the merged output equals the compositional deploy oracle
@@ -14,7 +14,7 @@
 //! * `RuntimeStats::unaccounted_loss() == 0` — crashes and deploys may
 //!   reshuffle work, but nothing vanishes silently;
 //! * a deploy whose prepare phase dies (injected via
-//!   `inject_deploy_faults`) rolls the whole fleet back: the session
+//!   `inject_deploy_faults`) rolls the session back: it
 //!   finishes byte-identical to one that never attempted the plan, and a
 //!   retry of the same plan then succeeds.
 
@@ -120,11 +120,9 @@ fn deploys_racing_crashes_match_the_oracle_with_zero_loss() {
     expect.extend(reference_sigs(std::slice::from_ref(&hot_a2), &trace[offsets[2]..], end));
     expect.sort();
 
-    let shards = 4;
     let cfg = RuntimeConfig {
-        shards,
         checkpoint_every: 128,
-        inject_faults: crash_schedule(trace.len(), 5, shards),
+        inject_faults: crash_schedule(trace.len(), 5),
         ..Default::default()
     };
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("catalog is valid");
@@ -133,7 +131,6 @@ fn deploys_racing_crashes_match_the_oracle_with_zero_loss() {
         if k > 0 {
             let outcome = session.deploy(&plans[k - 1]).expect("a valid plan deploys");
             assert_eq!(outcome.epoch, k as u64);
-            assert_eq!(outcome.quiesce_nanos.len(), shards);
         }
         for ev in *part {
             session.feed(ev).expect("crashes stay within the restart budget");
@@ -162,9 +159,9 @@ fn deploys_racing_crashes_match_the_oracle_with_zero_loss() {
         .all(|r| r.epoch == 3));
 }
 
-/// A prepare-phase crash on one shard rejects the deploy and rolls the
-/// whole fleet back: the session finishes byte-identical to one that never
-/// attempted the plan — while ordinary worker crashes rage on.
+/// A prepare-phase crash rejects the deploy and rolls the session back: it
+/// finishes byte-identical to one that never attempted the plan — while
+/// ordinary shard crashes rage on.
 #[test]
 fn failed_prepare_rolls_back_byte_identical() {
     silence_injected_panics();
@@ -172,12 +169,10 @@ fn failed_prepare_rolls_back_byte_identical() {
     let k = trace.partition_point(|e| e.time < schedule.points[1]);
     let expect = reference_sigs(&swmon_props::catalog(), &trace, end);
 
-    let shards = 4;
     let cfg = RuntimeConfig {
-        shards,
         checkpoint_every: 128,
-        inject_faults: crash_schedule(trace.len(), 4, shards),
-        inject_deploy_faults: vec![2],
+        inject_faults: crash_schedule(trace.len(), 4),
+        inject_deploy_faults: 1,
         ..Default::default()
     };
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("catalog is valid");
@@ -189,7 +184,7 @@ fn failed_prepare_rolls_back_byte_identical() {
     let err = session.deploy(&plan).unwrap_err();
     match &err {
         RuntimeError::DeployRejected { epoch: 0, reason } => {
-            assert!(reason.contains("shard 2"), "the failing shard is named: {reason}");
+            assert!(reason.contains("shard 0"), "the failing shard is named: {reason}");
         }
         other => panic!("a prepare crash must reject, not kill the session: {other}"),
     }
@@ -197,8 +192,8 @@ fn failed_prepare_rolls_back_byte_identical() {
     for ev in &trace[k..] {
         session.feed(ev).expect("crashes stay within the restart budget");
     }
-    let out = session.finish(end).expect("the fleet outlives the rollback");
-    assert!(out.stats.restarts >= 3, "worker crashes must fire alongside the rollback");
+    let out = session.finish(end).expect("the session outlives the rollback");
+    assert!(out.stats.restarts >= 3, "shard crashes must fire alongside the rollback");
     assert_eq!(out.stats.unaccounted_loss(), 0);
     assert_eq!(out.stats.deploys_applied, 0);
     assert_eq!(out.stats.deploys_rolled_back, 1);
@@ -223,12 +218,8 @@ fn retry_after_rollback_succeeds() {
     expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[2 * third..], end));
     expect.sort();
 
-    let cfg = RuntimeConfig {
-        shards: 4,
-        checkpoint_every: 128,
-        inject_deploy_faults: vec![1],
-        ..Default::default()
-    };
+    let cfg =
+        RuntimeConfig { checkpoint_every: 128, inject_deploy_faults: 1, ..Default::default() };
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("catalog is valid");
     let mut session = rt.start();
     let plan = DeployPlan::add(added.clone());

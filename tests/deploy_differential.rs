@@ -9,8 +9,8 @@
 //! * **removed** (and upgraded-from) properties stop at the barrier, so
 //!   their violations equal a fresh run over the *prefix* alone.
 //!
-//! The oracle is checked at shard counts 1/2/4/8 over the full
-//! 21-property catalog, with a proptest sweep over deploy points.
+//! The oracle is checked over the full 21-property catalog, with a
+//! proptest sweep over deploy points.
 //! Comparisons use an index-normalized signature (property *name*, not
 //! position): a removal shifts the indices of everything behind it, which
 //! is exactly why `ViolationRecord::epoch` — not the index — is the
@@ -18,10 +18,9 @@
 //!
 //! Removed/upgraded-from properties in these differentials are
 //! deliberately match-only (no `within` deadlines): a pending deadline at
-//! the barrier is dropped with the monitor, and *which* deadlines are
-//! still pending depends on per-shard event delivery — a removal
-//! forfeits them by design, so no shard-count-invariant oracle exists
-//! for that sliver of behaviour.
+//! the barrier is dropped with the monitor — a removal forfeits it by
+//! design, and a fresh prefix run, which drains its timers at the end,
+//! is no oracle for that sliver of behaviour.
 
 use proptest::prelude::*;
 use swmon::monitor::{Monitor, MonitorConfig, Property};
@@ -33,11 +32,9 @@ use swmon::runtime::{
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 use swmon_props::firewall;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// The property removed/upgraded in these tests: match-only (see module
-/// docs for why the barrier semantics of deadline properties are not
-/// shard-count-invariant under removal).
+/// docs for why the barrier semantics of deadline properties have no
+/// prefix-run oracle under removal).
 const VICTIM: &str = "firewall/return-not-dropped";
 
 fn full_catalog() -> Vec<Property> {
@@ -140,21 +137,20 @@ fn reference_sigs(props: &[Property], events: &[NetEvent], end: Instant) -> Vec<
 /// Run a session that feeds the prefix, deploys `plan`, feeds the suffix.
 fn run_with_deploy(
     props: Vec<Property>,
-    shards: usize,
     prefix: &[NetEvent],
     plan: &DeployPlan,
     suffix: &[NetEvent],
     end: Instant,
 ) -> Outcome {
-    let rt = ShardedRuntime::new(props, RuntimeConfig::with_shards(shards))
-        .expect("catalog properties are valid");
+    let rt =
+        ShardedRuntime::new(props, RuntimeConfig::default()).expect("catalog properties are valid");
     let mut session = rt.start();
     for ev in prefix {
         session.feed(ev).expect("fault-free feed");
     }
     let outcome = session.deploy(plan).expect("a valid plan deploys");
     assert_eq!(outcome.epoch, 1);
-    assert_eq!(outcome.quiesce_nanos.len(), shards, "every shard acks the barrier");
+    assert!(outcome.quiesce_nanos > 0, "the shard acks the barrier");
     for ev in suffix {
         session.feed(ev).expect("fault-free feed");
     }
@@ -172,32 +168,20 @@ fn hot_add_matches_full_run_plus_fresh_suffix_run() {
     expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[k..], end));
     expect.sort();
 
-    for shards in SHARD_COUNTS {
-        let out = run_with_deploy(
-            full_catalog(),
-            shards,
-            &trace[..k],
-            &DeployPlan::add(added.clone()),
-            &trace[k..],
-            end,
-        );
-        assert_eq!(
-            sorted_sigs(&out.records),
-            expect,
-            "hot add diverged from the compositional oracle at {shards} shards"
-        );
-        // Epoch provenance: everything the hot-added property raised was
-        // raised under epoch 1, and both epochs appear in the output.
-        assert!(out
-            .records
-            .iter()
-            .filter(|r| r.violation.property == added.name)
-            .all(|r| r.epoch == 1));
-        assert!(out.records.iter().any(|r| r.epoch == 0), "prefix violations keep epoch 0");
-        assert_eq!(out.stats.deploys_applied, 1);
-        assert_eq!(out.stats.property_set_epoch, 1);
-        assert_eq!(out.stats.unaccounted_loss(), 0);
-    }
+    let plan = DeployPlan::add(added.clone());
+    let out = run_with_deploy(full_catalog(), &trace[..k], &plan, &trace[k..], end);
+    assert_eq!(sorted_sigs(&out.records), expect, "hot add diverged from the compositional oracle");
+    // Epoch provenance: everything the hot-added property raised was raised
+    // under epoch 1, and both epochs appear in the output.
+    assert!(out
+        .records
+        .iter()
+        .filter(|r| r.violation.property == added.name)
+        .all(|r| r.epoch == 1));
+    assert!(out.records.iter().any(|r| r.epoch == 0), "prefix violations keep epoch 0");
+    assert_eq!(out.stats.deploys_applied, 1);
+    assert_eq!(out.stats.property_set_epoch, 1);
+    assert_eq!(out.stats.unaccounted_loss(), 0);
 }
 
 /// Hot **remove** at the midpoint: the survivors ≡ full run; the removed
@@ -215,41 +199,30 @@ fn hot_remove_matches_survivors_plus_prefix_run() {
     expect.extend(reference_sigs(&removed, &trace[..k], end));
     expect.sort();
 
-    for shards in SHARD_COUNTS {
-        let out = run_with_deploy(
-            full_catalog(),
-            shards,
-            &trace[..k],
-            &DeployPlan::remove(VICTIM),
-            &trace[k..],
-            end,
-        );
-        assert_eq!(
-            sorted_sigs(&out.records),
-            expect,
-            "hot remove diverged from the compositional oracle at {shards} shards"
-        );
-        assert!(
-            out.records.iter().filter(|r| r.violation.property == VICTIM).all(|r| r.epoch == 0),
-            "the removed property only ever raised under epoch 0"
-        );
-        assert_eq!(out.stats.unaccounted_loss(), 0);
-        if shards >= 2 {
-            assert_pinned_state_rehomes(shards, &trace[..k]);
-        }
-    }
+    let out =
+        run_with_deploy(full_catalog(), &trace[..k], &DeployPlan::remove(VICTIM), &trace[k..], end);
+    assert_eq!(
+        sorted_sigs(&out.records),
+        expect,
+        "hot remove diverged from the compositional oracle"
+    );
+    assert!(
+        out.records.iter().filter(|r| r.violation.property == VICTIM).all(|r| r.epoch == 0),
+        "the removed property only ever raised under epoch 0"
+    );
+    assert_eq!(out.stats.unaccounted_loss(), 0);
+    assert_retained_state_carries_over(&trace[..k]);
 }
 
-/// Removing [`VICTIM`] after `prefix` moves pinned properties holding
-/// live instances at the barrier to another home shard: assert that it
-/// moves at least one, so the oracle above covers re-homing, and that each
-/// one's instances arrive — a property re-homed from the wrong shard's
-/// image (empty: off its home, a replica is never visited) would hold
-/// none. Liveness at the barrier is read off a reference monitor; after
-/// the deploy, off the session's per-property gauge.
-fn assert_pinned_state_rehomes(shards: usize, prefix: &[NetEvent]) {
+/// Removing [`VICTIM`] after `prefix` shifts every survivor behind it to a
+/// new catalog position: each one's instances must arrive at its new
+/// position — a survivor restored from the wrong position's image would
+/// hold another property's count, or none. Liveness at the barrier is read
+/// off a reference monitor; after the deploy, off the session's
+/// per-property gauge.
+fn assert_retained_state_carries_over(prefix: &[NetEvent]) {
     let catalog = full_catalog();
-    let rt = ShardedRuntime::new(catalog.clone(), RuntimeConfig::with_shards(shards)).unwrap();
+    let rt = ShardedRuntime::new(catalog.clone(), RuntimeConfig::default()).unwrap();
     let mut session = rt.start();
     prefix.iter().for_each(|ev| session.feed(ev).expect("fault-free feed"));
     session.deploy(&DeployPlan::remove(VICTIM)).expect("a valid plan deploys");
@@ -261,22 +234,16 @@ fn assert_pinned_state_rehomes(shards: usize, prefix: &[NetEvent]) {
             gauges.find(|(k, _)| k.name == "swmon_property_live_instances" && k.labels == labels);
         series.map_or(0, |(_, live)| *live)
     };
-    let survivors = catalog.iter().enumerate().filter(|(_, p)| p.name != VICTIM);
-    let mut moved = 0;
-    for (now, (before, p)) in survivors.enumerate() {
-        let route = &rt.router().routes()[before];
-        let home = route.home_shard();
-        if home.is_none() || home == route.reindexed(now, shards).home_shard() {
-            continue;
-        }
+    let victim = catalog.iter().position(|p| p.name == VICTIM).expect("the victim is listed");
+    let mut shifted = 0;
+    for p in &catalog[victim + 1..] {
         let mut reference = Monitor::with_defaults(p.clone());
         prefix.iter().for_each(|ev| reference.process(ev));
-        if reference.live_instances() > 0 {
-            moved += 1;
-            assert!(live_now(&p.name) > 0, "{} moved from shard {home:?} with no state", p.name);
-        }
+        let live = reference.live_instances() as u64;
+        shifted += usize::from(live > 0);
+        assert_eq!(live_now(&p.name), live, "{} lost its state across the shift", p.name);
     }
-    assert!(moved > 0, "no pinned property holding live instances changes home at {shards} shards");
+    assert!(shifted > 0, "no property behind the victim holds live instances at the barrier");
 }
 
 /// Hot **upgrade** at the midpoint: old version ≡ prefix run, new version
@@ -292,26 +259,18 @@ fn hot_upgrade_runs_the_new_version_fresh_over_the_suffix() {
     expect.extend(reference_sigs(std::slice::from_ref(&new_version), &trace[k..], end));
     expect.sort();
 
-    for shards in SHARD_COUNTS {
-        let out = run_with_deploy(
-            full_catalog(),
-            shards,
-            &trace[..k],
-            &DeployPlan::upgrade(VICTIM, new_version.clone()),
-            &trace[k..],
-            end,
-        );
-        assert_eq!(
-            sorted_sigs(&out.records),
-            expect,
-            "hot upgrade diverged from the compositional oracle at {shards} shards"
-        );
-    }
+    let plan = DeployPlan::upgrade(VICTIM, new_version);
+    let out = run_with_deploy(full_catalog(), &trace[..k], &plan, &trace[k..], end);
+    assert_eq!(
+        sorted_sigs(&out.records),
+        expect,
+        "hot upgrade diverged from the compositional oracle"
+    );
 }
 
 /// A deploy issued while batches are still staged in the session arena
-/// loses nothing: the barrier's first act is `flush_all_shards`, so every
-/// pre-deploy event reaches its shard before quiesce. Batches here are
+/// loses nothing: the barrier's first act is a dispatch, so every
+/// pre-deploy event reaches the shard before quiesce. Batches here are
 /// larger than the trace and the staleness clock is parked, so *all*
 /// prefix events are pending at the deploy point — the worst case.
 #[test]
@@ -323,30 +282,28 @@ fn deploy_with_pending_batches_loses_no_events() {
     expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[k..], end));
     expect.sort();
 
-    for shards in SHARD_COUNTS {
-        let cfg = RuntimeConfig {
-            batch: 4096,          // never fills mid-run
-            flush_every: 1 << 30, // staleness clock never fires
-            ..RuntimeConfig::with_shards(shards)
-        };
-        let rt = ShardedRuntime::new(full_catalog(), cfg).expect("catalog properties are valid");
-        let mut session = rt.start();
-        for ev in &trace[..k] {
-            session.feed(ev).expect("fault-free feed");
-        }
-        let outcome = session.deploy(&DeployPlan::add(added.clone())).expect("add deploys");
-        assert_eq!(outcome.epoch, 1);
-        for ev in &trace[k..] {
-            session.feed(ev).expect("fault-free feed");
-        }
-        let out = session.finish(end).expect("fault-free finish");
-        assert_eq!(
-            sorted_sigs(&out.records),
-            expect,
-            "a deploy over pending batches lost or reordered events at {shards} shards"
-        );
-        assert_eq!(out.stats.unaccounted_loss(), 0);
+    let cfg = RuntimeConfig {
+        batch: 4096,          // never fills mid-run
+        flush_every: 1 << 30, // staleness clock never fires
+        ..RuntimeConfig::default()
+    };
+    let rt = ShardedRuntime::new(full_catalog(), cfg).expect("catalog properties are valid");
+    let mut session = rt.start();
+    for ev in &trace[..k] {
+        session.feed(ev).expect("fault-free feed");
     }
+    let outcome = session.deploy(&DeployPlan::add(added.clone())).expect("add deploys");
+    assert_eq!(outcome.epoch, 1);
+    for ev in &trace[k..] {
+        session.feed(ev).expect("fault-free feed");
+    }
+    let out = session.finish(end).expect("fault-free finish");
+    assert_eq!(
+        sorted_sigs(&out.records),
+        expect,
+        "a deploy over pending batches lost or reordered events"
+    );
+    assert_eq!(out.stats.unaccounted_loss(), 0);
 }
 
 /// A rejected plan is a no-op: the session stays on its epoch and the
@@ -356,11 +313,11 @@ fn rejected_plan_leaves_the_session_byte_identical() {
     let (trace, end) = fixed_trace(120);
     let k = trace.len() / 2;
     let baseline = {
-        let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::with_shards(4)).unwrap();
+        let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::default()).unwrap();
         rt.run(&trace, end).expect("fault-free run")
     };
 
-    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::with_shards(4)).unwrap();
+    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::default()).unwrap();
     let mut session = rt.start();
     for ev in &trace[..k] {
         session.feed(ev).unwrap();
@@ -387,7 +344,7 @@ fn rejected_plan_leaves_the_session_byte_identical() {
 fn successive_deploys_bump_the_epoch_monotonically() {
     let (trace, end) = fixed_trace(120);
     let third = trace.len() / 3;
-    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::with_shards(2)).unwrap();
+    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::default()).unwrap();
     let mut session = rt.start();
     assert_eq!(session.epoch(), 0);
     for ev in &trace[..third] {
@@ -412,28 +369,20 @@ fn successive_deploys_bump_the_epoch_monotonically() {
     assert!(out.records.iter().all(|r| r.epoch <= 2));
 }
 
-/// CI smoke variant (deploy-smoke job): the hot-add differential at one
-/// and four shards on a smaller trace. Must stay fast.
+/// CI smoke variant (deploy-smoke job): the hot-add differential on a
+/// smaller trace. Must stay fast.
 #[test]
-fn smoke_hot_add_differential_shards_1_and_4() {
+fn smoke_hot_add_differential() {
     let (trace, end) = fixed_trace(60);
     let k = trace.len() / 2;
     let added = incoming();
     let mut expect = reference_sigs(&full_catalog(), &trace, end);
     expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[k..], end));
     expect.sort();
-    for shards in [1usize, 4] {
-        let out = run_with_deploy(
-            full_catalog(),
-            shards,
-            &trace[..k],
-            &DeployPlan::add(added.clone()),
-            &trace[k..],
-            end,
-        );
-        assert_eq!(sorted_sigs(&out.records), expect, "smoke diverged at {shards} shards");
-        assert_eq!(out.stats.unaccounted_loss(), 0);
-    }
+    let plan = DeployPlan::add(added);
+    let out = run_with_deploy(full_catalog(), &trace[..k], &plan, &trace[k..], end);
+    assert_eq!(sorted_sigs(&out.records), expect, "smoke diverged");
+    assert_eq!(out.stats.unaccounted_loss(), 0);
 }
 
 proptest! {
@@ -441,7 +390,7 @@ proptest! {
 
     /// The deploy point is adversarial: wherever the barrier lands in a
     /// random trace — including before the first and after the last event
-    /// — the hot-add compositional oracle holds at every shard count.
+    /// — the hot-add compositional oracle holds.
     #[test]
     fn hot_add_differential_over_random_deploy_points(
         events in proptest::collection::vec(gen_event(), 2..32),
@@ -454,20 +403,12 @@ proptest! {
         let mut expect = reference_sigs(&full_catalog(), &trace, end);
         expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[k..], end));
         expect.sort();
-        for shards in SHARD_COUNTS {
-            let out = run_with_deploy(
-                full_catalog(),
-                shards,
-                &trace[..k],
-                &DeployPlan::add(added.clone()),
-                &trace[k..],
-                end,
-            );
-            prop_assert_eq!(
-                sorted_sigs(&out.records),
-                expect.clone(),
-                "deploy at {}/{} diverged at {} shards", k, trace.len(), shards
-            );
-        }
+        let plan = DeployPlan::add(added);
+        let out = run_with_deploy(full_catalog(), &trace[..k], &plan, &trace[k..], end);
+        prop_assert_eq!(
+            sorted_sigs(&out.records),
+            expect,
+            "deploy at {}/{} diverged", k, trace.len()
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The knob count lives in code. The ROADMAP's ground rule — no knob a PR
-//! cannot show paying — is counted as `RuntimeConfig` 10 (`adaptive`
-//! inert) / `AdaptiveConfig` 2 (inert) / `TelemetryConfig` 1 /
+//! cannot show paying — is counted as `RuntimeConfig` 10 (`shards` and
+//! `adaptive` inert) / `AdaptiveConfig` 2 (inert) / `TelemetryConfig` 1 /
 //! `MonitorConfig` 4. Each test below destructures one configuration
 //! exhaustively (no `..`) into an array of that length, so a field added
 //! anywhere fails to compile until the same diff edits this file — and,
@@ -11,6 +11,11 @@ use std::fmt::Debug;
 use swmon::monitor::MonitorConfig;
 use swmon::runtime::{AdaptiveConfig, RuntimeConfig, TelemetryConfig};
 
+/// `shards` is inert: a session is one supervised partition, and nothing
+/// in `crates/` reads it. It is kept because the frozen benchmark builds it
+/// — `pinned()` (`shards: 1`), `untraced_sessions`' fanned pass
+/// (`shards: 2`) and the router layer's `Router::new(.., cfg.shards)` — and
+/// goes with those lines.
 #[test]
 fn runtime_config_has_ten_knobs() {
     let RuntimeConfig {

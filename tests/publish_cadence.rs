@@ -79,7 +79,6 @@ fn feed_all(
     mut before: impl FnMut(u64),
     fed: impl FnOnce(),
 ) -> Outcome {
-    let cfg = RuntimeConfig { shards: 1, ..cfg };
     let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("the catalog is valid");
     let trace = multi_flow_trace(256, 6_000, 0.4, 0.25, Duration::from_micros(2), 13);
     let mut session = rt.start_with_sink(Some(sink));
@@ -123,7 +122,7 @@ fn a_violation_is_published_within_its_batch() {
     assert_eq!(*lags.iter().min().unwrap(), 0, "a batch's last event publishes at once");
     // The shard counts the same lags (to the last event it admitted), the
     // tail batch's — published inside `finish` — included.
-    let probe = out.telemetry.shard(0);
+    let probe = out.telemetry.shard();
     let counted = probe.publish_lag.snapshot();
     let triggered = out.records.iter().filter(|r| r.seq != u64::MAX).count() as u64;
     assert_eq!(counted.count, triggered);
@@ -149,7 +148,7 @@ fn a_batch_that_never_fills_publishes_within_flush_every() {
     assert!(lags.len() >= 500, "only the staleness flush publishes: {} records", lags.len());
     let worst = *lags.iter().max().unwrap();
     assert!(worst <= 48, "a record waited {worst} ticks behind a flush every 48");
-    assert!(out.telemetry.shard(0).publish_lag.snapshot().max <= 48);
+    assert!(out.telemetry.shard().publish_lag.snapshot().max <= 48);
     // A flush is a dispatch, not a checkpoint: the cadence still decides
     // (22 flushes of 48 are the first to reach 1024 applied events).
     assert_eq!(out.stats.checkpoints, EVENTS / (22 * 48));

@@ -1,20 +1,16 @@
-//! Differential testing of the sharded runtime: at every shard count the
-//! canonically merged violations must be byte-for-byte identical to the
-//! single-threaded reference, over the whole property catalog — including
-//! deadline (timer) properties, whose firings are discovered while
-//! draining timers rather than while processing an event.
-//!
-//! Also pins the symmetric-key guarantee down at the system level: a
-//! firewall/NAT *reply* travels with mirrored header fields, and must
-//! still reach the shard holding the instance its *request* spawned.
+//! Differential testing of the supervised runtime: the canonically merged
+//! violations must be byte-for-byte identical to the single-threaded
+//! reference, over the whole property catalog — including deadline (timer)
+//! properties, whose firings are discovered while draining timers rather
+//! than while processing an event, and capacity-bounded instance stores,
+//! where the ingress filter decides which events reach a full store.
 
 mod common;
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
-use swmon::monitor::{Monitor, MonitorConfig, MonitorSet, Property, RouteMode};
+use swmon::monitor::{event_class, Monitor, MonitorConfig, MonitorSet, Property, RoutingPlan};
 use swmon::packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
 use swmon::runtime::merge::merge;
 
@@ -25,8 +21,9 @@ use swmon::runtime::{
 use swmon::sim::{Duration, EgressAction, Instant, NetEvent, PortNo, TraceBuilder};
 use swmon_props::firewall;
 
-/// Shard counts every differential check sweeps.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Values of the inert `RuntimeConfig::shards` the catalog differential
+/// sweeps: none may change a byte (the benchmark's fanned pass sets 2).
+const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The full catalog: all Table 1 rows plus the Sec 2 example properties
 /// (the same 21-property deployment `tests/catalog_set.rs` uses).
@@ -77,37 +74,49 @@ fn render_trace(events: &[GenEvent], step: Duration) -> Vec<NetEvent> {
     tb.build()
 }
 
-/// The reference output, then the runtime at every shard count, compared
-/// as signature vectors (which exclude the non-invariant `seq`).
-fn assert_all_shard_counts_match(props: &[Property], trace: &[NetEvent], end: Instant) {
-    let reference = reference_records(props, MonitorConfig::default(), trace, end);
+/// The reference output under `monitor`, then the runtime under the same
+/// monitor configuration with `shards` set to each of `shards`, compared as
+/// signature vectors (which exclude the non-invariant `seq`). Returns the
+/// last run's outcome.
+fn assert_matches_reference(
+    props: &[Property],
+    monitor: MonitorConfig,
+    shards: &[usize],
+    trace: &[NetEvent],
+    end: Instant,
+) -> swmon::runtime::Outcome {
+    let reference = reference_records(props, monitor, trace, end);
     let expect: Vec<String> = reference.iter().map(signature).collect();
-    for shards in SHARD_COUNTS {
-        let rt = ShardedRuntime::new(props.to_vec(), RuntimeConfig::with_shards(shards))
-            .expect("catalog properties are valid");
+    let mut last = None;
+    for &shards in shards {
+        let cfg = RuntimeConfig { shards, monitor, ..Default::default() };
+        let rt = ShardedRuntime::new(props.to_vec(), cfg).expect("catalog properties are valid");
         let out = rt.run(trace, end).expect("fault-free run cannot fail");
         assert_eq!(
             out.signatures(),
             expect,
-            "sharded runtime diverged from the reference at {shards} shards"
+            "runtime diverged from the reference, shards {shards}"
         );
+        assert_eq!(out.stats.unaccounted_loss(), 0);
+        last = Some(out);
     }
+    last.expect("at least one run")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The whole catalog, random traces, shard counts 1/2/4/8: merged
-    /// output equals the reference byte-for-byte. Windows are cut down so
-    /// the trace itself crosses deadline boundaries (timer firings merge
-    /// mid-stream, not only at the final flush).
+    /// The whole catalog, random traces: merged output equals the
+    /// reference byte-for-byte, whatever the inert `shards` says. Windows
+    /// are cut down so the trace itself crosses deadline boundaries (timer
+    /// firings merge mid-stream, not only at the final flush).
     #[test]
     fn catalog_differential_across_shard_counts(
         events in proptest::collection::vec(gen_event(), 1..40),
     ) {
         let trace = render_trace(&events, Duration::from_micros(50));
         let end = trace.last().unwrap().time + Duration::from_secs(120);
-        assert_all_shard_counts_match(&full_catalog(), &trace, end);
+        assert_matches_reference(&full_catalog(), MonitorConfig::default(), &SHARD_COUNTS, &trace, end);
     }
 
     /// Deadline-heavy differential: a short-window variant of the firewall
@@ -124,15 +133,49 @@ proptest! {
         ];
         let trace = render_trace(&events, Duration::from_micros(30));
         let end = trace.last().unwrap().time + Duration::from_secs(1);
-        assert_all_shard_counts_match(&props, &trace, end);
+        assert_matches_reference(&props, MonitorConfig::default(), &[1], &trace, end);
     }
+}
+
+/// The catalog over 256 flows against stores bounded at 64 cells, so
+/// instances are evicted: the ingress filter skips an event that lacks a
+/// property's key field for bounded stores too, and that is sound because
+/// such an event can neither spawn nor evict. Unbounded first, as the
+/// control.
+#[test]
+fn catalog_differential_under_a_capacity_bound() {
+    let trace = swmon::workloads::trace::multi_flow_trace(
+        256,
+        2_000,
+        0.4,
+        0.25,
+        Duration::from_micros(2),
+        13,
+    );
+    let end = trace.last().unwrap().time + Duration::from_secs(120);
+    let props = full_catalog();
+    let free = assert_matches_reference(&props, MonitorConfig::default(), &[1], &trace, end);
+    assert_eq!(free.stats.engine.evicted, 0);
+    let bounded = MonitorConfig { capacity: Some(64), ..MonitorConfig::default() };
+    let out = assert_matches_reference(&props, bounded, &[1], &trace, end);
+    assert!(out.stats.engine.evicted > 0, "a 64-cell store must evict over 256 flows");
+    // The filter has teeth here: some events reach a property by class but
+    // lack one of its key fields.
+    let plans: Vec<RoutingPlan> = props.iter().map(RoutingPlan::of).collect();
+    let keyless = |ev: &NetEvent| {
+        props.iter().zip(&plans).any(|(p, plan)| {
+            p.event_class_mask() & event_class(ev) != 0
+                && !plan.key_fields().iter().all(|&f| ev.field(f).is_some())
+        })
+    };
+    assert!(trace.iter().any(keyless), "no event lacks a reachable property's key");
 }
 
 /// The recorded seed regression (`tests/differential.proptest-regressions`):
 /// pair 2 sends an outbound packet that is forwarded, then its reply is
 /// dropped. The minimal witness of the firewall property — kept as an
 /// explicit test so the case survives any proptest reseeding, and extended
-/// to the sharded runtime at every shard count.
+/// to the supervised runtime.
 #[test]
 fn seed_regression_outbound_then_dropped_reply() {
     let events = [
@@ -146,7 +189,7 @@ fn seed_regression_outbound_then_dropped_reply() {
     let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
     assert_eq!(reference.len(), 1, "exactly one violation: the dropped reply");
 
-    assert_all_shard_counts_match(&props, &trace, end);
+    assert_matches_reference(&props, MonitorConfig::default(), &[1], &trace, end);
 }
 
 /// Records which thread hands it each publish, per shard.
@@ -161,11 +204,10 @@ impl ViolationSink for ThreadSink {
     fn seal(&self, _merged: &[ViolationRecord]) {}
 }
 
-/// Every shard runs on the thread that feeds the session: at 1, 2 and 4
-/// shards every publish comes from this test's thread, more than one shard
-/// publishes once there are several, and the output matches the reference
-/// over the catalog — whatever `AdaptiveConfig` says, since nothing reads
-/// it.
+/// The shard runs on the thread that feeds the session: every publish
+/// comes from this test's thread and from shard 0, and the output matches
+/// the reference over the catalog — whatever `shards` and `AdaptiveConfig`
+/// say, since nothing reads them.
 #[test]
 fn every_shard_publishes_from_the_feeding_thread() {
     let events: Vec<GenEvent> = (0..200usize)
@@ -188,10 +230,9 @@ fn every_shard_publishes_from_the_feeding_thread() {
         AdaptiveConfig { enabled: false, fan_out_rate: 0.0 },
     ];
     let me = std::thread::current().id();
-    for shards in [1usize, 2, 4] {
+    for shards in [1usize, 2] {
         for adaptive in &adaptives {
-            let cfg =
-                RuntimeConfig { adaptive: adaptive.clone(), ..RuntimeConfig::with_shards(shards) };
+            let cfg = RuntimeConfig { shards, adaptive: adaptive.clone(), ..Default::default() };
             let rt = ShardedRuntime::new(props.clone(), cfg).expect("catalog properties are valid");
             let sink = Arc::new(ThreadSink::default());
             let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
@@ -203,58 +244,17 @@ fn every_shard_publishes_from_the_feeding_thread() {
             assert_eq!(out.stats.unaccounted_loss(), 0);
             let publishes = sink.0.lock().unwrap().clone();
             assert!(!publishes.is_empty(), "{shards} shard(s), {adaptive:?}: nothing published");
-            for &(s, thread) in &publishes {
-                assert_eq!(thread, me, "shard {s} of {shards}, {adaptive:?}");
+            for &publisher in &publishes {
+                assert_eq!(publisher, (0, me), "{shards} shard(s), {adaptive:?}");
             }
-            let publishers: BTreeSet<usize> = publishes.iter().map(|&(s, _)| s).collect();
-            assert_eq!(publishers.len() > 1, shards > 1, "{shards} shard(s): {publishers:?}");
         }
     }
 }
 
-/// Satellite check (symmetric canonicalization): the firewall property is
-/// symmetric-hash routed, and both directions of a flow — mirrored src/dst
-/// fields — produce the *same* shard assignment at every shard count.
-#[test]
-fn firewall_directions_land_on_the_same_shard() {
-    let props = vec![firewall::return_not_dropped()];
-    for shards in SHARD_COUNTS {
-        let rt = ShardedRuntime::new(props.clone(), RuntimeConfig::with_shards(shards)).unwrap();
-        let route = &rt.router().routes()[0];
-        assert!(
-            matches!(route.plan().mode(), RouteMode::HashSymmetric { .. }),
-            "firewall key must be symmetric-hashed, got {}",
-            route.describe()
-        );
-        for pair in 0u8..32 {
-            let fwd = render_trace(
-                &[GenEvent { pair, outbound: true, dropped: false, gap_steps: 1 }],
-                Duration::from_micros(10),
-            );
-            let rev = render_trace(
-                &[GenEvent { pair, outbound: false, dropped: true, gap_steps: 1 }],
-                Duration::from_micros(10),
-            );
-            // Events the property can react to (the forwarded outbound
-            // departure is class-masked away — it needs no delivery) must
-            // all land on one shard, whichever direction they travel.
-            let homes: Vec<usize> =
-                fwd.iter().chain(&rev).filter_map(|ev| route.shard_for(ev, shards)).collect();
-            assert!(
-                homes.len() >= 3,
-                "pair {pair}: both arrivals and the drop must be deliverable, got {homes:?}"
-            );
-            assert!(
-                homes.windows(2).all(|w| w[0] == w[1]),
-                "pair {pair}: request and reply diverged at {shards} shards: {homes:?}"
-            );
-        }
-    }
-}
-
-/// Satellite check (system level): a NAT/firewall reply must reach the
-/// instance its request spawned under every shard count — if the reply
-/// hashed to a different shard, the violation would silently vanish.
+/// A NAT/firewall reply travels with mirrored header fields and must still
+/// reach the instance its request spawned: the ingress checks a symmetric
+/// key's fields in either orientation, so filtering a reply would silently
+/// lose the violation. Swept over the inert `shards`, like the catalog.
 #[test]
 fn reply_reaches_request_instance_under_every_shard_count() {
     let props = vec![firewall::return_not_dropped(), swmon_props::nat::reverse_translation()];
@@ -269,57 +269,11 @@ fn reply_reaches_request_instance_under_every_shard_count() {
         .collect();
     let trace = render_trace(&events, Duration::from_micros(20));
     let end = trace.last().unwrap().time + Duration::from_secs(1);
-
     let reference = reference_records(&props, MonitorConfig::default(), &trace, end);
     assert!(!reference.is_empty(), "dropped replies must violate the firewall property");
-    let expect: Vec<String> = reference.iter().map(signature).collect();
-    for shards in 1..=8 {
-        let rt = ShardedRuntime::new(props.clone(), RuntimeConfig::with_shards(shards)).unwrap();
-        let out = rt.run(&trace, end).expect("fault-free run cannot fail");
-        assert_eq!(out.signatures(), expect, "lost violations at {shards} shards");
-        assert_eq!(out.stats.events_in, trace.len() as u64);
-    }
-}
-
-/// Satellite check (shard balance): hashed routing of the benchmark
-/// workload must actually *spread*. Over `multi_flow_trace`'s 256 flows,
-/// every shard's delivered-event count must be within 2× of a perfectly
-/// even split at 2, 4, and 8 shards — the E13 `shards=2` throughput dip is
-/// not a routing skew (see docs/PERF.md), and this test keeps it that way.
-/// Also exercises the per-shard occupancy counter: end-of-trace live
-/// instances must sum to the reference monitor's count.
-#[test]
-fn multi_flow_routing_spreads_within_2x_of_even() {
-    let props = vec![firewall::return_not_dropped()];
-    let trace = swmon::workloads::trace::multi_flow_trace(
-        256,
-        4000,
-        0.4,
-        0.25,
-        Duration::from_micros(2),
-        13,
-    );
-    let end = trace.last().unwrap().time + Duration::from_secs(1);
-    let mut reference = swmon::monitor::Monitor::with_defaults(firewall::return_not_dropped());
-    for ev in &trace {
-        reference.process(ev);
-    }
-    reference.advance_to(end);
-    for shards in [2usize, 4, 8] {
-        let rt = ShardedRuntime::new(props.clone(), RuntimeConfig::with_shards(shards)).unwrap();
-        let out = rt.run(&trace, end).expect("fault-free run cannot fail");
-        let per: Vec<u64> = out.stats.per_shard.iter().map(|s| s.events).collect();
-        let even = out.stats.deliveries as f64 / shards as f64;
-        for (s, &n) in per.iter().enumerate() {
-            assert!(
-                (n as f64) <= 2.0 * even && (n as f64) >= even / 2.0,
-                "shard {s} got {n} of {} deliveries at {shards} shards (even = {even:.0}): {per:?}",
-                out.stats.deliveries
-            );
-        }
-        let live: u64 = out.stats.per_shard.iter().map(|s| s.live_instances).sum();
-        assert_eq!(live, reference.live_instances() as u64, "occupancy counter diverged");
-    }
+    let out =
+        assert_matches_reference(&props, MonitorConfig::default(), &SHARD_COUNTS, &trace, end);
+    assert_eq!(out.stats.events_in, trace.len() as u64);
 }
 
 /// The pre-dispatching [`MonitorSet`] — what the benchmark's `monitorset.*`
@@ -371,15 +325,18 @@ fn monitor_set_predispatch_matches_the_reference_loop() {
     }
 }
 
-/// The catalog routes non-trivially: some properties hash (exploiting the
-/// paper's exact/symmetric instance identification), the wandering ones
-/// pin, and nothing is silently dropped by construction.
+/// The catalog's instance identification is non-trivial: some properties
+/// have a hashable key (the paper's exact/symmetric identification), the
+/// wandering ones none, and the ingress checks one field set per distinct
+/// key.
 #[test]
 fn catalog_routing_uses_both_hashing_and_pinning() {
-    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::with_shards(4)).unwrap();
-    let hashed = rt.router().routes().iter().filter(|r| r.is_hashed()).count();
-    let pinned = rt.router().routes().iter().filter(|r| !r.is_hashed()).count();
-    assert!(hashed > 0, "no property hash-routes; routing analysis regressed");
-    assert!(pinned > 0, "wandering-key properties must pin");
-    assert_eq!(hashed + pinned, rt.properties().len());
+    let rt = ShardedRuntime::new(full_catalog(), RuntimeConfig::default()).unwrap();
+    let plans: Vec<RoutingPlan> = rt.properties().iter().map(RoutingPlan::of).collect();
+    let hashed = plans.iter().filter(|p| p.is_hashed()).count();
+    let pinned = plans.len() - hashed;
+    assert!(hashed > 0, "no property has a hashable key; the analysis regressed");
+    assert!(pinned > 0, "wandering-key properties have none");
+    let groups = rt.router().dispatch_groups();
+    assert!(groups > 0 && groups <= hashed, "{groups} key-field sets for {hashed} keys");
 }

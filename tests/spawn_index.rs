@@ -10,7 +10,7 @@
 mod common;
 
 use swmon::monitor::{
-    event_class, Bindings, MonitorConfig, Property, Route, RoutingPlan, SpawnIndex, StageKind,
+    event_class, Bindings, MonitorConfig, Property, RoutingPlan, SpawnIndex, StageKind,
 };
 use swmon::runtime::Router;
 use swmon::sim::{Duration, NetEvent};
@@ -60,9 +60,8 @@ fn every_spawning_event_is_spawnable() {
 /// The router's masks follow one class-mask table, the catalog's spawn
 /// index: checked against a rule computed per property, with no index. An
 /// event reaches property `p` when its class is in `p`'s patterns' mask
-/// and, unless `p` is pinned by its capacity-bounded store, it carries
-/// `p`'s key fields; each such property is delivered on exactly one
-/// shard, a pinned one on its home.
+/// and it carries every one of `p`'s key fields — under a capacity-bounded
+/// store too.
 #[test]
 fn router_masks_follow_one_class_mask_table() {
     let props = swmon::props::catalog();
@@ -70,33 +69,19 @@ fn router_masks_follow_one_class_mask_table() {
     let bounded = MonitorConfig { capacity: Some(64), ..Default::default() };
     let mut keyless = 0;
     for cfg in [MonitorConfig::default(), bounded] {
-        for shards in [1, 4] {
-            let router = Router::new(&props, &cfg, shards);
-            let mut masks = vec![0u64; shards];
-            for (name, trace) in traces() {
-                for (n, ev) in trace.iter().enumerate() {
-                    router.masks(ev, &mut masks);
-                    let mut want = 0u64;
-                    for (i, (p, plan)) in props.iter().zip(&plans).enumerate() {
-                        let reached = p.event_class_mask() & event_class(ev) != 0;
-                        let keyed = plan.route(ev) != Route::Skip;
-                        keyless += usize::from(reached && !keyed);
-                        want |= u64::from(reached && (keyed || cfg.capacity.is_some())) << i;
-                    }
-                    let at = format!("{name} event {n}, {shards} shards, {cfg:?}");
-                    assert_eq!(masks.iter().fold(0, |all, m| all | m), want, "{at}");
-                    for (i, route) in router.routes().iter().enumerate() {
-                        if want >> i & 1 == 0 {
-                            continue;
-                        }
-                        let on: Vec<usize> =
-                            (0..shards).filter(|&s| masks[s] >> i & 1 != 0).collect();
-                        assert_eq!(on.len(), 1, "{at}: property {i} on shards {on:?}");
-                        if let Some(home) = route.home_shard() {
-                            assert_eq!(on, [home], "{at}: pinned property {i} off its home");
-                        }
-                    }
+        let router = Router::new(&props, &cfg, 1);
+        let mut mask = [0u64];
+        for (name, trace) in traces() {
+            for (n, ev) in trace.iter().enumerate() {
+                router.masks(ev, &mut mask);
+                let mut want = 0u64;
+                for (i, (p, plan)) in props.iter().zip(&plans).enumerate() {
+                    let reached = p.event_class_mask() & event_class(ev) != 0;
+                    let keyed = plan.key_fields().iter().all(|&f| ev.field(f).is_some());
+                    keyless += usize::from(reached && !keyed);
+                    want |= u64::from(reached && keyed) << i;
                 }
+                assert_eq!(mask, [want], "{name} event {n}, {cfg:?}");
             }
         }
     }

@@ -1,11 +1,12 @@
-//! Store integration: the violation store against real sharded sessions
+//! Store integration: the violation store against real runtime sessions
 //! over the full 21-property catalog.
 //!
 //! Three contracts:
 //!
 //! 1. **Sequence ≡ merge order** — the stable sequence id stamped at merge
 //!    time is exactly the record's position in the canonical output, at
-//!    every shard count (the store's primary key after seal).
+//!    every value of the inert `shards` knob (the store's primary key after
+//!    seal).
 //! 2. **Degraded provenance end-to-end** — in the PR-4 starved-journal
 //!    scenario, `Violation::degraded` survives the wire codec and the
 //!    store's snapshot/restore round-trip, and the `degraded()` SWQL atom
@@ -51,7 +52,9 @@ fn merge_order_is_sequence_order_at_every_shard_count() {
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
     let mut baseline: Option<Vec<String>> = None;
-    for shards in [1usize, 2, 4, 8] {
+    // `shards` is inert (a session is one partition): no value of it may
+    // move a record. The benchmark's fanned pass sets 2.
+    for shards in [1usize, 2] {
         let rt = ShardedRuntime::new(props.clone(), RuntimeConfig { shards, ..Default::default() })
             .expect("catalog properties are valid");
         let out = rt.run(&trace, end).expect("fault-free run succeeds");
@@ -80,7 +83,7 @@ fn degraded_atom_returns_exactly_the_shed_window_violations() {
     // batches must shed, downgrading gap-time violations. (The batch is
     // named: at the default of 8 a 16-item journal checkpoints before it
     // overflows.)
-    let cfg = RuntimeConfig { shards: 4, batch: 64, journal_limit: 16, ..Default::default() };
+    let cfg = RuntimeConfig { batch: 64, journal_limit: 16, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let store = sink.store();
@@ -117,18 +120,17 @@ fn degraded_atom_returns_exactly_the_shed_window_violations() {
 
 /// Bounded-staleness regression: with batches far larger than the whole
 /// trace, nothing ever dispatches by fullness — before the staleness
-/// clock existed, a trickle shard's violations stayed staged in the
-/// session arena until `finish()`, invisible to every live query. Now the
+/// clock existed, a trickle's violations stayed staged in the session
+/// arena until `finish()`, invisible to every live query. Now the
 /// `flush_every` clock dispatches the partial block once the oldest staged
 /// event is that many fed events old — a dispatch like any other: the
 /// shard applies it and publishes what it raised, no checkpoint involved —
-/// so even a shard holding a single event becomes visible mid-run.
+/// so even a single staged event becomes visible mid-run.
 #[test]
 fn stale_trickle_batches_become_visible_without_finish() {
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
     let cfg = RuntimeConfig {
-        shards: 4,
         batch: 1 << 20, // never fills: only the staleness clock can flush
         flush_every: 32,
         ..Default::default()
@@ -171,7 +173,7 @@ fn stale_trickle_batches_become_visible_without_finish() {
 fn live_queries_see_a_prefix_consistent_snapshot() {
     let props = swmon_props::catalog();
     let (trace, end) = chaos_trace();
-    let cfg = RuntimeConfig { shards: 4, checkpoint_every: 128, ..Default::default() };
+    let cfg = RuntimeConfig { checkpoint_every: 128, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let store = sink.store();

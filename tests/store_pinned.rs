@@ -4,7 +4,7 @@
 //! `identity_pinned` compares *sorted* signatures, so it cannot see a
 //! change in the canonical merge order; `store_integration` compares a
 //! store's answers with the same run's merge, so it cannot see a change
-//! both sides share. This test pins, per trace and shard count:
+//! both sides share. This test pins, per trace:
 //!
 //! - the merged records' signatures, in merged order (unsorted);
 //! - the store's bytes halfway through the feed (open tail included) and
@@ -23,23 +23,23 @@ mod common;
 
 use std::sync::Arc;
 
-use swmon::runtime::{signature, RuntimeConfig, ShardedRuntime, ViolationSink};
+use swmon::runtime::{signature, RuntimeConfig, RuntimeStats, ShardedRuntime, ViolationSink};
 use swmon::sim::{CrashWindow, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId};
 use swmon::store::{Store, StoreSink};
 use swmon_workloads::trace::lossy_trace;
 
-/// One pinned run: `(trace, shards, merged records, digest of their
-/// signatures, mid-run store bytes, their digest, mid-run prop(*) matches,
-/// their digest, sealed store bytes, their digest, digest of the sealed
-/// prop(*) answer)`.
-type Pin = (&'static str, usize, usize, u64, usize, u64, usize, u64, usize, u64, u64);
+/// One pinned run: `(trace, merged records, digest of their signatures,
+/// mid-run store bytes, their digest, mid-run prop(*) matches, their
+/// digest, sealed store bytes, their digest, digest of the sealed prop(*)
+/// answer)`.
+type Pin = (&'static str, usize, u64, usize, u64, usize, u64, usize, u64, u64);
 
+/// Captured at one shard. The rows for four shards went when a session
+/// became one partition; these did not move.
 #[rustfmt::skip]
 const PINNED: &[Pin] = &[
-    ("scenario", 1, 313, 0xd92a8d852fd4fdb4, 25678, 0x73dd7fdcc33d086b, 197, 0xd0899ef390380d36, 42704, 0xe67eb20c626baf37, 0x7617003b24a87760),
-    ("scenario", 4, 313, 0xd92a8d852fd4fdb4, 25678, 0xc42f41ff37142cc6, 197, 0x486fe03f207e6cf9, 42704, 0x27d020b8b58e02be, 0x551e18d030ef8fd7),
-    ("lossy", 1, 290, 0xd1af1bebfbea2489, 19156, 0x85d52901df4d7f16, 149, 0xf63788b3c5e25bc2, 39643, 0xf78e6aa81e736740, 0xffedc88dcf5a429e),
-    ("lossy", 4, 290, 0xd1af1bebfbea2489, 19156, 0x808743d78de79478, 149, 0x66601ea3f2f752be, 39643, 0x18b4b21a291881b0, 0x07fac9af5aa75d3e),
+    ("scenario", 313, 0xd92a8d852fd4fdb4, 25678, 0x73dd7fdcc33d086b, 197, 0xd0899ef390380d36, 42704, 0xe67eb20c626baf37, 0x7617003b24a87760),
+    ("lossy", 290, 0xd1af1bebfbea2489, 19156, 0x85d52901df4d7f16, 149, 0xf63788b3c5e25bc2, 39643, 0xf78e6aa81e736740, 0xffedc88dcf5a429e),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -87,10 +87,61 @@ fn traces() -> Vec<(&'static str, Vec<NetEvent>, Instant)> {
     ]
 }
 
-fn run(name: &'static str, events: &[NetEvent], end: Instant, shards: usize) -> Pin {
-    let rt =
-        ShardedRuntime::new(swmon_props::catalog(), RuntimeConfig { shards, ..Default::default() })
-            .expect("catalog properties are valid");
+/// The one-partition counters the ingress decides, per trace: `events_in`,
+/// `skipped`, `deliveries`, `batches`, `checkpoints`, then every
+/// `engine.*` field (`events`, `spawned`, `advanced`, `window_expired`,
+/// `cleared`, `deduplicated`, `refreshed`, `deadlines_fired`,
+/// `stale_effects_dropped`, `evicted`, `out_of_scope`).
+type Counters = (&'static str, [u64; 16]);
+
+fn counters(name: &'static str, stats: &RuntimeStats) -> Counters {
+    let e = &stats.engine;
+    (
+        name,
+        [
+            stats.events_in,
+            stats.skipped,
+            stats.deliveries,
+            stats.batches,
+            stats.checkpoints,
+            e.events,
+            e.spawned,
+            e.advanced,
+            e.window_expired,
+            e.cleared,
+            e.deduplicated,
+            e.refreshed,
+            e.deadlines_fired,
+            e.stale_effects_dropped,
+            e.evicted,
+            e.out_of_scope,
+        ],
+    )
+}
+
+#[rustfmt::skip]
+const COUNTERS: &[Counters] = &[
+    ("scenario", [1094, 0, 1094, 137, 1, 14782, 3287, 813, 146, 127, 1844, 286, 30, 0, 0, 0]),
+    ("lossy", [2104, 1, 2103, 263, 2, 10506, 5569, 1223, 82, 42, 4754, 962, 0, 0, 0, 0]),
+];
+
+/// What the ingress filter decides shows in these counters: a property bit
+/// set on an event that lacks one of the property's key fields costs a
+/// monitor visit (`engine.events`), and an event no property can use is
+/// `skipped` instead of delivered. Captured on the last commit that
+/// partitioned instance keys across shards (d7bd4f6), at one shard.
+#[test]
+fn one_partition_counters_are_pinned() {
+    let got: Vec<Counters> = traces()
+        .into_iter()
+        .map(|(name, events, end)| counters(name, &run(name, &events, end).1))
+        .collect();
+    assert_eq!(got, COUNTERS);
+}
+
+fn run(name: &'static str, events: &[NetEvent], end: Instant) -> (Pin, RuntimeStats) {
+    let rt = ShardedRuntime::new(swmon_props::catalog(), RuntimeConfig::default())
+        .expect("catalog properties are valid");
     let sink = Arc::new(StoreSink::new());
     let store = sink.store();
     let mut session = rt.start_with_sink(Some(sink as Arc<dyn ViolationSink>));
@@ -104,9 +155,8 @@ fn run(name: &'static str, events: &[NetEvent], end: Instant, shards: usize) -> 
     let sealed = store.to_bytes();
     let (sealed_matches, sealed_answer) = answer(&store);
     assert_eq!(sealed_matches, out.records.len(), "the sealed store holds every merged record");
-    (
+    let pin = (
         name,
-        shards,
         out.records.len(),
         digest_lines(out.signatures()),
         mid.len(),
@@ -116,16 +166,13 @@ fn run(name: &'static str, events: &[NetEvent], end: Instant, shards: usize) -> 
         sealed.len(),
         fnv1a(&sealed),
         sealed_answer,
-    )
+    );
+    (pin, out.stats)
 }
 
 #[test]
 fn merge_order_store_bytes_and_answers_are_pinned() {
-    let mut rows = Vec::new();
-    for (name, events, end) in traces() {
-        for shards in [1, 4] {
-            rows.push(run(name, &events, end, shards));
-        }
-    }
+    let rows: Vec<Pin> =
+        traces().into_iter().map(|(name, events, end)| run(name, &events, end).0).collect();
     assert_eq!(rows, PINNED);
 }
