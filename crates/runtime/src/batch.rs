@@ -6,7 +6,7 @@
 //! until the next checkpoint.
 
 use std::sync::Arc;
-use swmon_core::{MonitorSnapshot, Property};
+use swmon_core::Property;
 use swmon_sim::trace::NetEvent;
 use swmon_telemetry::EngineProbe;
 
@@ -74,20 +74,6 @@ impl Arena {
     }
 }
 
-/// What a quiesced shard reports back to the deploying session: a copy
-/// of the images of the checkpoint it forced once the journal was fully
-/// drained — a consistent snapshot of every monitor, and the one the shard
-/// itself would recover from.
-#[derive(Debug)]
-pub(crate) struct QuiesceAck {
-    /// One image per property, at its *current* (pre-deploy) catalog
-    /// position.
-    pub(crate) snapshots: Vec<MonitorSnapshot>,
-    /// Wall-clock nanoseconds the shard spent quiescing (journal drain +
-    /// forced checkpoint + a copy of its images).
-    pub(crate) quiesce_nanos: u64,
-}
-
 /// A catalog epoch as the shard hosts it: one monitor per property at its
 /// catalog position, and where that monitor's engine probe is. Built by
 /// the session for the initial epoch and for every deploy; the supervisor
@@ -99,23 +85,6 @@ pub(crate) struct ShardLayout {
     /// `probes[i]` is property `i`'s engine probe: the hub's one probe for
     /// the property's name, whichever epoch introduced it.
     pub(crate) probes: Vec<Arc<EngineProbe>>,
-}
-
-/// The new shard configuration staged by a deploy's prepare phase. Built
-/// by the session from the next [`swmon_core::CatalogEpoch`] and the
-/// quiesce snapshots; the supervisor constructs the new monitor set from
-/// it **without mutating live state**, so a failed prepare rolls back for
-/// free.
-#[derive(Debug)]
-pub(crate) struct ShardPrepare {
-    /// The epoch this preparation targets.
-    pub(crate) epoch: u64,
-    /// The catalog under the new epoch (new property positions).
-    pub(crate) layout: ShardLayout,
-    /// `adopt[i]`: the image to restore new property `i` from. Retained
-    /// properties carry their instance state across the deploy from the
-    /// quiesce images; everything else starts fresh.
-    pub(crate) adopt: Vec<Option<MonitorSnapshot>>,
 }
 
 #[cfg(test)]

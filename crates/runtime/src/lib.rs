@@ -23,12 +23,11 @@
 //! ## One thread
 //!
 //! The session calls the shard's supervisor directly: a sealed batch is
-//! applied before the `feed` that sealed it returns, and the deploy
-//! barrier's phases and `finish` are plain calls (`docs/RUNTIME.md`, "One
-//! thread", has the measurements behind this). The supervisor and the
-//! runtime stay `Send` (asserted below). Violations are merged
-//! deterministically ([`merge`]), so the output is byte-for-byte equal to
-//! the single-threaded reference.
+//! applied before the `feed` that sealed it returns, and a deploy and
+//! `finish` are one call each (`docs/RUNTIME.md`, "One thread", has the
+//! measurements behind this). The supervisor and the runtime stay `Send`
+//! (asserted below). Violations are merged deterministically ([`merge`]),
+//! so the output is byte-for-byte equal to the single-threaded reference.
 //!
 //! ## Fault tolerance
 //!
@@ -58,7 +57,7 @@ pub use config::{AdaptiveConfig, FaultPoint, RuntimeConfig, TelemetryConfig};
 pub use merge::{name_signature, signature, ViolationRecord};
 pub use router::Router;
 pub use sink::ViolationSink;
-pub use stats::{MonitoringGap, RuntimeStats, ShardStats};
+pub use stats::{MonitoringGap, RuntimeStats};
 pub use supervisor::{silence_injected_panics, ShardFailure, INJECTED_PANIC_PREFIX, MAX_RESTARTS};
 pub use swmon_core::{
     CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin, MAX_PROPERTIES,
@@ -67,11 +66,10 @@ pub use telemetry::{ShardProbe, TelemetryHub};
 
 use std::cell::Cell;
 use std::fmt;
-use std::mem::take;
 use std::sync::Arc;
 
-use batch::{Arena, QuiesceAck, ShardLayout, ShardPrepare};
-use supervisor::{ShardSpec, Supervisor};
+use batch::{Arena, ShardLayout};
+use supervisor::Supervisor;
 use swmon_core::{Monitor, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
@@ -95,8 +93,6 @@ pub enum RuntimeError {
     /// checkpoint) and was escalated by its supervisor. Terminal: the
     /// session returns this same error from every later call.
     ShardFailed {
-        /// The failing shard (always 0: a session is one partition).
-        shard: usize,
         /// Recoveries attempted before giving up.
         restarts: u64,
         /// The final panic message or restore error.
@@ -125,8 +121,8 @@ impl fmt::Display for RuntimeError {
                 write!(f, "{n} properties exceed the runtime limit of {MAX_PROPERTIES}")
             }
             RuntimeError::ZeroCapacity => write!(f, "a capacity-bounded store needs a cell"),
-            RuntimeError::ShardFailed { shard, restarts, message } => {
-                write!(f, "shard {shard} failed after {restarts} restart(s): {message}")
+            RuntimeError::ShardFailed { restarts, message } => {
+                write!(f, "shard failed after {restarts} restart(s): {message}")
             }
             RuntimeError::DeployRejected { epoch, reason } => {
                 write!(f, "deploy rejected (still at epoch {epoch}): {reason}")
@@ -139,7 +135,7 @@ impl std::error::Error for RuntimeError {}
 
 impl From<ShardFailure> for RuntimeError {
     fn from(f: ShardFailure) -> Self {
-        RuntimeError::ShardFailed { shard: f.shard, restarts: f.restarts, message: f.message }
+        RuntimeError::ShardFailed { restarts: f.restarts, message: f.message }
     }
 }
 
@@ -223,15 +219,8 @@ impl ShardedRuntime {
     pub fn start_with_sink(&self, sink: Option<Arc<dyn ViolationSink>>) -> Session<'_> {
         let hub = TelemetryHub::new(&self.cfg.telemetry);
         let probes = self.props.iter().map(|p| hub.engine(&p.name)).collect();
-        let mut inject: Vec<u64> = self.cfg.inject_faults.iter().map(|f| f.seq).collect();
-        inject.sort_unstable();
-        let shard = Supervisor::new(ShardSpec {
-            layout: ShardLayout { props: self.props.clone(), probes },
-            cfg: self.cfg.clone(),
-            inject,
-            probe: hub.shard().clone(),
-            sink: sink.clone(),
-        });
+        let layout = ShardLayout { props: self.props.clone(), probes };
+        let shard = Supervisor::new(layout, self.cfg.clone(), hub.shard().clone(), sink.clone());
         Session {
             rt: self,
             catalog: CatalogEpoch::initial(self.props.to_vec()),
@@ -266,7 +255,7 @@ pub struct DeployOutcome {
     /// The epoch now in effect.
     pub epoch: u64,
     /// The shard's quiesce pause in wall-clock nanoseconds (journal drain
-    /// + forced checkpoint + a copy of its images).
+    /// + forced checkpoint).
     pub quiesce_nanos: u64,
     /// Properties carried across with their instance state intact.
     pub retained: usize,
@@ -282,7 +271,8 @@ pub struct DeployOutcome {
 /// What the router has counted since it last added to the
 /// [`TelemetryHub`] — the hub holds the only running totals.
 ///
-/// `feed` bumps these plain cells; every dispatch, and every live read
+/// `feed` bumps these plain cells (a delivery is `events_in − skipped`,
+/// so it has none); every dispatch, and every live read
 /// ([`Session::live_stats`], [`Session::telemetry`]), adds them to the
 /// hub's atomics and zeroes them: a few atomic RMWs per batch instead of
 /// several per event on the inline hot path, and a live read is never
@@ -292,7 +282,6 @@ pub struct DeployOutcome {
 struct Routed {
     events_in: Cell<u64>,
     skipped: Cell<u64>,
-    delivered: Cell<u64>,
 }
 
 impl Routed {
@@ -303,7 +292,6 @@ impl Routed {
     fn add_to(&self, hub: &TelemetryHub) {
         hub.events_in.add(self.events_in.take());
         hub.skipped.add(self.skipped.take());
-        hub.shard().delivered.add(self.delivered.take());
     }
 }
 
@@ -393,7 +381,6 @@ impl Session<'_> {
             Routed::bump(&self.routed.skipped);
             false
         } else {
-            Routed::bump(&self.routed.delivered);
             self.arena.push(seq, ev, mask)
         };
         // Full, or stale: the oldest staged event has waited `flush_every`
@@ -440,11 +427,12 @@ impl Session<'_> {
     /// 1. **Validate** — [`CatalogEpoch::apply`] derives the next epoch;
     ///    any structural rejection happens before the shard is touched.
     /// 2. **Quiesce** — the shard drains its journal (crashing and
-    ///    recovering here rides the normal supervision path), forces a
-    ///    checkpoint, and replies with a copy of its images.
+    ///    recovering here rides the normal supervision path) and forces a
+    ///    checkpoint.
     /// 3. **Prepare** — the shard builds the next epoch's monitor set off
-    ///    to the side, restoring retained properties' images. Any failure —
-    ///    including a panic while preparing — aborts the plan.
+    ///    to the side, restoring retained properties from that checkpoint's
+    ///    images in place. Any failure — including a panic while preparing
+    ///    — aborts the plan, and the checkpoint stays the recovery point.
     /// 4. **Commit** — the staged set is swapped in and the session
     ///    resumes under the new epoch; violations raised from here on carry
     ///    it as provenance.
@@ -470,30 +458,22 @@ impl Session<'_> {
         // Everything fed so far must reach the shard before the barrier,
         // so the differential "deploy at k" cut is exact.
         self.dispatch()?;
-        let quiesced = self.shard.quiesce();
-        let QuiesceAck { mut snapshots, quiesce_nanos } = self.latch(quiesced)?;
-        // Retained properties carry their images across; upgraded and
-        // added ones start fresh, and removed ones are dropped.
-        let adopt: Vec<_> = next
-            .origins()
-            .iter()
-            .map(|origin| match *origin {
-                PropertyOrigin::Retained(prev) => Some(take(&mut snapshots[prev])),
-                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => None,
-            })
-            .collect();
-        let epoch = next.epoch();
         let registered = self.hub.engines().len();
         let layout = ShardLayout {
             probes: next.properties().iter().map(|p| self.hub.engine(&p.name)).collect(),
             props: next.properties().into(),
         };
-        if let Err(reason) = self.shard.deploy(ShardPrepare { epoch, layout, adopt }) {
-            // No live state was mutated, so rollback is the absence of a
-            // commit (and of the probes this deploy registered).
+        let deployed = self.shard.deploy(&next, layout);
+        if !matches!(deployed, Ok(Ok(_))) {
+            // No monitor reported to the probes this deploy registered.
             self.hub.engines().truncate(registered);
-            return Err(self.reject(prior, format!("shard 0 failed to prepare: {reason}")));
         }
+        let quiesce_nanos = match self.latch(deployed)? {
+            Ok(nanos) => nanos,
+            // No live state was mutated, so rollback is the absence of a
+            // commit.
+            Err(reason) => return Err(self.reject(prior, format!("prepare failed: {reason}"))),
+        };
         let (mut retained, mut upgraded, mut added) = (0, 0, 0);
         for origin in next.origins() {
             match origin {
@@ -503,6 +483,7 @@ impl Session<'_> {
             }
         }
         let removed = self.catalog.properties().len() - retained - upgraded;
+        let epoch = next.epoch();
         self.router = Router::new(next.properties(), &self.rt.cfg.monitor, 1);
         self.catalog = next;
         self.hub.deploys_applied.inc();
@@ -525,13 +506,12 @@ impl Session<'_> {
         self.routed.add_to(&self.hub);
         let tail = self.arena.seal();
         self.hub.batches.add(tail.is_some() as u64);
-        let shard = self.shard.finish(tail, end)?;
-        // The shard has stopped counting: the hub is final. What it cannot
-        // carry comes back with the shard.
-        let mut stats = self.hub.final_stats();
-        stats.gaps = shard.gaps;
-        shard.engine.iter().for_each(|engine| stats.absorb_engine(engine));
-        let records = merge::merge(shard.records);
+        // The shard folds in what the hub cannot carry; once it has
+        // stopped counting, the hub is final.
+        let mut stats = RuntimeStats::default();
+        let log = self.shard.finish(tail, end, &mut stats)?;
+        self.hub.read_into(&mut stats, false);
+        let records = merge::merge(log);
         if let Some(sink) = &self.sink {
             sink.seal(&records);
             self.hub.store_sealed.add(records.len() as u64);

@@ -1,10 +1,10 @@
 //! Deterministic violation merge.
 //!
-//! Workers report violations tagged with the input sequence number of the
-//! triggering event, but attribution of *timer* firings to sequence numbers
-//! depends on which events a shard happened to see — it is not stable
-//! across shard counts. The merge therefore orders records by a canonical
-//! key derived only from shard-count-independent data:
+//! The shard tags a violation with the input sequence number of its
+//! triggering event, but a *timer* firing gets whichever event advanced
+//! its monitor's clock — none in the single-threaded reference. The merge
+//! therefore orders records by a canonical key derived only from data
+//! every run over the same input agrees on:
 //!
 //! `(time, property position, timer-before-event rank, stage, bindings)`
 //!
@@ -120,8 +120,8 @@ fn sort_canonical(order: &mut [(u32, &ViolationRecord)]) {
 
 /// Sort records into the canonical order and stamp each violation with its
 /// stable merge-time sequence id ([`Violation::merge_seq`]): the position
-/// in this order. Deterministic for any interleaving of the same record
-/// multiset — i.e. for any shard count — so the ids are stable too.
+/// in this order. Deterministic for any order of the same record
+/// multiset, so the ids are stable too.
 pub fn merge(mut records: Vec<ViolationRecord>) -> Vec<ViolationRecord> {
     // References are sorted, not records: a record is a few hundred
     // bytes, and this way each moves once.

@@ -9,33 +9,12 @@ use swmon_core::MonitorStats;
 /// ([`swmon_core::Violation::degraded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitoringGap {
-    /// The shard that shed (always 0: a session is one partition).
-    pub shard: usize,
     /// Input sequence number of the first shed event.
     pub first_seq: u64,
     /// Input sequence number of the last shed event.
     pub last_seq: u64,
     /// Events shed in this episode.
     pub shed: u64,
-}
-
-/// The shard's activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Events delivered to this shard (each counted once, however many of
-    /// the shard's monitors examined it).
-    pub events: u64,
-    /// Violations this shard's monitors reported.
-    pub violations: u64,
-    /// Instances still live on this shard when it finished — the occupancy
-    /// the shard carried to end-of-trace.
-    pub live_instances: u64,
-    /// Events applied to this shard's monitors exactly once.
-    pub processed: u64,
-    /// Events explicitly shed (journal bound hit; see [`MonitoringGap`]).
-    pub shed: u64,
-    /// Crash recoveries this shard performed.
-    pub restarts: u64,
 }
 
 /// Counters describing one runtime run.
@@ -48,6 +27,16 @@ pub struct RuntimeStats {
     /// Events no property's class mask or key fields admitted, delivered
     /// nowhere (provably unable to affect any monitor).
     pub skipped: u64,
+    /// Delivered events applied to the monitors exactly once.
+    pub processed: u64,
+    /// Delivered events not yet applied: staged for a batch not yet
+    /// dispatched. Live reads only; the final read has none.
+    pub backlog: u64,
+    /// Violations reported.
+    pub violations: u64,
+    /// Live instances across the monitors, as of the last batch: at the
+    /// final read, the occupancy carried to end-of-trace.
+    pub live_instances: u64,
     /// Batches handed to the shard: one per dispatch with staged events.
     pub batches: u64,
     /// Shard crash recoveries.
@@ -71,12 +60,10 @@ pub struct RuntimeStats {
     /// failed prepare; the session continued under the prior epoch).
     pub deploys_rolled_back: u64,
     /// Wall-clock nanoseconds the shard spent quiesced for deploys
-    /// (journal drain + forced checkpoint + a copy of its images).
+    /// (journal drain + forced checkpoint).
     pub quiesce_nanos: u64,
     /// Shedding episodes.
     pub gaps: Vec<MonitoringGap>,
-    /// The shard's breakdown: one entry, the session's one partition.
-    pub per_shard: Vec<ShardStats>,
     /// Aggregated engine counters, summed over every monitor.
     pub engine: MonitorStats,
 }
@@ -98,13 +85,13 @@ impl RuntimeStats {
         e.out_of_scope += s.out_of_scope;
     }
 
-    /// Events whose fate is unexplained: delivered to a shard but neither
-    /// processed nor explicitly shed (or the reverse — processed more than
-    /// delivered). The fault-tolerance contract is that this is **always
-    /// zero**; the `e15` chaos benchmark and the chaos-smoke CI job fail
-    /// on any other value.
+    /// Events whose fate is unexplained: delivered but neither processed,
+    /// explicitly shed nor still staged (or the reverse — accounted for
+    /// more than delivered). The fault-tolerance contract is that this is
+    /// **always zero**; the `e15` chaos benchmark and the chaos-smoke CI
+    /// job fail on any other value.
     pub fn unaccounted_loss(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.events.abs_diff(s.processed + s.shed)).sum()
+        self.deliveries.abs_diff(self.processed + self.shed + self.backlog)
     }
 }
 
@@ -124,16 +111,11 @@ mod tests {
 
     #[test]
     fn unaccounted_loss_detects_both_directions() {
-        let mut r = RuntimeStats {
-            per_shard: vec![
-                ShardStats { events: 10, processed: 7, shed: 3, ..Default::default() },
-                ShardStats { events: 10, processed: 8, shed: 0, ..Default::default() },
-                ShardStats { events: 10, processed: 11, shed: 0, ..Default::default() },
-            ],
-            ..Default::default()
-        };
-        assert_eq!(r.unaccounted_loss(), 3);
-        r.per_shard.truncate(1);
-        assert_eq!(r.unaccounted_loss(), 0);
+        let mut r = RuntimeStats { deliveries: 10, processed: 6, shed: 3, ..Default::default() };
+        assert_eq!(r.unaccounted_loss(), 1, "one delivery unexplained");
+        r.backlog = 1;
+        assert_eq!(r.unaccounted_loss(), 0, "a staged delivery is not lost");
+        r.processed = 8;
+        assert_eq!(r.unaccounted_loss(), 2, "more accounted for than delivered");
     }
 }

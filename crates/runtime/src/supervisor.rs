@@ -2,14 +2,13 @@
 //! bounded-journal load shedding.
 //!
 //! The session's one shard is a `Supervisor`, called on the caller thread:
-//! `apply_batch` per dispatch, the deploy barrier's `quiesce` and
-//! `deploy`, and `finish` at the end of input. The supervisor
-//! owns the crash-domain [`WorkerState`] and drives it only through
-//! `catch_unwind`, so a panic inside it — a genuine engine bug, or a fault
-//! injected via [`RuntimeConfig::inject_faults`] — never takes the runtime
-//! down. After [`MAX_RESTARTS`] recoveries the next panic escalates a
-//! [`ShardFailure`], which the session keeps as its answer to every later
-//! call.
+//! `apply_batch` per dispatch, `deploy` per deploy barrier, and `finish`
+//! at the end of input. The supervisor owns the crash-domain
+//! [`WorkerState`] and drives it only through `catch_unwind`, so a panic
+//! inside it — a genuine engine bug, or a fault injected via
+//! [`RuntimeConfig::inject_faults`] — never takes the runtime down. After
+//! [`MAX_RESTARTS`] recoveries the next panic escalates a [`ShardFailure`],
+//! which the session keeps as its answer to every later call.
 //! Recovery rebuilds the monitors from the last checkpoint
 //! ([`swmon_core::Monitor::restore`]) and replays the in-memory journal of
 //! events delivered since, so a recovered run's merged violation output is
@@ -28,14 +27,14 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use crate::batch::{Batch, Item, QuiesceAck, ShardLayout, ShardPrepare};
+use crate::batch::{Batch, Item, ShardLayout};
 use crate::config::RuntimeConfig;
 use crate::merge::ViolationRecord;
 use crate::sink::ViolationSink;
-use crate::stats::MonitoringGap;
+use crate::stats::{MonitoringGap, RuntimeStats};
 use crate::telemetry::ShardProbe;
 use crate::worker::{WorkerState, FLUSH_SEQ};
-use swmon_core::{Monitor, MonitorSet, MonitorSnapshot, MonitorStats, Property};
+use swmon_core::{CatalogEpoch, Monitor, MonitorSet, MonitorSnapshot, Property, PropertyOrigin};
 use swmon_sim::time::Instant;
 
 /// How many times a shard may be recovered (checkpoint restore + journal
@@ -70,33 +69,12 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// Blueprint for building — and after a crash, *re*building — the shard's
-/// monitors.
-#[derive(Debug)]
-pub(crate) struct ShardSpec {
-    /// What the shard hosts under the initial epoch.
-    pub(crate) layout: ShardLayout,
-    /// The runtime configuration in effect (already normalized).
-    pub(crate) cfg: RuntimeConfig,
-    /// Input sequence numbers at which to panic, ascending. Consumed
-    /// supervisor-side *before* the panic is raised, so replay after
-    /// recovery does not re-trigger the fault.
-    pub(crate) inject: Vec<u64>,
-    /// The shard's telemetry probe (shared with the hub).
-    pub(crate) probe: Arc<ShardProbe>,
-    /// Optional live violation sink: every log position is published to
-    /// it exactly once, as its batch completes (see [`crate::sink`]).
-    pub(crate) sink: Option<Arc<dyn ViolationSink>>,
-}
-
 /// Terminal shard failure: the restart budget ([`MAX_RESTARTS`]) is
 /// exhausted, or a checkpoint could not be restored. Reported instead of
 /// an outcome; the runtime surfaces it as
 /// [`crate::RuntimeError::ShardFailed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFailure {
-    /// The failing shard.
-    pub shard: usize,
     /// Recoveries attempted before giving up.
     pub restarts: u64,
     /// The final panic message (or restore error).
@@ -105,24 +83,8 @@ pub struct ShardFailure {
 
 impl fmt::Display for ShardFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "shard {} failed after {} restart(s): {}",
-            self.shard, self.restarts, self.message
-        )
+        write!(f, "shard failed after {} restart(s): {}", self.restarts, self.message)
     }
-}
-
-/// What a supervised shard hands back on success: the things its
-/// [`ShardProbe`] cannot carry. Every count lives in the probe.
-#[derive(Debug)]
-pub(crate) struct ShardOutcome {
-    /// The shard's violation log, in discovery order.
-    pub(crate) records: Vec<ViolationRecord>,
-    /// Each hosted monitor's final engine counters.
-    pub(crate) engine: Vec<MonitorStats>,
-    /// Shedding episodes, in input order.
-    pub(crate) gaps: Vec<MonitoringGap>,
 }
 
 /// A consistent restart point: one image per monitor (none before the
@@ -144,9 +106,7 @@ struct Told {
     live: u64,
 }
 
-/// The shard's supervision state, called directly by the session. Between
-/// a deploy's `quiesce` and its `deploy`, the session calls nothing else
-/// on it.
+/// The shard's supervision state, called directly by the session.
 pub(crate) struct Supervisor {
     cfg: RuntimeConfig,
     state: WorkerState,
@@ -169,6 +129,9 @@ pub(crate) struct Supervisor {
     /// Highest journal position any incarnation reached this window —
     /// applications below it are replays, at or above it first-times.
     high_water: usize,
+    /// Input sequence numbers at which to panic, ascending. Consumed
+    /// *before* the panic is raised, so replay after recovery does not
+    /// re-trigger the fault.
     inject: VecDeque<u64>,
     in_gap: bool,
     open_gap: Option<MonitoringGap>,
@@ -192,31 +155,38 @@ impl fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    pub(crate) fn new(spec: ShardSpec) -> Self {
-        let set = build_set(&spec.cfg, &spec.layout.props, |_| None)
-            .expect("fresh monitors restore nothing");
+    /// A shard hosting `layout` under the initial epoch, counting into
+    /// `probe` and publishing what it raises to `sink`, if one is wired.
+    /// `cfg` is the normalized configuration in effect.
+    pub(crate) fn new(
+        layout: ShardLayout,
+        cfg: RuntimeConfig,
+        probe: Arc<ShardProbe>,
+        sink: Option<Arc<dyn ViolationSink>>,
+    ) -> Self {
+        let set = build_set(&cfg, &layout.props, |_| None).expect("fresh monitors restore nothing");
         let told = vec![Told::default(); set.len()];
-        let state = WorkerState::new(spec.layout, set);
-        let inject_deploy = spec.cfg.inject_deploy_faults;
+        let mut inject: Vec<u64> = cfg.inject_faults.iter().map(|f| f.seq).collect();
+        inject.sort_unstable();
         Supervisor {
-            cfg: spec.cfg,
-            state,
+            inject_deploy: cfg.inject_deploy_faults,
+            cfg,
+            state: WorkerState::new(layout, set),
             // No images before the first checkpoint: a crash that early
             // rebuilds the monitors fresh, which is what they were.
             checkpoint: Checkpoint { snapshots: Vec::new(), records_len: 0 },
             told,
-            inject_deploy,
             journal: Vec::new(),
             journal_len: 0,
             journal_pos: 0,
             high_water: 0,
-            inject: spec.inject.into(),
+            inject: inject.into(),
             in_gap: false,
             open_gap: None,
             gaps: Vec::new(),
             restarts_left: MAX_RESTARTS,
-            probe: spec.probe,
-            sink: spec.sink,
+            probe,
+            sink,
             published: 0,
         }
     }
@@ -237,7 +207,6 @@ impl Supervisor {
             self.probe.shed.add(overflow.len() as u64);
             self.in_gap = true;
             let gap = self.open_gap.get_or_insert(MonitoringGap {
-                shard: 0,
                 first_seq: first.seq,
                 last_seq: first.seq,
                 shed: 0,
@@ -340,7 +309,7 @@ impl Supervisor {
                         // Consume the injection first so replay does not
                         // re-panic.
                         self.inject.pop_front();
-                        panic!("{INJECTED_PANIC_PREFIX}: shard 0 at seq {seq}");
+                        panic!("{INJECTED_PANIC_PREFIX} at seq {seq}");
                     }
                 }
                 self.state.apply(seq, mask, ev, self.in_gap);
@@ -371,7 +340,7 @@ impl Supervisor {
     /// stands: the log keeps it, and replay's copies of it are dropped.
     fn recover(&mut self, payload: &(dyn Any + Send)) -> Result<(), ShardFailure> {
         let t0 = std::time::Instant::now();
-        let fail = |restarts: u64, message: String| ShardFailure { shard: 0, restarts, message };
+        let fail = |restarts: u64, message: String| ShardFailure { restarts, message };
         let Some(left) = self.restarts_left.checked_sub(1) else {
             return Err(fail(MAX_RESTARTS, panic_message(payload)));
         };
@@ -403,8 +372,8 @@ impl Supervisor {
     }
 
     /// Take a checkpoint now. Requires a fully applied journal (callers:
-    /// `maybe_checkpoint` after its guard, the quiesce barrier after a
-    /// full drain, and deploy commit).
+    /// `maybe_checkpoint` after its guard, and `deploy` after its full
+    /// drain and at its commit).
     ///
     /// The images are brought up to date in place
     /// ([`Monitor::snapshot_into`]): a monitor whose image is the one it
@@ -426,53 +395,52 @@ impl Supervisor {
         self.journal_pos = 0;
         self.high_water = 0;
         self.probe.checkpoints.inc();
-        if let Some(gap) = self.open_gap.take() {
-            self.gaps.push(gap);
-        }
+        self.gaps.extend(self.open_gap.take());
         self.in_gap = false;
     }
 
-    /// Deploy phase 1: drain everything outstanding (crashing and
-    /// recovering here follows the normal supervision path — a deploy
-    /// racing a crash window rides on journal replay), force a checkpoint,
-    /// and hand the session a copy of its images to carry across.
-    pub(crate) fn quiesce(&mut self) -> Result<QuiesceAck, ShardFailure> {
+    /// A deploy's barrier, in one call. Quiesce: drain everything
+    /// outstanding (a crash here rides the normal supervision path) and
+    /// force a checkpoint. Prepare: build `next`'s monitor set from
+    /// `layout` *without touching live state*, each retained property
+    /// restored from its image in that checkpoint, by reference. Commit:
+    /// swap the set in and checkpoint under it, so any later recovery
+    /// restores the *new* set; violations logged from here on carry the
+    /// new epoch, and the outgoing monitors' shares of their properties'
+    /// gauges are retracted (a retired one no longer lives anywhere), the
+    /// incoming set's added.
+    ///
+    /// Returns the quiesce pause in nanoseconds, or `Ok(Err(reason))` if
+    /// prepare failed (restore error, panic or injected fault, all caught
+    /// at the panic boundary): the shard is then exactly as the quiesce
+    /// left it, recovery point included, since prepare copies and takes
+    /// nothing out of the checkpoint — rollback is the absence of a commit.
+    /// `Err` is a terminal failure of the drain.
+    pub(crate) fn deploy(
+        &mut self,
+        next: &CatalogEpoch,
+        layout: ShardLayout,
+    ) -> Result<Result<u64, String>, ShardFailure> {
         let t0 = std::time::Instant::now();
         self.drive(None)?;
         self.force_checkpoint();
-        let snapshots = self.checkpoint.snapshots.clone();
         let nanos = t0.elapsed().as_nanos() as u64;
         self.probe.quiesce.record(nanos);
-        Ok(QuiesceAck { snapshots, quiesce_nanos: nanos })
-    }
-
-    /// Deploy phases 2 and 3: build the next epoch's monitor set *without
-    /// touching live state* (prepare), then swap it in and checkpoint under
-    /// it (commit), so any later recovery restores the *new* set.
-    ///
-    /// Restores run inside the panic boundary; any failure (restore error,
-    /// panic, injected deploy fault) returns before the commit and leaves
-    /// the shard exactly as the quiesce checkpoint left it — rollback is
-    /// the absence of a commit. On commit, violations logged from here on
-    /// carry the new epoch; the outgoing monitors' shares of their
-    /// properties' gauges are retracted (a retired one no longer lives
-    /// anywhere), the incoming set's added.
-    pub(crate) fn deploy(&mut self, prep: ShardPrepare) -> Result<(), String> {
         let inject = self.inject_deploy > 0;
-        if inject {
-            self.inject_deploy -= 1;
-        }
-        let ShardPrepare { epoch, layout, adopt } = prep;
+        self.inject_deploy = self.inject_deploy.saturating_sub(1);
+        let images = &self.checkpoint.snapshots;
         let built = panic::catch_unwind(AssertUnwindSafe(|| {
             if inject {
-                panic!("{INJECTED_PANIC_PREFIX}: deploy prepare on shard 0");
+                panic!("{INJECTED_PANIC_PREFIX} in deploy prepare");
             }
-            build_set(&self.cfg, &layout.props, |i| adopt.get(i).and_then(Option::as_ref))
+            build_set(&self.cfg, &layout.props, |i| match next.origins()[i] {
+                PropertyOrigin::Retained(prev) => Some(&images[prev]),
+                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => None,
+            })
         }));
-        let set = match built {
-            Ok(Ok(set)) => set,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => return Err(panic_message(payload.as_ref())),
+        let set = match built.unwrap_or_else(|payload| Err(panic_message(payload.as_ref()))) {
+            Ok(set) => set,
+            Err(reason) => return Ok(Err(reason)),
         };
         for (probe, told) in self.state.layout.probes.iter().zip(&self.told) {
             probe.live.add(-(told.live as i64));
@@ -481,10 +449,10 @@ impl Supervisor {
         self.told = set.monitors().iter().map(told).collect();
         self.state.layout = layout;
         self.state.set = set;
-        self.state.log.epoch = epoch;
+        self.state.log.epoch = next.epoch();
         self.read_engines(true);
         self.force_checkpoint();
-        Ok(())
+        Ok(Ok(nanos))
     }
 
     /// Hand the log positions past the published mark to the sink, and
@@ -505,29 +473,31 @@ impl Supervisor {
         self.published = self.state.log.records.len();
     }
 
-    /// End of input: apply the arena's tail, advance
-    /// every monitor to `end` (firing pending deadlines), and hand back
-    /// what the probe cannot carry. The tail is applied here rather than as
-    /// a batch of its own, so it and the timer drain are one publish.
+    /// End of input: apply the arena's tail, advance every monitor to
+    /// `end` (firing pending deadlines), fold what the probe cannot carry —
+    /// the monitoring gaps and each monitor's engine counters — into
+    /// `stats`, and hand back the violation log, in discovery order. The
+    /// tail is applied here rather than as a batch of its own, so it and
+    /// the timer drain are one publish.
     pub(crate) fn finish(
         mut self,
         tail: Option<Batch>,
         end: Instant,
-    ) -> Result<ShardOutcome, ShardFailure> {
+        stats: &mut RuntimeStats,
+    ) -> Result<Vec<ViolationRecord>, ShardFailure> {
         tail.into_iter().for_each(|batch| self.admit(batch));
         self.drive(Some(end))?;
-        if let Some(gap) = self.open_gap.take() {
-            self.gaps.push(gap);
-        }
+        self.gaps.extend(self.open_gap.take());
         self.publish();
-        let engine = self.state.set.monitors().iter().map(|m| m.stats.clone()).collect();
-        Ok(ShardOutcome { records: self.state.log.records, engine, gaps: self.gaps })
+        stats.gaps = self.gaps;
+        self.state.set.monitors().iter().for_each(|m| stats.absorb_engine(&m.stats));
+        Ok(self.state.log.records)
     }
 }
 
 /// The one place a shard's monitors are built — for the initial epoch
-/// ([`Supervisor::new`]), after a crash (`recover`) and for a staged epoch
-/// (`prepare`): a fresh monitor for every property, property `i` restored
+/// ([`Supervisor::new`]), after a crash (`recover`) and for a deploy's
+/// next epoch (`deploy`): a fresh monitor for every property, property `i` restored
 /// from `snapshot_for(i)` when that yields one.
 fn build_set<'a>(
     cfg: &RuntimeConfig,
@@ -601,25 +571,24 @@ mod tests {
         }
     }
 
-    /// A one-shard spec. Its probe (`spec.probe`) is the only place the
-    /// supervisor counts, so the tests read their numbers there.
-    fn spec(cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
-        spec_of(vec![repeat_prop()], cfg, inject)
-    }
-
-    fn spec_of(props: Vec<Property>, cfg: RuntimeConfig, inject: Vec<u64>) -> ShardSpec {
-        let cfg = cfg.normalized();
+    /// A supervisor over `props`, panicking at the seqs in `inject`, with
+    /// its probe: the only place it counts, so the tests read their numbers
+    /// there.
+    fn supervisor_of(
+        props: Vec<Property>,
+        cfg: RuntimeConfig,
+        inject: Vec<u64>,
+        sink: Option<Arc<dyn ViolationSink>>,
+    ) -> (Supervisor, Arc<ShardProbe>) {
+        let inject_faults = inject.into_iter().map(|seq| crate::FaultPoint { seq }).collect();
+        let cfg = RuntimeConfig { inject_faults, ..cfg }.normalized();
         let hub = crate::telemetry::TelemetryHub::new(&cfg.telemetry);
-        ShardSpec {
-            layout: ShardLayout {
-                probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
-                props: props.into(),
-            },
-            cfg,
-            inject,
-            probe: hub.shard().clone(),
-            sink: None,
-        }
+        let layout = ShardLayout {
+            probes: props.iter().map(|p| hub.engine(&p.name)).collect(),
+            props: props.into(),
+        };
+        let probe = hub.shard().clone();
+        (Supervisor::new(layout, cfg, probe.clone(), sink), probe)
     }
 
     /// Keeps each publish's records, one inner vector per call.
@@ -640,19 +609,20 @@ mod tests {
         fn seal(&self, _merged: &[ViolationRecord]) {}
     }
 
-    /// A supervisor over `spec` publishing into a fresh [`Recording`].
-    fn recorded(mut spec: ShardSpec) -> (Supervisor, Arc<ShardProbe>, Arc<Recording>) {
+    /// A supervisor over `props` publishing into a fresh [`Recording`].
+    fn recorded(
+        props: Vec<Property>,
+        cfg: RuntimeConfig,
+        inject: Vec<u64>,
+    ) -> (Supervisor, Arc<ShardProbe>, Arc<Recording>) {
         let sink = Arc::new(Recording::default());
-        spec.sink = Some(sink.clone());
-        let probe = spec.probe.clone();
-        (Supervisor::new(spec), probe, sink)
+        let (sup, probe) = supervisor_of(props, cfg, inject, Some(sink.clone()));
+        (sup, probe, sink)
     }
 
-    /// A fresh supervisor over [`spec`], with its probe.
+    /// A fresh supervisor over [`repeat_prop`], with its probe.
     fn supervised(cfg: RuntimeConfig, inject: Vec<u64>) -> (Supervisor, Arc<ShardProbe>) {
-        let spec = spec(cfg, inject);
-        let probe = spec.probe.clone();
-        (Supervisor::new(spec), probe)
+        supervisor_of(vec![repeat_prop()], cfg, inject, None)
     }
 
     fn test_ev(seq: u64) -> NetEvent {
@@ -676,13 +646,21 @@ mod tests {
         out
     }
 
-    fn run_with(cfg: RuntimeConfig, inject: Vec<u64>, n: u64) -> (ShardOutcome, Arc<ShardProbe>) {
+    /// The log and the folded stats of a run over `n` events, with the
+    /// probe.
+    fn run_with(
+        cfg: RuntimeConfig,
+        inject: Vec<u64>,
+        n: u64,
+    ) -> (Vec<ViolationRecord>, RuntimeStats, Arc<ShardProbe>) {
         silence_injected_panics();
         let (mut sup, probe) = supervised(cfg, inject);
         for batch in batches(n) {
             sup.apply_batch(batch).expect("shard survives");
         }
-        (sup.finish(None, Instant::from_nanos(1_000_000)).expect("shard survives"), probe)
+        let mut stats = RuntimeStats::default();
+        let log = sup.finish(None, Instant::from_nanos(1_000_000), &mut stats);
+        (log.expect("shard survives"), stats, probe)
     }
 
     fn base_cfg() -> RuntimeConfig {
@@ -691,14 +669,14 @@ mod tests {
 
     #[test]
     fn injected_panics_recover_to_identical_output() {
-        let (clean, clean_probe) = run_with(base_cfg(), vec![], 40);
-        let (faulty, probe) = run_with(base_cfg(), vec![3, 21, 33], 40);
+        let (clean, _, clean_probe) = run_with(base_cfg(), vec![], 40);
+        let (faulty, _, probe) = run_with(base_cfg(), vec![3, 21, 33], 40);
         assert_eq!(probe.restarts.get(), 3);
         assert!(probe.replayed.get() > 0, "recovery replayed the journal gap");
         assert_eq!(probe.shed.get(), 0);
         assert_eq!(probe.processed.get(), 40, "each item counts once, replays apart");
         let sig =
-            |o: &ShardOutcome| o.records.iter().map(crate::merge::signature).collect::<Vec<_>>();
+            |log: &[ViolationRecord]| log.iter().map(crate::merge::signature).collect::<Vec<_>>();
         assert_eq!(sig(&clean), sig(&faulty));
         assert_eq!(clean_probe.processed.get(), probe.processed.get());
     }
@@ -713,7 +691,7 @@ mod tests {
         let run = |inject: Vec<u64>| {
             let crash_at = inject.first().copied();
             let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
-            let (mut sup, probe, sink) = recorded(spec(cfg, inject));
+            let (mut sup, probe, sink) = recorded(vec![repeat_prop()], cfg, inject);
             let mut arena = Arena::new(3);
             for seq in 0..90 {
                 if arena.push(seq, &test_ev(seq), 1) {
@@ -778,7 +756,6 @@ mod tests {
             .into_iter()
             .find_map(|batch| sup.apply_batch(batch).err())
             .expect("the fault past the budget escalates");
-        assert_eq!(err.shard, 0);
         assert_eq!(err.restarts, MAX_RESTARTS);
         assert_eq!(probe.restarts.get(), MAX_RESTARTS, "every recovery in the budget ran");
         assert!(err.message.starts_with(INJECTED_PANIC_PREFIX), "{}", err.message);
@@ -794,7 +771,7 @@ mod tests {
             let _ = arena.push(seq, &test_ev(seq), 1);
         }
         let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
-        let (mut sup, probe, sink) = recorded(spec(cfg, vec![]));
+        let (mut sup, probe, sink) = recorded(vec![repeat_prop()], cfg, vec![]);
         sup.apply_batch(arena.seal().unwrap()).unwrap();
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the flushed batch's violation is visible at once");
@@ -812,7 +789,7 @@ mod tests {
             published.iter().flatten().map(crate::merge::signature).collect()
         };
         let run = |inject: Vec<u64>| {
-            let (mut sup, probe, sink) = recorded(spec(base_cfg(), inject));
+            let (mut sup, probe, sink) = recorded(vec![repeat_prop()], base_cfg(), inject);
             let mut mark = 0;
             for batch in batches(40) {
                 sup.apply_batch(batch).unwrap();
@@ -824,8 +801,9 @@ mod tests {
                 );
                 mark = sup.published;
             }
-            let out = sup.finish(None, Instant::from_nanos(1_000_000)).expect("finish succeeds");
-            let log: Vec<String> = out.records.iter().map(crate::merge::signature).collect();
+            let end = Instant::from_nanos(1_000_000);
+            let out = sup.finish(None, end, &mut RuntimeStats::default()).expect("finish succeeds");
+            let log: Vec<String> = out.iter().map(crate::merge::signature).collect();
             (sig(sink.publishes()), log, probe)
         };
         let (clean, clean_log, _) = run(vec![]);
@@ -856,14 +834,13 @@ mod tests {
             ],
         };
         let cfg = RuntimeConfig::default();
-        let (sup, _, sink) = recorded(spec_of(vec![repeat_prop(), due], cfg, vec![]));
+        let (sup, _, sink) = recorded(vec![repeat_prop(), due], cfg, vec![]);
         let mut arena = Arena::new(64);
         for seq in 0..12 {
             let _ = arena.push(seq, &test_ev(seq), 0b11);
         }
-        let out =
-            sup.finish(arena.seal(), Instant::from_nanos(1_000_000)).expect("finish succeeds");
-        let log = out.records;
+        let end = Instant::from_nanos(1_000_000);
+        let log = sup.finish(arena.seal(), end, &mut RuntimeStats::default()).expect("finishes");
         let published = sink.publishes();
         assert_eq!(published.len(), 1, "the tail batch and the timer drain are one publish");
         assert_eq!(published[0].len(), log.len());
@@ -874,12 +851,12 @@ mod tests {
     #[test]
     fn tiny_journal_sheds_explicitly_and_accounts_everything() {
         let cfg = RuntimeConfig { checkpoint_every: 16, journal_limit: 3, ..Default::default() };
-        let (out, probe) = run_with(cfg, vec![], 40);
+        let (_, stats, probe) = run_with(cfg, vec![], 40);
         let shed = probe.shed.get();
         assert!(shed > 0, "bursts beyond the journal bound are shed");
         assert_eq!(40, probe.processed.get() + shed, "no silent loss");
-        assert!(!out.gaps.is_empty());
-        let gap_total: u64 = out.gaps.iter().map(|g| g.shed).sum();
+        assert!(!stats.gaps.is_empty());
+        let gap_total: u64 = stats.gaps.iter().map(|g| g.shed).sum();
         assert_eq!(gap_total, shed, "every shed event is inside a gap");
     }
 
@@ -887,7 +864,7 @@ mod tests {
     fn unreachable_injection_points_are_skipped() {
         // A seq the shard never sees (shed, or filtered at the ingress)
         // must not wedge later injections.
-        let (_, probe) = run_with(base_cfg(), vec![100_000], 20);
+        let (_, _, probe) = run_with(base_cfg(), vec![100_000], 20);
         assert_eq!(probe.restarts.get(), 0);
         assert_eq!(probe.processed.get(), 20);
     }

@@ -5,44 +5,41 @@
 //! Every view is a read of these atomics:
 //! [`Session::live_stats`](crate::Session::live_stats) mid-run,
 //! [`Outcome::stats`](crate::Outcome::stats) at the end (the same
-//! constructor, plus the monitoring gaps and summed engine counters the
-//! shard hands back), and [`TelemetryHub::export`] for the full metric
+//! reader, plus the monitoring gaps and summed engine counters the
+//! finished shard folds in), and [`TelemetryHub::export`] for the full metric
 //! page ([`swmon_telemetry::Snapshot`]) behind `repro stats`. There is no
 //! second copy for them to disagree with.
 //!
 //! ## Live and final reads
 //!
 //! Counters are independent `Relaxed` atomics, so a reader can observe one
-//! counter a moment staler than another. The two reads differ in exactly
-//! one field, [`ShardStats::events`]:
+//! counter a moment staler than another. The router side of the audit is
+//! `deliveries = events_in − skipped`, written by the session and never by
+//! the shard; the shard side is `processed + shed`. The two reads differ
+//! in exactly one field, [`RuntimeStats::backlog`]:
 //!
-//! - a **live** read computes it as `processed + shed` from the same two
-//!   atomics the loss audit reads, so [`RuntimeStats::unaccounted_loss`]
-//!   is zero on every live snapshot by construction (deliveries counted
-//!   but not yet applied are not "lost");
-//! - the **final** read takes it from the router-side count
-//!   ([`ShardProbe::delivered`]), written by the session and never by the
-//!   shard, so the audit is two-sided: a delivery a shard neither
-//!   processed nor shed shows up as loss.
+//! - a **live** read sets it to the deliveries not yet applied, the same
+//!   saturating difference the exported `swmon_shard_backlog_events` gauge
+//!   shows, so [`RuntimeStats::unaccounted_loss`] is zero on every live
+//!   snapshot whose shard has not applied more than was delivered
+//!   (deliveries staged but not yet applied are not "lost");
+//! - the **final** read sets it to 0, so the audit is two-sided: a
+//!   delivery the shard neither processed nor shed shows up as loss.
 //!
-//! Every counter is monotone — a live snapshot is always component-wise ≤
-//! the final one, and equal to it once the run has finished loss-free.
+//! Every counter but the backlog is monotone — a live snapshot is
+//! component-wise ≤ the final one, and equal to it once the run has
+//! finished loss-free.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::TelemetryConfig;
-use crate::stats::{RuntimeStats, ShardStats};
+use crate::stats::RuntimeStats;
 use swmon_telemetry::{names, Counter, EngineProbe, Gauge, Histogram, Key, Snapshot};
 
-/// The shard's counters. Written by its supervisor — which keeps no
-/// private copy of any of them — except [`ShardProbe::delivered`], which
-/// the session writes.
+/// The shard's counters. Written by its supervisor, which keeps no
+/// private copy of any of them.
 #[derive(Debug, Default)]
 pub struct ShardProbe {
-    /// Items the router sent to the shard, added by the session at each
-    /// dispatch and live read: the router side of the no-silent-loss
-    /// audit.
-    pub delivered: Counter,
     /// Items applied to the monitors exactly once.
     pub processed: Counter,
     /// Items explicitly shed (journal bound hit).
@@ -72,8 +69,8 @@ pub struct ShardProbe {
     /// [`RuntimeStats::recovery_nanos`].
     pub recovery: Histogram,
     /// Per-deploy quiesce pause, nanoseconds (journal drain + forced
-    /// checkpoint + a copy of its images). Empty until a deploy quiesces. Its
-    /// sum is [`RuntimeStats::quiesce_nanos`].
+    /// checkpoint). Empty until a deploy quiesces. Its sum is
+    /// [`RuntimeStats::quiesce_nanos`].
     pub quiesce: Histogram,
     /// Violation records published to the live store sink
     /// ([`crate::sink::ViolationSink`]). Zero when no sink is wired.
@@ -153,61 +150,50 @@ impl TelemetryHub {
 
     /// A live [`RuntimeStats`] built from the shared atomics. Satisfies
     /// `unaccounted_loss() == 0` at any moment and is component-wise
-    /// monotone towards the final stats (see module docs). Monitoring-gap
-    /// episodes are supervisor-private until the run finishes, so `gaps`
-    /// is empty here; the shed *count* is live. Router-side counts are as
-    /// of the session's last dispatch (or
+    /// monotone towards the final stats, `backlog` apart (see module
+    /// docs). Monitoring-gap episodes are supervisor-private until the run
+    /// finishes, so `gaps` is empty here; the shed *count* is live.
+    /// Router-side counts are as of the session's last dispatch (or
     /// [`Session::live_stats`](crate::Session::live_stats) call).
     pub fn live_stats(&self) -> RuntimeStats {
-        self.stats(false)
+        let mut stats = RuntimeStats::default();
+        self.read_into(&mut stats, true);
+        stats
     }
 
-    /// The finished run's [`RuntimeStats`], less what the hub cannot
-    /// carry (`gaps`, `engine`): the live read with the audit made
-    /// two-sided (see module docs).
-    pub(crate) fn final_stats(&self) -> RuntimeStats {
-        self.stats(true)
-    }
-
-    /// The one [`RuntimeStats`] constructor. `router_side` picks where
-    /// [`ShardStats::events`] comes from.
-    fn stats(&self, router_side: bool) -> RuntimeStats {
-        let mut stats = RuntimeStats {
-            events_in: self.events_in.get(),
-            skipped: self.skipped.get(),
-            batches: self.batches.get(),
-            property_set_epoch: self.property_set_epoch.get(),
-            deploys_applied: self.deploys_applied.get(),
-            deploys_rolled_back: self.deploys_rolled_back.get(),
-            ..Default::default()
-        };
+    /// The one [`RuntimeStats`] reader: every field but the two the hub
+    /// cannot carry (`gaps`, `engine`), which a finished shard folds in
+    /// itself. `live` picks the backlog: the deliveries not yet applied,
+    /// or none — the final read, whose audit is two-sided.
+    pub(crate) fn read_into(&self, stats: &mut RuntimeStats, live: bool) {
         let probe = &self.shard;
-        let delivered = probe.delivered.get();
-        let processed = probe.processed.get();
-        let shed = probe.shed.get();
-        stats.deliveries = delivered;
-        stats.per_shard.push(ShardStats {
-            events: if router_side { delivered } else { processed + shed },
-            violations: probe.violations.get(),
-            live_instances: probe.live_instances.get(),
-            processed,
-            shed,
-            restarts: probe.restarts.get(),
-        });
+        // The shard side first, as a delivery is counted before it is
+        // applied.
+        let (processed, shed) = (probe.processed.get(), probe.shed.get());
+        stats.events_in = self.events_in.get();
+        stats.skipped = self.skipped.get();
+        stats.deliveries = stats.events_in.saturating_sub(stats.skipped);
+        stats.processed = processed;
+        stats.shed = shed;
+        stats.backlog = if live { stats.deliveries.saturating_sub(processed + shed) } else { 0 };
+        stats.violations = probe.violations.get();
+        stats.live_instances = probe.live_instances.get();
+        stats.batches = self.batches.get();
         stats.restarts = probe.restarts.get();
         stats.checkpoints = probe.checkpoints.get();
         stats.replayed = probe.replayed.get();
-        stats.shed = shed;
         stats.degraded_violations = probe.degraded_violations.get();
         stats.recovery_nanos = probe.recovery.snapshot().sum;
+        stats.property_set_epoch = self.property_set_epoch.get();
+        stats.deploys_applied = self.deploys_applied.get();
+        stats.deploys_rolled_back = self.deploys_rolled_back.get();
         stats.quiesce_nanos = probe.quiesce.snapshot().sum;
-        // `stats.engine` stays zeroed: engine probes count every monitor
-        // application *including recovery replays*, while the final
-        // MonitorStats are checkpoint-restored and count each event once —
-        // folding probes in here would break monotonicity towards the
-        // final stats. Per-property engine activity lives on the exported
-        // page ([`TelemetryHub::export`]) instead.
-        stats
+        // `stats.engine` is not the hub's: engine probes count every
+        // monitor application *including recovery replays*, while the
+        // final MonitorStats are checkpoint-restored and count each event
+        // once — folding probes in here would break monotonicity towards
+        // the final stats. Per-property engine activity lives on the
+        // exported page ([`TelemetryHub::export`]) instead.
     }
 
     /// Freeze the full metric page. Every name on it comes from
@@ -215,9 +201,16 @@ impl TelemetryHub {
     pub fn export(&self) -> Snapshot {
         let mut page = Snapshot::default();
         let probe = &self.shard;
-        page.counters.push((Key::plain(names::EVENTS_IN), self.events_in.get()));
-        page.counters.push((Key::plain(names::DELIVERIES), probe.delivered.get()));
-        page.counters.push((Key::plain(names::SKIPPED), self.skipped.get()));
+        // Deliveries are the router side, `events_in − skipped`; the
+        // backlog (delivered events staged for a batch not yet dispatched)
+        // is that less the shard side, read first, as a delivery is
+        // counted before it is applied.
+        let (processed, shed) = (probe.processed.get(), probe.shed.get());
+        let (events_in, skipped) = (self.events_in.get(), self.skipped.get());
+        let delivered = events_in.saturating_sub(skipped);
+        page.counters.push((Key::plain(names::EVENTS_IN), events_in));
+        page.counters.push((Key::plain(names::DELIVERIES), delivered));
+        page.counters.push((Key::plain(names::SKIPPED), skipped));
         page.counters.push((Key::plain(names::BATCHES), self.batches.get()));
         page.counters.push((Key::plain(names::STORE_SEALED), self.store_sealed.get()));
         page.gauges.push((Key::plain(names::PROPERTY_SET_EPOCH), self.property_set_epoch.get()));
@@ -225,11 +218,6 @@ impl TelemetryHub {
         page.counters
             .push((Key::plain(names::DEPLOYS_ROLLED_BACK), self.deploys_rolled_back.get()));
         let c = |name: &str, v: u64| (Key::labeled(name, "shard", 0), v);
-        // Backlog — what the shard still owes the router: delivered events
-        // staged for a batch not yet dispatched. Its counts are read first,
-        // as a delivery is counted before it is applied.
-        let (processed, shed) = (probe.processed.get(), probe.shed.get());
-        let delivered = probe.delivered.get();
         page.counters.push(c(names::SHARD_DELIVERED, delivered));
         page.counters.push(c(names::SHARD_PROCESSED, processed));
         page.counters.push(c(names::SHARD_SHED, shed));
@@ -276,31 +264,32 @@ mod tests {
     fn live_stats_reconcile_by_construction() {
         let h = hub();
         h.events_in.add(10);
-        h.shard().delivered.add(9);
+        h.skipped.add(1);
         h.shard().processed.add(7);
         h.shard().shed.add(2);
         let live = h.live_stats();
         assert_eq!(live.unaccounted_loss(), 0);
-        assert_eq!(live.per_shard[0].events, 9);
-        assert_eq!(live.deliveries, 9);
-        assert_eq!(live.shed, 2);
+        assert_eq!((live.deliveries, live.processed, live.shed, live.backlog), (9, 7, 2, 0));
     }
 
     #[test]
     fn final_stats_audit_against_the_router_side_count() {
-        // The router sent the shard ten items; it accounts for nine.
+        // Twelve events in, two skipped: the router sent the shard ten
+        // items, and it accounts for nine.
         let h = hub();
-        h.shard().delivered.add(10);
+        h.events_in.add(12);
+        h.skipped.add(2);
         h.shard().processed.add(7);
         h.shard().shed.add(2);
         // Mid-run the tenth may simply be staged: the live view never
-        // calls it lost.
-        assert_eq!(h.live_stats().unaccounted_loss(), 0);
-        // At the end it is — the final audit is not `x == x`.
-        let fin = h.final_stats();
-        assert_eq!(fin.per_shard[0].events, 10);
-        assert_eq!(fin.unaccounted_loss(), 1);
-        // Mid-run the same difference is the shard's backlog.
+        // calls it lost, it is the backlog.
+        let live = h.live_stats();
+        assert_eq!((live.deliveries, live.backlog, live.unaccounted_loss()), (10, 1, 0));
+        // At the end it is lost — the final audit is not `x == x`.
+        let mut fin = RuntimeStats::default();
+        h.read_into(&mut fin, false);
+        assert_eq!((fin.deliveries, fin.backlog, fin.unaccounted_loss()), (10, 0, 1));
+        // The exported gauge is the live backlog.
         let page = h.export();
         let backlog: Vec<u64> = page
             .gauges
@@ -308,7 +297,9 @@ mod tests {
             .filter(|(k, _)| k.name == names::SHARD_BACKLOG)
             .map(|&(_, v)| v)
             .collect();
-        assert_eq!(backlog, [1]);
+        assert_eq!(backlog, [live.backlog]);
+        assert_eq!(page.counter(names::DELIVERIES), Some(10));
+        assert_eq!(page.counter(names::SHARD_DELIVERED), Some(10));
     }
 
     #[test]

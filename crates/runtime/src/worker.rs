@@ -5,9 +5,9 @@
 //! A worker panic — a genuine engine bug or an injected fault — can leave
 //! this state torn mid-event, so the supervisor ([`crate::supervisor`])
 //! drives it only inside a panic boundary and rebuilds it from the last
-//! checkpoint on unwind. Nothing in here touches channels, and no output
-//! depends on its one clock use (sampled wall-timing of `process`); it is
-//! the purely deterministic part of a shard.
+//! checkpoint on unwind. It neither journals, publishes nor checkpoints,
+//! and no output depends on its one clock use (sampled wall-timing of
+//! `process`); it is the purely deterministic part of a shard.
 
 use crate::batch::ShardLayout;
 use crate::merge::{canonical_cmp, ViolationRecord};

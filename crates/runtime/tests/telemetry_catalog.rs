@@ -75,8 +75,8 @@ fn backlog_gauge_is_zero_after_finish() {
 
 /// How far behind the monitor is, live: the events delivered and staged
 /// for a batch not yet dispatched. Fewer than `batch` of them read as the
-/// backlog on the live page; the dispatch that applies them, and `finish`,
-/// read 0.
+/// backlog on the live page and in `live_stats()`; the dispatch that
+/// applies them, and `finish`, read 0.
 #[test]
 fn backlog_gauge_counts_staged_events_until_their_dispatch() {
     let props = vec![firewall::return_not_dropped()];
@@ -85,24 +85,32 @@ fn backlog_gauge_counts_staged_events_until_their_dispatch() {
     let cfg = RuntimeConfig { batch: batch as usize, flush_every: 1 << 30, ..Default::default() };
     let rt = ShardedRuntime::new(props, cfg).expect("valid property");
     let mut session = rt.start();
+    // The live stats and the exported gauge agree on the backlog.
+    let owed = |session: &swmon_runtime::Session| {
+        let stats = session.live_stats();
+        assert_eq!(backlog(&session.telemetry().export()), [stats.backlog]);
+        stats
+    };
     let mut events = trace().into_iter();
     let mut staged = 0;
     while staged < batch - 1 {
         let ev = events.next().expect("the trace outlasts a batch");
         session.feed(&ev).expect("no faults injected");
-        staged = session.live_stats().deliveries;
-        assert_eq!(backlog(&session.telemetry().export()), [staged]);
+        let stats = owed(&session);
+        staged = stats.deliveries;
+        assert_eq!((stats.backlog, stats.processed), (staged, 0));
     }
-    assert!(staged > 0 && session.live_stats().per_shard[0].processed == 0);
+    assert!(staged > 0);
     // The next delivered event fills the block: it is dispatched and the
     // backlog drains.
     while session.live_stats().deliveries == staged {
         session.feed(&events.next().expect("a delivered event")).expect("no faults injected");
     }
-    assert_eq!(backlog(&session.telemetry().export()), [0]);
-    assert_eq!(session.live_stats().per_shard[0].processed, batch);
+    let stats = owed(&session);
+    assert_eq!((stats.backlog, stats.processed), (0, batch));
     let out = session.finish(END).expect("run succeeds");
     assert_eq!(backlog(&out.telemetry.export()), [0]);
+    assert_eq!(out.stats.backlog, 0);
 }
 
 #[test]
@@ -123,10 +131,7 @@ fn exported_counters_reconcile_with_final_stats() {
         counter(names::SHARD_PROCESSED) + counter(names::SHARD_SHED)
     );
     assert_eq!(counter(names::SHARD_DELIVERED), out.stats.deliveries);
-    assert_eq!(
-        counter(names::SHARD_VIOLATIONS),
-        out.stats.per_shard.iter().map(|s| s.violations).sum::<u64>()
-    );
+    assert_eq!(counter(names::SHARD_VIOLATIONS), out.stats.violations);
     // The checkpoint layer: one timed sample per checkpoint,
     // and they copied something (how little: `tests/checkpoint_cost.rs`).
     assert_eq!(counter(names::SHARD_CHECKPOINTS), out.stats.checkpoints);
@@ -220,7 +225,7 @@ fn live_gauge_sums_replicas_and_retracts_on_removal() {
     let held = reference.live_instances() as u64;
     assert!(held > 0, "the trace must leave instances live");
     let out = rt.run(trace().iter(), END).expect("run succeeds");
-    assert_eq!(out.stats.per_shard[0].live_instances, 2 * held);
+    assert_eq!(out.stats.live_instances, 2 * held);
     assert_eq!(live(&out.telemetry.export()), 2 * held);
 
     let mut session = rt.start();

@@ -12,10 +12,10 @@ pub const EVENTS_IN: &str = "swmon_events_in_total";
 pub const DELIVERIES: &str = "swmon_deliveries_total";
 /// Events that matched no property and were delivered nowhere.
 pub const SKIPPED: &str = "swmon_skipped_total";
-/// Channel batches sent.
+/// Batches handed to the shard.
 pub const BATCHES: &str = "swmon_batches_total";
 
-/// Per-shard: items received from the router. Label: `shard`.
+/// Per-shard: items received from the router (`events_in - skipped`). Label: `shard`.
 pub const SHARD_DELIVERED: &str = "swmon_shard_delivered_total";
 /// Per-shard: items applied to monitors exactly once. Label: `shard`.
 pub const SHARD_PROCESSED: &str = "swmon_shard_processed_total";
@@ -64,7 +64,7 @@ pub const DEPLOYS_APPLIED: &str = "swmon_deploys_applied_total";
 /// the session continued under the prior epoch.
 pub const DEPLOYS_ROLLED_BACK: &str = "swmon_deploys_rolled_back_total";
 /// The shard's quiesce pause during deploys, in nanoseconds (histogram):
-/// journal drain + forced checkpoint + a copy of its images. Label: `shard`.
+/// journal drain + forced checkpoint. Label: `shard`.
 pub const SHARD_QUIESCE_NANOS: &str = "swmon_shard_quiesce_nanos";
 
 /// Per-property: in-scope events examined, replays included (equal to

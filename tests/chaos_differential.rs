@@ -282,7 +282,7 @@ fn what_was_published_stands_when_a_gap_opens_before_the_crash() {
 /// A shard that escalates stays failed. Faults at every seq from 100 on
 /// exhaust its restart budget ([`MAX_RESTARTS`]); from the feed that
 /// escalates on, every `feed`, `deploy` and `finish` returns that same
-/// `ShardFailed` — same shard, same message — and the shard applies, routes
+/// `ShardFailed` — same restarts, same message — and the shard applies, routes
 /// or checkpoints nothing more.
 #[test]
 fn an_escalated_shard_fails_every_later_call() {
@@ -298,16 +298,16 @@ fn an_escalated_shard_fails_every_later_call() {
     let mut session = rt.start();
     let mut events = trace.iter();
     let first = events.find_map(|ev| session.feed(ev).err()).expect("the shard escalates");
-    let RuntimeError::ShardFailed { shard, restarts, ref message } = first else {
+    let RuntimeError::ShardFailed { restarts, ref message } = first else {
         panic!("not a shard failure: {first}");
     };
-    assert_eq!((shard, restarts), (0, MAX_RESTARTS));
-    assert!(message.starts_with("injected fault: shard 0"), "{message}");
+    assert_eq!(restarts, MAX_RESTARTS);
+    assert!(message.starts_with("injected fault at seq "), "{message}");
     let frozen = session.live_stats();
-    let processed = |s: &RuntimeStats| s.per_shard[0].processed;
+    let processed = |s: &RuntimeStats| s.processed;
     let same = |err: RuntimeError, call: &str| match err {
-        RuntimeError::ShardFailed { shard: s, restarts: r, message: m } => {
-            assert_eq!((s, r, &m), (shard, restarts, message), "{call}");
+        RuntimeError::ShardFailed { restarts: r, message: m } => {
+            assert_eq!((r, &m), (restarts, message), "{call}");
         }
         other => panic!("{call}: {other}"),
     };

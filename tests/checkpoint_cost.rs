@@ -30,8 +30,8 @@ fn checkpoints_copy_what_changed_not_what_is_live() {
         let stats = session.live_stats();
         if stats.checkpoints > checkpoints {
             checkpoints = stats.checkpoints;
-            live_at_checkpoints += stats.per_shard[0].live_instances;
-            live_peak = live_peak.max(stats.per_shard[0].live_instances);
+            live_at_checkpoints += stats.live_instances;
+            live_peak = live_peak.max(stats.live_instances);
         }
     }
     // No settle time: the windows still open stay open, so the engine

@@ -16,12 +16,15 @@
 //! * a deploy whose prepare phase dies (injected via
 //!   `inject_deploy_faults`) rolls the session back: it
 //!   finishes byte-identical to one that never attempted the plan, and a
-//!   retry of the same plan then succeeds.
+//!   retry of the same plan then succeeds;
+//! * the checkpoint a deploy's barrier takes is the recovery point after
+//!   it, rolled back or committed: a crash on the very next delivered
+//!   event recovers from it.
 
 use swmon::monitor::{MonitorConfig, Property};
 use swmon::runtime::{
-    name_signature, reference_records, silence_injected_panics, DeployPlan, RuntimeConfig,
-    RuntimeError, ShardedRuntime, ViolationRecord,
+    name_signature, reference_records, silence_injected_panics, DeployPlan, FaultPoint, Outcome,
+    RuntimeConfig, RuntimeError, ShardedRuntime, ViolationRecord,
 };
 use swmon::sim::{
     CrashWindow, DeploySchedule, Duration, FaultPlan, Instant, NetEvent, PortNo, SwitchId,
@@ -184,7 +187,7 @@ fn failed_prepare_rolls_back_byte_identical() {
     let err = session.deploy(&plan).unwrap_err();
     match &err {
         RuntimeError::DeployRejected { epoch: 0, reason } => {
-            assert!(reason.contains("shard 0"), "the failing shard is named: {reason}");
+            assert!(reason.starts_with("prepare failed: injected fault"), "{reason}");
         }
         other => panic!("a prepare crash must reject, not kill the session: {other}"),
     }
@@ -241,4 +244,81 @@ fn retry_after_rollback_succeeds() {
     assert_eq!(out.stats.deploys_applied, 1);
     assert_eq!(out.stats.unaccounted_loss(), 0);
     assert_eq!(sorted_sigs(&out.records), expect, "the retry deploys at its own point");
+}
+
+/// The seq of the first event at or after `from` that the ingress of
+/// `props` delivers.
+fn first_delivered(props: Vec<Property>, trace: &[NetEvent], from: usize) -> u64 {
+    let rt = ShardedRuntime::new(props, RuntimeConfig::default()).expect("valid properties");
+    let mut mask = [0];
+    let delivered = (from..trace.len()).find(|&i| {
+        rt.router().masks(&trace[i], &mut mask);
+        mask[0] != 0
+    });
+    delivered.expect("a delivered event follows") as u64
+}
+
+/// Deploy an add at the outage's midpoint, then crash the shard on the
+/// first event delivered after it: the barrier's drain left the journal
+/// empty, so the recovery restores the barrier's own checkpoint and
+/// replays only that event's batch. With `fail_prepare` the deploy's
+/// prepare panics and the checkpoint is the quiesce's, the one the
+/// prepare restored the retained properties from; otherwise it is the
+/// commit's. Returns the outcome and the oracle's sorted signatures.
+fn crash_right_after_deploy(fail_prepare: bool) -> (Outcome, Vec<String>) {
+    silence_injected_panics();
+    let (trace, end, schedule) = chaos_setup();
+    let k = trace.partition_point(|e| e.time < schedule.points[1]);
+    let added = renamed(firewall::return_not_dropped(), "firewall/hot-add");
+    let mut next = swmon_props::catalog();
+    let mut expect = reference_sigs(&next, &trace, end);
+    if !fail_prepare {
+        expect.extend(reference_sigs(std::slice::from_ref(&added), &trace[k..], end));
+        expect.sort();
+        next.push(added.clone());
+    }
+    let cfg = RuntimeConfig {
+        checkpoint_every: 128,
+        inject_faults: vec![FaultPoint { seq: first_delivered(next, &trace, k) }],
+        inject_deploy_faults: usize::from(fail_prepare),
+        ..Default::default()
+    };
+    let rt = ShardedRuntime::new(swmon_props::catalog(), cfg).expect("catalog is valid");
+    let mut session = rt.start();
+    for ev in &trace[..k] {
+        session.feed(ev).expect("no crash before the deploy");
+    }
+    let deployed = session.deploy(&DeployPlan::add(added));
+    match deployed {
+        Err(RuntimeError::DeployRejected { epoch: 0, .. }) if fail_prepare => {}
+        Ok(outcome) if !fail_prepare => assert_eq!(outcome.epoch, 1),
+        other => panic!("fail_prepare {fail_prepare}: {other:?}"),
+    }
+    for ev in &trace[k..] {
+        session.feed(ev).expect("the crash recovers");
+    }
+    let out = session.finish(end).expect("the crash recovers");
+    assert_eq!(out.stats.restarts, 1, "the one injected crash fired: {:?}", out.stats);
+    assert_eq!(out.stats.unaccounted_loss(), 0);
+    (out, expect)
+}
+
+/// A prepare that fails leaves the quiesce checkpoint whole: a crash right
+/// after the rollback recovers from its images, byte-identical to the
+/// reference that never saw the plan.
+#[test]
+fn a_crash_right_after_a_rolled_back_deploy_recovers_from_the_quiesce_images() {
+    let (out, expect) = crash_right_after_deploy(true);
+    assert_eq!(out.stats.deploys_rolled_back, 1);
+    assert!(out.records.iter().all(|r| r.epoch == 0));
+    assert_eq!(sorted_sigs(&out.records), expect, "the recovery diverged from the reference");
+}
+
+/// The same crash right after a committed deploy recovers from the
+/// commit's checkpoint, under the new epoch.
+#[test]
+fn a_crash_right_after_a_committed_deploy_recovers_from_the_commit_images() {
+    let (out, expect) = crash_right_after_deploy(false);
+    assert_eq!(out.stats.deploys_applied, 1);
+    assert_eq!(sorted_sigs(&out.records), expect, "the recovery diverged from the oracle");
 }
