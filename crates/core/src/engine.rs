@@ -49,8 +49,8 @@
 
 use crate::property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{Probe, StageKey, StageKeyPlan};
-use crate::slots::SlotStore;
-use crate::var::Bindings;
+use crate::slots::{Slot, SlotStore, UNBOUND};
+use crate::var::{Bindings, MAX_VARS};
 use crate::violation::{ProvenanceMode, Violation};
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -162,6 +162,10 @@ pub(crate) enum TimerKind {
     Deadline,
 }
 
+/// One live instance. Its bound values and the stage ids it has recorded
+/// are not here but in plain rows beside its slot ([`crate::slots`]): the
+/// value row holds one cell per variable of the property, and `bound` says
+/// which of them the instance has bound so far.
 #[derive(Debug)]
 pub(crate) struct Instance {
     /// Unique incarnation id, so deferred (split-mode) effects can never be
@@ -169,7 +173,8 @@ pub(crate) struct Instance {
     pub(crate) uid: u64,
     /// Index of the stage this instance waits to satisfy.
     pub(crate) awaiting: usize,
-    pub(crate) bindings: Bindings,
+    /// Bit `i` set when cell `i` of the slot's value row holds a binding.
+    pub(crate) bound: u8,
     /// Advancing events, kept only in `Full` provenance mode.
     pub(crate) history: Vec<NetEvent>,
     pub(crate) timer: Option<TimerId>,
@@ -177,8 +182,9 @@ pub(crate) struct Instance {
     pub(crate) cell: Option<usize>,
 }
 
-// A live slot's size; see docs/PERF.md, "An instance is stored once".
-const _: () = assert!(size_of::<Option<Instance>>() <= 296);
+// A live slot's size, without its rows; see docs/PERF.md, "An instance
+// holds only its property's variables".
+const _: () = assert!(size_of::<Option<Instance>>() <= 80);
 
 /// Hand-written for `clone_from`: a checkpoint image is patched slot by
 /// slot ([`Monitor::snapshot_into`]), and overwriting an image's instance
@@ -188,7 +194,7 @@ impl Clone for Instance {
         Instance {
             uid: self.uid,
             awaiting: self.awaiting,
-            bindings: self.bindings,
+            bound: self.bound,
             history: self.history.clone(),
             timer: self.timer,
             cell: self.cell,
@@ -196,8 +202,8 @@ impl Clone for Instance {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        let Instance { uid, awaiting, bindings, history, timer, cell } = source;
-        (self.uid, self.awaiting, self.bindings) = (*uid, *awaiting, *bindings);
+        let Instance { uid, awaiting, bound, history, timer, cell } = source;
+        (self.uid, self.awaiting, self.bound) = (*uid, *awaiting, *bound);
         self.history.clone_from(history);
         (self.timer, self.cell) = (*timer, *cell);
     }
@@ -251,11 +257,36 @@ fn unfile<K: Hash + Eq>(map: &mut FoldMap<K, Slots>, key: K, idx: usize) -> bool
     true
 }
 
-/// The dedup index: every live instance's slot, filed under a hash of the
-/// stage it awaits and its bound values. It keeps no key of its own — the
-/// instance in the slot is the key — so a lookup confirms each slot filed
-/// under the hash against that slot's `awaiting` and `bindings`. Two keys
-/// under one 64-bit hash share an entry and are told apart that way.
+/// An instance's dedup key: the stage it awaits and its bindings, as a
+/// value row of its property's variables and the mask of the cells bound.
+/// An unbound cell holds [`UNBOUND`], so equal masks and equal rows are
+/// equal bindings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Key<'a> {
+    stage: usize,
+    bound: u8,
+    row: &'a [FieldValue],
+}
+
+impl<'a> Key<'a> {
+    #[inline]
+    fn of(slot: &Slot<'a>) -> Self {
+        Key { stage: slot.inst.awaiting, bound: slot.inst.bound, row: slot.row }
+    }
+
+    /// The key of the instance in slot `idx`, if any.
+    #[inline]
+    fn at(slots: &'a SlotStore, idx: usize) -> Option<Self> {
+        let (inst, row) = slots.row(idx)?;
+        Some(Key { stage: inst.awaiting, bound: inst.bound, row })
+    }
+}
+
+/// The dedup index: every live instance's slot, filed under a hash of its
+/// [`Key`]. It keeps no key of its own — the slot's instance and value row
+/// are the key — so a lookup confirms each slot filed under the hash
+/// against that slot's key. Two keys under one 64-bit hash share an entry
+/// and are told apart that way.
 ///
 /// The hash reads the stage and each bound value, one word each
 /// ([`FieldValue::to_u64_key`]), under the map's own seed; it skips the
@@ -271,30 +302,24 @@ struct DedupIndex {
 }
 
 impl DedupIndex {
-    /// The hash an instance awaiting `stage` with `bindings` is filed under.
+    /// The hash an instance of key `key` is filed under.
     #[inline]
-    fn hash(&self, stage: usize, bindings: &Bindings) -> u64 {
+    fn hash(&self, key: Key<'_>) -> u64 {
         let mut state = self.map.hasher().build_hasher();
-        state.write_usize(stage);
-        for (_, value) in bindings.iter() {
-            state.write_u64(value.to_u64_key());
+        state.write_usize(key.stage);
+        for (col, value) in key.row.iter().enumerate() {
+            if (key.bound >> col) & 1 == 1 {
+                state.write_u64(value.to_u64_key());
+            }
         }
         state.finish()
     }
 
-    /// The live slot awaiting `stage` with `bindings`, filed under `hash`.
+    /// The live slot of key `key`, filed under `hash`.
     #[inline]
-    fn get(
-        &self,
-        hash: u64,
-        stage: usize,
-        bindings: &Bindings,
-        slots: &SlotStore,
-    ) -> Option<usize> {
+    fn get(&self, hash: u64, key: Key<'_>, slots: &SlotStore) -> Option<usize> {
         let filed = self.map.get(&hash)?.as_slice();
-        filed.iter().copied().find(|&idx| {
-            slots.get(idx).is_some_and(|i| i.awaiting == stage && i.bindings == *bindings)
-        })
+        filed.iter().copied().find(|&idx| Key::at(slots, idx) == Some(key))
     }
 
     fn insert(&mut self, hash: u64, idx: usize) {
@@ -308,10 +333,11 @@ impl DedupIndex {
         }
     }
 
-    /// Unfile `inst`, which sits in slot `idx` under the key it was filed
-    /// with.
-    fn remove_instance(&mut self, inst: &Instance, idx: usize) {
-        self.remove(self.hash(inst.awaiting, &inst.bindings), idx);
+    /// Unfile the live slot `idx`, under the key it was filed with.
+    fn remove_slot(&mut self, slots: &SlotStore, idx: usize) {
+        if let Some(key) = Key::at(slots, idx) {
+            self.remove(self.hash(key), idx);
+        }
     }
 }
 
@@ -412,19 +438,20 @@ fn empty_buckets(stages: usize, stage_keys: &StageKeyPlan) -> Vec<Bucket> {
         .collect()
 }
 
-/// The values `inst`, holding stage ids `ids`, is posted under in a bucket
-/// keyed by `key` — one per probe source — or `None` when it holds no value
-/// for some source and belongs in `rest`. Pure in the instance's awaited
-/// stage, the bindings held on entering it and its stage ids — none of
-/// which change while it awaits — so insert and remove agree. (Two sources
-/// holding the same value post the slot twice under it and remove it
-/// twice; candidates are deduplicated anyway.)
-fn postings<'a>(
-    key: &'a StageKey,
-    inst: &'a Instance,
-    ids: &'a [Option<PacketId>],
-) -> Option<impl Iterator<Item = Posted> + 'a> {
-    let value = |p: &Probe| p.instance_value(&inst.bindings, ids);
+/// The values `slot` is posted under in a bucket keyed by `key` — one per
+/// probe source — or `None` when it holds no value for some source and
+/// belongs in `rest`: a `Var` source reads the instance's binding, a
+/// `Packet` source the id recorded at that stage (none for a deadline or
+/// out-of-band stage). Pure in the instance's awaited stage, the bindings
+/// held on entering it and its stage ids — none of which change while it
+/// awaits — so insert and remove agree. (Two sources holding the same
+/// value post the slot twice under it and remove it twice; candidates are
+/// deduplicated anyway.)
+fn postings<'a>(key: &'a StageKey, slot: Slot<'a>) -> Option<impl Iterator<Item = Posted> + 'a> {
+    let value = move |p: &Probe| match p {
+        Probe::Var(v, _) => slot.get(v).copied(),
+        Probe::Packet(i) => slot.ids.get(*i).copied().flatten().map(|id| FieldValue::Uint(id.0)),
+    };
     let sources = key.sources();
     sources.iter().all(|p| value(p).is_some()).then(|| sources.iter().filter_map(value).map(Posted))
 }
@@ -483,13 +510,13 @@ impl Monitor {
     /// `cfg.capacity` is `Some(0)`; use [`Monitor::try_new`] for untrusted
     /// (e.g. DSL-loaded) input.
     pub fn new(property: Property, cfg: MonitorConfig) -> Self {
-        property.validate().expect("property must be well-formed");
+        let vars = property.checked_var_table().expect("property must be well-formed");
         assert_ne!(cfg.capacity, Some(0), "a capacity-bounded store needs a cell");
         let stage_keys = StageKeyPlan::of(&property);
         let buckets = empty_buckets(property.stages.len(), &stage_keys);
         // An instance records one id per stage it completes before the
         // last, which raises.
-        let slots = SlotStore::new(property.stages.len() - 1);
+        let slots = SlotStore::new(property.stages.len() - 1, vars.into_boxed());
         Monitor {
             property,
             cfg,
@@ -556,15 +583,25 @@ impl Monitor {
     pub fn state_bytes(&self) -> usize {
         self.slots
             .live()
-            .map(|(_, i, ids)| {
-                i.bindings.approx_bytes()
-                    + i.history
+            .map(|(_, slot)| {
+                slot.bindings().approx_bytes()
+                    + slot
+                        .inst
+                        .history
                         .iter()
                         .map(|e| e.packet().map(|p| p.len()).unwrap_or(8))
                         .sum::<usize>()
-                    + ids.len() * 9
+                    + slot.ids.len() * 9
             })
             .sum()
+    }
+
+    /// `(values, stage ids)` per slot of each chunk the live store has
+    /// allocated, measured from the allocation: a value row holds one cell
+    /// per variable of the property, an id row one per stage but the last.
+    #[doc(hidden)]
+    pub fn slot_row_widths(&self) -> Vec<(usize, Option<usize>)> {
+        self.slots.row_widths()
     }
 
     /// Advance the clock to `t`, firing due timers (and, in split mode,
@@ -654,13 +691,14 @@ impl Monitor {
         debug_assert!(effects.is_empty() && cands.is_empty());
         self.gather_candidates(ev, &mut cands);
         for &idx in &cands {
-            let Some((inst, ids)) = self.slots.entry(idx) else { continue };
+            let Some(slot) = self.slots.entry(idx) else { continue };
+            let (inst, ids, held) = (slot.inst, slot.ids, slot.bindings());
             let stage = &self.property.stages[inst.awaiting];
             // Clearings first.
             let cleared = stage
                 .unless
                 .iter()
-                .any(|u| u.pattern.matches(ev) && u.guard.eval(ev, &inst.bindings, ids).is_some());
+                .any(|u| u.pattern.matches(ev) && u.guard.eval(ev, &held, ids).is_some());
             if cleared {
                 effects.push(Effect::Kill { idx, uid: inst.uid, expected_stage: inst.awaiting });
                 continue;
@@ -668,7 +706,7 @@ impl Monitor {
             // Advances.
             if let StageKind::Match { pattern, guard } = &stage.kind {
                 if pattern.matches(ev) {
-                    if let Some(env) = guard.eval(ev, &inst.bindings, ids) {
+                    if let Some(env) = guard.eval(ev, &held, ids) {
                         let event =
                             (self.cfg.provenance == ProvenanceMode::Full).then(|| ev.clone());
                         effects.push(Effect::Advance {
@@ -789,17 +827,16 @@ impl Monitor {
                     self.stats.stale_effects_dropped += 1;
                     return;
                 }
-                if let Some(inst) = self.slots.get_mut(idx) {
-                    // Unindex under the *original* bindings before the
-                    // advance extends them — computing the old key after
-                    // assignment would leave a stale index entry that
-                    // swallows future spawns via deduplication.
-                    self.index.remove_instance(inst, idx);
-                    inst.bindings = bindings;
-                    if self.cfg.provenance == ProvenanceMode::Full {
-                        if let Some(ev) = event {
-                            inst.history.push(ev);
-                        }
+                // Unindex under the *original* bindings before the advance
+                // extends them — computing the old key after assignment
+                // would leave a stale index entry that swallows future
+                // spawns via deduplication.
+                self.index.remove_slot(&self.slots, idx);
+                let packed = self.slots.bind(idx, &bindings);
+                debug_assert!(packed, "a guard binds only its property's variables");
+                if self.cfg.provenance == ProvenanceMode::Full {
+                    if let (Some(ev), Some(inst)) = (event, self.slots.get_mut(idx)) {
+                        inst.history.push(ev);
                     }
                 }
                 self.advance_instance_unindexed(idx, stage_id, obs_time);
@@ -833,8 +870,13 @@ impl Monitor {
             self.raise(at, &bindings, &history, 0);
             return;
         }
-        let hash = self.index.hash(1, &bindings);
-        if let Some(incumbent) = self.index.get(hash, 1, &bindings, &self.slots) {
+        let mut row = [UNBOUND; MAX_VARS];
+        let row = &mut row[..self.slots.cols().len()];
+        let bound = bindings.pack(self.slots.cols(), row);
+        debug_assert!(bound.is_some(), "a guard binds only its property's variables");
+        let key = Key { stage: 1, bound: bound.unwrap_or(0), row };
+        let hash = self.index.hash(key);
+        if let Some(incumbent) = self.index.get(hash, key, &self.slots) {
             self.dedup_against(incumbent, at);
             return;
         }
@@ -859,8 +901,8 @@ impl Monitor {
         self.wrote(idx);
         let uid = self.next_uid;
         self.next_uid += 1;
-        let inst = Instance { uid, awaiting: 1, bindings, history, timer: None, cell };
-        self.slots.put(idx, inst, stage_id);
+        let inst = Instance { uid, awaiting: 1, bound: key.bound, history, timer: None, cell };
+        self.slots.put(idx, inst, stage_id, row);
         if let Some(c) = cell {
             self.cells[c] = Some(idx);
         }
@@ -871,12 +913,12 @@ impl Monitor {
 
     /// Add slot `idx` to the bucket of the stage it now awaits.
     fn bucket_insert(&mut self, idx: usize) {
-        let (inst, ids) = self.slots.entry(idx).expect("live instance");
-        match &mut self.buckets[inst.awaiting] {
+        let slot = self.slots.entry(idx).expect("live instance");
+        match &mut self.buckets[slot.inst.awaiting] {
             Bucket::Scan(v) => v.push(idx),
             Bucket::Keyed { map, rest } => {
-                let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
-                match postings(key, inst, ids) {
+                let key = self.stage_keys.key(slot.inst.awaiting).expect("keyed bucket has a key");
+                match postings(key, slot) {
                     Some(vals) => vals.for_each(|val| file(map, val, idx)),
                     None => rest.push(idx),
                 }
@@ -889,17 +931,17 @@ impl Monitor {
     /// under (binding *extension* is fine: existing values never change,
     /// only new variables are added, and recorded stage ids are immutable).
     fn bucket_remove(&mut self, idx: usize) {
-        let Some((inst, ids)) = self.slots.entry(idx) else { return };
+        let Some(slot) = self.slots.entry(idx) else { return };
         fn evict(v: &mut Vec<usize>, idx: usize) {
             if let Some(pos) = v.iter().position(|&i| i == idx) {
                 v.swap_remove(pos);
             }
         }
-        match &mut self.buckets[inst.awaiting] {
+        match &mut self.buckets[slot.inst.awaiting] {
             Bucket::Scan(v) => evict(v, idx),
             Bucket::Keyed { map, rest } => {
-                let key = self.stage_keys.key(inst.awaiting).expect("keyed bucket has a key");
-                match postings(key, inst, ids) {
+                let key = self.stage_keys.key(slot.inst.awaiting).expect("keyed bucket has a key");
+                match postings(key, slot) {
                     Some(vals) => vals.for_each(|val| {
                         unfile(map, val, idx);
                     }),
@@ -960,7 +1002,9 @@ impl Monitor {
             StageKind::Deadline { window, refresh } => (*refresh, Some(*window)),
             StageKind::Match { .. } => (
                 stage.within_refresh,
-                stage.within.as_ref().and_then(|w| w.resolve(&inst.bindings)),
+                stage.within.as_ref().and_then(|w| {
+                    w.resolve(|v| self.slots.entry(incumbent).and_then(|s| s.get(v).copied()))
+                }),
             ),
         };
         if policy == RefreshPolicy::RefreshOnRepeat {
@@ -978,8 +1022,7 @@ impl Monitor {
     /// advances that extend bindings go through
     /// [`Monitor::advance_instance_unindexed`].
     fn advance_instance(&mut self, idx: usize, stage_id: Option<PacketId>, at: Instant) {
-        let inst = self.slots.get(idx).expect("live instance");
-        self.index.remove_instance(inst, idx);
+        self.index.remove_slot(&self.slots, idx);
         self.advance_instance_unindexed(idx, stage_id, at);
     }
 
@@ -1000,6 +1043,7 @@ impl Monitor {
             inst.awaiting == self.property.stages.len()
         };
         if done {
+            let bindings = self.slots.entry(idx).expect("live instance").bindings();
             let inst = self.slots.take(idx).expect("live instance");
             if let Some(c) = inst.cell {
                 if self.cells[c] == Some(idx) {
@@ -1008,13 +1052,13 @@ impl Monitor {
             }
             self.free.push(idx);
             let trigger = self.property.stages.len() - 1;
-            self.raise(at, &inst.bindings, &inst.history, trigger);
+            self.raise(at, &bindings, &inst.history, trigger);
             return;
         }
         // Dedup at the new position.
-        let inst = self.slots.get(idx).expect("live instance");
-        let hash = self.index.hash(inst.awaiting, &inst.bindings);
-        if let Some(incumbent) = self.index.get(hash, inst.awaiting, &inst.bindings, &self.slots) {
+        let key = Key::at(&self.slots, idx).expect("live instance");
+        let hash = self.index.hash(key);
+        if let Some(incumbent) = self.index.get(hash, key, &self.slots) {
             // The incumbent wins; this instance dissolves into it.
             self.dedup_against(incumbent, at);
             if let Some(inst) = self.slots.take(idx) {
@@ -1038,24 +1082,26 @@ impl Monitor {
     /// Arm the timer appropriate to the stage instance `idx` now awaits,
     /// measured from observation time `at`.
     fn arm_stage_timer(&mut self, idx: usize, at: Instant) {
-        let inst = self.slots.get(idx).expect("live");
-        let awaiting = inst.awaiting;
-        let stage: &Stage = &self.property.stages[awaiting];
+        let slot = self.slots.entry(idx).expect("live");
+        let stage: &Stage = &self.property.stages[slot.inst.awaiting];
         let timer = match &stage.kind {
             StageKind::Deadline { window, .. } => {
                 Some(self.timers.schedule(deadline_after(at, *window), (idx, TimerKind::Deadline)))
             }
-            StageKind::Match { .. } => {
-                stage.within.as_ref().and_then(|w: &WindowSpec| w.resolve(&inst.bindings)).map(
-                    |w| self.timers.schedule(deadline_after(at, w), (idx, TimerKind::WindowExpiry)),
-                )
-            }
+            StageKind::Match { .. } => stage
+                .within
+                .as_ref()
+                .and_then(|w: &WindowSpec| w.resolve(|v| slot.get(v).copied()))
+                .map(|w| {
+                    self.timers.schedule(deadline_after(at, w), (idx, TimerKind::WindowExpiry))
+                }),
         };
         self.slots.get_mut(idx).expect("live").timer = timer;
     }
 
     fn remove_instance(&mut self, idx: usize) {
         self.bucket_remove(idx);
+        self.index.remove_slot(&self.slots, idx);
         if let Some(inst) = self.slots.take(idx) {
             self.wrote(idx);
             if let Some(t) = inst.timer {
@@ -1066,7 +1112,6 @@ impl Monitor {
                     self.cells[c] = None;
                 }
             }
-            self.index.remove_instance(&inst, idx);
             self.free.push(idx);
         }
     }
@@ -1165,7 +1210,7 @@ impl Monitor {
             }
         }
         image.free.clone_from(&self.free);
-        image.timers = self.timers.snapshot();
+        self.timers.snapshot_into(&mut image.timers);
         image.pending.clone_from(&self.pending);
         image.violations.clone_from(&self.violations);
         image.now = self.now;
@@ -1200,13 +1245,26 @@ impl Monitor {
             return Err(SnapshotError::Malformed(why));
         }
         let capacity = self.cfg.capacity.unwrap_or(0);
-        for (_, inst, _) in snap.slots.live() {
+        for (_, slot) in snap.slots.live() {
+            let inst = slot.inst;
             if inst.awaiting == 0 || inst.awaiting >= self.property.stages.len() {
                 return Err(SnapshotError::Malformed("instance awaits an out-of-range stage"));
             }
             if let Some(c) = inst.cell {
                 if c >= capacity {
                     return Err(SnapshotError::Malformed("instance cell exceeds store capacity"));
+                }
+            }
+        }
+        // A pending spawn or advance lands its bindings in a row of the
+        // property's variables, which has no cell for any other.
+        let foreign = |env: &Bindings| env.iter().any(|(v, _)| !self.slots.cols().contains(v));
+        for (_, eff) in &snap.pending {
+            if let Effect::Spawn { bindings, .. } | Effect::Advance { bindings, .. } = eff {
+                if foreign(bindings) {
+                    return Err(SnapshotError::Malformed(
+                        "pending effect binds a variable its property does not",
+                    ));
                 }
             }
         }
@@ -1224,14 +1282,19 @@ impl Monitor {
         // The dedup index holds one slot per key; a second would stay live
         // but unreachable. The index reads its keys from the slots, so they
         // come first; `self` is untouched until both are built. Every
-        // instance awaits a stage below the last, so its ids fit a row.
-        let slots = SlotStore::restride(&snap.slots, self.property.stages.len() - 1);
+        // instance awaits a stage below the last, so its ids fit a row; its
+        // bindings fit only if each names a variable of the property.
+        let slots = self
+            .slots
+            .repack(&snap.slots)
+            .ok_or(SnapshotError::Malformed("instance binds a variable its property does not"))?;
         let live = slots.len() - snap.free.len();
         let map = FoldMap::with_capacity_and_hasher(live, self.index.map.hasher().clone());
         let mut index = DedupIndex { map, len: 0 };
-        for (idx, inst, _) in slots.live() {
-            let hash = index.hash(inst.awaiting, &inst.bindings);
-            if index.get(hash, inst.awaiting, &inst.bindings, &slots).is_some() {
+        for (idx, slot) in slots.live() {
+            let key = Key::of(&slot);
+            let hash = index.hash(key);
+            if index.get(hash, key, &slots).is_some() {
                 return Err(SnapshotError::Malformed("two live instances share a dedup key"));
             }
             index.insert(hash, idx);
@@ -1649,8 +1712,7 @@ mod tests {
         // ignores: exactly the instance that recorded it.
         let hit = candidates(&m, &forwarded(at(50), 99, 98, 1006));
         assert_eq!(hit.len(), 1);
-        let (_, ids) = m.slots.entry(hit[0]).unwrap();
-        assert_eq!(ids, [Some(PacketId(1006))]);
+        assert_eq!(m.slots.entry(hit[0]).unwrap().ids, [Some(PacketId(1006))]);
         // A drop of that packet does not match the stage's pattern at all.
         assert!(candidates(&m, &dropped(at(50), 7, 200, 1006)).is_empty());
 
@@ -1826,20 +1888,23 @@ mod tests {
     #[test]
     fn a_live_instance_stays_put_while_the_store_grows() {
         // Slot 0 is spawned first; 1 999 more spawns take the store through
-        // twelve more chunks, and neither the instance nor its ids move.
+        // twelve more chunks, and neither the instance nor its rows move.
         let mut m = Monitor::with_defaults(fw_basic());
         let flow = |i: u64| Bindings::new().bind(var("A"), FieldValue::Uint(i));
         m.spawn(at(0), flow(0), Some(PacketId(0)), Vec::new());
-        let (first, ids) = m.slots.entry(0).expect("spawned");
-        let (first, ids): (*const Instance, *const Option<PacketId>) = (first, ids.as_ptr());
+        let first = m.slots.entry(0).expect("spawned");
+        let first: (*const Instance, *const Option<PacketId>, *const FieldValue) =
+            (first.inst, first.ids.as_ptr(), first.row.as_ptr());
         for i in 1..2_000 {
             m.spawn(at(0), flow(i), Some(PacketId(i)), Vec::new());
         }
         assert_eq!((m.live_instances(), m.slots.len()), (2_000, 2_000));
-        let (now, now_ids) = m.slots.entry(0).expect("still live");
-        assert!(std::ptr::eq(first, now), "the instance moved");
-        assert!(std::ptr::eq(ids, now_ids.as_ptr()), "its stage ids moved");
-        assert_eq!(now_ids, [Some(PacketId(0))]);
+        let now = m.slots.entry(0).expect("still live");
+        assert!(std::ptr::eq(first.0, now.inst), "the instance moved");
+        assert!(std::ptr::eq(first.1, now.ids.as_ptr()), "its stage ids moved");
+        assert!(std::ptr::eq(first.2, now.row.as_ptr()), "its values moved");
+        assert_eq!(now.ids, [Some(PacketId(0))]);
+        assert_eq!(now.bindings(), flow(0));
     }
 
     #[test]
@@ -1997,8 +2062,14 @@ mod tests {
         let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
         let b = Bindings::new().bind(var("B"), FieldValue::Uint(1));
         let mut m = Monitor::with_defaults(fw_basic());
-        assert_eq!(m.index.hash(1, &a), m.index.hash(1, &b));
+        let (mut row_a, mut row_b) = ([UNBOUND; 2], [UNBOUND; 2]);
+        let key_a =
+            Key { stage: 1, bound: a.pack(m.slots.cols(), &mut row_a).unwrap(), row: &row_a };
+        let key_b =
+            Key { stage: 1, bound: b.pack(m.slots.cols(), &mut row_b).unwrap(), row: &row_b };
+        assert_eq!(m.index.hash(key_a), m.index.hash(key_b));
         assert_ne!(a, b);
+        assert_ne!(key_a, key_b);
         m.spawn(at(0), a, None, Vec::new());
         m.spawn(at(1), b, None, Vec::new());
         assert_eq!((m.live_instances(), m.stats.deduplicated), (2, 0), "no dedup across names");
@@ -2013,28 +2084,38 @@ mod tests {
 
     #[test]
     fn the_dedup_index_tells_apart_keys_filed_under_one_hash() {
-        // 64-bit collisions do not happen on real traces, so file three
-        // keys under one hash by hand: two stages, two environments.
+        // 64-bit collisions do not happen on real traces, so file four
+        // keys under one hash by hand: two stages, three environments, two
+        // of which — {?A=1} and {?A=1, ?B=0} — differ only in which cells
+        // of an equal row are bound.
         let a = Bindings::new().bind(var("A"), FieldValue::Uint(1));
         let b = Bindings::new().bind(var("A"), FieldValue::Uint(2));
-        let keys = [(1, a), (1, b), (2, a)];
-        let mut slots = SlotStore::new(2);
+        let a0 = a.bind(var("B"), UNBOUND);
+        let keys = [(1, a), (1, b), (2, a), (1, a0)];
+        let cols = [var("A"), var("B")];
+        let pack = |env: Bindings| {
+            let mut row = [UNBOUND; 2];
+            (env.pack(&cols, &mut row).expect("both variables have a column"), row)
+        };
+        let mut slots = SlotStore::new(2, cols.into());
         for (awaiting, bindings) in keys {
             let idx = slots.push_empty();
+            let (bound, row) = pack(bindings);
             let inst = Instance {
                 uid: 0,
                 awaiting: 1,
-                bindings,
+                bound,
                 history: Vec::new(),
                 timer: None,
                 cell: None,
             };
-            slots.put(idx, inst, None);
+            slots.put(idx, inst, None, &row);
             (1..awaiting).for_each(|_| _ = slots.advance(idx, None));
         }
         const HASH: u64 = 0x5eed;
         let find = |index: &DedupIndex, (stage, bindings): (usize, Bindings)| {
-            index.get(HASH, stage, &bindings, &slots)
+            let (bound, row) = pack(bindings);
+            index.get(HASH, Key { stage, bound, row: &row }, &slots)
         };
         let found = |index: &DedupIndex| keys.map(|key| find(index, key));
         let mut index = DedupIndex::default();
@@ -2042,12 +2123,13 @@ mod tests {
             assert_eq!(find(&index, key), None, "key {idx} is not filed yet");
             index.insert(HASH, idx);
         }
-        assert_eq!(found(&index), [Some(0), Some(1), Some(2)]);
-        assert_eq!((index.len, find(&index, (2, b))), (3, None), "an unfiled key stays unfound");
+        assert_eq!(found(&index), [Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!((index.len, find(&index, (2, b))), (4, None), "an unfiled key stays unfound");
         index.remove(HASH, 0);
-        assert_eq!(found(&index), [None, Some(1), Some(2)]);
+        assert_eq!(found(&index), [None, Some(1), Some(2), Some(3)]);
         index.remove(HASH, 0);
-        assert_eq!(index.len, 2, "removing an unfiled slot changes nothing");
+        assert_eq!(index.len, 3, "removing an unfiled slot changes nothing");
+        index.remove(HASH, 3);
         index.remove(HASH, 2);
         index.remove(HASH, 1);
         assert_eq!((index.len, index.map.len()), (0, 0), "the last removal drops the entry");

@@ -19,6 +19,7 @@
 use crate::guard::Guard;
 use crate::pattern::EventPattern;
 use crate::var::{Var, VarTable, MAX_VARS};
+use swmon_packet::FieldValue;
 use swmon_sim::time::Duration;
 
 /// The length of a `within` window: a constant, or a value read from a
@@ -35,12 +36,13 @@ pub enum WindowSpec {
 }
 
 impl WindowSpec {
-    /// Resolve to a duration under `bindings`.
-    pub fn resolve(&self, bindings: &crate::var::Bindings) -> Option<Duration> {
+    /// Resolve to a duration, reading a bound variable's value from
+    /// `value` (`None` when unbound).
+    pub fn resolve(&self, value: impl FnOnce(&Var) -> Option<FieldValue>) -> Option<Duration> {
         match self {
             WindowSpec::Fixed(d) => Some(*d),
             WindowSpec::BoundSecs(v) => {
-                bindings.get(v).and_then(|fv| fv.as_uint()).map(Duration::from_secs)
+                value(v).and_then(|fv| fv.as_uint()).map(Duration::from_secs)
             }
         }
     }
@@ -211,6 +213,11 @@ impl std::error::Error for PropertyError {}
 impl Property {
     /// Check structural well-formedness.
     pub fn validate(&self) -> Result<(), PropertyError> {
+        self.checked_var_table().map(drop)
+    }
+
+    /// [`Property::validate`], handing back the variable table it checked.
+    pub(crate) fn checked_var_table(&self) -> Result<VarTable, PropertyError> {
         if self.stages.is_empty() {
             return Err(PropertyError::NoStages);
         }
@@ -239,7 +246,7 @@ impl Property {
         if vars.len() > MAX_VARS {
             return Err(PropertyError::TooManyVariables { count: vars.len(), max: MAX_VARS });
         }
-        Ok(())
+        Ok(vars)
     }
 
     /// Number of observation stages.

@@ -31,10 +31,10 @@
 use crate::features::mirror_field;
 use crate::guard::{Atom, Guard};
 use crate::property::{Property, Stage, StageKind};
-use crate::var::{Bindings, Var};
+use crate::var::Var;
 use std::collections::BTreeMap;
 use swmon_packet::{Field, FieldValue};
-use swmon_sim::trace::{NetEvent, PacketId};
+use swmon_sim::trace::NetEvent;
 
 /// Why no field position names a property's instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,22 +268,6 @@ impl Probe {
             Probe::Packet(_) => ev.packet_id().map(|id| FieldValue::Uint(id.0)),
         }
     }
-
-    /// The value an instance holding `env` and `stage_ids` is posted under;
-    /// `None` when it holds none (the variable is — defensively — unbound,
-    /// or the stage recorded no packet: a deadline or out-of-band stage).
-    pub fn instance_value(
-        &self,
-        env: &Bindings,
-        stage_ids: &[Option<PacketId>],
-    ) -> Option<FieldValue> {
-        match self {
-            Probe::Var(v, _) => env.get(v).copied(),
-            Probe::Packet(i) => {
-                stage_ids.get(*i).copied().flatten().map(|id| FieldValue::Uint(id.0))
-            }
-        }
-    }
 }
 
 /// One [`Probe`] per guard an event could satisfy at one awaiting stage:
@@ -418,7 +402,7 @@ mod tests {
     use std::sync::Arc;
     use swmon_packet::{Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
     use swmon_sim::time::{Duration, Instant};
-    use swmon_sim::trace::{NetEventKind, PortNo, SwitchId};
+    use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
 
     fn prop(stages: Vec<Stage>) -> Property {
         Property { name: "p".into(), statement: String::new(), stages }

@@ -25,7 +25,8 @@
 //! structures (instances, effects, stats) are encoded here.
 
 use crate::engine::{Effect, Instance, MonitorStats, SyncToken, TimerKind};
-use crate::slots::SlotStore;
+use crate::slots::{Slot, SlotStore};
+use crate::var::Bindings;
 use crate::violation::Violation;
 pub use crate::wire::SnapshotError;
 use crate::wire::{Reader, Writer};
@@ -58,7 +59,8 @@ pub struct MonitorSnapshot {
     pub(crate) stages: usize,
     /// The monitor's slots, laid out as the monitor lays out its own: an
     /// image patched for a whole run grows with the monitor's state, and
-    /// growing adds a chunk, never moving an instance.
+    /// growing adds a chunk, never moving an instance. A decoded image's
+    /// chunks are laid out from its bytes ([`crate::slots`]).
     pub(crate) slots: SlotStore,
     pub(crate) free: Vec<usize>,
     pub(crate) timers: TimerWheelSnapshot<(usize, TimerKind)>,
@@ -79,9 +81,11 @@ pub struct MonitorSnapshot {
     pub(crate) synced: Option<SyncToken>,
     /// Why `restore` must refuse this image, found while decoding it: an
     /// instance whose stage-id count is not its awaited stage, or is more
-    /// than a slot of its property holds. Such an image does not re-encode
-    /// to the bytes it came from: an instance awaiting stage `k` is written
-    /// with at most its first `k` ids. Not part of the encoding.
+    /// than a slot of its property holds, or a chunk whose instances bind
+    /// more variables than a row holds. Such an image need not re-encode
+    /// to the bytes it came from: an instance is written with at most the
+    /// ids a slot holds, and with none of the bindings its chunk dropped.
+    /// Not part of the encoding.
     pub(crate) defect: Option<&'static str>,
 }
 
@@ -106,6 +110,14 @@ impl MonitorSnapshot {
         self.now
     }
 
+    /// As [`Monitor::slot_row_widths`](crate::Monitor::slot_row_widths),
+    /// for this image's chunks; a decoded chunk's ragged id rows read
+    /// `None`.
+    #[doc(hidden)]
+    pub fn slot_row_widths(&self) -> Vec<(usize, Option<usize>)> {
+        self.slots.row_widths()
+    }
+
     /// Serialize to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(256);
@@ -117,9 +129,9 @@ impl MonitorSnapshot {
         for idx in 0..self.slots.len() {
             match self.slots.entry(idx) {
                 None => w.u8(0),
-                Some((inst, ids)) => {
+                Some(slot) => {
                     w.u8(1);
-                    write_instance(&mut w, inst, ids);
+                    write_instance(&mut w, &slot);
                 }
             }
         }
@@ -168,25 +180,24 @@ impl MonitorSnapshot {
         // instance can complete, and an instance awaiting stage `k` has
         // recorded exactly `k` of them.
         let width = stages.saturating_sub(1);
-        let slots = SlotStore::decode(n_slots, |ids| match r.u8()? {
+        let (slots, layout_defect) = SlotStore::decode(n_slots, |ids| match r.u8()? {
             0 => Ok(None),
             1 => {
                 let start = ids.len();
-                let inst = read_instance(&mut r, ids)?;
+                let (inst, env) = read_instance(&mut r, ids)?;
                 let n_ids = ids.len() - start;
                 if n_ids > width {
                     defect.get_or_insert("instance holds more stage ids than its slot");
-                    // Not stored: a chunk is as wide as its widest row, so
-                    // one deep instance would widen all 256 of its slots.
                     ids.truncate(start + width);
                 } else if n_ids != inst.awaiting {
                     defect
                         .get_or_insert("instance's stage-id count differs from its awaited stage");
                 }
-                Ok(Some(inst))
+                Ok(Some((inst, env)))
             }
             t => Err(SnapshotError::BadTag { what: "slot", tag: t }),
         })?;
+        let defect = defect.or(layout_defect);
         let n_free = r.count()?;
         let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
@@ -246,12 +257,13 @@ impl MonitorSnapshot {
 // These encode `pub(crate)` engine types (instances, pending effects, stage
 // counters) and so stay here; everything shareable lives in `crate::wire`.
 
-fn write_instance(w: &mut Writer, inst: &Instance, stage_ids: &[Option<PacketId>]) {
+fn write_instance(w: &mut Writer, slot: &Slot<'_>) {
+    let inst = slot.inst;
     w.u64(inst.uid);
     w.u64(inst.awaiting as u64);
-    w.bindings(&inst.bindings);
-    w.u64(stage_ids.len() as u64);
-    for id in stage_ids {
+    w.bindings(&slot.bindings());
+    w.u64(slot.ids.len() as u64);
+    for id in slot.ids {
         w.opt_u64(id.map(|PacketId(x)| x));
     }
     w.u64(inst.history.len() as u64);
@@ -318,11 +330,12 @@ fn write_stats(w: &mut Writer, s: &MonitorStats) {
     }
 }
 
-/// Read one instance, appending its stage ids to `stage_ids`.
+/// Read one instance and its bindings, appending its stage ids to
+/// `stage_ids`.
 fn read_instance(
     r: &mut Reader<'_>,
     stage_ids: &mut Vec<Option<PacketId>>,
-) -> Result<Instance, SnapshotError> {
+) -> Result<(Instance, Bindings), SnapshotError> {
     let uid = r.u64()?;
     let awaiting = r.len()?;
     let bindings = r.bindings()?;
@@ -341,7 +354,7 @@ fn read_instance(
             Some(usize::try_from(c).map_err(|_| SnapshotError::Malformed("cell exceeds usize"))?)
         }
     };
-    Ok(Instance { uid, awaiting, bindings, history, timer, cell })
+    Ok((Instance { uid, awaiting, bound: 0, history, timer, cell }, bindings))
 }
 
 fn read_effect(r: &mut Reader<'_>) -> Result<Effect, SnapshotError> {
@@ -407,7 +420,7 @@ mod tests {
     use crate::guard::{Atom, Guard};
     use crate::pattern::{ActionPattern, EventPattern};
     use crate::property::{Property, RefreshPolicy, Stage, Unless, WindowSpec};
-    use crate::var::var;
+    use crate::var::{var, MAX_VARS};
     use crate::violation::ProvenanceMode;
     use std::sync::Arc;
     use swmon_packet::{Field, Ipv4Address, MacAddr, Packet, PacketBuilder, TcpFlags};
@@ -709,12 +722,12 @@ mod tests {
         // The rebuilt index would keep one of them; the other would stay
         // live but unreachable — never deduplicated against, never cleared.
         let snap = two_live_two_free();
-        let mut live = snap.slots.live().map(|(_, inst, _)| inst);
+        let mut live = snap.slots.live().map(|(_, slot)| slot);
         let (a, b) = (live.next().unwrap(), live.next().unwrap());
-        assert_eq!(a.awaiting, b.awaiting);
-        let encoded = |inst: &Instance| {
+        assert_eq!(a.inst.awaiting, b.inst.awaiting);
+        let encoded = |slot: Slot<'_>| {
             let mut w = Writer::with_capacity(64);
-            w.bindings(&inst.bindings);
+            w.bindings(&slot.bindings());
             w.into_bytes()
         };
         let bytes = patched(snap.to_bytes(), &encoded(b), &encoded(a));
@@ -731,7 +744,7 @@ mod tests {
         let mut m = Monitor::with_defaults(three.clone());
         m.process(&arrival(at(0), 7, 99, 0x5157));
         let snap = m.snapshot();
-        let bindings = snap.slots.live().next().expect("one live instance").1.bindings;
+        let bindings = snap.slots.live().next().expect("one live instance").1.bindings();
         let bytes = snap.to_bytes();
         let section = |awaiting: u64| {
             let mut w = Writer::with_capacity(64);
@@ -764,7 +777,7 @@ mod tests {
         let mut m = Monitor::with_defaults(fw_timeout());
         m.process(&arrival(at(0), 7, 99, 0x5157));
         let snap = m.snapshot();
-        let inst = snap.slots.live().next().expect("one live instance").1.clone();
+        let inst = snap.slots.live().next().expect("one live instance").1.inst.clone();
         let bytes = snap.to_bytes();
         // Crafted: the instance moves to slot 256, the first of a 256-slot
         // chunk, behind 256 empty slots, and encodes 10 000 ids (one byte
@@ -794,6 +807,128 @@ mod tests {
         // for each of the chunk's 256 slots.
         assert_eq!(snap.slots.widest(), 1);
         assert_restore_rejects(fw_timeout(), &bytes, "instance holds more stage ids than its slot");
+    }
+
+    /// `w.bindings(env)`, alone.
+    fn encoded(env: &Bindings) -> Vec<u8> {
+        let mut w = Writer::with_capacity(64);
+        w.bindings(env);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_an_instance_binding_a_variable_its_property_does_not() {
+        // A row has a cell for each variable of the property and no other,
+        // so a binding of ?Z has nowhere to go: dropping it would restore
+        // an instance that matches more than the one checkpointed.
+        let snap = two_live_two_free();
+        let held = snap.slots.live().next().expect("a live instance").1.bindings();
+        let renamed = held.iter().fold(Bindings::new(), |env, (v, val)| {
+            env.bind(if v.name() == "B" { var("Z") } else { *v }, *val)
+        });
+        assert_eq!(held.len(), 2);
+        let bytes = patched(snap.to_bytes(), &encoded(&held), &encoded(&renamed));
+        let decoded = MonitorSnapshot::from_bytes(&bytes).expect("structurally valid");
+        assert_eq!(decoded.defect, None);
+        assert_eq!(decoded.to_bytes(), bytes, "the decoded image holds ?Z");
+        assert_restore_rejects(
+            fw_timeout(),
+            &bytes,
+            "instance binds a variable its property does not",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_pending_effect_binding_a_variable_its_property_does_not() {
+        // Split mode: the spawn is pending when the image is taken, so its
+        // bindings are in the image only once, in the effect.
+        let cfg = MonitorConfig {
+            mode: ProcessingMode::Split { lag: Duration::from_millis(10) },
+            ..Default::default()
+        };
+        let mut m = Monitor::new(fw_timeout(), cfg);
+        m.process(&arrival(at(0), 1, 2, 0));
+        let snap = m.snapshot();
+        let Some((_, Effect::Spawn { bindings, .. })) = snap.pending.first() else {
+            panic!("a pending spawn: {:?}", snap.pending);
+        };
+        let renamed = Bindings::new()
+            .bind(var("A"), *bindings.get(&var("A")).expect("?A"))
+            .bind(var("Z"), *bindings.get(&var("B")).expect("?B"));
+        let bytes = patched(snap.to_bytes(), &encoded(bindings), &encoded(&renamed));
+        assert_restore_rejects(
+            fw_timeout(),
+            &bytes,
+            "pending effect binds a variable its property does not",
+        );
+    }
+
+    #[test]
+    fn a_chunk_whose_instances_bind_nine_variables_is_refused() {
+        // Each instance binds at most eight variables, but a row holds one
+        // cell per variable of its chunk: the two together bind nine.
+        let snap = two_live_two_free();
+        let mut live = snap.slots.live().map(|(_, slot)| slot.bindings());
+        let (a, b) = (live.next().unwrap(), live.next().unwrap());
+        let vars = |names: std::ops::Range<u64>| {
+            names.fold(Bindings::new(), |env, i| env.bind(var(&format!("C{i}")), i.into()))
+        };
+        let bytes = spliced(snap.to_bytes(), &encoded(&a), &encoded(&vars(1..9)));
+        let bytes = spliced(bytes, &encoded(&b), &encoded(&vars(0..2)));
+        let decoded = MonitorSnapshot::from_bytes(&bytes).expect("structurally valid");
+        let why = "instances of one chunk bind more variables than a row holds";
+        assert_eq!(decoded.defect, Some(why));
+        assert_eq!(decoded.live_instances(), 2);
+        assert!(decoded.slot_row_widths().iter().all(|&(values, _)| values <= MAX_VARS));
+        assert_restore_rejects(fw_timeout(), &bytes, why);
+    }
+
+    #[test]
+    fn a_header_of_many_stages_widens_no_chunk() {
+        // The header claims 65 536 stages, so an instance awaiting stage
+        // 65 535 with 65 535 ids is consistent with it. Crafted into the
+        // first slot of a 256-slot chunk, each id one byte, it would make
+        // a chunk of rows as wide as the header allows 65 535 ids wide
+        // for all 256 slots: some 268 MB from 66 KB.
+        let mut m = Monitor::with_defaults(fw_timeout());
+        m.process(&arrival(at(0), 7, 99, 0x5157));
+        let snap = m.snapshot();
+        let inst = snap.slots.live().next().expect("one live instance").1.inst.clone();
+        let header = |stages: u64| {
+            let mut w = Writer::with_capacity(64);
+            w.str("fw-snap");
+            w.u64(stages);
+            w.into_bytes()
+        };
+        let slots = |n: u64, empty: usize, awaiting: u64| {
+            let mut w = Writer::with_capacity(300);
+            w.u64(n);
+            (0..empty).for_each(|_| w.u8(0));
+            w.u8(1);
+            w.u64(inst.uid);
+            w.u64(awaiting);
+            w.into_bytes()
+        };
+        let ids = |ids: &[Option<u64>]| {
+            let mut w = Writer::with_capacity(64);
+            w.u64(ids.len() as u64);
+            ids.iter().for_each(|&id| w.opt_u64(id));
+            w.into_bytes()
+        };
+        let bytes = spliced(snap.to_bytes(), &header(2), &header(65_536));
+        let bytes = spliced(bytes, &slots(1, 0, 1), &slots(257, 256, 65_535));
+        let bytes = spliced(bytes, &ids(&[Some(0x5157)]), &ids(&[None; 65_535]));
+        let decoded = MonitorSnapshot::from_bytes(&bytes).expect("structurally valid");
+        assert_eq!((decoded.defect, decoded.live_instances()), (None, 1));
+        assert_eq!(decoded.slots.widest(), 65_535);
+        // Held: 16 bytes per one-byte id, plus 512 slots of 80 and their
+        // rows; bounded by what the bytes carry, not by the header.
+        let held = decoded.slots.held_bytes();
+        assert!(held <= 20 * bytes.len(), "{held} bytes held from {}", bytes.len());
+        assert_eq!(decoded.to_bytes(), bytes);
+        let mut target = Monitor::with_defaults(fw_timeout());
+        let err = target.restore(&decoded).unwrap_err();
+        assert!(matches!(err, SnapshotError::PropertyMismatch { .. }), "{err}");
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! instance's environment once, however many variables it binds. This is
 //! the single hottest data structure in the workspace.
 //!
+//! A live instance does not hold a [`Bindings`]: its slot holds a packed
+//! row of its property's own variables ([`crate::slots`]), and
+//! `Bindings::pack` / `Bindings::unpack` convert between the two where a
+//! guard, a violation or an encoder needs the environment (see
+//! docs/PERF.md, "An instance holds only its property's variables").
+//!
 //! The canonical (name-sorted) order is load-bearing: equality, ordering,
 //! hashing, and `Display` must be byte-for-byte identical to the original
 //! `BTreeMap<Var, FieldValue>` form. Instance dedup compares with `Eq`, and
@@ -169,6 +175,11 @@ impl VarTable {
     pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
         self.vars.iter().copied()
     }
+
+    /// The variables in id order, as one allocation.
+    pub(crate) fn into_boxed(self) -> Box<[Var]> {
+        self.vars.into_boxed_slice()
+    }
 }
 
 /// An immutable-by-convention environment of variable bindings.
@@ -291,7 +302,45 @@ impl Bindings {
     pub fn approx_bytes(&self) -> usize {
         self.entries().map(|(k, _)| k.name().len() + 16).sum()
     }
+
+    /// Lay this environment out on `cols`, a name-ordered list of distinct
+    /// variables: each bound variable's value goes to the cell of `row`
+    /// under its column, and bit `i` of the returned mask marks cell `i`
+    /// bound. Other cells are left as they are. `None`, with `row` partly
+    /// written, when a bound variable has no column.
+    #[inline]
+    pub(crate) fn pack(&self, cols: &[Var], row: &mut [FieldValue]) -> Option<u8> {
+        let (mut mask, mut col) = (0, 0);
+        for i in 0..self.len as usize {
+            // Both sides are in name order, so the columns are walked once.
+            while cols.get(col)? != self.vars[i].as_ref()? {
+                col += 1;
+            }
+            row[col] = self.vals[i];
+            mask |= 1 << col;
+            col += 1;
+        }
+        Some(mask)
+    }
+
+    /// The environment a row packed by [`Bindings::pack`] holds: for each
+    /// bit `i` set in `mask`, `cols[i]` bound to `row[i]`.
+    #[inline]
+    pub(crate) fn unpack(cols: &[Var], mask: u8, row: &[FieldValue]) -> Bindings {
+        let mut out = Bindings::new();
+        for (col, (v, val)) in cols.iter().zip(row).enumerate() {
+            if (mask >> col) & 1 == 1 {
+                out.vars[out.len as usize] = Some(*v);
+                out.vals[out.len as usize] = *val;
+                out.len += 1;
+            }
+        }
+        out
+    }
 }
+
+// A row's bound cells are one bit each of a `u8` mask.
+const _: () = assert!(MAX_VARS <= u8::BITS as usize);
 
 impl PartialEq for Bindings {
     fn eq(&self, other: &Self) -> bool {
@@ -454,6 +503,67 @@ mod tests {
         assert!(a < ab, "prefix orders first");
         assert!(a < b, "name order dominates");
         assert!(Bindings::new() < a);
+    }
+
+    /// The byte stream `env`'s `Hash` emits.
+    fn hash_stream(env: &Bindings) -> Vec<u8> {
+        struct Capture(Vec<u8>);
+        impl Hasher for Capture {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+        }
+        let mut out = Capture(Vec::new());
+        env.hash(&mut out);
+        out.0
+    }
+
+    #[test]
+    fn a_packed_row_unpacks_to_the_environment_it_came_from() {
+        use proptest::prelude::*;
+        // A table of up to eight of ten names, an environment binding any
+        // subset of it in any order, and a row that held something before.
+        const NAMES: [&str; 10] = ["A", "A2", "B", "P", "P2", "Q", "mac", "port", "x", "zz"];
+        let picks =
+            proptest::collection::vec((any::<bool>(), any::<bool>(), 0u8..3, any::<u64>()), 10);
+        let stale = proptest::collection::vec(any::<u64>(), MAX_VARS);
+        proptest!(|(picks in picks, stale in stale)| {
+            let in_table = |i: usize| picks[i].0;
+            let names = (0..NAMES.len()).filter(|&i| in_table(i)).take(MAX_VARS);
+            let cols: Vec<Var> = VarTable::from_vars(names.map(|i| var(NAMES[i]))).iter().collect();
+            let value = |kind: u8, x: u64| match kind {
+                0 => FieldValue::Uint(x),
+                1 => FieldValue::Ipv4(swmon_packet::Ipv4Address::from_u32(x as u32)),
+                _ => FieldValue::Mac(swmon_packet::MacAddr::from_u64(x & 0xffff_ffff_ffff)),
+            };
+            // Bound in the order of the drawn numbers, not the table's.
+            let mut order: Vec<usize> = (0..cols.len()).collect();
+            order.sort_by_key(|&i| picks[i].3);
+            let mut env = Bindings::new();
+            for i in order {
+                let (_, bind, kind, x) = picks[i];
+                if bind {
+                    env = env.bind(cols[i], value(kind, x));
+                }
+            }
+            let mut row: Vec<FieldValue> = stale[..cols.len()].iter().map(|&x| FieldValue::Uint(x)).collect();
+            let mask = env.pack(&cols, &mut row).expect("every variable has a column");
+            prop_assert_eq!(mask.count_ones() as usize, env.len());
+            let back = Bindings::unpack(&cols, mask, &row);
+            prop_assert_eq!(back, env);
+            prop_assert_eq!(back.cmp(&env), std::cmp::Ordering::Equal);
+            prop_assert_eq!(hash_stream(&back), hash_stream(&env));
+            prop_assert_eq!(back.approx_bytes(), env.approx_bytes());
+            prop_assert_eq!(back.to_string(), env.to_string());
+            // A variable without a column does not pack.
+            if let Some(&missing) = cols.first().filter(|_| !env.is_empty()) {
+                let others: Vec<Var> = cols.iter().copied().filter(|&c| c != missing).collect();
+                prop_assert_eq!(env.pack(&others, &mut row).is_some(), !env.is_bound(&missing));
+            }
+        });
     }
 
     #[test]

@@ -210,9 +210,19 @@ impl<T: Clone> TimerWheel<T> {
     /// *after* the restore. Costs the live timers, not the heap: tombstones
     /// are never visited.
     pub fn snapshot(&self) -> TimerWheelSnapshot<T> {
-        let mut entries: Vec<TimerEntry<T>> = self.live.values().cloned().collect();
-        entries.sort_unstable_by_key(|e| e.seq);
-        TimerWheelSnapshot { entries, next_id: self.next_id, next_seq: self.seq }
+        let mut image = TimerWheelSnapshot::default();
+        self.snapshot_into(&mut image);
+        image
+    }
+
+    /// Make `image` equal [`TimerWheel::snapshot`], reusing its allocation:
+    /// a checkpoint taken every pass rewrites one entry list in place
+    /// instead of building a new one beside the old.
+    pub fn snapshot_into(&self, image: &mut TimerWheelSnapshot<T>) {
+        image.entries.clear();
+        image.entries.extend(self.live.values().cloned());
+        image.entries.sort_unstable_by_key(|e| e.seq);
+        (image.next_id, image.next_seq) = (self.next_id, self.seq);
     }
 
     /// Rebuild a wheel from a [`TimerWheelSnapshot`].
@@ -359,6 +369,31 @@ mod tests {
         // would have handed out (a,b,c,d consumed raw ids 0..4).
         let mut w2 = TimerWheel::restore(&snap);
         assert_eq!(w2.schedule(at(1), "x"), TimerId::from_raw(b.to_raw() + 3));
+    }
+
+    #[test]
+    fn an_image_rewritten_in_place_equals_a_fresh_snapshot() {
+        // One image, rewritten after each step, keeps its allocation and
+        // always equals a snapshot taken from scratch.
+        let mut w = TimerWheel::new();
+        let mut image = TimerWheelSnapshot::default();
+        let ids: Vec<TimerId> = (0..40u64).map(|i| w.schedule(at(i % 9), i)).collect();
+        w.snapshot_into(&mut image);
+        assert_eq!(image, w.snapshot());
+        let block = image.entries.as_ptr();
+        for (i, &id) in ids.iter().enumerate().step_by(3) {
+            if i % 2 == 0 {
+                w.cancel(id);
+            } else {
+                w.refresh(id, at(50 + i as u64));
+            }
+            w.snapshot_into(&mut image);
+            assert_eq!(image, w.snapshot(), "after step {i}");
+        }
+        w.drain_due(at(8));
+        w.snapshot_into(&mut image);
+        assert_eq!(image, w.snapshot());
+        assert_eq!(image.entries.as_ptr(), block, "the entry list was reallocated");
     }
 
     #[test]

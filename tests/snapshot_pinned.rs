@@ -118,3 +118,26 @@ fn cut_or_flipped_catalog_images_never_panic_or_half_apply() {
         });
     }
 }
+
+/// A slot holds a value for each variable its property binds and an id for
+/// each stage but the last, and nothing wider: in the live store, in an
+/// image synced whole and in one patched by a later sync.
+#[test]
+fn every_catalog_slot_is_as_wide_as_its_property() {
+    let events = trace();
+    let (first, rest) = events.split_at(events.len() / 2);
+    for mut m in driven(first) {
+        let p = m.property().clone();
+        let want = (p.var_table().len(), Some(p.stages.len() - 1));
+        let mut image = MonitorSnapshot::default();
+        m.snapshot_into(&mut image);
+        rest.iter().for_each(|ev| m.process(ev));
+        m.snapshot_into(&mut image);
+        let (live, synced) = (m.slot_row_widths(), image.slot_row_widths());
+        assert!(!live.is_empty(), "{}: the trace spawns no instance", p.name);
+        for (side, widths) in [("live store", &live), ("synced image", &synced)] {
+            assert!(widths.iter().all(|&w| w == want), "{} {side}: {widths:?}", p.name);
+        }
+        assert_eq!(live.len(), synced.len(), "{}", p.name);
+    }
+}
