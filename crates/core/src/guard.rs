@@ -103,10 +103,12 @@ impl Atom {
         }
     }
 
-    /// Satisfaction-only evaluation, used for `AnyOf` disjuncts: would this
-    /// atom succeed under `env`? Bindings a `Bind` would make are discarded
-    /// (disjunct bindings never escape), which is exactly the semantics of
-    /// evaluating the atom in a throwaway environment — without cloning one.
+    /// Would this atom succeed under `env`? The one definition of every
+    /// atom's semantics: [`Guard::eval`] calls it for every atom but a
+    /// top-level `Bind`, which it unifies instead. Bindings a `Bind` would
+    /// make here are discarded (disjunct bindings never escape), which is
+    /// exactly the semantics of evaluating the atom in a throwaway
+    /// environment — without cloning one.
     fn satisfied(&self, ev: &NetEvent, env: &Bindings, stage_ids: &[Option<PacketId>]) -> bool {
         match self {
             Atom::Bind(v, f) => match ev.field(*f) {
@@ -176,56 +178,13 @@ impl Guard {
     ) -> Option<Bindings> {
         let mut env = *env;
         for atom in &self.atoms {
-            match atom {
-                Atom::Bind(v, f) => {
-                    if !env.unify(v, ev.field(*f)?) {
-                        return None;
-                    }
-                }
-                Atom::EqConst(f, want) => {
-                    if ev.field(*f)? != *want {
-                        return None;
-                    }
-                }
-                Atom::NeqConst(f, want) => {
-                    if ev.field(*f)? == *want {
-                        return None;
-                    }
-                }
-                Atom::NeqVar(f, v) => {
-                    let bound = env.get(v)?; // unbound: cannot negatively match
-                    if ev.field(*f)? == *bound {
-                        return None;
-                    }
-                }
-                Atom::SamePacket(stage) => {
-                    let want = stage_ids.get(*stage).copied().flatten()?;
-                    if ev.packet_id()? != want {
-                        return None;
-                    }
-                }
-                Atom::AnyOf(subs) => {
-                    if !subs.iter().any(|sub| sub.satisfied(ev, &env, stage_ids)) {
-                        return None;
-                    }
-                }
-                Atom::HashedPortMismatch { fields, modulus, base } => {
-                    let out = ev.field(Field::OutPort)?.as_uint()?;
-                    let h = swmon_packet::field::values_hash(fields.iter().map(|&f| ev.field(f)));
-                    let expect = *base + (h % (*modulus).max(1));
-                    if out == expect {
-                        return None;
-                    }
-                }
-                Atom::RrSuccessorMismatch { prev, modulus, base } => {
-                    let out = ev.field(Field::OutPort)?.as_uint()?;
-                    let prev_port = env.get(prev)?.as_uint()?;
-                    let m = (*modulus).max(1);
-                    let expect = base + ((prev_port.saturating_sub(*base) + 1) % m);
-                    if out == expect {
-                        return None;
-                    }
-                }
+            let holds = match atom {
+                // The one atom whose effect outlives it: a binding.
+                Atom::Bind(v, f) => ev.field(*f).is_some_and(|val| env.unify(v, val)),
+                _ => atom.satisfied(ev, &env, stage_ids),
+            };
+            if !holds {
+                return None;
             }
         }
         Some(env)

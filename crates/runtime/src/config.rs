@@ -75,7 +75,7 @@ pub struct RuntimeConfig {
     pub batch: usize,
     /// Bounded-staleness flush, in input ticks, checked on every fed event
     /// (class-filtered ones too): when the oldest staged event is this many
-    /// fed events old, the partial block is dispatched like a full one, so
+    /// fed events old, the partial batch is dispatched like a full one, so
     /// `flush_every` ÷ the input rate is the detection floor of a trickle
     /// that never fills a batch. `0` means *auto*: `4 * batch`.
     pub flush_every: usize,

@@ -15,19 +15,21 @@
 //! cannot affect any monitor never reaches the shard. The shard holds one
 //! monitor per property, at its catalog position, in a
 //! [`swmon_core::MonitorSet`] whose one visit loop decides which monitors
-//! an event wakes. Deliverable events are staged once, beside their
-//! `(seq, mask)`. Events are **never dropped** past the filter, because a
-//! dropped event would forge a negative observation (deadline properties
-//! fire on the *absence* of traffic).
+//! an event wakes. Each deliverable event is staged once, beside its
+//! `(seq, mask)`, at the tail of the shard's journal. Events are **never
+//! dropped** past the filter, because a dropped event would forge a
+//! negative observation (deadline properties fire on the *absence* of
+//! traffic).
 //!
 //! ## One thread
 //!
-//! The session calls the shard's supervisor directly: a sealed batch is
-//! applied before the `feed` that sealed it returns, and a deploy and
-//! `finish` are one call each (`docs/RUNTIME.md`, "One thread", has the
-//! measurements behind this). The supervisor and the runtime stay `Send`
-//! (asserted below). Violations are merged deterministically ([`merge`]),
-//! so the output is byte-for-byte equal to the single-threaded reference.
+//! The session calls the shard's supervisor directly: a dispatch applies
+//! what is staged before the `feed` that made it due returns, and a
+//! deploy and `finish` are one call each (`docs/RUNTIME.md`, "One
+//! thread", has the measurements behind this). The supervisor and the
+//! runtime stay `Send` (asserted below). Violations are merged
+//! deterministically ([`merge`]), so the output is byte-for-byte equal to
+//! the single-threaded reference.
 //!
 //! ## Fault tolerance
 //!
@@ -43,7 +45,6 @@
 //! later call returns the same [`RuntimeError::ShardFailed`]. See
 //! `docs/FAULTS.md` for the full fault model and recovery protocol.
 
-mod batch;
 pub mod config;
 pub mod merge;
 pub mod router;
@@ -68,11 +69,11 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
-use batch::{Arena, ShardLayout};
 use supervisor::Supervisor;
 use swmon_core::{Monitor, Property, PropertyError, Violation};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
+use worker::ShardLayout;
 
 /// Construction-time and run-time runtime failures.
 #[derive(Debug)]
@@ -226,7 +227,6 @@ impl ShardedRuntime {
             catalog: CatalogEpoch::initial(self.props.to_vec()),
             router: self.router.clone(),
             shard,
-            arena: Arena::new(self.cfg.batch),
             seq: 0,
             routed: Routed::default(),
             hub,
@@ -309,10 +309,10 @@ pub struct Session<'rt> {
     /// The ingress filter for the current epoch (rebuilt at every
     /// committed deploy).
     router: Router,
+    /// The shard: each delivered event is staged in its journal, and
+    /// dispatched a batch at a time, so the supervision cost amortizes over
+    /// the batch.
     shard: Supervisor,
-    /// Staging arena — events are staged here and handed to the shard per
-    /// sealed batch, so the supervision cost amortizes over the batch.
-    arena: Arena,
     seq: u64,
     routed: Routed,
     hub: Arc<TelemetryHub>,
@@ -366,7 +366,7 @@ impl Session<'_> {
 
     /// Filter and stage one event. An event no property can use
     /// ([`Router`]) is dropped *here* — before any staging. A full or stale
-    /// block is applied before this returns. Fails if the shard's
+    /// batch is applied before this returns. Fails if the shard's
     /// supervisor has escalated a terminal failure, now or on an earlier
     /// call.
     pub fn feed(&mut self, ev: &NetEvent) -> Result<(), RuntimeError> {
@@ -376,32 +376,31 @@ impl Session<'_> {
         Routed::bump(&self.routed.events_in);
         let mask = self.router.mask(ev);
         // Pre-staging filtering: an event that provably cannot affect any
-        // monitor never enters the arena.
-        let full = if mask == 0 {
+        // monitor never enters the journal.
+        if mask == 0 {
             Routed::bump(&self.routed.skipped);
-            false
         } else {
-            self.arena.push(seq, ev, mask)
-        };
+            self.shard.stage(seq, mask, ev);
+        }
         // Full, or stale: the oldest staged event has waited `flush_every`
         // input ticks — filtered ones count — so a trickle's violations
-        // become sink-visible without waiting for a full block, the next
+        // become sink-visible without waiting for a full batch, the next
         // delivered event, or `finish()`.
-        if full || self.arena.stale(self.seq, self.rt.cfg.flush_every as u64) {
+        if self.shard.due(self.seq) {
             self.dispatch()?;
         }
         Ok(())
     }
 
-    /// Seal the arena and apply its batch. Also the deploy barrier's
+    /// Apply what is staged, as one batch. Also the deploy barrier's
     /// tail-flush: after it returns, every fed event has been counted in
     /// the hub — before its batch is applied, so the shard never shows
     /// more processed than delivered — and applied.
     fn dispatch(&mut self) -> Result<(), RuntimeError> {
         self.routed.add_to(&self.hub);
-        if let Some(batch) = self.arena.seal() {
+        if self.shard.staged() > 0 {
             self.hub.batches.inc();
-            let applied = self.shard.apply_batch(batch);
+            let applied = self.shard.dispatch();
             self.latch(applied)?;
         }
         Ok(())
@@ -499,17 +498,16 @@ impl Session<'_> {
 
     /// Apply the staged tail, advance every monitor to `end` (firing any
     /// remaining deadlines), collect the shard, and merge.
-    pub fn finish(mut self, end: Instant) -> Result<Outcome, RuntimeError> {
+    pub fn finish(self, end: Instant) -> Result<Outcome, RuntimeError> {
         self.healthy()?;
-        // The shard finishes with the arena's tail, so the tail and the
+        // The shard finishes with what is staged, so that tail and the
         // timer drain reach the sink as one publish.
         self.routed.add_to(&self.hub);
-        let tail = self.arena.seal();
-        self.hub.batches.add(tail.is_some() as u64);
+        self.hub.batches.add((self.shard.staged() > 0) as u64);
         // The shard folds in what the hub cannot carry; once it has
         // stopped counting, the hub is final.
         let mut stats = RuntimeStats::default();
-        let log = self.shard.finish(tail, end, &mut stats)?;
+        let log = self.shard.finish(end, &mut stats)?;
         self.hub.read_into(&mut stats, false);
         let records = merge::merge(log);
         if let Some(sink) = &self.sink {
@@ -662,7 +660,7 @@ mod tests {
         let sink = Arc::new(Published::default());
         let mut session = rt.start_with_sink(Some(sink.clone() as Arc<dyn ViolationSink>));
         // Two arrivals from one source: the second raises, and both stay
-        // staged in a block of 64.
+        // staged for a batch of 64.
         for i in [0, 7] {
             session.feed(&arrival_from(i)).unwrap();
         }

@@ -1,18 +1,21 @@
-//! Shard supervision: panic isolation, checkpoint/replay recovery, and
-//! bounded-journal load shedding.
+//! Shard supervision: the journal, panic isolation, checkpoint/replay
+//! recovery, and bounded-journal load shedding.
 //!
 //! The session's one shard is a `Supervisor`, called on the caller thread:
-//! `apply_batch` per dispatch, `deploy` per deploy barrier, and `finish`
-//! at the end of input. The supervisor owns the crash-domain
-//! [`WorkerState`] and drives it only through `catch_unwind`, so a panic
-//! inside it — a genuine engine bug, or a fault injected via
+//! `stage` per delivered event, `dispatch` when the staged events are due,
+//! `deploy` per deploy barrier, and `finish` at the end of input. Every
+//! delivered event is staged once, at the tail of the journal — one flat
+//! queue of the events delivered since the last checkpoint — and stays
+//! there until the checkpoint that covers it. The supervisor owns the
+//! crash-domain [`WorkerState`] and drives it only through `catch_unwind`,
+//! so a panic inside it — a genuine engine bug, or a fault injected via
 //! [`RuntimeConfig::inject_faults`] — never takes the runtime down. After
 //! [`MAX_RESTARTS`] recoveries the next panic escalates a [`ShardFailure`],
 //! which the session keeps as its answer to every later call.
 //! Recovery rebuilds the monitors from the last checkpoint
-//! ([`swmon_core::Monitor::restore`]) and replays the in-memory journal of
-//! events delivered since, so a recovered run's merged violation output is
-//! byte-for-byte identical to a fault-free one.
+//! ([`swmon_core::Monitor::restore`]) and replays the journal, so a
+//! recovered run's merged violation output is byte-for-byte identical to a
+//! fault-free one.
 //!
 //! The journal is bounded ([`RuntimeConfig::journal_limit`]). When a
 //! delivery burst exceeds it, the overflow is **shed explicitly**: counted
@@ -27,15 +30,15 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use crate::batch::{Batch, Item, ShardLayout};
 use crate::config::RuntimeConfig;
 use crate::merge::ViolationRecord;
 use crate::sink::ViolationSink;
 use crate::stats::{MonitoringGap, RuntimeStats};
 use crate::telemetry::ShardProbe;
-use crate::worker::{WorkerState, FLUSH_SEQ};
+use crate::worker::{ShardLayout, WorkerState, FLUSH_SEQ};
 use swmon_core::{CatalogEpoch, Monitor, MonitorSet, MonitorSnapshot, Property, PropertyOrigin};
 use swmon_sim::time::Instant;
+use swmon_sim::trace::NetEvent;
 
 /// How many times a shard may be recovered (checkpoint restore + journal
 /// replay); the next panic escalates a [`ShardFailure`].
@@ -87,6 +90,17 @@ impl fmt::Display for ShardFailure {
     }
 }
 
+/// One journalled event.
+#[derive(Debug)]
+pub(crate) struct Item {
+    /// Global input sequence number (position in the fed trace).
+    pub(crate) seq: u64,
+    /// Bitmask of property indices the event must run through.
+    pub(crate) mask: u64,
+    /// The event, cloned once when it was staged.
+    pub(crate) ev: NetEvent,
+}
+
 /// A consistent restart point: one image per monitor (none before the
 /// first checkpoint) — live state only, the monitors hold no violation
 /// history — plus how much of the shard's violation log was raised before
@@ -117,13 +131,11 @@ pub(crate) struct Supervisor {
     /// Remaining injected deploy-prepare failures (chaos testing): each
     /// one makes the next prepare panic inside its catch_unwind boundary.
     inject_deploy: usize,
-    /// Batches delivered since the last checkpoint, in admission order:
-    /// admission *moves* each batch in, and recovery replays the same
-    /// items. Flat item counters (`journal_len`/`journal_pos`/`high_water`)
-    /// index into the concatenation of every batch.
-    journal: Vec<Batch>,
-    /// Total items across the journal's batches.
-    journal_len: usize,
+    /// Events delivered since the last checkpoint, in input order. Between
+    /// drives, `journal[journal_pos..]` is what is staged and not yet
+    /// dispatched; a drive admits it and applies it, and recovery replays
+    /// from 0. Cleared, not freed, at each checkpoint.
+    journal: Vec<Item>,
     /// How many journal items the current incarnation has applied.
     journal_pos: usize,
     /// Highest journal position any incarnation reached this window —
@@ -177,7 +189,6 @@ impl Supervisor {
             checkpoint: Checkpoint { snapshots: Vec::new(), records_len: 0 },
             told,
             journal: Vec::new(),
-            journal_len: 0,
             journal_pos: 0,
             high_water: 0,
             inject: inject.into(),
@@ -191,20 +202,48 @@ impl Supervisor {
         }
     }
 
-    /// Append a batch to the journal. The batch is adopted wholesale —
-    /// admission does no per-item work beyond the journal-bound check — and
-    /// whatever exceeds the bound is split off and shed with full gap
-    /// accounting.
-    fn admit(&mut self, mut items: Batch) {
-        self.probe.queue_depth.record(self.journal_len as u64);
-        let room = self.cfg.journal_limit.saturating_sub(self.journal_len);
-        let overflow = if items.len() > room { items.split_off(room) } else { Vec::new() };
-        if !items.is_empty() {
-            self.journal_len += items.len();
-            self.journal.push(items);
+    /// Stage one delivered event at the journal's tail, cloned once (its
+    /// packet is shared, not copied). The journal grows as `push` would,
+    /// but never past the most it can hold: a checkpoint window's admitted
+    /// events plus one dispatch's.
+    pub(crate) fn stage(&mut self, seq: u64, mask: u64, ev: &NetEvent) {
+        debug_assert!(mask != 0, "fully masked events are filtered before staging");
+        let len = self.journal.len();
+        if len == self.journal.capacity() {
+            let cfg = &self.cfg;
+            let most = cfg.journal_limit.min(cfg.checkpoint_every).saturating_add(cfg.batch);
+            self.journal.reserve_exact(len.max(cfg.batch).min(most.saturating_sub(len)));
         }
+        self.journal.push(Item { seq, mask, ev: ev.clone() });
+    }
+
+    /// How many staged events wait for a dispatch.
+    pub(crate) fn staged(&self) -> usize {
+        self.journal.len() - self.journal_pos
+    }
+
+    /// True when the staged events must be dispatched: they fill a batch,
+    /// or the oldest is `flush_every` or more input ticks behind `seq_now`
+    /// — the bounded-staleness trigger. Input sequence numbers count
+    /// filtered feeds too, so it fires even when nothing more is staged.
+    pub(crate) fn due(&self, seq_now: u64) -> bool {
+        self.journal.get(self.journal_pos).is_some_and(|oldest| {
+            self.staged() >= self.cfg.batch
+                || seq_now.saturating_sub(oldest.seq) >= self.cfg.flush_every as u64
+        })
+    }
+
+    /// Admit what is staged: whatever of it lies past the journal bound is
+    /// shed, with full gap accounting.
+    fn admit(&mut self) {
+        if self.staged() == 0 {
+            return;
+        }
+        self.probe.queue_depth.record(self.journal_pos as u64);
+        let Some(overflow) = self.journal.get(self.cfg.journal_limit..) else { return };
         if let (Some(first), Some(last)) = (overflow.first(), overflow.last()) {
-            self.probe.shed.add(overflow.len() as u64);
+            let shed = overflow.len() as u64;
+            self.probe.shed.add(shed);
             self.in_gap = true;
             let gap = self.open_gap.get_or_insert(MonitoringGap {
                 first_seq: first.seq,
@@ -212,24 +251,25 @@ impl Supervisor {
                 shed: 0,
             });
             gap.last_seq = last.seq;
-            gap.shed += overflow.len() as u64;
+            gap.shed += shed;
+            self.journal.truncate(self.cfg.journal_limit);
         }
     }
 
-    /// Admit one sealed batch and drive it to completion under full
-    /// supervision — journal, panic boundary with checkpoint/replay
-    /// recovery, shedding accounting — and publish what it raised before
-    /// the checkpoint cadence can stall its visibility.
-    pub(crate) fn apply_batch(&mut self, batch: Batch) -> Result<(), ShardFailure> {
-        self.admit(batch);
+    /// Drive what is staged to completion under full supervision — the
+    /// journal bound, the panic boundary with checkpoint/replay recovery,
+    /// shedding accounting — and publish what it raised before the
+    /// checkpoint cadence can stall its visibility.
+    pub(crate) fn dispatch(&mut self) -> Result<(), ShardFailure> {
         self.drive(None)?;
         self.publish();
         self.maybe_checkpoint();
         Ok(())
     }
 
-    /// Apply everything outstanding inside the panic boundary; recover and
-    /// retry on unwind until success or the restart budget runs out.
+    /// Admit what is staged, then apply everything outstanding inside the
+    /// panic boundary; recover and retry on unwind until success or the
+    /// restart budget runs out.
     ///
     /// Each attempt is counted from what it moved, whether it completed or
     /// unwound — no per-item counter: the journal cursors advance as each
@@ -238,6 +278,7 @@ impl Supervisor {
     /// `in_gap` is fixed for the whole attempt, so inside a gap everything
     /// it added to the log is degraded.
     fn drive(&mut self, finish_at: Option<Instant>) -> Result<(), ShardFailure> {
+        self.admit();
         loop {
             let (pos, high, logged) =
                 (self.journal_pos, self.high_water, self.state.log.records.len());
@@ -295,44 +336,26 @@ impl Supervisor {
     /// item's application has completed.
     fn apply_pending(&mut self, finish_at: Option<Instant>) {
         let faults = !self.inject.is_empty();
-        let (mut b, mut skip) = self.resume_at();
-        while b < self.journal.len() {
-            for i in skip..self.journal[b].len() {
-                let Item { seq, mask, ref ev } = self.journal[b][i];
-                if faults {
-                    while self.inject.front().is_some_and(|&s| s < seq) {
-                        // Injection point filtered out or shed: never
-                        // reachable.
-                        self.inject.pop_front();
-                    }
-                    if self.inject.front() == Some(&seq) {
-                        // Consume the injection first so replay does not
-                        // re-panic.
-                        self.inject.pop_front();
-                        panic!("{INJECTED_PANIC_PREFIX} at seq {seq}");
-                    }
+        for &Item { seq, mask, ref ev } in &self.journal[self.journal_pos..] {
+            if faults {
+                while self.inject.front().is_some_and(|&s| s < seq) {
+                    // Injection point filtered out or shed: never reachable.
+                    self.inject.pop_front();
                 }
-                self.state.apply(seq, mask, ev, self.in_gap);
-                self.journal_pos += 1;
-                self.high_water = self.high_water.max(self.journal_pos);
+                if self.inject.front() == Some(&seq) {
+                    // Consume the injection first so replay does not
+                    // re-panic.
+                    self.inject.pop_front();
+                    panic!("{INJECTED_PANIC_PREFIX} at seq {seq}");
+                }
             }
-            skip = 0;
-            b += 1;
+            self.state.apply(seq, mask, ev, self.in_gap);
+            self.journal_pos += 1;
+            self.high_water = self.high_water.max(self.journal_pos);
         }
         if let Some(end) = finish_at {
             self.state.finish(end, self.in_gap);
         }
-    }
-
-    /// `journal_pos` as `(batch, offset)`, walked back from the tail: the
-    /// steady state resumes in the batch just admitted; only replay walks far.
-    fn resume_at(&self) -> (usize, usize) {
-        let (mut b, mut start) = (self.journal.len(), self.journal_len);
-        while start > self.journal_pos {
-            b -= 1;
-            start -= self.journal[b].len();
-        }
-        (b, self.journal_pos - start)
     }
 
     /// Rebuild the crash domain from the last checkpoint and rewind the
@@ -365,8 +388,8 @@ impl Supervisor {
     /// this is what closes a monitoring gap).
     fn maybe_checkpoint(&mut self) {
         let due = self.high_water >= self.cfg.checkpoint_every
-            || self.journal_len >= self.cfg.journal_limit;
-        if due && self.journal_pos == self.journal_len {
+            || self.journal.len() >= self.cfg.journal_limit;
+        if due && self.staged() == 0 {
             self.force_checkpoint();
         }
     }
@@ -381,7 +404,7 @@ impl Supervisor {
     /// slots it wrote since; any other pairing — the first checkpoint, a
     /// deploy's new monitor set — is a full copy, decided by the monitor.
     fn force_checkpoint(&mut self) {
-        debug_assert_eq!(self.journal_pos, self.journal_len);
+        debug_assert_eq!(self.staged(), 0);
         let t0 = std::time::Instant::now();
         let images = &mut self.checkpoint.snapshots;
         images.resize_with(self.state.set.len(), MonitorSnapshot::default);
@@ -391,7 +414,6 @@ impl Supervisor {
         self.probe.checkpoint_slots.add(copied as u64);
         self.probe.checkpoint.record(t0.elapsed().as_nanos() as u64);
         self.journal.clear();
-        self.journal_len = 0;
         self.journal_pos = 0;
         self.high_water = 0;
         self.probe.checkpoints.inc();
@@ -457,14 +479,14 @@ impl Supervisor {
 
     /// Hand the log positions past the published mark to the sink, and
     /// count each event-triggered record's lag: input ticks up to the last
-    /// event admitted, the end of the batch whose publish carries it.
+    /// event admitted, the end of the dispatch whose publish carries it.
     fn publish(&mut self) {
         let Some(sink) = &self.sink else { return };
         let fresh = &self.state.log.records[self.published..];
         if fresh.is_empty() {
             return;
         }
-        let upto = self.journal.last().and_then(|b| b.last()).map_or(0, |r| r.seq);
+        let upto = self.journal.last().map_or(0, |r| r.seq);
         for r in fresh.iter().filter(|r| r.seq != FLUSH_SEQ) {
             self.probe.publish_lag.record(upto.saturating_sub(r.seq));
         }
@@ -473,19 +495,17 @@ impl Supervisor {
         self.published = self.state.log.records.len();
     }
 
-    /// End of input: apply the arena's tail, advance every monitor to
-    /// `end` (firing pending deadlines), fold what the probe cannot carry —
-    /// the monitoring gaps and each monitor's engine counters — into
-    /// `stats`, and hand back the violation log, in discovery order. The
-    /// tail is applied here rather than as a batch of its own, so it and
-    /// the timer drain are one publish.
+    /// End of input: admit and apply what is staged, advance every monitor
+    /// to `end` (firing pending deadlines), fold what the probe cannot
+    /// carry — the monitoring gaps and each monitor's engine counters —
+    /// into `stats`, and hand back the violation log, in discovery order.
+    /// The staged tail is applied here rather than by a dispatch of its
+    /// own, so it and the timer drain are one publish.
     pub(crate) fn finish(
         mut self,
-        tail: Option<Batch>,
         end: Instant,
         stats: &mut RuntimeStats,
     ) -> Result<Vec<ViolationRecord>, ShardFailure> {
-        tail.into_iter().for_each(|batch| self.admit(batch));
         self.drive(Some(end))?;
         self.gaps.extend(self.open_gap.take());
         self.publish();
@@ -527,7 +547,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::Arena;
     use std::sync::Arc;
     use swmon_core::{var, Atom, EventPattern, Guard, Property, RefreshPolicy, Stage};
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
@@ -629,21 +648,28 @@ mod tests {
         arrival(10 * (seq + 1), (seq % 5) as u8 + 1)
     }
 
-    /// Batches of up to 8 events each.
-    fn batches(n: u64) -> Vec<Batch> {
-        batches_of(n, test_ev)
-    }
-
-    fn batches_of(n: u64, ev: impl Fn(u64) -> NetEvent) -> Vec<Batch> {
-        let mut out = Vec::new();
-        let mut arena = Arena::new(8);
+    /// Stage `ev(seq)` for every `seq` in `0..n` (mask 1) as
+    /// `Session::feed` does, dispatching whenever the staged events are
+    /// due, and hand the supervisor to `after` after each dispatch.
+    fn feed_each(
+        sup: &mut Supervisor,
+        n: u64,
+        ev: impl Fn(u64) -> NetEvent,
+        mut after: impl FnMut(&Supervisor),
+    ) -> Result<(), ShardFailure> {
         for seq in 0..n {
-            if arena.push(seq, &ev(seq), 1) {
-                out.extend(arena.seal());
+            sup.stage(seq, 1, &ev(seq));
+            if sup.due(seq + 1) {
+                sup.dispatch()?;
+                after(sup);
             }
         }
-        out.extend(arena.seal());
-        out
+        Ok(())
+    }
+
+    /// [`feed_each`] over [`test_ev`], with nothing to check in between.
+    fn feed(sup: &mut Supervisor, n: u64) -> Result<(), ShardFailure> {
+        feed_each(sup, n, test_ev, |_| {})
     }
 
     /// The log and the folded stats of a run over `n` events, with the
@@ -655,11 +681,9 @@ mod tests {
     ) -> (Vec<ViolationRecord>, RuntimeStats, Arc<ShardProbe>) {
         silence_injected_panics();
         let (mut sup, probe) = supervised(cfg, inject);
-        for batch in batches(n) {
-            sup.apply_batch(batch).expect("shard survives");
-        }
+        feed(&mut sup, n).expect("shard survives");
         let mut stats = RuntimeStats::default();
-        let log = sup.finish(None, Instant::from_nanos(1_000_000), &mut stats);
+        let log = sup.finish(Instant::from_nanos(1_000_000), &mut stats);
         (log.expect("shard survives"), stats, probe)
     }
 
@@ -681,32 +705,35 @@ mod tests {
         assert_eq!(clean_probe.processed.get(), probe.processed.get());
     }
 
-    /// Batches of 3 for 90 events against a cadence no window reaches, so
-    /// all 30 stay journalled; seq 47 (batch 15, third item) crashes. The
-    /// recovery replays 0..47 once; every drive around it resumes on the
-    /// next unapplied item, without walking the batches before it.
+    /// Dispatches of 3 for 90 events against a cadence no window reaches,
+    /// so all 90 stay journalled; seq 47 (dispatch 15, third item) crashes.
+    /// The recovery replays 0..47 once; every other dispatch applies its
+    /// own 3 items and nothing before them.
     #[test]
     fn a_crash_inside_batch_k_of_many_resumes_on_the_next_unapplied_item() {
         silence_injected_panics();
         let run = |inject: Vec<u64>| {
             let crash_at = inject.first().copied();
-            let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
+            let cfg = RuntimeConfig { batch: 3, checkpoint_every: 1 << 20, ..Default::default() };
             let (mut sup, probe, sink) = recorded(vec![repeat_prop()], cfg, inject);
-            let mut arena = Arena::new(3);
             for seq in 0..90 {
-                if arena.push(seq, &test_ev(seq), 1) {
-                    let batch = arena.seal().unwrap();
-                    let replayed = probe.replayed.get();
-                    sup.apply_batch(batch).unwrap();
-                    assert_eq!(sup.journal_pos, sup.journal_len, "batch ending at {seq} applied");
-                    assert_eq!(sup.resume_at(), (sup.journal.len(), 0));
-                    // The crashing batch ends on the crash: everything
+                sup.stage(seq, 1, &test_ev(seq));
+                if sup.due(seq + 1) {
+                    let (replayed, processed) = (probe.replayed.get(), probe.processed.get());
+                    sup.dispatch().unwrap();
+                    assert_eq!(
+                        sup.journal_pos,
+                        sup.journal.len(),
+                        "dispatch ending at {seq} applied"
+                    );
+                    assert_eq!(probe.processed.get() - processed, 3, "dispatch ending at {seq}");
+                    // The crashing dispatch ends on the crash: everything
                     // before it since the checkpoint (none) is replayed.
                     let replay = if crash_at == Some(seq) { seq } else { 0 };
-                    assert_eq!(probe.replayed.get() - replayed, replay, "batch ending at {seq}");
+                    assert_eq!(probe.replayed.get() - replayed, replay, "dispatch ending at {seq}");
                 }
             }
-            assert_eq!((sup.journal.len(), probe.checkpoints.get()), (30, 0));
+            assert_eq!((sup.journal.len(), probe.checkpoints.get()), (90, 0));
             (sink.publishes(), probe)
         };
         let (clean, _) = run(vec![]);
@@ -716,34 +743,8 @@ mod tests {
         let sig = |p: &[Vec<ViolationRecord>]| {
             p.iter().flatten().map(crate::merge::signature).collect::<Vec<_>>()
         };
-        assert!(clean.len() > 20, "most batches raise: {}", clean.len());
+        assert!(clean.len() > 20, "most dispatches raise: {}", clean.len());
         assert_eq!(sig(&faulty), sig(&clean));
-    }
-
-    /// `resume_at` walks back from the tail to the same `(batch, offset)`
-    /// a walk forward from batch 0 finds, for every cursor position.
-    #[test]
-    fn the_cursor_is_found_from_the_tail() {
-        let (mut sup, _) = supervised(RuntimeConfig::default(), vec![]);
-        let mut seq = 0;
-        for size in [1, 3, 1, 8, 2, 5] {
-            let mut arena = Arena::new(size);
-            for _ in 0..size {
-                let _ = arena.push(seq, &test_ev(seq), 1);
-                seq += 1;
-            }
-            sup.admit(arena.seal().unwrap());
-        }
-        assert_eq!(sup.journal_len, 20);
-        let mut forward = Vec::new();
-        for (b, batch) in sup.journal.iter().enumerate() {
-            forward.extend((0..batch.len()).map(|i| (b, i)));
-        }
-        forward.push((sup.journal.len(), 0));
-        for (pos, want) in forward.into_iter().enumerate() {
-            sup.journal_pos = pos;
-            assert_eq!(sup.resume_at(), want, "cursor {pos}");
-        }
     }
 
     #[test]
@@ -752,34 +753,109 @@ mod tests {
         // One fault more than the budget: seqs 1..=9.
         let inject = (1..=MAX_RESTARTS + 1).collect();
         let (mut sup, probe) = supervised(RuntimeConfig::default(), inject);
-        let err = batches(16)
-            .into_iter()
-            .find_map(|batch| sup.apply_batch(batch).err())
-            .expect("the fault past the budget escalates");
+        let err = feed(&mut sup, 16).expect_err("the fault past the budget escalates");
         assert_eq!(err.restarts, MAX_RESTARTS);
         assert_eq!(probe.restarts.get(), MAX_RESTARTS, "every recovery in the budget ran");
         assert!(err.message.starts_with(INJECTED_PANIC_PREFIX), "{}", err.message);
         assert!(err.message.ends_with("at seq 9"), "{}", err.message);
     }
 
+    /// Staged items are the journal's undispatched suffix: each keeps its
+    /// `seq` and `mask`, in input order, and a dispatch moves the suffix's
+    /// start past them.
+    #[test]
+    fn staged_items_keep_seq_mask_and_input_order() {
+        let cfg = RuntimeConfig { batch: 3, ..Default::default() };
+        let (mut sup, _) = supervisor_of(vec![repeat_prop(); 3], cfg, vec![], None);
+        let staged = |sup: &Supervisor| -> Vec<(u64, u64, u64)> {
+            let suffix = &sup.journal[sup.journal_pos..];
+            suffix.iter().map(|r| (r.seq, r.mask, r.ev.time.as_nanos())).collect()
+        };
+        sup.stage(0, 1, &arrival(10, 1));
+        sup.stage(1, 2, &arrival(20, 2));
+        assert!(!sup.due(2));
+        sup.stage(2, 5, &arrival(30, 3));
+        assert!(sup.due(3), "the third event fills the batch");
+        assert_eq!(staged(&sup), [(0, 1, 10), (1, 2, 20), (2, 5, 30)]);
+        sup.dispatch().unwrap();
+        assert_eq!((sup.staged(), sup.journal.len()), (0, 3), "dispatched, still journalled");
+        sup.stage(7, 1, &arrival(42, 4));
+        sup.stage(9, 3, &arrival(43, 5));
+        assert_eq!(staged(&sup), [(7, 1, 42), (9, 3, 43)]);
+    }
+
+    #[test]
+    fn staging_clones_the_event_but_not_its_packet() {
+        let (mut sup, _) = supervised(RuntimeConfig::default(), vec![]);
+        let fed = arrival(30, 1);
+        sup.stage(0, 1, &fed);
+        let staged = &sup.journal[0].ev;
+        assert_eq!(staged.time, fed.time);
+        assert!(Arc::ptr_eq(staged.packet().unwrap(), fed.packet().unwrap()));
+    }
+
+    #[test]
+    fn staleness_runs_from_the_oldest_undispatched_item() {
+        let cfg = RuntimeConfig { batch: 64, flush_every: 8, ..Default::default() };
+        let (mut sup, _) = supervised(cfg, vec![]);
+        assert!(!sup.due(100), "nothing staged is never stale");
+        sup.stage(5, 1, &test_ev(5));
+        // Seqs 6..12 were filtered: they never reach the journal, yet
+        // they age what is staged.
+        assert!(!sup.due(12));
+        assert!(sup.due(13), "the oldest item is 8 ticks behind");
+        // A later item does not reset the clock.
+        sup.stage(12, 1, &test_ev(12));
+        assert!(sup.due(13));
+        // A dispatch does.
+        sup.dispatch().unwrap();
+        assert!(!sup.due(1_000));
+        sup.stage(1_000, 1, &test_ev(1_000));
+        assert!(!sup.due(1_007));
+        assert!(sup.due(1_008), "the clock restarts at the next staged item");
+    }
+
+    /// The journal is cleared, not freed, at each checkpoint: after the
+    /// first window its allocation never moves, and it never holds more
+    /// than the bound plus one dispatch — shedding or not.
+    #[test]
+    fn the_journal_keeps_its_allocation_across_checkpoints() {
+        for journal_limit in [0, 12] {
+            let cfg = RuntimeConfig { checkpoint_every: 16, journal_limit, ..Default::default() };
+            let (mut sup, probe) = supervised(cfg, vec![]);
+            let bound = sup.cfg.journal_limit + sup.cfg.batch;
+            let mut caps = Vec::new();
+            let mut checkpoints = 0;
+            feed_each(&mut sup, 1_600, test_ev, |sup| {
+                assert!(sup.journal.capacity() <= bound, "{} > {bound}", sup.journal.capacity());
+                if probe.checkpoints.get() > checkpoints {
+                    checkpoints = probe.checkpoints.get();
+                    caps.push(sup.journal.capacity());
+                }
+            })
+            .unwrap();
+            assert!(caps.len() >= 100, "{} checkpoints", caps.len());
+            assert!(caps.iter().all(|&c| c == caps[0]), "limit {journal_limit}: {caps:?}");
+        }
+    }
+
     #[test]
     fn a_staleness_flush_publishes_without_checkpointing() {
-        // A partial block, as a `flush_every` flush dispatches it: seqs 0
+        // A partial batch, as a `flush_every` flush dispatches it: seqs 0
         // and 5 share a source, so the second arrival raises.
-        let mut arena = Arena::new(64);
-        for seq in [0, 5] {
-            let _ = arena.push(seq, &test_ev(seq), 1);
-        }
         let cfg = RuntimeConfig { checkpoint_every: 1 << 20, ..Default::default() };
         let (mut sup, probe, sink) = recorded(vec![repeat_prop()], cfg, vec![]);
-        sup.apply_batch(arena.seal().unwrap()).unwrap();
+        for seq in [0, 5] {
+            sup.stage(seq, 1, &test_ev(seq));
+        }
+        sup.dispatch().unwrap();
         let published = sink.publishes();
-        assert_eq!(published.len(), 1, "the flushed batch's violation is visible at once");
+        assert_eq!(published.len(), 1, "the flushed dispatch's violation is visible at once");
         assert_eq!(published[0].iter().map(|r| r.seq).collect::<Vec<_>>(), [5]);
         assert_eq!(probe.checkpoints.get(), 0, "a flush is a dispatch, not a checkpoint");
         assert_eq!(probe.store_published.get(), 1);
         let lag = probe.publish_lag.snapshot();
-        assert_eq!((lag.count, lag.max), (1, 0), "raised by the batch's last event");
+        assert_eq!((lag.count, lag.max), (1, 0), "raised by the dispatch's last event");
     }
 
     #[test]
@@ -791,18 +867,18 @@ mod tests {
         let run = |inject: Vec<u64>| {
             let (mut sup, probe, sink) = recorded(vec![repeat_prop()], base_cfg(), inject);
             let mut mark = 0;
-            for batch in batches(40) {
-                sup.apply_batch(batch).unwrap();
+            feed_each(&mut sup, 40, test_ev, |sup| {
                 assert!(sup.published >= mark, "the mark fell from {mark} to {}", sup.published);
                 assert_eq!(
                     sup.published,
                     sup.state.log.records.len(),
-                    "a batch publishes all it raised"
+                    "a dispatch publishes all it raised"
                 );
                 mark = sup.published;
-            }
+            })
+            .unwrap();
             let end = Instant::from_nanos(1_000_000);
-            let out = sup.finish(None, end, &mut RuntimeStats::default()).expect("finish succeeds");
+            let out = sup.finish(end, &mut RuntimeStats::default()).expect("finish succeeds");
             let log: Vec<String> = out.iter().map(crate::merge::signature).collect();
             (sig(sink.publishes()), log, probe)
         };
@@ -810,12 +886,12 @@ mod tests {
         assert!(clean.len() >= 30, "most arrivals repeat a source: {}", clean.len());
         assert_eq!(clean, clean_log, "the published stream is the log");
         // Checkpoints fall after seqs 15 and 31. Seq 13 crashes the second
-        // batch of a window whose first batch is already published, seq 35
-        // the first batch after a checkpoint: replay re-raises what the
-        // sink has seen, and none of it is delivered twice or moved.
+        // dispatch of a window whose first is already published, seq 35 the
+        // first dispatch after a checkpoint: replay re-raises what the sink
+        // has seen, and none of it is delivered twice or moved.
         let (faulty, faulty_log, probe) = run(vec![13, 35]);
         assert_eq!(probe.restarts.get(), 2);
-        assert!(probe.replayed.get() >= 8, "the published batch was replayed");
+        assert!(probe.replayed.get() >= 8, "the published dispatch was replayed");
         assert_eq!(faulty, clean);
         assert_eq!(faulty_log, clean_log);
         assert_eq!(probe.store_published.get(), clean.len() as u64);
@@ -834,18 +910,33 @@ mod tests {
             ],
         };
         let cfg = RuntimeConfig::default();
-        let (sup, _, sink) = recorded(vec![repeat_prop(), due], cfg, vec![]);
-        let mut arena = Arena::new(64);
+        let (mut sup, _, sink) = recorded(vec![repeat_prop(), due], cfg, vec![]);
         for seq in 0..12 {
-            let _ = arena.push(seq, &test_ev(seq), 0b11);
+            sup.stage(seq, 0b11, &test_ev(seq));
         }
         let end = Instant::from_nanos(1_000_000);
-        let log = sup.finish(arena.seal(), end, &mut RuntimeStats::default()).expect("finishes");
+        let log = sup.finish(end, &mut RuntimeStats::default()).expect("finishes");
         let published = sink.publishes();
-        assert_eq!(published.len(), 1, "the tail batch and the timer drain are one publish");
+        assert_eq!(published.len(), 1, "the staged tail and the timer drain are one publish");
         assert_eq!(published[0].len(), log.len());
         let drained = published[0].iter().filter(|r| r.seq == FLUSH_SEQ).count();
         assert!(drained > 0 && drained < log.len(), "both raised: {drained} of {}", log.len());
+    }
+
+    /// What is staged at `finish` is admitted like any dispatch: past the
+    /// journal bound it is shed into a gap, not applied.
+    #[test]
+    fn a_staged_tail_past_the_journal_bound_is_shed_at_finish() {
+        let cfg = RuntimeConfig { batch: 64, journal_limit: 4, ..Default::default() };
+        let (mut sup, probe) = supervised(cfg, vec![]);
+        for seq in 0..10 {
+            sup.stage(seq, 1, &test_ev(seq));
+        }
+        let mut stats = RuntimeStats::default();
+        sup.finish(Instant::from_nanos(1_000_000), &mut stats).unwrap();
+        assert_eq!((probe.processed.get(), probe.shed.get()), (4, 6));
+        assert_eq!(stats.gaps, [MonitoringGap { first_seq: 4, last_seq: 9, shed: 6 }]);
+        assert_eq!(probe.queue_depth.snapshot().count, 1, "one admission");
     }
 
     #[test]
@@ -877,9 +968,7 @@ mod tests {
         let copied_with = |inject: Vec<u64>| {
             let cfg = RuntimeConfig { checkpoint_every: 8, ..Default::default() };
             let (mut sup, probe) = supervised(cfg, inject);
-            for batch in batches_of(96, |seq| arrival(10 * (seq + 1), seq as u8)) {
-                sup.apply_batch(batch).unwrap();
-            }
+            feed_each(&mut sup, 96, |seq| arrival(10 * (seq + 1), seq as u8), |_| {}).unwrap();
             assert_eq!(probe.checkpoints.get(), 12);
             assert_eq!(probe.checkpoint.snapshot().count, 12, "one timed sample per checkpoint");
             (probe.checkpoint_slots.get(), probe.restarts.get())
@@ -897,16 +986,16 @@ mod tests {
         // a checkpoint every 40 always lands on the same live state.
         let cfg = RuntimeConfig { checkpoint_every: 40, ..Default::default() };
         let (mut sup, probe) = supervised(cfg, vec![]);
-        let mut sizes = Vec::new();
-        for batch in batches(400) {
-            let before = probe.checkpoints.get();
-            sup.apply_batch(batch).unwrap();
-            if probe.checkpoints.get() > before {
+        let (mut sizes, mut checkpoints) = (Vec::new(), 0);
+        feed_each(&mut sup, 400, test_ev, |sup| {
+            if probe.checkpoints.get() > checkpoints {
+                checkpoints = probe.checkpoints.get();
                 let snaps = &sup.checkpoint.snapshots;
                 assert!(snaps.iter().all(|s| s.violations().is_empty()));
                 sizes.push(snaps.iter().map(|s| s.to_bytes().len()).sum::<usize>());
             }
-        }
+        })
+        .unwrap();
         assert!(sizes.len() >= 5, "several checkpoints: {sizes:?}");
         let logged = sup.state.log.records.len();
         assert!(logged >= 100, "{logged} violations");

@@ -9,15 +9,29 @@
 //! and no output depends on its one clock use (sampled wall-timing of
 //! `process`); it is the purely deterministic part of a shard.
 
-use crate::batch::ShardLayout;
 use crate::merge::{canonical_cmp, ViolationRecord};
-use swmon_core::{Monitor, MonitorSet};
+use std::sync::Arc;
+use swmon_core::{Monitor, MonitorSet, Property};
 use swmon_sim::time::Instant;
 use swmon_sim::trace::NetEvent;
+use swmon_telemetry::EngineProbe;
 
 /// Sequence number recorded for violations discovered while draining
 /// timers at finish (no triggering event exists).
 pub(crate) const FLUSH_SEQ: u64 = u64::MAX;
+
+/// A catalog epoch as the shard hosts it: one monitor per property at its
+/// catalog position, and where that monitor's engine probe is. Built by
+/// the session for the initial epoch and for every deploy; the supervisor
+/// builds its monitors from it.
+#[derive(Debug)]
+pub(crate) struct ShardLayout {
+    /// The catalog, in property order, shared with the runtime.
+    pub(crate) props: Arc<[Property]>,
+    /// `probes[i]` is property `i`'s engine probe: the hub's one probe for
+    /// the property's name, whichever epoch introduced it.
+    pub(crate) probes: Vec<Arc<EngineProbe>>,
+}
 
 /// The mutable state a shard panic can corrupt: the monitors and the log
 /// their violations are moved into. The monitors keep no violation
@@ -117,12 +131,10 @@ impl ViolationLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use swmon_core::{var, Atom, EventPattern, Guard, MonitorConfig, Property, Stage};
+    use swmon_core::{var, Atom, EventPattern, Guard, MonitorConfig, Stage};
     use swmon_packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
     use swmon_sim::time::Instant;
-    use swmon_sim::trace::{NetEvent, NetEventKind, PacketId, PortNo, SwitchId};
-    use swmon_telemetry::EngineProbe;
+    use swmon_sim::trace::{NetEventKind, PacketId, PortNo, SwitchId};
 
     fn repeat_prop() -> Property {
         let stage = |n: &str| {

@@ -26,7 +26,7 @@
 //! live query returns the canonical ordering of the published-so-far
 //! subset.
 
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use swmon_core::json::escape;
 use swmon_core::wire::{Reader, SnapshotError, Writer};
@@ -199,6 +199,15 @@ impl Store {
         Store::default()
     }
 
+    /// The one place each lock mode is taken, and a poisoned lock decided.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().expect("store lock poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().expect("store lock poisoned")
+    }
+
     /// Append one batch of records discovered by `shard`. The batch
     /// becomes visible atomically. No-op on an empty batch or a sealed
     /// store (sealing is terminal).
@@ -206,7 +215,7 @@ impl Store {
         if records.is_empty() {
             return;
         }
-        let mut inner = self.inner.write().expect("store lock poisoned");
+        let mut inner = self.write();
         if inner.sealed {
             debug_assert!(false, "ingest into a sealed store");
             return;
@@ -215,11 +224,8 @@ impl Store {
         inner.next_seq += records.len() as u64;
         // A publish that overshoots the tail grows it to exactly what it
         // holds, so the frozen rows are neither copied twice nor slack.
-        let need = inner.tail.len() + records.len();
-        if need > inner.tail.capacity() {
-            let more = need.max(TAIL_ROWS) - inner.tail.len();
-            inner.tail.reserve_exact(more);
-        }
+        let len = inner.tail.len();
+        inner.tail.reserve_exact((len + records.len()).max(TAIL_ROWS) - len);
         let rows = records.iter().zip(base..).map(|(r, seq)| Row::new(seq, shard, r.clone()));
         inner.tail.extend(rows);
         if inner.tail.len() >= TAIL_ROWS {
@@ -241,7 +247,7 @@ impl Store {
     /// published live. A record the log lacks is a fresh row from
     /// [`NO_SHARD`].
     pub fn seal(&self, merged: &[ViolationRecord]) {
-        let mut inner = self.inner.write().expect("store lock poisoned");
+        let mut inner = self.write();
         let Inner { segments, tail, .. } = &mut *inner;
         // Sorted by reference: a row is several hundred bytes, and the
         // join moves out what it takes.
@@ -268,20 +274,17 @@ impl Store {
                 None => Row::new(store_seq, NO_SHARD, rec.clone()),
             }
         });
-        let sealed = std::iter::from_fn(|| {
+        let segments = std::iter::from_fn(|| {
             let chunk: Vec<Row> = rows.by_ref().take(SEAL_SEGMENT_ROWS).collect();
             (!chunk.is_empty()).then(|| Segment::build(chunk))
         })
         .collect();
-        inner.segments = sealed;
-        inner.tail = Vec::new();
-        inner.next_seq = merged.len() as u64;
-        inner.sealed = true;
+        *inner = Inner { segments, tail: Vec::new(), next_seq: merged.len() as u64, sealed: true };
     }
 
     /// Total stored rows.
     pub fn len(&self) -> u64 {
-        self.inner.read().expect("store lock poisoned").len()
+        self.read().len()
     }
 
     /// True when no rows are stored.
@@ -291,19 +294,19 @@ impl Store {
 
     /// True once [`Store::seal`] has run.
     pub fn is_sealed(&self) -> bool {
-        self.inner.read().expect("store lock poisoned").sealed
+        self.read().sealed
     }
 
     /// Segments [`Store::to_bytes`] would frame: the frozen ones, plus the
     /// open tail while it holds rows. A live store of `n` rows has at most
     /// `n / TAIL_ROWS + 1`, however many publishes brought them.
     pub fn segment_count(&self) -> usize {
-        self.inner.read().expect("store lock poisoned").segment_count()
+        self.read().segment_count()
     }
 
     /// Execute a parsed query against a prefix-consistent snapshot.
     pub fn query(&self, q: &Query) -> QueryOutput {
-        let inner = self.inner.read().expect("store lock poisoned");
+        let inner = self.read();
         let segments = &inner.segments;
         let the_plan = plan(q, segments, inner.tail.len() as u64);
         let mut hits: Vec<(usize, u32)> = Vec::new();
@@ -318,10 +321,7 @@ impl Store {
                 }
             };
             // No segment indexes a name nothing has interned.
-            let var = match &bplan.driver {
-                Driver::Bind(v, _) => Var::lookup(v),
-                _ => None,
-            };
+            let var = if let Driver::Bind(v, _) = &bplan.driver { Var::lookup(v) } else { None };
             for (si, seg) in segments.iter().enumerate() {
                 match candidates(seg, &bplan.driver, var) {
                     Some(rows) => rows.iter().for_each(|&ri| consider(si, ri)),
@@ -361,7 +361,7 @@ impl Store {
     /// magic, a non-empty tail framed as the last of them (it decodes as a
     /// frozen segment, which answers the same).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let inner = self.inner.read().expect("store lock poisoned");
+        let inner = self.read();
         let mut w = Writer::with_capacity(4096);
         w.magic(STORE_MAGIC);
         w.u16(STORE_VERSION);
